@@ -341,8 +341,9 @@ class PredicateMix:
 # ---------------------------------------------------------------------------
 
 CLI_COMMANDS = ("check-crooked", "check-ads", "check-photon", "classify-tori", "sample")
-# four rounds of the four check commands, then one sample request (1 in 17)
-CLI_CYCLE = CLI_COMMANDS[:4] * 4 + ("sample",)
+# one sample request, then four rounds of the four check commands (1 in 17
+# requests is a sample; it comes first so that even a short run times one)
+CLI_CYCLE = ("sample",) + CLI_COMMANDS[:4] * 4
 SAMPLE_COUNT = 1000
 
 
