@@ -9,7 +9,9 @@ prefixed `perfbench-meta `, records the machine, the versions and the
 BLAS threads in force.  With `--trace 0` the metrics are the end-to-end
 metrics of BENCHMARK.json, measured untraced for S seconds; with
 `--trace 1` they are its per-layer metrics, from a fixed amount of work
-done once untraced and once traced.  See perfbench/README.md.
+done once untraced and once traced.  End-to-end times are scaled to a
+reference core speed (calibrate.py); per-layer times are wall times.
+See perfbench/README.md.
 """
 
 import argparse
@@ -29,12 +31,13 @@ from time import perf_counter
 from workloads import (CLI_COMMANDS, PINNED_ENV, SUITE_ORDER, WORK, WORKLOADS, BenchError,
                        child_env, run_child)
 from tracer import Tracer
+import calibrate
 
 import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-N_SETUP = 5  # fresh-process set-ups per run; setup_s is their median
+N_SETUP = 7  # fresh-process set-ups per run; setup_s is their median
 
 
 def die(msg):
@@ -47,14 +50,19 @@ def load_spec():
         return json.load(handle)
 
 
-def spawn_seconds(argv, env):
-    """Wall time of a child process from spawn to exit."""
+def spawn_seconds(argv, env, ref=False):
+    """Wall time of a child process from spawn to exit; with `ref`, scaled
+    to the reference core speed by calibration units timed around it."""
+    units = [calibrate.unit_seconds() for _ in range(3)] if ref else []
     t0 = perf_counter()
     code, _, err = run_child(argv, env=env, cwd=ROOT, stdout=subprocess.DEVNULL,
                              stderr=subprocess.PIPE, text=True)
     seconds = perf_counter() - t0
     if code != 0:
         raise BenchError(f"{' '.join(argv)} exited {code}: {err.strip()[-300:]}")
+    if ref:
+        units += [calibrate.unit_seconds() for _ in range(3)]
+        seconds *= calibrate.scale(units)
     return seconds
 
 
@@ -116,25 +124,27 @@ def collect_meta():
 # metrics
 # ---------------------------------------------------------------------------
 
-def kind_medians(ops, kinds):
+def kind_medians(ops, kinds, attr="ref"):
+    """{kind: median of its completed operations' `ref` (or wall) times}."""
     med = {}
     for kind in kinds:
-        times = [op.seconds for op in ops if op.kind == kind and op.completed]
+        times = [getattr(op, attr) for op in ops if op.kind == kind and op.completed]
         if not times:
             raise BenchError(f"no completed {kind} operation to time")
         med[kind] = statistics.median(times)
     return med
 
 
-def timing(workload, ops, elapsed):
-    """verify_s, ops_per_s, op_p50_us, op_p90_us of a list of operations.
+def timing(workload, ops):
+    """verify_s, ops_per_s, op_p50_us, op_p90_us of a list of operations,
+    from their times at the reference core speed.
 
     verify_s is the sum of the per-kind median times: one operation of
     each kind.  op_p50_us and op_p90_us are percentiles of the per-kind
     medians: on a shared machine the tail of raw latencies follows other
     tenants' load (a millisecond query that loses a time slice lands in
-    it), while per-kind medians follow the program.  ops_per_s counts
-    completed operations per second.
+    it), while per-kind medians follow the program.  ops_per_s is
+    completed operations per second of operation time.
 
     On verify-suites the operation is one sweep of all eight suites, timed
     as verify_s from the per-suite medians: the suites differ tenfold in
@@ -147,7 +157,8 @@ def timing(workload, ops, elapsed):
         return {"verify_s": verify_s, "ops_per_s": 1.0 / verify_s,
                 "op_p50_us": verify_s * 1e6, "op_p90_us": verify_s * 1e6}
     p50, p90 = np.percentile(list(med.values()), [50, 90])
-    return {"verify_s": verify_s, "ops_per_s": sum(op.completed for op in ops) / elapsed,
+    busy = sum(op.ref for op in ops)
+    return {"verify_s": verify_s, "ops_per_s": sum(op.completed for op in ops) / busy,
             "op_p50_us": float(p50) * 1e6, "op_p90_us": float(p90) * 1e6}
 
 
@@ -171,10 +182,10 @@ def end_to_end(workload, seconds):
     env = child_env()
     probe = [sys.executable, os.path.join(HERE, "setup_probe.py"), workload.name,
              str(workload.seed)]
-    setups = [spawn_seconds(probe, env) for _ in range(N_SETUP)]
+    setups = [spawn_seconds(probe, env, ref=True) for _ in range(N_SETUP)]
     workload.warm_up()
-    ops, elapsed = workload.timed(seconds)
-    metrics = timing(workload, ops, elapsed)
+    ops, _ = workload.timed(seconds)
+    metrics = timing(workload, ops)
     metrics["setup_s"] = statistics.median(setups)
     metrics["peak_rss_mb"] = peak_rss_mb(workload)
     return ops, metrics
@@ -259,19 +270,19 @@ def per_layer(workload):
     cpu0 = cpu_seconds()
     plain_ops, plain_elapsed = workload.fixed()
     cpu = cpu_seconds() - cpu0
-    plain = timing(workload, plain_ops, plain_elapsed)
+    plain = timing(workload, plain_ops)
     if workload.name == "cli-cold":
-        traced_ops, traced_elapsed = workload.fixed(traced=True)
+        traced_ops, _ = workload.fixed(traced=True)
         stats, root_s, spans = workload.layer_stats, workload.root_s, workload.spans
     else:
         tracer = Tracer()
         tracer.install()
-        traced_ops, traced_elapsed = workload.fixed(tracer)
+        traced_ops, _ = workload.fixed(tracer)
         stats, root_s, spans = tracer.stats(), tracer.root_s, tracer.total_spans
         os.makedirs(WORK, exist_ok=True)
         tracer.write_spans(os.path.join(
             WORK, f"spans-{workload.name}-seed{workload.seed}.tsv"))
-    traced = timing(workload, traced_ops, traced_elapsed)
+    traced = timing(workload, traced_ops)
     metrics = layer_metrics(stats)
     metrics.update(accept_ratios(getattr(workload, "per_op_stats", [])))
     suite_ops = plain_ops if workload.name == "verify-suites" else []
@@ -280,7 +291,7 @@ def per_layer(workload):
                                            if op.completed and op.failed)
     metrics.update({f"oracle.{kind}.wall_s": 0.0 for kind in SUITE_ORDER})
     metrics.update({f"cli.{kind}.p50_ms": 0.0 for kind in CLI_COMMANDS})
-    for kind, seconds in kind_medians(plain_ops, workload.kinds).items():
+    for kind, seconds in kind_medians(plain_ops, workload.kinds, "seconds").items():
         if workload.name == "verify-suites":
             metrics[f"oracle.{kind}.wall_s"] = seconds
         elif workload.name == "cli-cold":

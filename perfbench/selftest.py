@@ -4,15 +4,17 @@
 
 Not part of the repository's test suite: the file name keeps pytest from
 collecting it.  It checks that the references agree with ein3 on small
-seeded pools, that the tracer's self times partition its root spans, that
-each workload's operations run and pass their checks, and that run.py
-prints the result line BENCHMARK.json asks for, and fails without one in
-a directory that lacks the package.
+seeded pools, that the calibration sampler leaves no timer behind, that
+the tracer's self times partition its root spans, that each workload's
+operations run and pass their checks, and that run.py prints the result
+line BENCHMARK.json asks for, and fails without one in a directory that
+lacks the package.
 """
 
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -23,6 +25,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
+import calibrate  # noqa: E402
 import inputs  # noqa: E402
 import workloads  # noqa: E402
 from tracer import Tracer  # noqa: E402
@@ -75,6 +78,17 @@ def test_workload_operations():
     finally:
         cli.close()
     assert all(op.completed and not op.failed for op in ops), ops
+    assert all(op.ref > 0 for op in ops)
+
+
+def test_calibration_sampler():
+    previous = signal.getsignal(signal.SIGALRM)
+    with calibrate.Sampler(period=0.01) as sampler:
+        sum(i * i for i in range(2_000_000))  # long enough for a few alarms
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGALRM) is previous
+    assert len(sampler.units) > 2 and sampler.pause > 0
+    assert sampler.scale() > 0
 
 
 def test_tracer_partitions_root_spans():
@@ -125,7 +139,7 @@ def test_run_fails_without_package():
 
 def main():
     tests = [test_references_agree_with_package, test_same_seed_same_inputs,
-             test_workload_operations, test_run_prints_result_line,
+             test_calibration_sampler, test_workload_operations, test_run_prints_result_line,
              test_run_fails_without_package, test_tracer_partitions_root_spans]
     for test in tests:
         test()

@@ -3,7 +3,9 @@ and how each operation's output is checked.
 
 Every workload is a closed loop in one process: the next operation starts
 when the previous one has finished.  An operation record is
-(kind, seconds, completed, failed): `completed` means it ran to the end
+(kind, seconds, ref, completed, failed): `seconds` is its wall time,
+`ref` the same time scaled to the reference core speed by the calibration
+unit timed next to it (calibrate.py); `completed` means it ran to the end
 (no exception, or a CLI exit with a verdict code), `failed` means it
 raised, exited unexpectedly, or its output failed a check.  Timing
 statistics use completed operations; failures are counted against the
@@ -34,6 +36,7 @@ os.environ.update(PINNED_ENV)  # before numpy loads its BLAS
 
 import numpy as np  # noqa: E402
 
+import calibrate  # noqa: E402
 import inputs  # noqa: E402
 from tracer import merge_stats  # noqa: E402
 
@@ -45,7 +48,8 @@ class BenchError(RuntimeError):
 @dataclass(slots=True)  # tens of thousands per run: keep them small
 class Op:
     kind: str
-    seconds: float
+    seconds: float  # wall time
+    ref: float  # seconds at the reference core speed
     completed: bool
     failed: bool
 
@@ -100,8 +104,11 @@ BOUNDS = {
     "stem-only": lambda v: v < 1e-4,
     "ads-equivalence": lambda v: v < 1e-12,
 }
-# calls of a suite past the deadline while it has no completed call yet
+# calls of a suite past its round while it has no completed call yet
 MAX_EXTRA_CALLS = 6
+# a timed run makes one round per ROUND_S of --seconds, at least one, so
+# that a seed always gives the same calls (and the same failures)
+ROUND_S = 25
 
 
 def check_suite_report(name, seed, trials, report):
@@ -141,16 +148,20 @@ class VerifySuites:
     def call(self, name, seed, tracer=None):
         from ein3 import oracle
         before = tracer.snapshot() if tracer else None
-        t0 = perf_counter()
-        try:
-            with tracer.op(f"op.{name}") if tracer else contextlib.nullcontext():
-                report = oracle.run_suite(name, trials=self.trials, seed=seed)
-        except Exception as exc:  # a raising suite is a failed call, not a crash
-            dt = perf_counter() - t0
-            _note(f"{name} seed {seed} raised {type(exc).__name__}: {exc}")
-            op = Op(name, dt, False, True)
+        report, error = None, None
+        with calibrate.Sampler() as sampler:
+            t0 = perf_counter()
+            try:
+                with tracer.op(f"op.{name}") if tracer else contextlib.nullcontext():
+                    report = oracle.run_suite(name, trials=self.trials, seed=seed)
+            except Exception as exc:  # a raising suite is a failed call, not a crash
+                error = exc
+            dt = perf_counter() - t0 - sampler.pause
+        ref = dt * sampler.scale()
+        if error is not None:
+            _note(f"{name} seed {seed} raised {type(error).__name__}: {error}")
+            op = Op(name, dt, ref, False, True)
         else:
-            dt = perf_counter() - t0
             well_formed, passed = check_suite_report(name, seed, self.trials, report)
             if not well_formed:
                 self.malformed += 1
@@ -158,7 +169,7 @@ class VerifySuites:
             elif not passed:
                 _note(f"{name} seed {seed}: {len(report['failures'])} failure(s), "
                       f"max_violation {report['max_violation']!r}")
-            op = Op(name, dt, True, not passed)
+            op = Op(name, dt, ref, True, not passed)
         if tracer:
             self.per_op_stats.append((name, tracer.stats(since=before)))
         return op
@@ -179,17 +190,16 @@ class VerifySuites:
         return ops
 
     def timed(self, seconds):
-        """Rounds of all eight suites, round r at suite seed seed + r, until
-        `seconds` have passed, then `_complete`."""
-        ops, next_seed = [], {name: self.seed for name in SUITE_ORDER}
+        """max(1, seconds // ROUND_S) rounds of all eight suites, round r at
+        suite seed seed + r, then `_complete`.  A round takes about ROUND_S
+        seconds; counting rounds rather than watching the clock keeps the
+        calls, and so the failures, of a seed the same on every run."""
+        rounds = max(1, int(seconds // ROUND_S))
+        ops = []
         start = perf_counter()
-        while perf_counter() - start < seconds:
-            for name in SUITE_ORDER:
-                if perf_counter() - start >= seconds:
-                    break
-                ops.append(self.call(name, next_seed[name]))
-                next_seed[name] += 1
-        self._complete(ops, next_seed)
+        for r in range(rounds):
+            ops += [self.call(name, self.seed + r) for name in SUITE_ORDER]
+        self._complete(ops, {name: self.seed + rounds for name in SUITE_ORDER})
         return ops, perf_counter() - start
 
     def fixed(self, tracer=None):
@@ -304,6 +314,7 @@ class PredicateMix:
         while not stop(i, start):
             kind, fn, args, refs = kinds[i % 4]
             j = (i // 4) % self.per_kind
+            k = calibrate.REF_UNIT_S / calibrate.unit_seconds()
             t0 = perf_counter()
             try:
                 if tracer:
@@ -312,10 +323,12 @@ class PredicateMix:
                 else:
                     answer = fn(*args[j])
             except Exception as exc:  # a raising query is a failed query
-                ops.append(Op(kind, perf_counter() - t0, False, True))
+                dt = perf_counter() - t0
+                ops.append(Op(kind, dt, dt * k, False, True))
                 _note(f"{kind} query {j} raised {type(exc).__name__}: {exc}")
             else:
-                op = Op(kind, perf_counter() - t0, True, False)
+                dt = perf_counter() - t0
+                op = Op(kind, dt, dt * k, True, False)
                 ops.append(op)
                 if not check_query(kind, answer, refs[j]):
                     self.disagreements += 1
@@ -345,6 +358,8 @@ CLI_COMMANDS = ("check-crooked", "check-ads", "check-photon", "classify-tori", "
 # requests is a sample; it comes first so that even a short run times one)
 CLI_CYCLE = ("sample",) + CLI_COMMANDS[:4] * 4
 SAMPLE_COUNT = 1000
+# calibration units timed just before and just after each request
+CLI_UNITS = 3
 
 
 def _quad_spec(m):
@@ -468,11 +483,13 @@ class CliCold:
         else:
             cmd = [sys.executable, "-m", "ein3.cli"]
         out_path = os.path.join(self.tmp, "cloud.csv")
+        units = [calibrate.unit_seconds() for _ in range(CLI_UNITS)]
         t0 = perf_counter()
         code, stdout, stderr = run_child(cmd + self.argv(command, i), env=self.env, cwd=ROOT,
                                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                          text=True)
         dt = perf_counter() - t0
+        units += [calibrate.unit_seconds() for _ in range(CLI_UNITS)]
         _doc, ref = self.docs[command][i]
         want_code, ok = check_cli(command, ref, stdout, out_path)
         if os.path.exists(out_path):
@@ -494,7 +511,7 @@ class CliCold:
             self.root_s += data["root_s"]
             self.self_sum += sum(s for _, s in data["stats"].values())
             self.spans += data["spans"]
-        return Op(command, dt, completed, failed)
+        return Op(command, dt, dt * calibrate.scale(units), completed, failed)
 
     def _loop(self, stop, traced=False):
         ops, i = [], 0
