@@ -15,8 +15,8 @@ object types:
 * photon: {"type": "photon", "vector": [4 floats], "space": ...}
 * ads_plane: {"type": "ads_plane", "base": [[2x2]], "a": [2], "b": [2]}
 
-Global keys "seed", "eps_alg", "eps_geo" are overridden by the
-corresponding command-line flags.  All floats are printed with 17
+Global keys "seed" and "eps_alg" are overridden by the `--seed` flag of
+`sample` and the global `--eps-alg` flag.  All floats are printed with 17
 significant digits; diagnostics go to stderr.
 """
 
@@ -41,11 +41,10 @@ class ConfigError(GeometryError):
 class Config:
     """Validated contents of a configuration document."""
 
-    def __init__(self, doc, eps_alg=None, eps_geo=None, seed=None):
+    def __init__(self, doc, eps_alg=None, seed=None):
         if not isinstance(doc, dict):
             raise ConfigError("configuration must be a JSON object")
         self.eps_alg = eps_alg if eps_alg is not None else doc.get("eps_alg", linalg.EPS_ALG)
-        self.eps_geo = eps_geo if eps_geo is not None else doc.get("eps_geo", oracle.EPS_GEO)
         self.seed = seed if seed is not None else doc.get("seed", 7)
         self.pair = doc.get("pair")
         self.objects = {}
@@ -140,7 +139,6 @@ def load_config(path, args):
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     return Config(doc,
                   eps_alg=getattr(args, "eps_alg", None),
-                  eps_geo=getattr(args, "eps_geo", None),
                   seed=getattr(args, "seed", None))
 
 
@@ -199,8 +197,8 @@ def cmd_check_crooked(args):
     cfg = load_config(args.config, args)
     (n1, q1), (n2, q2) = cfg.select_pair(crooked.LightlikeQuadrilateral)
     c1, c2 = crooked.CrookedSurface(q1), crooked.CrookedSurface(q2)
-    report = crooked.disjointness_report(c1, c2)
-    disjoint = crooked.surfaces_disjoint(c1, c2, eps=cfg.eps_alg)
+    report = crooked.disjointness_report(c1, c2, eps=cfg.eps_alg)
+    disjoint = all(test.passed for test in report)
     ambiguous = False
     for test in report:
         print(f"{test.label}: wing_plus={_fmt(test.wing_plus_margin)} "
@@ -263,12 +261,10 @@ def cmd_sample(args):
     rows, labels = [], []
     dropped = 0
     for cloud in clouds:
-        coords, n_inf = cloud.minkowski_points()
-        keep = np.abs(cloud.points[:, 4]) > oracle.EPS_GEO * np.linalg.norm(
-            cloud.points, axis=1)
+        coords, keep = cloud.minkowski_points()
         rows.append(coords)
         labels += [lab for lab, k in zip(cloud.labels, keep) if k]
-        dropped += n_inf
+        dropped += len(keep) - len(coords)
     coords = np.vstack(rows)
     if dropped:
         print(f"dropped {dropped} point(s) at infinity", file=sys.stderr)
@@ -316,28 +312,22 @@ def main(argv=None):
                     "crooked-surface disjointness, AdS crooked planes.")
     parser.add_argument("--eps-alg", type=float, default=None,
                         help="algebraic tolerance override")
-    parser.add_argument("--eps-geo", type=float, default=None,
-                        help="sampled-geometry tolerance override")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify-tori", help="classify a torus pair intersection")
     p.add_argument("config")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_classify_tori)
 
     p = sub.add_parser("check-photon", help="photon vs crooked surface")
     p.add_argument("config")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_check_photon)
 
     p = sub.add_parser("check-crooked", help="crooked surface disjointness")
     p.add_argument("config")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_check_crooked)
 
     p = sub.add_parser("check-ads", help="AdS crooked plane disjointness")
     p.add_argument("config")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_check_ads)
 
     p = sub.add_parser("sample", help="export sampled point clouds")

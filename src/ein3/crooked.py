@@ -230,7 +230,10 @@ def photon_disjoint(p, surface, eps=EPS_ALG):
     within the margin (the photon touching the surface) count as not
     disjoint.
     """
-    m1, m2 = photon_margins(p, surface)
+    return _avoids(*photon_margins(p, surface), eps)
+
+
+def _avoids(m1, m2, eps):
     return m1 > eps and m2 < -eps
 
 
@@ -245,19 +248,15 @@ def find_crossing_lagrangian(p, surface, eps=EPS_ALG):
     """
     p = as_vector(p, 4)
     p = p / np.linalg.norm(p)
-    q = surface.quad
     w = surface.space.omega
     m1, m2 = photon_margins(p, surface)
-    if m1 <= eps:
-        t, s = w(p, q.v_plus), -w(p, q.u_plus)
-        if abs(t) <= eps and abs(s) <= eps:
-            return surface.p_plus
-        return Plane2.span(surface.space, p, t * q.u_plus + s * q.v_plus)
-    if m2 >= -eps:
-        t, s = w(p, q.v_minus), -w(p, q.u_minus)
-        if abs(t) <= eps and abs(s) <= eps:
-            return surface.p_minus
-        return Plane2.span(surface.space, p, t * q.u_minus + s * q.v_minus)
+    for sign, fails in ((+1, m1 <= eps), (-1, m2 >= -eps)):
+        if fails:
+            vertex, u, v = _wing_data(surface, sign)
+            t, s = w(p, v), -w(p, u)
+            if abs(t) <= eps and abs(s) <= eps:
+                return vertex
+            return Plane2.span(surface.space, p, t * u + s * v)
     return None
 
 
@@ -265,26 +264,28 @@ def find_crossing_lagrangian(p, surface, eps=EPS_ALG):
 class PhotonTest:
     """Margins of one defining photon against the other surface."""
     label: str
-    wing_plus_margin: float   # must be > 0 for disjointness
-    wing_minus_margin: float  # must be < 0 for disjointness
+    wing_plus_margin: float   # must be > eps for disjointness
+    wing_minus_margin: float  # must be < -eps for disjointness
+    eps: float
 
     @property
     def passed(self):
-        return self.wing_plus_margin > 0.0 and self.wing_minus_margin < 0.0
+        """Whether the photon misses the surface (see `photon_disjoint`)."""
+        return _avoids(self.wing_plus_margin, self.wing_minus_margin, self.eps)
 
 
-def disjointness_report(c1, c2):
+def disjointness_report(c1, c2, eps=EPS_ALG):
     """All sixteen inequality values behind the disjointness criterion.
 
     Each of the eight defining photons contributes its two margins against
-    the other surface.
+    the other surface, judged with margin eps.
     """
     tests = []
     for (surface, quad, tag) in ((c1, c2.quad, "of C2 vs C1"),
                                  (c2, c1.quad, "of C1 vs C2")):
         for key in _QUAD_KEYS:
             m1, m2 = photon_margins(getattr(quad, key), surface)
-            tests.append(PhotonTest(f"{key} {tag}", m1, m2))
+            tests.append(PhotonTest(f"{key} {tag}", m1, m2, eps))
     return tests
 
 
@@ -295,7 +296,4 @@ def surfaces_disjoint(c1, c2, eps=EPS_ALG):
     quadrilateral) misses the other surface; equivalently when all sixteen
     strict inequalities hold with margin eps.
     """
-    for test in disjointness_report(c1, c2):
-        if not (test.wing_plus_margin > eps and test.wing_minus_margin < -eps):
-            return False
-    return True
+    return all(test.passed for test in disjointness_report(c1, c2, eps))

@@ -47,18 +47,23 @@ def projective_normalize(v):
     return v / v[i]
 
 
+def _range_basis(m, eps):
+    """Orthonormal basis of the column space of m: the left singular vectors
+    whose singular values exceed eps * max(1, s[0])."""
+    if m.shape[1] == 0:
+        return m
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return u[:, :int(np.sum(s > eps * max(1.0, s[0])))]
+
+
 def _orthonormal_columns(basis, eps):
     """Orthonormal basis of the column span, with a rank check."""
-    n, k = basis.shape
-    if k == 0:
-        return np.zeros((n, 0))
-    u, s, _ = np.linalg.svd(basis, full_matrices=False)
-    tol = eps * max(1.0, s[0])
-    rank = int(np.sum(s > tol))
+    onb = _range_basis(basis, eps)
+    rank, k = onb.shape[1], basis.shape[1]
     if rank < k:
         raise GeometryError(
             f"basis matrix has rank {rank} < {k} column(s)")
-    return u[:, :rank]
+    return onb
 
 
 class Subspace:
@@ -220,22 +225,12 @@ def intersect(a, b, eps=EPS_RANK):
     coeffs = nullspace(stacked, eps)
     if coeffs.shape[1] == 0:
         return Subspace.zero(a.ambient_dim)
-    vectors = a.onb @ coeffs[:a.dim]
-    # re-orthonormalize: columns of `vectors` can be nearly dependent
-    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    tol = eps * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
-    return Subspace(u[:, :rank])
+    # re-orthonormalize: the combinations can be nearly dependent
+    return Subspace(_range_basis(a.onb @ coeffs[:a.dim], eps))
 
 
 def span_union(a, b, eps=EPS_RANK):
     """Smallest subspace containing both arguments."""
     if a.ambient_dim != b.ambient_dim:
         raise GeometryError("subspaces live in different ambient dimensions")
-    stacked = np.hstack([a.onb, b.onb])
-    if stacked.shape[1] == 0:
-        return Subspace.zero(a.ambient_dim)
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    tol = eps * max(1.0, s[0])
-    rank = int(np.sum(s > tol))
-    return Subspace(u[:, :rank])
+    return Subspace(_range_basis(np.hstack([a.onb, b.onb]), eps))

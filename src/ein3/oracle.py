@@ -9,13 +9,14 @@ machine-readable record each.
 
 The chordal metric (sine of the principal angle between representative
 lines, on Euclidean-normalized representatives) is used for all sampled
-geometry; eps_geo below is the coarser tolerance for such comparisons,
+geometry; EPS_GEO below is the coarser tolerance for such comparisons,
 since sampling error dominates the algebraic tolerances.
 """
 
 import json
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
@@ -157,11 +158,11 @@ class SampleCloud:
 
     def minkowski_points(self):
         """Affine patch coordinates (x, y, z) of the points with nonzero last
-        homogeneous coordinate; returns (coords, n_dropped)."""
+        homogeneous coordinate; returns (coords, keep), keep being the
+        boolean mask of those points (the rest lie at infinity)."""
         v = self.points[:, 4]
         keep = np.abs(v) > EPS_GEO * np.linalg.norm(self.points, axis=1)
-        coords = self.points[keep, :3] / v[keep, None]
-        return coords, int(len(self.points) - keep.sum())
+        return self.points[keep, :3] / v[keep, None], keep
 
 
 def _torus_frame(torus):
@@ -174,13 +175,6 @@ def _torus_frame(torus):
     neg = frame[:, :2]
     pos = frame[:, 2:]
     return pos, neg
-
-
-def torus_point(torus, alpha, beta):
-    """Null point of the torus at torus angles (alpha, beta)."""
-    pos, neg = _torus_frame(torus)
-    return (math.cos(alpha) * pos[:, 0] + math.sin(alpha) * pos[:, 1]
-            + math.cos(beta) * neg[:, 0] + math.sin(beta) * neg[:, 1])
 
 
 def sample_torus(torus, n, rng):
@@ -199,20 +193,14 @@ def sample_torus(torus, n, rng):
     return SampleCloud(pts, ["torus"] * n)
 
 
-def _batch_plucker(w, wp):
-    """Pluecker coordinates of span{w[i], wp[i]} for stacked rows."""
-    cols = [w[:, i] * wp[:, j] - w[:, j] * wp[:, i]
-            for (i, j) in symplectic.PAIRS]
-    return np.stack(cols, axis=1)
-
-
-def _wing_frames(surface, sign, thetas):
-    """Photon vectors x(theta) of a wing family and two generators of the
-    Lagrangian pencil through each, vectorized over theta in [0, pi/2].
+def _wing_generators(surface, sign, thetas, phis):
+    """Photon vectors x(theta) of a wing family and, paired with them, the
+    generator at pencil angle phi of the Lagrangian pencil through each;
+    vectorized over theta in [0, pi/2].
 
     For wing +1 the photon is cos(t) u+ + sin(t) v+; its pencil is spanned
-    modulo x by the rotated in-plane vector and a corrected outside vector,
-    both nonvanishing on the whole parameter range.
+    modulo x by the rotated in-plane vector g1 and a corrected outside
+    vector g2, both nonvanishing on the whole parameter range.
     """
     q = surface.quad
     c, s = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
@@ -231,15 +219,21 @@ def _wing_frames(surface, sign, thetas):
         raw = q.u_plus - q.v_plus
         coeff = (s - c)  # omega(x, raw)
     g2 = raw - coeff * y
-    return x, g1, g2
+    return x, np.cos(phis)[:, None] * g1 + np.sin(phis)[:, None] * g2
+
+
+def _stem_generators(surface, t1, t2, component):
+    q = surface.quad
+    s = 1.0 if component == +1 else -1.0
+    w = np.cos(t1)[:, None] * q.u_plus + s * np.sin(t1)[:, None] * q.v_minus
+    wp = np.cos(t2)[:, None] * q.u_minus + s * np.sin(t2)[:, None] * q.v_plus
+    return w, wp
 
 
 def wing_bivectors(surface, sign, thetas, phis):
     """Pluecker images of the wing Lagrangians at photon parameters thetas
     and pencil angles phis (paired elementwise)."""
-    x, g1, g2 = _wing_frames(surface, sign, thetas)
-    w = np.cos(phis)[:, None] * g1 + np.sin(phis)[:, None] * g2
-    return _batch_plucker(x, w)
+    return symplectic.plucker_rows(*_wing_generators(surface, sign, thetas, phis))
 
 
 def stem_bivectors(surface, t1, t2, component=+1):
@@ -249,11 +243,7 @@ def stem_bivectors(surface, t1, t2, component=+1):
     coordinates of equal signs in both stem planes, component -1 of
     opposite signs; parameters range over (0, pi/2) either way.
     """
-    q = surface.quad
-    s = 1.0 if component == +1 else -1.0
-    w = np.cos(t1)[:, None] * q.u_plus + s * np.sin(t1)[:, None] * q.v_minus
-    wp = np.cos(t2)[:, None] * q.u_minus + s * np.sin(t2)[:, None] * q.v_plus
-    return _batch_plucker(w, wp)
+    return symplectic.plucker_rows(*_stem_generators(surface, t1, t2, component))
 
 
 def _ein_rows(space, bivectors):
@@ -263,18 +253,15 @@ def _ein_rows(space, bivectors):
 
 def wing_point(surface, sign, theta, phi):
     """Single wing Lagrangian as a plane (see `wing_bivectors`)."""
-    x, g1, g2 = _wing_frames(surface, sign, np.array([theta]))
-    w = math.cos(phi) * g1[0] + math.sin(phi) * g2[0]
-    return Plane2.span(surface.space, x[0], w)
+    x, w = _wing_generators(surface, sign, np.array([theta]), np.array([phi]))
+    return Plane2.span(surface.space, x[0], w[0])
 
 
 def stem_point(surface, theta1, theta2, component=+1):
     """Single stem Lagrangian as a plane (see `stem_bivectors`)."""
-    q = surface.quad
-    s = 1.0 if component == +1 else -1.0
-    w = math.cos(theta1) * q.u_plus + s * math.sin(theta1) * q.v_minus
-    wp = math.cos(theta2) * q.u_minus + s * math.sin(theta2) * q.v_plus
-    return Plane2.span(surface.space, w, wp)
+    w, wp = _stem_generators(surface, np.array([theta1]), np.array([theta2]),
+                             component)
+    return Plane2.span(surface.space, w[0], wp[0])
 
 
 def sample_surface(surface, n, rng, proportions=(0.4, 0.4, 0.2)):
@@ -360,20 +347,11 @@ def probe_intersection_type(t1, t2, n, rng, degenerate_tol=1e-7):
         raise GeometryError("probe requires distinct tori")
     carrier = einstein.model_space().orthogonal_complement(
         Subspace.span(t1.normal, t2.normal))
-    g = einstein.model_space().restricted_gram(carrier)
-    w, vecs = np.linalg.eigh(g)
-    frame = carrier.onb @ vecs
+    w, frame = _carrier_frame(carrier)
     scale = np.max(np.abs(w))
     if np.min(np.abs(w)) <= degenerate_tol * scale:
         return _probe_degenerate(w, frame, n, rng, degenerate_tol * scale)
-    n_pos = int(np.sum(w > 0))
-    # order the frame as (two same-sign directions, one opposite)
-    if n_pos == 1:
-        circle = frame[:, :2] / np.sqrt(-w[:2])        # negative pair
-        apex = frame[:, 2] / np.sqrt(w[2])
-    else:
-        circle = frame[:, 1:] / np.sqrt(w[1:])         # positive pair
-        apex = frame[:, 0] / np.sqrt(-w[0])
+    circle, apex = _cone_frame(w, frame)
     phis = rng.uniform(0.0, 2.0 * np.pi, size=n)
     h = 1e-5
     signs = []
@@ -388,6 +366,21 @@ def probe_intersection_type(t1, t2, n, rng, degenerate_tol=1e-7):
     if mean > 0.5:
         return IntersectionKind.SPACELIKE_CIRCLE
     raise GeometryError(f"probe could not classify tangents (mean Q = {mean})")
+
+
+def _carrier_frame(carrier):
+    """Eigenvalues w of the form on a carrier, with the matching frame."""
+    w, vecs = np.linalg.eigh(einstein.model_space().restricted_gram(carrier))
+    return w, carrier.onb @ vecs
+
+
+def _cone_frame(w, frame):
+    """(circle, apex) of a nondegenerate carrier: the frame ordered as two
+    same-sign directions and one opposite, scaled so that `_cone_point`
+    sweeps its null directions."""
+    if int(np.sum(w > 0)) == 1:
+        return frame[:, :2] / np.sqrt(-w[:2]), frame[:, 2] / np.sqrt(w[2])
+    return frame[:, 1:] / np.sqrt(w[1:]), frame[:, 0] / np.sqrt(-w[0])
 
 
 def _cone_point(circle, apex, phi):
@@ -429,14 +422,14 @@ def random_ads_config(rng):
     def unit(v):
         return v / np.linalg.norm(v)
 
-    def directions():
-        while True:
-            a, b = rng.normal(size=2), rng.normal(size=2)
-            if abs(ads.omega0(unit(a), unit(b))) > 1e-2:
-                return unit(a), unit(b)
+    def make():
+        return unit(rng.normal(size=2)), unit(rng.normal(size=2))
 
-    a, b = directions()
-    ap, bp = directions()
+    def accept(ab):
+        return abs(ads.omega0(*ab)) > 1e-2
+
+    a, b = _retrying(make, accept)
+    ap, bp = _retrying(make, accept)
     x = rng.normal(size=(2, 2))
     f = expm(x - 0.5 * np.trace(x) * np.eye(2))
     return (ads.AdsCrookedPlane(np.eye(2), a, b),
@@ -544,11 +537,10 @@ def _quad_with_stem_point(space, l, rng):
         try:
             quad = crooked.LightlikeQuadrilateral(
                 space, u_plus, u_minus, v_plus, v_minus)
+            if crooked.stem_contains(crooked.CrookedSurface(quad), l):
+                return quad
         except GeometryError:
             continue
-        surf = crooked.CrookedSurface(quad)
-        if crooked.stem_contains(surf, l):
-            return quad
     raise RetryExhausted("could not build a quadrilateral through the stem point")
 
 
@@ -562,38 +554,49 @@ def _grid(lo1, hi1, lo2, hi2, k):
     return t1, t2
 
 
-def _stem_grid_points(surface, lo1, hi1, lo2, hi2, component, k):
-    t1, t2 = _grid(lo1, hi1, lo2, hi2, k)
-    biv = stem_bivectors(surface, t1, t2, component)
-    return _ein_rows(surface.space, biv), list(zip(t1, t2))
+# window rules (lo, hi, cap): both parameters stay in [lo, hi], and the
+# first one also below cap; the stem box keeps clear of the stem boundary
+_STEM_BOX = (1e-4, np.pi / 2 - 1e-4, math.inf)
+_WING_BOX = (0.0, np.pi, np.pi / 2)
 
 
-def _wing_grid_points(surface, sign, lo_t, hi_t, lo_p, hi_p, k):
-    ts, ps = _grid(lo_t, hi_t, lo_p, hi_p, k)
-    biv = wing_bivectors(surface, sign, ts, ps)
-    return _ein_rows(surface.space, biv), list(zip(ts, ps))
+def _stem_family(surface, component):
+    return (partial(stem_bivectors, surface, component=component),
+            surface.space, _STEM_BOX)
 
 
-def _refine(make_a, make_b, window_a, window_b, rounds=12, k=9, shrink=0.35):
-    """Alternating grid-zoom minimization of the chordal gap between two
-    2-parameter families; deterministic."""
+def _wing_family(surface, sign):
+    return partial(wing_bivectors, surface, sign), surface.space, _WING_BOX
+
+
+def _refine(pairs, rounds=12, k=9, shrink=0.35):
+    """Minimum over (family, family) pairs of the chordal gap between two
+    2-parameter families of Lagrangians, each pair minimized by alternating
+    grid zoom; deterministic.  A family is (bivectors(t1, t2), space,
+    window rule)."""
+    return min(_refine_pair(a, b, rounds, k, shrink) for a, b in pairs)
+
+
+def _refine_pair(family_a, family_b, rounds, k, shrink):
     best = math.inf
-    wa, wb = window_a, window_b
-    center_a = ((wa[0] + wa[1]) / 2, (wa[2] + wa[3]) / 2)
-    center_b = ((wb[0] + wb[1]) / 2, (wb[2] + wb[3]) / 2)
-    size_a = (wa[1] - wa[0], wa[3] - wa[2])
-    size_b = (wb[1] - wb[0], wb[3] - wb[2])
+    centers, sizes = [], []
+    for _, _, (lo, hi, cap) in (family_a, family_b):
+        hi1 = min(hi, cap)
+        centers.append(((lo + hi1) / 2, (lo + hi) / 2))
+        sizes.append((hi1 - lo, hi - lo))
     for _ in range(rounds):
-        pa, params_a = make_a(center_a, size_a, k)
-        pb, params_b = make_b(center_b, size_b, k)
-        ua, ub = _unit_rows(pa), _unit_rows(pb)
-        cos = np.clip(np.abs(ua @ ub.T), 0.0, 1.0)
-        i, j = np.unravel_index(int(np.argmax(cos)), cos.shape)
-        best = math.sqrt(max(0.0, 1.0 - float(cos[i, j]) ** 2))
-        center_a = params_a[i]
-        center_b = params_b[j]
-        size_a = (size_a[0] * shrink, size_a[1] * shrink)
-        size_b = (size_b[0] * shrink, size_b[1] * shrink)
+        grids, units = [], []
+        for (bivectors, space, (lo, hi, cap)), center, size in zip(
+                (family_a, family_b), centers, sizes):
+            lo1, hi1, lo2, hi2 = _window(center, size, lo, hi)
+            t1, t2 = _grid(lo1, min(hi1, cap), lo2, hi2, k)
+            grids.append((t1, t2))
+            units.append(_unit_rows(_ein_rows(space, bivectors(t1, t2))))
+        cos = np.clip(np.abs(units[0] @ units[1].T), 0.0, 1.0)
+        ij = np.unravel_index(int(np.argmax(cos)), cos.shape)
+        best = math.sqrt(max(0.0, 1.0 - float(cos[ij]) ** 2))
+        centers = [(t1[i], t2[i]) for (t1, t2), i in zip(grids, ij)]
+        sizes = [(a * shrink, b * shrink) for a, b in sizes]
     return best
 
 
@@ -607,43 +610,15 @@ def _window(center, size, lo, hi):
 def refined_stem_stem_gap(c1, c2):
     """Minimized chordal distance between the two stems, over both
     components of each."""
-    best = math.inf
-    delta = 1e-4
-    for comp1 in (+1, -1):
-        for comp2 in (+1, -1):
-            def make_a(center, size, k, comp=comp1):
-                lo1, hi1, lo2, hi2 = _window(center, size, delta, np.pi / 2 - delta)
-                return _stem_grid_points(c1, lo1, hi1, lo2, hi2, comp, k)
-
-            def make_b(center, size, k, comp=comp2):
-                lo1, hi1, lo2, hi2 = _window(center, size, delta, np.pi / 2 - delta)
-                return _stem_grid_points(c2, lo1, hi1, lo2, hi2, comp, k)
-
-            full = (delta, np.pi / 2 - delta, delta, np.pi / 2 - delta)
-            best = min(best, _refine(make_a, make_b, full, full))
-    return best
+    return _refine([(_stem_family(c1, a), _stem_family(c2, b))
+                    for a in (+1, -1) for b in (+1, -1)])
 
 
 def refined_stem_wing_gap(c_stem, c_wing):
     """Minimized chordal distance between the stem of one surface and the
     wings of another."""
-    best = math.inf
-    delta = 1e-4
-    for comp in (+1, -1):
-        for sign in (+1, -1):
-            def make_a(center, size, k, c=comp):
-                lo1, hi1, lo2, hi2 = _window(center, size, delta, np.pi / 2 - delta)
-                return _stem_grid_points(c_stem, lo1, hi1, lo2, hi2, c, k)
-
-            def make_b(center, size, k, s=sign):
-                lo_t, hi_t, lo_p, hi_p = _window(center, size, 0.0, np.pi)
-                hi_t = min(hi_t, np.pi / 2)
-                return _wing_grid_points(c_wing, s, lo_t, hi_t, lo_p, hi_p, k)
-
-            full_a = (delta, np.pi / 2 - delta, delta, np.pi / 2 - delta)
-            full_b = (0.0, np.pi / 2, 0.0, np.pi)
-            best = min(best, _refine(make_a, make_b, full_a, full_b))
-    return best
+    return _refine([(_stem_family(c_stem, comp), _wing_family(c_wing, sign))
+                    for comp in (+1, -1) for sign in (+1, -1)])
 
 
 # ---------------------------------------------------------------------------
@@ -777,14 +752,7 @@ def suite_torus_trichotomy(trials=1000, seed=7):
             failures.append(f"trial {done}: probe {probed} vs {cls.kind}")
         # sampled intersection points lie on both tori
         alphas = rng.uniform(0.0, 2.0 * np.pi, size=4)
-        g = space.restricted_gram(cls.carrier)
-        w, vecs = np.linalg.eigh(g)
-        frame = cls.carrier.onb @ vecs
-        n_pos = int(np.sum(w > 0))
-        if n_pos == 1:
-            circle, apex = frame[:, :2] / np.sqrt(-w[:2]), frame[:, 2] / np.sqrt(w[2])
-        else:
-            circle, apex = frame[:, 1:] / np.sqrt(w[1:]), frame[:, 0] / np.sqrt(-w[0])
+        circle, apex = _cone_frame(*_carrier_frame(cls.carrier))
         for phi in alphas:
             x = _cone_point(circle, apex, phi)
             x = x / np.linalg.norm(x)
@@ -1174,17 +1142,6 @@ SUITES = {
     "ads-equivalence": suite_ads_equivalence,
 }
 
-_DEFAULT_TRIALS = {
-    "torus-trichotomy": 1000,
-    "eta-bridge": 1000,
-    "symplectic-identities": 1000,
-    "maslov-bridge": 1000,
-    "photon-avoidance": 1000,
-    "surface-disjointness": 200,
-    "stem-only": 200,
-    "ads-equivalence": 1000,
-}
-
 SUITE_ALIASES = {"dgk-equivalence": "ads-equivalence"}
 
 
@@ -1193,8 +1150,9 @@ def run_suite(name, trials=None, seed=7):
     if name not in SUITES:
         raise GeometryError(
             f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    n = trials if trials is not None else _DEFAULT_TRIALS[name]
-    return SUITES[name](trials=n, seed=seed)
+    if trials is None:
+        return SUITES[name](seed=seed)
+    return SUITES[name](trials=trials, seed=seed)
 
 
 def run_all(trials=None, seed=7):

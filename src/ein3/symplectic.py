@@ -35,6 +35,7 @@ from ein3.linalg import (
 
 # lexicographic basis of Lambda^2 R^4
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_PAIR_I, _PAIR_J = np.array(PAIRS).T
 
 # omega(e1,e3) = omega(e2,e4) = 1, everything else zero
 STANDARD_OMEGA = np.array([
@@ -61,6 +62,12 @@ for _a, (_i, _j) in enumerate(PAIRS):
     for _b, (_k, _l) in enumerate(PAIRS):
         if len({_i, _j, _k, _l}) == 4:
             _EPSILON4[(_a, _b)] = _perm_sign((_i, _j, _k, _l))
+
+
+def plucker_rows(u, v):
+    """Pluecker coordinates of u ^ v over the last axis: one vector pair, or
+    stacked rows of pairs (n x 4 each, n x 6 out)."""
+    return u[..., _PAIR_I] * v[..., _PAIR_J] - u[..., _PAIR_J] * v[..., _PAIR_I]
 
 
 def pfaffian4(omega):
@@ -191,10 +198,9 @@ class SympSpace:
         rescales the output.
         """
         basis = plane.basis if isinstance(plane, Plane2) else np.asarray(plane, float)
-        u, v = basis[:, 0], basis[:, 1]
         if np.linalg.matrix_rank(basis) < 2:
             raise GeometryError("plane basis is rank deficient")
-        return np.array([u[i] * v[j] - u[j] * v[i] for (i, j) in PAIRS])
+        return plucker_rows(basis[:, 0], basis[:, 1])
 
     def bivector_to_plane(self, b, eps=EPS_ALG):
         """The 2-plane whose Pluecker line contains a decomposable bivector.

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from ein3 import ads, cli, einstein, symplectic
 from ein3.oracle import make_rng, random_quadrilateral
@@ -62,6 +63,14 @@ def test_malformed_config_exits_2(tmp_path, capsys):
         "T1": {"type": "torus", "normal": [1, 0, 1, 0, 0, 0]}}})
     code, _, err = run(["classify-tori", path], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["classify-tori", "check-photon",
+                                     "check-crooked", "check-ads"])
+def test_check_commands_reject_seed(command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "config.json", "--seed", "3"])
+    assert exc.value.code == 2
 
 
 def test_check_crooked_identical(tmp_path, capsys):
@@ -216,5 +225,4 @@ def test_verify_suite_alias(capsys):
 
 class argparse_stub:
     eps_alg = None
-    eps_geo = None
     seed = None
