@@ -18,7 +18,7 @@ import numpy as np
 
 from ein3.linalg import EPS_ALG, GeometryError, as_vector
 from ein3.symplectic import Plane2, SympSpace
-from ein3.crooked import CrookedSurface, LightlikeQuadrilateral
+from ein3.crooked import LightlikeQuadrilateral
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -131,10 +131,6 @@ def ads_quadrilateral(plane, eps=EPS_ALG):
     u_minus = -np.concatenate([b, fb]) / (2.0 * alpha)
     v_minus = np.concatenate([b, -fb]) / (2.0 * alpha)
     return LightlikeQuadrilateral(_SPACE, u_plus, u_minus, v_plus, v_minus, eps)
-
-
-def ads_surface(plane):
-    return CrookedSurface(ads_quadrilateral(plane))
 
 
 def _reduced_config(p1, p2):

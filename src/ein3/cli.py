@@ -22,6 +22,7 @@ significant digits; diagnostics go to stderr.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -45,15 +46,23 @@ class Config:
         if not isinstance(doc, dict):
             raise ConfigError("configuration must be a JSON object")
         self.eps_alg = eps_alg if eps_alg is not None else doc.get("eps_alg", linalg.EPS_ALG)
+        if isinstance(self.eps_alg, bool) or not (
+                isinstance(self.eps_alg, (int, float)) and 0 < self.eps_alg < math.inf):
+            raise ConfigError(f"eps_alg must be a finite positive number, got {self.eps_alg!r}")
         self.seed = seed if seed is not None else doc.get("seed", 7)
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        objects = doc.get("objects", {})
+        if not (isinstance(objects, dict)
+                and all(isinstance(spec, dict) for spec in objects.values())):
+            raise ConfigError("'objects' must map names to object specifications")
         self.pair = doc.get("pair")
-        self.objects = {}
-        for name, spec in doc.get("objects", {}).items():
-            self.objects[name] = self._build(name, spec)
-        if self.pair is not None:
-            for name in self.pair:
-                if name not in self.objects:
-                    raise ConfigError(f"pair references undefined object {name!r}")
+        if self.pair is not None and not (
+                isinstance(self.pair, list) and len(self.pair) == 2
+                and all(isinstance(n, str) and n in objects for n in self.pair)):
+            raise ConfigError("'pair' must list exactly two defined object names")
+        self.det_routes = {}  # torus name -> Det(f) of its "map", for classify-tori
+        self.objects = {name: self._build(name, spec) for name, spec in objects.items()}
 
     def _space(self, spec):
         tag = spec.get("space", "standard")
@@ -67,7 +76,7 @@ class Config:
         try:
             kind = spec["type"]
             if kind == "torus":
-                return self._build_torus(spec)
+                return self._build_torus(name, spec)
             if kind == "quadrilateral":
                 space = self._space(spec)
                 return crooked.LightlikeQuadrilateral(
@@ -85,7 +94,7 @@ class Config:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"object {name!r}: {exc}") from exc
 
-    def _build_torus(self, spec):
+    def _build_torus(self, name, spec):
         if "normal" in spec:
             return einstein.EinsteinTorus(spec["normal"], eps=self.eps_alg)
         if "splitting" in spec:
@@ -93,14 +102,11 @@ class Config:
             basis = np.asarray(spec["splitting"], dtype=float).T
             plane = symplectic.Plane2(space, basis)
             split = symplectic.Splitting.from_plane(space, plane)
-            det = None
             if "map" in spec:
                 f = symplectic.Map2(spec["map"])
                 plane = symplectic.graph(space, f, split)
-                det = symplectic.det_omega(f)
-            torus = symplectic.torus_from_plane(space, plane)
-            torus.det_route = det  # annotation used by classify-tori reporting
-            return torus
+                self.det_routes[name] = symplectic.det_omega(f)
+            return symplectic.torus_from_plane(space, plane)
         raise ConfigError("torus needs a 'normal' or a 'splitting'")
 
     def of_type(self, *types):
@@ -117,11 +123,12 @@ class Config:
 
     def select_pair(self, *types):
         """The two objects named by "pair", or the only two of the types."""
-        if self.pair is not None:
-            if len(self.pair) != 2:
-                raise ConfigError("'pair' must list exactly two object names")
-            return [(n, self.objects[n]) for n in self.pair]
         picked = self.of_type(*types)
+        if self.pair is not None:
+            named = dict(picked)
+            if not all(n in named for n in self.pair):
+                raise ConfigError(f"'pair' must name two objects of type {types}")
+            return [(n, named[n]) for n in self.pair]
         if len(picked) != 2:
             raise ConfigError(
                 f"expected exactly two objects of type {types}, found {len(picked)}; "
@@ -163,7 +170,7 @@ def cmd_classify_tori(args):
         sig = einstein.model_space().signature(cls.carrier)
         line += f" carrier_signature=({sig[0]},{sig[1]},{sig[2]})"
     print(line)
-    for det in (getattr(t, "det_route", None) for t in (t1, t2)):
+    for det in (cfg.det_routes.get(n) for n in (n1, n2)):
         if det is None or abs(det + 1.0) <= cfg.eps_alg:
             continue
         eta_det = abs(1.0 - det) / abs(1.0 + det)
@@ -179,8 +186,10 @@ def cmd_check_photon(args):
     quads = cfg.of_type(crooked.LightlikeQuadrilateral)
     if len(photons) != 1 or len(quads) != 1:
         raise ConfigError("check-photon needs exactly one photon and one quadrilateral")
-    _, (_, vec, _space) = photons[0]
-    surface = crooked.CrookedSurface(quads[0][1])
+    (_, (_, vec, space)), (_, quad) = photons[0], quads[0]
+    if space is not quad.space:
+        raise ConfigError("the photon and the quadrilateral are in different spaces")
+    surface = crooked.CrookedSurface(quad)
     m1, m2 = crooked.photon_margins(vec, surface)
     disjoint = crooked.photon_disjoint(vec, surface, eps=cfg.eps_alg)
     print(f"wing_plus_margin={_fmt(m1)} wing_minus_margin={_fmt(m2)}")
@@ -235,15 +244,13 @@ def _sample_clouds(cfg, count, rng):
     names = cfg.pair if cfg.pair is not None else list(cfg.objects)
     for name in names:
         obj = cfg.objects[name]
+        if isinstance(obj, ads.AdsCrookedPlane):
+            obj = ads.ads_quadrilateral(obj)
         if isinstance(obj, einstein.EinsteinTorus):
             cloud = oracle.sample_torus(obj, count, rng)
             cloud.labels = [name] * len(cloud)
         elif isinstance(obj, crooked.LightlikeQuadrilateral):
             cloud = oracle.sample_surface(crooked.CrookedSurface(obj), count, rng)
-            cloud.labels = [f"{name}:{lab}" for lab in cloud.labels]
-        elif isinstance(obj, ads.AdsCrookedPlane):
-            surface = crooked.CrookedSurface(ads.ads_quadrilateral(obj))
-            cloud = oracle.sample_surface(surface, count, rng)
             cloud.labels = [f"{name}:{lab}" for lab in cloud.labels]
         else:
             continue
@@ -305,6 +312,13 @@ def cmd_verify(args):
     return 0 if all(not r["failures"] for r in reports) else 1
 
 
+def _positive_int(text):
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="ein3",
@@ -332,7 +346,7 @@ def main(argv=None):
 
     p = sub.add_parser("sample", help="export sampled point clouds")
     p.add_argument("config")
-    p.add_argument("--count", type=int, default=2000)
+    p.add_argument("--count", type=_positive_int, default=2000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=["csv", "ply"], default="csv")
     p.add_argument("--out", required=True)
@@ -342,7 +356,7 @@ def main(argv=None):
     p.add_argument("--suite", default="all",
                    choices=["all"] + sorted(oracle.SUITES)
                    + sorted(oracle.SUITE_ALIASES))
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_verify)
 

@@ -153,7 +153,7 @@ def wing_contains(surface, l, sign, eps=EPS_ALG):
     if not l.is_lagrangian:
         raise GeometryError("expected a Lagrangian plane")
     vertex, u, v = _wing_data(surface, sign)
-    line = intersect(l.sub, vertex.sub)
+    line = intersect(l.sub, vertex.sub, eps)
     if line.dim == 0:
         return False
     if line.dim == 2:
@@ -176,16 +176,16 @@ def stem_contains(surface, l, eps=EPS_ALG):
     """
     if not l.is_lagrangian:
         raise GeometryError("expected a Lagrangian plane")
-    if intersect(l.sub, surface.stem1.sub).dim < 1:
+    if intersect(l.sub, surface.stem1.sub, eps).dim < 1:
         return False
-    if intersect(l.sub, surface.stem2.sub).dim < 1:
+    if intersect(l.sub, surface.stem2.sub, eps).dim < 1:
         return False
     space = surface.space
     if not space.transverse(l, surface.p_zero, eps):
         return False
     if not space.transverse(l, surface.p_inf, eps):
         return False
-    return abs(maslov(space, surface.p_zero, l, surface.p_inf)) == 2
+    return abs(maslov(space, surface.p_zero, l, surface.p_inf, eps)) == 2
 
 
 def surface_contains(surface, l, eps=EPS_ALG) -> Optional[SurfaceRegion]:
@@ -237,26 +237,32 @@ def _avoids(m1, m2, eps):
     return m1 > eps and m2 < -eps
 
 
+def wing_witness(p, surface, sign, eps=EPS_ALG):
+    """span{p, t u + s v}, (t, s) = (omega(p, v), -omega(p, u)) for the wing's
+    (u, v): p with the one photon of the wing family incident to it, or the
+    wing vertex when t and s are within eps of zero.  On the wing iff t s
+    has the wing's sign."""
+    vertex, u, v = _wing_data(surface, sign)
+    w = surface.space.omega
+    t, s = w(p, v), -w(p, u)
+    if abs(t) <= eps and abs(s) <= eps:
+        return vertex
+    return Plane2.span(surface.space, p, t * u + s * v)
+
+
 def find_crossing_lagrangian(p, surface, eps=EPS_ALG):
     """A surface point on the photon of p, when one of the two photon
     inequalities fails; None when the photon is disjoint.
 
-    The construction follows the wing parametrization: if m1 <= 0 the wing+
-    photon with coordinates (omega(p, v+), -omega(p, u+)) is incident to p,
-    and symmetrically for m2 >= 0 on the wing- side; the vertex plane covers
-    the corner case where both coordinates vanish.
+    If m1 <= 0 the wing+ witness is on the surface, and symmetrically for
+    m2 >= 0 on the wing- side (see `wing_witness`).
     """
     p = as_vector(p, 4)
     p = p / np.linalg.norm(p)
-    w = surface.space.omega
     m1, m2 = photon_margins(p, surface)
     for sign, fails in ((+1, m1 <= eps), (-1, m2 >= -eps)):
         if fails:
-            vertex, u, v = _wing_data(surface, sign)
-            t, s = w(p, v), -w(p, u)
-            if abs(t) <= eps and abs(s) <= eps:
-                return vertex
-            return Plane2.span(surface.space, p, t * u + s * v)
+            return wing_witness(p, surface, sign, eps)
     return None
 
 

@@ -23,6 +23,7 @@ from ein3.linalg import (
     QuadSpace,
     Subspace,
     as_vector,
+    inertia,
     projective_normalize,
 )
 
@@ -249,19 +250,12 @@ def photon_pair_from_degenerate(carrier, eps=EPS_RANK):
     """
     if carrier.dim != 3:
         raise GeometryError("carrier must be 3-dimensional")
-    g = _SPACE.restricted_gram(carrier)
-    w, vecs = np.linalg.eigh(g)
-    tol = eps * max(1.0, np.max(np.abs(w)))
-    pos = [j for j in range(3) if w[j] > tol]
-    neg = [j for j in range(3) if w[j] < -tol]
-    zero = [j for j in range(3) if abs(w[j]) <= tol]
-    if (len(pos), len(neg), len(zero)) != (1, 1, 1):
-        raise GeometryError(
-            f"carrier does not have signature (1,1,1): inertia "
-            f"({len(pos)},{len(neg)},{len(zero)})")
-    a = carrier.onb @ vecs[:, pos[0]] / np.sqrt(w[pos[0]])
-    b = carrier.onb @ vecs[:, neg[0]] / np.sqrt(-w[neg[0]])
-    r = carrier.onb @ vecs[:, zero[0]]
+    w, frame = _SPACE.unit_frame(carrier, eps)
+    sig = inertia(w, eps)
+    if sig != (1, 1, 1):
+        raise GeometryError(f"carrier does not have signature (1,1,1): inertia {sig}")
+    # ascending eigenvalues: negative, zero (the radical), positive
+    b, r, a = frame.T
     return (PhotonW(Subspace.span(a + b, r)),
             PhotonW(Subspace.span(a - b, r)))
 

@@ -47,13 +47,29 @@ def projective_normalize(v):
     return v / v[i]
 
 
+def _zero_tol(values, eps):
+    """The one zero threshold, eps * max(1, largest |value|), of rank,
+    nullspace and inertia; values come sorted, so the largest is at an end."""
+    return eps * max(1.0, abs(values[0]), abs(values[-1])) if len(values) else eps
+
+
+def inertia(w, eps=EPS_RANK):
+    """Counts (p, q, z) of positive, negative and zero eigenvalues in w,
+    sorted as `np.linalg.eigvalsh` returns them; zero means within
+    eps * max(1, largest |eigenvalue|)."""
+    tol = _zero_tol(w, eps)
+    p = int(np.sum(w > tol))
+    q = int(np.sum(w < -tol))
+    return p, q, len(w) - p - q
+
+
 def _range_basis(m, eps):
     """Orthonormal basis of the column space of m: the left singular vectors
-    whose singular values exceed eps * max(1, s[0])."""
+    whose singular values are above the zero threshold."""
     if m.shape[1] == 0:
         return m
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, :int(np.sum(s > eps * max(1.0, s[0])))]
+    return u[:, :int(np.sum(s > _zero_tol(s, eps)))]
 
 
 def _orthonormal_columns(basis, eps):
@@ -183,15 +199,16 @@ class QuadSpace:
         else:
             if sub.ambient_dim != self.dim:
                 raise GeometryError("subspace has wrong ambient dimension")
-            if sub.dim == 0:
-                return (0, 0, 0)
             g = self.restricted_gram(sub)
-        w = np.linalg.eigvalsh(g)
-        tol = eps * max(1.0, np.max(np.abs(w)))
-        p = int(np.sum(w > tol))
-        q = int(np.sum(w < -tol))
-        z = len(w) - p - q
-        return (p, q, z)
+        return inertia(np.linalg.eigvalsh(g), eps)
+
+    def unit_frame(self, sub, eps=EPS_RANK):
+        """Ascending eigenvalues w of the form on a subspace, with the
+        matching eigenvectors in ambient coordinates scaled to |Q| = 1
+        (columns of zero eigenvalues keep unit length)."""
+        w, vecs = np.linalg.eigh(self.restricted_gram(sub))
+        scale = np.where(np.abs(w) > _zero_tol(w, eps), np.sqrt(np.abs(w)), 1.0)
+        return w, (sub.onb @ vecs) / scale
 
     def orthogonal_complement(self, sub, eps=EPS_RANK):
         """All vectors orthogonal (for the form) to a subspace."""
@@ -206,9 +223,7 @@ def nullspace(a, eps=EPS_RANK):
     """Orthonormal basis (columns) of the right nullspace of a matrix."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    tol = eps * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
-    return vh[rank:].T
+    return vh[int(np.sum(s > _zero_tol(s, eps))):].T
 
 
 def intersect(a, b, eps=EPS_RANK):

@@ -165,18 +165,6 @@ class SampleCloud:
         return self.points[keep, :3] / v[keep, None], keep
 
 
-def _torus_frame(torus):
-    """Orthonormal-indefinite frame (2 positive, 2 negative) of the torus
-    hyperplane."""
-    hyper = torus.hyperplane()
-    g = einstein.model_space().restricted_gram(hyper)
-    w, vecs = np.linalg.eigh(g)
-    frame = hyper.onb @ (vecs / np.sqrt(np.abs(w)))
-    neg = frame[:, :2]
-    pos = frame[:, 2:]
-    return pos, neg
-
-
 def sample_torus(torus, n, rng):
     """n random null points of an Einstein torus.
 
@@ -185,7 +173,8 @@ def sample_torus(torus, n, rng):
     cos(a) p1 + sin(a) p2 + cos(b) n1 + sin(b) n2, so sampling the two
     angles sweeps the torus.
     """
-    pos, neg = _torus_frame(torus)
+    _, frame = einstein.model_space().unit_frame(torus.hyperplane())
+    neg, pos = frame[:, :2], frame[:, 2:]
     a = rng.uniform(0.0, 2.0 * np.pi, size=n)
     b = rng.uniform(0.0, 2.0 * np.pi, size=n)
     pts = (np.cos(a)[:, None] * pos[:, 0] + np.sin(a)[:, None] * pos[:, 1]
@@ -347,7 +336,7 @@ def probe_intersection_type(t1, t2, n, rng, degenerate_tol=1e-7):
         raise GeometryError("probe requires distinct tori")
     carrier = einstein.model_space().orthogonal_complement(
         Subspace.span(t1.normal, t2.normal))
-    w, frame = _carrier_frame(carrier)
+    w, frame = einstein.model_space().unit_frame(carrier)
     scale = np.max(np.abs(w))
     if np.min(np.abs(w)) <= degenerate_tol * scale:
         return _probe_degenerate(w, frame, n, rng, degenerate_tol * scale)
@@ -368,19 +357,13 @@ def probe_intersection_type(t1, t2, n, rng, degenerate_tol=1e-7):
     raise GeometryError(f"probe could not classify tangents (mean Q = {mean})")
 
 
-def _carrier_frame(carrier):
-    """Eigenvalues w of the form on a carrier, with the matching frame."""
-    w, vecs = np.linalg.eigh(einstein.model_space().restricted_gram(carrier))
-    return w, carrier.onb @ vecs
-
-
 def _cone_frame(w, frame):
-    """(circle, apex) of a nondegenerate carrier: the frame ordered as two
-    same-sign directions and one opposite, scaled so that `_cone_point`
+    """(circle, apex) of a nondegenerate carrier from its unit frame: two
+    same-sign directions and the opposite one, so that `_cone_point`
     sweeps its null directions."""
     if int(np.sum(w > 0)) == 1:
-        return frame[:, :2] / np.sqrt(-w[:2]), frame[:, 2] / np.sqrt(w[2])
-    return frame[:, 1:] / np.sqrt(w[1:]), frame[:, 0] / np.sqrt(-w[0])
+        return frame[:, :2], frame[:, 2]
+    return frame[:, 1:], frame[:, 0]
 
 
 def _cone_point(circle, apex, phi):
@@ -395,8 +378,7 @@ def _probe_degenerate(w, frame, n, rng, tol):
     neg = [j for j in others if w[j] < 0]
     if len(pos) != 1 or len(neg) != 1:
         raise GeometryError("degenerate carrier is not of photon-pair type")
-    a = frame[:, pos[0]] / math.sqrt(w[pos[0]])
-    b = frame[:, neg[0]] / math.sqrt(-w[neg[0]])
+    a, b = frame[:, pos[0]], frame[:, neg[0]]
     # two affine null families a +/- b + t * radical; their sampled tangents
     # must be null
     ts = rng.uniform(-1.0, 1.0, size=max(4, n // 8))
@@ -644,34 +626,31 @@ def photon_crossing_oracle(p, surface, samples=10_000):
     exact surface membership.  Returns (found_plane_or_None, n_hits).
     """
     space = surface.space
-    q = surface.quad
     p = np.asarray(p, dtype=float)
     p = p / np.linalg.norm(p)
-    w = space.omega
     hits = 0
     found = None
     # closed-form candidates: for each wing the unique photon of the family
     # incident to p
-    for u, v, vertex in ((q.u_plus, q.v_plus, surface.p_plus),
-                         (q.u_minus, q.v_minus, surface.p_minus)):
-        t, s = w(p, v), -w(p, u)
-        if abs(t) <= EPS_ALG and abs(s) <= EPS_ALG:
-            cand = vertex
-        else:
-            try:
-                cand = Plane2.span(space, p, t * u + s * v)
-            except GeometryError:
-                continue  # the candidate generator is parallel to p
+    for sign in (+1, -1):
+        try:
+            cand = crooked.wing_witness(p, surface, sign)
+        except GeometryError:
+            continue  # the candidate generator is parallel to p
         if cand.is_lagrangian and crooked.surface_contains(surface, cand) is not None:
             found = cand
             hits += 1
     # dense screen over the circle of Lagrangians through p
     thetas = np.linspace(0.0, np.pi, samples, endpoint=False)
     gens = _second_generators(space, p, thetas)
-    functionals = []
-    for plane in (surface.p_plus, surface.p_minus, surface.stem1, surface.stem2):
-        functionals.append(_incidence_functional(p, plane))
-    vals = np.abs(gens @ np.array(functionals).T)
+    # span{p, w} meets a plane A exactly when (p ^ w) . (A's Pluecker image)
+    # vanishes, a linear functional of w (its rows: w = e1..e4); vol_coeff
+    # is 1 in both spaces, so this is det[p, w, a, b]
+    onbs = np.stack([plane.sub.onb for plane in (
+        surface.p_plus, surface.p_minus, surface.stem1, surface.stem2)])
+    targets = symplectic.plucker_rows(onbs[:, :, 0], onbs[:, :, 1])
+    functionals = symplectic.plucker_rows(p, np.eye(4)) @ space._gram @ targets.T
+    vals = np.abs(gens @ functionals)
     screened = np.unique(np.where(vals < 1e-7)[0])
     for idx in screened:
         cand = Plane2.span(space, p, gens[idx])
@@ -679,17 +658,6 @@ def photon_crossing_oracle(p, surface, samples=10_000):
             found = found or cand
             hits += 1
     return found, hits
-
-
-def _incidence_functional(p, plane):
-    """Linear functional w -> det[p, w, plane basis]; zero exactly when
-    span{p, w} meets the plane."""
-    a, b = plane.sub.onb[:, 0], plane.sub.onb[:, 1]
-    out = np.empty(4)
-    for i in range(4):
-        m = np.column_stack([p, np.eye(4)[:, i], a, b])
-        out[i] = np.linalg.det(m)
-    return out
 
 
 def crossing_residual(p, surface, plane):
@@ -752,7 +720,7 @@ def suite_torus_trichotomy(trials=1000, seed=7):
             failures.append(f"trial {done}: probe {probed} vs {cls.kind}")
         # sampled intersection points lie on both tori
         alphas = rng.uniform(0.0, 2.0 * np.pi, size=4)
-        circle, apex = _cone_frame(*_carrier_frame(cls.carrier))
+        circle, apex = _cone_frame(*space.unit_frame(cls.carrier))
         for phi in alphas:
             x = _cone_point(circle, apex, phi)
             x = x / np.linalg.norm(x)
@@ -1153,10 +1121,6 @@ def run_suite(name, trials=None, seed=7):
     if trials is None:
         return SUITES[name](seed=seed)
     return SUITES[name](trials=trials, seed=seed)
-
-
-def run_all(trials=None, seed=7):
-    return [run_suite(name, trials, seed) for name in SUITES]
 
 
 def report_lines(reports):

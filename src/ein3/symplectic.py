@@ -29,6 +29,7 @@ from ein3.linalg import (
     GeometryError,
     Subspace,
     as_vector,
+    inertia,
     intersect,
     nullspace,
 )
@@ -253,7 +254,7 @@ class SympSpace:
         basis_w = nullspace(self._omega_fun[None, :])  # 6 x 5
         gram_w = basis_w.T @ self._gram @ basis_w
         w, vecs = np.linalg.eigh(gram_w)
-        if np.sum(w > 0) != 3 or np.sum(w < 0) != 2:
+        if inertia(w) != (3, 2, 0):
             raise GeometryError("kernel of omega does not have signature (3,2)")
         # columns: orthonormal-indefinite frame of W, negatives first
         frame = basis_w @ (vecs / np.sqrt(np.abs(w)))
@@ -369,12 +370,11 @@ def maslov(space, l, p, l_prime, eps=EPS_RANK):
         for j in range(2):
             q[i, j] = 0.5 * (space.omega(proj_l[:, i], proj_lp[:, j])
                              + space.omega(proj_l[:, j], proj_lp[:, i]))
-    w = np.linalg.eigvalsh(q)
-    tol = eps * max(1.0, np.max(np.abs(w)))
-    if np.any(np.abs(w) <= tol):
+    pos, neg, zero = inertia(np.linalg.eigvalsh(q), eps)
+    if zero:
         raise GeometryError(
             "restricted form is degenerate: P is not transverse to L and L'")
-    return int(np.sum(w > tol) - np.sum(w < -tol))
+    return pos - neg
 
 
 def mu(space, s):

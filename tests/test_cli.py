@@ -1,10 +1,16 @@
+import copy
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ein3 import ads, cli, einstein, symplectic
 from ein3.oracle import make_rng, random_quadrilateral
+
+QUAD = {"type": "quadrilateral", "u_plus": [1, 0, 0, 0], "u_minus": [0, 1, 0, 0],
+        "v_plus": [0, 0, 0, 1], "v_minus": [0, 0, 1, 0]}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -85,6 +91,85 @@ def test_check_crooked_identical(tmp_path, capsys):
     assert out.count("wing_plus=") == 8
 
 
+# well-formed documents for the four check commands; the fuzz test below
+# breaks one part of a document at a time
+WELL_FORMED = {
+    "classify-tori": {"objects": {
+        "T1": {"type": "torus", "normal": [1, 0, 0, 0, 0]},
+        "T2": {"type": "torus", "normal": [0, 1, 0, 0, 0]}}},
+    "check-photon": {"objects": {
+        "P": {"type": "photon", "vector": [1, 1, -1, 1]}, "Q": QUAD}},
+    "check-crooked": {"objects": {"Q1": QUAD, "Q2": QUAD}},
+    "check-ads": {"objects": {
+        "A1": {"type": "ads_plane", "base": [[1, 0], [0, 1]], "a": [1, 0], "b": [0, 1]},
+        "A2": {"type": "ads_plane", "base": [[0.5, 0.0], [1.0, 2.0]],
+               "a": [1, -0.5], "b": [1, -0.55]}}},
+}
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                    st.floats(-2, 2), st.text(max_size=3))
+NOT_AN_OBJECT = st.one_of(SCALARS, st.lists(SCALARS, max_size=3))
+
+
+@st.composite
+def malformed_documents(draw, command):
+    doc = copy.deepcopy(WELL_FORMED[command])
+    names = sorted(doc["objects"])
+    part = draw(st.sampled_from(["document", "objects", "object", "pair", "eps_alg"]))
+    if part == "document":
+        return draw(NOT_AN_OBJECT)
+    if part == "objects":
+        doc["objects"] = draw(NOT_AN_OBJECT)
+    elif part == "object":
+        doc["objects"][draw(st.sampled_from(names))] = draw(
+            st.one_of(NOT_AN_OBJECT, st.fixed_dictionaries({"type": SCALARS})))
+    elif part == "pair":
+        doc["pair"] = draw(st.one_of(  # null means no pair
+            SCALARS.filter(lambda x: x is not None), st.text(min_size=2, max_size=2),
+            st.lists(st.one_of(SCALARS, st.sampled_from(names)), max_size=4).filter(
+                lambda pair: not (len(pair) == 2 and set(pair) <= set(names)))))
+    else:
+        doc["eps_alg"] = draw(st.one_of(
+            SCALARS.filter(lambda x: not isinstance(x, (int, float)) or isinstance(x, bool)
+                           or x <= 0),
+            st.sampled_from([math.inf, -math.inf, math.nan])))
+    return doc
+
+
+@pytest.mark.parametrize("command", sorted(WELL_FORMED))
+def test_well_formed_documents_give_a_verdict(command, tmp_path, capsys):
+    code, _, _ = run([command, write_config(tmp_path, WELL_FORMED[command])], capsys)
+    assert code in (0, 1)
+
+
+@pytest.mark.parametrize("command", sorted(WELL_FORMED))
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+def test_malformed_documents_exit_2(command, data, tmp_path_factory):
+    doc = data.draw(malformed_documents(command))
+    path = tmp_path_factory.getbasetemp() / f"malformed-{command}.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, str(path)]) == 2
+
+
+def test_pair_of_the_wrong_type_exits_2(tmp_path, capsys):
+    doc = dict(WELL_FORMED["check-photon"], pair=["P", "Q"])
+    code, _, err = run(["check-crooked", write_config(tmp_path, doc)], capsys)
+    assert code == 2
+    assert "'pair'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "config.json", "--count", "-3", "--out", "cloud.csv"],
+    ["sample", "config.json", "--count", "0", "--out", "cloud.csv"],
+    ["verify", "--trials", "-2"],
+    ["verify", "--trials", "many"],
+])
+def test_counts_must_be_positive(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
 def test_check_crooked_disjoint_pair(tmp_path, capsys):
     from ein3.oracle import disjoint_ads_pair
     p1, p2 = disjoint_ads_pair(make_rng(3))
@@ -113,6 +198,15 @@ def test_check_photon(tmp_path, capsys):
     code, out, _ = run(["check-photon", path2], capsys)
     assert code == 1
     assert "disjoint=false" in out
+
+
+def test_check_photon_rejects_a_photon_of_another_space(tmp_path, capsys):
+    doc = {"objects": {"P": {"type": "photon", "vector": [1, 1, -1, 1], "space": "ads"},
+                       "Q": QUAD}}
+    code, out, err = run(["check-photon", write_config(tmp_path, doc)], capsys)
+    assert code == 2
+    assert "disjoint=" not in out
+    assert "different spaces" in err
 
 
 def test_check_ads(tmp_path, capsys):

@@ -10,6 +10,7 @@ from ein3.oracle import (
     photon_crossing_oracle,
     random_lagrangian,
     random_quadrilateral,
+    random_symplectic,
     sample_surface,
     stem_point,
     wing_point,
@@ -88,6 +89,17 @@ def test_stem_contains_examples(surface):
     assert S.maslov(SP, surface.p_zero, inside, surface.p_inf) == -2
     assert not C.stem_contains(surface, surface.p_zero)
     assert not C.stem_contains(surface, surface.p_plus)
+
+
+def test_stem_contains_honours_eps(surface):
+    # a symplectic perturbation of size ~1e-6 moves a stem point off both
+    # stem planes: off the stem at the default eps, on it at eps = 1e-3
+    g = random_symplectic(SP, make_rng(4), scale=1e-6)
+    assert 1e-7 < np.abs(g - E4).max() < 1e-5
+    moved = S.Plane2(SP, g @ stem_point(surface, 0.7, 0.8, +1).basis)
+    assert moved.is_lagrangian
+    assert not C.stem_contains(surface, moved)
+    assert C.stem_contains(surface, moved, eps=1e-3)
 
 
 def test_surface_contains(surface):
