@@ -61,7 +61,9 @@ class Config:
                 isinstance(self.pair, list) and len(self.pair) == 2
                 and all(isinstance(n, str) and n in objects for n in self.pair)):
             raise ConfigError("'pair' must list exactly two defined object names")
-        self.det_routes = {}  # torus name -> Det(f) of its "map", for classify-tori
+        # torus name -> (Det(f) of its "map", torus of the splitting's summand S),
+        # for classify-tori: Det(f) gives the invariant of (S, graph(f)) only
+        self.det_routes = {}
         self.objects = {name: self._build(name, spec) for name, spec in objects.items()}
 
     def _space(self, spec):
@@ -105,7 +107,8 @@ class Config:
             if "map" in spec:
                 f = symplectic.Map2(spec["map"])
                 plane = symplectic.graph(space, f, split)
-                self.det_routes[name] = symplectic.det_omega(f)
+                self.det_routes[name] = (symplectic.det_omega(f),
+                                         symplectic.torus_from_plane(space, split.s))
             return symplectic.torus_from_plane(space, plane)
         raise ConfigError("torus needs a 'normal' or a 'splitting'")
 
@@ -170,8 +173,9 @@ def cmd_classify_tori(args):
         sig = einstein.model_space().signature(cls.carrier)
         line += f" carrier_signature=({sig[0]},{sig[1]},{sig[2]})"
     print(line)
-    for det in (cfg.det_routes.get(n) for n in (n1, n2)):
-        if det is None or abs(det + 1.0) <= cfg.eps_alg:
+    for name, other in ((n1, t2), (n2, t1)):
+        det, summand = cfg.det_routes.get(name, (None, None))
+        if det is None or other != summand or abs(det + 1.0) <= cfg.eps_alg:
             continue
         eta_det = abs(1.0 - det) / abs(1.0 + det)
         print(f"eta_from_det={_fmt(eta_det)} det={_fmt(det)} "
@@ -305,6 +309,9 @@ def _write_ply(path, coords, labels):
 
 
 def cmd_verify(args):
+    if args.eps_alg is not None:
+        raise ConfigError("verify runs its suites at their fixed tolerances; "
+                          "--eps-alg does not apply to it")
     names = list(oracle.SUITES) if args.suite == "all" else [args.suite]
     reports = [oracle.run_suite(name, trials=args.trials, seed=args.seed)
                for name in names]

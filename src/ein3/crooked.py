@@ -15,6 +15,7 @@ Values within the tolerance margin count as *not* disjoint, the safe
 failure mode for fundamental-domain use.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -203,6 +204,19 @@ def surface_contains(surface, l, eps=EPS_ALG) -> Optional[SurfaceRegion]:
     return None
 
 
+def _unit_photon(p):
+    """p / |p|; a vector whose norm overflows is first divided by its
+    largest |entry|, so only such vectors take the extra step."""
+    p = as_vector(p, 4)
+    norm = np.linalg.norm(p)
+    if not math.isfinite(norm):
+        p = p / np.abs(p).max()
+        norm = np.linalg.norm(p)
+    if norm == 0.0:
+        raise GeometryError("zero photon vector")
+    return p / norm
+
+
 def photon_margins(p, surface):
     """The two signed quantities deciding whether photon [p] avoids a surface.
 
@@ -211,11 +225,7 @@ def photon_margins(p, surface):
     the values are scale-invariant.  The photon avoids the surface exactly
     when m1 > 0 and m2 < 0.
     """
-    p = as_vector(p, 4)
-    norm = np.linalg.norm(p)
-    if norm == 0.0:
-        raise GeometryError("zero photon vector")
-    p = p / norm
+    p = _unit_photon(p)
     q = surface.quad
     w = surface.space.omega
     m1 = w(p, q.v_plus) * w(p, q.u_plus)
@@ -257,8 +267,7 @@ def find_crossing_lagrangian(p, surface, eps=EPS_ALG):
     If m1 <= 0 the wing+ witness is on the surface, and symmetrically for
     m2 >= 0 on the wing- side (see `wing_witness`).
     """
-    p = as_vector(p, 4)
-    p = p / np.linalg.norm(p)
+    p = _unit_photon(p)
     m1, m2 = photon_margins(p, surface)
     for sign, fails in ((+1, m1 <= eps), (-1, m2 >= -eps)):
         if fails:

@@ -49,6 +49,22 @@ def test_classify_tori_splitting_and_map(tmp_path, capsys):
     assert "agreement=true" in out
 
 
+def test_classify_tori_det_route_needs_the_summand_torus(tmp_path, capsys):
+    split = {"type": "torus", "splitting": [[1, 0, 0, 0], [0, 0, 1, 0]]}
+    graph = dict(split, map=[[3, 0], [0, 1]])
+    # Det(f) is the invariant of (S, graph(f)); the README's pair is another
+    readme = {"T1": {"type": "torus", "normal": [1, 0, 0, 0, 0]}, "T2": graph}
+    code, out, _ = run(["classify-tori", write_config(tmp_path, {"objects": readme})],
+                       capsys)
+    assert code == 0 and "kind=timelike" in out
+    assert "eta_from_det" not in out and "agreement" not in out
+    # the summand torus may come second or first
+    path = write_config(tmp_path, {"objects": {"T1": graph, "T2": split}}, "summand.json")
+    code, out, _ = run(["classify-tori", path], capsys)
+    assert code == 0
+    assert "eta_from_det=0.5 det=3 agreement=true\n" in out
+
+
 def test_classify_tori_equal(tmp_path, capsys):
     path = write_config(tmp_path, {"objects": {
         "T1": {"type": "torus", "normal": [1, 0, 0, 0, 0]},
@@ -200,6 +216,17 @@ def test_check_photon(tmp_path, capsys):
     assert "disjoint=false" in out
 
 
+def test_check_photon_with_an_overflowing_norm(tmp_path, capsys):
+    outs = []
+    for vector in ([1, 1, 0, 0], [1e308, 1e308, 0, 0]):
+        doc = {"objects": {"P": {"type": "photon", "vector": vector}, "Q": QUAD}}
+        code, out, _ = run(["check-photon", write_config(tmp_path, doc)], capsys)
+        assert code == 1
+        assert "disjoint=false" in out and "crossing_lagrangian=" in out
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_check_photon_rejects_a_photon_of_another_space(tmp_path, capsys):
     doc = {"objects": {"P": {"type": "photon", "vector": [1, 1, -1, 1], "space": "ads"},
                        "Q": QUAD}}
@@ -307,6 +334,14 @@ def test_config_roundtrip(tmp_path):
     cfg3 = cli.load_config(write_config(tmp_path, doc3, "t.json"),
                            argparse_stub())
     assert cfg3.objects["T"] == torus
+
+
+def test_verify_rejects_eps_alg(capsys):
+    code, out, err = run(["--eps-alg", "1e-3", "verify", "--suite", "eta-bridge",
+                          "--trials", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--eps-alg" in err
 
 
 def test_verify_suite_alias(capsys):

@@ -130,6 +130,40 @@ def test_stem_crossing_pair():
         assert O.refined_stem_stem_gap(c1, c2) < 1e-6
 
 
+# refined gaps of three seeded stem-crossing pairs, as float.hex: stem-stem,
+# stem-wing, and stem-wing with the surfaces swapped
+REFINED_GAPS = {
+    7: ("0x1.f0420c1e6308dp-22", "0x1.8fae0c15ad38ap-22", "0x1.8d6e8781606ecp-22"),
+    67: ("0x1.13bd2f90a1cb4p-22", "0x1.726d41832a0bep-22", "0x1.465655f122ff6p-24"),
+    101: ("0x1.3e723bfc2f3b7p-20", "0x1.773bb6fa96c51p-22", "0x1.09f84ce18c08bp-19"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REFINED_GAPS))
+def test_refined_gaps_are_pinned(seed):
+    c1, c2, _shared = O.stem_crossing_pair(SP, O.make_rng(seed))
+    got = (O.refined_stem_stem_gap(c1, c2).hex(),
+           O.refined_stem_wing_gap(c1, c2).hex(),
+           O.refined_stem_wing_gap(c2, c1).hex())
+    assert got == REFINED_GAPS[seed]
+
+
+def test_probe_kinds_and_draws_are_pinned():
+    rng = O.make_rng(11)
+    kinds = []
+    for _ in range(11):
+        t1 = E.EinsteinTorus(O.random_unit_spacelike(rng))
+        t2 = E.EinsteinTorus(O.random_unit_spacelike(rng))
+        kinds.append(O.probe_intersection_type(t1, t2, 32, rng).name)
+    kinds.append(O.probe_intersection_type(
+        E.EinsteinTorus([1, 0, 0, 0, 0]), E.EinsteinTorus([1, 0, 0, 1, 0]),
+        32, rng).name)
+    t, s, p = "TIMELIKE_CIRCLE", "SPACELIKE_CIRCLE", "PHOTON_PAIR"
+    assert kinds == [t, t, s, t, t, s, s, s, t, t, s, p]
+    # the probe draws the same numbers, so the stream after it is unchanged
+    assert rng.uniform().hex() == "0x1.456b7cb746ee0p-3"
+
+
 class _ParallelRng:
     """Stands in for a generator whose direction draws are always parallel."""
 
@@ -140,6 +174,13 @@ class _ParallelRng:
 def test_random_ads_config_rejection_is_bounded():
     with pytest.raises(O.RetryExhausted):
         O.random_ads_config(_ParallelRng())
+
+
+def test_suite_loops_are_bounded(monkeypatch):
+    # no candidate pair is ever detected: the loop must give up, not spin
+    monkeypatch.setattr(O, "refined_stem_stem_gap", lambda c1, c2: 1.0)
+    with pytest.raises(O.RetryExhausted):
+        O.suite_stem_only(trials=1, seed=7)
 
 
 def test_report_lines_shape():
