@@ -19,7 +19,6 @@ from fractions import Fraction
 from functools import partial
 
 import numpy as np
-from scipy.linalg import expm
 
 from ein3 import ads, crooked, einstein, symplectic
 from ein3.linalg import EPS_ALG, GeometryError, Subspace, nullspace
@@ -81,10 +80,19 @@ def random_unit_spacelike(rng):
 def random_symplectic(space, rng, scale=1.0):
     """Random element of Sp(V): the exponential of a random Hamiltonian
     matrix (entries of the symmetric generator uniform in [-1, 1])."""
+    from scipy.linalg import expm  # ~0.3 s to load, so only where it is used
     s = rng.uniform(-1.0, 1.0, size=(4, 4)) * scale
     s = 0.5 * (s + s.T)
     h = np.linalg.solve(space.matrix, s)
     return expm(h)
+
+
+def random_sl2(rng):
+    """Random element of SL(2): the exponential of a traceless matrix
+    (entries of x standard normal, drawn here)."""
+    from scipy.linalg import expm
+    x = rng.normal(size=(2, 2))
+    return expm(x - 0.5 * np.trace(x) * np.eye(2))
 
 
 def random_lagrangian(space, rng):
@@ -430,8 +438,7 @@ def random_ads_config(rng):
 
     a, b = _retrying(make, accept)
     ap, bp = _retrying(make, accept)
-    x = rng.normal(size=(2, 2))
-    f = expm(x - 0.5 * np.trace(x) * np.eye(2))
+    f = random_sl2(rng)
     return (ads.AdsCrookedPlane(np.eye(2), a, b),
             ads.AdsCrookedPlane(f, ap, bp))
 
@@ -1110,8 +1117,7 @@ def suite_ads_equivalence(trials=1000, seed=7):
         b = rng.normal(size=2)
         if np.linalg.norm(a) < 1e-3 or np.linalg.norm(b) < 1e-3:
             continue
-        x = rng.normal(size=(2, 2))
-        g = expm(x - 0.5 * np.trace(x) * np.eye(2))
+        g = random_sl2(rng)
         equiv = np.abs(ads.boundary_lift(g @ a)
                        - g @ ads.boundary_lift(a) @ np.linalg.inv(g)).max()
         scale = max(1.0, float(np.abs(ads.boundary_lift(g @ a)).max()))
@@ -1149,7 +1155,8 @@ def run_suite(name, trials=None, seed=7):
     name = SUITE_ALIASES.get(name, name)
     if name not in SUITES:
         raise GeometryError(
-            f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+            f"unknown suite {name!r}; choose from "
+            f"{sorted(SUITES) + sorted(SUITE_ALIASES)}")
     if trials is None:
         return SUITES[name](seed=seed)
     return SUITES[name](trials=trials, seed=seed)

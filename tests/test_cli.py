@@ -1,6 +1,11 @@
 import copy
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -11,6 +16,10 @@ from ein3.oracle import make_rng, random_quadrilateral
 
 QUAD = {"type": "quadrilateral", "u_plus": [1, 0, 0, 0], "u_minus": [0, 1, 0, 0],
         "v_plus": [0, 0, 0, 1], "v_minus": [0, 0, 1, 0]}
+
+
+def photon_doc(vector):
+    return {"objects": {"P": {"type": "photon", "vector": vector}, "Q": QUAD}}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -217,14 +226,17 @@ def test_check_photon(tmp_path, capsys):
 
 
 def test_check_photon_with_an_overflowing_norm(tmp_path, capsys):
-    outs = []
+    outs, errs = [], []
     for vector in ([1, 1, 0, 0], [1e308, 1e308, 0, 0]):
-        doc = {"objects": {"P": {"type": "photon", "vector": vector}, "Q": QUAD}}
-        code, out, _ = run(["check-photon", write_config(tmp_path, doc)], capsys)
+        code, out, err = run(["check-photon", write_config(tmp_path, photon_doc(vector))],
+                             capsys)
         assert code == 1
         assert "disjoint=false" in out and "crossing_lagrangian=" in out
         outs.append(out)
+        errs.append(err)
     assert outs[0] == outs[1]
+    # stderr holds the binding line and nothing else: no numpy overflow warning
+    assert errs[0] == errs[1] == "binding: P wing_plus_margin=0\n"
 
 
 def test_check_photon_rejects_a_photon_of_another_space(tmp_path, capsys):
@@ -256,6 +268,43 @@ def test_check_ads(tmp_path, capsys):
     code, _, err = run(["check-ads", path2], capsys)
     assert code == 2
     assert "coincident" in err
+
+
+ADS_DISJOINT = WELL_FORMED["check-ads"]
+ADS_CROSSING = {"objects": dict(ADS_DISJOINT["objects"], A2={
+    "type": "ads_plane", "base": [[2, 0], [0, 0.5]], "a": [1, -0.5], "b": [1, -0.55]})}
+
+
+def quads_of(ads_doc):
+    """The crooked-surface document of an AdS plane pair."""
+    objects = {}
+    for name, spec in ads_doc["objects"].items():
+        plane = ads.AdsCrookedPlane(np.asarray(spec["base"], dtype=float),
+                                    spec["a"], spec["b"])
+        quad = ads.ads_quadrilateral(plane).to_dict()
+        objects["Q" + name[1:]] = {"type": "quadrilateral", "space": "ads",
+                                   **{k: [float(x) for x in v] for k, v in quad.items()}}
+    return {"objects": objects}
+
+
+@pytest.mark.parametrize("command, doc, want_code, where", [
+    ("check-photon", photon_doc([1, 2, -1, 1]), 0, "P wing_minus_margin"),
+    ("check-photon", photon_doc([2, 1, 1, -1]), 1, "P wing_minus_margin"),
+    ("check-crooked", quads_of(ADS_DISJOINT), 0, "u_minus of C2 vs C1 wing_minus"),
+    ("check-crooked", quads_of(ADS_CROSSING), 1, "u_minus of C1 vs C2 wing_minus"),
+    ("check-ads", ADS_DISJOINT, 0, "inequality a'-a"),
+    ("check-ads", ADS_CROSSING, 1, "inequality a'-b"),
+], ids=["photon-disjoint", "photon-crossing", "crooked-disjoint", "crooked-crossing",
+        "ads-disjoint", "ads-crossing"])
+def test_check_commands_name_the_binding_inequality(command, doc, want_code, where,
+                                                    tmp_path, capsys):
+    code, out, err = run([command, write_config(tmp_path, doc)], capsys)
+    assert code == want_code
+    match = re.fullmatch(rf"binding: {re.escape(where)}=(\S+)\n", err)
+    assert match
+    # the signed margin is the one stdout prints for that inequality
+    name = where.split()[-1]
+    assert re.search(rf"{re.escape(name)}(=|: ){re.escape(match[1])}(\s|$)", out)
 
 
 def test_sample_csv_and_ply(tmp_path, capsys):
@@ -342,6 +391,40 @@ def test_verify_rejects_eps_alg(capsys):
     assert code == 2
     assert out == ""
     assert "--eps-alg" in err
+
+
+def test_verify_unknown_suite_exits_2(capsys):
+    code, out, err = run(["verify", "--suite", "no-such-suite"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "unknown suite 'no-such-suite'" in err
+    assert "'eta-bridge'" in err and "'dgk-equivalence'" in err
+
+
+def test_check_commands_and_sample_skip_scipy_and_the_oracle(tmp_path):
+    checks = [[command, write_config(tmp_path, doc, f"{command}.json")]
+              for command, doc in sorted(WELL_FORMED.items())]
+    sample = ["sample", checks[0][1], "--count", "50",
+              "--out", str(tmp_path / "cloud.csv")]
+    child = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from ein3 import cli
+        checks, sample = json.loads(sys.argv[1])
+        loaded = []
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in checks + [sample]:
+                assert cli.main(argv) in (0, 1)
+                loaded.append([m for m in ("scipy", "ein3.oracle") if m in sys.modules])
+        print(json.dumps(loaded))
+    """)
+    # the child imports the ein3 under test
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps([checks, sample])],
+                          capture_output=True, text=True, env=env, check=True)
+    loaded = json.loads(proc.stdout)
+    assert loaded == [[]] * len(checks) + [["ein3.oracle"]]
 
 
 def test_verify_suite_alias(capsys):
