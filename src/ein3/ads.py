@@ -47,8 +47,14 @@ def as_sl2(m, eps=EPS_ALG):
     m = np.asarray(m, dtype=float)
     if m.shape != (2, 2):
         raise GeometryError("an AdS point is a 2x2 matrix")
+    if not np.all(np.isfinite(m)):
+        raise GeometryError("an AdS point needs finite entries")
+    scale = float(np.abs(m).max())
+    tol = eps * max(1.0, scale * scale)
+    if not np.isfinite(tol):
+        raise GeometryError(f"entries up to {scale!r} are too large to test det = 1")
     d = np.linalg.det(m)
-    if abs(d - 1.0) > eps * max(1.0, float(np.abs(m).max()) ** 2):
+    if abs(d - 1.0) > tol:
         raise GeometryError(f"matrix must have determinant 1, got {d!r}")
     return m
 

@@ -68,7 +68,7 @@ class Config:
                 isinstance(self.pair, list) and len(self.pair) == 2
                 and all(isinstance(n, str) and n in objects for n in self.pair)):
             raise ConfigError("'pair' must list exactly two defined object names")
-        # torus name -> (Det(f) of its "map", torus of the splitting's summand S),
+        # torus name -> (its "map" f, torus of the splitting's summand S),
         # for classify-tori: Det(f) gives the invariant of (S, graph(f)) only
         self.det_routes = {}
         self.objects = {name: self._build(name, spec) for name, spec in objects.items()}
@@ -114,8 +114,7 @@ class Config:
             if "map" in spec:
                 f = symplectic.Map2(spec["map"])
                 plane = symplectic.graph(space, f, split)
-                self.det_routes[name] = (symplectic.det_omega(f),
-                                         symplectic.torus_from_plane(space, split.s))
+                self.det_routes[name] = (f, symplectic.torus_from_plane(space, split.s))
             return symplectic.torus_from_plane(space, plane)
         raise ConfigError("torus needs a 'normal' or a 'splitting'")
 
@@ -181,10 +180,14 @@ def cmd_classify_tori(args):
         line += f" carrier_signature=({sig[0]},{sig[1]},{sig[2]})"
     print(line)
     for name, other in ((n1, t2), (n2, t1)):
-        det, summand = cfg.det_routes.get(name, (None, None))
-        if det is None or other != summand or abs(det + 1.0) <= cfg.eps_alg:
+        f, summand = cfg.det_routes.get(name, (None, None))
+        if f is None or other != summand:
             continue
-        eta_det = abs(1.0 - det) / abs(1.0 + det)
+        try:
+            eta_det = symplectic.eta_from_det(f, eps=cfg.eps_alg)
+        except GeometryError:
+            continue  # undefined at Det(f) = -1
+        det = symplectic.det_omega(f)
         print(f"eta_from_det={_fmt(eta_det)} det={_fmt(det)} "
               f"agreement={'true' if abs(eta_det - cls.eta) < 1e-6 else 'false'}")
         break
@@ -294,10 +297,11 @@ def cmd_sample(args):
     coords = np.vstack(rows)
     if dropped:
         print(f"dropped {dropped} point(s) at infinity", file=sys.stderr)
-    if args.format == "csv":
-        _write_csv(args.out, coords, labels)
-    else:
-        _write_ply(args.out, coords, labels)
+    write = _write_csv if args.format == "csv" else _write_ply
+    try:
+        write(args.out, coords, labels)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote {len(coords)} points to {args.out}")
     return 0
 
@@ -335,11 +339,14 @@ def cmd_verify(args):
     return 0 if all(not r["failures"] for r in reports) else 1
 
 
-def _positive_int(text):
-    value = int(text)  # argparse reports a ValueError as an invalid value
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _int_at_least(least):
+    """argparse type: an integer >= least."""
+    def integer(text):
+        value = int(text)  # argparse reports a ValueError as an invalid value
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text}")
+        return value
+    return integer
 
 
 def main(argv=None):
@@ -369,8 +376,8 @@ def main(argv=None):
 
     p = sub.add_parser("sample", help="export sampled point clouds")
     p.add_argument("config")
-    p.add_argument("--count", type=_positive_int, default=2000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--count", type=_int_at_least(1), default=2000)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--format", choices=["csv", "ply"], default="csv")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
@@ -379,8 +386,8 @@ def main(argv=None):
     # no argparse choices: listing them would load the oracle for every
     # command; oracle.run_suite rejects an unknown name (exit 2)
     p.add_argument("--suite", default="all", help="a suite name, or all")
-    p.add_argument("--trials", type=_positive_int, default=None)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--trials", type=_int_at_least(1), default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=7)
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)

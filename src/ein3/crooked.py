@@ -247,31 +247,26 @@ def _avoids(m1, m2, eps):
     return m1 > eps and m2 < -eps
 
 
-def wing_witness(p, surface, sign, eps=EPS_ALG):
-    """span{p, t u + s v}, (t, s) = (omega(p, v), -omega(p, u)) for the wing's
-    (u, v): p with the one photon of the wing family incident to it, or the
-    wing vertex when t and s are within eps of zero.  On the wing iff t s
-    has the wing's sign."""
-    vertex, u, v = _wing_data(surface, sign)
-    w = surface.space.omega
-    t, s = w(p, v), -w(p, u)
-    if abs(t) <= eps and abs(s) <= eps:
-        return vertex
-    return Plane2.span(surface.space, p, t * u + s * v)
-
-
 def find_crossing_lagrangian(p, surface, eps=EPS_ALG):
     """A surface point on the photon of p, when one of the two photon
     inequalities fails; None when the photon is disjoint.
 
-    If m1 <= 0 the wing+ witness is on the surface, and symmetrically for
-    m2 >= 0 on the wing- side (see `wing_witness`).
+    If m1 <= eps, take (t, s) = (omega(p, v+), -omega(p, u+)): t u+ + s v+
+    spans the one photon of the wing+ family incident to p, and t s = -m1
+    has the wing's sign, so span{p, t u+ + s v+} is on the wing (the
+    vertex P+ when t and s are within eps of zero).  Symmetrically for
+    m2 >= -eps on the wing- side.
     """
     p = _unit_photon(p)
     m1, m2 = photon_margins(p, surface)
+    w = surface.space.omega
     for sign, fails in ((+1, m1 <= eps), (-1, m2 >= -eps)):
         if fails:
-            return wing_witness(p, surface, sign, eps)
+            vertex, u, v = _wing_data(surface, sign)
+            t, s = w(p, v), -w(p, u)
+            if abs(t) <= eps and abs(s) <= eps:
+                return vertex
+            return Plane2.span(surface.space, p, t * u + s * v)
     return None
 
 

@@ -634,42 +634,31 @@ def refined_stem_wing_gap(c_stem, c_wing):
 # photon-surface oracle
 # ---------------------------------------------------------------------------
 
-def _second_generators(space, x, phis):
+def _second_generators(space, x):
     """Lagrangian completions of a photon vector x: an orthonormal pair
-    spanning x-perp (for omega) modulo x, combined at the given angles."""
+    (w1, w2) spanning x-perp (for omega) modulo x, so that
+    span{x, cos t w1 + sin t w2} runs over the circle of Lagrangians
+    through x."""
     base = nullspace((space.matrix @ x)[None, :])  # 3-dim, contains x
     proj = base - np.outer(x, x @ base) / float(x @ x)
     u, _s, _ = np.linalg.svd(proj, full_matrices=False)
-    w1, w2 = u[:, 0], u[:, 1]
-    return np.cos(phis)[:, None] * w1 + np.sin(phis)[:, None] * w2
+    return u[:, 0], u[:, 1]
 
 
-def photon_crossing_oracle(p, surface, samples=10_000):
-    """Search for a surface point on the photon of p, independently of the
-    sign inequalities.
+def photon_crossing_oracle(p, surface):
+    """A surface point on the photon of p, found without the sign
+    inequalities; None when the photon misses the surface.
 
-    Tests the closed-form candidate Lagrangians from the wing
-    parametrization, and screens a dense circle of Lagrangians through p for
-    exact surface membership.  Returns (found_plane_or_None, n_hits).
+    Every surface point meets one of P+, P- (wings) or S1, S2 (stem) in a
+    line.  Along the circle of Lagrangians span{p, cos t w1 + sin t w2}
+    through p, the incidence with each of these planes is a cos t + b sin t,
+    so each plane is met at t = atan2(-a, b).  The first of the four
+    candidates on the surface is returned.
     """
     space = surface.space
     p = np.asarray(p, dtype=float)
     p = p / np.linalg.norm(p)
-    hits = 0
-    found = None
-    # closed-form candidates: for each wing the unique photon of the family
-    # incident to p
-    for sign in (+1, -1):
-        try:
-            cand = crooked.wing_witness(p, surface, sign)
-        except GeometryError:
-            continue  # the candidate generator is parallel to p
-        if cand.is_lagrangian and crooked.surface_contains(surface, cand) is not None:
-            found = cand
-            hits += 1
-    # dense screen over the circle of Lagrangians through p
-    thetas = np.linspace(0.0, np.pi, samples, endpoint=False)
-    gens = _second_generators(space, p, thetas)
+    w1, w2 = _second_generators(space, p)
     # span{p, w} meets a plane A exactly when (p ^ w) . (A's Pluecker image)
     # vanishes, a linear functional of w (its rows: w = e1..e4); vol_coeff
     # is 1 in both spaces, so this is det[p, w, a, b]
@@ -677,14 +666,12 @@ def photon_crossing_oracle(p, surface, samples=10_000):
         surface.p_plus, surface.p_minus, surface.stem1, surface.stem2)])
     targets = symplectic.plucker_rows(onbs[:, :, 0], onbs[:, :, 1])
     functionals = symplectic.plucker_rows(p, np.eye(4)) @ space._gram @ targets.T
-    vals = np.abs(gens @ functionals)
-    screened = np.unique(np.where(vals < 1e-7)[0])
-    for idx in screened:
-        cand = Plane2.span(space, p, gens[idx])
-        if cand.is_lagrangian and crooked.surface_contains(surface, cand) is not None:
-            found = found or cand
-            hits += 1
-    return found, hits
+    a, b = np.stack([w1, w2]) @ functionals
+    for t in np.arctan2(-a, b):
+        cand = Plane2.span(space, p, math.cos(t) * w1 + math.sin(t) * w2)
+        if crooked.surface_contains(surface, cand) is not None:
+            return cand
+    return None
 
 
 def crossing_residual(p, surface, plane):
@@ -992,7 +979,8 @@ def suite_maslov_bridge(trials=1000, seed=7):
 
 
 def suite_photon_avoidance(trials=1000, seed=7):
-    """Photon-vs-surface sign test against the sampling oracle."""
+    """Photon-vs-surface sign test against the oracle that solves for the
+    photon's incidences with the wing vertices and stem planes."""
     rng = make_rng([seed, 5])
     space = symplectic.standard_space()
     failures = []
@@ -1009,7 +997,7 @@ def suite_photon_avoidance(trials=1000, seed=7):
             continue
         done += 1
         verdict = crooked.photon_disjoint(p, surface)
-        found, _hits = photon_crossing_oracle(p, surface, samples=10_000)
+        found = photon_crossing_oracle(p, surface)
         if verdict and found is not None:
             failures.append(f"trial {done}: disjoint photon but oracle found a point")
         if not verdict and found is None:

@@ -4,6 +4,7 @@ Each test prints one pass/fail line; the suites behind them are seeded and
 deterministic, so failures are reproducible with `ein3 verify`.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -50,7 +51,8 @@ def test_criterion_4_maslov_bridge():
 
 
 def test_criterion_5_photon_avoidance():
-    """Photon disjointness sign test vs the 10^4-sample oracle and the
+    """Photon disjointness sign test vs the oracle that solves for the
+    photon's incidences with the wing vertices and stem planes, and the
     constructive witness with residual < 1e-9, on 1000 pairs with margins
     above 1e-6."""
     report = oracle.suite_photon_avoidance(trials=1000, seed=7)
@@ -83,8 +85,14 @@ def test_criterion_8_ads_equivalences():
     assert report["max_violation"] < 1e-12
 
 
+# sha256 of `ein3 verify --suite all --seed 7` with one BLAS thread; a change
+# that moves these bytes on purpose updates the pin and says why
+VERIFY_SHA256 = "78d11359118ec9c340ecda8dfe57a2156490704cc40f8e5c2ceb28360168ef7c"
+
+
 def test_criterion_9_determinism():
-    """`ein3 verify --suite all --seed 7` twice gives byte-identical output."""
+    """`ein3 verify --suite all --seed 7` twice gives byte-identical output,
+    and the bytes match the pinned digest."""
     cmd = [sys.executable, "-m", "ein3.cli", "verify", "--suite", "all",
            "--seed", "7"]
     # one BLAS thread: same wall time and bytes, without spinning idle
@@ -96,7 +104,7 @@ def test_criterion_9_determinism():
     status = "PASS" if identical else "FAIL"
     print(f"[{status}] criterion 9: determinism ({len(first.stdout)} bytes)")
     assert identical
-    assert first.stdout  # non-empty report
+    assert hashlib.sha256(first.stdout).hexdigest() == VERIFY_SHA256
 
 
 if __name__ == "__main__":

@@ -195,6 +195,17 @@ def test_counts_must_be_positive(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "config.json", "--seed", "-1", "--out", "cloud.csv"],
+    ["verify", "--suite", "eta-bridge", "--trials", "2", "--seed", "-3"],
+])
+def test_seeds_must_be_non_negative(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "expected an integer >= 0" in capsys.readouterr().err
+
+
 def test_check_crooked_disjoint_pair(tmp_path, capsys):
     from ein3.oracle import disjoint_ads_pair
     p1, p2 = disjoint_ads_pair(make_rng(3))
@@ -270,6 +281,19 @@ def test_check_ads(tmp_path, capsys):
     assert "coincident" in err
 
 
+@pytest.mark.parametrize("base", [[[1e308, 1e308], [1e308, 1e308]],
+                                  [[math.nan, 0.0], [0.0, 1.0]],
+                                  [[math.inf, 0.0], [0.0, 1.0]]],
+                         ids=["overflowing", "nan", "inf"])
+def test_check_ads_rejects_a_base_it_cannot_test(base, tmp_path, capsys):
+    doc = copy.deepcopy(WELL_FORMED["check-ads"])
+    doc["objects"]["A1"]["base"] = base
+    code, out, err = run(["check-ads", write_config(tmp_path, doc)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 ADS_DISJOINT = WELL_FORMED["check-ads"]
 ADS_CROSSING = {"objects": dict(ADS_DISJOINT["objects"], A2={
     "type": "ads_plane", "base": [[2, 0], [0, 0.5]], "a": [1, -0.5], "b": [1, -0.55]})}
@@ -334,6 +358,16 @@ def test_sample_csv_and_ply(tmp_path, capsys):
     n = int(next(l for l in content if l.startswith("element vertex")).split()[-1])
     header_end = content.index("end_header")
     assert len(content) - header_end - 1 == n
+
+
+def test_sample_to_a_missing_directory_exits_2(tmp_path, capsys):
+    doc = {"objects": {"T1": {"type": "torus", "normal": [1, 0, 0, 0, 0]}}}
+    out_csv = str(tmp_path / "missing" / "cloud.csv")
+    code, out, err = run(["sample", write_config(tmp_path, doc), "--count", "20",
+                          "--out", out_csv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write ")
 
 
 def test_sample_reports_dropped_points(tmp_path, capsys):

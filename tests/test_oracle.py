@@ -183,6 +183,39 @@ def test_suite_loops_are_bounded(monkeypatch):
         O.suite_stem_only(trials=1, seed=7)
 
 
+def _predicate_side_rule(*args, **kwargs):
+    raise GeometryError("the oracle must not read the predicate")
+
+
+def test_photon_oracle_finds_meeting_photons_without_the_predicate(monkeypatch):
+    rng = O.make_rng(11)
+    meeting = []
+    while len(meeting) < 50:
+        surface = C.CrookedSurface(O.random_quadrilateral(SP, rng))
+        p = rng.normal(size=4)
+        if not C.photon_disjoint(p, surface):
+            meeting.append((p, surface))
+    for name in ("photon_margins", "photon_disjoint", "find_crossing_lagrangian",
+                 "wing_witness"):
+        monkeypatch.setattr(C, name, _predicate_side_rule, raising=False)
+    for p, surface in meeting:
+        found = O.photon_crossing_oracle(p, surface)
+        assert found is not None
+        assert C.surface_contains(surface, found) is not None
+        assert O.crossing_residual(p, surface, found) <= 1e-9
+
+
+def test_photon_suite_catches_a_flipped_wing_minus_sign(monkeypatch):
+    margins = C.photon_margins
+
+    def flipped(p, surface):
+        m1, m2 = margins(p, surface)
+        return m1, -m2
+
+    monkeypatch.setattr(C, "photon_margins", flipped)
+    assert O.suite_photon_avoidance(trials=30, seed=7)["failures"]
+
+
 def test_report_lines_shape():
     report = O.run_suite("eta-bridge", trials=5, seed=1)
     assert set(report) == {"suite", "trial_count", "seed", "failures",
