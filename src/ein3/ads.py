@@ -139,11 +139,19 @@ def ads_quadrilateral(plane, eps=EPS_ALG):
     return LightlikeQuadrilateral(_SPACE, u_plus, u_minus, v_plus, v_minus, eps)
 
 
+# margin names, row by row: x' of the second plane against y of the first
+_ADS_KEYS = ("a'-b", "a'-a", "b'-b", "b'-a")
+_DGK_KEYS = ("a'-a", "a'-b", "b'-a", "b'-b")
+
+
 def _reduced_config(p1, p2):
-    """Left-translate both planes by the inverse of the first base."""
+    """Left-translate both planes by the inverse of the first base: the
+    relative base f and the unit directions as columns, (a, b) of the
+    first plane and (a', b') of the second."""
     f = np.linalg.solve(p1.base, p2.base)
-    unit = lambda v: v / np.linalg.norm(v)
-    return f, unit(p1.a), unit(p1.b), unit(p2.a), unit(p2.b)
+    y = np.column_stack([p1.a, p1.b])
+    x = np.column_stack([p2.a, p2.b])
+    return f, y / np.linalg.norm(y, axis=0), x / np.linalg.norm(x, axis=0)
 
 
 def ads_margins(p1, p2):
@@ -153,14 +161,13 @@ def ads_margins(p1, p2):
     omega0(x, y)^2 - omega0(f x, y)^2 for x among the second plane's unit
     directions and y among the first plane's; all four must be positive for
     disjointness.  The sign of each quantity is projectively invariant.
+    With X = (a', b') and Y = (b, a) the four are the entries of
+    A*A - B*B for A = X^T J Y and B = (f X)^T J Y.
     """
-    f, a, b, ap, bp = _reduced_config(p1, p2)
-    return {
-        "a'-b": omega0(ap, b) ** 2 - omega0(f @ ap, b) ** 2,
-        "a'-a": omega0(ap, a) ** 2 - omega0(f @ ap, a) ** 2,
-        "b'-b": omega0(bp, b) ** 2 - omega0(f @ bp, b) ** 2,
-        "b'-a": omega0(bp, a) ** 2 - omega0(f @ bp, a) ** 2,
-    }
+    f, y, x = _reduced_config(p1, p2)
+    jy = J @ y[:, ::-1]
+    m = (x.T @ jy) ** 2 - ((f @ x).T @ jy) ** 2
+    return dict(zip(_ADS_KEYS, m.ravel().tolist()))
 
 
 def ads_disjoint(p1, p2, eps=EPS_ALG):
@@ -253,23 +260,23 @@ def horocycle_distance(h1, h2, eps=EPS_ALG):
     return float(np.arccosh(max(arg, 1.0)))
 
 
+def _lifts(x):
+    """Boundary lifts -x x^T J of the columns of x, stacked."""
+    return -(x.T[:, :, None] * x.T[:, None, :]) @ J
+
+
 def dgk_margins(p1, p2):
     """Trace-form margins K(xi, f xi' f^{-1}) - K(xi, xi') for the four
     endpoint pairs, with the coincident pairs flagged."""
-    f, a, b, ap, bp = _reduced_config(p1, p2)
-    f_inv = np.linalg.inv(f)
-    lifts1 = {"a": boundary_lift(a), "b": boundary_lift(b)}
-    lifts2 = {"a'": boundary_lift(ap), "b'": boundary_lift(bp)}
-    margins = {}
-    coincident = []
-    for n2, xi2 in lifts2.items():
-        moved = f @ xi2 @ f_inv
-        for n1, xi1 in lifts1.items():
-            key = f"{n2}-{n1}"
-            margins[key] = killing(xi1, moved) - killing(xi1, xi2)
-            # lifts are proportional exactly when the directions are
-            if killing(xi1, xi2) > -EPS_ALG:
-                coincident.append(key)
+    f, y, x = _reduced_config(p1, p2)
+    lifts1, lifts2 = _lifts(y), _lifts(x)
+    moved = f @ lifts2 @ np.linalg.inv(f)
+    # K(X, Y) = Tr(XY), for xi' (rows) against xi (columns)
+    k_moved = np.einsum("jab,iba->ij", lifts1, moved).ravel().tolist()
+    k_fixed = np.einsum("jab,iba->ij", lifts1, lifts2).ravel().tolist()
+    margins = {key: km - kf for key, km, kf in zip(_DGK_KEYS, k_moved, k_fixed)}
+    # lifts are proportional exactly when the directions are
+    coincident = [key for key, kf in zip(_DGK_KEYS, k_fixed) if kf > -EPS_ALG]
     return margins, coincident
 
 

@@ -267,13 +267,19 @@ def _sample_clouds(cfg, count):
     names = cfg.pair if cfg.pair is not None else list(cfg.objects)
     for name in names:
         obj = cfg.objects[name]
-        if isinstance(obj, ads.AdsCrookedPlane):
-            obj = ads.ads_quadrilateral(obj)
         if isinstance(obj, einstein.EinsteinTorus):
             cloud = oracle.sample_torus(obj, count, rng)
             cloud.labels = [name] * len(cloud)
-        elif isinstance(obj, crooked.LightlikeQuadrilateral):
-            cloud = oracle.sample_surface(crooked.CrookedSurface(obj), count, rng)
+        elif isinstance(obj, (crooked.LightlikeQuadrilateral, ads.AdsCrookedPlane)):
+            try:
+                if isinstance(obj, ads.AdsCrookedPlane):
+                    obj = ads.ads_quadrilateral(obj)
+                surface = crooked.CrookedSurface(obj)
+            except GeometryError as exc:
+                raise ConfigError(
+                    f"object {name!r}: its crooked surface is numerically "
+                    f"degenerate at this scale ({exc})") from exc
+            cloud = oracle.sample_surface(surface, count, rng)
             cloud.labels = [f"{name}:{lab}" for lab in cloud.labels]
         else:
             continue
@@ -392,7 +398,7 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        # a photon whose norm overflows is rescaled (crooked._unit_photon);
+        # a photon whose norm overflows is rescaled (crooked._unit_photons);
         # numpy's overflow warning would only add noise to stderr
         with np.errstate(over="ignore"):
             return args.func(args)

@@ -13,9 +13,11 @@ and two surfaces are disjoint exactly when each of the eight defining
 photons avoids the other surface: sixteen strict inequalities in total.
 Values within the tolerance margin count as *not* disjoint, the safe
 failure mode for fundamental-domain use.
+
+Objects validate once, at construction; the predicates work on the stored
+arrays, eight margins per omega-product of 4x4 matrices.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -26,6 +28,11 @@ from ein3.linalg import EPS_ALG, EPS_RANK, GeometryError, as_vector, intersect
 from ein3.symplectic import Plane2, SympSpace, maslov
 
 _QUAD_KEYS = ("u_plus", "u_minus", "v_plus", "v_minus")
+
+# the columns of Q spanning P0, P_infinity, P+, P-, S1 and S2, and their
+# entries in the flattened Q: one take gives the (6, 4, 2) stack of bases
+_PLANE_COLUMNS = np.array([[2, 3], [0, 1], [0, 2], [1, 3], [0, 3], [1, 2]])
+_PLANE_ENTRIES = 4 * np.arange(4)[:, None] + _PLANE_COLUMNS[:, None, :]
 
 
 class SurfaceRegion(Enum):
@@ -57,26 +64,28 @@ class LightlikeQuadrilateral:
         self.u_minus = as_vector(u_minus, 4)
         self.v_plus = as_vector(v_plus, 4)
         self.v_minus = as_vector(v_minus, 4)
+        self.columns = np.column_stack(  # Q = (u+, u-, v+, v-)
+            [self.u_plus, self.u_minus, self.v_plus, self.v_minus])
         residuals = self.product_residuals()
         bad = {k: v for k, v in residuals.items() if abs(v) > eps}
         if bad:
             raise GeometryError(
                 "quadrilateral products violated: "
                 + ", ".join(f"{k} off by {v:.3e}" for k, v in bad.items()))
-        m = np.column_stack([self.u_plus, self.u_minus, self.v_plus, self.v_minus])
-        if abs(np.linalg.det(m)) <= EPS_RANK:
+        if abs(np.linalg.det(self.columns)) <= EPS_RANK:
             raise GeometryError("quadrilateral vectors do not form a basis")
 
     def product_residuals(self):
-        """Deviation of each omega product from its required value."""
-        w = self.space.omega
+        """Deviation of each omega product from its required value, read
+        off the Gram matrix Q^T Omega Q."""
+        g = (self.columns.T @ self.space.matrix @ self.columns).tolist()
         return {
-            "omega(u+, v-) - 1": w(self.u_plus, self.v_minus) - 1.0,
-            "omega(u-, v+) - 1": w(self.u_minus, self.v_plus) - 1.0,
-            "omega(u+, u-)": w(self.u_plus, self.u_minus),
-            "omega(u+, v+)": w(self.u_plus, self.v_plus),
-            "omega(u-, v-)": w(self.u_minus, self.v_minus),
-            "omega(v+, v-)": w(self.v_plus, self.v_minus),
+            "omega(u+, v-) - 1": g[0][3] - 1.0,
+            "omega(u-, v+) - 1": g[1][2] - 1.0,
+            "omega(u+, u-)": g[0][1],
+            "omega(u+, v+)": g[0][2],
+            "omega(u-, v-)": g[1][3],
+            "omega(v+, v-)": g[2][3],
         }
 
     def vectors(self):
@@ -110,23 +119,19 @@ class CrookedSurface:
     """Crooked surface of a lightlike quadrilateral: two wings and a stem.
 
     Derived data: the four Lagrangian vertices P0, P_infinity, P+, P- and
-    the nondegenerate, mutually omega-orthogonal stem planes S1, S2.
+    the nondegenerate, mutually omega-orthogonal stem planes S1, S2, all six
+    orthonormalized by one stacked SVD.
     """
 
     def __init__(self, quad):
         self.quad = quad
-        space = quad.space
-        self.space = space
-        self.p_zero = Plane2.span(space, quad.v_plus, quad.v_minus)
-        self.p_inf = Plane2.span(space, quad.u_plus, quad.u_minus)
-        self.p_plus = Plane2.span(space, quad.u_plus, quad.v_plus)
-        self.p_minus = Plane2.span(space, quad.u_minus, quad.v_minus)
+        self.space = quad.space
+        (self.p_zero, self.p_inf, self.p_plus, self.p_minus, self.stem1,
+         self.stem2) = Plane2.stack(quad.space, quad.columns.take(_PLANE_ENTRIES))
         for vertex, name in ((self.p_zero, "P0"), (self.p_inf, "Pinf"),
                              (self.p_plus, "P+"), (self.p_minus, "P-")):
             if not vertex.is_lagrangian:
                 raise GeometryError(f"vertex {name} is not Lagrangian")
-        self.stem1 = Plane2.span(space, quad.u_plus, quad.v_minus)
-        self.stem2 = Plane2.span(space, quad.u_minus, quad.v_plus)
         if self.stem1.is_lagrangian or self.stem2.is_lagrangian:
             raise GeometryError("stem planes must be nondegenerate")
 
@@ -204,17 +209,31 @@ def surface_contains(surface, l, eps=EPS_ALG) -> Optional[SurfaceRegion]:
     return None
 
 
-def _unit_photon(p):
-    """p / |p|; a vector whose norm overflows is first divided by its
-    largest |entry|, so only such vectors take the extra step."""
-    p = as_vector(p, 4)
-    norm = np.linalg.norm(p)
-    if not math.isfinite(norm):
-        p = p / np.abs(p).max()
-        norm = np.linalg.norm(p)
-    if norm == 0.0:
+def _unit_photons(p):
+    """p / |p| for one vector, or row by row for a stack of them; when a
+    norm overflows, the rows are first divided by their largest |entry|."""
+    norm = np.linalg.norm(p, axis=-1, keepdims=True)
+    if not np.isfinite(norm).all():
+        p = p / np.abs(p).max(axis=-1, keepdims=True)
+        norm = np.linalg.norm(p, axis=-1, keepdims=True)
+    if not norm.all():
         raise GeometryError("zero photon vector")
     return p / norm
+
+
+def _margins(photons, space, surface):
+    """(m1, m2) of a stack of photon rows of `space` against a surface.
+
+    With P the unit rows, W = P Omega Q has W[i, j] = omega(p_i, column j
+    of the surface's quadrilateral), so m1 = omega(p, v+) omega(p, u+) and
+    m2 = omega(p, v-) omega(p, u-) are products of two columns of W.
+    """
+    if space is not surface.space and not np.array_equal(space.matrix,
+                                                         surface.space.matrix):
+        raise GeometryError(
+            "the photons and the surface are in different symplectic spaces")
+    w = _unit_photons(photons) @ space.matrix @ surface.quad.columns
+    return w[:, 2] * w[:, 0], w[:, 3] * w[:, 1]
 
 
 def photon_margins(p, surface):
@@ -225,12 +244,8 @@ def photon_margins(p, surface):
     the values are scale-invariant.  The photon avoids the surface exactly
     when m1 > 0 and m2 < 0.
     """
-    p = _unit_photon(p)
-    q = surface.quad
-    w = surface.space.omega
-    m1 = w(p, q.v_plus) * w(p, q.u_plus)
-    m2 = w(p, q.v_minus) * w(p, q.u_minus)
-    return m1, m2
+    m1, m2 = _margins(as_vector(p, 4)[None], surface.space, surface)
+    return float(m1[0]), float(m2[0])
 
 
 def photon_disjoint(p, surface, eps=EPS_ALG):
@@ -244,7 +259,8 @@ def photon_disjoint(p, surface, eps=EPS_ALG):
 
 
 def _avoids(m1, m2, eps):
-    return m1 > eps and m2 < -eps
+    """The one pass rule, on floats or elementwise on arrays."""
+    return (m1 > eps) & (m2 < -eps)
 
 
 def find_crossing_lagrangian(p, surface, eps=EPS_ALG):
@@ -257,7 +273,7 @@ def find_crossing_lagrangian(p, surface, eps=EPS_ALG):
     vertex P+ when t and s are within eps of zero).  Symmetrically for
     m2 >= -eps on the wing- side.
     """
-    p = _unit_photon(p)
+    p = _unit_photons(as_vector(p, 4))
     m1, m2 = photon_margins(p, surface)
     w = surface.space.omega
     for sign, fails in ((+1, m1 <= eps), (-1, m2 >= -eps)):
@@ -291,11 +307,10 @@ def disjointness_report(c1, c2, eps=EPS_ALG):
     the other surface, judged with margin eps.
     """
     tests = []
-    for (surface, quad, tag) in ((c1, c2.quad, "of C2 vs C1"),
-                                 (c2, c1.quad, "of C1 vs C2")):
-        for key in _QUAD_KEYS:
-            m1, m2 = photon_margins(getattr(quad, key), surface)
-            tests.append(PhotonTest(f"{key} {tag}", m1, m2, eps))
+    for (surface, other, tag) in ((c1, c2, "of C2 vs C1"), (c2, c1, "of C1 vs C2")):
+        m1, m2 = _margins(other.quad.columns.T, other.space, surface)
+        tests += [PhotonTest(f"{key} {tag}", a, b, eps)
+                  for key, a, b in zip(_QUAD_KEYS, m1.tolist(), m2.tolist())]
     return tests
 
 
@@ -306,4 +321,6 @@ def surfaces_disjoint(c1, c2, eps=EPS_ALG):
     quadrilateral) misses the other surface; equivalently when all sixteen
     strict inequalities hold with margin eps.
     """
-    return all(test.passed for test in disjointness_report(c1, c2, eps))
+    return all(
+        _avoids(*_margins(other.quad.columns.T, other.space, surface), eps).all()
+        for surface, other in ((c1, c2), (c2, c1)))

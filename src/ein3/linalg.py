@@ -28,7 +28,7 @@ def as_vector(v, dim=None):
         raise GeometryError(f"expected a vector, got array of shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise GeometryError(f"expected a vector of length {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise GeometryError("vector has non-finite entries")
     return v
 
@@ -49,7 +49,11 @@ def projective_normalize(v):
 
 def _zero_tol(values, eps):
     """The one zero threshold, eps * max(1, largest |value|), of rank,
-    nullspace and inertia; values come sorted, so the largest is at an end."""
+    nullspace and inertia; values come sorted, so the largest is at an end.
+    A stack of sorted rows gets one threshold per row, as a column."""
+    if values.ndim > 1:
+        ends = np.maximum(np.abs(values[..., :1]), np.abs(values[..., -1:]))
+        return eps * np.maximum(1.0, ends)
     return eps * max(1.0, abs(values[0]), abs(values[-1])) if len(values) else eps
 
 
@@ -65,17 +69,21 @@ def inertia(w, eps=EPS_RANK):
 
 def _range_basis(m, eps):
     """Orthonormal basis of the column space of m: the left singular vectors
-    whose singular values are above the zero threshold."""
-    if m.shape[1] == 0:
+    whose singular values are above the zero threshold.  A stack of matrices
+    (leading axis) takes one SVD and keeps as many columns as its least rank."""
+    if m.shape[-1] == 0:
         return m
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, :int(np.sum(s > _zero_tol(s, eps)))]
+    return u[..., :int(np.sum(s > _zero_tol(s, eps), axis=-1).min())]
 
 
 def _orthonormal_columns(basis, eps):
-    """Orthonormal basis of the column span, with a rank check."""
+    """Orthonormal basis of the column span, with a finiteness and a rank
+    check; a stack of bases is checked by its least rank."""
+    if not np.isfinite(basis).all():
+        raise GeometryError("basis has non-finite entries")
     onb = _range_basis(basis, eps)
-    rank, k = onb.shape[1], basis.shape[1]
+    rank, k = onb.shape[-1], basis.shape[-1]
     if rank < k:
         raise GeometryError(
             f"basis matrix has rank {rank} < {k} column(s)")
@@ -100,10 +108,22 @@ class Subspace:
             basis = basis[:, None]
         if basis.ndim != 2:
             raise GeometryError("basis must be a matrix of column vectors")
-        if not np.all(np.isfinite(basis)):
-            raise GeometryError("basis has non-finite entries")
         self.basis = basis
         self.onb = _orthonormal_columns(basis, eps)
+
+    @classmethod
+    def stack(cls, bases, eps=EPS_RANK):
+        """One Subspace per (n, k) matrix of a stack of bases, all of them
+        orthonormalized by one SVD; Subspace(basis) is the stack of one."""
+        bases = np.asarray(bases, dtype=float)
+        if bases.ndim != 3:
+            raise GeometryError("bases must be a stack of basis matrices")
+        subs = []
+        for basis, onb in zip(bases, _orthonormal_columns(bases, eps)):
+            sub = cls.__new__(cls)
+            sub.basis, sub.onb = basis, onb
+            subs.append(sub)
+        return subs
 
     @classmethod
     def span(cls, *vectors):

@@ -78,6 +78,12 @@ def pfaffian4(omega):
             + omega[0, 3] * omega[1, 2])
 
 
+def _omega_of_columns(space, onbs):
+    """omega(first column, second column) of a 4x2 basis, or of each basis
+    of a stack of them."""
+    return (onbs[..., None, :, 0] @ space.matrix @ onbs[..., :, 1, None])[..., 0, 0]
+
+
 class PlaneKind(Enum):
     LAGRANGIAN = "lagrangian"
     NONDEGENERATE = "nondegenerate"
@@ -95,15 +101,35 @@ class Plane2:
         basis = np.asarray(basis, dtype=float)
         if basis.shape != (4, 2):
             raise GeometryError("a 2-plane needs a 4x2 basis matrix")
-        self.space = space
-        self.sub = Subspace(basis)
-        self.basis = basis
-        w = float(self.sub.onb[:, 0] @ space.matrix @ self.sub.onb[:, 1])
-        self.tag = PlaneKind.LAGRANGIAN if abs(w) <= eps else PlaneKind.NONDEGENERATE
+        sub = Subspace(basis)
+        self._adopt(space, sub, _omega_of_columns(space, sub.onb), eps)
 
     @classmethod
     def span(cls, space, u, v, eps=EPS_ALG):
         return cls(space, np.column_stack([as_vector(u, 4), as_vector(v, 4)]), eps)
+
+    @classmethod
+    def stack(cls, space, bases, eps=EPS_ALG):
+        """The planes of a (m, 4, 2) stack of bases, orthonormalized by one
+        SVD (`Subspace.stack`)."""
+        bases = np.asarray(bases, dtype=float)
+        if bases.shape[1:] != (4, 2):
+            raise GeometryError("a 2-plane needs a 4x2 basis matrix")
+        subs = Subspace.stack(bases)
+        omegas = _omega_of_columns(space, np.stack([sub.onb for sub in subs]))
+        planes = []
+        for sub, w in zip(subs, omegas):
+            plane = cls.__new__(cls)
+            plane._adopt(space, sub, w, eps)
+            planes.append(plane)
+        return planes
+
+    def _adopt(self, space, sub, w, eps):
+        """Take the orthonormalized span and its omega(onb_0, onb_1) = w."""
+        self.space = space
+        self.sub = sub
+        self.basis = sub.basis
+        self.tag = PlaneKind.LAGRANGIAN if abs(w) <= eps else PlaneKind.NONDEGENERATE
 
     @property
     def is_lagrangian(self):

@@ -221,3 +221,67 @@ def test_dgk_concrete_hyperbolic():
         C.CrookedSurface(A.ads_quadrilateral(p2)))
     assert four == dgk == sixteen
     assert four is False  # the expansion grows two of the products
+
+
+def reference_config(p1, p2):
+    f = np.linalg.solve(p1.base, p2.base)
+    unit = lambda v: v / np.linalg.norm(v)
+    return f, unit(p1.a), unit(p1.b), unit(p2.a), unit(p2.b)
+
+
+def reference_ads_margins(p1, p2):
+    """ads_margins one omega0 at a time."""
+    f, a, b, ap, bp = reference_config(p1, p2)
+    w = A.omega0
+    return {
+        "a'-b": w(ap, b) ** 2 - w(f @ ap, b) ** 2,
+        "a'-a": w(ap, a) ** 2 - w(f @ ap, a) ** 2,
+        "b'-b": w(bp, b) ** 2 - w(f @ bp, b) ** 2,
+        "b'-a": w(bp, a) ** 2 - w(f @ bp, a) ** 2,
+    }
+
+
+def reference_dgk_margins(p1, p2):
+    """dgk_margins one boundary lift and trace form at a time."""
+    f, a, b, ap, bp = reference_config(p1, p2)
+    f_inv = np.linalg.inv(f)
+    lifts1 = {"a": A.boundary_lift(a), "b": A.boundary_lift(b)}
+    lifts2 = {"a'": A.boundary_lift(ap), "b'": A.boundary_lift(bp)}
+    margins, coincident = {}, []
+    for n2, xi2 in lifts2.items():
+        moved = f @ xi2 @ f_inv
+        for n1, xi1 in lifts1.items():
+            key = f"{n2}-{n1}"
+            margins[key] = A.killing(xi1, moved) - A.killing(xi1, xi2)
+            if A.killing(xi1, xi2) > -A.EPS_ALG:
+                coincident.append(key)
+    return margins, coincident
+
+
+def test_ads_and_dgk_margins_match_the_scalar_reference():
+    from ein3.oracle import disjoint_ads_pair, random_ads_config
+    rng = make_rng(30)
+    disjoint = 0
+    pairs = [random_ads_config(rng) for _ in range(200)]
+    pairs += [disjoint_ads_pair(rng) for _ in range(50)]
+    # coincident endpoints: a direction of the second plane repeats one of the first
+    pairs += [(A.AdsCrookedPlane(np.eye(2), [1, 0], [0, 1]),
+               A.AdsCrookedPlane(random_sl2(rng), [2, 0], [1, 1])) for _ in range(5)]
+    for p1, p2 in pairs:
+        f = np.linalg.solve(p1.base, p2.base)
+        scale = max(1.0, np.linalg.norm(f) * np.linalg.norm(np.linalg.inv(f)))
+        margins, ref = A.ads_margins(p1, p2), reference_ads_margins(p1, p2)
+        assert list(margins) == list(ref)
+        for key in ref:
+            assert abs(margins[key] - ref[key]) <= 1e-12 * scale
+        assert A.ads_disjoint(p1, p2) == all(v > A.EPS_ALG for v in ref.values())
+        (dgk, coincident), (dgk_ref, coincident_ref) = (
+            A.dgk_margins(p1, p2), reference_dgk_margins(p1, p2))
+        assert list(dgk) == list(dgk_ref)
+        assert coincident == coincident_ref
+        for key in dgk_ref:
+            assert abs(dgk[key] - dgk_ref[key]) <= 1e-12 * scale
+        assert A.dgk_criterion(p1, p2) == (
+            not coincident_ref and all(v > A.EPS_ALG for v in dgk_ref.values()))
+        disjoint += A.ads_disjoint(p1, p2)
+    assert disjoint >= 50

@@ -259,6 +259,31 @@ def test_check_photon_rejects_a_photon_of_another_space(tmp_path, capsys):
     assert "different spaces" in err
 
 
+def test_check_crooked_rejects_quadrilaterals_of_different_spaces(tmp_path, capsys):
+    quad = ads.ads_quadrilateral(ads.AdsCrookedPlane(np.eye(2), [1, 0], [0, 1]))
+    doc = {"objects": {"C1": dict(QUAD, space="standard"),
+                       "C2": dict(type="quadrilateral", space="ads", **quad.to_dict())}}
+    code, out, err = run(["check-crooked", write_config(tmp_path, doc)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the photons and the surface are in different symplectic spaces\n"
+
+
+def test_sample_names_an_object_whose_surface_is_degenerate(tmp_path, capsys):
+    # det 1 and finite, so check-ads decides it; the surface's planes lose
+    # rank at this scale
+    doc = {"objects": {"A": {"type": "ads_plane", "base": [[1e150, 0], [0, 1e-150]],
+                             "a": [1, 0], "b": [0, 1]}}}
+    out_csv = str(tmp_path / "cloud.csv")
+    code, out, err = run(["sample", write_config(tmp_path, doc), "--count", "20",
+                          "--out", out_csv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: object 'A': its crooked surface is numerically "
+                          "degenerate at this scale (")
+    assert not os.path.exists(out_csv)
+
+
 def test_check_ads(tmp_path, capsys):
     path = write_config(tmp_path, {"objects": {
         "A1": {"type": "ads_plane", "base": [[1, 0], [0, 1]],

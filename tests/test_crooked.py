@@ -223,3 +223,110 @@ def test_random_quadrilateral_surfaces(surface):
         assert C.surface_contains(surf, surf.p_plus) is C.SurfaceRegion.WING_PLUS
         pt = wing_point(surf, -1, 0.3, 0.9)
         assert C.wing_contains(surf, pt, -1)
+
+
+def reference_margins(c1, c2):
+    """The sixteen margins photon by photon, in the report's order: for each
+    defining photon p of one surface, omega(p^, v+) omega(p^, u+) and
+    omega(p^, v-) omega(p^, u-) against the other, with p^ = p / |p|."""
+    out = []
+    for surface, other in ((c1, c2), (c2, c1)):
+        q, w = surface.quad, surface.space.omega
+        for key in C._QUAD_KEYS:
+            p = getattr(other.quad, key)
+            p = p / np.linalg.norm(p)
+            out.append((w(p, q.v_plus) * w(p, q.u_plus),
+                        w(p, q.v_minus) * w(p, q.u_minus),
+                        max(1.0, np.linalg.norm(q.u_plus) * np.linalg.norm(q.v_plus)),
+                        max(1.0, np.linalg.norm(q.u_minus) * np.linalg.norm(q.v_minus))))
+    return out
+
+
+def seeded_surface_pairs(n):
+    """n random quadrilateral pairs in the standard space, then n AdS pairs
+    (about half of them certified disjoint) carried into the AdS space."""
+    from ein3 import ads
+    from ein3.oracle import disjoint_ads_pair, random_ads_config
+    rng = make_rng(21)
+    for _ in range(n):
+        yield (C.CrookedSurface(random_quadrilateral(SP, rng)),
+               C.CrookedSurface(random_quadrilateral(SP, rng)))
+    for k in range(n):
+        p1, p2 = disjoint_ads_pair(rng) if k % 2 else random_ads_config(rng)
+        yield (C.CrookedSurface(ads.ads_quadrilateral(p1)),
+               C.CrookedSurface(ads.ads_quadrilateral(p2)))
+
+
+def test_sixteen_margins_match_the_scalar_reference():
+    disjoint = 0
+    for c1, c2 in seeded_surface_pairs(150):
+        report = C.disjointness_report(c1, c2)
+        reference = reference_margins(c1, c2)
+        assert [t.label for t in report] == [
+            f"{key} {tag}" for tag in ("of C2 vs C1", "of C1 vs C2") for key in C._QUAD_KEYS]
+        for test, (m1, m2, scale1, scale2) in zip(report, reference):
+            assert abs(test.wing_plus_margin - m1) <= 1e-12 * scale1
+            assert abs(test.wing_minus_margin - m2) <= 1e-12 * scale2
+            assert test.passed == C._avoids(m1, m2, C.EPS_ALG)
+        verdict = all(C._avoids(m1, m2, C.EPS_ALG) for m1, m2, _, _ in reference)
+        assert C.surfaces_disjoint(c1, c2) == verdict
+        disjoint += verdict
+    assert disjoint > 20
+
+
+def test_photon_margins_match_the_scalar_reference():
+    rng = make_rng(22)
+    for _ in range(200):
+        surf = C.CrookedSurface(random_quadrilateral(SP, rng))
+        p = rng.normal(size=4)
+        q, w, u = surf.quad, SP.omega, p / np.linalg.norm(p)
+        m1, m2 = C.photon_margins(p, surf)
+        assert abs(m1 - w(u, q.v_plus) * w(u, q.u_plus)) <= 1e-12 * max(
+            1.0, np.linalg.norm(q.u_plus) * np.linalg.norm(q.v_plus))
+        assert abs(m2 - w(u, q.v_minus) * w(u, q.u_minus)) <= 1e-12 * max(
+            1.0, np.linalg.norm(q.u_minus) * np.linalg.norm(q.v_minus))
+
+
+def test_product_residuals_match_the_scalar_products():
+    rng = make_rng(23)
+    for _ in range(50):
+        q = random_quadrilateral(SP, rng)
+        w = SP.omega
+        reference = {
+            "omega(u+, v-) - 1": w(q.u_plus, q.v_minus) - 1.0,
+            "omega(u-, v+) - 1": w(q.u_minus, q.v_plus) - 1.0,
+            "omega(u+, u-)": w(q.u_plus, q.u_minus),
+            "omega(u+, v+)": w(q.u_plus, q.v_plus),
+            "omega(u-, v-)": w(q.u_minus, q.v_minus),
+            "omega(v+, v-)": w(q.v_plus, q.v_minus),
+        }
+        residuals = q.product_residuals()
+        assert list(residuals) == list(reference)
+        scale = max(1.0, max(np.linalg.norm(v) for v in q.vectors()) ** 2)
+        for key, value in reference.items():
+            assert abs(residuals[key] - value) <= 1e-12 * scale
+
+
+def test_surface_planes_equal_their_single_spans():
+    rng = make_rng(24)
+    for _ in range(30):
+        surf = C.CrookedSurface(random_quadrilateral(SP, rng))
+        q = surf.quad
+        for plane, (u, v) in (
+                (surf.p_zero, (q.v_plus, q.v_minus)), (surf.p_inf, (q.u_plus, q.u_minus)),
+                (surf.p_plus, (q.u_plus, q.v_plus)), (surf.p_minus, (q.u_minus, q.v_minus)),
+                (surf.stem1, (q.u_plus, q.v_minus)), (surf.stem2, (q.u_minus, q.v_plus))):
+            single = S.Plane2.span(SP, u, v)
+            assert np.array_equal(plane.sub.onb, single.sub.onb)
+            assert np.array_equal(plane.basis, single.basis)
+            assert plane.tag is single.tag
+
+
+def test_surfaces_of_different_spaces_are_rejected(surface):
+    from ein3 import ads
+    other = C.CrookedSurface(ads.ads_quadrilateral(ads.AdsCrookedPlane(np.eye(2), [1, 0], [0, 1])))
+    for c1, c2 in ((surface, other), (other, surface)):
+        with pytest.raises(GeometryError, match="different symplectic spaces"):
+            C.surfaces_disjoint(c1, c2)
+        with pytest.raises(GeometryError, match="different symplectic spaces"):
+            C.disjointness_report(c1, c2)
