@@ -15,7 +15,6 @@ since sampling error dominates the algebraic tolerances.
 
 import json
 import math
-from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -749,31 +748,25 @@ def suite_torus_trichotomy(trials=1000, seed=7):
     return _report("torus-trichotomy", trials, seed, failures, max_violation)
 
 
-_EXACT_E4 = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+def _dyadic(values):
+    """Floats as integer numerators over one common power of two, as an
+    object array of Python ints and the denominator."""
+    ratios = [float(x).as_integer_ratio() for x in values]
+    den = max(d for _, d in ratios)
+    return np.array([n * (den // d) for n, d in ratios], dtype=object), den
 
 
-def _exact_plucker(u, v):
-    """Pluecker coordinates over exact rationals."""
-    return [u[i] * v[j] - u[j] * v[i] for (i, j) in symplectic.PAIRS]
+def _positive(den, *vectors):
+    """Numerator vectors over den, with the sign moved off den."""
+    sign = -1 if den < 0 else 1
+    return (sign * den, *(sign * x for x in vectors))
 
 
-def _exact_nullspace_2x4(rows):
-    """Exact rational basis of the nullspace of two independent 4-rows."""
-    r1, r2 = [list(r) for r in rows]
-    j1 = max(range(4), key=lambda j: abs(r1[j]))
-    factor = r2[j1] / r1[j1]
-    r2 = [r2[j] - factor * r1[j] for j in range(4)]
-    j2 = max((j for j in range(4) if j != j1), key=lambda j: abs(r2[j]))
-    basis = []
-    for k in range(4):
-        if k in (j1, j2):
-            continue
-        x = [Fraction(0)] * 4
-        x[k] = Fraction(1)
-        x[j2] = -r2[k] / r2[j2]
-        x[j1] = -(r1[k] + r1[j2] * x[j2]) / r1[j1]
-        basis.append(x)
-    return basis
+# omega, the bivector product and omega* of the standard space over Python
+# ints (omega* over one power of two)
+_OMEGA_INT = symplectic.standard_space().matrix.astype(int).astype(object)
+_WEDGE_INT = symplectic.standard_space()._gram.astype(int).astype(object)
+_STAR = _dyadic(symplectic.standard_space().omega_star)
 
 
 def eta_bridge_values(split, f):
@@ -782,53 +775,51 @@ def eta_bridge_values(split, f):
     Near det(f) = -1 the invariant blows up, and its sensitivity amplifies
     both float cancellation and the 1e-16 structural leakage of a float
     splitting far past any fixed tolerance.  So the splitting is first made
-    structurally exact in rational arithmetic (exactly omega-normalized and
-    omega-orthogonal summands, seeded from the float ones) and the wedge
-    products are then evaluated exactly; only final square roots round.
-    Returns (eta_mu, eta_einstein).  Standard basis convention only (the
+    structurally exact (exactly omega-normalized and omega-orthogonal
+    summands, seeded from the float ones) and the wedge products are then
+    evaluated exactly.  Every float is dyadic, so each vector is carried as
+    Python-int numerators over one positive denominator (a common power of
+    two for the inputs) and no step before the last rounds: only the final
+    divisions (correctly rounded int / int) and square roots do.  Returns
+    (eta_mu, eta_einstein).  Standard basis convention only (omega and the
     bivector products have integer coefficients there).
     """
     space = symplectic.standard_space()
-    gram_int = [[int(x) for x in row] for row in space._gram]
-    omega_int = [[int(x) for x in row] for row in space.matrix]
+    u, du = _dyadic(split.s_basis[:, 0])
+    v = _dyadic(split.s_basis[:, 1])[0]
+    # v / omega(u, v)
+    dv, v = _positive(u @ _OMEGA_INT @ v, du * v)
+    # the omega-complement of S: the nullspace of the rows omega(u, .) and
+    # omega(v, .), eliminated on the pivots of largest magnitude, with 1 at
+    # each free index k, all over den
+    r1, r2 = u @ _OMEGA_INT, v @ _OMEGA_INT
+    j1 = max(range(4), key=lambda j: abs(r1[j]))
+    r2 = r1[j1] * r2 - r2[j1] * r1
+    j2 = max((j for j in range(4) if j != j1), key=lambda j: abs(r2[j]))
+    den = r1[j1] * r2[j2]
+    q1, q2 = np.zeros((2, 4), dtype=object)
+    for x, k in zip((q1, q2), sorted({0, 1, 2, 3} - {j1, j2})):
+        x[k], x[j2], x[j1] = den, -r2[k] * r1[j1], r1[j2] * r2[k] - r1[k] * r2[j2]
+    # q2 / omega(q1, q2), with q1 over the same denominator dq
+    w12 = q1 @ _OMEGA_INT @ q2
+    dq, q1, q2 = _positive(den * w12, w12 * q1, den * den * q2)
+    (f00, f01, f10, f11), df = _dyadic(np.ravel(f))
+    t1 = u * dq * df + du * (q1 * f00 + q2 * f10)
+    t2 = v * dq * df + dv * (q1 * f01 + q2 * f11)
 
-    def omega_val(x, y):
-        return sum(x[i] * omega_int[i][j] * y[j]
-                   for i in range(4) for j in range(4) if omega_int[i][j])
-
-    def wedge(a, b):
-        return sum(a[i] * gram_int[i][j] * b[j]
-                   for i in range(6) for j in range(6) if gram_int[i][j])
-
-    u = [Fraction(x) for x in split.s_basis[:, 0]]
-    v = [Fraction(x) for x in split.s_basis[:, 1]]
-    v = [x / omega_val(u, v) for x in v]
-    q1, q2 = _exact_nullspace_2x4(
-        ([omega_val(u, e) for e in _EXACT_E4],
-         [omega_val(v, e) for e in _EXACT_E4]))
-    q2 = [x / omega_val(q1, q2) for x in q2]
-    fq = [[Fraction(x) for x in row] for row in np.asarray(f, dtype=float)]
-    t1 = [u[i] + q1[i] * fq[0][0] + q2[i] * fq[1][0] for i in range(4)]
-    t2 = [v[i] + q1[i] * fq[0][1] + q2[i] * fq[1][1] for i in range(4)]
-
-    iota_s = _exact_plucker(u, v)
-    iota_t = _exact_plucker(t1, t2)
-    w_s = omega_val(u, v)
-    w_t = omega_val(t1, t2)
-    # mu(A) . mu(B) = iota(A) . iota(B) + (1/2) omega(iota A) omega(iota B);
-    # the self-products of the decomposable iotas vanish exactly
-    dot = wedge(iota_s, iota_t) + Fraction(1, 2) * w_s * w_t
-    norm_s = wedge(iota_s, iota_s) + Fraction(1, 2) * w_s * w_s
-    norm_t = wedge(iota_t, iota_t) + Fraction(1, 2) * w_t * w_t
-    eta_mu = math.sqrt(float(dot * dot / (norm_s * norm_t)))
+    ds, dt = du * dv, du * dv * (dq * df) ** 2
+    iota_s, iota_t = symplectic.plucker_rows(np.stack([u, t1]), np.stack([v, t2]))
+    w_s, w_t = u @ _OMEGA_INT @ v, t1 @ _OMEGA_INT @ t2
+    # mu(A) . mu(B) = iota(A) . iota(B) + (1/2) omega(iota A) omega(iota B),
+    # here doubled and over ds * dt; the self-products of the decomposable
+    # iotas vanish exactly, so mu(A) . mu(A) = omega(iota A)^2 / (2 ds^2)
+    dot = 2 * (iota_s @ _WEDGE_INT @ iota_t) + w_s * w_t
+    eta_mu = math.sqrt(dot * dot / (w_s * w_s * w_t * w_t))
     # unit normals in the null-cone model, normalized by the exact norms
-    half = Fraction(1, 2)
-    mu_s = np.array([float(x + half * w_s * Fraction(o))
-                     for x, o in zip(iota_s, space.omega_star)])
-    mu_t = np.array([float(x + half * w_t * Fraction(o))
-                     for x, o in zip(iota_t, space.omega_star)])
-    s1 = space.to_einstein(mu_s) / math.sqrt(float(norm_s))
-    s2 = space.to_einstein(mu_t) / math.sqrt(float(norm_t))
+    star, dstar = _STAR
+    s1, s2 = (space.to_einstein((2 * dstar * iota + w * star) / (2 * d * dstar))
+              / math.sqrt(w * w / (2 * d * d))
+              for iota, w, d in ((iota_s, w_s, ds), (iota_t, w_t, dt)))
     return eta_mu, abs(einstein.inner(s1, s2))
 
 

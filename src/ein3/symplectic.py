@@ -222,11 +222,16 @@ class SympSpace:
         """Pluecker image u ^ v of a plane with stored basis (u, v).
 
         Decomposable (the self-product vanishes); rescaling the basis
-        rescales the output.
+        rescales the output.  A raw 4x2 array is rank-checked here; a
+        `Plane2` passed the stricter rank check of its `Subspace` when it
+        was built.
         """
-        basis = plane.basis if isinstance(plane, Plane2) else np.asarray(plane, float)
-        if np.linalg.matrix_rank(basis) < 2:
-            raise GeometryError("plane basis is rank deficient")
+        if isinstance(plane, Plane2):
+            basis = plane.basis
+        else:
+            basis = np.asarray(plane, float)
+            if np.linalg.matrix_rank(basis) < 2:
+                raise GeometryError("plane basis is rank deficient")
         return plucker_rows(basis[:, 0], basis[:, 1])
 
     def bivector_to_plane(self, b, eps=EPS_ALG):

@@ -231,3 +231,125 @@ def test_report_lines_shape():
 def test_unknown_suite_rejected():
     with pytest.raises(GeometryError):
         O.run_suite("nonsense")
+
+
+# The rational eta bridge as it was written over fractions.Fraction, kept as
+# the reference the integer implementation must reproduce float for float.
+def _fraction_eta_bridge_values(split, f):
+    import math
+    from fractions import Fraction
+
+    exact_e4 = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+
+    def exact_plucker(u, v):
+        return [u[i] * v[j] - u[j] * v[i] for (i, j) in S.PAIRS]
+
+    def exact_nullspace_2x4(rows):
+        r1, r2 = [list(r) for r in rows]
+        j1 = max(range(4), key=lambda j: abs(r1[j]))
+        factor = r2[j1] / r1[j1]
+        r2 = [r2[j] - factor * r1[j] for j in range(4)]
+        j2 = max((j for j in range(4) if j != j1), key=lambda j: abs(r2[j]))
+        basis = []
+        for k in range(4):
+            if k in (j1, j2):
+                continue
+            x = [Fraction(0)] * 4
+            x[k] = Fraction(1)
+            x[j2] = -r2[k] / r2[j2]
+            x[j1] = -(r1[k] + r1[j2] * x[j2]) / r1[j1]
+            basis.append(x)
+        return basis
+
+    space = S.standard_space()
+    gram_int = [[int(x) for x in row] for row in space._gram]
+    omega_int = [[int(x) for x in row] for row in space.matrix]
+
+    def omega_val(x, y):
+        return sum(x[i] * omega_int[i][j] * y[j]
+                   for i in range(4) for j in range(4) if omega_int[i][j])
+
+    def wedge(a, b):
+        return sum(a[i] * gram_int[i][j] * b[j]
+                   for i in range(6) for j in range(6) if gram_int[i][j])
+
+    u = [Fraction(x) for x in split.s_basis[:, 0]]
+    v = [Fraction(x) for x in split.s_basis[:, 1]]
+    v = [x / omega_val(u, v) for x in v]
+    q1, q2 = exact_nullspace_2x4(
+        ([omega_val(u, e) for e in exact_e4],
+         [omega_val(v, e) for e in exact_e4]))
+    q2 = [x / omega_val(q1, q2) for x in q2]
+    fq = [[Fraction(x) for x in row] for row in np.asarray(f, dtype=float)]
+    t1 = [u[i] + q1[i] * fq[0][0] + q2[i] * fq[1][0] for i in range(4)]
+    t2 = [v[i] + q1[i] * fq[0][1] + q2[i] * fq[1][1] for i in range(4)]
+
+    iota_s = exact_plucker(u, v)
+    iota_t = exact_plucker(t1, t2)
+    w_s = omega_val(u, v)
+    w_t = omega_val(t1, t2)
+    dot = wedge(iota_s, iota_t) + Fraction(1, 2) * w_s * w_t
+    norm_s = wedge(iota_s, iota_s) + Fraction(1, 2) * w_s * w_s
+    norm_t = wedge(iota_t, iota_t) + Fraction(1, 2) * w_t * w_t
+    eta_mu = math.sqrt(float(dot * dot / (norm_s * norm_t)))
+    half = Fraction(1, 2)
+    mu_s = np.array([float(x + half * w_s * Fraction(o))
+                     for x, o in zip(iota_s, space.omega_star)])
+    mu_t = np.array([float(x + half * w_t * Fraction(o))
+                     for x, o in zip(iota_t, space.omega_star)])
+    s1 = space.to_einstein(mu_s) / math.sqrt(float(norm_s))
+    s2 = space.to_einstein(mu_t) / math.sqrt(float(norm_t))
+    return eta_mu, abs(E.inner(s1, s2))
+
+
+def _suite_eta_draws(seed, count):
+    """The first `count` (splitting, f) pairs that suite_eta_bridge tests."""
+    rng = O.make_rng([seed, 2])
+    draws = []
+    while len(draws) < count:
+        split = O.random_splitting(SP, rng)
+        f = rng.uniform(-2.0, 2.0, size=(2, 2))
+        if abs(S.det_omega(f) + 1.0) > 1e-3:
+            draws.append((split, f))
+    return draws
+
+
+def _near_det_minus_one_draws(count, rng):
+    """(splitting, f) pairs with 1e-3 < |det f + 1| <= 1e-2: the
+    ill-conditioned band just outside the suite's skip."""
+    draws = []
+    while len(draws) < count:
+        split = O.random_splitting(SP, rng)
+        f = rng.uniform(-2.0, 2.0, size=(2, 2))
+        d = S.det_omega(f)
+        if d >= -1e-2:
+            continue
+        target = -1.0 + rng.choice([-1.0, 1.0]) * rng.uniform(1.1e-3, 9.9e-3)
+        f = f * np.sqrt(target / d)
+        assert 1e-3 < abs(S.det_omega(f) + 1.0) <= 1e-2
+        draws.append((split, f))
+    return draws
+
+
+def test_integer_eta_bridge_matches_the_rational_reference():
+    draws = (_suite_eta_draws(7, 200)
+             + _near_det_minus_one_draws(50, O.make_rng(2024)))
+    for split, f in draws:
+        assert O.eta_bridge_values(split, f) == _fraction_eta_bridge_values(split, f)
+
+
+def test_oracle_imports_neither_fractions_nor_decimal():
+    import os
+    import subprocess
+    import sys
+
+    child = ("import sys, ein3.oracle; "
+             "print([m for m in ('fractions', 'decimal') if m in sys.modules])")
+    # the child imports the ein3 under test; hypothesis has already put
+    # fractions into this process, so the check needs a fresh interpreter
+    src = os.path.dirname(os.path.dirname(O.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -58,6 +58,24 @@ def test_plucker():
         SP.plucker(np.column_stack([E4[:, 0], E4[:, 0]]))
 
 
+def test_plucker_rank_checks_raw_arrays_and_trusts_built_planes():
+    rng = np.random.default_rng(5)
+    rank_one = np.outer(rng.normal(size=4), [1.0, -2.0])
+    with pytest.raises(GeometryError, match="plane basis is rank deficient"):
+        SP.plucker(rank_one)
+    # a Plane2's rank check is the stricter one: this basis passes
+    # matrix_rank but is no plane
+    nearly = np.column_stack([E4[:, 0], E4[:, 0] + 1e-12 * E4[:, 1]])
+    assert np.linalg.matrix_rank(nearly) == 2
+    with pytest.raises(GeometryError, match="rank 1 < 2"):
+        S.Plane2(SP, nearly)
+    planes = ([S.Plane2(SP, rng.normal(size=(4, 2))) for _ in range(3)]
+              + [S.Plane2.span(SP, rng.normal(size=4), rng.normal(size=4))]
+              + S.Plane2.stack(SP, rng.normal(size=(3, 4, 2))))
+    for p in planes:
+        assert np.array_equal(SP.plucker(p), SP.plucker(p.basis))
+
+
 def test_lagrangians_map_to_null_kernel_lines():
     from ein3.oracle import make_rng, random_lagrangian
     rng = make_rng(2)
