@@ -112,7 +112,9 @@ class Config:
             plane = symplectic.Plane2(space, basis)
             split = symplectic.Splitting.from_plane(space, plane)
             if "map" in spec:
-                f = symplectic.Map2(spec["map"])
+                f = np.asarray(spec["map"], dtype=float)
+                if f.shape != (2, 2) or not np.isfinite(f).all():
+                    raise ConfigError("'map' must be a finite 2x2 matrix")
                 plane = symplectic.graph(space, f, split)
                 self.det_routes[name] = (f, symplectic.torus_from_plane(space, split.s))
             return symplectic.torus_from_plane(space, plane)

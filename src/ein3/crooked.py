@@ -221,18 +221,22 @@ def _unit_photons(p):
     return p / norm
 
 
-def _margins(photons, space, surface):
-    """(m1, m2) of a stack of photon rows of `space` against a surface.
-
-    With P the unit rows, W = P Omega Q has W[i, j] = omega(p_i, column j
-    of the surface's quadrilateral), so m1 = omega(p, v+) omega(p, u+) and
-    m2 = omega(p, v-) omega(p, u-) are products of two columns of W.
-    """
+def _omega_products(units, space, surface):
+    """W = P Omega Q for a stack P of unit photon rows of `space`:
+    W[i, j] = omega(p_i, column j of the surface's quadrilateral), the
+    columns being (u+, u-, v+, v-)."""
     if space is not surface.space and not np.array_equal(space.matrix,
                                                          surface.space.matrix):
         raise GeometryError(
             "the photons and the surface are in different symplectic spaces")
-    w = _unit_photons(photons) @ space.matrix @ surface.quad.columns
+    return units @ space.matrix @ surface.quad.columns
+
+
+def _margins(photons, space, surface):
+    """(m1, m2) of a stack of photon rows of `space` against a surface:
+    m1 = omega(p, v+) omega(p, u+) and m2 = omega(p, v-) omega(p, u-) are
+    products of two columns of W (`_omega_products`) for the unit rows."""
+    w = _omega_products(_unit_photons(photons), space, surface)
     return w[:, 2] * w[:, 0], w[:, 3] * w[:, 1]
 
 
@@ -274,12 +278,13 @@ def find_crossing_lagrangian(p, surface, eps=EPS_ALG):
     m2 >= -eps on the wing- side.
     """
     p = _unit_photons(as_vector(p, 4))
-    m1, m2 = photon_margins(p, surface)
-    w = surface.space.omega
-    for sign, fails in ((+1, m1 <= eps), (-1, m2 >= -eps)):
+    # omega(p, .) of (u+, u-, v+, v-)
+    wu_plus, wu_minus, wv_plus, wv_minus = _omega_products(p[None], surface.space,
+                                                           surface)[0].tolist()
+    for sign, fails, t, s in ((+1, wv_plus * wu_plus <= eps, wv_plus, -wu_plus),
+                              (-1, wv_minus * wu_minus >= -eps, wv_minus, -wu_minus)):
         if fails:
             vertex, u, v = _wing_data(surface, sign)
-            t, s = w(p, v), -w(p, u)
             if abs(t) <= eps and abs(s) <= eps:
                 return vertex
             return Plane2.span(surface.space, p, t * u + s * v)

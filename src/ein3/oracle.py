@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from ein3 import ads, crooked, einstein, symplectic
-from ein3.linalg import EPS_ALG, GeometryError, Subspace, nullspace
+from ein3.linalg import EPS_ALG, GeometryError, nullspace
 from ein3.einstein import EinsteinTorus, IntersectionKind
 from ein3.symplectic import Plane2, Splitting
 
@@ -38,12 +38,12 @@ class RetryExhausted(GeometryError):
     """Rejection sampling failed to produce a valid object."""
 
 
-def _retrying(make, accept, limit=RETRY_LIMIT):
-    for _ in range(limit):
+def _retrying(make, accept):
+    for _ in range(RETRY_LIMIT):
         obj = make()
         if accept(obj):
             return obj
-    raise RetryExhausted(f"no valid sample in {limit} attempts")
+    raise RetryExhausted(f"no valid sample in {RETRY_LIMIT} attempts")
 
 
 # candidates a suite loop may draw per trial: it gives up only when fewer
@@ -112,8 +112,9 @@ def random_lagrangian(space, rng):
     return _retrying(make, lambda p: p is not None and p.is_lagrangian)
 
 
-def random_nondegenerate_plane(space, rng, min_margin=0.2):
-    """Random nondegenerate plane, well-conditioned for omega."""
+def random_nondegenerate_plane(space, rng):
+    """Random nondegenerate plane, well-conditioned for omega: |omega| > 0.2
+    on its orthonormal basis."""
     def make():
         m = rng.normal(size=(4, 2))
         if np.linalg.svd(m, compute_uv=False)[-1] < 1e-3:
@@ -124,7 +125,7 @@ def random_nondegenerate_plane(space, rng, min_margin=0.2):
         if p is None or p.is_lagrangian:
             return False
         onb = p.sub.onb
-        return abs(space.omega(onb[:, 0], onb[:, 1])) > min_margin
+        return abs(space.omega(onb[:, 0], onb[:, 1])) > 0.2
 
     return _retrying(make, accept)
 
@@ -133,14 +134,14 @@ def random_splitting(space, rng):
     return Splitting.from_plane(space, random_nondegenerate_plane(space, rng))
 
 
-def random_quadrilateral(space, rng, scale=1.0):
+def random_quadrilateral(space, rng):
     """Random lightlike quadrilateral: a random symplectic image of the
     canonical one."""
     if np.array_equal(space.matrix, symplectic.STANDARD_OMEGA):
         base = crooked.canonical_quadrilateral(space)
     else:
         base = _canonical_quad_general(space)
-    g = random_symplectic(space, rng, scale)
+    g = random_symplectic(space, rng)
     return base.transformed(g)
 
 
@@ -186,21 +187,28 @@ class SampleCloud:
         return self.points[keep, :3] / v[keep, None], keep
 
 
-def sample_torus(torus, n, rng):
-    """n random null points of an Einstein torus.
+def _torus_points(frame, alphas, betas):
+    """Null vectors cos(a) p1 + sin(a) p2 + cos(b) n1 + sin(b) n2 of a torus,
+    one per angle pair, along a new last axis.  frame is the unit frame
+    (n1, n2, p1, p2) of the torus hyperplane, negatives first as
+    `unit_frame` sorts them; every such vector is null, and the two angles
+    sweep the torus."""
+    n1, n2, p1, p2 = frame.T
+    a = np.asarray(alphas)[..., None]
+    b = np.asarray(betas)[..., None]
+    return np.cos(a) * p1 + np.sin(a) * p2 + np.cos(b) * n1 + np.sin(b) * n2
 
-    The hyperplane of the torus has signature (2, 2); in an
-    orthonormal-indefinite frame its null vectors are exactly
-    cos(a) p1 + sin(a) p2 + cos(b) n1 + sin(b) n2, so sampling the two
-    angles sweeps the torus.
-    """
-    _, frame = einstein.model_space().unit_frame(torus.hyperplane())
-    neg, pos = frame[:, :2], frame[:, 2:]
+
+def _torus_frame(torus):
+    return einstein.model_space().unit_frame(torus.hyperplane())[1]
+
+
+def sample_torus(torus, n, rng):
+    """n random null points of an Einstein torus (see `_torus_points`)."""
+    frame = _torus_frame(torus)
     a = rng.uniform(0.0, 2.0 * np.pi, size=n)
     b = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    pts = (np.cos(a)[:, None] * pos[:, 0] + np.sin(a)[:, None] * pos[:, 1]
-           + np.cos(b)[:, None] * neg[:, 0] + np.sin(b)[:, None] * neg[:, 1])
-    return SampleCloud(pts, ["torus"] * n)
+    return SampleCloud(_torus_points(frame, a, b), ["torus"] * n)
 
 
 def _wing_generators(surface, sign, thetas, phis):
@@ -312,16 +320,15 @@ def sample_surface(surface, n, rng, proportions=(0.4, 0.4, 0.2)):
 
 
 def min_gap(cloud_a, cloud_b):
-    """Minimum chordal distance between the projective classes of two clouds.
+    """Minimum chordal distance between the projective classes of two
+    `SampleCloud`s.
 
     The chordal distance of two lines is the sine of their principal angle,
     computed on Euclidean-normalized homogeneous representatives.
     """
     if len(cloud_a) == 0 or len(cloud_b) == 0:
         raise GeometryError("min_gap needs nonempty clouds")
-    a = cloud_a.unit_points() if isinstance(cloud_a, SampleCloud) else _unit_rows(cloud_a)
-    b = cloud_b.unit_points() if isinstance(cloud_b, SampleCloud) else _unit_rows(cloud_b)
-    cos = np.clip(np.abs(a @ b.T), 0.0, 1.0)
+    cos = np.clip(np.abs(cloud_a.unit_points() @ cloud_b.unit_points().T), 0.0, 1.0)
     return float(np.sqrt(max(0.0, 1.0 - float(cos.max()) ** 2)))
 
 
@@ -348,76 +355,67 @@ def projective_distance(a, b):
 # causal probing of torus intersections
 # ---------------------------------------------------------------------------
 
-def probe_intersection_type(t1, t2, n, rng, degenerate_tol=1e-7):
+def _intersection_curve(t1, t2):
+    """The intersection of two distinct tori as a curve on torus 1: a map
+    from driving angles to points x(a, b) of `_torus_points` with
+    <x, s2> = 0.
+
+    That incidence reads A . (cos a, sin a) + B . (cos b, sin b) = 0, A and
+    B being the products of s2 with (p1, p2) and (n1, n2).  The angle of
+    the shorter of A and B drives; the other angle is atan2 + arccos of the
+    remaining equation, which has a root at every driving angle.  One
+    arccos branch covers every point once up to sign.
+    """
+    frame = _torus_frame(t1)
+    n1, n2, p1, p2 = (frame.T @ einstein.GRAM @ t2.normal).tolist()
+    a_drives = math.hypot(p1, p2) <= math.hypot(n1, n2)
+    (c1, c2), (d1, d2) = ((p1, p2), (n1, n2)) if a_drives else ((n1, n2), (p1, p2))
+    radius = math.hypot(d1, d2)
+
+    def curve(theta):
+        ratio = np.clip(-(c1 * np.cos(theta) + c2 * np.sin(theta)) / radius, -1.0, 1.0)
+        other = math.atan2(d2, d1) + np.arccos(ratio)
+        return _torus_points(frame, theta, other) if a_drives \
+            else _torus_points(frame, other, theta)
+
+    return curve
+
+
+# |Q(t)| / |t|^2 of a tangent t below this counts as null
+_NULL_TANGENT = 1e-7
+
+
+def _probe_kind(curve, n, rng):
+    """Causal character of an intersection curve from central finite
+    differences at n random driving angles: all tangents timelike, all
+    spacelike, or all null (a photon pair); anything else raises."""
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    h = 1e-5
+    tangents = (curve(thetas + h) - curve(thetas - h)) / (2.0 * h)
+    q = (((tangents @ einstein.GRAM) * tangents).sum(axis=-1)
+         / (tangents * tangents).sum(axis=-1))
+    if (q < -_NULL_TANGENT).all():
+        return IntersectionKind.TIMELIKE_CIRCLE
+    if (q > _NULL_TANGENT).all():
+        return IntersectionKind.SPACELIKE_CIRCLE
+    if (np.abs(q) <= _NULL_TANGENT).all():
+        return IntersectionKind.PHOTON_PAIR
+    raise GeometryError(
+        f"probe tangents disagree: Q/|t|^2 from {q.min():.3e} to {q.max():.3e}")
+
+
+def probe_intersection_type(t1, t2, n, rng):
     """Sampled classification of the intersection of two distinct tori.
 
-    Diagonalizes the carrier (the common orthogonal complement of the two
-    normals), parametrizes its null directions, and classifies the causal
-    character of finite-difference tangents along the sampled curve by the
-    sign of the form.  Independent of the eta comparison used by
+    Solves for the intersection along torus 1's own angles
+    (`_intersection_curve`) and classifies the causal character of its
+    finite-difference tangents at n sampled points by the sign of the
+    form (`_probe_kind`).  Reads neither eta nor the carrier used by
     `einstein.classify_torus_pair`.
     """
     if t1 == t2:
         raise GeometryError("probe requires distinct tori")
-    carrier = einstein.model_space().orthogonal_complement(
-        Subspace.span(t1.normal, t2.normal))
-    w, frame = einstein.model_space().unit_frame(carrier)
-    scale = np.max(np.abs(w))
-    if np.min(np.abs(w)) <= degenerate_tol * scale:
-        return _probe_degenerate(w, frame, n, rng, degenerate_tol * scale)
-    circle, apex = _cone_frame(w, frame)
-    phis = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    h = 1e-5
-    tangents = (_cone_point(circle, apex, phis + h)
-                - _cone_point(circle, apex, phis - h)) / (2.0 * h)
-    gram = einstein.model_space().gram
-    mean = float(np.mean(((tangents @ gram) * tangents).sum(axis=-1)))
-    if mean < -0.5:
-        return IntersectionKind.TIMELIKE_CIRCLE
-    if mean > 0.5:
-        return IntersectionKind.SPACELIKE_CIRCLE
-    raise GeometryError(f"probe could not classify tangents (mean Q = {mean})")
-
-
-def _cone_frame(w, frame):
-    """(circle, apex) of a nondegenerate carrier from its unit frame: two
-    same-sign directions and the opposite one, so that `_cone_point`
-    sweeps its null directions."""
-    if int(np.sum(w > 0)) == 1:
-        return frame[:, :2], frame[:, 2]
-    return frame[:, 1:], frame[:, 0]
-
-
-def _cone_point(circle, apex, phi):
-    """Null directions of the cone at angles phi (vectors along a new last
-    axis)."""
-    phi = np.asarray(phi)[..., None]
-    return np.cos(phi) * circle[:, 0] + np.sin(phi) * circle[:, 1] + apex
-
-
-def _probe_degenerate(w, frame, n, rng, tol):
-    order = np.argsort(np.abs(w))
-    radical = frame[:, order[0]]
-    others = [order[1], order[2]]
-    pos = [j for j in others if w[j] > 0]
-    neg = [j for j in others if w[j] < 0]
-    if len(pos) != 1 or len(neg) != 1:
-        raise GeometryError("degenerate carrier is not of photon-pair type")
-    a, b = frame[:, pos[0]], frame[:, neg[0]]
-    # two affine null families a +/- b + t * radical; their sampled tangents
-    # must be null
-    ts = rng.uniform(-1.0, 1.0, size=max(4, n // 8))
-    h = 1e-5
-    for branch in (a + b, a - b):
-        for t in ts:
-            tangent = ((branch + (t + h) * radical)
-                       - (branch + (t - h) * radical)) / (2.0 * h)
-            q = einstein.inner(tangent, tangent)
-            unit = tangent / np.linalg.norm(tangent)
-            if abs(einstein.inner(unit, unit)) > 1e-6:
-                raise GeometryError(
-                    f"degenerate carrier has non-null family tangent (Q = {q})")
-    return IntersectionKind.PHOTON_PAIR
+    return _probe_kind(_intersection_curve(t1, t2), n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +571,12 @@ def _wing_family(surface, signs):
             surface.space, _WING_BOX)
 
 
-def _refine(family_a, family_b, rounds=12, k=9, shrink=0.35):
+# _ROUNDS rounds of _K grid values per parameter, each window _SHRINK times
+# the size of the last
+_ROUNDS, _K, _SHRINK = 12, 9, 0.35
+
+
+def _refine(family_a, family_b):
     """Minimum over P (family, family) pairs of the chordal gap between two
     2-parameter families of Lagrangians, each pair minimized by alternating
     grid zoom; deterministic.  A family is (generators(t1, t2), space,
@@ -589,13 +592,14 @@ def _refine(family_a, family_b, rounds=12, k=9, shrink=0.35):
     families = (family_a, family_b)
     npairs = len(_SIGN_PAIRS[0])
     rows = np.arange(npairs)[:, None]
+    k = _K
     offsets = np.arange(k, dtype=float)
     centers, sizes = [], []
     for _, _, (lo, hi, cap) in families:
         top = np.array([min(hi, cap), hi])
         centers.append(np.tile((lo + top) / 2, (npairs, 1)))
         sizes.append(top - lo)
-    for _ in range(rounds):
+    for _ in range(_ROUNDS):
         grids, units = [], []
         for (gens, space, (lo, hi, cap)), center, size in zip(families, centers, sizes):
             start = np.minimum(np.maximum(center - size / 2, lo), hi - size)
@@ -611,7 +615,7 @@ def _refine(family_a, family_b, rounds=12, k=9, shrink=0.35):
         # grid indices of the best pair: (t1, t2) of family a, then of family b
         idx = np.array(np.unravel_index(best, (k,) * 4)).T
         centers = [grid[rows, (0, 1), idx[:, 2 * j:2 * j + 2]] for j, grid in enumerate(grids)]
-        sizes = [size * shrink for size in sizes]
+        sizes = [size * _SHRINK for size in sizes]
     return min(math.sqrt(max(0.0, 1.0 - float(c) ** 2)) for c in cos[rows[:, 0], best])
 
 
@@ -730,21 +734,19 @@ def suite_torus_trichotomy(trials=1000, seed=7):
         sig = space.signature(cls.carrier)
         if sig != expected_sig[cls.kind]:
             failures.append(f"trial {done}: carrier signature {sig} for {cls.kind}")
-        probed = probe_intersection_type(t1, t2, 32, rng)
+        curve = _intersection_curve(t1, t2)
+        probed = _probe_kind(curve, 32, rng)
         if probed is not cls.kind:
             failures.append(f"trial {done}: probe {probed} vs {cls.kind}")
         # sampled intersection points lie on both tori
-        alphas = rng.uniform(0.0, 2.0 * np.pi, size=4)
-        circle, apex = _cone_frame(*space.unit_frame(cls.carrier))
-        for phi in alphas:
-            x = _cone_point(circle, apex, phi)
+        for x in curve(rng.uniform(0.0, 2.0 * np.pi, size=4)):
             x = x / np.linalg.norm(x)
             res = max(abs(einstein.inner(x, t1.normal)),
                       abs(einstein.inner(x, t2.normal)),
                       abs(einstein.inner(x, x)))
             max_violation = max(max_violation, res)
             if res > EPS_ALG:
-                failures.append(f"trial {done}: carrier point off tori by {res:.3e}")
+                failures.append(f"trial {done}: intersection point off tori by {res:.3e}")
     return _report("torus-trichotomy", trials, seed, failures, max_violation)
 
 
@@ -1067,7 +1069,6 @@ def suite_ads_equivalence(trials=1000, seed=7):
     rng = make_rng([seed, 7])
     failures = []
     max_violation = 0.0
-    skipped = 0
     done = 0
     attempts = _attempts(trials)
     while done < trials:
@@ -1075,7 +1076,6 @@ def suite_ads_equivalence(trials=1000, seed=7):
         p1, p2 = random_ads_config(rng)
         margins = ads.ads_margins(p1, p2)
         if min(abs(v) for v in margins.values()) <= 1e-6:
-            skipped += 1
             continue
         done += 1
         four = ads.ads_disjoint(p1, p2)

@@ -222,14 +222,16 @@ class SympSpace:
         """Pluecker image u ^ v of a plane with stored basis (u, v).
 
         Decomposable (the self-product vanishes); rescaling the basis
-        rescales the output.  A raw 4x2 array is rank-checked here; a
-        `Plane2` passed the stricter rank check of its `Subspace` when it
-        was built.
+        rescales the output.  A raw array must be a finite 4x2 basis of
+        rank 2, checked here; a `Plane2` passed the stricter rank check of
+        its `Subspace` when it was built.
         """
         if isinstance(plane, Plane2):
             basis = plane.basis
         else:
             basis = np.asarray(plane, float)
+            if basis.shape != (4, 2) or not np.isfinite(basis).all():
+                raise GeometryError("a plane basis must be a finite 4x2 array")
             if np.linalg.matrix_rank(basis) < 2:
                 raise GeometryError("plane basis is rank deficient")
         return plucker_rows(basis[:, 0], basis[:, 1])
@@ -341,12 +343,10 @@ class Splitting:
     def __init__(self, space, s, s_perp, eps=EPS_ALG):
         if s.is_lagrangian or s_perp.is_lagrangian:
             raise GeometryError("splitting summands must be nondegenerate")
-        for i in range(2):
-            for j in range(2):
-                val = space.omega(s.sub.onb[:, i], s_perp.sub.onb[:, j])
-                if abs(val) > eps:
-                    raise GeometryError(
-                        f"summands are not omega-orthogonal: omega = {val:.3e}")
+        val = np.abs(s.sub.onb.T @ space.matrix @ s_perp.sub.onb).max()
+        if val > eps:
+            raise GeometryError(
+                f"summands are not omega-orthogonal: omega = {val:.3e}")
         if Subspace(np.hstack([s.sub.onb, s_perp.sub.onb])).dim != 4:
             raise GeometryError("summands do not span V")
         self.space = space
@@ -396,11 +396,8 @@ def maslov(space, l, p, l_prime, eps=EPS_RANK):
     coeffs = np.linalg.solve(m, p.sub.onb)  # 4x2: coordinates of P's basis
     proj_l = l.sub.onb @ coeffs[:2]
     proj_lp = l_prime.sub.onb @ coeffs[2:]
-    q = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            q[i, j] = 0.5 * (space.omega(proj_l[:, i], proj_lp[:, j])
-                             + space.omega(proj_l[:, j], proj_lp[:, i]))
+    g = proj_l.T @ space.matrix @ proj_lp  # g[i, j] = omega(pi_L p_i, pi_L' p_j)
+    q = (g + g.T) / 2
     pos, neg, zero = inertia(np.linalg.eigvalsh(q), eps)
     if zero:
         raise GeometryError(
@@ -455,28 +452,12 @@ def lagrangian_in_torus(space, l, splitting, eps=EPS_ALG):
     return not space.transverse(l, splitting.s, eps)
 
 
-class Map2:
-    """A linear map between splitting summands, as a 2x2 matrix in the
-    omega-normalized bases stored on the splitting."""
-
-    def __init__(self, matrix):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (2, 2):
-            raise GeometryError("Map2 wraps a 2x2 matrix")
-        if not np.all(np.isfinite(matrix)):
-            raise GeometryError("matrix has non-finite entries")
-        self.matrix = matrix
-
-    def __repr__(self):
-        return f"Map2({self.matrix.tolist()})"
-
-
 def det_omega(f):
     """Scaling factor Det(f) defined by f*(omega_B) = Det(f) omega_A.
 
     Equals the plain determinant of the matrix in omega-normalized bases.
     """
-    m = f.matrix if isinstance(f, Map2) else np.asarray(f, float)
+    m = np.asarray(f, float)
     return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
@@ -486,9 +467,8 @@ def adjugate(f):
     matrix rule [[a, b], [c, d]] -> [[d, -b], [-c, a]]; satisfies
     Adj(f) f = Det(f) id, and Adj(f) = Det(f) f^{-1} for invertible f.
     """
-    m = f.matrix if isinstance(f, Map2) else np.asarray(f, float)
-    adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-    return Map2(adj) if isinstance(f, Map2) else adj
+    m = np.asarray(f, float)
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
 
 
 def graph(space, f, splitting):
@@ -498,8 +478,7 @@ def graph(space, f, splitting):
     S-perp, and nondegenerate exactly when Det(f) != -1 (it is Lagrangian
     at Det(f) = -1).
     """
-    fm = f.matrix if isinstance(f, Map2) else np.asarray(f, float)
-    basis = splitting.s_basis + splitting.s_perp_basis @ fm
+    basis = splitting.s_basis + splitting.s_perp_basis @ np.asarray(f, float)
     return Plane2(space, basis)
 
 
@@ -508,11 +487,10 @@ def perp_graph(space, f, splitting, eps=EPS_ALG):
 
     Defined for Det(f) != -1; the result is omega-orthogonal to graph(f).
     """
-    fm = f.matrix if isinstance(f, Map2) else np.asarray(f, float)
-    if abs(det_omega(fm) + 1.0) <= eps:
+    if abs(det_omega(f) + 1.0) <= eps:
         raise GeometryError("graph is Lagrangian at Det(f) = -1; "
                             "no symplectic complement of this form")
-    g = -adjugate(fm)
+    g = -adjugate(f)
     basis = splitting.s_perp_basis + splitting.s_basis @ g
     return Plane2(space, basis)
 

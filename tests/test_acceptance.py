@@ -23,7 +23,11 @@ def _gate(name, report):
 
 def test_criterion_1_torus_trichotomy():
     """Kind vs eta sign, carrier signature, and probed causal character on
-    1000 seeded unit-spacelike pairs, outside the |eta-1| < 1e-6 band."""
+    1000 seeded unit-spacelike pairs, outside the |eta-1| < 1e-6 band.  The
+    probe solves <x, s2> = 0 along torus 1's own angles in closed form and
+    classifies 32 central finite-difference tangents of that curve by the
+    sign of Q/|t|^2, reading neither eta nor the carrier; four points of the
+    same curve must lie on both tori."""
     _gate("criterion 1: torus-pair trichotomy",
           oracle.suite_torus_trichotomy(trials=1000, seed=7))
 
@@ -87,7 +91,7 @@ def test_criterion_8_ads_equivalences():
 
 # sha256 of `ein3 verify --suite all --seed 7` with one BLAS thread; a change
 # that moves these bytes on purpose updates the pin and says why
-VERIFY_SHA256 = "78d11359118ec9c340ecda8dfe57a2156490704cc40f8e5c2ceb28360168ef7c"
+VERIFY_SHA256 = "8b2faf626ac7278480901ca206590f0b2cb157e5e44f0977b72abd5a63134910"
 
 
 def test_criterion_9_determinism():

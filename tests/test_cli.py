@@ -74,6 +74,18 @@ def test_classify_tori_det_route_needs_the_summand_torus(tmp_path, capsys):
     assert "eta_from_det=0.5 det=3 agreement=true\n" in out
 
 
+@pytest.mark.parametrize("map_text", ["[[1, 2, 3]]", "[[1e999, 0], [0, 1]]"])
+def test_classify_tori_rejects_a_map_that_is_not_a_finite_2x2(map_text, tmp_path,
+                                                              capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"objects": {"T1": {"type": "torus", "normal": [1, 0, 0, 0, 0]}, '
+                    '"T2": {"type": "torus", "splitting": [[1, 0, 0, 0], [0, 0, 1, 0]], '
+                    f'"map": {map_text}}}}}}}')
+    code, out, err = run(["classify-tori", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "'T2'" in err and "finite 2x2" in err
+
+
 def test_classify_tori_equal(tmp_path, capsys):
     path = write_config(tmp_path, {"objects": {
         "T1": {"type": "torus", "normal": [1, 0, 0, 0, 0]},

@@ -160,8 +160,9 @@ def test_probe_kinds_and_draws_are_pinned():
         32, rng).name)
     t, s, p = "TIMELIKE_CIRCLE", "SPACELIKE_CIRCLE", "PHOTON_PAIR"
     assert kinds == [t, t, s, t, t, s, s, s, t, t, s, p]
-    # the probe draws the same numbers, so the stream after it is unchanged
-    assert rng.uniform().hex() == "0x1.456b7cb746ee0p-3"
+    # the probe draws n numbers for every kind, so the stream after it is
+    # fixed
+    assert rng.uniform().hex() == "0x1.b9360e88a74d0p-4"
 
 
 class _ParallelRng:
@@ -203,6 +204,22 @@ def test_photon_oracle_finds_meeting_photons_without_the_predicate(monkeypatch):
         assert found is not None
         assert C.surface_contains(surface, found) is not None
         assert O.crossing_residual(p, surface, found) <= 1e-9
+
+
+def test_torus_probe_reads_neither_eta_nor_the_classifier(monkeypatch):
+    rng = O.make_rng(13)
+    pairs = [(E.EinsteinTorus([1, 0, 0, 0, 0]), E.EinsteinTorus([1, 0, 0, 1, 0]))]
+    while len(pairs) < 201:
+        t1 = E.EinsteinTorus(O.random_unit_spacelike(rng))
+        t2 = E.EinsteinTorus(O.random_unit_spacelike(rng))
+        if abs(E.eta(t1, t2) - 1.0) >= 1e-6:
+            pairs.append((t1, t2))
+    kinds = [E.classify_torus_pair(t1, t2).kind for t1, t2 in pairs]
+    assert kinds[0] is E.IntersectionKind.PHOTON_PAIR
+    for name in ("eta", "classify_torus_pair"):
+        monkeypatch.setattr(E, name, _predicate_side_rule)
+    for (t1, t2), kind in zip(pairs, kinds):
+        assert O.probe_intersection_type(t1, t2, 32, rng) is kind
 
 
 def test_photon_suite_catches_a_flipped_wing_minus_sign(monkeypatch):

@@ -76,6 +76,13 @@ def test_plucker_rank_checks_raw_arrays_and_trusts_built_planes():
         assert np.array_equal(SP.plucker(p), SP.plucker(p.basis))
 
 
+@pytest.mark.parametrize("basis", [E4[:, :3], E4[:3, :2], np.full((4, 2), np.nan)],
+                         ids=["4x3", "3x2", "nan"])
+def test_plucker_rejects_a_raw_array_that_is_not_a_finite_4x2(basis):
+    with pytest.raises(GeometryError, match="finite 4x2"):
+        SP.plucker(basis)
+
+
 def test_lagrangians_map_to_null_kernel_lines():
     from ein3.oracle import make_rng, random_lagrangian
     rng = make_rng(2)
