@@ -144,14 +144,27 @@ _ADS_KEYS = ("a'-b", "a'-a", "b'-b", "b'-a")
 _DGK_KEYS = ("a'-a", "a'-b", "b'-a", "b'-b")
 
 
-def _reduced_config(p1, p2):
+def _reduced_config(base1, y, base2, x):
     """Left-translate both planes by the inverse of the first base: the
-    relative base f and the unit directions as columns, (a, b) of the
-    first plane and (a', b') of the second."""
-    f = np.linalg.solve(p1.base, p2.base)
-    y = np.column_stack([p1.a, p1.b])
-    x = np.column_stack([p2.a, p2.b])
+    relative base f and the unit directions as columns, y = (a, b) of the
+    first plane and x = (a', b') of the second."""
+    f = np.linalg.solve(base1, base2)
     return f, y / np.linalg.norm(y, axis=0), x / np.linalg.norm(x, axis=0)
+
+
+def _pair_arrays(p1, p2):
+    """Bases and direction columns of two planes, as `_reduced_config`
+    takes them."""
+    return (p1.base, np.column_stack([p1.a, p1.b]),
+            p2.base, np.column_stack([p2.a, p2.b]))
+
+
+def _margin_array(base1, y, base2, x):
+    """The 2x2 array of `ads_margins` from raw bases and direction columns
+    (see `_reduced_config`); rows x' = a', b', columns y = b, a."""
+    f, y, x = _reduced_config(base1, y, base2, x)
+    jy = J @ y[:, ::-1]
+    return (x.T @ jy) ** 2 - ((f @ x).T @ jy) ** 2
 
 
 def ads_margins(p1, p2):
@@ -164,10 +177,7 @@ def ads_margins(p1, p2):
     With X = (a', b') and Y = (b, a) the four are the entries of
     A*A - B*B for A = X^T J Y and B = (f X)^T J Y.
     """
-    f, y, x = _reduced_config(p1, p2)
-    jy = J @ y[:, ::-1]
-    m = (x.T @ jy) ** 2 - ((f @ x).T @ jy) ** 2
-    return dict(zip(_ADS_KEYS, m.ravel().tolist()))
+    return dict(zip(_ADS_KEYS, _margin_array(*_pair_arrays(p1, p2)).ravel().tolist()))
 
 
 def ads_disjoint(p1, p2, eps=EPS_ALG):
@@ -268,7 +278,7 @@ def _lifts(x):
 def dgk_margins(p1, p2):
     """Trace-form margins K(xi, f xi' f^{-1}) - K(xi, xi') for the four
     endpoint pairs, with the coincident pairs flagged."""
-    f, y, x = _reduced_config(p1, p2)
+    f, y, x = _reduced_config(*_pair_arrays(p1, p2))
     lifts1, lifts2 = _lifts(y), _lifts(x)
     moved = f @ lifts2 @ np.linalg.inv(f)
     # K(X, Y) = Tr(XY), for xi' (rows) against xi (columns)

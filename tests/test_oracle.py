@@ -177,11 +177,94 @@ def test_random_ads_config_rejection_is_bounded():
         O.random_ads_config(_ParallelRng())
 
 
+def test_disjoint_ads_pair_rejection_is_bounded():
+    with pytest.raises(O.RetryExhausted):
+        O.disjoint_ads_pair(_ParallelRng())
+
+
+def test_disjoint_ads_pair_draws_as_random_ads_config():
+    # the accepted pair is the first random_ads_config draw with margins
+    # above the bound, as planes built from the same arrays
+    from ein3 import ads
+    for seed in range(5):
+        rng = O.make_rng(seed)
+        while True:
+            want = O.random_ads_config(rng)
+            if min(ads.ads_margins(*want).values()) > 1e-2:
+                break
+        got = O.disjoint_ads_pair(O.make_rng(seed))
+        for p, q in zip(got, want):
+            for name in ("base", "a", "b"):
+                assert np.array_equal(getattr(p, name), getattr(q, name))
+
+
 def test_suite_loops_are_bounded(monkeypatch):
     # no candidate pair is ever detected: the loop must give up, not spin
-    monkeypatch.setattr(O, "refined_stem_stem_gap", lambda c1, c2: 1.0)
+    monkeypatch.setattr(O, "refined_stem_stem_gaps", lambda pairs: [1.0] * len(pairs))
     with pytest.raises(O.RetryExhausted):
         O.suite_stem_only(trials=1, seed=7)
+
+
+def _hex(gaps):
+    return [gap.hex() for gap in gaps]
+
+
+def test_stacked_refiner_equals_the_per_pair_refiner():
+    rng = O.make_rng(2024)
+    pairs = [O.stem_crossing_pair(SP, rng)[:2] for _ in range(2 * O._CHUNK + 5)]
+    swapped = [(c2, c1) for c1, c2 in pairs]
+    stem = _hex(O.refined_stem_stem_gap(c1, c2) for c1, c2 in pairs)
+    wing = _hex(O.refined_stem_wing_gap(c1, c2) for c1, c2 in pairs)
+    wing_swapped = _hex(O.refined_stem_wing_gap(c1, c2) for c1, c2 in swapped)
+    assert _hex(O.refined_stem_stem_gaps(pairs)) == stem
+    assert _hex(O.refined_stem_wing_gaps(pairs)) == wing
+    assert _hex(O.refined_stem_wing_gaps(swapped)) == wing_swapped
+    # in chunks as the suite calls it, the last one partial
+    chunks = [pairs[i:i + O._CHUNK] for i in range(0, len(pairs), O._CHUNK)]
+    assert len(chunks[-1]) < O._CHUNK
+    assert sum((_hex(O.refined_stem_stem_gaps(chunk)) for chunk in chunks), []) == stem
+    # stem rows and wing rows in one call
+    mixed = [((c1, "stem"), (c2, "stem" if i % 2 else "wing"))
+             for i, (c1, c2) in enumerate(pairs)]
+    want = [s if i % 2 else w for i, (s, w) in enumerate(zip(stem, wing))]
+    assert _hex(O._refine(mixed)) == want
+
+
+def _stem_only_one_at_a_time(trials, seed):
+    """suite_stem_only as a loop over one candidate at a time, on the
+    one-pair refiners."""
+    rng = O.make_rng([seed, 8])
+    failures, max_wing_gap, detected, drawn = [], 0.0, 0, 0
+    while detected < trials:
+        drawn += 1
+        c1, c2, _shared = O.stem_crossing_pair(SP, rng)
+        stem_gap = O.refined_stem_stem_gap(c1, c2)
+        if stem_gap >= 1e-4:
+            continue
+        detected += 1
+        wing_gap = min(O.refined_stem_wing_gap(c1, c2), O.refined_stem_wing_gap(c2, c1))
+        max_wing_gap = max(max_wing_gap, wing_gap)
+        if wing_gap >= 1e-4:
+            failures.append(
+                f"pair {detected}: stems meet (gap {stem_gap:.2e}) but best "
+                f"stem-wing gap is {wing_gap:.2e}")
+    return O._report("stem-only-impossibility", trials, seed, failures,
+                     max_wing_gap), drawn
+
+
+@pytest.mark.parametrize("trials, seed", [(13, 2), (19, 4)])
+def test_stem_only_chunks_draw_no_extra_candidates(monkeypatch, trials, seed):
+    want, drawn = _stem_only_one_at_a_time(trials, seed)
+    calls = []
+    draw = O.stem_crossing_pair
+
+    def counted(space, rng):
+        calls.append(None)
+        return draw(space, rng)
+
+    monkeypatch.setattr(O, "stem_crossing_pair", counted)
+    assert O.suite_stem_only(trials=trials, seed=seed) == want
+    assert len(calls) == drawn > trials
 
 
 def _predicate_side_rule(*args, **kwargs):
