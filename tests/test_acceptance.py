@@ -73,11 +73,19 @@ def test_criterion_6_surface_disjointness():
 
 
 def test_criterion_7_stem_only_impossibility():
-    """200 pairs with sampled stem-stem contact below 1e-4 all exhibit a
-    stem-wing contact below 1e-4."""
+    """200 surface pairs whose stems share a constructed point (checked on
+    both stems) all meet stem to wing: a contact solved for in closed form
+    along the wing photons and accepted by both membership predicates, with
+    membership residual < 1e-9."""
     report = oracle.suite_stem_only(trials=200, seed=7)
+    # membership is gated here: a pair whose shared point is off a stem, or
+    # with no contact that stem_contains and wing_contains both accept, is a
+    # failure
     _gate("criterion 7: stem-only impossibility", report)
-    assert report["max_violation"] < 1e-4  # worst stem-wing gap found
+    # the residual only confirms the construction (L = span{x1, x2} is
+    # Lagrangian because S1 and S2 are omega-orthogonal, and x = x1 + x2 lies
+    # on L); it cannot tell a wrong contact from a right one
+    assert report["max_violation"] < 1e-9
 
 
 def test_criterion_8_ads_equivalences():
@@ -91,7 +99,7 @@ def test_criterion_8_ads_equivalences():
 
 # sha256 of `ein3 verify --suite all --seed 7` with one BLAS thread; a change
 # that moves these bytes on purpose updates the pin and says why
-VERIFY_SHA256 = "8b2faf626ac7278480901ca206590f0b2cb157e5e44f0977b72abd5a63134910"
+VERIFY_SHA256 = "08cdd29f135c7c12b4cfa0a61accb25fcae048bb82729a60886d8f733b2ca495"
 
 
 def test_criterion_9_determinism():

@@ -127,25 +127,6 @@ def test_stem_crossing_pair():
         c1, c2, shared = O.stem_crossing_pair(SP, O.make_rng(seed))
         assert C.stem_contains(c1, shared)
         assert C.stem_contains(c2, shared)
-        assert O.refined_stem_stem_gap(c1, c2) < 1e-6
-
-
-# refined gaps of three seeded stem-crossing pairs, as float.hex: stem-stem,
-# stem-wing, and stem-wing with the surfaces swapped
-REFINED_GAPS = {
-    7: ("0x1.f0420c1e6308dp-22", "0x1.8fae0c15ad38ap-22", "0x1.8d6e8781606ecp-22"),
-    67: ("0x1.13bd2f90a1cb4p-22", "0x1.726d41832a0bep-22", "0x1.465655f122ff6p-24"),
-    101: ("0x1.3e723bfc2f3b7p-20", "0x1.773bb6fa96c51p-22", "0x1.09f84ce18c08bp-19"),
-}
-
-
-@pytest.mark.parametrize("seed", sorted(REFINED_GAPS))
-def test_refined_gaps_are_pinned(seed):
-    c1, c2, _shared = O.stem_crossing_pair(SP, O.make_rng(seed))
-    got = (O.refined_stem_stem_gap(c1, c2).hex(),
-           O.refined_stem_wing_gap(c1, c2).hex(),
-           O.refined_stem_wing_gap(c2, c1).hex())
-    assert got == REFINED_GAPS[seed]
 
 
 def test_probe_kinds_and_draws_are_pinned():
@@ -199,76 +180,73 @@ def test_disjoint_ads_pair_draws_as_random_ads_config():
 
 
 def test_suite_loops_are_bounded(monkeypatch):
-    # no candidate pair is ever detected: the loop must give up, not spin
-    monkeypatch.setattr(O, "refined_stem_stem_gaps", lambda pairs: [1.0] * len(pairs))
+    # no surface through the stem point is ever accepted: the draw must give
+    # up, not spin
+    monkeypatch.setattr(O, "RETRY_LIMIT", 5)
+    monkeypatch.setattr(C, "stem_contains", lambda *args, **kwargs: False)
     with pytest.raises(O.RetryExhausted):
         O.suite_stem_only(trials=1, seed=7)
 
 
-def _hex(gaps):
-    return [gap.hex() for gap in gaps]
+class _FixedRng:
+    """Stands in for a generator whose uniform draws are given angles."""
+
+    def __init__(self, thetas):
+        self.thetas = np.asarray(thetas, dtype=float)
+
+    def uniform(self, low, high, size):
+        assert size == len(self.thetas)
+        return self.thetas
 
 
-def test_stacked_refiner_equals_the_per_pair_refiner():
-    rng = O.make_rng(2024)
-    pairs = [O.stem_crossing_pair(SP, rng)[:2] for _ in range(2 * O._CHUNK + 5)]
-    swapped = [(c2, c1) for c1, c2 in pairs]
-    stem = _hex(O.refined_stem_stem_gap(c1, c2) for c1, c2 in pairs)
-    wing = _hex(O.refined_stem_wing_gap(c1, c2) for c1, c2 in pairs)
-    wing_swapped = _hex(O.refined_stem_wing_gap(c1, c2) for c1, c2 in swapped)
-    assert _hex(O.refined_stem_stem_gaps(pairs)) == stem
-    assert _hex(O.refined_stem_wing_gaps(pairs)) == wing
-    assert _hex(O.refined_stem_wing_gaps(swapped)) == wing_swapped
-    # in chunks as the suite calls it, the last one partial
-    chunks = [pairs[i:i + O._CHUNK] for i in range(0, len(pairs), O._CHUNK)]
-    assert len(chunks[-1]) < O._CHUNK
-    assert sum((_hex(O.refined_stem_stem_gaps(chunk)) for chunk in chunks), []) == stem
-    # stem rows and wing rows in one call
-    mixed = [((c1, "stem"), (c2, "stem" if i % 2 else "wing"))
-             for i, (c1, c2) in enumerate(pairs)]
-    want = [s if i % 2 else w for i, (s, w) in enumerate(zip(stem, wing))]
-    assert _hex(O._refine(mixed)) == want
-
-
-def _stem_only_one_at_a_time(trials, seed):
-    """suite_stem_only as a loop over one candidate at a time, on the
-    one-pair refiners."""
-    rng = O.make_rng([seed, 8])
-    failures, max_wing_gap, detected, drawn = [], 0.0, 0, 0
-    while detected < trials:
-        drawn += 1
-        c1, c2, _shared = O.stem_crossing_pair(SP, rng)
-        stem_gap = O.refined_stem_stem_gap(c1, c2)
-        if stem_gap >= 1e-4:
-            continue
-        detected += 1
-        wing_gap = min(O.refined_stem_wing_gap(c1, c2), O.refined_stem_wing_gap(c2, c1))
-        max_wing_gap = max(max_wing_gap, wing_gap)
-        if wing_gap >= 1e-4:
-            failures.append(
-                f"pair {detected}: stems meet (gap {stem_gap:.2e}) but best "
-                f"stem-wing gap is {wing_gap:.2e}")
-    return O._report("stem-only-impossibility", trials, seed, failures,
-                     max_wing_gap), drawn
-
-
-@pytest.mark.parametrize("trials, seed", [(13, 2), (19, 4)])
-def test_stem_only_chunks_draw_no_extra_candidates(monkeypatch, trials, seed):
-    want, drawn = _stem_only_one_at_a_time(trials, seed)
-    calls = []
-    draw = O.stem_crossing_pair
-
-    def counted(space, rng):
-        calls.append(None)
-        return draw(space, rng)
-
-    monkeypatch.setattr(O, "stem_crossing_pair", counted)
-    assert O.suite_stem_only(trials=trials, seed=seed) == want
-    assert len(calls) == drawn > trials
+@pytest.mark.parametrize("thetas", [
+    [5e-6, 1.0, 2.0],
+    [np.pi + 5e-6, 1.0],
+    [0.0, 1e-7, 1e-6, 1.1e-5, -1.1e-5, 3e-5, np.pi - 2e-5],
+])
+def test_probe_reads_a_photon_pair_at_its_kink(thetas):
+    # the two photons meet at driving angles 0 and pi, where the central
+    # difference of a draw within ~3e-5 is not null
+    t1 = E.EinsteinTorus([1, 0, 0, 0, 0])
+    touching = E.EinsteinTorus([1, 0, 0, 1, 0])
+    assert O.probe_intersection_type(t1, touching, len(thetas), _FixedRng(thetas)) \
+        is E.IntersectionKind.PHOTON_PAIR
 
 
 def _predicate_side_rule(*args, **kwargs):
     raise GeometryError("the oracle must not read the predicate")
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4, 8, 10, 11, 17, 19])
+def test_stem_only_finds_a_contact_on_every_pair(seed):
+    # seeds on which a grid search for the contact stalls above 1e-4
+    report = O.suite_stem_only(trials=200, seed=seed)
+    assert report["failures"] == []
+    assert report["max_violation"] < 1e-9
+
+
+def test_stem_wing_contact_reads_no_disjointness_predicate(monkeypatch):
+    for name in ("_margins", "photon_margins", "surfaces_disjoint"):
+        monkeypatch.setattr(C, name, _predicate_side_rule)
+    report = O.suite_stem_only(trials=200, seed=7)
+    assert report["failures"] == []
+
+
+def test_stem_wing_contact_misses_disjoint_surfaces():
+    from ein3 import ads
+    rng = O.make_rng(17)
+    for _ in range(50):
+        c1, c2 = (C.CrookedSurface(ads.ads_quadrilateral(p))
+                  for p in O.disjoint_ads_pair(rng))
+        assert O._stem_wing_contact(c1, c2) is None
+        assert O._stem_wing_contact(c2, c1) is None
+
+
+def test_stem_only_suite_catches_the_spacelike_stem_part(monkeypatch):
+    # build L on the pieces with q < 0 instead of q > 0
+    product = O._split_product
+    monkeypatch.setattr(O, "_split_product", lambda k: -product(k))
+    assert O.suite_stem_only(trials=20, seed=7)["failures"]
 
 
 def test_photon_oracle_finds_meeting_photons_without_the_predicate(monkeypatch):
