@@ -15,7 +15,8 @@ Values within the tolerance margin count as *not* disjoint, the safe
 failure mode for fundamental-domain use.
 
 Objects validate once, at construction; the predicates work on the stored
-arrays, eight margins per omega-product of 4x4 matrices.
+arrays: eight margins per omega-product of 4x4 matrices, and membership of
+a stack of Lagrangians per solve against the quadrilateral.
 """
 
 from dataclasses import dataclass
@@ -24,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from ein3.linalg import EPS_ALG, EPS_RANK, GeometryError, as_vector, intersect
-from ein3.symplectic import Plane2, SympSpace, maslov
+from ein3.linalg import EPS_ALG, EPS_RANK, GeometryError, as_vector
+from ein3.symplectic import Plane2, SympSpace, plucker_rows
 
 _QUAD_KEYS = ("u_plus", "u_minus", "v_plus", "v_minus")
 
@@ -139,12 +140,32 @@ class CrookedSurface:
         return f"CrookedSurface({self.quad!r})"
 
 
-def _wing_data(surface, sign):
-    if sign not in (+1, -1):
-        raise GeometryError("wing sign must be +1 or -1")
-    if sign == +1:
-        return surface.p_plus, surface.quad.u_plus, surface.quad.v_plus
-    return surface.p_minus, surface.quad.u_minus, surface.quad.v_minus
+def _regions(surface, bases, eps):
+    """(wing+, wing-, stem) masks of a (n, 4, 2) stack of Lagrangian bases B,
+    from the unit Pluecker row p of K = Q^-1 B (pairs 01, 02, 03, 12, 13, 23
+    over Q = (u+, u-, v+, v-)); eps bounds the unit minors.
+
+    L meets P+, P-, S1, S2, P0, P_infinity (coordinate planes 02, 13, 03,
+    12, 23, 01) exactly when the complementary minor p13, p02, p12, p03,
+    p01, p23 vanishes.  On the wing+ photon t u+ + s v+ of L, p03 p23 and
+    -p01 p12 are t s times a square (p01 p03 and -p12 p23 on wing-), so
+    their sum has the sign of t s, and is 0 on the vertex.  The stem is
+    transverse to P0 and P_infinity with Maslov index +/-2: p01 p23 < 0.
+    """
+    k = np.linalg.solve(surface.quad.columns, bases)
+    p = plucker_rows(k[..., 0], k[..., 1])
+    p01, p02, p03, p12, p13, p23 = (p / np.linalg.norm(p, axis=-1, keepdims=True)).T
+    return ((np.abs(p13) <= eps) & (p03 * p23 - p01 * p12 >= -eps),
+            (np.abs(p02) <= eps) & (p01 * p03 - p12 * p23 <= eps),
+            (np.abs(p12) <= eps) & (np.abs(p03) <= eps) & (np.abs(p01) > eps)
+            & (np.abs(p23) > eps) & (p01 * p23 < 0))
+
+
+def _regions_of(surface, l, eps):
+    """`_regions` of one Lagrangian plane, as three bools."""
+    if not l.is_lagrangian:
+        raise GeometryError("expected a Lagrangian plane")
+    return [bool(mask[0]) for mask in _regions(surface, l.sub.onb[None], eps)]
 
 
 def wing_contains(surface, l, sign, eps=EPS_ALG):
@@ -156,20 +177,9 @@ def wing_contains(surface, l, sign, eps=EPS_ALG):
     photon coordinates satisfy the sign condition; the vertex itself,
     through which every wing photon passes, counts as a member.
     """
-    if not l.is_lagrangian:
-        raise GeometryError("expected a Lagrangian plane")
-    vertex, u, v = _wing_data(surface, sign)
-    line = intersect(l.sub, vertex.sub, eps)
-    if line.dim == 0:
-        return False
-    if line.dim == 2:
-        return True
-    gen = line.onb[:, 0]
-    ts, *_ = np.linalg.lstsq(np.column_stack([u, v]), gen, rcond=None)
-    product = ts[0] * ts[1]
-    if sign == +1:
-        return product >= -eps
-    return product <= eps
+    if sign not in (+1, -1):
+        raise GeometryError("wing sign must be +1 or -1")
+    return _regions_of(surface, l, eps)[(1 - sign) // 2]
 
 
 def stem_contains(surface, l, eps=EPS_ALG):
@@ -180,18 +190,7 @@ def stem_contains(surface, l, eps=EPS_ALG):
     index of (P0, L, P_infinity) is +/-2.  This is the stem interior;
     boundary photons of the stem belong to the wings.
     """
-    if not l.is_lagrangian:
-        raise GeometryError("expected a Lagrangian plane")
-    if intersect(l.sub, surface.stem1.sub, eps).dim < 1:
-        return False
-    if intersect(l.sub, surface.stem2.sub, eps).dim < 1:
-        return False
-    space = surface.space
-    if not space.transverse(l, surface.p_zero, eps):
-        return False
-    if not space.transverse(l, surface.p_inf, eps):
-        return False
-    return abs(maslov(space, surface.p_zero, l, surface.p_inf, eps)) == 2
+    return _regions_of(surface, l, eps)[2]
 
 
 def surface_contains(surface, l, eps=EPS_ALG) -> Optional[SurfaceRegion]:
@@ -200,13 +199,8 @@ def surface_contains(surface, l, eps=EPS_ALG) -> Optional[SurfaceRegion]:
     Checked in the order wing+, wing-, stem; the regions only overlap on
     wing boundaries, and the open stem meets neither wing.
     """
-    if wing_contains(surface, l, +1, eps):
-        return SurfaceRegion.WING_PLUS
-    if wing_contains(surface, l, -1, eps):
-        return SurfaceRegion.WING_MINUS
-    if stem_contains(surface, l, eps):
-        return SurfaceRegion.STEM
-    return None
+    regions = _regions_of(surface, l, eps)
+    return next((region for region, inside in zip(SurfaceRegion, regions) if inside), None)
 
 
 def _unit_photons(p):
@@ -281,10 +275,12 @@ def find_crossing_lagrangian(p, surface, eps=EPS_ALG):
     # omega(p, .) of (u+, u-, v+, v-)
     wu_plus, wu_minus, wv_plus, wv_minus = _omega_products(p[None], surface.space,
                                                            surface)[0].tolist()
-    for sign, fails, t, s in ((+1, wv_plus * wu_plus <= eps, wv_plus, -wu_plus),
-                              (-1, wv_minus * wu_minus >= -eps, wv_minus, -wu_minus)):
+    q = surface.quad
+    for vertex, u, v, fails, t, s in (
+            (surface.p_plus, q.u_plus, q.v_plus, wv_plus * wu_plus <= eps, wv_plus, -wu_plus),
+            (surface.p_minus, q.u_minus, q.v_minus, wv_minus * wu_minus >= -eps, wv_minus,
+             -wu_minus)):
         if fails:
-            vertex, u, v = _wing_data(surface, sign)
             if abs(t) <= eps and abs(s) <= eps:
                 return vertex
             return Plane2.span(surface.space, p, t * u + s * v)

@@ -584,14 +584,6 @@ def _surface_with_stem_point(space, l, rng):
 # stem-wing contact
 # ---------------------------------------------------------------------------
 
-def _split_product(k):
-    """q = (k_u+ k_v-)(k_u- k_v+) of stacked coordinate rows k = Q^-1 x over
-    a quadrilateral Q = (u+, u-, v+, v-): positive where span{x1, x2}, x1 in
-    S1 = span{u+, v-} and x2 in S2 = span{u-, v+}, lies in the timelike part
-    of the torus of S1 + S2, the component rule of `_stem_generators`."""
-    return (k[..., 0] * k[..., 3]) * (k[..., 1] * k[..., 2])
-
-
 def _stem_wing_contact(c_stem, c_wing):
     """A point of the stem of c_stem on a wing photon of c_wing, solved for
     in closed form: (x, L) with L a Lagrangian through the photon x; None
@@ -603,11 +595,13 @@ def _stem_wing_contact(c_stem, c_wing):
     Along a wing, x(theta) = cos(theta) x(0) + sin(theta) x(pi/2) for theta
     in [0, pi/2], so each coordinate of k = Q^-1 x(theta) is
     A cos(theta) + B sin(theta), vanishing at atan2(-A, B) mod pi.  Cut at
-    those roots, each piece lies in one part of the torus; L is built at the
-    midpoint of every piece where `_split_product` is positive and accepted
-    only if `crooked.stem_contains` and `crooked.wing_contains` both hold.
+    those roots, each piece lies in one part of the torus.  Of the L at the
+    midpoints of all pieces of both wings, the first that `crooked._regions`
+    puts on the stem of c_stem and its wing of c_wing is returned (on these
+    L, p01 p23 < 0 reads (k_u+ k_v-)(k_u- k_v+) > 0: the timelike part).
     """
     columns = c_stem.quad.columns
+    signs, ks = [], []
     for sign in (+1, -1):
         ends, _ = _wing_generators(c_wing.quad.columns, sign,
                                    np.array([0.0, np.pi / 2]), 0.0)
@@ -615,14 +609,20 @@ def _stem_wing_contact(c_stem, c_wing):
         roots = np.arctan2(-a, b) % np.pi
         cuts = np.unique(np.concatenate([[0.0, np.pi / 2], roots[roots < np.pi / 2]]))
         mids = (cuts[:-1] + cuts[1:]) / 2
-        ks = np.cos(mids)[:, None] * a + np.sin(mids)[:, None] * b
-        for k in ks[_split_product(ks) > 0]:
-            x1 = columns[:, [0, 3]] @ k[[0, 3]]
-            x2 = columns[:, [1, 2]] @ k[[1, 2]]
-            l = Plane2.span(c_stem.space, x1, x2)
-            if crooked.stem_contains(c_stem, l) and crooked.wing_contains(c_wing, l, sign):
-                return x1 + x2, l
-    return None
+        ks.append(np.cos(mids)[:, None] * a + np.sin(mids)[:, None] * b)
+        signs += [sign] * len(mids)
+    ks = np.concatenate(ks)
+    # bases (x1, x2) = Q (k_u+ e_u+ + k_v- e_v-, k_u- e_u- + k_v+ e_v+)
+    bases = columns @ (ks[:, :, None] * np.array([[1, 0], [0, 1], [0, 1], [1, 0]]))
+    wing_plus, wing_minus, _ = crooked._regions(c_wing, bases, EPS_ALG)
+    hits = np.flatnonzero(crooked._regions(c_stem, bases, EPS_ALG)[2] & np.where(
+        np.array(signs) > 0, wing_plus, wing_minus))
+    if not hits.size:
+        return None
+    k = ks[hits[0]]
+    x1 = columns[:, [0, 3]] @ k[[0, 3]]
+    x2 = columns[:, [1, 2]] @ k[[1, 2]]
+    return x1 + x2, Plane2.span(c_stem.space, x1, x2)
 
 
 # ---------------------------------------------------------------------------
@@ -646,27 +646,23 @@ def photon_crossing_oracle(p, surface):
 
     Every surface point meets one of P+, P- (wings) or S1, S2 (stem) in a
     line.  Along the circle of Lagrangians span{p, cos t w1 + sin t w2}
-    through p, the incidence with each of these planes is a cos t + b sin t,
-    so each plane is met at t = atan2(-a, b).  The first of the four
-    candidates on the surface is returned.
+    through p, the incidence with each of these planes is the Pluecker
+    minor 13, 02, 12 or 03 of Q^-1 [p, w] over the quadrilateral Q, which
+    is linear in w: a cos t + b sin t, so each plane is met at
+    t = atan2(-a, b).  The first of the four candidates that
+    `crooked._regions` puts on the surface is returned.
     """
-    space = surface.space
     p = np.asarray(p, dtype=float)
     p = p / np.linalg.norm(p)
-    w1, w2 = _second_generators(space, p)
-    # span{p, w} meets a plane A exactly when (p ^ w) . (A's Pluecker image)
-    # vanishes, a linear functional of w (its rows: w = e1..e4); vol_coeff
-    # is 1 in both spaces, so this is det[p, w, a, b]
-    onbs = np.stack([plane.sub.onb for plane in (
-        surface.p_plus, surface.p_minus, surface.stem1, surface.stem2)])
-    targets = symplectic.plucker_rows(onbs[:, :, 0], onbs[:, :, 1])
-    functionals = symplectic.plucker_rows(p, np.eye(4)) @ space._gram @ targets.T
-    a, b = np.stack([w1, w2]) @ functionals
-    for t in np.arctan2(-a, b):
-        cand = Plane2.span(space, p, math.cos(t) * w1 + math.sin(t) * w2)
-        if crooked.surface_contains(surface, cand) is not None:
-            return cand
-    return None
+    w1, w2 = _second_generators(surface.space, p)
+    k = np.linalg.solve(surface.quad.columns, np.column_stack([p, w1, w2]))
+    # minors 13, 02, 12, 03 (P+, P-, S1, S2) of Q^-1 [p, w1] and Q^-1 [p, w2]
+    a, b = symplectic.plucker_rows(k[:, 0], k[:, 1:].T)[:, [4, 1, 3, 2]]
+    t = np.arctan2(-a, b)
+    ws = np.cos(t)[:, None] * w1 + np.sin(t)[:, None] * w2
+    bases = np.stack([np.broadcast_to(p, ws.shape), ws], axis=-1)
+    hits = np.flatnonzero(np.logical_or.reduce(crooked._regions(surface, bases, EPS_ALG)))
+    return Plane2.span(surface.space, p, ws[hits[0]]) if hits.size else None
 
 
 def crossing_residual(p, surface, plane):
@@ -1038,12 +1034,13 @@ def suite_stem_only(trials=200, seed=7):
     `stem_contains` on c1 (the draw built c2 around it and accepted it with
     the same call), and solves for a stem-wing contact in either order
     (`_stem_wing_contact`).  A pair is a failure when the shared point is
-    off c1's stem or neither order yields a contact that both `stem_contains`
-    and `wing_contains` accept; that is the test of the lemma.  The violation
-    is the largest membership residual of the contacts (`crossing_residual`:
-    how far L is from Lagrangian and x from L), which only confirms the
-    construction: x = x1 + x2 lies on L = span{x1, x2}, and L is Lagrangian
-    because S1 and S2 are omega-orthogonal, whatever contact is chosen."""
+    off c1's stem or neither order yields a contact that the membership rule
+    puts on one stem and the other wing; that is the test of the lemma.  The
+    violation is the largest membership residual of the contacts
+    (`crossing_residual`: how far L is from Lagrangian and x from L), which
+    only confirms the construction: x = x1 + x2 lies on L = span{x1, x2},
+    and L is Lagrangian because S1 and S2 are omega-orthogonal, whatever
+    contact is chosen."""
     rng = make_rng([seed, 8])
     space = symplectic.standard_space()
     failures = []

@@ -74,13 +74,12 @@ def test_criterion_6_surface_disjointness():
 
 def test_criterion_7_stem_only_impossibility():
     """200 surface pairs whose stems share a constructed point (checked on
-    both stems) all meet stem to wing: a contact solved for in closed form
-    along the wing photons and accepted by both membership predicates, with
-    membership residual < 1e-9."""
+    the first stem) all meet stem to wing: a contact solved for in closed
+    form along the wing photons and put on one stem and the other wing by
+    the membership rule, with membership residual < 1e-9."""
     report = oracle.suite_stem_only(trials=200, seed=7)
-    # membership is gated here: a pair whose shared point is off a stem, or
-    # with no contact that stem_contains and wing_contains both accept, is a
-    # failure
+    # membership is gated here: a pair whose shared point is off the first
+    # stem, or with no contact on a stem and a wing, is a failure
     _gate("criterion 7: stem-only impossibility", report)
     # the residual only confirms the construction (L = span{x1, x2} is
     # Lagrangian because S1 and S2 are omega-orthogonal, and x = x1 + x2 lies

@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ein3 import crooked as C
 from ein3 import symplectic as S
-from ein3.linalg import GeometryError
+from ein3.linalg import GeometryError, intersect
 from ein3.oracle import (
+    _second_generators,
+    _wing_generators,
     make_rng,
     min_gap,
     photon_crossing_oracle,
@@ -12,6 +16,7 @@ from ein3.oracle import (
     random_quadrilateral,
     random_symplectic,
     sample_surface,
+    stem_crossing_pair,
     stem_point,
     wing_point,
 )
@@ -100,6 +105,19 @@ def test_stem_contains_honours_eps(surface):
     assert moved.is_lagrangian
     assert not C.stem_contains(surface, moved)
     assert C.stem_contains(surface, moved, eps=1e-3)
+
+
+def test_wing_contains_honours_eps(surface):
+    # the same 1e-6 symplectic perturbation moves a wing point off its wing
+    # at the default eps; at eps = 1e-3 it is on it again
+    g = random_symplectic(SP, make_rng(4), scale=1e-6)
+    for sign, region in ((+1, C.SurfaceRegion.WING_PLUS), (-1, C.SurfaceRegion.WING_MINUS)):
+        moved = S.Plane2(SP, g @ wing_point(surface, sign, 0.7, 0.8).basis)
+        assert moved.is_lagrangian
+        assert not C.wing_contains(surface, moved, sign)
+        assert C.surface_contains(surface, moved) is None
+        assert C.wing_contains(surface, moved, sign, eps=1e-3)
+        assert C.surface_contains(surface, moved, eps=1e-3) is region
 
 
 def test_surface_contains(surface):
@@ -330,3 +348,142 @@ def test_surfaces_of_different_spaces_are_rejected(surface):
             C.surfaces_disjoint(c1, c2)
         with pytest.raises(GeometryError, match="different symplectic spaces"):
             C.disjointness_report(c1, c2)
+
+
+def reference_regions(surface, l, eps=C.EPS_ALG):
+    """(wing+, wing-, stem) through subspace intersections: a wing line's
+    photon coordinates (t, s) by least squares in (u, v), the stem by its
+    stem lines, transversality to P0 and P_infinity and the Maslov index.
+    Raises GeometryError where `maslov` does: a restricted form read as
+    degenerate, or |det| of the P0 and P_infinity bases <= eps."""
+    q = surface.quad
+    regions = []
+    for vertex, u, v, sign in ((surface.p_plus, q.u_plus, q.v_plus, +1),
+                               (surface.p_minus, q.u_minus, q.v_minus, -1)):
+        line = intersect(l.sub, vertex.sub, eps)
+        if line.dim == 1:
+            t, s = np.linalg.lstsq(np.column_stack([u, v]), line.onb[:, 0], rcond=None)[0]
+            regions.append(sign * t * s >= -eps)
+        else:
+            regions.append(line.dim == 2)
+    regions.append(
+        all(intersect(l.sub, stem.sub, eps).dim >= 1 for stem in (surface.stem1, surface.stem2))
+        and SP.transverse(l, surface.p_zero, eps) and SP.transverse(l, surface.p_inf, eps)
+        and abs(S.maslov(SP, surface.p_zero, l, surface.p_inf, eps)) == 2)
+    return regions
+
+
+def contact_planes(c_stem, c_wing):
+    """L at the midpoint of every piece of both wings of c_wing, cut
+    as `_stem_wing_contact` cuts them: L = span{x1, x2} over the stem planes
+    of c_stem, q < 0 pieces included."""
+    columns = c_stem.quad.columns
+    for sign in (+1, -1):
+        ends, _ = _wing_generators(c_wing.quad.columns, sign, np.array([0.0, np.pi / 2]), 0.0)
+        a, b = np.linalg.solve(columns, ends.T).T
+        roots = np.arctan2(-a, b) % np.pi
+        cuts = np.unique(np.concatenate([[0.0, np.pi / 2], roots[roots < np.pi / 2]]))
+        for mid in (cuts[:-1] + cuts[1:]) / 2:
+            k = np.cos(mid) * a + np.sin(mid) * b
+            yield S.Plane2.span(SP, columns[:, [0, 3]] @ k[[0, 3]],
+                                columns[:, [1, 2]] @ k[[1, 2]])
+
+
+def photon_candidates(seed, trials=1000):
+    """(surface, planes) for the suite_photon_avoidance draws of a seed: the
+    four planes through p meeting P+, P-, S1, S2 (incidence det[p, w, a, b]
+    = 0 on orthonormal bases), and the witness when the photon meets."""
+    rng = make_rng([seed, 5])
+    done = 0
+    while done < trials:
+        surface = C.CrookedSurface(random_quadrilateral(SP, rng))
+        p = rng.normal(size=4)
+        p /= np.linalg.norm(p)
+        if min(map(abs, C.photon_margins(p, surface))) <= 1e-6:
+            continue
+        done += 1
+        w1, w2 = _second_generators(SP, p)
+        onbs = [plane.sub.onb for plane in (surface.p_plus, surface.p_minus,
+                                            surface.stem1, surface.stem2)]
+        a, b = (np.linalg.det([np.column_stack([p, w, onb]) for onb in onbs])
+                for w in (w1, w2))
+        planes = [S.Plane2.span(SP, p, np.cos(t) * w1 + np.sin(t) * w2)
+                  for t in np.arctan2(-a, b)]
+        witness = C.find_crossing_lagrangian(p, surface)
+        yield surface, planes + ([] if witness is None else [witness])
+
+
+def stem_only_candidates(seed, trials=200):
+    """(surface, planes) for the suite_stem_only draws of a seed: every
+    contact piece midpoint in both orders, against both surfaces."""
+    rng = make_rng([seed, 8])
+    for _ in range(trials):
+        c1, c2, _shared = stem_crossing_pair(SP, rng)
+        for c_stem, c_wing in ((c1, c2), (c2, c1)):
+            planes = list(contact_planes(c_stem, c_wing))
+            yield c_stem, planes
+            yield c_wing, planes
+
+
+def random_surface_candidates(seed, surfaces=50):
+    """(surface, planes) for random surfaces: their vertices, wing and stem
+    points, and random Lagrangians."""
+    rng = make_rng(seed)
+    for _ in range(surfaces):
+        surface = C.CrookedSurface(random_quadrilateral(SP, rng))
+        planes = [surface.p_zero, surface.p_inf, surface.p_plus, surface.p_minus]
+        for _ in range(4):
+            theta, phi, theta2 = rng.uniform(0, np.pi / 2), rng.uniform(0, np.pi), rng.uniform(0, np.pi / 2)
+            planes += [wing_point(surface, +1, theta, phi), wing_point(surface, -1, theta, phi),
+                       stem_point(surface, theta, theta2, +1 if phi < np.pi / 2 else -1),
+                       random_lagrangian(SP, rng)]
+        yield surface, planes
+
+
+def compare_with_reference(groups):
+    """(compared, reference raises, disagreements) over (surface, planes)
+    groups, each group's planes in one `_regions` call."""
+    compared, raises, disagree = 0, 0, []
+    for surface, planes in groups:
+        got = np.stack(C._regions(surface, np.stack([l.sub.onb for l in planes]),
+                                  C.EPS_ALG), axis=1).tolist()
+        for l, regions in zip(planes, got):
+            try:
+                want = reference_regions(surface, l)
+            except GeometryError:
+                raises += 1
+                continue
+            compared += 1
+            if regions != want:
+                disagree.append((surface, l, regions, want))
+    return compared, raises, disagree
+
+
+def test_regions_match_the_subspace_reference():
+    compared, raises, disagree = compare_with_reference(itertools.chain(
+        photon_candidates(1), stem_only_candidates(1), random_surface_candidates(25)))
+    assert disagree == []
+    assert compared > 10_000
+    assert raises < 10
+
+
+def test_membership_answers_where_the_maslov_threshold_raised(monkeypatch):
+    # stem-only seed 1 pair 147 and seed 3 pair 14, drawn as the subspace
+    # route accepts stem points (it rejects a surface at seed 1 whose P0 and
+    # P_infinity bases have |det| < 1e-9): there L = span{x1, x2} of a q < 0
+    # piece with c2 as the stem passes both transversality tests, and the
+    # Maslov form's eigenvalue ~-6e-7 next to ~1e3 reads as zero
+    for seed, pair in ((1, 147), (3, 14)):
+        rng = make_rng([seed, 8])
+        with monkeypatch.context() as patch:
+            patch.setattr(C, "stem_contains", lambda s, l: reference_regions(s, l)[2])
+            for _ in range(pair + 1):
+                c1, c2, _shared = stem_crossing_pair(SP, rng)
+        raised = 0
+        for l in contact_planes(c2, c1):
+            try:
+                reference_regions(c2, l)
+            except GeometryError:
+                raised += 1
+                assert C.surface_contains(c2, l) is None  # p01 p23 > 0: index 0
+        assert raised
