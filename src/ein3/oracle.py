@@ -273,11 +273,6 @@ def stem_bivectors(surface, t1, t2, component=+1):
         *_stem_generators(surface.quad.columns, component, t1, t2))
 
 
-def _ein_rows(space, bivectors):
-    pts = bivectors @ space.bridge[0].T
-    return pts
-
-
 def wing_point(surface, sign, theta, phi):
     """Single wing Lagrangian as a plane (see `wing_bivectors`)."""
     x, w = _wing_generators(surface.quad.columns, sign, np.array([theta]),
@@ -322,7 +317,7 @@ def sample_surface(surface, n, rng, proportions=(0.4, 0.4, 0.2)):
     ])
     chunks.append(stem_biv)
     labels += ["stem"] * n_stem
-    return SampleCloud(_ein_rows(space, np.vstack(chunks)), labels)
+    return SampleCloud(np.vstack(chunks) @ space.bridge[0].T, labels)
 
 
 def min_gap(cloud_a, cloud_b):
@@ -488,11 +483,41 @@ def disjoint_ads_pair(rng, min_margin=1e-2):
     return _ads_planes(_retrying(partial(_ads_draw, rng), accept))
 
 
+def _random_stem_basis(columns, rng):
+    """Generators (w, w') of a random stem Lagrangian of a quadrilateral, as
+    the columns of a 4x2 array (see `_stem_generators`)."""
+    t1, t2 = (rng.uniform(0.15, np.pi / 2 - 0.15) for _ in range(2))
+    w, wp = _stem_generators(columns, +1 if rng.uniform() < 0.5 else -1, t1, t2)
+    return np.column_stack([w, wp])
+
+
+def _surface_through(space, rng, l, basis_of):
+    """Crooked surface of a random quadrilateral q0 carried so that the
+    Lagrangian plane spanned by basis_of(q0) lands on l.
+
+    D(x) = [x, y + x (y^T Omega y) / 2] with y = Omega^T x (x^T Omega
+    Omega^T x)^-1 is a Darboux frame of a Lagrangian basis x: x^T Omega y
+    = I and y^T Omega y = 0 for any symplectic form.  So g = D(l) D(x)^-1,
+    x = basis_of(q0), is symplectic and maps x onto the basis of l: the
+    point of q0 spanned by x is l on g q0.  No candidate is rejected.
+    """
+    omega = space.matrix
+
+    def frame(x):
+        y = omega.T @ x @ np.linalg.inv(x.T @ omega @ omega.T @ x)
+        return np.column_stack([x, y + x @ (y.T @ omega @ y) / 2])
+
+    q0 = random_quadrilateral(space, rng)
+    g = frame(l.sub.onb) @ np.linalg.inv(frame(basis_of(q0)))
+    return crooked.CrookedSurface(q0.transformed(g))
+
+
 def intersecting_surface_pair(space, rng):
     """A random crooked surface and a second one sharing a point with it.
 
-    The shared Lagrangian is a sampled point of the first surface, built
-    into the second quadrilateral as its wing vertex.
+    The shared Lagrangian is a sampled point of the first surface; the
+    second surface is a random one carried so that its wing+ vertex P+ is
+    that point (`_surface_through`).
     """
     c1 = crooked.CrookedSurface(random_quadrilateral(space, rng))
     if rng.uniform() < 0.5:
@@ -503,81 +528,23 @@ def intersecting_surface_pair(space, rng):
         shared = stem_point(c1, rng.uniform(0.1, np.pi / 2 - 0.1),
                             rng.uniform(0.1, np.pi / 2 - 0.1),
                             +1 if rng.uniform() < 0.5 else -1)
-    c2 = crooked.CrookedSurface(_quad_with_vertex(space, shared, rng))
+    c2 = _surface_through(space, rng, shared, lambda q: q.columns[:, [0, 2]])
     return c1, c2, shared
 
 
-def _quad_with_vertex(space, vertex, rng):
-    """Quadrilateral whose wing+ vertex is the given Lagrangian plane."""
-    u_plus = vertex.sub.onb[:, 0]
-    v_plus = vertex.sub.onb[:, 1]
-    omega = space.matrix
-    for _ in range(RETRY_LIMIT):
-        # rows (omega x)^T give the functional y -> omega(y, x)
-        a = np.vstack([omega @ u_plus, omega @ v_plus])
-        u_minus = np.linalg.lstsq(a, np.array([0.0, 1.0]), rcond=None)[0]
-        u_minus = u_minus + nullspace(a) @ rng.normal(size=2)
-        b = np.vstack([omega @ u_plus, omega @ v_plus, omega @ u_minus])
-        v_minus = np.linalg.lstsq(b, np.array([-1.0, 0.0, 0.0]), rcond=None)[0]
-        kern = nullspace(b)
-        if kern.shape[1]:
-            v_minus = v_minus + kern @ rng.normal(size=kern.shape[1])
-        try:
-            return crooked.LightlikeQuadrilateral(
-                space, u_plus, u_minus, v_plus, v_minus)
-        except GeometryError:
-            continue
-    raise RetryExhausted("could not complete a quadrilateral around the vertex")
-
-
 def stem_crossing_pair(space, rng):
-    """Two random crooked surfaces whose stems share a constructed point."""
-    c1 = crooked.CrookedSurface(random_quadrilateral(space, rng))
-    shared = stem_point(c1, rng.uniform(0.15, np.pi / 2 - 0.15),
-                        rng.uniform(0.15, np.pi / 2 - 0.15),
-                        +1 if rng.uniform() < 0.5 else -1)
-    return c1, _surface_with_stem_point(space, shared, rng), shared
+    """Two random crooked surfaces whose stems share a constructed point.
 
-
-def _surface_with_stem_point(space, l, rng):
-    """Crooked surface whose stem contains the given Lagrangian plane.
-
-    Splits the generators of l into photon-coordinate pairs of matching
-    signs: w = (u+ + c v-)/sqrt(2), w' = (u- + c v+)/sqrt(2) for a random
-    component sign c.
+    The shared Lagrangian is a random stem point of the first surface; the
+    second surface is a random one carried so that a random stem point of
+    its own lands on it (`_surface_through`).  Neither draw reads a
+    membership predicate.
     """
-    w = l.sub.onb[:, 0]
-    wp = l.sub.onb[:, 1]
-    omega = space.matrix
-    for _ in range(RETRY_LIMIT):
-        c = 1.0 if rng.uniform() < 0.5 else -1.0
-        # stem plane S1 = span{w, r} with omega(w, r) != 0 and omega(w', r) = 0
-        r = nullspace((omega @ wp)[None, :]) @ rng.normal(size=3)
-        val = float(w @ omega @ r)
-        if abs(val) < 1e-3 * np.linalg.norm(r):
-            continue
-        beta = -c / (math.sqrt(2.0) * val)
-        u_plus = w / math.sqrt(2.0) + beta * r
-        v_minus = c * (w / math.sqrt(2.0) - beta * r)
-        # complementary stem plane contains w' by construction
-        comp = nullspace(np.vstack([omega @ u_plus, omega @ v_minus]))
-        if comp.shape[1] != 2:
-            continue
-        s = comp @ rng.normal(size=2)
-        val2 = float(wp @ omega @ s)
-        if abs(val2) < 1e-3 * np.linalg.norm(s):
-            continue
-        beta2 = -c / (math.sqrt(2.0) * val2)
-        u_minus = wp / math.sqrt(2.0) + beta2 * s
-        v_plus = c * (wp / math.sqrt(2.0) - beta2 * s)
-        try:
-            surface = crooked.CrookedSurface(crooked.LightlikeQuadrilateral(
-                space, u_plus, u_minus, v_plus, v_minus))
-            if crooked.stem_contains(surface, l):
-                return surface
-        except GeometryError:
-            continue
-    raise RetryExhausted("could not build a quadrilateral through the stem point")
+    c1 = crooked.CrookedSurface(random_quadrilateral(space, rng))
+    shared = Plane2(space, _random_stem_basis(c1.quad.columns, rng))
+    c2 = _surface_through(space, rng, shared,
+                          lambda q: _random_stem_basis(q.columns, rng))
+    return c1, c2, shared
 
 
 # ---------------------------------------------------------------------------
@@ -903,10 +870,9 @@ def suite_symplectic_identities(trials=1000, seed=7):
         f = rng.uniform(-2.0, 2.0, size=(2, 2))
         split = random_splitting(space, rng)
         plane = symplectic.graph(space, f, split)
-        nondeg = not plane.is_lagrangian
-        if abs(symplectic.det_omega(f) + 1.0) > 1e-6:
-            if nondeg != (abs(symplectic.det_omega(f) + 1.0) > EPS_ALG):
-                failures.append(f"trial {k}: graph degeneracy vs det mismatch")
+        # away from det = -1 the graph is nondegenerate
+        if abs(symplectic.det_omega(f) + 1.0) > 1e-6 and plane.is_lagrangian:
+            failures.append(f"trial {k}: graph degeneracy vs det mismatch")
     return _report("symplectic-identities", trials, seed, failures, max_violation)
 
 
@@ -1031,10 +997,10 @@ def suite_stem_only(trials=200, seed=7):
     constructed point also meet stem to wing.
 
     Each trial draws a `stem_crossing_pair`, checks the shared point with
-    `stem_contains` on c1 (the draw built c2 around it and accepted it with
-    the same call), and solves for a stem-wing contact in either order
+    `stem_contains` on both stems (the draw carries c2 onto it without
+    reading membership), and solves for a stem-wing contact in either order
     (`_stem_wing_contact`).  A pair is a failure when the shared point is
-    off c1's stem or neither order yields a contact that the membership rule
+    off a stem or neither order yields a contact that the membership rule
     puts on one stem and the other wing; that is the test of the lemma.  The
     violation is the largest membership residual of the contacts
     (`crossing_residual`: how far L is from Lagrangian and x from L), which
@@ -1047,8 +1013,8 @@ def suite_stem_only(trials=200, seed=7):
     max_residual = 0.0
     for k in range(trials):
         c1, c2, shared = stem_crossing_pair(space, rng)
-        if not crooked.stem_contains(c1, shared):
-            failures.append(f"pair {k}: the shared point is off the first stem")
+        if not (crooked.stem_contains(c1, shared) and crooked.stem_contains(c2, shared)):
+            failures.append(f"pair {k}: the shared point is off a stem")
         contact = _stem_wing_contact(c1, c2) or _stem_wing_contact(c2, c1)
         if contact is None:
             failures.append(f"pair {k}: stems meet but no stem-wing contact")

@@ -467,18 +467,38 @@ def test_regions_match_the_subspace_reference():
     assert raises < 10
 
 
-def test_membership_answers_where_the_maslov_threshold_raised(monkeypatch):
-    # stem-only seed 1 pair 147 and seed 3 pair 14, drawn as the subspace
-    # route accepts stem points (it rejects a surface at seed 1 whose P0 and
-    # P_infinity bases have |det| < 1e-9): there L = span{x1, x2} of a q < 0
-    # piece with c2 as the stem passes both transversality tests, and the
-    # Maslov form's eigenvalue ~-6e-7 next to ~1e3 reads as zero
-    for seed, pair in ((1, 147), (3, 14)):
-        rng = make_rng([seed, 8])
-        with monkeypatch.context() as patch:
-            patch.setattr(C, "stem_contains", lambda s, l: reference_regions(s, l)[2])
-            for _ in range(pair + 1):
-                c1, c2, _shared = stem_crossing_pair(SP, rng)
+# the quadrilaterals Q = (u+, u-, v+, v-) of c1 and c2, row by row, of
+# stem-only seed 1 pair 147 and seed 3 pair 14 as an earlier stem-point
+# construction drew them, accepting c2 through the subspace route; c2's
+# cond(Q) is 1.4e6 and 4.7e4
+_MASLOV_THRESHOLD_CASES = [
+    ([["0x1.d623ad3f72301p-1", "-0x1.c213b3830f471p-3", "-0x1.f100473f5b90ep-1", "0x1.01edb4ca734b8p-1"],
+      ["0x1.38cd945357ff7p-1", "0x1.82b73e9b79993p-1", "0x1.816c738e81240p-3", "-0x1.ac47773d918afp-2"],
+      ["-0x1.cdde589b13351p-1", "0x1.d013a0b297ae4p-5", "0x1.17ad04a9e30a0p-4", "0x1.19e6db0fbedd4p-1"],
+      ["0x1.3b91adb173ba1p-6", "0x1.0d79c8e13d1b5p-2", "0x1.562b7cad19b3ep+0", "0x1.ac21b0adf1bacp-5"]],
+     [["0x1.a616d6d83a99cp+6", "-0x1.0d79f6de8a283p+7", "-0x1.0c502cf1f60f5p+7", "0x1.a6fc66c6be1fap+6"],
+      ["-0x1.14fa2a804e6eep+7", "0x1.f5c29a48a7411p+6", "0x1.f7820c63fe45bp+6", "-0x1.131124c00ea20p+7"],
+      ["0x1.f8782df6492aep+8", "-0x1.1847df05af143p+9", "-0x1.17e118162864fp+9", "0x1.f77c790be396cp+8"],
+      ["-0x1.7b07fdc6d8d94p+7", "0x1.d6aff5f3c6dd7p+7", "0x1.d4de9d1e2db4dp+7", "-0x1.7b902c1e0dc58p+7"]]),
+    ([["0x1.2ae646f256dacp-1", "0x1.c32cdffad9e59p-2", "-0x1.6a0674d173f8ep-2", "-0x1.85463bd2b9197p-1"],
+      ["0x1.3e55e023cef32p-4", "0x1.087e9c83278cep+1", "0x1.cd6e80b311459p-3", "-0x1.85cc3866e9e4cp+0"],
+      ["0x1.02cb61c8dd5b4p-1", "0x1.1052c30a63514p-1", "-0x1.6874ec5b28c19p-2", "0x1.ff17acfe093a9p-1"],
+      ["0x1.46a816d063829p-5", "-0x1.1cd4802923340p-4", "0x1.d7772f256e752p-2", "-0x1.6de20691ebc83p-2"]],
+     [["-0x1.47d9a73270348p+6", "0x1.40d7d945314d8p+5", "-0x1.3bd68107072d2p+5", "0x1.458d20dd69fd8p+6"],
+      ["-0x1.651f53980cec5p+5", "0x1.cd7c930288086p+6", "-0x1.ce41e14030f8ap+6", "0x1.5ad1870e934f3p+5"],
+      ["0x1.75bcd5c36771fp+6", "0x1.99b4f709c7c9bp+4", "-0x1.abb877027da1bp+4", "-0x1.7626b4fd619cdp+6"],
+      ["-0x1.7e7994cf205bap+5", "-0x1.d95ad27c66d72p+2", "0x1.fca28ba91fb92p+2", "0x1.7e670b53242c6p+5"]]),
+]
+
+
+def test_membership_answers_where_the_maslov_threshold_raised():
+    # there L = span{x1, x2} of a q < 0 piece with c2 as the stem passes
+    # both transversality tests, and the Maslov form's eigenvalue ~-6e-7
+    # next to ~1e3 reads as zero
+    for quads in _MASLOV_THRESHOLD_CASES:
+        c1, c2 = (C.CrookedSurface(C.LightlikeQuadrilateral(
+            SP, *np.array([[float.fromhex(x) for x in row] for row in q]).T))
+            for q in quads)
         raised = 0
         for l in contact_planes(c2, c1):
             try:
