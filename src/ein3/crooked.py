@@ -16,17 +16,20 @@ failure mode for fundamental-domain use.
 
 Objects validate once, at construction; the predicates work on the stored
 arrays: eight margins per omega-product of 4x4 matrices, and membership of
-a stack of Lagrangians per solve against the quadrilateral.
+a stack of Lagrangians per solve against the quadrilateral.  A surface
+checks its six planes from their singular values and builds the plane
+objects only when they are read.
 """
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from ein3.linalg import EPS_ALG, EPS_RANK, GeometryError, as_vector
-from ein3.symplectic import Plane2, SympSpace, plucker_rows
+from ein3.linalg import EPS_ALG, EPS_RANK, GeometryError, _zero_tol, as_vector
+from ein3.symplectic import Plane2, SympSpace, _omega_of_columns, plucker_rows
 
 _QUAD_KEYS = ("u_plus", "u_minus", "v_plus", "v_minus")
 
@@ -116,25 +119,53 @@ def canonical_quadrilateral(space=None):
     return LightlikeQuadrilateral(space, e[:, 0], e[:, 1], e[:, 3], e[:, 2])
 
 
+def _built_plane(index, doc):
+    """Property reading one plane of the surface's cached `Plane2.stack`."""
+    return property(lambda self: self._planes[index], doc=doc)
+
+
 class CrookedSurface:
     """Crooked surface of a lightlike quadrilateral: two wings and a stem.
 
     Derived data: the four Lagrangian vertices P0, P_infinity, P+, P- and
-    the nondegenerate, mutually omega-orthogonal stem planes S1, S2, all six
-    orthonormalized by one stacked SVD.
+    the nondegenerate, mutually omega-orthogonal stem planes S1, S2.  The
+    constructor checks all six from the singular values of their stacked
+    bases alone; the `Plane2` objects are built on first read, by one
+    stacked SVD, and no predicate reads them.
     """
 
     def __init__(self, quad):
         self.quad = quad
         self.space = quad.space
-        (self.p_zero, self.p_inf, self.p_plus, self.p_minus, self.stem1,
-         self.stem2) = Plane2.stack(quad.space, quad.columns.take(_PLANE_ENTRIES))
-        for vertex, name in ((self.p_zero, "P0"), (self.p_inf, "Pinf"),
-                             (self.p_plus, "P+"), (self.p_minus, "P-")):
-            if not vertex.is_lagrangian:
+        self._bases = quad.columns.take(_PLANE_ENTRIES)
+        if not np.isfinite(self._bases).all():
+            raise GeometryError("basis has non-finite entries")
+        # the rank rule of `Plane2.stack`: the least rank of the six bases
+        s = np.linalg.svd(self._bases, compute_uv=False)
+        nonzero = s > _zero_tol(s, EPS_RANK)
+        if not nonzero.all():
+            rank = int(nonzero.sum(axis=-1).min())
+            raise GeometryError(f"basis matrix has rank {rank} < 2 column(s)")
+        # its Lagrangian tag: |omega| of the orthonormalized basis, which is
+        # |omega(b0, b1)| / (s0 s1)
+        omega = _omega_of_columns(self.space, self._bases)
+        lagrangian = (np.abs(omega) / (s[:, 0] * s[:, 1]) <= EPS_ALG).tolist()
+        for name, tag in zip(("P0", "Pinf", "P+", "P-"), lagrangian):
+            if not tag:
                 raise GeometryError(f"vertex {name} is not Lagrangian")
-        if self.stem1.is_lagrangian or self.stem2.is_lagrangian:
+        if lagrangian[4] or lagrangian[5]:
             raise GeometryError("stem planes must be nondegenerate")
+
+    @functools.cached_property
+    def _planes(self):
+        return Plane2.stack(self.space, self._bases)
+
+    p_zero = _built_plane(0, "The vertex P0 = span{v+, v-}.")
+    p_inf = _built_plane(1, "The vertex P_infinity = span{u+, u-}.")
+    p_plus = _built_plane(2, "The vertex P+ = span{u+, v+}.")
+    p_minus = _built_plane(3, "The vertex P- = span{u-, v-}.")
+    stem1 = _built_plane(4, "The stem plane S1 = span{u+, v-}.")
+    stem2 = _built_plane(5, "The stem plane S2 = span{u-, v+}.")
 
     def __repr__(self):
         return f"CrookedSurface({self.quad!r})"
@@ -277,12 +308,12 @@ def find_crossing_lagrangian(p, surface, eps=EPS_ALG):
                                                            surface)[0].tolist()
     q = surface.quad
     for vertex, u, v, fails, t, s in (
-            (surface.p_plus, q.u_plus, q.v_plus, wv_plus * wu_plus <= eps, wv_plus, -wu_plus),
-            (surface.p_minus, q.u_minus, q.v_minus, wv_minus * wu_minus >= -eps, wv_minus,
+            ("p_plus", q.u_plus, q.v_plus, wv_plus * wu_plus <= eps, wv_plus, -wu_plus),
+            ("p_minus", q.u_minus, q.v_minus, wv_minus * wu_minus >= -eps, wv_minus,
              -wu_minus)):
         if fails:
             if abs(t) <= eps and abs(s) <= eps:
-                return vertex
+                return getattr(surface, vertex)
             return Plane2.span(surface.space, p, t * u + s * v)
     return None
 

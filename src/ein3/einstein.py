@@ -10,7 +10,8 @@ point (0, 0, 0, 1, 0).
 """
 
 import cmath
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -77,7 +78,7 @@ class EinPoint:
     def __eq__(self, other):
         if not isinstance(other, EinPoint):
             return NotImplemented
-        return np.allclose(self.rep, other.rep, atol=10 * EPS_ALG)
+        return _close(self.rep, other.rep)
 
     def __repr__(self):
         return f"EinPoint({np.array2string(self.rep, precision=6)})"
@@ -100,6 +101,12 @@ class PhotonW:
 
     def __repr__(self):
         return f"PhotonW({np.array2string(self.plane.onb, precision=6)})"
+
+
+def _close(a, b):
+    """np.allclose(a, b, atol=10 * EPS_ALG) for two validated finite
+    vectors, as numpy's own test |a - b| <= atol + rtol |b|, rtol = 1e-5."""
+    return bool((np.abs(a - b) <= 10 * EPS_ALG + 1e-5 * np.abs(b)).all())
 
 
 def _canonical_sign(v):
@@ -125,7 +132,7 @@ class EinsteinTorus:
     def __eq__(self, other):
         if not isinstance(other, EinsteinTorus):
             return NotImplemented
-        return np.allclose(self.normal, other.normal, atol=10 * EPS_ALG)
+        return _close(self.normal, other.normal)
 
     def hyperplane(self):
         """The 4-dimensional subspace whose null cone projectivizes to the torus."""
@@ -137,10 +144,21 @@ class EinsteinTorus:
 
 @dataclass
 class IntersectionClass:
-    """Classification of the intersection of two distinct Einstein tori."""
+    """Classification of the intersection of two Einstein tori.
+
+    `normals` holds the two unit normals (None for EQUAL).  `carrier`, the
+    3-dimensional orthogonal complement of their span (None for EQUAL), is
+    computed on first read: the kind and eta need no SVD.
+    """
     kind: IntersectionKind
     eta: float
-    carrier: Optional[Subspace]  # 3-dim subspace for distinct tori, None for EQUAL
+    normals: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def carrier(self) -> Optional[Subspace]:
+        if self.normals is None:
+            return None
+        return _SPACE.orthogonal_complement(Subspace.span(*self.normals))
 
 
 def minkowski_embed(point):
@@ -224,22 +242,21 @@ def classify_torus_pair(t1, t2, eps=EPS_ALG):
     * eta > 1: a spacelike circle (carrier signature (2,1)),
     * eta = 1: a pair of photons meeting in one point (degenerate carrier).
 
-    The carrier is the 3-dimensional orthogonal complement of span{s1, s2};
-    the intersection is the projectivized null cone of the carrier.  Equal
-    tori are reported separately (eta would be 1 there too).
+    The carrier is the 3-dimensional orthogonal complement of span{s1, s2},
+    built when it is first read; the intersection is the projectivized null
+    cone of the carrier.  Equal tori are reported separately (eta would be 1
+    there too).
     """
     if t1 == t2:
-        return IntersectionClass(IntersectionKind.EQUAL, 1.0, None)
+        return IntersectionClass(IntersectionKind.EQUAL, 1.0)
     e = eta(t1, t2)
-    carrier = _SPACE.orthogonal_complement(
-        Subspace.span(t1.normal, t2.normal))
     if abs(e - 1.0) <= eps:
         kind = IntersectionKind.PHOTON_PAIR
     elif e > 1.0:
         kind = IntersectionKind.SPACELIKE_CIRCLE
     else:
         kind = IntersectionKind.TIMELIKE_CIRCLE
-    return IntersectionClass(kind, e, carrier)
+    return IntersectionClass(kind, e, (t1.normal, t2.normal))
 
 
 def photon_pair_from_degenerate(carrier, eps=EPS_RANK):

@@ -507,3 +507,111 @@ def test_membership_answers_where_the_maslov_threshold_raised():
                 raised += 1
                 assert C.surface_contains(c2, l) is None  # p01 p23 > 0: index 0
         assert raised
+
+
+def stacked_plane_route(quad):
+    """The surface checks through `Plane2.stack`: the six planes, or the
+    GeometryError the constructor raises for them."""
+    planes = S.Plane2.stack(quad.space, quad.columns.take(C._PLANE_ENTRIES))
+    for vertex, name in zip(planes[:4], ("P0", "Pinf", "P+", "P-")):
+        if not vertex.is_lagrangian:
+            raise GeometryError(f"vertex {name} is not Lagrangian")
+    if planes[4].is_lagrangian or planes[5].is_lagrangian:
+        raise GeometryError("stem planes must be nondegenerate")
+    return planes
+
+
+def outcome(build, quad):
+    """(value, None) or (None, message) of build(quad)."""
+    try:
+        return build(quad), None
+    except GeometryError as error:
+        return None, str(error)
+
+
+def test_surface_checks_match_the_stacked_plane_route():
+    # random symplectic images of the canonical quadrilateral, the pair
+    # (u+, v-) rescaled to (u+ / p, v- p), one column perturbed
+    rng = make_rng(25)
+    canonical = C.canonical_quadrilateral(SP).columns
+    counts = {"quad": 0, "accepted": 0, "rank": 0, "vertex": 0}
+    for _ in range(2000):
+        cols = random_symplectic(SP, rng) @ canonical
+        p = 10.0 ** rng.uniform(-6, 6)
+        cols *= [1 / p, 1, 1, p]
+        j = rng.integers(4)
+        cols[:, j] += 10.0 ** rng.uniform(-12, -6) * rng.normal(size=4) * np.linalg.norm(cols[:, j])
+        try:
+            quad = C.LightlikeQuadrilateral(SP, *cols.T)
+        except GeometryError:
+            counts["quad"] += 1
+            continue
+        want, want_message = outcome(stacked_plane_route, quad)
+        surface, message = outcome(C.CrookedSurface, quad)
+        assert message == want_message
+        if message is not None:
+            counts["rank" if message.startswith("basis") else "vertex"] += 1
+            continue
+        counts["accepted"] += 1
+        for plane, reference in zip((surface.p_zero, surface.p_inf, surface.p_plus,
+                                     surface.p_minus, surface.stem1, surface.stem2), want):
+            assert np.array_equal(plane.sub.onb, reference.sub.onb)
+            assert np.array_equal(plane.basis, reference.basis)
+            assert plane.tag is reference.tag
+    assert min(counts.values()) > 5, counts
+
+
+_e1, _e2, _e3, _e4 = E4.T
+_x = _e1 + 1e-9 * _e4
+
+
+@pytest.mark.parametrize("columns, message", [
+    ((1e-3 * _e1, _e2, _e4 + 1e-7 * _e3, _e3 / 1e-3), "vertex P\\+ is not Lagrangian"),
+    ((1e5 * _e1, _e2, _e4, 1e-5 * _e3 + 1e5 * _e1), "basis matrix has rank 1 < 2 column"),
+    # u-, v+ span the omega-complement of S1 = span{u+, v-}; in this family
+    # the stem tag reaches 1e-9 only where a vertex basis sits at the rank
+    # threshold, so this case passes both rules at their rounding ties
+    ((1 / 1e-9 * _e1, _e2 + _x, -3 * _e2 + (1 / 1e-9 - 3) * _x, _e2 + 1e-9 * _e3),
+     "stem planes must be nondegenerate"),
+], ids=["vertex", "rank", "stem"])
+def test_surface_raise_paths(columns, message):
+    quad = C.LightlikeQuadrilateral(SP, *columns)
+    with pytest.raises(GeometryError, match=message):
+        stacked_plane_route(quad)
+    with pytest.raises(GeometryError, match=message):
+        C.CrookedSurface(quad)
+
+
+def test_predicate_path_builds_no_planes(monkeypatch):
+    from ein3 import ads, linalg
+    from ein3.oracle import random_ads_config
+
+    def fail(*args, **kwargs):
+        raise AssertionError("built a plane")
+
+    rng = make_rng(26)
+    quads = [random_quadrilateral(SP, rng) for _ in range(20)]
+    ads_pairs = [random_ads_config(rng) for _ in range(20)]
+    monkeypatch.setattr(S.Plane2, "stack", fail)
+    with monkeypatch.context() as no_subspace:
+        no_subspace.setattr(linalg, "_orthonormal_columns", fail)
+        surfaces = [C.CrookedSurface(q) for q in quads]
+        for c1, c2 in zip(surfaces, surfaces[1:]):
+            C.surfaces_disjoint(c1, c2)
+            C.photon_disjoint(rng.normal(size=4), c1)
+        for p1, p2 in ads_pairs:
+            ads.ads_disjoint(p1, p2)
+            ads.dgk_criterion(p1, p2)
+            C.surfaces_disjoint(C.CrookedSurface(ads.ads_quadrilateral(p1)),
+                                C.CrookedSurface(ads.ads_quadrilateral(p2)))
+    # the witness of a photon that misses the vertices is a new plane
+    # through it, not one of the surface's
+    witnesses = 0
+    for surface in surfaces:
+        p = rng.normal(size=4)
+        witness = C.find_crossing_lagrangian(p, surface)
+        if witness is not None:
+            witnesses += 1
+            assert C.surface_contains(surface, witness) is not None
+        assert "_planes" not in vars(surface)
+    assert witnesses > 5

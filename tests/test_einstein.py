@@ -238,3 +238,48 @@ def test_triple_lightcone_matches_classify():
         checked += 1
         timelike = E.classify_point(p, p0, pinf) is E.CausalType.TIMELIKE
         assert E.triple_lightcone_empty(p, p0, pinf) == timelike
+
+
+def test_carrier_is_built_on_first_read(monkeypatch):
+    rng = np.random.default_rng(3)
+    normals = [([1, 0, 0, 0, 0], [0, 1, 0, 0, 0]), ([1, 0, 0, 0, 0], [2, 0, 0, 3, 1]),
+               ([1, 0, 0, 0, 0], [1, 0, 0, 1, 0])]
+    normals += [tuple(0.1 * rng.normal(size=(2, 5)) + [[1, 0, 0, 0, 0]]) for _ in range(20)]
+    pairs = [(E.EinsteinTorus(s1), E.EinsteinTorus(s2)) for s1, s2 in normals]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("took an SVD")
+
+    with monkeypatch.context() as no_svd:
+        no_svd.setattr(np.linalg, "svd", fail)
+        classes = [E.classify_torus_pair(t1, t2) for t1, t2 in pairs]
+        assert [c.kind for c in classes[:3]] == [
+            E.IntersectionKind.TIMELIKE_CIRCLE, E.IntersectionKind.SPACELIKE_CIRCLE,
+            E.IntersectionKind.PHOTON_PAIR]
+        for c, (t1, t2) in zip(classes, pairs):
+            assert c.eta == E.eta(t1, t2)
+    for c, (t1, t2) in zip(classes, pairs):
+        direct = W.orthogonal_complement(Subspace.span(t1.normal, t2.normal))
+        assert np.array_equal(c.carrier.onb, direct.onb)
+        assert c.carrier is c.carrier
+    t1 = pairs[0][0]
+    assert E.classify_torus_pair(t1, E.EinsteinTorus(-2 * t1.normal)).carrier is None
+
+
+def test_torus_and_point_equality_match_allclose():
+    rng = np.random.default_rng(4)
+    tol = 10 * E.EPS_ALG
+    decided = {True: 0, False: 0}
+    for _ in range(2000):
+        s = 0.1 * rng.normal(size=5) + [1, 0, 0, 0, 0]
+        t = E.EinsteinTorus(s)
+        bound = tol + 1e-5 * np.abs(t.normal)
+        other = E.EinsteinTorus(t.normal + rng.choice([-1, 1], 5) * bound * rng.uniform(0, 1.2, 5))
+        assert (t == other) == np.allclose(t.normal, other.normal, atol=tol)
+        decided[t == other] += 1
+        p = E.minkowski_embed(rng.normal(size=3))
+        q = E.EinPoint(p.rep)
+        q.rep = p.rep + rng.choice([-1, 1], 5) * (tol + 1e-5 * np.abs(p.rep)) * rng.uniform(0, 1.2, 5)
+        assert (p == q) == np.allclose(p.rep, q.rep, atol=tol)
+        decided[p == q] += 1
+    assert min(decided.values()) > 500
