@@ -125,12 +125,11 @@ def ads_quadrilateral(plane, eps=EPS_ALG):
     that the sixteen-inequality disjointness criterion reduces to the four
     omega0 inequalities of `ads_disjoint` (the labels in which photon plays
     u or v are not involution-equivariant for any valid choice, only the
-    photon set is).
+    photon set is).  The plane already tested omega0(a, b) = det[a, b]
+    against zero; eps bounds the quadrilateral's product residuals.
     """
     f, a, b = plane.base, plane.a, plane.b
-    alpha = omega0(a, b)
-    if abs(alpha) <= eps * np.linalg.norm(a) * np.linalg.norm(b):
-        raise GeometryError("omega0(a, b) = 0: degenerate quadrilateral")
+    alpha = a @ J @ b  # omega0(a, b) of the plane's validated vectors
     fa, fb = f @ a, f @ b
     u_plus = np.concatenate([a, fa])
     v_plus = np.concatenate([a, -fa])

@@ -275,7 +275,7 @@ def _sample_clouds(cfg, count):
         elif isinstance(obj, (crooked.LightlikeQuadrilateral, ads.AdsCrookedPlane)):
             try:
                 if isinstance(obj, ads.AdsCrookedPlane):
-                    obj = ads.ads_quadrilateral(obj)
+                    obj = ads.ads_quadrilateral(obj, eps=cfg.eps_alg)
                 surface = crooked.CrookedSurface(obj)
             except GeometryError as exc:
                 raise ConfigError(

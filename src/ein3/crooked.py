@@ -17,8 +17,8 @@ failure mode for fundamental-domain use.
 Objects validate once, at construction; the predicates work on the stored
 arrays: eight margins per omega-product of 4x4 matrices, and membership of
 a stack of Lagrangians per solve against the quadrilateral.  A surface
-checks its six planes from their singular values and builds the plane
-objects only when they are read.
+checks its six planes from their singular values; the plane objects, which
+no predicate reads, are built one by one when first read.
 """
 
 import functools
@@ -120,7 +120,7 @@ def canonical_quadrilateral(space=None):
 
 
 def _built_plane(index, doc):
-    """Property reading one plane of the surface's cached `Plane2.stack`."""
+    """Property reading one plane of the surface's cached `_planes`."""
     return property(lambda self: self._planes[index], doc=doc)
 
 
@@ -130,8 +130,8 @@ class CrookedSurface:
     Derived data: the four Lagrangian vertices P0, P_infinity, P+, P- and
     the nondegenerate, mutually omega-orthogonal stem planes S1, S2.  The
     constructor checks all six from the singular values of their stacked
-    bases alone; the `Plane2` objects are built on first read, by one
-    stacked SVD, and no predicate reads them.
+    bases alone; the six `Plane2` objects are built, one by one, on the
+    first read of any of them, and no predicate reads them.
     """
 
     def __init__(self, quad):
@@ -140,7 +140,7 @@ class CrookedSurface:
         self._bases = quad.columns.take(_PLANE_ENTRIES)
         if not np.isfinite(self._bases).all():
             raise GeometryError("basis has non-finite entries")
-        # the rank rule of `Plane2.stack`: the least rank of the six bases
+        # the rank rule of `Plane2`, reporting the least rank of the six bases
         s = np.linalg.svd(self._bases, compute_uv=False)
         nonzero = s > _zero_tol(s, EPS_RANK)
         if not nonzero.all():
@@ -158,7 +158,7 @@ class CrookedSurface:
 
     @functools.cached_property
     def _planes(self):
-        return Plane2.stack(self.space, self._bases)
+        return [Plane2(self.space, b) for b in self._bases]
 
     p_zero = _built_plane(0, "The vertex P0 = span{v+, v-}.")
     p_inf = _built_plane(1, "The vertex P_infinity = span{u+, u-}.")

@@ -69,21 +69,20 @@ def inertia(w, eps=EPS_RANK):
 
 def _range_basis(m, eps):
     """Orthonormal basis of the column space of m: the left singular vectors
-    whose singular values are above the zero threshold.  A stack of matrices
-    (leading axis) takes one SVD and keeps as many columns as its least rank."""
-    if m.shape[-1] == 0:
+    whose singular values are above the zero threshold."""
+    if m.shape[1] == 0:
         return m
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[..., :int(np.sum(s > _zero_tol(s, eps), axis=-1).min())]
+    return u[:, :int(np.sum(s > _zero_tol(s, eps)))]
 
 
 def _orthonormal_columns(basis, eps):
     """Orthonormal basis of the column span, with a finiteness and a rank
-    check; a stack of bases is checked by its least rank."""
+    check."""
     if not np.isfinite(basis).all():
         raise GeometryError("basis has non-finite entries")
     onb = _range_basis(basis, eps)
-    rank, k = onb.shape[-1], basis.shape[-1]
+    rank, k = onb.shape[1], basis.shape[1]
     if rank < k:
         raise GeometryError(
             f"basis matrix has rank {rank} < {k} column(s)")
@@ -110,20 +109,6 @@ class Subspace:
             raise GeometryError("basis must be a matrix of column vectors")
         self.basis = basis
         self.onb = _orthonormal_columns(basis, eps)
-
-    @classmethod
-    def stack(cls, bases, eps=EPS_RANK):
-        """One Subspace per (n, k) matrix of a stack of bases, all of them
-        orthonormalized by one SVD; Subspace(basis) is the stack of one."""
-        bases = np.asarray(bases, dtype=float)
-        if bases.ndim != 3:
-            raise GeometryError("bases must be a stack of basis matrices")
-        subs = []
-        for basis, onb in zip(bases, _orthonormal_columns(bases, eps)):
-            sub = cls.__new__(cls)
-            sub.basis, sub.onb = basis, onb
-            subs.append(sub)
-        return subs
 
     @classmethod
     def span(cls, *vectors):

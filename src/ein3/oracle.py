@@ -135,20 +135,21 @@ def random_splitting(space, rng):
     return Splitting.from_plane(space, random_nondegenerate_plane(space, rng))
 
 
+def _random_vectors(space, rng):
+    """(u+, u-, v+, v-) of a random symplectic image of the canonical
+    quadrilateral (d1, d2, d4, d3) of a Darboux basis d, not validated."""
+    if np.array_equal(space.matrix, symplectic.STANDARD_OMEGA):
+        d = np.eye(4)
+    else:
+        d = symplectic.symplectic_basis(space)
+    g = random_symplectic(space, rng)
+    return [g @ d[:, j] for j in (0, 1, 3, 2)]
+
+
 def random_quadrilateral(space, rng):
     """Random lightlike quadrilateral: a random symplectic image of the
     canonical one."""
-    if np.array_equal(space.matrix, symplectic.STANDARD_OMEGA):
-        base = crooked.canonical_quadrilateral(space)
-    else:
-        base = _canonical_quad_general(space)
-    g = random_symplectic(space, rng)
-    return base.transformed(g)
-
-
-def _canonical_quad_general(space):
-    d = symplectic.symplectic_basis(space)
-    return crooked.LightlikeQuadrilateral(space, d[:, 0], d[:, 1], d[:, 3], d[:, 2])
+    return crooked.LightlikeQuadrilateral(space, *_random_vectors(space, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +494,15 @@ def _random_stem_basis(columns, rng):
 
 def _surface_through(space, rng, l, basis_of):
     """Crooked surface of a random quadrilateral q0 carried so that the
-    Lagrangian plane spanned by basis_of(q0) lands on l.
+    Lagrangian plane spanned by basis_of(q0) lands on l; basis_of takes the
+    4x4 columns (u+, u-, v+, v-) of q0.
 
     D(x) = [x, y + x (y^T Omega y) / 2] with y = Omega^T x (x^T Omega
     Omega^T x)^-1 is a Darboux frame of a Lagrangian basis x: x^T Omega y
     = I and y^T Omega y = 0 for any symplectic form.  So g = D(l) D(x)^-1,
     x = basis_of(q0), is symplectic and maps x onto the basis of l: the
-    point of q0 spanned by x is l on g q0.  No candidate is rejected.
+    point of q0 spanned by x is l on g q0.  No candidate is rejected, and
+    only g q0 is validated.
     """
     omega = space.matrix
 
@@ -507,9 +510,10 @@ def _surface_through(space, rng, l, basis_of):
         y = omega.T @ x @ np.linalg.inv(x.T @ omega @ omega.T @ x)
         return np.column_stack([x, y + x @ (y.T @ omega @ y) / 2])
 
-    q0 = random_quadrilateral(space, rng)
-    g = frame(l.sub.onb) @ np.linalg.inv(frame(basis_of(q0)))
-    return crooked.CrookedSurface(q0.transformed(g))
+    q0 = _random_vectors(space, rng)
+    g = frame(l.sub.onb) @ np.linalg.inv(frame(basis_of(np.column_stack(q0))))
+    return crooked.CrookedSurface(
+        crooked.LightlikeQuadrilateral(space, *(g @ v for v in q0)))
 
 
 def intersecting_surface_pair(space, rng):
@@ -528,7 +532,7 @@ def intersecting_surface_pair(space, rng):
         shared = stem_point(c1, rng.uniform(0.1, np.pi / 2 - 0.1),
                             rng.uniform(0.1, np.pi / 2 - 0.1),
                             +1 if rng.uniform() < 0.5 else -1)
-    c2 = _surface_through(space, rng, shared, lambda q: q.columns[:, [0, 2]])
+    c2 = _surface_through(space, rng, shared, lambda q: q[:, [0, 2]])
     return c1, c2, shared
 
 
@@ -542,8 +546,7 @@ def stem_crossing_pair(space, rng):
     """
     c1 = crooked.CrookedSurface(random_quadrilateral(space, rng))
     shared = Plane2(space, _random_stem_basis(c1.quad.columns, rng))
-    c2 = _surface_through(space, rng, shared,
-                          lambda q: _random_stem_basis(q.columns, rng))
+    c2 = _surface_through(space, rng, shared, lambda q: _random_stem_basis(q, rng))
     return c1, c2, shared
 
 

@@ -17,6 +17,7 @@ nonsingular antisymmetric matrix is accepted, which the anti-de Sitter
 specialization relies on.
 """
 
+import functools
 import warnings
 from enum import Enum
 
@@ -101,35 +102,15 @@ class Plane2:
         basis = np.asarray(basis, dtype=float)
         if basis.shape != (4, 2):
             raise GeometryError("a 2-plane needs a 4x2 basis matrix")
-        sub = Subspace(basis)
-        self._adopt(space, sub, _omega_of_columns(space, sub.onb), eps)
+        self.space = space
+        self.sub = Subspace(basis)
+        self.basis = basis
+        w = _omega_of_columns(space, self.sub.onb)
+        self.tag = PlaneKind.LAGRANGIAN if abs(w) <= eps else PlaneKind.NONDEGENERATE
 
     @classmethod
     def span(cls, space, u, v, eps=EPS_ALG):
         return cls(space, np.column_stack([as_vector(u, 4), as_vector(v, 4)]), eps)
-
-    @classmethod
-    def stack(cls, space, bases, eps=EPS_ALG):
-        """The planes of a (m, 4, 2) stack of bases, orthonormalized by one
-        SVD (`Subspace.stack`)."""
-        bases = np.asarray(bases, dtype=float)
-        if bases.shape[1:] != (4, 2):
-            raise GeometryError("a 2-plane needs a 4x2 basis matrix")
-        subs = Subspace.stack(bases)
-        omegas = _omega_of_columns(space, np.stack([sub.onb for sub in subs]))
-        planes = []
-        for sub, w in zip(subs, omegas):
-            plane = cls.__new__(cls)
-            plane._adopt(space, sub, w, eps)
-            planes.append(plane)
-        return planes
-
-    def _adopt(self, space, sub, w, eps):
-        """Take the orthonormalized span and its omega(onb_0, onb_1) = w."""
-        self.space = space
-        self.sub = sub
-        self.basis = sub.basis
-        self.tag = PlaneKind.LAGRANGIAN if abs(w) <= eps else PlaneKind.NONDEGENERATE
 
     @property
     def is_lagrangian(self):
@@ -189,7 +170,6 @@ class SympSpace:
         # omega as a linear functional on bivectors
         self._omega_fun = np.array([self.matrix[i, j] for (i, j) in PAIRS])
         self.omega_star = np.linalg.solve(gram, self._omega_fun)
-        self._bridge = None
 
     # -- the form and its extension to bivectors ----------------------------
 
@@ -283,7 +263,9 @@ class SympSpace:
 
     # -- bridge to the null-cone model ---------------------------------------
 
-    def _make_bridge(self):
+    @functools.cached_property
+    def bridge(self):
+        """(to_ein, from_ein): the isometry of W onto R^{3,2} and back."""
         basis_w = nullspace(self._omega_fun[None, :])  # 6 x 5
         gram_w = basis_w.T @ self._gram @ basis_w
         w, vecs = np.linalg.eigh(gram_w)
@@ -303,12 +285,6 @@ class SympSpace:
         to_ein = ein_frame @ np.diag(signs) @ frame.T @ self._gram
         from_ein = frame @ np.diag(signs) @ ein_frame.T @ einstein.GRAM
         return to_ein, from_ein
-
-    @property
-    def bridge(self):
-        if self._bridge is None:
-            self._bridge = self._make_bridge()
-        return self._bridge
 
     def to_einstein(self, b, eps=EPS_ALG):
         """Isometry from W onto the null-cone model space R^{3,2}."""

@@ -296,6 +296,26 @@ def test_sample_names_an_object_whose_surface_is_degenerate(tmp_path, capsys):
     assert not os.path.exists(out_csv)
 
 
+def test_sample_passes_eps_alg_to_an_ads_plane_quadrilateral(tmp_path, capsys):
+    # at this scale the quadrilateral products miss by 4e-8 to 4e-7: over
+    # the default eps, under --eps-alg 1e-6
+    r = np.array([[math.cos(1.0), -math.sin(1.0)], [math.sin(1.0), math.cos(1.0)]])
+    doc = {"objects": {"A": {"type": "ads_plane",
+                             "base": (r @ np.diag([1e5, 1e-5])).tolist(),
+                             "a": [1, 0.3], "b": [0.2, 1]}}}
+    path = write_config(tmp_path, doc)
+    out_csv = str(tmp_path / "cloud.csv")
+    argv = ["sample", path, "--count", "50", "--out", out_csv]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert "quadrilateral products violated" in err
+    assert not os.path.exists(out_csv)
+    code, out, err = run(["--eps-alg", "1e-6"] + argv, capsys)
+    assert code == 0
+    assert err == ""
+    assert out == f"wrote 50 points to {out_csv}\n"
+
+
 def test_check_ads(tmp_path, capsys):
     path = write_config(tmp_path, {"objects": {
         "A1": {"type": "ads_plane", "base": [[1, 0], [0, 1]],

@@ -509,10 +509,10 @@ def test_membership_answers_where_the_maslov_threshold_raised():
         assert raised
 
 
-def stacked_plane_route(quad):
-    """The surface checks through `Plane2.stack`: the six planes, or the
+def plane_route(quad):
+    """The surface checks through `Plane2`: the six planes, or the
     GeometryError the constructor raises for them."""
-    planes = S.Plane2.stack(quad.space, quad.columns.take(C._PLANE_ENTRIES))
+    planes = [S.Plane2(quad.space, b) for b in quad.columns.take(C._PLANE_ENTRIES)]
     for vertex, name in zip(planes[:4], ("P0", "Pinf", "P+", "P-")):
         if not vertex.is_lagrangian:
             raise GeometryError(f"vertex {name} is not Lagrangian")
@@ -529,7 +529,7 @@ def outcome(build, quad):
         return None, str(error)
 
 
-def test_surface_checks_match_the_stacked_plane_route():
+def test_surface_checks_match_the_plane_route():
     # random symplectic images of the canonical quadrilateral, the pair
     # (u+, v-) rescaled to (u+ / p, v- p), one column perturbed
     rng = make_rng(25)
@@ -546,7 +546,7 @@ def test_surface_checks_match_the_stacked_plane_route():
         except GeometryError:
             counts["quad"] += 1
             continue
-        want, want_message = outcome(stacked_plane_route, quad)
+        want, want_message = outcome(plane_route, quad)
         surface, message = outcome(C.CrookedSurface, quad)
         assert message == want_message
         if message is not None:
@@ -577,7 +577,7 @@ _x = _e1 + 1e-9 * _e4
 def test_surface_raise_paths(columns, message):
     quad = C.LightlikeQuadrilateral(SP, *columns)
     with pytest.raises(GeometryError, match=message):
-        stacked_plane_route(quad)
+        plane_route(quad)
     with pytest.raises(GeometryError, match=message):
         C.CrookedSurface(quad)
 
@@ -592,7 +592,6 @@ def test_predicate_path_builds_no_planes(monkeypatch):
     rng = make_rng(26)
     quads = [random_quadrilateral(SP, rng) for _ in range(20)]
     ads_pairs = [random_ads_config(rng) for _ in range(20)]
-    monkeypatch.setattr(S.Plane2, "stack", fail)
     with monkeypatch.context() as no_subspace:
         no_subspace.setattr(linalg, "_orthonormal_columns", fail)
         surfaces = [C.CrookedSurface(q) for q in quads]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ein3 import ads
 from ein3 import crooked as C
 from ein3 import einstein as E
 from ein3 import oracle as O
@@ -8,6 +9,11 @@ from ein3 import symplectic as S
 from ein3.linalg import GeometryError
 
 SP = S.standard_space()
+# a nonsingular antisymmetric form with no zero entry off the diagonal
+GENERAL_OMEGA = np.array([[0.0, 0.7, 1.3, -0.4],
+                          [-0.7, 0.0, 0.2, 0.9],
+                          [-1.3, -0.2, 0.0, 0.5],
+                          [0.4, -0.9, -0.5, 0.0]])
 
 
 def test_generators_deterministic():
@@ -128,6 +134,41 @@ def test_stem_crossing_pair():
         c1, c2, shared = O.stem_crossing_pair(SP, O.make_rng(seed))
         assert C.stem_contains(c1, shared)
         assert C.stem_contains(c2, shared)
+
+
+@pytest.mark.parametrize("space", [ads.ads_space(), S.SympSpace(GENERAL_OMEGA)],
+                         ids=["ads", "general"])
+def test_random_quadrilateral_under_a_nonstandard_omega(space):
+    # each draw is the Darboux quadrilateral (d1, d2, d4, d3) carried by one
+    # random symplectic matrix, replayed here from the same seed
+    rng, replay = O.make_rng(8), O.make_rng(8)
+    d = S.symplectic_basis(space)
+    canonical = C.LightlikeQuadrilateral(space, d[:, 0], d[:, 1], d[:, 3], d[:, 2])
+    for _ in range(50):
+        quad = O.random_quadrilateral(space, rng)
+        assert all(abs(v) < 1e-9 for v in quad.product_residuals().values())
+        C.CrookedSurface(quad)
+        want = canonical.transformed(O.random_symplectic(space, replay))
+        assert np.array_equal(quad.columns, want.columns)
+
+
+def test_each_draw_validates_one_quadrilateral_per_surface(monkeypatch):
+    built = []
+    init = C.LightlikeQuadrilateral.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(C.LightlikeQuadrilateral, "__init__", counted)
+    rng = O.make_rng(9)
+    for draw, per_draw in ((O.random_quadrilateral, 1),
+                           (O.intersecting_surface_pair, 2),
+                           (O.stem_crossing_pair, 2)):
+        for _ in range(5):
+            built.clear()
+            draw(SP, rng)
+            assert len(built) == per_draw, draw.__name__
 
 
 def test_probe_kinds_and_draws_are_pinned():

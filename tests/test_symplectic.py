@@ -70,8 +70,7 @@ def test_plucker_rank_checks_raw_arrays_and_trusts_built_planes():
     with pytest.raises(GeometryError, match="rank 1 < 2"):
         S.Plane2(SP, nearly)
     planes = ([S.Plane2(SP, rng.normal(size=(4, 2))) for _ in range(3)]
-              + [S.Plane2.span(SP, rng.normal(size=4), rng.normal(size=4))]
-              + S.Plane2.stack(SP, rng.normal(size=(3, 4, 2))))
+              + [S.Plane2.span(SP, rng.normal(size=4), rng.normal(size=4))])
     for p in planes:
         assert np.array_equal(SP.plucker(p), SP.plucker(p.basis))
 
