@@ -12,11 +12,12 @@ four, which in turn translate through the boundary lift a -> -a a^T J into
 comparisons of the trace form on sl(2): the horocycle-distance criterion.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ein3.linalg import EPS_ALG, GeometryError, as_vector
+from ein3.linalg import EPS_ALG, GeometryError, as_rows, as_vector
 from ein3.symplectic import Plane2, SympSpace
 from ein3.crooked import LightlikeQuadrilateral
 
@@ -28,6 +29,11 @@ OMEGA_ADS = np.block([
 ])
 
 _INVOLUTION = np.diag([1.0, 1.0, -1.0, -1.0])
+
+# signs of the rows (a; fa), (b; fb), (a; fa), (b; fb) that give the rows
+# u+, u-, v+, v- of `ads_quadrilateral`, before those of b are scaled
+_QUAD_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, -1.0, -1.0, -1.0],
+                        [1.0, 1.0, -1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
 
 _SPACE = SympSpace(OMEGA_ADS)
 
@@ -47,15 +53,16 @@ def as_sl2(m, eps=EPS_ALG):
     m = np.asarray(m, dtype=float)
     if m.shape != (2, 2):
         raise GeometryError("an AdS point is a 2x2 matrix")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise GeometryError("an AdS point needs finite entries")
-    scale = float(np.abs(m).max())
+    (a, b), (c, d) = m.tolist()
+    scale = max(abs(a), abs(b), abs(c), abs(d))
     tol = eps * max(1.0, scale * scale)
-    if not np.isfinite(tol):
+    if not math.isfinite(tol):
         raise GeometryError(f"entries up to {scale!r} are too large to test det = 1")
-    d = np.linalg.det(m)
-    if abs(d - 1.0) > tol:
-        raise GeometryError(f"matrix must have determinant 1, got {d!r}")
+    det = a * d - b * c
+    if abs(det - 1.0) > tol:
+        raise GeometryError(f"matrix must have determinant 1, got {np.float64(det)!r}")
     return m
 
 
@@ -104,10 +111,11 @@ class AdsCrookedPlane:
 
     def __post_init__(self):
         self.base = as_sl2(self.base)
-        self.a = as_vector(self.a, 2)
-        self.b = as_vector(self.b, 2)
-        if abs(np.linalg.det(np.column_stack([self.a, self.b]))) <= \
-                EPS_ALG * np.linalg.norm(self.a) * np.linalg.norm(self.b):
+        directions = as_rows((self.a, self.b), 2)
+        self.a, self.b = directions
+        (a0, a1), (b0, b1) = directions.tolist()
+        if abs(a0 * b1 - a1 * b0) <= EPS_ALG * math.sqrt(a0 * a0 + a1 * a1) \
+                * math.sqrt(b0 * b0 + b1 * b1):
             raise GeometryError("direction vectors must be independent")
 
     def to_dict(self):
@@ -131,11 +139,10 @@ def ads_quadrilateral(plane, eps=EPS_ALG):
     f, a, b = plane.base, plane.a, plane.b
     alpha = a @ J @ b  # omega0(a, b) of the plane's validated vectors
     fa, fb = f @ a, f @ b
-    u_plus = np.concatenate([a, fa])
-    v_plus = np.concatenate([a, -fa])
-    u_minus = -np.concatenate([b, fb]) / (2.0 * alpha)
-    v_minus = np.concatenate([b, -fb]) / (2.0 * alpha)
-    return LightlikeQuadrilateral(_SPACE, u_plus, u_minus, v_plus, v_minus, eps)
+    q = np.concatenate([a, fa, b, fb, a, fa, b, fb]).reshape(4, 4)
+    q *= _QUAD_SIGNS
+    q[1::2] /= 2.0 * alpha  # the rows u-, v- of b
+    return LightlikeQuadrilateral(_SPACE, *q, eps)
 
 
 # margin names, row by row: x' of the second plane against y of the first

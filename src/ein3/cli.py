@@ -100,7 +100,7 @@ class Config:
                 return ads.AdsCrookedPlane(
                     np.asarray(spec["base"], dtype=float), spec["a"], spec["b"])
             raise ConfigError(f"unknown object type {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"object {name!r}: {exc}") from exc
 
     def _build_torus(self, name, spec):

@@ -16,27 +16,31 @@ failure mode for fundamental-domain use.
 
 Objects validate once, at construction; the predicates work on the stored
 arrays: eight margins per omega-product of 4x4 matrices, and membership of
-a stack of Lagrangians per solve against the quadrilateral.  A surface
-checks its six planes from their singular values; the plane objects, which
-no predicate reads, are built one by one when first read.
+a stack of Lagrangians per solve against the quadrilateral.  A
+quadrilateral checks its products and its rank from its Gram matrix
+G = Q^T Omega Q, and a surface checks its six planes from the
+closed-form singular values of their bases and omega read off G; the
+plane objects, which no predicate reads, are built one by one when first
+read.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from ein3.linalg import EPS_ALG, EPS_RANK, GeometryError, _zero_tol, as_vector
-from ein3.symplectic import Plane2, SympSpace, _omega_of_columns, plucker_rows
+from ein3.linalg import EPS_ALG, EPS_RANK, GeometryError, as_rows, as_vector
+from ein3.symplectic import Plane2, SympSpace, pfaffian4, plucker_rows
 
 _QUAD_KEYS = ("u_plus", "u_minus", "v_plus", "v_minus")
 
 # the columns of Q spanning P0, P_infinity, P+, P-, S1 and S2, and their
 # entries in the flattened Q: one take gives the (6, 4, 2) stack of bases
-_PLANE_COLUMNS = np.array([[2, 3], [0, 1], [0, 2], [1, 3], [0, 3], [1, 2]])
-_PLANE_ENTRIES = 4 * np.arange(4)[:, None] + _PLANE_COLUMNS[:, None, :]
+_PLANES = ((2, 3), (0, 1), (0, 2), (1, 3), (0, 3), (1, 2))
+_PLANE_ENTRIES = 4 * np.arange(4)[:, None] + np.array(_PLANES)[:, None, :]
 
 
 class SurfaceRegion(Enum):
@@ -55,7 +59,9 @@ class LightlikeQuadrilateral:
         Must satisfy omega(u+, v-) = omega(u-, v+) = 1 and have all four
         remaining mutual products zero, within eps; the vectors must span V.
 
-    Violated products are reported with their magnitudes.  Note the actual
+    Violated products are reported with their magnitudes.  The products
+    and det Q = Pf(G) / Pf(Omega) are read off the Gram matrix
+    G = Q^T Omega Q, kept as `gram`.  Note the actual
     vectors matter beyond their projective classes: rescaling u+ by p and
     v- by 1/p preserves the configuration, but flipping the sign of one
     pair swaps a wing family for its complement and describes a different
@@ -64,25 +70,23 @@ class LightlikeQuadrilateral:
 
     def __init__(self, space, u_plus, u_minus, v_plus, v_minus, eps=EPS_ALG):
         self.space = space
-        self.u_plus = as_vector(u_plus, 4)
-        self.u_minus = as_vector(u_minus, 4)
-        self.v_plus = as_vector(v_plus, 4)
-        self.v_minus = as_vector(v_minus, 4)
-        self.columns = np.column_stack(  # Q = (u+, u-, v+, v-)
-            [self.u_plus, self.u_minus, self.v_plus, self.v_minus])
-        residuals = self.product_residuals()
-        bad = {k: v for k, v in residuals.items() if abs(v) > eps}
+        rows = as_rows((u_plus, u_minus, v_plus, v_minus), 4)
+        self.u_plus, self.u_minus, self.v_plus, self.v_minus = rows
+        self.columns = rows.T.copy()  # Q = (u+, u-, v+, v-), C-ordered
+        self.gram = self.columns.T @ space.matrix @ self.columns  # G = Q^T Omega Q
+        bad = {k: v for k, v in self.product_residuals().items() if abs(v) > eps}
         if bad:
             raise GeometryError(
                 "quadrilateral products violated: "
                 + ", ".join(f"{k} off by {v:.3e}" for k, v in bad.items()))
-        if abs(np.linalg.det(self.columns)) <= EPS_RANK:
+        # det Q = Pf(G) / Pf(Omega), and 1 / Pf(Omega) = -vol_coeff
+        if abs(pfaffian4(self.gram.tolist()) * space.vol_coeff) <= EPS_RANK:
             raise GeometryError("quadrilateral vectors do not form a basis")
 
     def product_residuals(self):
         """Deviation of each omega product from its required value, read
-        off the Gram matrix Q^T Omega Q."""
-        g = (self.columns.T @ self.space.matrix @ self.columns).tolist()
+        off the Gram matrix G."""
+        g = self.gram.tolist()
         return {
             "omega(u+, v-) - 1": g[0][3] - 1.0,
             "omega(u-, v+) - 1": g[1][2] - 1.0,
@@ -119,6 +123,30 @@ def canonical_quadrilateral(space=None):
     return LightlikeQuadrilateral(space, e[:, 0], e[:, 1], e[:, 3], e[:, 2])
 
 
+def _plane_singular_values(rows):
+    """Singular values (s0, s1), s0 >= s1, of the basis of each of the six
+    planes, from the rows (u+, u-, v+, v-) of Q^T as lists, in closed form:
+    for a basis (x, y), s0 s1 = |x ^ y| (the Pluecker norm) and
+    s0^2 + s1^2 = |x|^2 + |y|^2.  The vectors are divided by their largest
+    |entry|, and each pair by the larger of its two, before anything is
+    squared."""
+    peaks = [max(max(v), -min(v)) for v in rows]
+    units = [[x / peak for x in v] for v, peak in zip(rows, peaks)]
+    norms = [x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 for x0, x1, x2, x3 in units]
+    values = []
+    for i, j in _PLANES:
+        (x0, x1, x2, x3), (y0, y1, y2, y3) = units[i], units[j]
+        scale = max(peaks[i], peaks[j])
+        ri, rj = peaks[i] / scale, peaks[j] / scale
+        area = ri * rj * math.hypot(x0 * y1 - x1 * y0, x0 * y2 - x2 * y0, x0 * y3 - x3 * y0,
+                                    x1 * y2 - x2 * y1, x1 * y3 - x3 * y1, x2 * y3 - x3 * y2)
+        frob = ri * ri * norms[i] + rj * rj * norms[j]
+        # s0 + s1 and s0 - s1 are the roots of frob + 2 area and frob - 2 area
+        s0 = 0.5 * (math.sqrt(frob + 2.0 * area) + math.sqrt(max(frob - 2.0 * area, 0.0)))
+        values.append((scale * s0, scale * (area / s0)))
+    return values
+
+
 def _built_plane(index, doc):
     """Property reading one plane of the surface's cached `_planes`."""
     return property(lambda self: self._planes[index], doc=doc)
@@ -129,27 +157,26 @@ class CrookedSurface:
 
     Derived data: the four Lagrangian vertices P0, P_infinity, P+, P- and
     the nondegenerate, mutually omega-orthogonal stem planes S1, S2.  The
-    constructor checks all six from the singular values of their stacked
-    bases alone; the six `Plane2` objects are built, one by one, on the
-    first read of any of them, and no predicate reads them.
+    constructor checks all six by the rules of `Plane2`, from the
+    closed-form singular values of their bases and from omega read off the
+    quadrilateral's G; the six `Plane2` objects are built, one by one, on
+    the first read of any of them, and no predicate reads them.
     """
 
     def __init__(self, quad):
         self.quad = quad
         self.space = quad.space
-        self._bases = quad.columns.take(_PLANE_ENTRIES)
-        if not np.isfinite(self._bases).all():
-            raise GeometryError("basis has non-finite entries")
+        values = _plane_singular_values(quad.columns.T.tolist())
         # the rank rule of `Plane2`, reporting the least rank of the six bases
-        s = np.linalg.svd(self._bases, compute_uv=False)
-        nonzero = s > _zero_tol(s, EPS_RANK)
-        if not nonzero.all():
-            rank = int(nonzero.sum(axis=-1).min())
+        tols = [EPS_RANK * max(1.0, s0) for s0, _ in values]
+        if not all(s1 > tol for (_, s1), tol in zip(values, tols)):
+            rank = min((s0 > tol) + (s1 > tol) for (s0, s1), tol in zip(values, tols))
             raise GeometryError(f"basis matrix has rank {rank} < 2 column(s)")
         # its Lagrangian tag: |omega| of the orthonormalized basis, which is
-        # |omega(b0, b1)| / (s0 s1)
-        omega = _omega_of_columns(self.space, self._bases)
-        lagrangian = (np.abs(omega) / (s[:, 0] * s[:, 1]) <= EPS_ALG).tolist()
+        # |omega(b0, b1)| / (s0 s1), with omega(b0, b1) read off G
+        g = quad.gram.tolist()
+        lagrangian = [abs(g[i][j]) / (s0 * s1) <= EPS_ALG
+                      for (i, j), (s0, s1) in zip(_PLANES, values)]
         for name, tag in zip(("P0", "Pinf", "P+", "P-"), lagrangian):
             if not tag:
                 raise GeometryError(f"vertex {name} is not Lagrangian")
@@ -158,7 +185,7 @@ class CrookedSurface:
 
     @functools.cached_property
     def _planes(self):
-        return [Plane2(self.space, b) for b in self._bases]
+        return [Plane2(self.space, b) for b in self.quad.columns.take(_PLANE_ENTRIES)]
 
     p_zero = _built_plane(0, "The vertex P0 = span{v+, v-}.")
     p_inf = _built_plane(1, "The vertex P_infinity = span{u+, u-}.")

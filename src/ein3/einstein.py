@@ -119,13 +119,14 @@ class EinsteinTorus:
     """An Einstein torus: the hyperplane orthogonal to a spacelike normal.
 
     The normal is stored unit (Q(s) = 1) and sign-canonicalized, so equal
-    tori have equal normals.
+    tori have equal normals.  It is spacelike when Q(s) > eps |s|^2, a test
+    that does not depend on the scale of s.
     """
 
     def __init__(self, normal, eps=EPS_ALG):
         s = as_vector(normal, 5)
-        q = inner(s, s)
-        if q <= eps:
+        q = float(s @ GRAM @ s)
+        if q <= eps * float(s @ s):
             raise GeometryError(f"normal must be spacelike, got Q(s) = {q:.3e}")
         self.normal = _canonical_sign(s / np.sqrt(q))
 
@@ -229,7 +230,7 @@ def eta(t1, t2):
 
     Symmetric, and independent of the sign choices of the normals.
     """
-    return abs(inner(t1.normal, t2.normal))
+    return abs(float(t1.normal @ GRAM @ t2.normal))
 
 
 def classify_torus_pair(t1, t2, eps=EPS_ALG):

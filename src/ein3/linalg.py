@@ -7,6 +7,8 @@ eigendecomposition of the restricted Gram matrix, which is robust at the
 dimensions (<= 6) used in this package.
 """
 
+import math
+
 import numpy as np
 
 # Global numerical policy: one tolerance for algebraic identities (inner
@@ -33,6 +35,20 @@ def as_vector(v, dim=None):
     return v
 
 
+def as_rows(vectors, dim):
+    """The vectors, each coerced as `as_vector(v, dim)` coerces it, as the
+    rows of one float array; when one fails, `as_vector` raises its error
+    for the first that fails."""
+    try:
+        rows = np.array(vectors, dtype=float)
+    except (TypeError, ValueError):
+        rows = None
+    if (rows is None or rows.shape != (len(vectors), dim)
+            or not all(map(math.isfinite, rows.ravel().tolist()))):
+        rows = np.array([as_vector(v, dim) for v in vectors])
+    return rows
+
+
 def projective_normalize(v):
     """Canonical representative of the projective class of a nonzero vector.
 
@@ -49,11 +65,7 @@ def projective_normalize(v):
 
 def _zero_tol(values, eps):
     """The one zero threshold, eps * max(1, largest |value|), of rank,
-    nullspace and inertia; values come sorted, so the largest is at an end.
-    A stack of sorted rows gets one threshold per row, as a column."""
-    if values.ndim > 1:
-        ends = np.maximum(np.abs(values[..., :1]), np.abs(values[..., -1:]))
-        return eps * np.maximum(1.0, ends)
+    nullspace and inertia; values come sorted, so the largest is at an end."""
     return eps * max(1.0, abs(values[0]), abs(values[-1])) if len(values) else eps
 
 

@@ -73,16 +73,10 @@ def plucker_rows(u, v):
 
 
 def pfaffian4(omega):
-    """Pfaffian of a 4x4 antisymmetric matrix."""
-    return (omega[0, 1] * omega[2, 3]
-            - omega[0, 2] * omega[1, 3]
-            + omega[0, 3] * omega[1, 2])
-
-
-def _omega_of_columns(space, onbs):
-    """omega(first column, second column) of a 4x2 basis, or of each basis
-    of a stack of them."""
-    return (onbs[..., None, :, 0] @ space.matrix @ onbs[..., :, 1, None])[..., 0, 0]
+    """Pfaffian of a 4x4 antisymmetric matrix, an array or nested lists."""
+    return (omega[0][1] * omega[2][3]
+            - omega[0][2] * omega[1][3]
+            + omega[0][3] * omega[1][2])
 
 
 class PlaneKind(Enum):
@@ -105,7 +99,8 @@ class Plane2:
         self.space = space
         self.sub = Subspace(basis)
         self.basis = basis
-        w = _omega_of_columns(space, self.sub.onb)
+        onb = self.sub.onb
+        w = (onb[None, :, 0] @ space.matrix @ onb[:, 1, None])[0, 0]
         self.tag = PlaneKind.LAGRANGIAN if abs(w) <= eps else PlaneKind.NONDEGENERATE
 
     @classmethod

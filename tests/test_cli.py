@@ -188,6 +188,43 @@ def test_malformed_documents_exit_2(command, data, tmp_path_factory):
     assert cli.main([command, str(path)]) == 2
 
 
+@pytest.mark.parametrize("command, name, field, value, message", [
+    ("check-crooked", "Q1", "u_plus", [1, 0, 0], "expected a vector of length 4, got 3"),
+    ("check-crooked", "Q1", "v_minus", [[0, 0, 1, 0]],
+     "expected a vector, got array of shape (1, 4)"),
+    ("check-crooked", "Q2", "u_minus", [0, 1, math.nan, 0], "vector has non-finite entries"),
+    ("check-photon", "Q", "v_plus", [0, 0, "x", 1], "could not convert string to float"),
+    ("check-ads", "A1", "base", [[1, 0], [0, 1], [0, 0]], "an AdS point is a 2x2 matrix"),
+    ("check-ads", "A2", "a", [1, -0.5, 0], "expected a vector of length 2, got 3"),
+    ("classify-tori", "T1", "normal", [1, 0, 0, 0], "expected a vector of length 5, got 4"),
+], ids=["short", "nested", "nan", "string", "base-3x2", "a-of-length-3", "normal-of-length-4"])
+def test_malformed_vector_fields_exit_2(command, name, field, value, message, tmp_path,
+                                       capsys):
+    doc = copy.deepcopy(WELL_FORMED[command])
+    doc["objects"][name] = dict(doc["objects"][name], **{field: value})
+    code, out, err = run([command, write_config(tmp_path, doc)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: object {name!r}: ") and message in err
+
+
+def test_an_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
+    doc = copy.deepcopy(WELL_FORMED["check-crooked"])
+    doc["objects"]["Q1"] = dict(QUAD, u_plus=[10 ** 400, 0, 0, 0])
+    code, out, err = run(["check-crooked", write_config(tmp_path, doc)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "too large" in err
+
+
+def test_classify_tori_takes_a_small_spacelike_normal(tmp_path, capsys):
+    doc = {"objects": {"T1": {"type": "torus", "normal": [1e-5, 0, 0, 0, 0]},
+                       "T2": {"type": "torus", "normal": [0, 1, 0, 0, 0]}}}
+    code, out, _ = run(["classify-tori", write_config(tmp_path, doc)], capsys)
+    assert code == 0
+    assert out.startswith("eta=0 kind=timelike")
+
+
 def test_pair_of_the_wrong_type_exits_2(tmp_path, capsys):
     doc = dict(WELL_FORMED["check-photon"], pair=["P", "Q"])
     code, _, err = run(["check-crooked", write_config(tmp_path, doc)], capsys)

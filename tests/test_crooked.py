@@ -5,7 +5,7 @@ import pytest
 
 from ein3 import crooked as C
 from ein3 import symplectic as S
-from ein3.linalg import GeometryError, intersect
+from ein3.linalg import EPS_ALG, EPS_RANK, GeometryError, intersect
 from ein3.oracle import (
     _second_generators,
     _wing_generators,
@@ -614,3 +614,98 @@ def test_predicate_path_builds_no_planes(monkeypatch):
             assert C.surface_contains(surface, witness) is not None
         assert "_planes" not in vars(surface)
     assert witnesses > 5
+
+
+def svd_route(quad):
+    """The quadrilateral's basis check by LAPACK det, and the surface
+    checks by one stacked SVD of the six bases, under the rank rule and
+    tag of `Plane2`: None, or the GeometryError message."""
+    if abs(np.linalg.det(quad.columns)) <= EPS_RANK:
+        return "quadrilateral vectors do not form a basis"
+    bases = quad.columns.take(C._PLANE_ENTRIES)
+    s = np.linalg.svd(bases, compute_uv=False)
+    nonzero = s > EPS_RANK * np.maximum(1.0, s[:, :1])
+    if not nonzero.all():
+        return f"basis matrix has rank {nonzero.sum(axis=1).min()} < 2 column(s)"
+    omega = np.einsum("ki,ij,kj->k", bases[:, :, 0], SP.matrix, bases[:, :, 1])
+    lagrangian = np.abs(omega) / (s[:, 0] * s[:, 1]) <= EPS_ALG
+    for name, tag in zip(("P0", "Pinf", "P+", "P-"), lagrangian):
+        if not tag:
+            return f"vertex {name} is not Lagrangian"
+    if lagrangian[4] or lagrangian[5]:
+        return "stem planes must be nondegenerate"
+    return None
+
+
+def test_closed_form_checks_match_the_svd_route():
+    # the family of test_surface_checks_match_the_plane_route, ten times
+    # as long
+    rng = make_rng(25)
+    canonical = C.canonical_quadrilateral(SP).columns
+    counts = {"quad": 0, "accepted": 0, "rank": 0, "vertex": 0}
+    for _ in range(20000):
+        cols = random_symplectic(SP, rng) @ canonical
+        p = 10.0 ** rng.uniform(-6, 6)
+        cols *= [1 / p, 1, 1, p]
+        j = rng.integers(4)
+        cols[:, j] += 10.0 ** rng.uniform(-12, -6) * rng.normal(size=4) * np.linalg.norm(cols[:, j])
+        try:
+            quad = C.LightlikeQuadrilateral(SP, *cols.T)
+        except GeometryError:
+            counts["quad"] += 1
+            continue
+        message = outcome(C.CrookedSurface, quad)[1]
+        assert message == svd_route(quad)
+        counts["accepted" if message is None
+               else "rank" if message.startswith("basis") else "vertex"] += 1
+    assert min(counts.values()) > 50, counts
+
+
+@pytest.mark.parametrize("p", [1e100, 1e160, 1e200, 1e-200])
+def test_closed_form_checks_at_extreme_scales(p):
+    # u+ p and v- / p keep every product exact; the SVD route finds rank 1
+    # (the vertex P0 or P_infinity); no overflow, warning or other error
+    quad = C.LightlikeQuadrilateral(SP, *(C.canonical_quadrilateral(SP).columns
+                                          * [p, 1, 1, 1 / p]).T)
+    assert svd_route(quad) == "basis matrix has rank 1 < 2 column(s)"
+    with pytest.raises(GeometryError, match=r"^basis matrix has rank 1 < 2 column\(s\)$"):
+        C.CrookedSurface(quad)
+
+
+def test_basis_check_at_a_large_omega():
+    # the products hold at omega = 1e10 STANDARD_OMEGA, and det Q = 1e-20
+    big = S.SympSpace(1e10 * S.STANDARD_OMEGA)
+    columns = 1e-5 * E4[:, [0, 1, 3, 2]]
+    assert abs(np.linalg.det(columns)) <= EPS_RANK
+    with pytest.raises(GeometryError, match="^quadrilateral vectors do not form a basis$"):
+        C.LightlikeQuadrilateral(big, *columns.T)
+    quad = C.LightlikeQuadrilateral(S.SympSpace(1e4 * S.STANDARD_OMEGA),
+                                    *(1e-2 * E4[:, [0, 1, 3, 2]]).T)
+    assert abs(np.linalg.det(quad.columns)) > EPS_RANK
+
+
+def test_construction_path_runs_no_svd_or_det(monkeypatch):
+    from ein3 import ads, einstein
+    from ein3.oracle import random_ads_config
+
+    def fail(*args, **kwargs):
+        raise AssertionError("called np.linalg.svd or np.linalg.det")
+
+    rng = make_rng(27)
+    columns = [random_quadrilateral(SP, rng).columns for _ in range(20)]
+    ads_args = [(p.base, p.a, p.b) for _ in range(10) for p in random_ads_config(rng)]
+    normals = [s for s in rng.normal(size=(40, 5)) if s @ einstein.GRAM @ s > 0.1]
+    with monkeypatch.context() as stubbed:
+        stubbed.setattr(np.linalg, "svd", fail)
+        stubbed.setattr(np.linalg, "det", fail)
+        surfaces = [C.CrookedSurface(C.LightlikeQuadrilateral(SP, *cols.T)) for cols in columns]
+        for c1, c2 in zip(surfaces, surfaces[1:]):
+            C.surfaces_disjoint(c1, c2)
+        ads_surfaces = [C.CrookedSurface(ads.ads_quadrilateral(ads.AdsCrookedPlane(*args)))
+                        for args in ads_args]
+        for c1, c2 in zip(ads_surfaces[::2], ads_surfaces[1::2]):
+            C.surfaces_disjoint(c1, c2)
+        tori = [einstein.EinsteinTorus(s) for s in normals]
+        for t1, t2 in zip(tori, tori[1:]):
+            einstein.classify_torus_pair(t1, t2)
+    assert len(tori) > 5

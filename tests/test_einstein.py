@@ -283,3 +283,26 @@ def test_torus_and_point_equality_match_allclose():
         assert (p == q) == np.allclose(p.rep, q.rep, atol=tol)
         decided[p == q] += 1
     assert min(decided.values()) > 500
+
+
+def test_torus_normal_test_does_not_depend_on_scale():
+    # spacelike means Q(s) > eps |s|^2: a rescaled unit normal is the same
+    # torus at every scale, and a normal with Q(s) / |s|^2 <= 1e-9 raises
+    # at every scale
+    rng = np.random.default_rng(31)
+    units = [E.EinsteinTorus(s).normal for s in rng.normal(size=(20, 5))
+             if s @ E.GRAM @ s > 0.1] + [np.eye(5)[0]]
+    assert len(units) > 5
+    for unit in units:
+        torus = E.EinsteinTorus(unit)
+        for scale in 10.0 ** np.arange(-8, 9):
+            assert E.EinsteinTorus(scale * unit) == torus
+            assert E.EinsteinTorus(-scale * unit) == torus
+    assert E.EinsteinTorus([1e-5, 0, 0, 0, 0]) == E.EinsteinTorus([1, 0, 0, 0, 0])
+    for ratio in (0.9e-9, 1e-12, 0.0, -1e-9, -0.5):
+        # x^2 - z^2 = ratio (x^2 + z^2)
+        s = np.array([1.0, 0.0, np.sqrt((1 - ratio) / (1 + ratio)), 0.0, 0.0])
+        assert (s @ E.GRAM @ s) / (s @ s) <= 1e-9
+        for scale in 10.0 ** np.arange(-8, 9, 4):
+            with pytest.raises(GeometryError, match="normal must be spacelike"):
+                E.EinsteinTorus(scale * s)
