@@ -199,9 +199,16 @@ class CrookedSurface:
 
 
 def _regions(surface, bases, eps):
-    """(wing+, wing-, stem) masks of a (n, 4, 2) stack of Lagrangian bases B,
-    from the unit Pluecker row p of K = Q^-1 B (pairs 01, 02, 03, 12, 13, 23
-    over Q = (u+, u-, v+, v-)); eps bounds the unit minors.
+    """`_quad_regions` against the quadrilateral of one surface."""
+    return _quad_regions(surface.quad.columns, bases, eps)
+
+
+def _quad_regions(columns, bases, eps):
+    """(wing+, wing-, stem) masks of a (n, 4, 2) stack of Lagrangian bases B
+    against the quadrilateral Q = (u+, u-, v+, v-) of 4x4 columns, or row
+    by row against a (n, 4, 4) stack of them: from the unit Pluecker row p
+    of K = Q^-1 B (pairs 01, 02, 03, 12, 13, 23 over Q); eps bounds the
+    unit minors.
 
     L meets P+, P-, S1, S2, P0, P_infinity (coordinate planes 02, 13, 03,
     12, 23, 01) exactly when the complementary minor p13, p02, p12, p03,
@@ -210,7 +217,7 @@ def _regions(surface, bases, eps):
     their sum has the sign of t s, and is 0 on the vertex.  The stem is
     transverse to P0 and P_infinity with Maslov index +/-2: p01 p23 < 0.
     """
-    k = np.linalg.solve(surface.quad.columns, bases)
+    k = np.linalg.solve(columns, bases)
     p = plucker_rows(k[..., 0], k[..., 1])
     p01, p02, p03, p12, p13, p23 = (p / np.linalg.norm(p, axis=-1, keepdims=True)).T
     return ((np.abs(p13) <= eps) & (p03 * p23 - p01 * p12 >= -eps),

@@ -11,6 +11,7 @@ point (0, 0, 0, 1, 0).
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -120,14 +121,20 @@ class EinsteinTorus:
 
     The normal is stored unit (Q(s) = 1) and sign-canonicalized, so equal
     tori have equal normals.  It is spacelike when Q(s) > eps |s|^2, a test
-    that does not depend on the scale of s.
+    that does not depend on the scale of s.  Q(s), |s|^2 and the unit
+    normal are taken of s / 2^e, max |s| = m 2^e with 1/2 <= m < 1: the
+    power of two is exact, so no Q(s) overflows or underflows and the
+    stored normal is that of s.
     """
 
     def __init__(self, normal, eps=EPS_ALG):
         s = as_vector(normal, 5)
+        s = np.ldexp(s, -math.frexp(max(map(abs, s.tolist())))[1])
         q = float(s @ GRAM @ s)
-        if q <= eps * float(s @ s):
-            raise GeometryError(f"normal must be spacelike, got Q(s) = {q:.3e}")
+        n = float(s @ s)
+        if q <= eps * n:
+            raise GeometryError(
+                f"normal must be spacelike, got Q(s)/|s|^2 = {q / n if n else 0.0:.3e}")
         self.normal = _canonical_sign(s / np.sqrt(q))
 
     def __eq__(self, other):

@@ -15,12 +15,11 @@ since sampling error dominates the algebraic tolerances.
 
 import json
 import math
-from functools import partial
 
 import numpy as np
 
 from ein3 import ads, crooked, einstein, symplectic
-from ein3.linalg import EPS_ALG, GeometryError, nullspace
+from ein3.linalg import EPS_ALG, GeometryError
 from ein3.einstein import EinsteinTorus, IntersectionKind
 from ein3.symplectic import Plane2, Splitting
 
@@ -89,9 +88,13 @@ def random_symplectic(space, rng, scale=1.0):
 
 def random_sl2(rng):
     """Random element of SL(2): the exponential of a traceless matrix
-    (entries of x standard normal, drawn here)."""
+    (`_sl2_exp` of x with standard normal entries, drawn here)."""
+    return _sl2_exp(rng.normal(size=(2, 2)))
+
+
+def _sl2_exp(x):
+    """expm of the traceless part x - tr(x) I / 2 of a 2x2 matrix."""
     from scipy.linalg import expm
-    x = rng.normal(size=(2, 2))
     return expm(x - 0.5 * np.trace(x) * np.eye(2))
 
 
@@ -330,8 +333,11 @@ def min_gap(cloud_a, cloud_b):
     """
     if len(cloud_a) == 0 or len(cloud_b) == 0:
         raise GeometryError("min_gap needs nonempty clouds")
-    cos = np.clip(np.abs(cloud_a.unit_points() @ cloud_b.unit_points().T), 0.0, 1.0)
-    return float(np.sqrt(max(0.0, 1.0 - float(cos.max()) ** 2)))
+    c = cloud_a.unit_points() @ cloud_b.unit_points().T
+    # min(1, max |c|) is max clip(|c|, 0, 1), and max |c| is max(max c,
+    # -min c): no second array of the size of c is allocated
+    cos = min(1.0, float(max(c.max(), -c.min())))
+    return float(np.sqrt(max(0.0, 1.0 - cos ** 2)))
 
 
 def projective_distance(a, b):
@@ -434,54 +440,110 @@ def probe_intersection_type(t1, t2, n, rng):
 # constructions used by the suites
 # ---------------------------------------------------------------------------
 
-def _ads_directions(rng):
-    """Unit directions (a, b) of a random AdS crooked plane, with
-    |omega0(a, b)| > 1e-2."""
-    def unit(v):
-        return v / np.linalg.norm(v)
+# guard band of the float screens of the AdS draws: a screened value more
+# than this (relative to its scale) below its bound is discarded on floats,
+# and every other draw is decided by the exact route
+_SCREEN_BAND = 1e-9
 
+
+def _ads_directions(rng):
+    """Raw directions (a, b) of a random AdS crooked plane whose units have
+    |omega0(a, b)| > 1e-2.
+
+    The test is screened on Python floats: a draw more than _SCREEN_BAND off
+    the bound is redrawn or kept, and only a draw within the band is decided
+    by `ads.omega0` on the numpy units, as the accepted plane reads them."""
     def make():
-        return unit(rng.normal(size=2)), unit(rng.normal(size=2))
+        return rng.normal(size=2), rng.normal(size=2)
 
     def accept(ab):
-        return abs(ads.omega0(*ab)) > 1e-2
+        a, b = ab
+        (a0, a1), (b0, b1) = a.tolist(), b.tolist()
+        w = abs(a0 * b1 - a1 * b0) / (math.hypot(a0, a1) * math.hypot(b0, b1))
+        return w > 1e-2 + _SCREEN_BAND or (w >= 1e-2 - _SCREEN_BAND and abs(
+            ads.omega0(a / np.linalg.norm(a), b / np.linalg.norm(b))) > 1e-2)
 
     return _retrying(make, accept)
 
 
 def _ads_draw(rng):
     """Raw arrays of a random AdS crooked plane pair: the directions of
-    both planes, then the base of the second (the first is based at the
-    identity)."""
-    return _ads_directions(rng), _ads_directions(rng), random_sl2(rng)
+    both planes, then the 2x2 draw x whose traceless part exponentiates to
+    the base of the second (the first is based at the identity)."""
+    return _ads_directions(rng), _ads_directions(rng), rng.normal(size=(2, 2))
 
 
-def _ads_planes(draw):
-    (a, b), (ap, bp), f = draw
+def _ads_arrays(draw):
+    """The exact route of a draw: the unit directions a, b, a', b' and the
+    second base f = expm(x - tr(x) I / 2), as the planes take them."""
+    (a, b), (ap, bp), x = draw
+    return (*(v / np.linalg.norm(v) for v in (a, b, ap, bp)), _sl2_exp(x))
+
+
+def _ads_planes(a, b, ap, bp, f):
     return ads.AdsCrookedPlane(np.eye(2), a, b), ads.AdsCrookedPlane(f, ap, bp)
 
 
 def random_ads_config(rng):
     """Random pair of AdS crooked planes, the first based at the identity."""
-    return _ads_planes(_ads_draw(rng))
+    return _ads_planes(*_ads_arrays(_ads_draw(rng)))
+
+
+def _screened_out(draw, min_margin):
+    """Whether the float screen puts the least AdS margin of a draw
+    (`ads._margin_array`) below min_margin by more than _SCREEN_BAND
+    max(1, B^2), B^2 the largest of the terms omega0(f x', y)^2.
+
+    f = exp X for the traceless part X of the draw x, in closed form: X^2 =
+    -det X I, so exp X = cosh d I + (sinh d / d) X with d^2 = -det X, or
+    cos d and sin d when det X > 0."""
+    (a, b), (ap, bp), x = draw
+    (x00, x01), (x10, x11) = x.tolist()
+    h = 0.5 * (x00 - x11)  # X = [[h, x01], [x10, -h]]
+    d2 = h * h + x01 * x10
+    d = math.sqrt(abs(d2))
+    if d == 0.0:
+        c, s = 1.0, 1.0
+    elif d2 > 0.0:
+        c, s = math.cosh(d), math.sinh(d) / d
+    else:
+        c, s = math.cos(d), math.sin(d) / d
+    f00, f01, f10, f11 = c + s * h, s * x01, s * x10, c - s * h
+
+    def units(*vectors):
+        return [[t / math.hypot(*v) for t in v] for v in (u.tolist() for u in vectors)]
+
+    ys, xs = units(b, a), units(ap, bp)  # the columns and rows of the margins
+    least, top = math.inf, 0.0
+    for x0, x1 in xs:
+        fx0, fx1 = f00 * x0 + f01 * x1, f10 * x0 + f11 * x1
+        for y0, y1 in ys:
+            big = (fx0 * y1 - fx1 * y0) ** 2
+            least, top = min(least, (x0 * y1 - x1 * y0) ** 2 - big), max(top, big)
+    return least < min_margin - _SCREEN_BAND * max(1.0, top)
 
 
 def disjoint_ads_pair(rng, min_margin=1e-2):
     """Random AdS crooked plane pair certified disjoint with healthy margins.
 
     Rejection-samples the draws of `random_ads_config` until all four
-    reduced inequalities hold with margin at least min_margin.  Candidates
-    are tested on their raw arrays; only the accepted one becomes planes,
-    whose validation cannot fail (|omega0(a, b)| > 1e-2 makes the
-    directions independent, and det expm(traceless) = 1).
+    reduced inequalities hold with margin at least min_margin.  A draw that
+    the float screen puts clearly below (`_screened_out`) is discarded;
+    every other one takes the exact route (`_ads_arrays`,
+    `ads._margin_array`), which alone accepts a draw.  Only the accepted
+    one becomes planes, whose validation cannot fail (|omega0(a, b)| > 1e-2
+    makes the directions independent, and det expm(traceless) = 1).
     """
-    def accept(draw):
-        (a, b), (ap, bp), f = draw
+    for _ in range(RETRY_LIMIT):
+        draw = _ads_draw(rng)
+        if _screened_out(draw, min_margin):
+            continue
+        a, b, ap, bp, f = arrays = _ads_arrays(draw)
         margins = ads._margin_array(np.eye(2), np.column_stack([a, b]),
                                     f, np.column_stack([ap, bp]))
-        return margins.min() > min_margin
-
-    return _ads_planes(_retrying(partial(_ads_draw, rng), accept))
+        if margins.min() > min_margin:
+            return _ads_planes(*arrays)
+    raise RetryExhausted(f"no valid sample in {RETRY_LIMIT} attempts")
 
 
 def _random_stem_basis(columns, rng):
@@ -600,14 +662,38 @@ def _stem_wing_contact(c_stem, c_wing):
 # ---------------------------------------------------------------------------
 
 def _second_generators(space, x):
-    """Lagrangian completions of a photon vector x: an orthonormal pair
-    (w1, w2) spanning x-perp (for omega) modulo x, so that
-    span{x, cos t w1 + sin t w2} runs over the circle of Lagrangians
-    through x."""
-    base = nullspace((space.matrix @ x)[None, :])  # 3-dim, contains x
-    proj = base - np.outer(x, x @ base) / float(x @ x)
-    u, _s, _ = np.linalg.svd(proj, full_matrices=False)
-    return u[:, 0], u[:, 1]
+    """Lagrangian completions of a photon vector x, or of each row of a
+    stack of them: an orthonormal pair (w1, w2) spanning x-perp (for omega)
+    modulo x, so that span{x, cos t w1 + sin t w2} runs over the circle of
+    Lagrangians through x.  x-perp is the nullspace of the row
+    (omega x)^T, and (w1, w2) are the leading left singular vectors of its
+    basis with x projected out."""
+    rows = (x @ space.matrix.T)[..., None, :]
+    perp = np.swapaxes(np.linalg.svd(rows)[2][..., 1:, :], -1, -2)  # 3-dim, contains x
+    proj = perp - x[..., :, None] * (x[..., None, :] @ perp) / (x * x).sum(
+        axis=-1)[..., None, None]
+    u = np.linalg.svd(proj, full_matrices=False)[0]
+    return u[..., 0], u[..., 1]
+
+
+def _photon_crossings(space, units, columns):
+    """The photon-crossing oracle over a stack: for (n, 4) unit photon rows
+    p of `space` and the (n, 4, 4) columns of quadrilaterals Q, the (n, 4)
+    second generators w of the first candidate span{p, w} that
+    `crooked._quad_regions` puts on the surface of Q, and the (n,) mask of
+    the rows that have one (see `photon_crossing_oracle`)."""
+    n = len(units)
+    w1, w2 = _second_generators(space, units)
+    k = np.linalg.solve(columns, np.stack([units, w1, w2], axis=-1))
+    # minors 13, 02, 12, 03 (P+, P-, S1, S2) of Q^-1 [p, w1] and Q^-1 [p, w2]
+    a, b = np.moveaxis(symplectic.plucker_rows(
+        k[:, None, :, 0], np.swapaxes(k[:, :, 1:], 1, 2))[..., [4, 1, 3, 2]], 1, 0)
+    t = np.arctan2(-a, b)
+    ws = np.cos(t)[..., None] * w1[:, None] + np.sin(t)[..., None] * w2[:, None]
+    bases = np.stack([np.broadcast_to(units[:, None], ws.shape), ws], axis=-1)
+    on = np.logical_or.reduce(crooked._quad_regions(
+        np.repeat(columns, 4, axis=0), bases.reshape(4 * n, 4, 2), EPS_ALG)).reshape(n, 4)
+    return ws[np.arange(n), on.argmax(axis=1)], on.any(axis=1)
 
 
 def photon_crossing_oracle(p, surface):
@@ -620,19 +706,13 @@ def photon_crossing_oracle(p, surface):
     minor 13, 02, 12 or 03 of Q^-1 [p, w] over the quadrilateral Q, which
     is linear in w: a cos t + b sin t, so each plane is met at
     t = atan2(-a, b).  The first of the four candidates that
-    `crooked._regions` puts on the surface is returned.
+    `crooked._quad_regions` puts on the surface is returned.  This is the
+    one-row call of `_photon_crossings`.
     """
     p = np.asarray(p, dtype=float)
     p = p / np.linalg.norm(p)
-    w1, w2 = _second_generators(surface.space, p)
-    k = np.linalg.solve(surface.quad.columns, np.column_stack([p, w1, w2]))
-    # minors 13, 02, 12, 03 (P+, P-, S1, S2) of Q^-1 [p, w1] and Q^-1 [p, w2]
-    a, b = symplectic.plucker_rows(k[:, 0], k[:, 1:].T)[:, [4, 1, 3, 2]]
-    t = np.arctan2(-a, b)
-    ws = np.cos(t)[:, None] * w1 + np.sin(t)[:, None] * w2
-    bases = np.stack([np.broadcast_to(p, ws.shape), ws], axis=-1)
-    hits = np.flatnonzero(np.logical_or.reduce(crooked._regions(surface, bases, EPS_ALG)))
-    return Plane2.span(surface.space, p, ws[hits[0]]) if hits.size else None
+    w, hit = _photon_crossings(surface.space, p[None], surface.quad.columns[None])
+    return Plane2.span(surface.space, p, w[0]) if hit[0] else None
 
 
 def crossing_residual(p, surface, plane):
@@ -699,9 +779,9 @@ def suite_torus_trichotomy(trials=1000, seed=7):
         # sampled intersection points lie on both tori
         for x in curve(rng.uniform(0.0, 2.0 * np.pi, size=4)):
             x = x / np.linalg.norm(x)
-            res = max(abs(einstein.inner(x, t1.normal)),
-                      abs(einstein.inner(x, t2.normal)),
-                      abs(einstein.inner(x, x)))
+            xg = x @ einstein.GRAM  # <x, .>, as `einstein.inner` forms it
+            res = max(abs(float(xg @ t1.normal)), abs(float(xg @ t2.normal)),
+                      abs(float(xg @ x)))
             max_violation = max(max_violation, res)
             if res > EPS_ALG:
                 failures.append(f"trial {done}: intersection point off tori by {res:.3e}")
@@ -928,12 +1008,23 @@ def suite_maslov_bridge(trials=1000, seed=7):
     return _report("maslov-bridge", trials, seed, failures, 0.0)
 
 
+# trials per stacked call of the photon-crossing oracle in photon-avoidance
+_ORACLE_BLOCK = 128
+
+
 def suite_photon_avoidance(trials=1000, seed=7):
     """Photon-vs-surface sign test against the oracle that solves for the
-    photon's incidences with the wing vertices and stem planes."""
+    photon's incidences with the wing vertices and stem planes.
+
+    The predicates run trial by trial; the loop keeps each trial's verdict,
+    unit photon and quadrilateral columns, and the oracle
+    (`_photon_crossings`) then reads them in blocks of _ORACLE_BLOCK
+    trials.  Failures are reported in trial order, the oracle's before the
+    witness's within a trial."""
     rng = make_rng([seed, 5])
     space = symplectic.standard_space()
-    failures = []
+    failures = []  # (trial, 0 for the oracle or 1 for the witness, message)
+    verdicts, units, columns = [], [], []
     max_residual = 0.0
     done = 0
     attempts = _attempts(trials)
@@ -947,21 +1038,32 @@ def suite_photon_avoidance(trials=1000, seed=7):
             continue
         done += 1
         verdict = crooked.photon_disjoint(p, surface)
-        found = photon_crossing_oracle(p, surface)
-        if verdict and found is not None:
-            failures.append(f"trial {done}: disjoint photon but oracle found a point")
-        if not verdict and found is None:
-            failures.append(f"trial {done}: meeting photon but oracle found nothing")
+        verdicts.append(verdict)
+        units.append(p / np.linalg.norm(p))  # as `photon_crossing_oracle` takes p
+        columns.append(surface.quad.columns)
         if not verdict:
             witness = crooked.find_crossing_lagrangian(p, surface)
             if witness is None:
-                failures.append(f"trial {done}: no constructive witness")
+                failures.append((done, 1, f"trial {done}: no constructive witness"))
             else:
                 res = crossing_residual(p, surface, witness)
                 max_residual = max(max_residual, res)
                 if res > 1e-9 or crooked.surface_contains(surface, witness) is None:
-                    failures.append(f"trial {done}: witness residual {res:.3e}")
-    return _report("photon-avoidance", trials, seed, failures, max_residual)
+                    failures.append((done, 1, f"trial {done}: witness residual {res:.3e}"))
+    for start in range(0, done, _ORACLE_BLOCK):
+        block = slice(start, start + _ORACLE_BLOCK)
+        _, found = _photon_crossings(space, np.array(units[block]),
+                                     np.array(columns[block]))
+        for trial, verdict, hit in zip(range(start + 1, done + 1), verdicts[block], found):
+            if verdict and hit:
+                failures.append((trial, 0, f"trial {trial}: disjoint photon but "
+                                           "oracle found a point"))
+            if not verdict and not hit:
+                failures.append((trial, 0, f"trial {trial}: meeting photon but "
+                                           "oracle found nothing"))
+    failures.sort(key=lambda failure: failure[:2])
+    return _report("photon-avoidance", trials, seed,
+                   [message for *_, message in failures], max_residual)
 
 
 def suite_surface_disjointness(trials=200, seed=7):

@@ -225,6 +225,13 @@ def test_classify_tori_takes_a_small_spacelike_normal(tmp_path, capsys):
     assert out.startswith("eta=0 kind=timelike")
 
 
+def test_classify_tori_takes_a_normal_whose_form_overflows(tmp_path, capsys):
+    doc = {"objects": {"T1": {"type": "torus", "normal": [1e200, 0, 0, 0, 0]},
+                       "T2": {"type": "torus", "normal": [0, 0, 0, 1e200, -1e200]}}}
+    code, out, _ = run(["classify-tori", write_config(tmp_path, doc)], capsys)
+    assert code == 0
+    assert out.startswith("eta=0 kind=timelike")
+
 def test_pair_of_the_wrong_type_exits_2(tmp_path, capsys):
     doc = dict(WELL_FORMED["check-photon"], pair=["P", "Q"])
     code, _, err = run(["check-crooked", write_config(tmp_path, doc)], capsys)

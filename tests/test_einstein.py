@@ -306,3 +306,24 @@ def test_torus_normal_test_does_not_depend_on_scale():
         for scale in 10.0 ** np.arange(-8, 9, 4):
             with pytest.raises(GeometryError, match="normal must be spacelike"):
                 E.EinsteinTorus(scale * s)
+
+
+def test_torus_normal_takes_every_scale_without_overflow():
+    import warnings
+
+    rng = np.random.default_rng(47)
+    normals = [s for s in rng.normal(size=(20, 5)) if s @ E.GRAM @ s > 0.1]
+    normals += [np.array([1.0, 0, 0, 0, 0]), np.array([0, 0, 0, 1.0, -1.0])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in normals:
+            torus = E.EinsteinTorus(s)
+            for k in range(-300, 301):
+                assert E.EinsteinTorus(10.0 ** k * s) == torus
+            # a power of two is exact: the bits are those of s's unit normal
+            for e in (-1000, -1, 1, 1000):
+                assert np.array_equal(E.EinsteinTorus(np.ldexp(s, e)).normal, torus.normal)
+    assert E.EinsteinTorus([1e200, 0, 0, 0, 0]) == E.EinsteinTorus([1, 0, 0, 0, 0])
+    assert E.EinsteinTorus([0, 0, 0, 1e200, -1e200]) == E.EinsteinTorus([0, 0, 0, 1, -1])
+    with pytest.raises(GeometryError, match="normal must be spacelike"):
+        E.EinsteinTorus([0, 0, 1e200, 0, 0])

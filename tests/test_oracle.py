@@ -496,3 +496,159 @@ def test_oracle_imports_neither_fractions_nor_decimal():
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def _ads_draws(seeds=20, draws=20):
+    """Arrays of alternating `random_ads_config` and `disjoint_ads_pair`
+    draws on each seed, and the generator state after them."""
+    out = []
+    for seed in range(seeds):
+        rng = O.make_rng(seed)
+        for k in range(draws):
+            pair = O.disjoint_ads_pair(rng) if k % 2 else O.random_ads_config(rng)
+            out.append([np.concatenate([p.base.ravel(), p.a, p.b]) for p in pair])
+        out.append(rng.bit_generator.state)
+    return out
+
+
+def test_screened_ads_draws_equal_the_exact_route(monkeypatch):
+    # with an infinite guard band no draw is decided on floats: every one
+    # takes the exact route, and the screened draws must equal those bit for
+    # bit and leave the generator where they leave it
+    screened = _ads_draws()
+    monkeypatch.setattr(O, "_SCREEN_BAND", np.inf)
+    exact = _ads_draws()
+    for got, want in zip(screened, exact):
+        if isinstance(want, dict):
+            assert got == want
+        else:
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+
+def test_screen_sends_only_candidates_in_its_band_to_the_exact_route(monkeypatch):
+    import scipy.linalg
+
+    calls = {"expm": 0, "margins": 0, "drawn": 0, "passed": 0}
+    expm, margin_array, screened_out = (scipy.linalg.expm, ads._margin_array,
+                                        O._screened_out)
+
+    def counted_expm(m):
+        calls["expm"] += np.shape(m) == (2, 2)  # not random_symplectic's 4x4
+        return expm(m)
+
+    def counted_margins(*args):
+        calls["margins"] += 1
+        return margin_array(*args)
+
+    def counted_screen(draw, min_margin):
+        calls["drawn"] += 1
+        out = screened_out(draw, min_margin)
+        calls["passed"] += not out
+        return out
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted_expm)
+    monkeypatch.setattr(ads, "_margin_array", counted_margins)
+    monkeypatch.setattr(O, "_screened_out", counted_screen)
+    report = O.suite_surface_disjointness(trials=20, seed=7)
+    assert report["failures"] == []
+    # one exact route per candidate the screen passes: the 20 accepted pairs
+    # and the ones in its band, which at this seed are none; without the
+    # screen every drawn candidate would take it
+    assert calls["expm"] == calls["margins"] == calls["passed"] == 20
+    assert calls["drawn"] > 300
+
+
+def _reference_photon_crossing(p, surface):
+    """The photon-crossing oracle as it was written per trial, kept as the
+    reference of the stacked `_photon_crossings`: the second generator of
+    the first candidate on the surface, or None."""
+    from ein3.linalg import nullspace
+    p = np.asarray(p, dtype=float)
+    p = p / np.linalg.norm(p)
+    base = nullspace((surface.space.matrix @ p)[None, :])
+    proj = base - np.outer(p, p @ base) / float(p @ p)
+    u, _, _ = np.linalg.svd(proj, full_matrices=False)
+    w1, w2 = u[:, 0], u[:, 1]
+    k = np.linalg.solve(surface.quad.columns, np.column_stack([p, w1, w2]))
+    a, b = S.plucker_rows(k[:, 0], k[:, 1:].T)[:, [4, 1, 3, 2]]
+    t = np.arctan2(-a, b)
+    ws = np.cos(t)[:, None] * w1 + np.sin(t)[:, None] * w2
+    bases = np.stack([np.broadcast_to(p, ws.shape), ws], axis=-1)
+    hits = np.flatnonzero(np.logical_or.reduce(C._regions(surface, bases, C.EPS_ALG)))
+    return ws[hits[0]] if hits.size else None
+
+
+def test_stacked_photon_oracle_matches_the_per_trial_reference():
+    rng = O.make_rng(11)
+    draws = []
+    for _ in range(3000):
+        surface = C.CrookedSurface(O.random_quadrilateral(SP, rng))
+        draws.append((rng.normal(size=4), surface))
+    want = [_reference_photon_crossing(p, surface) for p, surface in draws]
+    units = np.array([p / np.linalg.norm(p) for p, _ in draws])
+    columns = np.array([surface.quad.columns for _, surface in draws])
+    ws, hits = O._photon_crossings(SP, units, columns)
+    assert [w is not None for w in want] == hits.tolist()
+    assert hits.sum() > 2000
+    for (p, surface), w, got, hit in zip(draws, want, ws, hits):
+        if hit:
+            assert S.Plane2.span(SP, p, got) == S.Plane2.span(SP, p, w)
+    for (p, surface), w in zip(draws[:300], want):
+        found = O.photon_crossing_oracle(p, surface)
+        assert (found is None) == (w is None)
+        if found is not None:
+            assert found == S.Plane2.span(SP, p / np.linalg.norm(p), w)
+
+
+def _constant_oracle(hit):
+    def crossings(space, units, columns):
+        return np.zeros((len(units), 4)), np.full(len(units), hit)
+    return crossings
+
+
+def test_photon_suite_reports_a_blind_or_a_seeing_oracle_in_trial_order(monkeypatch):
+    assert O.suite_photon_avoidance(trials=20, seed=7)["failures"] == []
+    with monkeypatch.context() as patch:
+        patch.setattr(O, "_photon_crossings", _constant_oracle(False))
+        blind = O.suite_photon_avoidance(trials=20, seed=7)["failures"]
+        patch.setattr(C, "find_crossing_lagrangian", lambda *args: None)
+        both = O.suite_photon_avoidance(trials=20, seed=7)["failures"]
+    with monkeypatch.context() as patch:
+        patch.setattr(O, "_photon_crossings", _constant_oracle(True))
+        seeing = O.suite_photon_avoidance(trials=20, seed=7)["failures"]
+    meeting = [int(f.split(":")[0][6:]) for f in blind]
+    disjoint = [int(f.split(":")[0][6:]) for f in seeing]
+    assert meeting and disjoint
+    assert sorted(meeting + disjoint) == list(range(1, 21))
+    assert blind == [f"trial {k}: meeting photon but oracle found nothing"
+                     for k in meeting]
+    assert seeing == [f"trial {k}: disjoint photon but oracle found a point"
+                      for k in disjoint]
+    # within a trial the oracle's failure comes before the witness's
+    assert both == [f"trial {k}: {m}" for k in meeting
+                    for m in ("meeting photon but oracle found nothing",
+                              "no constructive witness")]
+
+
+def test_photon_suite_calls_the_oracle_in_blocks(monkeypatch):
+    sizes = []
+    crossings = O._photon_crossings
+
+    def counted(space, units, columns):
+        sizes.append(len(units))
+        return crossings(space, units, columns)
+
+    monkeypatch.setattr(O, "_photon_crossings", counted)
+    assert O.suite_photon_avoidance(trials=300, seed=3)["failures"] == []
+    assert sizes == [128, 128, 44]
+
+
+def test_min_gap_equals_the_clipped_maximum():
+    rng = O.make_rng(21)
+    for k in range(20):
+        a = O.sample_torus(E.EinsteinTorus(O.random_unit_spacelike(rng)), 50, rng)
+        b = a if k % 5 == 0 else O.sample_torus(
+            E.EinsteinTorus(O.random_unit_spacelike(rng)), 50, rng)
+        cos = np.clip(np.abs(a.unit_points() @ b.unit_points().T), 0.0, 1.0)
+        assert O.min_gap(a, b) == float(np.sqrt(max(0.0, 1.0 - float(cos.max()) ** 2)))
