@@ -24,6 +24,8 @@ from ein3.linalg import (
     GeometryError,
     QuadSpace,
     Subspace,
+    _orthonormal_columns,
+    _raise_first,
     as_vector,
     inertia,
     projective_normalize,
@@ -69,17 +71,13 @@ class EinPoint:
     projectively normalized representative."""
 
     def __init__(self, rep, eps=EPS_ALG):
-        rep = as_vector(rep, 5)
-        if not _SPACE.is_null(rep, eps):
-            u = rep / np.linalg.norm(rep)
-            raise GeometryError(
-                f"representative is not null: Q(v) = {u @ GRAM @ u:.3e}")
-        self.rep = projective_normalize(rep)
+        self.rep, checks = _null_points(as_vector(rep, 5), eps)
+        _raise_first(checks)
 
     def __eq__(self, other):
         if not isinstance(other, EinPoint):
             return NotImplemented
-        return _close(self.rep, other.rep)
+        return bool(_close(self.rep, other.rep))
 
     def __repr__(self):
         return f"EinPoint({np.array2string(self.rep, precision=6)})"
@@ -104,10 +102,19 @@ class PhotonW:
         return f"PhotonW({np.array2string(self.plane.onb, precision=6)})"
 
 
+def _null_points(reps, eps=EPS_ALG):
+    """`EinPoint` over stacked rows: normalized rows, and the null check."""
+    def message(i):
+        u = reps[i] / np.linalg.norm(reps[i])
+        return f"representative is not null: Q(v) = {u @ GRAM @ u:.3e}"
+    null = _SPACE.is_null(reps, eps)
+    return projective_normalize(reps), [(~null, message)]
+
+
 def _close(a, b):
-    """np.allclose(a, b, atol=10 * EPS_ALG) for two validated finite
-    vectors, as numpy's own test |a - b| <= atol + rtol |b|, rtol = 1e-5."""
-    return bool((np.abs(a - b) <= 10 * EPS_ALG + 1e-5 * np.abs(b)).all())
+    """np.allclose(a, b, atol=10 * EPS_ALG) for validated finite vectors (rows
+    of a stack), as numpy's own test |a - b| <= atol + rtol |b|, rtol = 1e-5."""
+    return (np.abs(a - b) <= 10 * EPS_ALG + 1e-5 * np.abs(b)).all(axis=-1)
 
 
 def _canonical_sign(v):
@@ -140,7 +147,7 @@ class EinsteinTorus:
     def __eq__(self, other):
         if not isinstance(other, EinsteinTorus):
             return NotImplemented
-        return _close(self.normal, other.normal)
+        return bool(_close(self.normal, other.normal))
 
     def hyperplane(self):
         """The 4-dimensional subspace whose null cone projectivizes to the torus."""
@@ -169,6 +176,18 @@ class IntersectionClass:
         return _SPACE.orthogonal_complement(Subspace.span(*self.normals))
 
 
+def _perp_onb(normals):
+    """Orthonormal bases of the hyperplanes (j = 1) or carriers (j = 2) of
+    stacked normals (n, 5, j), as `orthogonal_complement` builds them."""
+    return _SPACE.complement_onb(_orthonormal_columns(normals, EPS_RANK))
+
+
+def _carrier_signatures(n1, n2):
+    """Inertia arrays (p, q, z) of the carriers of stacked normal rows."""
+    return inertia(np.linalg.eigvalsh(_SPACE.restricted_gram(
+        _perp_onb(np.stack([n1, n2], axis=-1)))))
+
+
 def minkowski_embed(point):
     """Embed a point (v1, v2, v3) of Minkowski space into the model.
 
@@ -185,21 +204,50 @@ def improper_point():
     return EinPoint(np.array([0.0, 0.0, 0.0, 1.0, 0.0]))
 
 
+def _incident(a, b, eps=EPS_ALG):
+    """`incident` over stacked rows of null representatives."""
+    a = a / np.linalg.norm(a, axis=-1, keepdims=True)
+    b = b / np.linalg.norm(b, axis=-1, keepdims=True)
+    return abs(((a @ GRAM) * b).sum(axis=-1)) <= eps
+
+
 def incident(p, q, eps=EPS_ALG):
     """Whether two points lie on a common photon.
 
     Both representatives are null, so incidence is equivalent to their span
     being totally isotropic, i.e. to the inner product vanishing.
     """
-    a = p.rep / np.linalg.norm(p.rep)
-    b = q.rep / np.linalg.norm(q.rep)
-    return abs(inner(a, b)) <= eps
+    return bool(_incident(p.rep, q.rep, eps))
 
 
 def light_cone(p):
     """The degenerate hyperplane p-perp; its null cone is the union of all
     photons through p."""
     return _SPACE.orthogonal_complement(Subspace.span(p.rep))
+
+
+_CAUSAL = (CausalType.LIGHTLIKE, CausalType.TIMELIKE, CausalType.SPACELIKE)
+
+
+def _causal_rows(p, p0, pinf, eps=EPS_ALG):
+    """`classify_point` over stacked rows: indices into _CAUSAL, and the
+    checks in its order (a span's rank check raises here)."""
+    no_patch = _incident(p0, pinf, eps)
+    same = _close(p, p0) | _close(p, pinf)
+    lightlike = _incident(p, p0, eps)
+    outside = _incident(p, pinf, eps) & ~lightlike
+    placed = ~(no_patch | same | lightlike | outside)
+    sig = np.zeros(np.shape(placed) + (3,), dtype=int)
+    onb = _orthonormal_columns(np.stack([p, p0, pinf], axis=-1)[placed], EPS_RANK)
+    sig[placed] = np.stack(inertia(np.linalg.eigvalsh(_SPACE.restricted_gram(onb))), -1)
+    timelike = (sig == (1, 2, 0)).all(axis=-1)
+    spacelike = (sig == (2, 1, 0)).all(axis=-1)
+    return np.where(lightlike, 0, np.where(timelike, 1, 2)), [
+        (no_patch, "p0 and pinf are incident: no Minkowski patch"),
+        (same, "point coincides with a reference point"),
+        (outside, "point lies on the light cone of pinf, outside the Minkowski patch"),
+        (placed & ~(timelike | spacelike),
+         lambda i: f"degenerate configuration, span signature {tuple(sig[i].tolist())}")]
 
 
 def classify_point(p, p0, pinf, eps=EPS_ALG):
@@ -215,21 +263,9 @@ def classify_point(p, p0, pinf, eps=EPS_ALG):
         with p0 or pinf, or if p lies on the light cone of pinf (outside
         the patch).
     """
-    if incident(p0, pinf, eps):
-        raise GeometryError("p0 and pinf are incident: no Minkowski patch")
-    if p == p0 or p == pinf:
-        raise GeometryError("point coincides with a reference point")
-    if incident(p, p0, eps):
-        return CausalType.LIGHTLIKE
-    if incident(p, pinf, eps):
-        raise GeometryError(
-            "point lies on the light cone of pinf, outside the Minkowski patch")
-    sig = _SPACE.signature(Subspace.span(p.rep, p0.rep, pinf.rep))
-    if sig == (1, 2, 0):
-        return CausalType.TIMELIKE
-    if sig == (2, 1, 0):
-        return CausalType.SPACELIKE
-    raise GeometryError(f"degenerate configuration, span signature {sig}")
+    index, checks = _causal_rows(p.rep, p0.rep, pinf.rep, eps)
+    _raise_first(checks)
+    return _CAUSAL[index]
 
 
 def eta(t1, t2):

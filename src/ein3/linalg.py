@@ -50,33 +50,45 @@ def as_rows(vectors, dim):
 
 
 def projective_normalize(v):
-    """Canonical representative of the projective class of a nonzero vector.
+    """Canonical representative of the projective class of a nonzero vector
+    (of each row of a stack).
 
     Scales v so that its entry of largest absolute value becomes +1, breaking
     ties at the lowest index.  Idempotent and invariant under nonzero
     rescaling, including sign flips.
     """
-    v = as_vector(v)
-    i = int(np.argmax(np.abs(v)))
-    if v[i] == 0.0:
+    v = as_vector(v) if np.ndim(v) < 2 else np.asarray(v, dtype=float)
+    lead = np.take_along_axis(v, np.abs(v).argmax(axis=-1)[..., None], -1)
+    if (lead == 0.0).any():
         raise GeometryError("cannot normalize the zero vector")
-    return v / v[i]
+    return v / lead
 
 
 def _zero_tol(values, eps):
     """The one zero threshold, eps * max(1, largest |value|), of rank,
-    nullspace and inertia; values come sorted, so the largest is at an end."""
-    return eps * max(1.0, abs(values[0]), abs(values[-1])) if len(values) else eps
+    nullspace and inertia; values come sorted, so the largest is at an end.
+    A stack keeps its last axis, to broadcast against the values; one set
+    of values takes the same maximum on numpy scalars, which is cheaper."""
+    if values.ndim == 1:
+        return eps * max(1.0, abs(values[0]), abs(values[-1])) if len(values) else eps
+    return eps * np.maximum(1.0, np.maximum(abs(values[..., :1]), abs(values[..., -1:])))
 
 
 def inertia(w, eps=EPS_RANK):
     """Counts (p, q, z) of positive, negative and zero eigenvalues in w,
-    sorted as `np.linalg.eigvalsh` returns them; zero means within
-    eps * max(1, largest |eigenvalue|)."""
+    sorted as `np.linalg.eigvalsh` returns them (arrays for a stack); zero
+    means within eps * max(1, largest |eigenvalue|)."""
     tol = _zero_tol(w, eps)
-    p = int(np.sum(w > tol))
-    q = int(np.sum(w < -tol))
-    return p, q, len(w) - p - q
+    p = (w > tol).sum(axis=-1)
+    q = (w < -tol).sum(axis=-1)
+    counts = p, q, w.shape[-1] - p - q
+    return tuple(map(int, counts)) if w.ndim == 1 else counts
+
+
+def _singular(m, eps, full_matrices=False):
+    """SVD (u, rank, vh) of a matrix or a stack, by the zero threshold."""
+    u, s, vh = np.linalg.svd(m, full_matrices=full_matrices)
+    return u, (s > _zero_tol(s, eps)).sum(axis=-1), vh
 
 
 def _range_basis(m, eps):
@@ -84,21 +96,32 @@ def _range_basis(m, eps):
     whose singular values are above the zero threshold."""
     if m.shape[1] == 0:
         return m
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, :int(np.sum(s > _zero_tol(s, eps)))]
+    u, rank, _ = _singular(m, eps)
+    return u[:, :rank]
 
 
 def _orthonormal_columns(basis, eps):
-    """Orthonormal basis of the column span, with a finiteness and a rank
-    check."""
+    """Orthonormal basis of the column span (of each matrix of a stack, the
+    first that fails raising), with a finiteness and a rank check."""
     if not np.isfinite(basis).all():
         raise GeometryError("basis has non-finite entries")
-    onb = _range_basis(basis, eps)
-    rank, k = onb.shape[1], basis.shape[1]
-    if rank < k:
-        raise GeometryError(
-            f"basis matrix has rank {rank} < {k} column(s)")
-    return onb
+    k = basis.shape[-1]
+    if k == 0:
+        return basis
+    u, rank, _ = _singular(basis, eps)
+    short = rank < k
+    if short.any():
+        raise GeometryError(f"basis matrix has rank {np.ravel(rank)[np.argmax(short)]} "
+                            f"< {k} column(s)")
+    return u[..., :k]
+
+
+def _raise_first(checks, i=()):
+    """Raise for the first failed check at row i of a stack (or of a one-row
+    call): checks are (mask, message or function of the row) in order."""
+    for mask, message in checks:
+        if np.asarray(mask)[i]:
+            raise GeometryError(message if isinstance(message, str) else message(i))
 
 
 class Subspace:
@@ -121,6 +144,13 @@ class Subspace:
             raise GeometryError("basis must be a matrix of column vectors")
         self.basis = basis
         self.onb = _orthonormal_columns(basis, eps)
+
+    @classmethod
+    def _of_onb(cls, onb):
+        """The span of an `_orthonormal_columns` basis, with no second SVD."""
+        sub = cls.__new__(cls)
+        sub.basis = sub.onb = onb
+        return sub
 
     @classmethod
     def span(cls, *vectors):
@@ -193,16 +223,18 @@ class QuadSpace:
         return float(v @ self.gram @ w)
 
     def is_null(self, v, eps=EPS_ALG):
-        v = as_vector(v, self.dim)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
+        """Whether a vector (each row of a stack) is null: |Q(u)| <= eps."""
+        v = as_vector(v, self.dim) if np.ndim(v) < 2 else np.asarray(v, dtype=float)
+        nv = np.linalg.norm(v, axis=-1, keepdims=True)
+        if (nv == 0.0).any():
             raise GeometryError("zero vector has no causal type")
         u = v / nv
-        return abs(u @ self.gram @ u) <= eps
+        return abs(((u @ self.gram) * u).sum(axis=-1)) <= eps
 
     def restricted_gram(self, sub):
-        b = sub.onb
-        return b.T @ self.gram @ b
+        """The form on a subspace, or on each orthonormal basis of a stack."""
+        b = sub.onb if isinstance(sub, Subspace) else sub
+        return np.swapaxes(b, -1, -2) @ self.gram @ b
 
     def signature(self, sub=None, eps=EPS_RANK):
         """Inertia (p, q, z) of the form restricted to a subspace.
@@ -222,10 +254,11 @@ class QuadSpace:
     def unit_frame(self, sub, eps=EPS_RANK):
         """Ascending eigenvalues w of the form on a subspace, with the
         matching eigenvectors in ambient coordinates scaled to |Q| = 1
-        (columns of zero eigenvalues keep unit length)."""
+        (columns of zero eigenvalues keep unit length); also over a stack."""
         w, vecs = np.linalg.eigh(self.restricted_gram(sub))
         scale = np.where(np.abs(w) > _zero_tol(w, eps), np.sqrt(np.abs(w)), 1.0)
-        return w, (sub.onb @ vecs) / scale
+        b = sub.onb if isinstance(sub, Subspace) else sub
+        return w, (b @ vecs) / scale[..., None, :]
 
     def orthogonal_complement(self, sub, eps=EPS_RANK):
         """All vectors orthogonal (for the form) to a subspace."""
@@ -233,14 +266,21 @@ class QuadSpace:
             raise GeometryError("subspace has wrong ambient dimension")
         if sub.dim == 0:
             return Subspace(np.eye(self.dim))
-        return Subspace(nullspace(sub.onb.T @ self.gram, eps))
+        return Subspace._of_onb(self.complement_onb(sub.onb, eps))
+
+    def complement_onb(self, onb, eps=EPS_RANK):
+        """Orthonormal basis of the complement of the span of an orthonormal
+        basis (n, k), or of each of a stack: a nullspace of dim n - k, as
+        the form is nonsingular."""
+        vh = np.linalg.svd(np.swapaxes(onb, -1, -2) @ self.gram)[2]
+        return _orthonormal_columns(np.swapaxes(vh[..., onb.shape[-1]:, :], -1, -2), eps)
 
 
 def nullspace(a, eps=EPS_RANK):
     """Orthonormal basis (columns) of the right nullspace of a matrix."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    return vh[int(np.sum(s > _zero_tol(s, eps))):].T
+    _, rank, vh = _singular(a, eps, full_matrices=True)
+    return vh[rank:].T
 
 
 def intersect(a, b, eps=EPS_RANK):
@@ -259,6 +299,15 @@ def intersect(a, b, eps=EPS_RANK):
         return Subspace.zero(a.ambient_dim)
     # re-orthonormalize: the combinations can be nearly dependent
     return Subspace(_range_basis(a.onb @ coeffs[:a.dim], eps))
+
+
+def _intersection_dims(a, b, eps=EPS_RANK):
+    """dim of the intersection of the spans of orthonormal bases a, b (of
+    stacked pairs), as `intersect`: rank of a x over (x, y) in null [a | -b]."""
+    _, rank, vh = _singular(np.concatenate([a, -b], axis=-1), eps, full_matrices=True)
+    null = np.arange(vh.shape[-1]) >= np.asarray(rank)[..., None]
+    return _singular(a @ (np.swapaxes(vh, -1, -2)[..., :a.shape[-1], :] * null[..., None, :]),
+                     eps)[1]
 
 
 def span_union(a, b, eps=EPS_RANK):

@@ -19,7 +19,8 @@ import math
 import numpy as np
 
 from ein3 import ads, crooked, einstein, symplectic
-from ein3.linalg import EPS_ALG, GeometryError
+from ein3.linalg import (EPS_ALG, EPS_RANK, GeometryError, _intersection_dims,
+                         _orthonormal_columns, _raise_first)
 from ein3.einstein import EinsteinTorus, IntersectionKind
 from ein3.symplectic import Plane2, Splitting
 
@@ -98,8 +99,28 @@ def _sl2_exp(x):
     return expm(x - 0.5 * np.trace(x) * np.eye(2))
 
 
-def random_lagrangian(space, rng):
-    """Random Lagrangian plane of a symplectic space."""
+def _plane_screen(space, m):
+    """Float screen of a 4x2 basis: its singular values s1 <= s0 and |omega|
+    on an orthonormal basis of its span, from its Pluecker row p (|p| = s0
+    s1, and omega is linear in p) and s0^2, the larger eigenvalue of m^T m."""
+    x, w = zip(*m.tolist())
+    p = [x[i] * w[j] - x[j] * w[i] for i, j in symplectic.PAIRS]
+    area = math.hypot(*p)
+    a, b, c = (sum(map(float.__mul__, u, v)) for u, v in ((x, x), (x, w), (w, w)))
+    top = math.sqrt(0.5 * (a + c) + math.hypot(0.5 * (a - c), b))
+    omega = abs(sum(map(float.__mul__, space._omega_fun.tolist(), p)))
+    return (area / top, top, omega / area) if area else (0.0, top, 0.0)
+
+
+def _above(value, bound, band, exact):
+    """Whether a screened value is above its bound: read on floats, unless
+    within band of the bound, where exact() decides."""
+    return value > bound if abs(value - bound) > band else exact()
+
+
+def _lagrangian_basis(space, rng):
+    """The basis of `random_lagrangian`, its tests screened on floats.  The
+    tag's band is half the guard band, which is the size of its bound."""
     def make():
         x = rng.normal(size=4)
         r = rng.normal(size=4)
@@ -109,29 +130,46 @@ def random_lagrangian(space, rng):
             return None
         w = r - (float(r @ base) / nx) * base
         m = np.column_stack([x, w])
-        if np.linalg.svd(m, compute_uv=False)[-1] < 1e-3 * np.abs(m).max():
-            return None
-        return Plane2(space, m)
+        least, top, omega = _plane_screen(space, m)
+        bound = 1e-3 * max(map(abs, m.ravel().tolist()))
+        if _above(least, bound, _SCREEN_BAND * top,
+                  lambda: np.linalg.svd(m, compute_uv=False)[-1] >= bound) \
+                and _above(EPS_ALG, omega, 0.5 * _SCREEN_BAND,
+                           lambda: Plane2(space, m).is_lagrangian):
+            return m
 
-    return _retrying(make, lambda p: p is not None and p.is_lagrangian)
+    return _retrying(make, lambda m: m is not None)
+
+
+def random_lagrangian(space, rng):
+    """Random Lagrangian plane of a symplectic space."""
+    return Plane2(space, _lagrangian_basis(space, rng))
+
+
+def _nondegenerate_basis(space, rng):
+    """The basis of `random_nondegenerate_plane`, its tests screened on
+    floats (|omega| > 0.2 implies the nondegenerate tag)."""
+    def make():
+        m = rng.normal(size=(4, 2))
+        least, top, omega = _plane_screen(space, m)
+        band = _SCREEN_BAND * max(1.0, top)
+
+        def exact():
+            plane = Plane2(space, m)
+            onb = plane.sub.onb
+            return not plane.is_lagrangian and abs(space.omega(onb[:, 0], onb[:, 1])) > 0.2
+
+        if _above(least, 1e-3, band, lambda: np.linalg.svd(m, compute_uv=False)[-1] >= 1e-3) \
+                and _above(omega, 0.2, band, exact):
+            return m
+
+    return _retrying(make, lambda m: m is not None)
 
 
 def random_nondegenerate_plane(space, rng):
     """Random nondegenerate plane, well-conditioned for omega: |omega| > 0.2
     on its orthonormal basis."""
-    def make():
-        m = rng.normal(size=(4, 2))
-        if np.linalg.svd(m, compute_uv=False)[-1] < 1e-3:
-            return None
-        return Plane2(space, m)
-
-    def accept(p):
-        if p is None or p.is_lagrangian:
-            return False
-        onb = p.sub.onb
-        return abs(space.omega(onb[:, 0], onb[:, 1])) > 0.2
-
-    return _retrying(make, accept)
+    return Plane2(space, _nondegenerate_basis(space, rng))
 
 
 def random_splitting(space, rng):
@@ -195,10 +233,11 @@ class SampleCloud:
 def _torus_points(frame, alphas, betas):
     """Null vectors cos(a) p1 + sin(a) p2 + cos(b) n1 + sin(b) n2 of a torus,
     one per angle pair, along a new last axis.  frame is the unit frame
-    (n1, n2, p1, p2) of the torus hyperplane, negatives first as
+    (n1, n2, p1, p2) of the torus hyperplane (or a stack of them, with a
+    row of angles each), negatives first as
     `unit_frame` sorts them; every such vector is null, and the two angles
     sweep the torus."""
-    n1, n2, p1, p2 = frame.T
+    n1, n2, p1, p2 = np.moveaxis(frame[..., None, :, :], -1, 0)
     a = np.asarray(alphas)[..., None]
     b = np.asarray(betas)[..., None]
     return np.cos(a) * p1 + np.sin(a) * p2 + np.cos(b) * n1 + np.sin(b) * n2
@@ -358,28 +397,34 @@ def projective_distance(a, b):
 # causal probing of torus intersections
 # ---------------------------------------------------------------------------
 
-def _intersection_curve(t1, t2):
-    """The intersection of two distinct tori as a curve on torus 1: a map
-    from driving angles to points x(a, b) of `_torus_points` with
-    <x, s2> = 0.
+def _intersection_curve(frames, normals):
+    """The intersections of distinct tori as curves on the first tori: for
+    stacked unit frames (n, 5, 4) of the first tori and unit normals (n, 5)
+    of the second, a map from (n, m) driving angles to the points x(a, b)
+    of `_torus_points` with <x, s2> = 0.
 
     That incidence reads A . (cos a, sin a) + B . (cos b, sin b) = 0, A and
     B being the products of s2 with (p1, p2) and (n1, n2).  The angle of
     the shorter of A and B drives; the other angle is atan2 + arccos of the
     remaining equation, which has a root at every driving angle.  One
-    arccos branch covers every point once up to sign.
+    arccos branch covers every point once up to sign.  The coefficients
+    are taken pair by pair with math.hypot and math.atan2, which round
+    differently from their numpy forms.
     """
-    frame = _torus_frame(t1)
-    n1, n2, p1, p2 = (frame.T @ einstein.GRAM @ t2.normal).tolist()
-    a_drives = math.hypot(p1, p2) <= math.hypot(n1, n2)
-    (c1, c2), (d1, d2) = ((p1, p2), (n1, n2)) if a_drives else ((n1, n2), (p1, p2))
-    radius = math.hypot(d1, d2)
+    rows = []
+    for frame, s2 in zip(frames, normals):
+        n1, n2, p1, p2 = (frame.T @ einstein.GRAM @ s2).tolist()
+        a_drives = math.hypot(p1, p2) <= math.hypot(n1, n2)
+        (c1, c2), (d1, d2) = ((p1, p2), (n1, n2)) if a_drives else ((n1, n2), (p1, p2))
+        rows.append((a_drives, c1, c2, math.atan2(d2, d1), math.hypot(d1, d2)))
+    a_drives, c1, c2, phase, radius = np.array(rows).T[..., None]
+    a_drives = a_drives.astype(bool)
 
     def curve(theta):
         ratio = np.clip(-(c1 * np.cos(theta) + c2 * np.sin(theta)) / radius, -1.0, 1.0)
-        other = math.atan2(d2, d1) + np.arccos(ratio)
-        return _torus_points(frame, theta, other) if a_drives \
-            else _torus_points(frame, other, theta)
+        other = phase + np.arccos(ratio)
+        return _torus_points(frames, np.where(a_drives, theta, other),
+                             np.where(a_drives, other, theta))
 
     return curve
 
@@ -397,18 +442,17 @@ def _tangent_forms(curve, thetas):
             / (tangents * tangents).sum(axis=-1))
 
 
-def _probe_kind(curve, n, rng):
-    """Causal character of an intersection curve from central finite
-    differences at n random driving angles: all tangents timelike, all
-    spacelike, or all null (a photon pair); anything else raises.
+def _probe_kind(curve, thetas, q):
+    """Causal character of a one-row intersection curve from the forms q of
+    its central finite-difference tangents (`_tangent_forms`) at the
+    driving angles thetas: all tangents timelike, all spacelike, or all
+    null (a photon pair); anything else raises.
 
     A photon pair's curve has a kink where its photons meet: within ~3e-5
     of it the difference straddles the kink or arccos near +/-1 loses the
     digits that make it null.  So a tangent that is not null is reread
     1e-3 to either side of its draw, on the photons themselves, and counts
     as null when both rereads are."""
-    thetas = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    q = _tangent_forms(curve, thetas)
     if (q < -_NULL_TANGENT).all():
         return IntersectionKind.TIMELIKE_CIRCLE
     if (q > _NULL_TANGENT).all():
@@ -433,16 +477,18 @@ def probe_intersection_type(t1, t2, n, rng):
     """
     if t1 == t2:
         raise GeometryError("probe requires distinct tori")
-    return _probe_kind(_intersection_curve(t1, t2), n, rng)
+    curve = _intersection_curve(_torus_frame(t1)[None], t2.normal[None])
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    return _probe_kind(curve, thetas, _tangent_forms(curve, thetas)[0])
 
 
 # ---------------------------------------------------------------------------
 # constructions used by the suites
 # ---------------------------------------------------------------------------
 
-# guard band of the float screens of the AdS draws: a screened value more
-# than this (relative to its scale) below its bound is discarded on floats,
-# and every other draw is decided by the exact route
+# guard band of the float screens of the random draws: a screened value more
+# than this (relative to its scale) off its bound is decided on floats, and
+# every other draw by the exact route
 _SCREEN_BAND = 1e-9
 
 
@@ -740,51 +786,81 @@ def _report(suite, trials, seed, failures, max_violation):
     }
 
 
+def _blocks(trials, draw):
+    """The draw stage of a suite: draw(done) is called per candidate under
+    the `_attempts` budget and returns a trial's record, or None to skip.
+    Yields (number of the first trial, records) for blocks of at most
+    _ORACLE_BLOCK trials, each before the next is drawn."""
+    attempts = _attempts(trials)
+    block, done = [], 0
+    while done < trials:
+        next(attempts)
+        record = draw(done)
+        if record is not None:
+            done += 1
+            block.append(record)
+            if len(block) == _ORACLE_BLOCK or done == trials:
+                yield done - len(block) + 1, block
+                block = []
+
+
 def suite_torus_trichotomy(trials=1000, seed=7):
     """Torus-pair trichotomy: kind vs. eta, carrier signature, and the
-    sampled causal character of the intersection curve."""
+    sampled causal character of the intersection curve.  Each draw makes
+    the tori, their class (the band and the kind decide what is drawn
+    next), 32 probe angles and 4 point angles; carriers, frames, probe
+    tangents and curve points are then read a block at a time."""
     rng = make_rng([seed, 1])
-    space = einstein.model_space()
-    failures = []
-    max_violation = 0.0
-    band = 1e-6
     expected_sig = {
         IntersectionKind.TIMELIKE_CIRCLE: (1, 2, 0),
         IntersectionKind.SPACELIKE_CIRCLE: (2, 1, 0),
     }
-    done = 0
-    attempts = _attempts(trials)
-    while done < trials:
-        next(attempts)
+
+    def draw(done):
         t1 = EinsteinTorus(random_unit_spacelike(rng))
         t2 = EinsteinTorus(random_unit_spacelike(rng))
         if t1 == t2:
-            continue
+            return None
         cls = einstein.classify_torus_pair(t1, t2)
-        if abs(cls.eta - 1.0) < band:
-            continue  # declared ambiguity band
-        done += 1
+        if abs(cls.eta - 1.0) < 1e-6:
+            return None  # declared ambiguity band
         want = (IntersectionKind.SPACELIKE_CIRCLE if cls.eta > 1.0
                 else IntersectionKind.TIMELIKE_CIRCLE)
         if cls.kind is not want:
-            failures.append(f"trial {done}: kind {cls.kind} vs eta {cls.eta}")
-            continue
-        sig = space.signature(cls.carrier)
-        if sig != expected_sig[cls.kind]:
-            failures.append(f"trial {done}: carrier signature {sig} for {cls.kind}")
-        curve = _intersection_curve(t1, t2)
-        probed = _probe_kind(curve, 32, rng)
-        if probed is not cls.kind:
-            failures.append(f"trial {done}: probe {probed} vs {cls.kind}")
-        # sampled intersection points lie on both tori
-        for x in curve(rng.uniform(0.0, 2.0 * np.pi, size=4)):
-            x = x / np.linalg.norm(x)
-            xg = x @ einstein.GRAM  # <x, .>, as `einstein.inner` forms it
-            res = max(abs(float(xg @ t1.normal)), abs(float(xg @ t2.normal)),
-                      abs(float(xg @ x)))
-            max_violation = max(max_violation, res)
-            if res > EPS_ALG:
-                failures.append(f"trial {done}: intersection point off tori by {res:.3e}")
+            return cls, None
+        return cls, (rng.uniform(0.0, 2.0 * np.pi, size=32),
+                     rng.uniform(0.0, 2.0 * np.pi, size=4))
+
+    failures = []
+    max_violation = 0.0
+    for first, block in _blocks(trials, draw):
+        kept = [(cls.normals, *angles) for cls, angles in block if angles]
+        if kept:
+            normals, thetas, angles = (np.array(a) for a in zip(*kept))
+            s1, s2 = normals.swapaxes(0, 1)
+            sigs = np.stack(einstein._carrier_signatures(s1, s2), -1).tolist()
+            frames = einstein.model_space().unit_frame(einstein._perp_onb(s1[..., None]))[1]
+            curve = _intersection_curve(frames, s2)
+            rows = zip(sigs, frames, thetas, _tangent_forms(curve, thetas), curve(angles))
+        for k, (cls, angles) in enumerate(block, first):
+            if not angles:
+                failures.append(f"trial {k}: kind {cls.kind} vs eta {cls.eta}")
+                continue
+            sig, frame, theta, q, points = next(rows)
+            if tuple(sig) != expected_sig[cls.kind]:
+                failures.append(f"trial {k}: carrier signature {tuple(sig)} for {cls.kind}")
+            s1, s2 = cls.normals
+            probed = _probe_kind(lambda t: _intersection_curve(frame[None], s2[None])(t), theta, q)
+            if probed is not cls.kind:
+                failures.append(f"trial {k}: probe {probed} vs {cls.kind}")
+            # sampled intersection points lie on both tori
+            for x in points:
+                x = x / np.linalg.norm(x)
+                xg = x @ einstein.GRAM  # <x, .>, as `einstein.inner` forms it
+                res = max(abs(float(xg @ s1)), abs(float(xg @ s2)), abs(float(xg @ x)))
+                max_violation = max(max_violation, res)
+                if res > EPS_ALG:
+                    failures.append(f"trial {k}: intersection point off tori by {res:.3e}")
     return _report("torus-trichotomy", trials, seed, failures, max_violation)
 
 
@@ -810,7 +886,14 @@ _STAR = _dyadic(symplectic.standard_space().omega_star)
 
 
 def eta_bridge_values(split, f):
-    """The invariant of (S, graph(f)) along the two mu-based routes.
+    """The invariant of (S, graph(f)) along the two mu-based routes (see
+    `_eta_values`, which reads the splitting's s_basis)."""
+    return _eta_values(split.s_basis, f)
+
+
+def _eta_values(s_basis, f):
+    """The invariant of (S, graph(f)) along the two mu-based routes, for
+    the omega-normalized basis s_basis of S.
 
     Near det(f) = -1 the invariant blows up, and its sensitivity amplifies
     both float cancellation and the 1e-16 structural leakage of a float
@@ -825,8 +908,8 @@ def eta_bridge_values(split, f):
     bivector products have integer coefficients there).
     """
     space = symplectic.standard_space()
-    u, du = _dyadic(split.s_basis[:, 0])
-    v = _dyadic(split.s_basis[:, 1])[0]
+    u, du = _dyadic(s_basis[:, 0])
+    v = _dyadic(s_basis[:, 1])[0]
     # v / omega(u, v)
     dv, v = _positive(u @ _OMEGA_INT @ v, du * v)
     # the omega-complement of S: the nullspace of the rows omega(u, .) and
@@ -863,43 +946,71 @@ def eta_bridge_values(split, f):
     return eta_mu, abs(einstein.inner(s1, s2))
 
 
+def _splittings(space, bases):
+    """`Splitting.from_plane` over stacked bases (n, 4, 2) of nondegenerate
+    planes: the omega-normalized bases of both summands, and the checks."""
+    s = _orthonormal_columns(bases, EPS_RANK)
+    comp, checks = symplectic._complements(space, s)
+    t = _orthonormal_columns(comp, EPS_RANK)
+    s_tag, t_tag = (abs(symplectic._omega_pairs(space, b)) <= EPS_ALG for b in (s, t))
+    checks += symplectic._splitting_checks(space, s, s_tag, t, t_tag)
+    return symplectic._normalized(space, s), symplectic._normalized(space, t), checks
+
+
 def suite_eta_bridge(trials=1000, seed=7):
-    """Determinant route vs. unit-normal route to the torus-pair invariant."""
+    """Determinant route vs. unit-normal route to the torus-pair invariant.
+    Splittings, graph planes and mu images are built a block of trials at
+    a time; the exact invariants are taken per trial."""
     rng = make_rng([seed, 2])
     space = symplectic.standard_space()
+
+    def draw(done):
+        m = _nondegenerate_basis(space, rng)
+        f = rng.uniform(-2.0, 2.0, size=(2, 2))
+        return None if abs(symplectic.det_omega(f) + 1.0) <= 1e-3 else (m, f)
+
     failures = []
     max_violation = 0.0
-    done = 0
-    attempts = _attempts(trials)
-    while done < trials:
-        next(attempts)
-        split = random_splitting(space, rng)
-        f = rng.uniform(-2.0, 2.0, size=(2, 2))
-        d = symplectic.det_omega(f)
-        if abs(d + 1.0) <= 1e-3:
-            continue
-        done += 1
-        eta_det = symplectic.eta_from_det(f)
-        eta_mu, eta_ein = eta_bridge_values(split, f)
-        diff = max(abs(eta_det - eta_mu), abs(eta_det - eta_ein))
-        max_violation = max(max_violation, diff)
-        if diff > 1e-9:
-            failures.append(f"trial {done}: eta mismatch {diff:.3e} (det {d:.4f})")
-        if abs(eta_det - 1.0) > 1e-6:
-            t_plane = symplectic.graph(space, f, split)
-            n1 = symplectic.torus_from_plane(space, split.s)
-            n2 = symplectic.torus_from_plane(space, t_plane)
-            kind = einstein.classify_torus_pair(n1, n2).kind
-            want = (IntersectionKind.SPACELIKE_CIRCLE if eta_det > 1.0
-                    else IntersectionKind.TIMELIKE_CIRCLE)
-            if kind is not want:
-                failures.append(f"trial {done}: kind {kind} vs eta {eta_det:.4f}")
+    for first, block in _blocks(trials, draw):
+        m, f = (np.array(a) for a in zip(*block))
+        s_basis, t_basis, checks = _splittings(space, m)
+        etas = [symplectic.eta_from_det(x) for x in f]
+        apart = np.abs(np.array(etas) - 1.0) > 1e-6  # where the kinds are read
+        graphs = (s_basis + t_basis @ f)[apart]
+        g = _orthonormal_columns(graphs, EPS_RANK)
+        lagrangian = abs(symplectic._omega_pairs(space, g)) <= EPS_ALG
+        mu_s, s_checks = space._to_einstein(symplectic._mu_rows(space, s_basis[apart]))
+        mu_t, t_checks = space._to_einstein(symplectic._mu_rows(space, symplectic._normalized(
+            space, np.where(lagrangian[:, None, None], s_basis[apart], g))))
+        read = iter(range(len(g)))
+        for k, i in enumerate(range(len(block)), first):
+            _raise_first(checks, i)
+            d, eta_det = symplectic.det_omega(f[i]), etas[i]
+            eta_mu, eta_ein = _eta_values(s_basis[i], f[i])
+            diff = max(abs(eta_det - eta_mu), abs(eta_det - eta_ein))
+            max_violation = max(max_violation, diff)
+            if diff > 1e-9:
+                failures.append(f"trial {k}: eta mismatch {diff:.3e} (det {d:.4f})")
+            if apart[i]:
+                j = next(read)
+                _raise_first(s_checks, j)
+                n1 = EinsteinTorus(mu_s[j])
+                if lagrangian[j]:  # mu raises its error
+                    symplectic.mu(space, Plane2(space, graphs[j]))
+                _raise_first(t_checks, j)
+                kind = einstein.classify_torus_pair(n1, EinsteinTorus(mu_t[j])).kind
+                want = (IntersectionKind.SPACELIKE_CIRCLE if eta_det > 1.0
+                        else IntersectionKind.TIMELIKE_CIRCLE)
+                if kind is not want:
+                    failures.append(f"trial {k}: kind {kind} vs eta {eta_det:.4f}")
     return _report("eta-bridge", trials, seed, failures, max_violation)
 
 
 def suite_symplectic_identities(trials=1000, seed=7):
     """Dual bivector normalization, adjugate identity, complement through
-    the reflection, and transversality vs. plain intersection."""
+    the reflection, and transversality vs. plain intersection.  The first
+    loop is checked a block of trials at a time (the reflection distance
+    per trial, as it feeds max_violation); the Maslov loop per trial."""
     rng = make_rng([seed, 3])
     space = symplectic.standard_space()
     failures = []
@@ -908,36 +1019,40 @@ def suite_symplectic_identities(trials=1000, seed=7):
     if abs(os2 + 2.0) > 1e-12:
         failures.append(f"omega*.omega* = {os2!r}")
     max_violation = max(max_violation, abs(os2 + 2.0))
-    for k in range(trials):
+
+    def draw(k):
         f = rng.uniform(-3.0, 3.0, size=(2, 2))
-        res = np.abs(symplectic.adjugate(f) @ f
-                     - symplectic.det_omega(f) * np.eye(2)).max()
-        max_violation = max(max_violation, res)
-        if res > 1e-12:
-            failures.append(f"trial {k}: adjugate identity off by {res:.3e}")
-        s = random_nondegenerate_plane(space, rng)
-        refl = space.reflect_omega_star(space.plucker(s))
-        comp = symplectic.symplectic_complement(space, s)
-        direct = space.plucker(comp)
-        dist = projective_distance(refl, direct)
-        max_violation = max(max_violation, dist)
-        if dist > 1e-9:
-            failures.append(f"trial {k}: reflection/complement distance {dist:.3e}")
+        s = _nondegenerate_basis(space, rng)
         if k % 2 == 0:
-            p = Plane2(space, rng.normal(size=(4, 2)))
-            q = Plane2(space, rng.normal(size=(4, 2)))
-        else:
-            shared = rng.normal(size=4)
-            p = Plane2(space, np.column_stack([shared, rng.normal(size=4)]))
-            q = Plane2(space, np.column_stack([shared, rng.normal(size=4)]))
-        bp, bq = space.plucker(p), space.plucker(q)
-        wval = abs(space.wedge(bp, bq)) / (np.linalg.norm(bp) * np.linalg.norm(bq))
-        trans = space.transverse(p, q)
-        dim = symplectic.plane_intersection_dim(p, q)
-        if wval > 1e-9 or dim > 0:  # outside the ambiguity band, or provably meeting
-            if trans != (dim == 0):
-                failures.append(
-                    f"trial {k}: transverse {trans} vs dim {dim} (wedge {wval:.3e})")
+            return f, s, rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+        shared = rng.normal(size=4)
+        return (f, s, np.column_stack([shared, rng.normal(size=4)]),
+                np.column_stack([shared, rng.normal(size=4)]))
+
+    for first, block in _blocks(trials, draw):
+        f, s, p, q = (np.array(a) for a in zip(*block))
+        res = np.abs(symplectic.adjugate(f) @ f
+                     - symplectic.det_omega(f)[:, None, None] * np.eye(2)).max(axis=(1, 2))
+        comp, checks = symplectic._complements(space, _orthonormal_columns(s, EPS_RANK))
+        _orthonormal_columns(comp, EPS_RANK)
+        po, qo = np.split(_orthonormal_columns(np.concatenate([p, q]), EPS_RANK), 2)
+        wval = space._transversality(_plucker(p), _plucker(q))
+        dims = _intersection_dims(po, qo)
+        for k, i in enumerate(range(len(block)), first - 1):
+            max_violation = max(max_violation, res[i])
+            if res[i] > 1e-12:
+                failures.append(f"trial {k}: adjugate identity off by {res[i]:.3e}")
+            _raise_first(checks, i)
+            refl = space.reflect_omega_star(_plucker(s[i]))
+            dist = projective_distance(refl, _plucker(comp[i]))
+            max_violation = max(max_violation, dist)
+            if dist > 1e-9:
+                failures.append(f"trial {k}: reflection/complement distance {dist:.3e}")
+            trans, dim = bool(wval[i] > EPS_ALG), int(dims[i])
+            if wval[i] > 1e-9 or dim > 0:  # outside the ambiguity band, or provably meeting
+                if trans != (dim == 0):
+                    failures.append(
+                        f"trial {k}: transverse {trans} vs dim {dim} (wedge {wval[i]:.3e})")
     for k in range(200):
         l, lp, p = (random_lagrangian(space, rng) for _ in range(3))
         try:
@@ -959,52 +1074,81 @@ def suite_symplectic_identities(trials=1000, seed=7):
     return _report("symplectic-identities", trials, seed, failures, max_violation)
 
 
+def _plucker(m):
+    """Pluecker row of a 4x2 basis, or rows of a stack."""
+    return symplectic.plucker_rows(m[..., 0], m[..., 1])
+
+
+def _equal(space, m, n):
+    """`Plane2` equality of the planes of two bases; unequal on floats when
+    the squared chord of their unit Pluecker rows is above _SCREEN_BAND
+    (equal planes are within ~1e-17)."""
+    return not _above(projective_distance(_plucker(m), _plucker(n)) ** 2, 0.0, _SCREEN_BAND,
+                      lambda: Plane2(space, m) != Plane2(space, n))
+
+
+def _spans_plane(space, m):
+    """Whether `Plane2` takes m (rank 2, finite)."""
+    try:
+        return Plane2(space, m) is not None
+    except GeometryError:
+        return False
+
+
 def suite_maslov_bridge(trials=1000, seed=7):
-    """Maslov index of Lagrangian triples vs. causal type of points."""
+    """Maslov index of Lagrangian triples vs. causal type of points.  The
+    draws keep raw bases and screen every decision on floats; bases,
+    indices, points and causal types are read a block of trials at a time,
+    raising the first error in trial order."""
     rng = make_rng([seed, 4])
     space = symplectic.standard_space()
-    failures = []
-    done = 0
-    attempts = _attempts(trials)
-    while done < trials:
-        next(attempts)
-        l = random_lagrangian(space, rng)
-        lp = random_lagrangian(space, rng)
-        if not space.transverse(l, lp):
-            continue
-        lightlike_trial = done % 3 == 2
-        if lightlike_trial:
-            x = l.basis @ rng.normal(size=2)
+
+    def transverse(m, n):
+        return space._transversality(_plucker(m), _plucker(n)) > EPS_ALG
+
+    def draw(done):
+        l = _lagrangian_basis(space, rng)
+        lp = _lagrangian_basis(space, rng)
+        if not transverse(l, lp):
+            return None
+        if done % 3 == 2:  # lightlike trial
+            x = l @ rng.normal(size=2)
             x /= np.linalg.norm(x)
             base = space.matrix @ x
             r = rng.normal(size=4)
-            w = r - (r @ base) / (base @ base) * base
-            try:
-                p = Plane2.span(space, x, w)
-            except GeometryError:
-                continue
-            if not p.is_lagrangian or p == l:
-                continue
+            p = np.column_stack([x, r - (r @ base) / (base @ base) * base])
+            least, top, omega = _plane_screen(space, p)
+            if not _above(least, EPS_RANK * max(1.0, top), _SCREEN_BAND * max(1.0, top),
+                          lambda: _spans_plane(space, p)) \
+                    or not _above(EPS_ALG, omega, 0.5 * _SCREEN_BAND,
+                                  lambda: Plane2(space, p).is_lagrangian) \
+                    or _equal(space, p, l):
+                return None
         else:
-            p = random_lagrangian(space, rng)
-        if not space.transverse(p, lp):
-            continue
-        if p == l or p == lp:
-            continue
-        done += 1
-        try:
-            m = abs(symplectic.maslov(space, l, p, lp))
-        except GeometryError:
-            m = None  # non-transverse to l: lightlike position
-        point = symplectic.lagrangian_point(space, p)
-        p0 = symplectic.lagrangian_point(space, l)
-        pinf = symplectic.lagrangian_point(space, lp)
-        causal = einstein.classify_point(point, p0, pinf)
-        want = {None: einstein.CausalType.LIGHTLIKE,
-                2: einstein.CausalType.TIMELIKE,
-                0: einstein.CausalType.SPACELIKE}[m]
-        if causal is not want:
-            failures.append(f"trial {done}: maslov {m} vs causal {causal}")
+            p = _lagrangian_basis(space, rng)
+        if not transverse(p, lp) or _equal(space, p, l) or _equal(space, p, lp):
+            return None
+        return l, p, lp
+
+    failures = []
+    for first, block in _blocks(trials, draw):
+        n = len(block)
+        l, p, lp = (np.array(a) for a in zip(*block))
+        index, maslov_checks = symplectic._maslov_rows(space, *np.split(
+            _orthonormal_columns(np.concatenate([l, p, lp]), EPS_RANK), 3))
+        reps, point_checks = symplectic._lagrangian_points(space, np.concatenate([p, l, lp]))
+        causal, causal_checks = einstein._causal_rows(*np.split(reps, 3))
+        for k, i in enumerate(range(n), first):
+            m = None if any(mask[i] for mask, _ in maslov_checks) else abs(int(index[i]))
+            for row in (i, n + i, 2 * n + i):  # the points of P, L, L'
+                _raise_first(point_checks, row)
+            _raise_first(causal_checks, i)
+            got = einstein._CAUSAL[causal[i]]
+            want = {None: einstein.CausalType.LIGHTLIKE,
+                    2: einstein.CausalType.TIMELIKE,
+                    0: einstein.CausalType.SPACELIKE}[m]
+            if got is not want:
+                failures.append(f"trial {k}: maslov {m} vs causal {got}")
     return _report("maslov-bridge", trials, seed, failures, 0.0)
 
 

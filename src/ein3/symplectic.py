@@ -29,9 +29,12 @@ from ein3.linalg import (
     EPS_RANK,
     GeometryError,
     Subspace,
+    _orthonormal_columns,
+    _raise_first,
+    _singular,
     as_vector,
     inertia,
-    intersect,
+    _intersection_dims,
     nullspace,
 )
 
@@ -99,9 +102,8 @@ class Plane2:
         self.space = space
         self.sub = Subspace(basis)
         self.basis = basis
-        onb = self.sub.onb
-        w = (onb[None, :, 0] @ space.matrix @ onb[:, 1, None])[0, 0]
-        self.tag = PlaneKind.LAGRANGIAN if abs(w) <= eps else PlaneKind.NONDEGENERATE
+        self.tag = PlaneKind.LAGRANGIAN if abs(_omega_pairs(space, self.sub.onb)) <= eps \
+            else PlaneKind.NONDEGENERATE
 
     @classmethod
     def span(cls, space, u, v, eps=EPS_ALG):
@@ -118,8 +120,7 @@ class Plane2:
         """
         if self.is_lagrangian:
             raise GeometryError("a Lagrangian plane has no omega-normalized basis")
-        u, v = self.sub.onb[:, 0], self.sub.onb[:, 1]
-        return np.column_stack([u, v / self.space.omega(u, v)])
+        return _normalized(self.space, self.sub.onb)
 
     def __eq__(self, other):
         if not isinstance(other, Plane2):
@@ -128,6 +129,16 @@ class Plane2:
 
     def __repr__(self):
         return f"Plane2({self.tag.value}, basis=\n{self.basis})"
+
+
+def _omega_pairs(space, onb):
+    """omega of the two columns of a basis (4, 2), or of each of a stack."""
+    return (onb[..., None, :, 0] @ space.matrix @ onb[..., :, 1, None])[..., 0, 0]
+
+
+def _normalized(space, onb):
+    """(u, v / omega(u, v)) of orthonormal bases (u, v), one or a stack."""
+    return np.stack([onb[..., 0], onb[..., 1] / _omega_pairs(space, onb)[..., None]], -1)
 
 
 class SympSpace:
@@ -184,12 +195,10 @@ class SympSpace:
         return float(as_vector(b1, 6) @ self._gram @ as_vector(b2, 6))
 
     def in_kernel(self, b, eps=EPS_ALG):
-        """Whether a bivector lies in W = Ker(omega)."""
-        b = as_vector(b, 6)
-        nb = np.linalg.norm(b)
-        if nb == 0.0:
-            return True
-        return abs(self.omega_of(b)) <= eps * nb
+        """Whether a bivector, or each row of a stack, lies in W = Ker(omega)."""
+        b = as_vector(b, 6) if np.ndim(b) < 2 else b
+        return abs((b[..., None, :] @ self._omega_fun[:, None])[..., 0, 0]) \
+            <= eps * np.linalg.norm(b, axis=-1)
 
     # -- Pluecker machinery --------------------------------------------------
 
@@ -242,10 +251,12 @@ class SympSpace:
         P and Q are transverse exactly when the bivector product of their
         Pluecker images is nonzero; evaluated on unit-scale images.
         """
-        bp = self.plucker(p)
-        bq = self.plucker(q)
-        val = self.wedge(bp, bq) / (np.linalg.norm(bp) * np.linalg.norm(bq))
-        return abs(val) > eps
+        return bool(self._transversality(self.plucker(p), self.plucker(q)) > eps)
+
+    def _transversality(self, bp, bq):
+        """|bp . bq| / (|bp| |bq|) of two Pluecker images, or of stacked rows."""
+        wedge = (bp[..., None, :] @ self._gram @ bq[..., :, None])[..., 0, 0]
+        return abs(wedge) / (np.linalg.norm(bp, axis=-1) * np.linalg.norm(bq, axis=-1))
 
     def reflect_omega_star(self, b):
         """Reflection u -> u + (u . omega*) omega*; fixes W pointwise.
@@ -283,10 +294,14 @@ class SympSpace:
 
     def to_einstein(self, b, eps=EPS_ALG):
         """Isometry from W onto the null-cone model space R^{3,2}."""
-        b = as_vector(b, 6)
-        if not self.in_kernel(b, eps):
-            raise GeometryError("bivector is not in the kernel of omega")
-        return self.bridge[0] @ b
+        x, checks = self._to_einstein(as_vector(b, 6), eps)
+        _raise_first(checks)
+        return x
+
+    def _to_einstein(self, b, eps=EPS_ALG):
+        """`to_einstein` over stacked rows: the images, and the check."""
+        return (self.bridge[0] @ b[..., None])[..., 0], [
+            (~self.in_kernel(b, eps), "bivector is not in the kernel of omega")]
 
     def from_einstein(self, x):
         """Inverse of `to_einstein`."""
@@ -312,14 +327,8 @@ class Splitting:
     """
 
     def __init__(self, space, s, s_perp, eps=EPS_ALG):
-        if s.is_lagrangian or s_perp.is_lagrangian:
-            raise GeometryError("splitting summands must be nondegenerate")
-        val = np.abs(s.sub.onb.T @ space.matrix @ s_perp.sub.onb).max()
-        if val > eps:
-            raise GeometryError(
-                f"summands are not omega-orthogonal: omega = {val:.3e}")
-        if Subspace(np.hstack([s.sub.onb, s_perp.sub.onb])).dim != 4:
-            raise GeometryError("summands do not span V")
+        _raise_first(_splitting_checks(space, s.sub.onb, s.is_lagrangian,
+                                       s_perp.sub.onb, s_perp.is_lagrangian, eps))
         self.space = space
         self.s = s
         self.s_perp = s_perp
@@ -334,6 +343,24 @@ class Splitting:
         return f"Splitting(s=\n{self.s_basis}, s_perp=\n{self.s_perp_basis})"
 
 
+def _splitting_checks(space, s, s_lagrangian, t, t_lagrangian, eps=EPS_ALG):
+    """The checks of `Splitting` over stacked orthonormal bases s, t of the
+    summands and their tags (the rank check of the sum raises here)."""
+    nondegenerate = ~(np.asarray(s_lagrangian) | t_lagrangian)
+    val = np.abs(np.swapaxes(s, -1, -2) @ space.matrix @ t).max(axis=(-2, -1))
+    _orthonormal_columns(np.concatenate([s, t], -1)[nondegenerate & (val <= eps)], EPS_RANK)
+    return [(~nondegenerate, "splitting summands must be nondegenerate"),
+            (val > eps, lambda i: f"summands are not omega-orthogonal: omega = {val[i]:.3e}")]
+
+
+def _complements(space, onb):
+    """`symplectic_complement` over stacked orthonormal bases: the bases of
+    the complements, and the check of their dimension."""
+    _, rank, vh = _singular(np.swapaxes(onb, -1, -2) @ space.matrix, EPS_RANK, True)
+    return np.swapaxes(vh[..., 2:, :], -1, -2), [
+        (rank != 2, "complement is not 2-dimensional")]
+
+
 def symplectic_complement(space, s):
     """The omega-orthogonal complement of a 2-plane.
 
@@ -344,9 +371,8 @@ def symplectic_complement(space, s):
     if s.is_lagrangian:
         warnings.warn("symplectic complement of a Lagrangian plane is itself",
                       stacklevel=2)
-    comp = nullspace(s.sub.onb.T @ space.matrix)
-    if comp.shape[1] != 2:
-        raise GeometryError("complement is not 2-dimensional")
+    comp, checks = _complements(space, s.sub.onb)
+    _raise_first(checks)
     return Plane2(space, comp)
 
 
@@ -361,19 +387,25 @@ def maslov(space, l, p, l_prime, eps=EPS_RANK):
     for plane, name in ((l, "L"), (p, "P"), (l_prime, "L'")):
         if not plane.is_lagrangian:
             raise GeometryError(f"{name} is not Lagrangian")
-    m = np.hstack([l.sub.onb, l_prime.sub.onb])
-    if abs(np.linalg.det(m)) <= eps:
-        raise GeometryError("L and L' are not transverse")
-    coeffs = np.linalg.solve(m, p.sub.onb)  # 4x2: coordinates of P's basis
-    proj_l = l.sub.onb @ coeffs[:2]
-    proj_lp = l_prime.sub.onb @ coeffs[2:]
-    g = proj_l.T @ space.matrix @ proj_lp  # g[i, j] = omega(pi_L p_i, pi_L' p_j)
-    q = (g + g.T) / 2
-    pos, neg, zero = inertia(np.linalg.eigvalsh(q), eps)
-    if zero:
-        raise GeometryError(
-            "restricted form is degenerate: P is not transverse to L and L'")
-    return pos - neg
+    index, checks = _maslov_rows(space, l.sub.onb, p.sub.onb, l_prime.sub.onb, eps)
+    _raise_first(checks)
+    return int(index)
+
+
+def _maslov_rows(space, l, p, l_prime, eps=EPS_RANK):
+    """`maslov` over stacked orthonormal bases of Lagrangian triples: the
+    indices, and the checks after the tags (a failed row has no index)."""
+    m = np.concatenate([l, l_prime], axis=-1)
+    apart = abs(np.linalg.det(m)) > eps
+    # coordinates of P's basis in [L | L'], on the identity where L, L' meet
+    coeffs = np.linalg.solve(np.where(apart[..., None, None], m, np.eye(4)), p)
+    g = (np.swapaxes(l @ coeffs[..., :2, :], -1, -2) @ space.matrix
+         @ (l_prime @ coeffs[..., 2:, :]))  # g[i, j] = omega(pi_L p_i, pi_L' p_j)
+    pos, neg, zero = inertia(np.linalg.eigvalsh((g + np.swapaxes(g, -1, -2)) / 2), eps)
+    return np.subtract(pos, neg), [
+        (~apart, "L and L' are not transverse"),
+        (apart & (np.asarray(zero) > 0),
+         "restricted form is degenerate: P is not transverse to L and L'")]
 
 
 def mu(space, s):
@@ -388,8 +420,14 @@ def mu(space, s):
     if s.is_lagrangian:
         raise GeometryError("mu is not defined on Lagrangian planes "
                             "(the projection would be null)")
-    iota = space.plucker(s.normalized_basis())
-    return iota + 0.5 * space.omega_of(iota) * space.omega_star
+    return _mu_rows(space, s.normalized_basis())
+
+
+def _mu_rows(space, bases):
+    """`mu` of the planes of omega-normalized bases, one (4, 2) or a stack."""
+    iota = plucker_rows(bases[..., 0], bases[..., 1])
+    w = (iota[..., None, :] @ space._omega_fun[:, None])[..., 0, 0]
+    return iota + 0.5 * w[..., None] * space.omega_star
 
 
 def splitting_from_spacelike(space, u, eps=EPS_ALG):
@@ -429,7 +467,8 @@ def det_omega(f):
     Equals the plain determinant of the matrix in omega-normalized bases.
     """
     m = np.asarray(f, float)
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    d = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return float(d) if d.ndim == 0 else d
 
 
 def adjugate(f):
@@ -439,7 +478,8 @@ def adjugate(f):
     Adj(f) f = Det(f) id, and Adj(f) = Det(f) f^{-1} for invertible f.
     """
     m = np.asarray(f, float)
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+    return np.stack([np.stack([m[..., 1, 1], -m[..., 0, 1]], -1),
+                     np.stack([-m[..., 1, 0], m[..., 0, 0]], -1)], -2)
 
 
 def graph(space, f, splitting):
@@ -497,12 +537,22 @@ def lagrangian_point(space, l):
     """Point of the null-cone model corresponding to a Lagrangian plane."""
     if not l.is_lagrangian:
         raise GeometryError("expected a Lagrangian plane")
-    return einstein.EinPoint(space.to_einstein(space.plucker(l)))
+    reps, checks = _lagrangian_points(space, l.basis)
+    _raise_first(checks)
+    return einstein.EinPoint(reps)
+
+
+def _lagrangian_points(space, bases, eps=EPS_ALG):
+    """`lagrangian_point` over stacked bases of Lagrangian planes: the
+    normalized points, and the checks."""
+    x, kernel = space._to_einstein(plucker_rows(bases[..., 0], bases[..., 1]), eps)
+    reps, null = einstein._null_points(x, eps)
+    return reps, kernel + null
 
 
 def plane_intersection_dim(p, q, eps=EPS_RANK):
     """dim(P cap Q) through plain subspace intersection (no bivectors)."""
-    return intersect(p.sub, q.sub, eps).dim
+    return int(_intersection_dims(p.sub.onb, q.sub.onb, eps))
 
 
 def symplectic_basis(space, eps=EPS_RANK):

@@ -116,6 +116,9 @@ def test_criterion_9_determinism():
     print(f"[{status}] criterion 9: determinism ({len(first.stdout)} bytes)")
     assert identical
     assert hashlib.sha256(first.stdout).hexdigest() == VERIFY_SHA256
+    # no warning of a stacked kernel's masked rows (or anything else)
+    # reaches stderr, where pytest's warning filters do not reach
+    assert first.stderr == second.stderr == b""
 
 
 if __name__ == "__main__":

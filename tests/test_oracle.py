@@ -652,3 +652,230 @@ def test_min_gap_equals_the_clipped_maximum():
             E.EinsteinTorus(O.random_unit_spacelike(rng)), 50, rng)
         cos = np.clip(np.abs(a.unit_points() @ b.unit_points().T), 0.0, 1.0)
         assert O.min_gap(a, b) == float(np.sqrt(max(0.0, 1.0 - float(cos.max()) ** 2)))
+
+
+# report_lines of the four stacked suites at trials=200 on seeds 1-3 (two
+# blocks each), as the trial-by-trial suites wrote them
+_STACKED_SUITE_SHA256 = {
+    "torus-trichotomy": "1d3eadefdcbaada00fea4131f7d7e1a9c74936d4c6d3c4ebbc20afe126e08fb7",
+    "eta-bridge": "604c84de9ba1ce501acbfdd9368df21a211a20840f40ca3ccb156aefeed71f4d",
+    "symplectic-identities": "f21530a44d89be3a5e41220d8f706d1ca13959853297e9266c9c691aa23c40c3",
+    "maslov-bridge": "aba5054fe7d90dcec6b8c4951e908dbf685f6314e4b2c4e69b27e5af994982fc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STACKED_SUITE_SHA256))
+def test_stacked_suites_keep_their_report_bytes(name):
+    import hashlib
+    lines = O.report_lines([O.run_suite(name, trials=200, seed=seed) for seed in (1, 2, 3)])
+    assert hashlib.sha256(lines.encode()).hexdigest() == _STACKED_SUITE_SHA256[name]
+
+
+def _plane_draws(seeds=20, draws=20):
+    """Bases of alternating `random_lagrangian`, `random_nondegenerate_plane`
+    and `random_splitting` draws on each seed, and the generator state after
+    them."""
+    out = []
+    for seed in range(seeds):
+        rng = O.make_rng(seed)
+        for k in range(draws):
+            if k % 3 == 0:
+                out.append(O.random_lagrangian(SP, rng).basis)
+            elif k % 3 == 1:
+                out.append(O.random_nondegenerate_plane(SP, rng).basis)
+            else:
+                split = O.random_splitting(SP, rng)
+                out.append(np.hstack([split.s_basis, split.s_perp_basis]))
+        out.append(rng.bit_generator.state)
+    return out
+
+
+def test_screened_plane_draws_equal_the_exact_route(monkeypatch):
+    # with an infinite guard band every test of a plane draw takes the exact
+    # route (SVD, Plane2); the screened draws must equal those bit for bit
+    # and leave the generator where they leave it
+    screened = _plane_draws()
+    monkeypatch.setattr(O, "_SCREEN_BAND", np.inf)
+    exact = _plane_draws()
+    for got, want in zip(screened, exact):
+        if isinstance(want, dict):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
+
+def test_maslov_bridge_takes_the_exact_route_only_in_its_band(monkeypatch):
+    calls = {"svd": 0, "planes": 0}
+    svd, init = np.linalg.svd, S.Plane2.__init__
+
+    def counted_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counted_plane(self, *args, **kwargs):
+        calls["planes"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(S.Plane2, "__init__", counted_plane)
+    report = O.suite_maslov_bridge(trials=100, seed=7)
+    assert report["failures"] == []
+    # trial by trial the suite made 635 SVDs and 300 planes here; stacked,
+    # one SVD for the bases of all triples and one for the spans of the
+    # points, and no draw in a band
+    assert calls["planes"] == 0
+    assert calls["svd"] <= 3
+
+
+def _trial_numbers(failures):
+    return [int(f.split(":")[0][len("trial "):]) for f in failures]
+
+
+def test_maslov_bridge_reports_a_swapped_causal_kernel_in_trial_order(monkeypatch):
+    causal_rows = E._causal_rows
+
+    def swapped(*args, **kwargs):
+        index, checks = causal_rows(*args, **kwargs)
+        return np.choose(index, [0, 2, 1]), checks
+
+    monkeypatch.setattr(E, "_causal_rows", swapped)
+    failures = O.suite_maslov_bridge(trials=30, seed=7)["failures"]
+    # every third trial is drawn lightlike, and only those keep their type
+    assert _trial_numbers(failures) == [k for k in range(1, 31) if k % 3]
+    for f in failures:
+        assert f.endswith(("maslov 2 vs causal CausalType.SPACELIKE",
+                           "maslov 0 vs causal CausalType.TIMELIKE"))
+
+
+def test_torus_trichotomy_reports_a_patched_carrier_kernel_in_trial_order(monkeypatch):
+    signatures = E._carrier_signatures
+
+    def swapped(n1, n2):
+        p, q, z = signatures(n1, n2)
+        return q, p, z
+
+    monkeypatch.setattr(E, "_carrier_signatures", swapped)
+    failures = O.suite_torus_trichotomy(trials=30, seed=7)["failures"]
+    assert _trial_numbers(failures) == list(range(1, 31))
+    for f in failures:
+        assert f.endswith(("carrier signature (2, 1, 0) for IntersectionKind.TIMELIKE_CIRCLE",
+                           "carrier signature (1, 2, 0) for IntersectionKind.SPACELIKE_CIRCLE"))
+
+
+def test_eta_bridge_reports_flipped_kinds_in_trial_order(monkeypatch):
+    classify = E.classify_torus_pair
+    flip = {E.IntersectionKind.TIMELIKE_CIRCLE: E.IntersectionKind.SPACELIKE_CIRCLE,
+            E.IntersectionKind.SPACELIKE_CIRCLE: E.IntersectionKind.TIMELIKE_CIRCLE}
+
+    def flipped(t1, t2, *args):
+        cls = classify(t1, t2, *args)
+        return E.IntersectionClass(flip[cls.kind], cls.eta, cls.normals)
+
+    monkeypatch.setattr(E, "classify_torus_pair", flipped)
+    failures = O.suite_eta_bridge(trials=30, seed=7)["failures"]
+    assert _trial_numbers(failures) == list(range(1, 31))
+    assert all(" kind IntersectionKind." in f and " vs eta " in f for f in failures)
+
+
+def _reference_maslov(space, l, p, lp, eps=1e-9):
+    """`maslov` as it was written per triple, kept as the reference of the
+    stacked `_maslov_rows`."""
+    from ein3.linalg import inertia
+    m = np.hstack([l.sub.onb, lp.sub.onb])
+    if abs(np.linalg.det(m)) <= eps:
+        raise GeometryError("L and L' are not transverse")
+    coeffs = np.linalg.solve(m, p.sub.onb)
+    g = (l.sub.onb @ coeffs[:2]).T @ space.matrix @ (lp.sub.onb @ coeffs[2:])
+    pos, neg, zero = inertia(np.linalg.eigvalsh((g + g.T) / 2), eps)
+    if zero:
+        raise GeometryError("restricted form is degenerate: P is not transverse to L and L'")
+    return pos - neg
+
+
+def _reference_causal(p, p0, pinf, eps=1e-9):
+    """`classify_point` as it was written per point, kept as the reference
+    of the stacked `_causal_rows`."""
+    from ein3.linalg import Subspace
+
+    def incident(a, b):
+        return abs(E.inner(a.rep / np.linalg.norm(a.rep), b.rep / np.linalg.norm(b.rep))) <= eps
+
+    if incident(p0, pinf):
+        raise GeometryError("p0 and pinf are incident: no Minkowski patch")
+    if p == p0 or p == pinf:
+        raise GeometryError("point coincides with a reference point")
+    if incident(p, p0):
+        return E.CausalType.LIGHTLIKE
+    if incident(p, pinf):
+        raise GeometryError(
+            "point lies on the light cone of pinf, outside the Minkowski patch")
+    sig = E.model_space().signature(Subspace.span(p.rep, p0.rep, pinf.rep))
+    types = {(1, 2, 0): E.CausalType.TIMELIKE, (2, 1, 0): E.CausalType.SPACELIKE}
+    if sig not in types:
+        raise GeometryError(f"degenerate configuration, span signature {sig}")
+    return types[sig]
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except GeometryError as error:
+        return str(error)
+
+
+def test_stacked_maslov_and_causal_kernels_match_the_per_trial_reference():
+    rng = O.make_rng(17)
+    triples = []
+    for k in range(600):
+        l, lp = O.random_lagrangian(SP, rng), O.random_lagrangian(SP, rng)
+        p = O.random_lagrangian(SP, rng)
+        if k % 4 == 0:  # P = L: no index, and a point that coincides with p0
+            p = l
+        elif k % 4 == 1:  # P through a line of L: no index, a lightlike point
+            x = l.basis @ rng.normal(size=2)
+            base = SP.matrix @ x
+            r = rng.normal(size=4)
+            p = S.Plane2.span(SP, x, r - (r @ base) / (base @ base) * base)
+        triples.append((l, p, lp))
+    ls, ps, lps = ([t[j] for t in triples] for j in range(3))
+    onb = [np.array([plane.sub.onb for plane in planes]) for planes in (ls, ps, lps)]
+    index, checks = S._maslov_rows(SP, *onb)
+    points = [[S.lagrangian_point(SP, plane) for plane in planes] for planes in (ps, ls, lps)]
+    reps, point_checks = S._lagrangian_points(
+        SP, np.concatenate([np.array([plane.basis for plane in planes]) for planes in (ps, ls, lps)]))
+    assert not any(mask.any() for mask, _ in point_checks)
+    assert np.array_equal(reps, np.concatenate([[x.rep for x in row] for row in points]))
+    causal, causal_checks = E._causal_rows(*np.split(reps, 3))
+    outcomes = {"maslov": set(), "causal": set()}
+    for i, (l, p, lp) in enumerate(triples):
+        want = _outcome(_reference_maslov, SP, l, p, lp)
+        got = next((m for mask, m in checks if mask[i]), None) or int(index[i])
+        assert got == want == _outcome(S.maslov, SP, l, p, lp)
+        outcomes["maslov"].add(want)
+        point, p0, pinf = (row[i] for row in points)
+        want = _outcome(_reference_causal, point, p0, pinf)
+        got = next((m if isinstance(m, str) else m(i) for mask, m in causal_checks if mask[i]),
+                   None) or E._CAUSAL[causal[i]]
+        assert got == want == _outcome(E.classify_point, point, p0, pinf)
+        outcomes["causal"].add(want)
+    # both kernels took every branch the suite reads, and a raise
+    assert {-2, 0, 2} < outcomes["maslov"]
+    assert set(E._CAUSAL) <= outcomes["causal"]
+    assert "point coincides with a reference point" in outcomes["causal"]
+
+
+def test_plane_screen_reads_the_singular_values_and_omega():
+    # the float screen's least and largest singular values and its |omega| on
+    # an orthonormal basis agree with the SVD and with `Plane2` to within
+    # rounding, far inside the guard band, also near rank one
+    rng = O.make_rng(23)
+    for k in range(500):
+        m = rng.normal(size=(4, 2)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if k % 4 == 0:
+            m[:, 1] = 2.0 * m[:, 0] + 1e-5 * np.abs(m).max() * rng.normal(size=4)
+        least, top, omega = O._plane_screen(SP, m)
+        s = np.linalg.svd(m, compute_uv=False)
+        onb = S.Plane2(SP, m).sub.onb
+        assert least == pytest.approx(s[1], rel=1e-9)
+        assert top == pytest.approx(s[0], rel=1e-12)
+        assert omega == pytest.approx(abs(SP.omega(onb[:, 0], onb[:, 1])), abs=1e-10)
