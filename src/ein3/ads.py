@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ein3.linalg import EPS_ALG, GeometryError, as_rows, as_vector
+from ein3.linalg import EPS_ALG, GeometryError, _raise_first, as_rows, as_vector
 from ein3.symplectic import Plane2, SympSpace
 from ein3.crooked import LightlikeQuadrilateral
 
@@ -45,7 +45,13 @@ def ads_space():
 
 def omega0(x, y):
     """The area form on V0: omega0(x, y) = x^T J y."""
-    return float(as_vector(x, 2) @ J @ as_vector(y, 2))
+    return float(_omega0_cells(as_vector(x, 2), as_vector(y, 2))[0, 0])
+
+
+def _omega0_cells(x, y):
+    """omega0 of two vectors as a 1x1 array, or row by row of two stacks of
+    them (..., 1, 1)."""
+    return x[..., None, :] @ J @ y[..., :, None]
 
 
 def as_sl2(m, eps=EPS_ALG):
@@ -55,7 +61,14 @@ def as_sl2(m, eps=EPS_ALG):
         raise GeometryError("an AdS point is a 2x2 matrix")
     if not np.isfinite(m).all():
         raise GeometryError("an AdS point needs finite entries")
-    (a, b), (c, d) = m.tolist()
+    _check_sl2(m.tolist(), eps)
+    return m
+
+
+def _check_sl2(m, eps):
+    """The determinant check of `as_sl2` on the finite entries
+    ((a, b), (c, d)) of a 2x2 matrix as floats."""
+    (a, b), (c, d) = m
     scale = max(abs(a), abs(b), abs(c), abs(d))
     tol = eps * max(1.0, scale * scale)
     if not math.isfinite(tol):
@@ -63,7 +76,6 @@ def as_sl2(m, eps=EPS_ALG):
     det = a * d - b * c
     if abs(det - 1.0) > tol:
         raise GeometryError(f"matrix must have determinant 1, got {np.float64(det)!r}")
-    return m
 
 
 def embed(f):
@@ -79,14 +91,6 @@ def embed(f):
     if not plane.is_lagrangian:
         raise GeometryError("graph of the matrix is not Lagrangian")
     return plane
-
-
-def pair_action(a_mat, b_mat):
-    """The symplectic matrix B (+) A through which (A, B) acts on graphs."""
-    out = np.zeros((4, 4))
-    out[:2, :2] = as_sl2(b_mat)
-    out[2:, 2:] = as_sl2(a_mat)
-    return out
 
 
 def involution(l):
@@ -112,15 +116,21 @@ class AdsCrookedPlane:
     def __post_init__(self):
         self.base = as_sl2(self.base)
         directions = as_rows((self.a, self.b), 2)
+        _check_independent(*directions.tolist())
         self.a, self.b = directions
-        (a0, a1), (b0, b1) = directions.tolist()
-        if abs(a0 * b1 - a1 * b0) <= EPS_ALG * math.sqrt(a0 * a0 + a1 * a1) \
-                * math.sqrt(b0 * b0 + b1 * b1):
-            raise GeometryError("direction vectors must be independent")
 
     def to_dict(self):
         return {"base": self.base.tolist(), "a": self.a.tolist(),
                 "b": self.b.tolist()}
+
+
+def _check_independent(a, b):
+    """The independence check of a plane's finite directions, (a0, a1) and
+    (b0, b1) as floats."""
+    (a0, a1), (b0, b1) = a, b
+    if abs(a0 * b1 - a1 * b0) <= EPS_ALG * math.sqrt(a0 * a0 + a1 * a1) \
+            * math.sqrt(b0 * b0 + b1 * b1):
+        raise GeometryError("direction vectors must be independent")
 
 
 def ads_quadrilateral(plane, eps=EPS_ALG):
@@ -136,13 +146,19 @@ def ads_quadrilateral(plane, eps=EPS_ALG):
     photon set is).  The plane already tested omega0(a, b) = det[a, b]
     against zero; eps bounds the quadrilateral's product residuals.
     """
-    f, a, b = plane.base, plane.a, plane.b
-    alpha = a @ J @ b  # omega0(a, b) of the plane's validated vectors
-    fa, fb = f @ a, f @ b
-    q = np.concatenate([a, fa, b, fb, a, fa, b, fb]).reshape(4, 4)
+    return LightlikeQuadrilateral(_SPACE, *_quad_rows(plane.base, plane.a, plane.b), eps)
+
+
+def _quad_rows(f, a, b):
+    """The rows u+, u-, v+, v- of `ads_quadrilateral` for a base f and
+    validated directions a, b, or for stacks of them (..., 4, 4)."""
+    alpha = _omega0_cells(a, b)
+    fa = (f @ a[..., None])[..., 0]
+    fb = (f @ b[..., None])[..., 0]
+    q = np.concatenate([a, fa, b, fb, a, fa, b, fb], axis=-1).reshape(a.shape[:-1] + (4, 4))
     q *= _QUAD_SIGNS
-    q[1::2] /= 2.0 * alpha  # the rows u-, v- of b
-    return LightlikeQuadrilateral(_SPACE, *q, eps)
+    q[..., 1::2, :] /= 2.0 * alpha  # the rows u-, v- of b
+    return q
 
 
 # margin names, row by row: x' of the second plane against y of the first
@@ -153,24 +169,27 @@ _DGK_KEYS = ("a'-a", "a'-b", "b'-a", "b'-b")
 def _reduced_config(base1, y, base2, x):
     """Left-translate both planes by the inverse of the first base: the
     relative base f and the unit directions as columns, y = (a, b) of the
-    first plane and x = (a', b') of the second."""
+    first plane and x = (a', b') of the second; all four may carry the same
+    leading stack axes, or base1 none."""
     f = np.linalg.solve(base1, base2)
-    return f, y / np.linalg.norm(y, axis=0), x / np.linalg.norm(x, axis=0)
+    # unit columns, measured as np.linalg.norm(m, axis=-2) measures them
+    y, x = (m / np.sqrt(np.add.reduce(m * m, axis=-2, keepdims=True)) for m in (y, x))
+    return f, y, x
 
 
 def _pair_arrays(p1, p2):
     """Bases and direction columns of two planes, as `_reduced_config`
     takes them."""
-    return (p1.base, np.column_stack([p1.a, p1.b]),
-            p2.base, np.column_stack([p2.a, p2.b]))
+    return p1.base, np.array((p1.a, p1.b)).T, p2.base, np.array((p2.a, p2.b)).T
 
 
 def _margin_array(base1, y, base2, x):
     """The 2x2 array of `ads_margins` from raw bases and direction columns
-    (see `_reduced_config`); rows x' = a', b', columns y = b, a."""
+    (see `_reduced_config`), one per pair of a stack; rows x' = a', b',
+    columns y = b, a."""
     f, y, x = _reduced_config(base1, y, base2, x)
-    jy = J @ y[:, ::-1]
-    return (x.T @ jy) ** 2 - ((f @ x).T @ jy) ** 2
+    jy = J @ y[..., ::-1]
+    return (x.swapaxes(-1, -2) @ jy) ** 2 - ((f @ x).swapaxes(-1, -2) @ jy) ** 2
 
 
 def ads_margins(p1, p2):
@@ -193,7 +212,7 @@ def ads_disjoint(p1, p2, eps=EPS_ALG):
     agrees with the sixteen-inequality criterion applied to the two
     quadrilaterals (`crooked.surfaces_disjoint`).
     """
-    return all(v > eps for v in ads_margins(p1, p2).values())
+    return bool((_margin_array(*_pair_arrays(p1, p2)) > eps).all())
 
 
 def boundary_lift(a):
@@ -202,10 +221,20 @@ def boundary_lift(a):
     Traceless and trace-form null, landing in the upper half of the null
     cone; equivariant, with boundary_lift(A a) = A boundary_lift(a) A^{-1}.
     """
-    a = as_vector(a, 2)
-    if np.linalg.norm(a) == 0.0:
-        raise GeometryError("cannot lift the zero vector")
-    return -np.outer(a, a) @ J
+    lift, checks = _boundary_lifts(as_vector(a, 2))
+    _raise_first(checks)
+    return lift
+
+
+def _boundary_lifts(v):
+    """`boundary_lift` of each row of a stack (..., 2), and its check as
+    (mask, message)."""
+    return _lifts(v), [(np.linalg.norm(v, axis=-1) == 0.0, "cannot lift the zero vector")]
+
+
+def _lifts(v):
+    """Boundary lifts -v v^T J of a vector, or of each row of a stack."""
+    return -(v[..., :, None] * v[..., None, :]) @ J
 
 
 def killing(x, y):
@@ -215,10 +244,26 @@ def killing(x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    for m in (x, y):
-        if m.shape != (2, 2) or abs(np.trace(m)) > EPS_ALG * max(1.0, np.abs(m).max()):
-            raise GeometryError("killing expects traceless 2x2 matrices")
-    return float(np.trace(x @ y))
+    if x.shape != (2, 2) or y.shape != (2, 2):
+        raise GeometryError("killing expects traceless 2x2 matrices")
+    k, checks = _killing_rows(x, y)
+    _raise_first(checks)
+    return float(k)
+
+
+def _killing_rows(x, y):
+    """`killing` of two stacks of 2x2 matrices (..., 2, 2), pair by pair,
+    and its check as (mask, message)."""
+    traced = [np.abs(m[..., 0, 0] + m[..., 1, 1])
+              > EPS_ALG * np.maximum(1.0, np.abs(m).max(axis=(-2, -1))) for m in (x, y)]
+    return _trace_form(x, y), [(traced[0] | traced[1],
+                                "killing expects traceless 2x2 matrices")]
+
+
+def _trace_form(x, y):
+    """Tr(XY) of 2x2 matrices, pair by pair over stacks."""
+    xy = x @ y
+    return xy[..., 0, 0] + xy[..., 1, 1]
 
 
 def is_upper_null(x, eps=EPS_ALG):
@@ -276,24 +321,34 @@ def horocycle_distance(h1, h2, eps=EPS_ALG):
     return float(np.arccosh(max(arg, 1.0)))
 
 
-def _lifts(x):
-    """Boundary lifts -x x^T J of the columns of x, stacked."""
-    return -(x.T[:, :, None] * x.T[:, None, :]) @ J
+def _dgk_array(base1, y, base2, x):
+    """The 2x2 arrays of trace-form margins and of K(xi, xi') behind
+    `dgk_margins`, from raw bases and direction columns (see
+    `_reduced_config`), one pair per pair of a stack; rows xi' of a', b',
+    columns xi of a, b."""
+    f, y, x = _reduced_config(base1, y, base2, x)
+    lifts1, lifts2 = _lifts(y.swapaxes(-1, -2)), _lifts(x.swapaxes(-1, -2))
+    moved = f[..., None, :, :] @ lifts2 @ np.linalg.inv(f)[..., None, :, :]
+    lifts1 = lifts1[..., None, :, :, :]
+    k_fixed = _trace_form(lifts1, lifts2[..., :, None, :, :])
+    return _trace_form(lifts1, moved[..., :, None, :, :]) - k_fixed, k_fixed
+
+
+def _dgk_passes(margins, k_fixed, eps):
+    """The rule of `dgk_criterion` on the arrays of `_dgk_array`, per
+    endpoint pair: the endpoints are not coincident (lifts are proportional
+    exactly when the directions are, K(xi, xi') > -EPS_ALG) and the margin
+    is above eps; the planes are disjoint when all four pairs pass."""
+    return (k_fixed <= -EPS_ALG) & (margins > eps)
 
 
 def dgk_margins(p1, p2):
     """Trace-form margins K(xi, f xi' f^{-1}) - K(xi, xi') for the four
     endpoint pairs, with the coincident pairs flagged."""
-    f, y, x = _reduced_config(*_pair_arrays(p1, p2))
-    lifts1, lifts2 = _lifts(y), _lifts(x)
-    moved = f @ lifts2 @ np.linalg.inv(f)
-    # K(X, Y) = Tr(XY), for xi' (rows) against xi (columns)
-    k_moved = np.einsum("jab,iba->ij", lifts1, moved).ravel().tolist()
-    k_fixed = np.einsum("jab,iba->ij", lifts1, lifts2).ravel().tolist()
-    margins = {key: km - kf for key, km, kf in zip(_DGK_KEYS, k_moved, k_fixed)}
-    # lifts are proportional exactly when the directions are
-    coincident = [key for key, kf in zip(_DGK_KEYS, k_fixed) if kf > -EPS_ALG]
-    return margins, coincident
+    margins, k_fixed = _dgk_array(*_pair_arrays(p1, p2))
+    coincident = [key for key, kf in zip(_DGK_KEYS, k_fixed.ravel().tolist())
+                  if kf > -EPS_ALG]
+    return dict(zip(_DGK_KEYS, margins.ravel().tolist())), coincident
 
 
 def dgk_criterion(p1, p2, eps=EPS_ALG):
@@ -306,7 +361,4 @@ def dgk_criterion(p1, p2, eps=EPS_ALG):
     comparison evaluated in its algebraic form, and is equivalent to
     `ads_disjoint`.
     """
-    margins, coincident = dgk_margins(p1, p2)
-    if coincident:
-        return False
-    return all(v > eps for v in margins.values())
+    return bool(_dgk_passes(*_dgk_array(*_pair_arrays(p1, p2)), eps).all())

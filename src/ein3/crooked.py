@@ -74,27 +74,12 @@ class LightlikeQuadrilateral:
         self.u_plus, self.u_minus, self.v_plus, self.v_minus = rows
         self.columns = rows.T.copy()  # Q = (u+, u-, v+, v-), C-ordered
         self.gram = self.columns.T @ space.matrix @ self.columns  # G = Q^T Omega Q
-        bad = {k: v for k, v in self.product_residuals().items() if abs(v) > eps}
-        if bad:
-            raise GeometryError(
-                "quadrilateral products violated: "
-                + ", ".join(f"{k} off by {v:.3e}" for k, v in bad.items()))
-        # det Q = Pf(G) / Pf(Omega), and 1 / Pf(Omega) = -vol_coeff
-        if abs(pfaffian4(self.gram.tolist()) * space.vol_coeff) <= EPS_RANK:
-            raise GeometryError("quadrilateral vectors do not form a basis")
+        _check_quadrilateral(self.gram.tolist(), space.vol_coeff, eps)
 
     def product_residuals(self):
         """Deviation of each omega product from its required value, read
         off the Gram matrix G."""
-        g = self.gram.tolist()
-        return {
-            "omega(u+, v-) - 1": g[0][3] - 1.0,
-            "omega(u-, v+) - 1": g[1][2] - 1.0,
-            "omega(u+, u-)": g[0][1],
-            "omega(u+, v+)": g[0][2],
-            "omega(u-, v-)": g[1][3],
-            "omega(v+, v-)": g[2][3],
-        }
+        return dict(zip(_RESIDUAL_KEYS, _product_residuals(self.gram.tolist())))
 
     def vectors(self):
         return (self.u_plus, self.u_minus, self.v_plus, self.v_minus)
@@ -113,6 +98,32 @@ class LightlikeQuadrilateral:
         return ("LightlikeQuadrilateral("
                 + ", ".join(f"{k}={getattr(self, k).tolist()}" for k in _QUAD_KEYS)
                 + ")")
+
+
+_RESIDUAL_KEYS = ("omega(u+, v-) - 1", "omega(u-, v+) - 1", "omega(u+, u-)",
+                  "omega(u+, v+)", "omega(u-, v-)", "omega(v+, v-)")
+
+
+def _product_residuals(g):
+    """The residuals named by _RESIDUAL_KEYS, read off a Gram matrix G as
+    lists."""
+    (_, g01, g02, g03), (_, _, g12, g13), (_, _, _, g23), _ = g
+    return g03 - 1.0, g12 - 1.0, g01, g02, g13, g23
+
+
+def _check_quadrilateral(g, vol_coeff, eps):
+    """The checks of `LightlikeQuadrilateral` on its Gram matrix G as lists,
+    in a space of volume coefficient vol_coeff: the six products within eps,
+    then det Q = Pf(G) / Pf(Omega) off zero (1 / Pf(Omega) = -vol_coeff)."""
+    r0, r1, r2, r3, r4, r5 = residuals = _product_residuals(g)
+    if (abs(r0) > eps or abs(r1) > eps or abs(r2) > eps or abs(r3) > eps
+            or abs(r4) > eps or abs(r5) > eps):
+        raise GeometryError(
+            "quadrilateral products violated: "
+            + ", ".join(f"{k} off by {v:.3e}"
+                        for k, v in zip(_RESIDUAL_KEYS, residuals) if abs(v) > eps))
+    if abs(pfaffian4(g) * vol_coeff) <= EPS_RANK:
+        raise GeometryError("quadrilateral vectors do not form a basis")
 
 
 def canonical_quadrilateral(space=None):
@@ -147,6 +158,27 @@ def _plane_singular_values(rows):
     return values
 
 
+def _check_planes(rows, g):
+    """The checks of `CrookedSurface` on its six planes, from the rows
+    (u+, u-, v+, v-) of Q^T and the Gram matrix G of its quadrilateral as
+    lists: the rank rule of `Plane2` on the singular values of each basis,
+    reporting the least rank of the six, then its Lagrangian tag, |omega|
+    of the orthonormalized basis, which is |omega(b0, b1)| / (s0 s1) with
+    omega(b0, b1) read off G."""
+    values = _plane_singular_values(rows)
+    tols = [EPS_RANK * max(1.0, s0) for s0, _ in values]
+    if not all(s1 > tol for (_, s1), tol in zip(values, tols)):
+        rank = min((s0 > tol) + (s1 > tol) for (s0, s1), tol in zip(values, tols))
+        raise GeometryError(f"basis matrix has rank {rank} < 2 column(s)")
+    lagrangian = [abs(g[i][j]) / (s0 * s1) <= EPS_ALG
+                  for (i, j), (s0, s1) in zip(_PLANES, values)]
+    for name, tag in zip(("P0", "Pinf", "P+", "P-"), lagrangian):
+        if not tag:
+            raise GeometryError(f"vertex {name} is not Lagrangian")
+    if lagrangian[4] or lagrangian[5]:
+        raise GeometryError("stem planes must be nondegenerate")
+
+
 def _built_plane(index, doc):
     """Property reading one plane of the surface's cached `_planes`."""
     return property(lambda self: self._planes[index], doc=doc)
@@ -166,22 +198,7 @@ class CrookedSurface:
     def __init__(self, quad):
         self.quad = quad
         self.space = quad.space
-        values = _plane_singular_values(quad.columns.T.tolist())
-        # the rank rule of `Plane2`, reporting the least rank of the six bases
-        tols = [EPS_RANK * max(1.0, s0) for s0, _ in values]
-        if not all(s1 > tol for (_, s1), tol in zip(values, tols)):
-            rank = min((s0 > tol) + (s1 > tol) for (s0, s1), tol in zip(values, tols))
-            raise GeometryError(f"basis matrix has rank {rank} < 2 column(s)")
-        # its Lagrangian tag: |omega| of the orthonormalized basis, which is
-        # |omega(b0, b1)| / (s0 s1), with omega(b0, b1) read off G
-        g = quad.gram.tolist()
-        lagrangian = [abs(g[i][j]) / (s0 * s1) <= EPS_ALG
-                      for (i, j), (s0, s1) in zip(_PLANES, values)]
-        for name, tag in zip(("P0", "Pinf", "P+", "P-"), lagrangian):
-            if not tag:
-                raise GeometryError(f"vertex {name} is not Lagrangian")
-        if lagrangian[4] or lagrangian[5]:
-            raise GeometryError("stem planes must be nondegenerate")
+        _check_planes(quad.columns.T.tolist(), quad.gram.tolist())
 
     @functools.cached_property
     def _planes(self):
@@ -269,10 +286,13 @@ def surface_contains(surface, l, eps=EPS_ALG) -> Optional[SurfaceRegion]:
 
 
 def _unit_photons(p):
-    """p / |p| for one vector, or row by row for a stack of them; when a
-    norm overflows, the rows are first divided by their largest |entry|."""
+    """p / |p| for one vector, or row by row for a (k, 4) stack of them, or
+    for each (k, 4) slice of a deeper stack; when a norm of a slice
+    overflows, its rows are first divided by their largest |entry|."""
     norm = np.linalg.norm(p, axis=-1, keepdims=True)
     if not np.isfinite(norm).all():
+        if p.ndim > 2:
+            return np.array([_unit_photons(rows) for rows in p])
         p = p / np.abs(p).max(axis=-1, keepdims=True)
         norm = np.linalg.norm(p, axis=-1, keepdims=True)
     if not norm.all():
@@ -280,14 +300,19 @@ def _unit_photons(p):
     return p / norm
 
 
-def _omega_products(units, space, surface):
-    """W = P Omega Q for a stack P of unit photon rows of `space`:
-    W[i, j] = omega(p_i, column j of the surface's quadrilateral), the
-    columns being (u+, u-, v+, v-)."""
+def _check_space(space, surface):
+    """Raise unless photons of `space` can be tested against the surface."""
     if space is not surface.space and not np.array_equal(space.matrix,
                                                          surface.space.matrix):
         raise GeometryError(
             "the photons and the surface are in different symplectic spaces")
+
+
+def _omega_products(units, space, surface):
+    """W = P Omega Q for a stack P of unit photon rows of `space`:
+    W[i, j] = omega(p_i, column j of the surface's quadrilateral), the
+    columns being (u+, u-, v+, v-)."""
+    _check_space(space, surface)
     return units @ space.matrix @ surface.quad.columns
 
 
@@ -295,8 +320,29 @@ def _margins(photons, space, surface):
     """(m1, m2) of a stack of photon rows of `space` against a surface:
     m1 = omega(p, v+) omega(p, u+) and m2 = omega(p, v-) omega(p, u-) are
     products of two columns of W (`_omega_products`) for the unit rows."""
-    w = _omega_products(_unit_photons(photons), space, surface)
-    return w[:, 2] * w[:, 0], w[:, 3] * w[:, 1]
+    return _products(_omega_products(_unit_photons(photons), space, surface))
+
+
+def _products(w):
+    """(m1, m2) of `_margins` from the omega-products W."""
+    return w[..., 2] * w[..., 0], w[..., 3] * w[..., 1]
+
+
+def _sixteen_margins(columns, omega):
+    """The sixteen margins of a surface pair from one omega-product, for
+    the quadrilaterals Q1, Q2 stacked as columns (..., 2, 4, 4), or for a
+    stack of pairs: W = P Omega Q with P the unit photon rows of (Q2, Q1)
+    and Q = (Q1, Q2), so that (m1, m2) of `_margins` are (..., 2, 4):
+    row 0 the photons u+, u-, v+, v- of C2 against C1, row 1 those of C1
+    against C2."""
+    units = _unit_photons(columns[..., ::-1, :, :].swapaxes(-1, -2))
+    return _products(units @ omega @ columns)
+
+
+def _pair_margins(c1, c2):
+    """`_sixteen_margins` of two surfaces of one space."""
+    _check_space(c2.space, c1)
+    return _sixteen_margins(np.stack([c1.quad.columns, c2.quad.columns]), c1.space.matrix)
 
 
 def photon_margins(p, surface):
@@ -372,12 +418,10 @@ def disjointness_report(c1, c2, eps=EPS_ALG):
     Each of the eight defining photons contributes its two margins against
     the other surface, judged with margin eps.
     """
-    tests = []
-    for (surface, other, tag) in ((c1, c2, "of C2 vs C1"), (c2, c1, "of C1 vs C2")):
-        m1, m2 = _margins(other.quad.columns.T, other.space, surface)
-        tests += [PhotonTest(f"{key} {tag}", a, b, eps)
-                  for key, a, b in zip(_QUAD_KEYS, m1.tolist(), m2.tolist())]
-    return tests
+    m1, m2 = _pair_margins(c1, c2)
+    return [PhotonTest(f"{key} {tag}", a, b, eps)
+            for tag, row1, row2 in zip(("of C2 vs C1", "of C1 vs C2"), m1.tolist(), m2.tolist())
+            for key, a, b in zip(_QUAD_KEYS, row1, row2)]
 
 
 def surfaces_disjoint(c1, c2, eps=EPS_ALG):
@@ -387,6 +431,4 @@ def surfaces_disjoint(c1, c2, eps=EPS_ALG):
     quadrilateral) misses the other surface; equivalently when all sixteen
     strict inequalities hold with margin eps.
     """
-    return all(
-        _avoids(*_margins(other.quad.columns.T, other.space, surface), eps).all()
-        for surface, other in ((c1, c2), (c2, c1)))
+    return bool(_avoids(*_pair_margins(c1, c2), eps).all())

@@ -13,6 +13,7 @@ geometry; EPS_GEO below is the coarser tolerance for such comparisons,
 since sampling error dominates the algebraic tolerances.
 """
 
+import itertools
 import json
 import math
 
@@ -87,16 +88,11 @@ def random_symplectic(space, rng, scale=1.0):
     return expm(h)
 
 
-def random_sl2(rng):
-    """Random element of SL(2): the exponential of a traceless matrix
-    (`_sl2_exp` of x with standard normal entries, drawn here)."""
-    return _sl2_exp(rng.normal(size=(2, 2)))
-
-
 def _sl2_exp(x):
-    """expm of the traceless part x - tr(x) I / 2 of a 2x2 matrix."""
+    """expm of the traceless part x - tr(x) I / 2 of a 2x2 matrix, or of
+    each of a stack (scipy exponentiates the slices one by one)."""
     from scipy.linalg import expm
-    return expm(x - 0.5 * np.trace(x) * np.eye(2))
+    return expm(x - 0.5 * np.trace(x, axis1=-2, axis2=-1)[..., None, None] * np.eye(2))
 
 
 def _plane_screen(space, m):
@@ -530,15 +526,22 @@ def _ads_planes(a, b, ap, bp, f):
     return ads.AdsCrookedPlane(np.eye(2), a, b), ads.AdsCrookedPlane(f, ap, bp)
 
 
+def _exact_margins(a, b, ap, bp, f):
+    """`ads._margin_array` of the arrays of a draw, as `ads_margins` reads
+    the planes they make."""
+    return ads._margin_array(np.eye(2), np.column_stack([a, b]), f, np.column_stack([ap, bp]))
+
+
 def random_ads_config(rng):
     """Random pair of AdS crooked planes, the first based at the identity."""
     return _ads_planes(*_ads_arrays(_ads_draw(rng)))
 
 
-def _screened_out(draw, min_margin):
-    """Whether the float screen puts the least AdS margin of a draw
-    (`ads._margin_array`) below min_margin by more than _SCREEN_BAND
-    max(1, B^2), B^2 the largest of the terms omega0(f x', y)^2.
+def _screened_margins(draw):
+    """The four AdS margins of a draw (`ads._margin_array`, in its row
+    order) on Python floats, and their scale max(1, B^2), B^2 the largest
+    of the terms omega0(f x', y)^2: a screened margin more than
+    _SCREEN_BAND times the scale off a bound is decided on floats.
 
     f = exp X for the traceless part X of the draw x, in closed form: X^2 =
     -det X I, so exp X = cosh d I + (sinh d / d) X with d^2 = -det X, or
@@ -560,13 +563,14 @@ def _screened_out(draw, min_margin):
         return [[t / math.hypot(*v) for t in v] for v in (u.tolist() for u in vectors)]
 
     ys, xs = units(b, a), units(ap, bp)  # the columns and rows of the margins
-    least, top = math.inf, 0.0
+    margins, top = [], 0.0
     for x0, x1 in xs:
         fx0, fx1 = f00 * x0 + f01 * x1, f10 * x0 + f11 * x1
         for y0, y1 in ys:
             big = (fx0 * y1 - fx1 * y0) ** 2
-            least, top = min(least, (x0 * y1 - x1 * y0) ** 2 - big), max(top, big)
-    return least < min_margin - _SCREEN_BAND * max(1.0, top)
+            margins.append((x0 * y1 - x1 * y0) ** 2 - big)
+            top = max(top, big)
+    return margins, max(1.0, top)
 
 
 def disjoint_ads_pair(rng, min_margin=1e-2):
@@ -574,7 +578,7 @@ def disjoint_ads_pair(rng, min_margin=1e-2):
 
     Rejection-samples the draws of `random_ads_config` until all four
     reduced inequalities hold with margin at least min_margin.  A draw that
-    the float screen puts clearly below (`_screened_out`) is discarded;
+    the float screen (`_screened_margins`) puts clearly below is discarded;
     every other one takes the exact route (`_ads_arrays`,
     `ads._margin_array`), which alone accepts a draw.  Only the accepted
     one becomes planes, whose validation cannot fail (|omega0(a, b)| > 1e-2
@@ -582,12 +586,11 @@ def disjoint_ads_pair(rng, min_margin=1e-2):
     """
     for _ in range(RETRY_LIMIT):
         draw = _ads_draw(rng)
-        if _screened_out(draw, min_margin):
+        margins, scale = _screened_margins(draw)
+        if min(margins) < min_margin - _SCREEN_BAND * scale:
             continue
-        a, b, ap, bp, f = arrays = _ads_arrays(draw)
-        margins = ads._margin_array(np.eye(2), np.column_stack([a, b]),
-                                    f, np.column_stack([ap, bp]))
-        if margins.min() > min_margin:
+        arrays = _ads_arrays(draw)
+        if _exact_margins(*arrays).min() > min_margin:
             return _ads_planes(*arrays)
     raise RetryExhausted(f"no valid sample in {RETRY_LIMIT} attempts")
 
@@ -1274,50 +1277,99 @@ def suite_stem_only(trials=200, seed=7):
 
 
 def suite_ads_equivalence(trials=1000, seed=7):
-    """Four-inequality, boundary-lift and sixteen-inequality routes agree."""
+    """Four-inequality, boundary-lift and sixteen-inequality routes agree.
+
+    The draw stage skips a `random_ads_config` draw whose least |margin| is
+    at most 1e-6, read on floats by `disjoint_ads_pair`'s screen.  Each
+    block of accepted trials then takes one stacked expm, runs every plane,
+    quadrilateral and surface check by its scalar closed form in trial
+    order, and reads the three routes from the stacked margin kernels.  The
+    equivariance and trace-form loop checks its draws a block at a time."""
     rng = make_rng([seed, 7])
+    space = ads.ads_space()
+    base = ads.as_sl2(np.eye(2))  # the first plane of every pair
     failures = []
     max_violation = 0.0
-    done = 0
-    attempts = _attempts(trials)
-    while done < trials:
-        next(attempts)
-        p1, p2 = random_ads_config(rng)
-        margins = ads.ads_margins(p1, p2)
-        if min(abs(v) for v in margins.values()) <= 1e-6:
-            continue
-        done += 1
-        four = ads.ads_disjoint(p1, p2)
-        dgk = ads.dgk_criterion(p1, p2)
-        c1 = crooked.CrookedSurface(ads.ads_quadrilateral(p1))
-        c2 = crooked.CrookedSurface(ads.ads_quadrilateral(p2))
-        sixteen = crooked.surfaces_disjoint(c1, c2)
-        if not (four == dgk == sixteen):
-            failures.append(
-                f"trial {done}: ads {four}, dgk {dgk}, surfaces {sixteen}")
-        if four:
-            report = crooked.disjointness_report(c1, c2)
-            if not all(t.passed for t in report):
-                failures.append(f"trial {done}: reduced pass but a full "
-                                "inequality fails")
-    for k in range(trials):
-        a = rng.normal(size=2)
-        b = rng.normal(size=2)
-        if np.linalg.norm(a) < 1e-3 or np.linalg.norm(b) < 1e-3:
-            continue
-        g = random_sl2(rng)
-        equiv = np.abs(ads.boundary_lift(g @ a)
-                       - g @ ads.boundary_lift(a) @ np.linalg.inv(g)).max()
-        scale = max(1.0, float(np.abs(ads.boundary_lift(g @ a)).max()))
-        max_violation = max(max_violation, equiv / scale)
-        if equiv > 1e-12 * scale:
-            failures.append(f"equivariance trial {k}: residual {equiv:.3e}")
-        residual = abs(ads.omega0(a, b) ** 2
-                       + ads.killing(ads.boundary_lift(a), ads.boundary_lift(b)))
-        scale = max(1.0, ads.omega0(a, b) ** 2)
-        max_violation = max(max_violation, residual / scale)
-        if residual > 1e-12 * scale:
-            failures.append(f"trace-form identity trial {k}: residual {residual:.3e}")
+
+    def draw(done):
+        record = _ads_draw(rng)
+        margins, scale = _screened_margins(record)
+        keep = _above(min(map(abs, margins)), 1e-6, _SCREEN_BAND * scale,
+                      lambda: np.abs(_exact_margins(*_ads_arrays(record))).min() > 1e-6)
+        return record if keep else None
+
+    for first, block in _blocks(trials, draw):
+        # units (n, 2, 2, 2): the directions (a, b) of each plane, as rows
+        *directions, x = (np.array(v) for v in zip(*block))
+        raw = np.stack(directions, 1)
+        units = raw / np.sqrt(raw[..., None, :] @ raw[..., :, None])[..., 0]
+        f = _sl2_exp(x)
+        bases = np.stack([np.broadcast_to(base, f.shape), f], 1)
+        with np.errstate(all="ignore"):  # a row that fails its checks raises below
+            rows = ads._quad_rows(bases, units[..., 0, :], units[..., 1, :])
+            grams = rows @ space.matrix @ rows.swapaxes(-1, -2)
+        finite = np.isfinite(rows).all(axis=(1, 2, 3)).tolist()  # and so units and f
+        f_lists, unit_lists = f.tolist(), units.tolist()
+        row_lists, gram_lists = rows.tolist(), grams.tolist()
+        for i in range(len(block)):
+            if not finite[i]:  # the scalar constructors raise their error
+                planes = [ads.AdsCrookedPlane(m, *d) for m, d in zip((base, f[i]), units[i])]
+                for plane in planes:
+                    crooked.CrookedSurface(ads.ads_quadrilateral(plane))
+            # the constructors' checks, in their order: planes, then
+            # quadrilaterals and surfaces
+            ads._check_independent(*unit_lists[i][0])
+            ads._check_sl2(f_lists[i], EPS_ALG)
+            ads._check_independent(*unit_lists[i][1])
+            for g, q in zip(gram_lists[i], row_lists[i]):
+                crooked._check_quadrilateral(g, space.vol_coeff, EPS_ALG)
+                crooked._check_planes(q, g)
+        y, xp = units.swapaxes(-1, -2).swapaxes(0, 1)
+        four = (ads._margin_array(base, y, f, xp) > EPS_ALG).all(axis=(1, 2)).tolist()
+        dgk = ads._dgk_passes(*ads._dgk_array(base, y, f, xp), EPS_ALG).all(axis=(1, 2)).tolist()
+        sixteen = crooked._avoids(*crooked._sixteen_margins(rows.swapaxes(-1, -2), space.matrix),
+                                  EPS_ALG).all(axis=(1, 2)).tolist()
+        for k, ads_k, dgk_k, sixteen_k in zip(range(first, first + len(block)), four, dgk, sixteen):
+            if not (ads_k == dgk_k == sixteen_k):
+                failures.append(f"trial {k}: ads {ads_k}, dgk {dgk_k}, surfaces {sixteen_k}")
+            # the sixteen inequalities of `disjointness_report`, each judged
+            # by `PhotonTest.passed`, are those that decide `sixteen`
+            if ads_k and not sixteen_k:
+                failures.append(f"trial {k}: reduced pass but a full inequality fails")
+
+    def lift_draws():
+        for k in range(trials):
+            a, b = rng.normal(size=2), rng.normal(size=2)
+            if not all(_above(math.hypot(*v.tolist()), 1e-3, _SCREEN_BAND,
+                              lambda: np.linalg.norm(v) >= 1e-3) for v in (a, b)):
+                continue
+            yield k, a, b, rng.normal(size=(2, 2))  # g = `_sl2_exp` of this draw
+
+    draws = lift_draws()
+    while block := list(itertools.islice(draws, _ORACLE_BLOCK)):
+        ks, a, b, x = (np.array(v) for v in zip(*block))
+        g = _sl2_exp(x)
+        ga = (g @ a[..., None])[..., 0]
+        lifts, checks = ads._boundary_lifts(np.concatenate([ga, a, b]))
+        killing, killing_checks = ads._killing_rows(*np.split(lifts[len(ks):], 2))
+        killing = killing.tolist()
+        lift_ga, lift_a = lifts[:len(ks)], lifts[len(ks):2 * len(ks)]
+        equiv = np.abs(lift_ga - g @ lift_a @ np.linalg.inv(g)).max(axis=(1, 2)).tolist()
+        top = np.abs(lift_ga).max(axis=(1, 2)).tolist()
+        omega = ads._omega0_cells(a, b)[:, 0, 0].tolist()
+        for i, k in enumerate(ks.tolist()):
+            for j in (i, len(ks) + i, 2 * len(ks) + i):
+                _raise_first(checks, j)
+            scale = max(1.0, top[i])
+            max_violation = max(max_violation, equiv[i] / scale)
+            if equiv[i] > 1e-12 * scale:
+                failures.append(f"equivariance trial {k}: residual {equiv[i]:.3e}")
+            _raise_first(killing_checks, i)
+            residual = abs(omega[i] ** 2 + killing[i])
+            scale = max(1.0, omega[i] ** 2)
+            max_violation = max(max_violation, residual / scale)
+            if residual > 1e-12 * scale:
+                failures.append(f"trace-form identity trial {k}: residual {residual:.3e}")
     h1 = ads.Horocycle(ads.boundary_lift(np.array([1.0, 0.0])), 1.0)
     h2 = ads.Horocycle(2.0 * ads.boundary_lift(np.array([0.0, 1.0])), 1.0)
     if ads.horocycle_distance(h1, h2) != 0.0:

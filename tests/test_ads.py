@@ -32,7 +32,9 @@ def test_embed_equivariance():
     for _ in range(30):
         f, a_mat, b_mat = (random_sl2(rng) for _ in range(3))
         lhs = A.embed(a_mat @ f @ np.linalg.inv(b_mat))
-        rhs = A.Plane2(SP, A.pair_action(a_mat, b_mat) @ A.embed(f).basis)
+        # (A, B) acts on graphs through the symplectic matrix B (+) A
+        action = np.block([[b_mat, np.zeros((2, 2))], [np.zeros((2, 2)), a_mat]])
+        rhs = A.Plane2(SP, action @ A.embed(f).basis)
         assert lhs == rhs
 
 
@@ -177,6 +179,23 @@ def test_killing():
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, lhs)
 
 
+def test_lift_and_trace_form_checks_flag_their_row():
+    # the scalar raises are the one-row calls of the stacked checks
+    with pytest.raises(GeometryError, match="cannot lift the zero vector"):
+        A.boundary_lift([0.0, 0.0])
+    with pytest.raises(GeometryError, match="killing expects traceless 2x2 matrices"):
+        A.killing(np.eye(2), A.boundary_lift([1.0, 0.0]))
+    rows = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, -1.0]])
+    lifts, [(zero, _)] = A._boundary_lifts(rows)
+    assert zero.tolist() == [False, True, False]
+    assert np.array_equal(lifts[2], A.boundary_lift(rows[2]))
+    traced = lifts.copy()
+    traced[2] += np.eye(2)
+    k, [(bad, _)] = A._killing_rows(lifts, traced)
+    assert bad.tolist() == [False, False, True]
+    assert k[0] == A.killing(lifts[0], lifts[0])
+
+
 def test_horocycle_distance():
     xi1 = A.boundary_lift(np.array([1.0, 0.0]))
     xi2 = A.boundary_lift(np.array([0.0, 1.0]))
@@ -285,3 +304,58 @@ def test_ads_and_dgk_margins_match_the_scalar_reference():
             not coincident_ref and all(v > A.EPS_ALG for v in dgk_ref.values()))
         disjoint += A.ads_disjoint(p1, p2)
     assert disjoint >= 50
+
+
+def _seeded_ads_pairs(n=520):
+    """Alternating `random_ads_config` and `disjoint_ads_pair` draws."""
+    from ein3.oracle import disjoint_ads_pair, random_ads_config
+    rng = make_rng(31)
+    return [disjoint_ads_pair(rng) if k % 2 else random_ads_config(rng) for k in range(n)]
+
+
+def test_stacked_ads_kernels_equal_the_per_pair_calls():
+    # the suite reads a block of pairs through one call of each stacked
+    # kernel; row k must be the per-pair value bit for bit
+    pairs = _seeded_ads_pairs()
+    base1, y, base2, x = (np.array(a) for a in zip(*(A._pair_arrays(p1, p2) for p1, p2 in pairs)))
+    margins = A._margin_array(base1, y, base2, x)
+    dgk, k_fixed = A._dgk_array(base1, y, base2, x)
+    passes = A._dgk_passes(dgk, k_fixed, A.EPS_ALG).all(axis=(1, 2))
+    rows = A._quad_rows(np.array([p.base for p in np.ravel(pairs)]),
+                        np.array([p.a for p in np.ravel(pairs)]),
+                        np.array([p.b for p in np.ravel(pairs)]))
+    verdicts = set()
+    for k, (p1, p2) in enumerate(pairs):
+        assert margins[k].ravel().tolist() == list(A.ads_margins(p1, p2).values())
+        want, coincident = A.dgk_margins(p1, p2)
+        assert dgk[k].ravel().tolist() == list(want.values())
+        assert coincident == []
+        assert passes[k] == A.dgk_criterion(p1, p2) == A.ads_disjoint(p1, p2)
+        for row, plane in zip(rows[2 * k:2 * k + 2], (p1, p2)):
+            assert np.array_equal(row.T, A.ads_quadrilateral(plane).columns)
+        verdicts.add(bool(passes[k]))
+    assert verdicts == {False, True}
+
+
+def _parent_report_margins(c1, c2):
+    """The sixteen margins as `disjointness_report` took them before the
+    pair shared one product: one omega-product per direction."""
+    out = []
+    for surface, other in ((c1, c2), (c2, c1)):
+        m1, m2 = C._margins(other.quad.columns.T, other.space, surface)
+        out += list(zip(m1.tolist(), m2.tolist()))
+    return out
+
+
+def test_one_product_sixteen_margins_equal_the_per_direction_products():
+    pairs = [(C.CrookedSurface(A.ads_quadrilateral(p1)), C.CrookedSurface(A.ads_quadrilateral(p2)))
+             for p1, p2 in _seeded_ads_pairs()]
+    columns = np.array([[c1.quad.columns, c2.quad.columns] for c1, c2 in pairs])
+    m1, m2 = C._sixteen_margins(columns, SP.matrix)
+    sixteen = C._avoids(m1, m2, C.EPS_ALG).all(axis=(1, 2))
+    for k, (c1, c2) in enumerate(pairs):
+        want = _parent_report_margins(c1, c2)
+        report = C.disjointness_report(c1, c2)
+        assert [(t.wing_plus_margin, t.wing_minus_margin) for t in report] == want
+        assert list(zip(m1[k].ravel().tolist(), m2[k].ravel().tolist())) == want
+        assert sixteen[k] == C.surfaces_disjoint(c1, c2) == all(t.passed for t in report)

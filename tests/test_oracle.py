@@ -529,9 +529,9 @@ def test_screened_ads_draws_equal_the_exact_route(monkeypatch):
 def test_screen_sends_only_candidates_in_its_band_to_the_exact_route(monkeypatch):
     import scipy.linalg
 
-    calls = {"expm": 0, "margins": 0, "drawn": 0, "passed": 0}
-    expm, margin_array, screened_out = (scipy.linalg.expm, ads._margin_array,
-                                        O._screened_out)
+    calls = {"expm": 0, "margins": 0, "drawn": 0}
+    expm, margin_array, screened_margins = (scipy.linalg.expm, ads._margin_array,
+                                            O._screened_margins)
 
     def counted_expm(m):
         calls["expm"] += np.shape(m) == (2, 2)  # not random_symplectic's 4x4
@@ -541,21 +541,19 @@ def test_screen_sends_only_candidates_in_its_band_to_the_exact_route(monkeypatch
         calls["margins"] += 1
         return margin_array(*args)
 
-    def counted_screen(draw, min_margin):
+    def counted_screen(draw):
         calls["drawn"] += 1
-        out = screened_out(draw, min_margin)
-        calls["passed"] += not out
-        return out
+        return screened_margins(draw)
 
     monkeypatch.setattr(scipy.linalg, "expm", counted_expm)
     monkeypatch.setattr(ads, "_margin_array", counted_margins)
-    monkeypatch.setattr(O, "_screened_out", counted_screen)
+    monkeypatch.setattr(O, "_screened_margins", counted_screen)
     report = O.suite_surface_disjointness(trials=20, seed=7)
     assert report["failures"] == []
     # one exact route per candidate the screen passes: the 20 accepted pairs
     # and the ones in its band, which at this seed are none; without the
     # screen every drawn candidate would take it
-    assert calls["expm"] == calls["margins"] == calls["passed"] == 20
+    assert calls["expm"] == calls["margins"] == 20
     assert calls["drawn"] > 300
 
 
@@ -879,3 +877,112 @@ def test_plane_screen_reads_the_singular_values_and_omega():
         assert least == pytest.approx(s[1], rel=1e-9)
         assert top == pytest.approx(s[0], rel=1e-12)
         assert omega == pytest.approx(abs(SP.omega(onb[:, 0], onb[:, 1])), abs=1e-10)
+
+
+# report_lines of every suite at trials=130 on seeds 1 and 2, as the
+# parent of the stacked ads-equivalence suite wrote them; 130 trials cross
+# one block of _ORACLE_BLOCK = 128 in the stacked suites
+_CROSS_BLOCK_SHA256 = {
+    "torus-trichotomy": "e6a6bf214d5b0ade51178b1a62432469b26b587cc0417433ebf283012e066668",
+    "eta-bridge": "c25ea656a1f884f75c45da41fd20ae74b53a8771677e80ab7f4468b1ef3b8084",
+    "symplectic-identities": "7032344e460037d4bf9f601d5c389daebdf2e466db89b09098fdbc6b1f62cb12",
+    "maslov-bridge": "5d816ecdafae0eb47871355429c9abb8a5425cfa9bb674eb538a6e805c96f50a",
+    "photon-avoidance": "3fdcaa5bb0542fec9705a4ec4a03c2df89ee26185047f2f59fe80fb830b1ebcd",
+    "surface-disjointness": "caba46b26d45edf1ed6dc4ea30dcac26a9c17c990dfab0b5132bc7bd72230772",
+    "stem-only": "d9c92d6829190f28af54b5c9a93757659a7d0d539980bf3b9f046bbcb2ecdfed",
+    "ads-equivalence": "b82bc8600ff7f630a52d60b19eec5f19c265c7cbcf8d924b0e8d72263ec362af",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CROSS_BLOCK_SHA256))
+def test_suites_keep_their_report_bytes_across_a_block(name):
+    import hashlib
+    assert O._ORACLE_BLOCK < 130
+    lines = O.report_lines([O.run_suite(name, trials=130, seed=seed) for seed in (1, 2)])
+    assert hashlib.sha256(lines.encode()).hexdigest() == _CROSS_BLOCK_SHA256[name]
+
+
+@pytest.mark.parametrize("dependent, scaled, message", [
+    (3, 7, "direction vectors must be independent"),
+    (7, 3, "matrix must have determinant 1"),
+])
+def test_ads_equivalence_raises_the_first_corrupted_record_in_trial_order(
+        monkeypatch, dependent, scaled, message):
+    blocks, sl2_exp = O._blocks, O._sl2_exp
+
+    def corrupted_blocks(trials, draw):
+        for first, block in blocks(trials, draw):
+            (a, b), second, x = block[dependent - first]
+            # the first plane of this trial gets dependent directions
+            block[dependent - first] = (a, 2.0 * a), second, x
+            yield first, block
+
+    def scaled_exp(x):
+        f = sl2_exp(x)
+        if f.ndim == 3:  # the bases of a block of trials 1..30
+            f[scaled - 1] *= 1.5  # det f = 2.25
+        return f
+
+    monkeypatch.setattr(O, "_blocks", corrupted_blocks)
+    monkeypatch.setattr(O, "_sl2_exp", scaled_exp)
+    with pytest.raises(GeometryError, match=message):
+        O.suite_ads_equivalence(trials=30, seed=7)
+
+
+def test_ads_equivalence_sends_a_non_finite_record_to_the_scalar_constructors(monkeypatch):
+    sl2_exp = O._sl2_exp
+
+    def overflowed(x):
+        f = sl2_exp(x)
+        if f.ndim == 3:
+            f[4, 0, 0] = np.inf
+        return f
+
+    monkeypatch.setattr(O, "_sl2_exp", overflowed)
+    # the message of `as_sl2`, which the closed-form det check alone would
+    # not give ("entries up to inf are too large to test det = 1")
+    with pytest.raises(GeometryError, match="an AdS point needs finite entries"):
+        O.suite_ads_equivalence(trials=30, seed=7)
+
+
+def test_ads_equivalence_reports_a_flipped_route_with_its_trial_number(monkeypatch):
+    dgk_passes = ads._dgk_passes
+    calls = []
+
+    def flipped(margins, k_fixed, eps):
+        out = dgk_passes(margins, k_fixed, eps)
+        if out.ndim == 3:  # a block: flip trial 6 of the first, 130 of the second
+            calls.append(len(out))
+            row = 5 if len(calls) == 1 else 1
+            out[row] = not out[row].all()
+        return out
+
+    monkeypatch.setattr(ads, "_dgk_passes", flipped)
+    failures = O.suite_ads_equivalence(trials=130, seed=7)["failures"]
+    assert calls == [128, 2]
+    assert _trial_numbers(failures) == [6, 130]
+    for f in failures:
+        four = f.split("ads ")[1].split(",")[0]
+        assert four in ("True", "False")
+        assert f.endswith(f"ads {four}, dgk {four == 'False'}, surfaces {four}")
+
+
+def test_ads_equivalence_reports_a_perturbed_lift_with_its_trial_number(monkeypatch):
+    boundary_lifts = ads._boundary_lifts
+    blocks = []
+
+    def perturbed(v):
+        lifts, checks = boundary_lifts(v)
+        if v.ndim == 2:  # the lifts of g a, a and b of a block, stacked
+            blocks.append(len(v) // 3)
+            if len(blocks) == 2:
+                lifts[1, 0, 1] += 1e-6  # the lift of g a of row 1 of the second block
+        return lifts, checks
+
+    monkeypatch.setattr(ads, "_boundary_lifts", perturbed)
+    # equivariance trials count every candidate from 0; at this seed none of
+    # the first 130 is skipped, so row 1 of the second block is trial 129
+    failures = O.suite_ads_equivalence(trials=130, seed=7)["failures"]
+    assert blocks == [128, 2]
+    assert len(failures) == 1
+    assert failures[0].startswith("equivariance trial 129: residual ")
