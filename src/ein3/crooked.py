@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from ein3.linalg import EPS_ALG, EPS_RANK, GeometryError, as_rows, as_vector
-from ein3.symplectic import Plane2, SympSpace, pfaffian4, plucker_rows
+from ein3.symplectic import Plane2, pfaffian4, plucker_rows
 
 _QUAD_KEYS = ("u_plus", "u_minus", "v_plus", "v_minus")
 
@@ -84,13 +84,6 @@ class LightlikeQuadrilateral:
     def vectors(self):
         return (self.u_plus, self.u_minus, self.v_plus, self.v_minus)
 
-    def transformed(self, g):
-        """Image of the quadrilateral under a symplectic matrix."""
-        g = np.asarray(g, dtype=float)
-        return LightlikeQuadrilateral(
-            self.space, g @ self.u_plus, g @ self.u_minus,
-            g @ self.v_plus, g @ self.v_minus)
-
     def to_dict(self):
         return {k: list(getattr(self, k)) for k in _QUAD_KEYS}
 
@@ -124,14 +117,6 @@ def _check_quadrilateral(g, vol_coeff, eps):
                         for k, v in zip(_RESIDUAL_KEYS, residuals) if abs(v) > eps))
     if abs(pfaffian4(g) * vol_coeff) <= EPS_RANK:
         raise GeometryError("quadrilateral vectors do not form a basis")
-
-
-def canonical_quadrilateral(space=None):
-    """The quadrilateral (e1, e2, e4, e3) in the standard basis convention."""
-    if space is None:
-        space = SympSpace()
-    e = np.eye(4)
-    return LightlikeQuadrilateral(space, e[:, 0], e[:, 1], e[:, 3], e[:, 2])
 
 
 def _plane_singular_values(rows):

@@ -9,7 +9,6 @@ Minkowski space (see `minkowski_embed`) land on the null cone with improper
 point (0, 0, 0, 1, 0).
 """
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -81,25 +80,6 @@ class EinPoint:
 
     def __repr__(self):
         return f"EinPoint({np.array2string(self.rep, precision=6)})"
-
-
-class PhotonW:
-    """A photon: the projectivization of a totally isotropic 2-plane."""
-
-    def __init__(self, plane, eps=EPS_RANK):
-        if plane.ambient_dim != 5 or plane.dim != 2:
-            raise GeometryError("a photon is spanned by a 2-plane in the model space")
-        if _SPACE.signature(plane, eps) != (0, 0, 2):
-            raise GeometryError("plane is not totally isotropic")
-        self.plane = plane
-
-    def __eq__(self, other):
-        if not isinstance(other, PhotonW):
-            return NotImplemented
-        return self.plane == other.plane
-
-    def __repr__(self):
-        return f"PhotonW({np.array2string(self.plane.onb, precision=6)})"
 
 
 def _null_points(reps, eps=EPS_ALG):
@@ -199,11 +179,6 @@ def minkowski_embed(point):
     return EinPoint(np.array([v[0], v[1], v[2], lorentz_norm, 1.0]))
 
 
-def improper_point():
-    """The vertex of the light cone at infinity of the standard patch."""
-    return EinPoint(np.array([0.0, 0.0, 0.0, 1.0, 0.0]))
-
-
 def _incident(a, b, eps=EPS_ALG):
     """`incident` over stacked rows of null representatives."""
     a = a / np.linalg.norm(a, axis=-1, keepdims=True)
@@ -218,12 +193,6 @@ def incident(p, q, eps=EPS_ALG):
     being totally isotropic, i.e. to the inner product vanishing.
     """
     return bool(_incident(p.rep, q.rep, eps))
-
-
-def light_cone(p):
-    """The degenerate hyperplane p-perp; its null cone is the union of all
-    photons through p."""
-    return _SPACE.orthogonal_complement(Subspace.span(p.rep))
 
 
 _CAUSAL = (CausalType.LIGHTLIKE, CausalType.TIMELIKE, CausalType.SPACELIKE)
@@ -303,24 +272,6 @@ def classify_torus_pair(t1, t2, eps=EPS_ALG):
     return IntersectionClass(kind, e, (t1.normal, t2.normal))
 
 
-def photon_pair_from_degenerate(carrier, eps=EPS_RANK):
-    """The two photons inside a degenerate signature-(1,1,1) carrier.
-
-    The null cone of such a 3-space is the union of two isotropic planes
-    meeting in the radical line; the planes are returned as photons.
-    """
-    if carrier.dim != 3:
-        raise GeometryError("carrier must be 3-dimensional")
-    w, frame = _SPACE.unit_frame(carrier, eps)
-    sig = inertia(w, eps)
-    if sig != (1, 1, 1):
-        raise GeometryError(f"carrier does not have signature (1,1,1): inertia {sig}")
-    # ascending eigenvalues: negative, zero (the radical), positive
-    b, r, a = frame.T
-    return (PhotonW(Subspace.span(a + b, r)),
-            PhotonW(Subspace.span(a - b, r)))
-
-
 def reflect(s, v):
     """Orthogonal reflection of v in a non-null vector s.
 
@@ -332,29 +283,6 @@ def reflect(s, v):
     if abs(ss) <= EPS_ALG * float(s @ s):
         raise GeometryError("cannot reflect in a null vector")
     return v - 2.0 * (inner(v, s) / ss) * s
-
-
-def composition_eigenvalues(s1, s2):
-    """Nontrivial eigenvalue pair of the composed reflections R_s1 R_s2.
-
-    For unit spacelike s1, s2 with k = s1 . s2, the two eigenvalues on
-    span{s1, s2} are 2k^2 - 1 +/- 2k sqrt(k^2 - 1): real and distinct for
-    |k| > 1, unit-modulus complex conjugates for |k| < 1, a double 1 at
-    |k| = 1.  Their product is always 1.
-    """
-    s1 = as_vector(s1, 5)
-    s2 = as_vector(s2, 5)
-    k = inner(s1, s2)
-    root = cmath.sqrt(complex(k * k - 1.0))
-    base = 2.0 * k * k - 1.0
-    return (base + 2.0 * k * root, base - 2.0 * k * root)
-
-
-def composition_matrix(s1, s2):
-    """Matrix of R_s1 R_s2 restricted to span{s1, s2} in the basis (s1, s2)."""
-    k = inner(as_vector(s1, 5), as_vector(s2, 5))
-    return np.array([[4.0 * k * k - 1.0, 2.0 * k],
-                     [-2.0 * k, -1.0]])
 
 
 def triple_lightcone_empty(p, p0, pinf, eps=EPS_RANK):

@@ -308,10 +308,3 @@ def _intersection_dims(a, b, eps=EPS_RANK):
     null = np.arange(vh.shape[-1]) >= np.asarray(rank)[..., None]
     return _singular(a @ (np.swapaxes(vh, -1, -2)[..., :a.shape[-1], :] * null[..., None, :]),
                      eps)[1]
-
-
-def span_union(a, b, eps=EPS_RANK):
-    """Smallest subspace containing both arguments."""
-    if a.ambient_dim != b.ambient_dim:
-        raise GeometryError("subspaces live in different ambient dimensions")
-    return Subspace(_range_basis(np.hstack([a.onb, b.onb]), eps))

@@ -53,13 +53,8 @@ def _retrying(make, accept):
 # seeds 1 and 7
 ATTEMPTS_PER_TRIAL = 10
 
-
-def _attempts(trials):
-    """Attempt budget of a suite loop: call next() once per candidate; it
-    raises RetryExhausted after ATTEMPTS_PER_TRIAL * trials candidates."""
-    limit = ATTEMPTS_PER_TRIAL * trials
-    yield from range(limit)
-    raise RetryExhausted(f"fewer than {trials} accepted trials in {limit} attempts")
+# trials per block of a stacked suite's check stage
+_ORACLE_BLOCK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -790,14 +785,16 @@ def _report(suite, trials, seed, failures, max_violation):
 
 
 def _blocks(trials, draw):
-    """The draw stage of a suite: draw(done) is called per candidate under
-    the `_attempts` budget and returns a trial's record, or None to skip.
-    Yields (number of the first trial, records) for blocks of at most
-    _ORACLE_BLOCK trials, each before the next is drawn."""
-    attempts = _attempts(trials)
+    """The draw stage of a suite: draw(done) is called per candidate and
+    returns a trial's record, or None to skip.  Yields (number of the first
+    trial, records) for blocks of at most _ORACLE_BLOCK trials, each before
+    the next is drawn; raises RetryExhausted after ATTEMPTS_PER_TRIAL *
+    trials candidates."""
+    limit = ATTEMPTS_PER_TRIAL * trials
     block, done = [], 0
-    while done < trials:
-        next(attempts)
+    for _ in range(limit):
+        if done == trials:
+            return
         record = draw(done)
         if record is not None:
             done += 1
@@ -805,6 +802,8 @@ def _blocks(trials, draw):
             if len(block) == _ORACLE_BLOCK or done == trials:
                 yield done - len(block) + 1, block
                 block = []
+    if done < trials:
+        raise RetryExhausted(f"fewer than {trials} accepted trials in {limit} attempts")
 
 
 def suite_torus_trichotomy(trials=1000, seed=7):
@@ -886,12 +885,6 @@ def _positive(den, *vectors):
 _OMEGA_INT = symplectic.standard_space().matrix.astype(int).astype(object)
 _WEDGE_INT = symplectic.standard_space()._gram.astype(int).astype(object)
 _STAR = _dyadic(symplectic.standard_space().omega_star)
-
-
-def eta_bridge_values(split, f):
-    """The invariant of (S, graph(f)) along the two mu-based routes (see
-    `_eta_values`, which reads the splitting's s_basis)."""
-    return _eta_values(split.s_basis, f)
 
 
 def _eta_values(s_basis, f):
@@ -1155,62 +1148,53 @@ def suite_maslov_bridge(trials=1000, seed=7):
     return _report("maslov-bridge", trials, seed, failures, 0.0)
 
 
-# trials per stacked call of the photon-crossing oracle in photon-avoidance
-_ORACLE_BLOCK = 128
-
-
 def suite_photon_avoidance(trials=1000, seed=7):
     """Photon-vs-surface sign test against the oracle that solves for the
     photon's incidences with the wing vertices and stem planes.
 
-    The predicates run trial by trial; the loop keeps each trial's verdict,
-    unit photon and quadrilateral columns, and the oracle
-    (`_photon_crossings`) then reads them in blocks of _ORACLE_BLOCK
-    trials.  Failures are reported in trial order, the oracle's before the
-    witness's within a trial."""
+    Each draw runs the predicates and, for a meeting photon, the witness;
+    the oracle (`_photon_crossings`) then reads each block's unit photons
+    and quadrilateral columns at once.  Within a trial the oracle's failure
+    comes before the witness's."""
     rng = make_rng([seed, 5])
     space = symplectic.standard_space()
-    failures = []  # (trial, 0 for the oracle or 1 for the witness, message)
-    verdicts, units, columns = [], [], []
+    failures = []
     max_residual = 0.0
-    done = 0
-    attempts = _attempts(trials)
-    while done < trials:
-        next(attempts)
+
+    def draw(done):
         surface = crooked.CrookedSurface(random_quadrilateral(space, rng))
         p = rng.normal(size=4)
         p /= np.linalg.norm(p)
         m1, m2 = crooked.photon_margins(p, surface)
         if min(abs(m1), abs(m2)) <= 1e-6:
-            continue
-        done += 1
+            return None
         verdict = crooked.photon_disjoint(p, surface)
-        verdicts.append(verdict)
-        units.append(p / np.linalg.norm(p))  # as `photon_crossing_oracle` takes p
-        columns.append(surface.quad.columns)
+        residual = witness = None  # the witness's residual and failure
         if not verdict:
-            witness = crooked.find_crossing_lagrangian(p, surface)
-            if witness is None:
-                failures.append((done, 1, f"trial {done}: no constructive witness"))
+            plane = crooked.find_crossing_lagrangian(p, surface)
+            if plane is None:
+                witness = "no constructive witness"
             else:
-                res = crossing_residual(p, surface, witness)
-                max_residual = max(max_residual, res)
-                if res > 1e-9 or crooked.surface_contains(surface, witness) is None:
-                    failures.append((done, 1, f"trial {done}: witness residual {res:.3e}"))
-    for start in range(0, done, _ORACLE_BLOCK):
-        block = slice(start, start + _ORACLE_BLOCK)
-        _, found = _photon_crossings(space, np.array(units[block]),
-                                     np.array(columns[block]))
-        for trial, verdict, hit in zip(range(start + 1, done + 1), verdicts[block], found):
+                residual = crossing_residual(p, surface, plane)
+                if residual > 1e-9 or crooked.surface_contains(surface, plane) is None:
+                    witness = f"witness residual {residual:.3e}"
+        # the unit photon as `photon_crossing_oracle` takes p
+        return verdict, p / np.linalg.norm(p), surface.quad.columns, residual, witness
+
+    for first, block in _blocks(trials, draw):
+        verdicts, units, columns, residuals, witnesses = zip(*block)
+        _, found = _photon_crossings(space, np.array(units), np.array(columns))
+        for k, verdict, hit, residual, witness in zip(
+                range(first, first + len(block)), verdicts, found, residuals, witnesses):
             if verdict and hit:
-                failures.append((trial, 0, f"trial {trial}: disjoint photon but "
-                                           "oracle found a point"))
+                failures.append(f"trial {k}: disjoint photon but oracle found a point")
             if not verdict and not hit:
-                failures.append((trial, 0, f"trial {trial}: meeting photon but "
-                                           "oracle found nothing"))
-    failures.sort(key=lambda failure: failure[:2])
-    return _report("photon-avoidance", trials, seed,
-                   [message for *_, message in failures], max_residual)
+                failures.append(f"trial {k}: meeting photon but oracle found nothing")
+            if residual is not None:
+                max_residual = max(max_residual, residual)
+            if witness is not None:
+                failures.append(f"trial {k}: {witness}")
+    return _report("photon-avoidance", trials, seed, failures, max_residual)
 
 
 def suite_surface_disjointness(trials=200, seed=7):
@@ -1332,10 +1316,6 @@ def suite_ads_equivalence(trials=1000, seed=7):
         for k, ads_k, dgk_k, sixteen_k in zip(range(first, first + len(block)), four, dgk, sixteen):
             if not (ads_k == dgk_k == sixteen_k):
                 failures.append(f"trial {k}: ads {ads_k}, dgk {dgk_k}, surfaces {sixteen_k}")
-            # the sixteen inequalities of `disjointness_report`, each judged
-            # by `PhotonTest.passed`, are those that decide `sixteen`
-            if ads_k and not sixteen_k:
-                failures.append(f"trial {k}: reduced pass but a full inequality fails")
 
     def lift_draws():
         for k in range(trials):

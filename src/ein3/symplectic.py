@@ -303,10 +303,6 @@ class SympSpace:
         return (self.bridge[0] @ b[..., None])[..., 0], [
             (~self.in_kernel(b, eps), "bivector is not in the kernel of omega")]
 
-    def from_einstein(self, x):
-        """Inverse of `to_einstein`."""
-        return self.bridge[1] @ as_vector(x, 5)
-
     def __repr__(self):
         return f"SympSpace(omega=\n{self.matrix})"
 
@@ -430,37 +426,6 @@ def _mu_rows(space, bases):
     return iota + 0.5 * w[..., None] * space.omega_star
 
 
-def splitting_from_spacelike(space, u, eps=EPS_ALG):
-    """The symplectic splitting determined by a spacelike bivector of W.
-
-    After rescaling to u . u = 2, both u + omega* and u - omega* are null
-    and decomposable; their planes are nondegenerate, mutually
-    omega-orthogonal (they are swapped by the omega* reflection), and form a
-    splitting whose mu image is proportional to u.
-    """
-    u = as_vector(u, 6)
-    if not space.in_kernel(u, eps):
-        raise GeometryError("bivector is not in W = Ker(omega)")
-    uu = space.wedge(u, u)
-    if uu <= eps * float(u @ u):
-        raise GeometryError("bivector is not spacelike")
-    u = u * np.sqrt(2.0 / uu)
-    plus = space.bivector_to_plane(u + space.omega_star)
-    minus = space.bivector_to_plane(u - space.omega_star)
-    return Splitting(space, plus, minus)
-
-
-def lagrangian_in_torus(space, l, splitting, eps=EPS_ALG):
-    """Whether a Lagrangian belongs to the torus of a symplectic splitting.
-
-    The torus consists of the Lagrangians non-transverse to the summand S
-    (equivalently to S-perp).
-    """
-    if not l.is_lagrangian:
-        raise GeometryError("expected a Lagrangian plane")
-    return not space.transverse(l, splitting.s, eps)
-
-
 def det_omega(f):
     """Scaling factor Det(f) defined by f*(omega_B) = Det(f) omega_A.
 
@@ -493,19 +458,6 @@ def graph(space, f, splitting):
     return Plane2(space, basis)
 
 
-def perp_graph(space, f, splitting, eps=EPS_ALG):
-    """Symplectic complement of graph(f), as the graph of -Adj(f).
-
-    Defined for Det(f) != -1; the result is omega-orthogonal to graph(f).
-    """
-    if abs(det_omega(f) + 1.0) <= eps:
-        raise GeometryError("graph is Lagrangian at Det(f) = -1; "
-                            "no symplectic complement of this form")
-    g = -adjugate(f)
-    basis = splitting.s_perp_basis + splitting.s_basis @ g
-    return Plane2(space, basis)
-
-
 def eta_from_det(f, eps=EPS_ALG):
     """Torus-pair invariant of (S, graph(f)) computed from Det(f).
 
@@ -516,14 +468,6 @@ def eta_from_det(f, eps=EPS_ALG):
     if abs(1.0 + d) <= eps:
         raise GeometryError("invariant undefined at Det(f) = -1")
     return abs(1.0 - d) / abs(1.0 + d)
-
-
-def eta_from_mu(space, s, t):
-    """Normalized invariant of two nondegenerate planes via their mu images."""
-    ms = mu(space, s)
-    mt = mu(space, t)
-    return (abs(space.wedge(ms, mt))
-            / np.sqrt(space.wedge(ms, ms) * space.wedge(mt, mt)))
 
 
 def torus_from_plane(space, s):

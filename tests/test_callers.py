@@ -1,0 +1,70 @@
+"""Every public function and method of ein3 has a caller.
+
+A caller is code of the package outside the definition itself, the
+benchmark harness under perfbench/, or the tuple of library entry points
+below.  A name counts as it appears in the syntax tree (a Name or an
+Attribute node, not a docstring); perfbench also names what it traces in
+strings such as "oracle.min_gap".
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# public names kept without a caller in the package or the benchmark: the
+# model's constructions (Minkowski patch, reflections, the AdS embedding and
+# its involution), the predicates and references that tests compare the
+# package's own routes against, and the document form of the CLI's objects
+ENTRY_POINTS = (
+    "minkowski_embed", "classify_point", "reflect", "triple_lightcone_empty",
+    "embed", "involution", "wing_contains", "intersect", "bivector_to_plane",
+    "omega_of", "lagrangian_point", "plane_intersection_dim", "product_residuals",
+    "to_dict",
+)
+
+
+def _public_definitions():
+    """(module, qualified name, node) of every public top-level function and
+    every public method of a top-level class."""
+    out = []
+    for path in sorted((ROOT / "src" / "ein3").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                out.append((path.stem, node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                out += [(path.stem, f"{node.name}.{m.name}", m) for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return out
+
+
+def _names(tree):
+    """(line, name) of every Name and Attribute node of a tree."""
+    return [(n.lineno, n.id if isinstance(n, ast.Name) else n.attr)
+            for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def test_every_public_function_has_a_caller():
+    package = {path.stem: _names(ast.parse(path.read_text()))
+               for path in (ROOT / "src" / "ein3").glob("*.py")}
+    bench = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        bench.update(name for _, name in _names(tree))
+        bench.update(part for n in ast.walk(tree)
+                     if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                     for part in n.value.split("."))
+    uncalled = []
+    for module, qualname, node in _public_definitions():
+        name = node.name
+        called = any(used == name and not (where == module
+                                           and node.lineno <= line <= node.end_lineno)
+                     for where, names in package.items() for line, used in names)
+        if not (called or name in bench or name in ENTRY_POINTS):
+            uncalled.append(f"{module}.{qualname}")
+    assert uncalled == []
+
+
+def test_every_entry_point_is_defined():
+    defined = {node.name for *_, node in _public_definitions()}
+    assert set(ENTRY_POINTS) <= defined

@@ -27,7 +27,7 @@ E4 = np.eye(4)
 
 @pytest.fixture
 def quad():
-    return C.canonical_quadrilateral(SP)
+    return C.LightlikeQuadrilateral(SP, E4[:, 0], E4[:, 1], E4[:, 3], E4[:, 2])
 
 
 @pytest.fixture
@@ -203,7 +203,8 @@ def test_surfaces_disjoint_shared_photon(surface):
     g = np.eye(4)
     g[3, 1] = 1.0
     assert np.allclose(g.T @ SP.matrix @ g, SP.matrix)
-    moved = C.CrookedSurface(surface.quad.transformed(g))
+    moved = C.CrookedSurface(
+        C.LightlikeQuadrilateral(SP, *(g @ v for v in surface.quad.vectors())))
     assert np.allclose(moved.quad.u_plus, surface.quad.u_plus)
     assert not C.surfaces_disjoint(surface, moved)
 
@@ -533,7 +534,7 @@ def test_surface_checks_match_the_plane_route():
     # random symplectic images of the canonical quadrilateral, the pair
     # (u+, v-) rescaled to (u+ / p, v- p), one column perturbed
     rng = make_rng(25)
-    canonical = C.canonical_quadrilateral(SP).columns
+    canonical = E4[:, [0, 1, 3, 2]]  # columns of the quadrilateral (e1, e2, e4, e3)
     counts = {"quad": 0, "accepted": 0, "rank": 0, "vertex": 0}
     for _ in range(2000):
         cols = random_symplectic(SP, rng) @ canonical
@@ -641,7 +642,7 @@ def test_closed_form_checks_match_the_svd_route():
     # the family of test_surface_checks_match_the_plane_route, ten times
     # as long
     rng = make_rng(25)
-    canonical = C.canonical_quadrilateral(SP).columns
+    canonical = E4[:, [0, 1, 3, 2]]  # columns of the quadrilateral (e1, e2, e4, e3)
     counts = {"quad": 0, "accepted": 0, "rank": 0, "vertex": 0}
     for _ in range(20000):
         cols = random_symplectic(SP, rng) @ canonical
@@ -665,8 +666,7 @@ def test_closed_form_checks_match_the_svd_route():
 def test_closed_form_checks_at_extreme_scales(p):
     # u+ p and v- / p keep every product exact; the SVD route finds rank 1
     # (the vertex P0 or P_infinity); no overflow, warning or other error
-    quad = C.LightlikeQuadrilateral(SP, *(C.canonical_quadrilateral(SP).columns
-                                          * [p, 1, 1, 1 / p]).T)
+    quad = C.LightlikeQuadrilateral(SP, *(E4[:, [0, 1, 3, 2]] * [p, 1, 1, 1 / p]).T)
     assert svd_route(quad) == "basis matrix has rank 1 < 2 column(s)"
     with pytest.raises(GeometryError, match=r"^basis matrix has rank 1 < 2 column\(s\)$"):
         C.CrookedSurface(quad)

@@ -54,7 +54,7 @@ def test_sample_torus():
         assert abs(E.inner(x, t.normal)) < 1e-9
     # a torus through the improper point traces an affine (timelike) plane
     through_inf = E.EinsteinTorus([1, 0, 0, 0, 0])
-    assert abs(E.inner(through_inf.normal, E.improper_point().rep)) < 1e-12
+    assert abs(E.inner(through_inf.normal, E.EinPoint([0, 0, 0, 1, 0]).rep)) < 1e-12
     cloud2 = O.sample_torus(through_inf, 200, rng)
     coords, keep = cloud2.minkowski_points()
     assert keep.shape == (200,) and len(coords) == keep.sum() > 0
@@ -78,7 +78,7 @@ def test_sample_surface_membership():
     for point, label in zip(cloud.points, cloud.labels):
         labels[label] += 1
         # recover the Lagrangian from the cloud point and re-check membership
-        plane = SP.bivector_to_plane(SP.from_einstein(point))
+        plane = SP.bivector_to_plane(SP.bridge[1] @ point)
         region = C.surface_contains(surf, plane)
         assert region is not None and region.value == label
     assert labels["wing_plus"] == 20 and labels["stem"] == 10
@@ -148,7 +148,8 @@ def test_random_quadrilateral_under_a_nonstandard_omega(space):
         quad = O.random_quadrilateral(space, rng)
         assert all(abs(v) < 1e-9 for v in quad.product_residuals().values())
         C.CrookedSurface(quad)
-        want = canonical.transformed(O.random_symplectic(space, replay))
+        g = O.random_symplectic(space, replay)
+        want = C.LightlikeQuadrilateral(space, *(g @ v for v in canonical.vectors()))
         assert np.array_equal(quad.columns, want.columns)
 
 
@@ -478,7 +479,7 @@ def test_integer_eta_bridge_matches_the_rational_reference():
     draws = (_suite_eta_draws(7, 200)
              + _near_det_minus_one_draws(50, O.make_rng(2024)))
     for split, f in draws:
-        assert O.eta_bridge_values(split, f) == _fraction_eta_bridge_values(split, f)
+        assert O._eta_values(split.s_basis, f) == _fraction_eta_bridge_values(split, f)
 
 
 def test_oracle_imports_neither_fractions_nor_decimal():
@@ -603,6 +604,23 @@ def _constant_oracle(hit):
     def crossings(space, units, columns):
         return np.zeros((len(units), 4)), np.full(len(units), hit)
     return crossings
+
+
+def test_blocks_spend_a_bounded_budget():
+    assert list(O._blocks(0, None)) == []
+    drawn = []
+
+    def every_third(done):
+        drawn.append(done)
+        return done if len(drawn) % 3 == 0 else None
+
+    # 3 trials need 9 candidates of the 30 the budget allows
+    assert list(O._blocks(3, every_third)) == [(1, [0, 1, 2])]
+    assert len(drawn) == 9
+    drawn.clear()
+    with pytest.raises(O.RetryExhausted, match="fewer than 4 accepted trials in 40 attempts"):
+        list(O._blocks(4, drawn.append))  # skips every candidate
+    assert len(drawn) == 40
 
 
 def test_photon_suite_reports_a_blind_or_a_seeing_oracle_in_trial_order(monkeypatch):
@@ -965,6 +983,25 @@ def test_ads_equivalence_reports_a_flipped_route_with_its_trial_number(monkeypat
         four = f.split("ads ")[1].split(",")[0]
         assert four in ("True", "False")
         assert f.endswith(f"ads {four}, dgk {four == 'False'}, surfaces {four}")
+
+
+def test_ads_equivalence_reports_a_failed_sixteen_inequality_once(monkeypatch):
+    avoids = C._avoids
+    flipped = []
+
+    def failed(m1, m2, eps):
+        out = avoids(m1, m2, eps)
+        if out.ndim == 3 and not flipped:  # the sixteen verdicts of the first block
+            passed = out.all(axis=(1, 2))
+            assert passed.any()
+            row = int(passed.argmax())  # a trial whose four inequalities pass
+            out[row] = False
+            flipped.append(row + 1)
+        return out
+
+    monkeypatch.setattr(C, "_avoids", failed)
+    failures = O.suite_ads_equivalence(trials=20, seed=7)["failures"]
+    assert failures == [f"trial {flipped[0]}: ads True, dgk True, surfaces False"]
 
 
 def test_ads_equivalence_reports_a_perturbed_lift_with_its_trial_number(monkeypatch):
