@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from ein3.linalg import EPS_ALG, EPS_RANK, GeometryError, as_rows, as_vector
-from ein3.symplectic import Plane2, pfaffian4, plucker_rows
+from ein3.symplectic import Plane2, _omega_pairs, pfaffian4, plucker_rows
 
 _QUAD_KEYS = ("u_plus", "u_minus", "v_plus", "v_minus")
 
@@ -200,17 +200,12 @@ class CrookedSurface:
         return f"CrookedSurface({self.quad!r})"
 
 
-def _regions(surface, bases, eps):
-    """`_quad_regions` against the quadrilateral of one surface."""
-    return _quad_regions(surface.quad.columns, bases, eps)
-
-
 def _quad_regions(columns, bases, eps):
     """(wing+, wing-, stem) masks of a (n, 4, 2) stack of Lagrangian bases B
     against the quadrilateral Q = (u+, u-, v+, v-) of 4x4 columns, or row
-    by row against a (n, 4, 4) stack of them: from the unit Pluecker row p
-    of K = Q^-1 B (pairs 01, 02, 03, 12, 13, 23 over Q); eps bounds the
-    unit minors.
+    by row against a (n, 4, 4) stack (any leading axes broadcast): from the
+    unit Pluecker row p of K = Q^-1 B (pairs 01, 02, 03, 12, 13, 23 over
+    Q); eps bounds the unit minors.
 
     L meets P+, P-, S1, S2, P0, P_infinity (coordinate planes 02, 13, 03,
     12, 23, 01) exactly when the complementary minor p13, p02, p12, p03,
@@ -221,18 +216,26 @@ def _quad_regions(columns, bases, eps):
     """
     k = np.linalg.solve(columns, bases)
     p = plucker_rows(k[..., 0], k[..., 1])
-    p01, p02, p03, p12, p13, p23 = (p / np.linalg.norm(p, axis=-1, keepdims=True)).T
+    p01, p02, p03, p12, p13, p23 = (p / np.linalg.norm(p, axis=-1, keepdims=True)).transpose(
+        -1, *range(p.ndim - 1))
     return ((np.abs(p13) <= eps) & (p03 * p23 - p01 * p12 >= -eps),
             (np.abs(p02) <= eps) & (p01 * p03 - p12 * p23 <= eps),
             (np.abs(p12) <= eps) & (np.abs(p03) <= eps) & (np.abs(p01) > eps)
             & (np.abs(p23) > eps) & (p01 * p23 < 0))
 
 
+def _lagrangian_regions(space, columns, onb, eps):
+    """`_quad_regions` of the planes of orthonormal bases onb, and the check
+    (for `_raise_first`) that `Plane2` tags each Lagrangian."""
+    lagrangian = abs(_omega_pairs(space, onb)) <= EPS_ALG
+    return _quad_regions(columns, onb, eps), [(~lagrangian, "expected a Lagrangian plane")]
+
+
 def _regions_of(surface, l, eps):
-    """`_regions` of one Lagrangian plane, as three bools."""
+    """`_quad_regions` of one Lagrangian plane, as three bools."""
     if not l.is_lagrangian:
         raise GeometryError("expected a Lagrangian plane")
-    return [bool(mask[0]) for mask in _regions(surface, l.sub.onb[None], eps)]
+    return [bool(mask[0]) for mask in _quad_regions(surface.quad.columns, l.sub.onb[None], eps)]
 
 
 def wing_contains(surface, l, sign, eps=EPS_ALG):
@@ -247,17 +250,6 @@ def wing_contains(surface, l, sign, eps=EPS_ALG):
     if sign not in (+1, -1):
         raise GeometryError("wing sign must be +1 or -1")
     return _regions_of(surface, l, eps)[(1 - sign) // 2]
-
-
-def stem_contains(surface, l, eps=EPS_ALG):
-    """Whether a Lagrangian lies on the (open) stem.
-
-    Stem members meet both stem planes S1 and S2 in lines, are transverse
-    to the vertices P0 and P_infinity, and are timelike there: the Maslov
-    index of (P0, L, P_infinity) is +/-2.  This is the stem interior;
-    boundary photons of the stem belong to the wings.
-    """
-    return _regions_of(surface, l, eps)[2]
 
 
 def surface_contains(surface, l, eps=EPS_ALG) -> Optional[SurfaceRegion]:
@@ -381,6 +373,23 @@ def find_crossing_lagrangian(p, surface, eps=EPS_ALG):
                 return getattr(surface, vertex)
             return Plane2.span(surface.space, p, t * u + s * v)
     return None
+
+
+def _crossing_bases(units, columns, w, eps):
+    """`find_crossing_lagrangian` over a block, for unit photon rows p (n, 4),
+    quadrilateral columns (n, 4, 4) and W = P Omega Q (n, 4): the bases
+    (n, 4, 2) of the witnesses (of the vertex P+ = span{u+, v+} or P- =
+    span{u-, v-} within eps of it) and the (n,) mask of the rows that have
+    one.  One photon takes the scalar route, which builds fewer arrays."""
+    wu_plus, wu_minus, wv_plus, wv_minus = w.T
+    plus = wv_plus * wu_plus <= eps
+    fails = plus | (wv_minus * wu_minus >= -eps)
+    t = np.where(plus, wv_plus, wv_minus)[:, None]
+    s = -np.where(plus, wu_plus, wu_minus)[:, None]
+    u = np.where(plus[:, None], columns[..., 0], columns[..., 1])
+    v = np.where(plus[:, None], columns[..., 2], columns[..., 3])
+    vertex = ((np.abs(t) <= eps) & (np.abs(s) <= eps))[..., None]
+    return np.where(vertex, np.stack([u, v], -1), np.stack([units, t * u + s * v], -1)), fails
 
 
 @dataclass

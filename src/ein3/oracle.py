@@ -47,10 +47,10 @@ def _retrying(make, accept):
     raise RetryExhausted(f"no valid sample in {RETRY_LIMIT} attempts")
 
 
-# candidates a suite loop may draw per trial: it gives up only when fewer
-# than one in ten is accepted; the suites that skip candidates (ambiguity
-# bands, small margins, non-transverse draws) skip almost none, and none at
-# seeds 1 and 7
+# candidates `_blocks` may draw per trial, each of a screened chunk counting
+# once: a suite gives up only when fewer than one in ten is accepted; the
+# suites that skip candidates (ambiguity bands, small margins,
+# non-transverse draws) skip almost none, and none at seeds 1 and 7
 ATTEMPTS_PER_TRIAL = 10
 
 # trials per block of a stacked suite's check stage
@@ -73,14 +73,16 @@ def random_unit_spacelike(rng):
     return v / math.sqrt(einstein.inner(v, v))
 
 
+def _symplectic_exp(space, s):
+    """expm of the Hamiltonian matrices of symmetrized draws s (slice by slice)."""
+    from scipy.linalg import expm  # ~0.3 s to load, so only where it is used
+    return expm(np.linalg.solve(space.matrix, 0.5 * (s + s.swapaxes(-1, -2))))
+
+
 def random_symplectic(space, rng, scale=1.0):
     """Random element of Sp(V): the exponential of a random Hamiltonian
     matrix (entries of the symmetric generator uniform in [-1, 1])."""
-    from scipy.linalg import expm  # ~0.3 s to load, so only where it is used
-    s = rng.uniform(-1.0, 1.0, size=(4, 4)) * scale
-    s = 0.5 * (s + s.T)
-    h = np.linalg.solve(space.matrix, s)
-    return expm(h)
+    return _symplectic_exp(space, rng.uniform(-1.0, 1.0, size=(4, 4)) * scale)
 
 
 def _sl2_exp(x):
@@ -167,21 +169,21 @@ def random_splitting(space, rng):
     return Splitting.from_plane(space, random_nondegenerate_plane(space, rng))
 
 
-def _random_vectors(space, rng):
-    """(u+, u-, v+, v-) of a random symplectic image of the canonical
-    quadrilateral (d1, d2, d4, d3) of a Darboux basis d, not validated."""
-    if np.array_equal(space.matrix, symplectic.STANDARD_OMEGA):
-        d = np.eye(4)
-    else:
-        d = symplectic.symplectic_basis(space)
-    g = random_symplectic(space, rng)
-    return [g @ d[:, j] for j in (0, 1, 3, 2)]
+def _random_rows(space, s):
+    """Rows (u+, u-, v+, v-) of `random_quadrilateral` for a draw s of its
+    generator, or a stack of draws: the canonical quadrilateral (d1, d2,
+    d4, d3) of a Darboux basis d carried by expm of s, not validated."""
+    standard = np.array_equal(space.matrix, symplectic.STANDARD_OMEGA)
+    d = np.eye(4) if standard else symplectic.symplectic_basis(space)
+    g = _symplectic_exp(space, s)
+    return np.stack([g @ d[:, j] for j in (0, 1, 3, 2)], axis=-2)
 
 
 def random_quadrilateral(space, rng):
     """Random lightlike quadrilateral: a random symplectic image of the
     canonical one."""
-    return crooked.LightlikeQuadrilateral(space, *_random_vectors(space, rng))
+    return crooked.LightlikeQuadrilateral(
+        space, *_random_rows(space, rng.uniform(-1.0, 1.0, size=(4, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -289,36 +291,29 @@ def _stem_generators(columns, component, t1, t2):
     return w, wp
 
 
-def wing_bivectors(surface, sign, thetas, phis):
-    """Pluecker images of the wing Lagrangians at photon parameters thetas
-    and pencil angles phis (paired elementwise)."""
-    return symplectic.plucker_rows(
-        *_wing_generators(surface.quad.columns, sign, thetas, phis))
+def _cloud_draws(rng, n, proportions=(0.4, 0.4, 0.2)):
+    """The rng calls of `sample_surface`: photon parameters and pencil
+    angles of wing+, then of wing-, then the stem's t1, t2 and components."""
+    draws = []
+    for count in (int(round(n * proportions[0])), int(round(n * proportions[1]))):
+        draws += [rng.uniform(0.0, np.pi / 2, size=count), rng.uniform(0.0, np.pi, size=count)]
+    n_stem = n - len(draws[0]) - len(draws[2])
+    margin = 1e-2  # keep clear of the stem boundary, where Maslov degenerates
+    draws += [rng.uniform(margin, np.pi / 2 - margin, size=n_stem) for _ in range(2)]
+    return (*draws, rng.integers(0, 2, size=n_stem) * 2 - 1)
 
 
-def stem_bivectors(surface, t1, t2, component=+1):
-    """Pluecker images of stem Lagrangians (paired elementwise).
-
-    The stem has two connected pieces: component +1 pairs photon
-    coordinates of equal signs in both stem planes, component -1 of
-    opposite signs; parameters range over (0, pi/2) either way.
-    """
-    return symplectic.plucker_rows(
-        *_stem_generators(surface.quad.columns, component, t1, t2))
-
-
-def wing_point(surface, sign, theta, phi):
-    """Single wing Lagrangian as a plane (see `wing_bivectors`)."""
-    x, w = _wing_generators(surface.quad.columns, sign, np.array([theta]),
-                            np.array([phi]))
-    return Plane2.span(surface.space, x[0], w[0])
-
-
-def stem_point(surface, theta1, theta2, component=+1):
-    """Single stem Lagrangian as a plane (see `stem_bivectors`)."""
-    w, wp = _stem_generators(surface.quad.columns, component, np.array([theta1]),
-                             np.array([theta2]))
-    return Plane2.span(surface.space, w[0], wp[0])
+def _surface_cloud(space, columns, draws):
+    """The cloud of `sample_surface` from its draws, on the surface of Q:
+    wing+, wing-, then the stem points of component +1, then of -1."""
+    thetas_plus, phis_plus, thetas_minus, phis_minus, t1, t2, comps = draws
+    rows = [symplectic.plucker_rows(*_wing_generators(columns, +1, thetas_plus, phis_plus)),
+            symplectic.plucker_rows(*_wing_generators(columns, -1, thetas_minus, phis_minus))]
+    rows += [symplectic.plucker_rows(*_stem_generators(columns, c, t1[comps == c], t2[comps == c]))
+             for c in (+1, -1)]
+    labels = (["wing_plus"] * len(thetas_plus) + ["wing_minus"] * len(thetas_minus)
+              + ["stem"] * len(t1))
+    return SampleCloud(np.vstack(rows) @ space.bridge[0].T, labels)
 
 
 def sample_surface(surface, n, rng, proportions=(0.4, 0.4, 0.2)):
@@ -330,28 +325,7 @@ def sample_surface(surface, n, rng, proportions=(0.4, 0.4, 0.2)):
     """
     if len(proportions) != 3 or abs(sum(proportions) - 1.0) > 1e-12:
         raise GeometryError("proportions must be three numbers summing to 1")
-    space = surface.space
-    n_plus = int(round(n * proportions[0]))
-    n_minus = int(round(n * proportions[1]))
-    n_stem = n - n_plus - n_minus
-    chunks, labels = [], []
-    for count, sign, label in ((n_plus, +1, "wing_plus"),
-                               (n_minus, -1, "wing_minus")):
-        thetas = rng.uniform(0.0, np.pi / 2, size=count)
-        phis = rng.uniform(0.0, np.pi, size=count)
-        chunks.append(wing_bivectors(surface, sign, thetas, phis))
-        labels += [label] * count
-    margin = 1e-2  # keep clear of the stem boundary, where Maslov degenerates
-    t1 = rng.uniform(margin, np.pi / 2 - margin, size=n_stem)
-    t2 = rng.uniform(margin, np.pi / 2 - margin, size=n_stem)
-    comps = rng.integers(0, 2, size=n_stem) * 2 - 1
-    stem_biv = np.vstack([
-        stem_bivectors(surface, t1[comps == +1], t2[comps == +1], +1),
-        stem_bivectors(surface, t1[comps == -1], t2[comps == -1], -1),
-    ])
-    chunks.append(stem_biv)
-    labels += ["stem"] * n_stem
-    return SampleCloud(np.vstack(chunks) @ space.bridge[0].T, labels)
+    return _surface_cloud(surface.space, surface.quad.columns, _cloud_draws(rng, n, proportions))
 
 
 def min_gap(cloud_a, cloud_b):
@@ -590,115 +564,102 @@ def disjoint_ads_pair(rng, min_margin=1e-2):
     raise RetryExhausted(f"no valid sample in {RETRY_LIMIT} attempts")
 
 
-def _random_stem_basis(columns, rng):
-    """Generators (w, w') of a random stem Lagrangian of a quadrilateral, as
-    the columns of a 4x2 array (see `_stem_generators`)."""
+def _stem_point(rng):
+    """The rng calls of a random stem point: its component, t1 and t2."""
     t1, t2 = (rng.uniform(0.15, np.pi / 2 - 0.15) for _ in range(2))
-    w, wp = _stem_generators(columns, +1 if rng.uniform() < 0.5 else -1, t1, t2)
-    return np.column_stack([w, wp])
+    return +1 if rng.uniform() < 0.5 else -1, t1, t2
 
 
-def _surface_through(space, rng, l, basis_of):
-    """Crooked surface of a random quadrilateral q0 carried so that the
-    Lagrangian plane spanned by basis_of(q0) lands on l; basis_of takes the
-    4x4 columns (u+, u-, v+, v-) of q0.
-
-    D(x) = [x, y + x (y^T Omega y) / 2] with y = Omega^T x (x^T Omega
-    Omega^T x)^-1 is a Darboux frame of a Lagrangian basis x: x^T Omega y
-    = I and y^T Omega y = 0 for any symplectic form.  So g = D(l) D(x)^-1,
-    x = basis_of(q0), is symplectic and maps x onto the basis of l: the
-    point of q0 spanned by x is l on g q0.  No candidate is rejected, and
-    only g q0 is validated.
-    """
+def _carried_rows(space, l, rows, x):
+    """Rows of quadrilaterals q0 (..., 4, 4) carried so that the Lagrangian
+    of the basis x of a point of q0 lands on that of the orthonormal basis
+    l: D(x) = [x, y + x (y^T Omega y) / 2], y = Omega^T x (x^T Omega Omega^T
+    x)^-1, is a Darboux frame of x (x^T Omega y = I, y^T Omega y = 0), so
+    g = D(l) D(x)^-1 is symplectic and maps x onto l (nothing validated)."""
     omega = space.matrix
 
     def frame(x):
-        y = omega.T @ x @ np.linalg.inv(x.T @ omega @ omega.T @ x)
-        return np.column_stack([x, y + x @ (y.T @ omega @ y) / 2])
+        y = omega.T @ x @ np.linalg.inv(x.swapaxes(-1, -2) @ omega @ omega.T @ x)
+        return np.concatenate([x, y + x @ (y.swapaxes(-1, -2) @ omega @ y) / 2], axis=-1)
 
-    q0 = _random_vectors(space, rng)
-    g = frame(l.sub.onb) @ np.linalg.inv(frame(basis_of(np.column_stack(q0))))
-    return crooked.CrookedSurface(
-        crooked.LightlikeQuadrilateral(space, *(g @ v for v in q0)))
-
-
-def intersecting_surface_pair(space, rng):
-    """A random crooked surface and a second one sharing a point with it.
-
-    The shared Lagrangian is a sampled point of the first surface; the
-    second surface is a random one carried so that its wing+ vertex P+ is
-    that point (`_surface_through`).
-    """
-    c1 = crooked.CrookedSurface(random_quadrilateral(space, rng))
-    if rng.uniform() < 0.5:
-        shared = wing_point(c1, +1 if rng.uniform() < 0.5 else -1,
-                            rng.uniform(0.1, np.pi / 2 - 0.1),
-                            rng.uniform(0.0, np.pi))
-    else:
-        shared = stem_point(c1, rng.uniform(0.1, np.pi / 2 - 0.1),
-                            rng.uniform(0.1, np.pi / 2 - 0.1),
-                            +1 if rng.uniform() < 0.5 else -1)
-    c2 = _surface_through(space, rng, shared, lambda q: q[:, [0, 2]])
-    return c1, c2, shared
+    g = frame(l) @ np.linalg.inv(frame(x))
+    return (g[..., None, :, :] @ rows[..., None])[..., 0]
 
 
 def stem_crossing_pair(space, rng):
-    """Two random crooked surfaces whose stems share a constructed point.
-
-    The shared Lagrangian is a random stem point of the first surface; the
-    second surface is a random one carried so that a random stem point of
-    its own lands on it (`_surface_through`).  Neither draw reads a
-    membership predicate.
-    """
+    """Two random crooked surfaces whose stems share a constructed point: a
+    random stem point of the first, onto which a random stem point of the
+    second is carried (`_carried_rows`); one pair of stem-only's draws."""
     c1 = crooked.CrookedSurface(random_quadrilateral(space, rng))
-    shared = Plane2(space, _random_stem_basis(c1.quad.columns, rng))
-    c2 = _surface_through(space, rng, shared, lambda q: _random_stem_basis(q, rng))
-    return c1, c2, shared
+    shared = Plane2(space, np.stack(_stem_generators(c1.quad.columns, *_stem_point(rng)), -1))
+    rows = _random_rows(space, rng.uniform(-1.0, 1.0, size=(4, 4)))
+    rows = _carried_rows(space, shared.sub.onb, rows,
+                         np.stack(_stem_generators(rows.T, *_stem_point(rng)), -1))
+    return c1, crooked.CrookedSurface(crooked.LightlikeQuadrilateral(space, *rows)), shared
+
+
+def _intersecting_draw(rng):
+    """The rng calls of an intersecting pair of surface-disjointness: a
+    generator, a wing point (True; sign's number, theta, phi) or stem point
+    (False; t1, t2, component's number) of it, a second generator."""
+    s = rng.uniform(-1.0, 1.0, size=(4, 4))
+    wing = rng.uniform() < 0.5
+    first = rng.uniform() if wing else rng.uniform(0.1, np.pi / 2 - 0.1)
+    second = rng.uniform(0.1, np.pi / 2 - 0.1)
+    third = rng.uniform(0.0, np.pi) if wing else rng.uniform()
+    return s, wing, first, second, third, rng.uniform(-1.0, 1.0, size=(4, 4))
+
+
+def _intersecting_rows(space, draws):
+    """Quadrilateral rows (n, 2, 4, 4) of the pairs of n `_intersecting_draw`s
+    and orthonormal bases (n, 4, 2) of their shared points: a point of the
+    first surface, onto which the second's vertex P+ is carried."""
+    s1, wing, a, b, c, s0 = (np.array(v) for v in zip(*draws))
+    rows1, rows0 = np.split(_random_rows(space, np.concatenate([s1, s0])), 2)
+    columns = rows1.swapaxes(-1, -2)
+    on_wing = np.stack(_wing_generators(columns, np.where(a < 0.5, 1, -1), b, c), axis=-1)
+    on_stem = np.stack(_stem_generators(columns, np.where(c < 0.5, 1, -1), a, b), axis=-1)
+    shared = _orthonormal_columns(np.where(wing[:, None, None], on_wing, on_stem), EPS_RANK)
+    rows2 = _carried_rows(space, shared, rows0, rows0.swapaxes(-1, -2)[..., [0, 2]])
+    return np.stack([rows1, rows2], axis=1), shared
 
 
 # ---------------------------------------------------------------------------
 # stem-wing contact
 # ---------------------------------------------------------------------------
 
-def _stem_wing_contact(c_stem, c_wing):
-    """A point of the stem of c_stem on a wing photon of c_wing, solved for
-    in closed form: (x, L) with L a Lagrangian through the photon x; None
-    when there is none.
-
-    S1 and S2 are omega-orthogonal and split V, so x = x1 + x2 with xi in Si
-    (both nonzero) lies on exactly one Lagrangian of the torus of S1 + S2,
-    L = span{x1, x2}; every Lagrangian through a wing photon is on the wing.
-    Along a wing, x(theta) = cos(theta) x(0) + sin(theta) x(pi/2) for theta
-    in [0, pi/2], so each coordinate of k = Q^-1 x(theta) is
-    A cos(theta) + B sin(theta), vanishing at atan2(-A, B) mod pi.  Cut at
-    those roots, each piece lies in one part of the torus.  Of the L at the
-    midpoints of all pieces of both wings, the first that `crooked._regions`
-    puts on the stem of c_stem and its wing of c_wing is returned (on these
-    L, p01 p23 < 0 reads (k_u+ k_v-)(k_u- k_v+) > 0: the timelike part).
-    """
-    columns = c_stem.quad.columns
-    signs, ks = [], []
-    for sign in (+1, -1):
-        ends, _ = _wing_generators(c_wing.quad.columns, sign,
-                                   np.array([0.0, np.pi / 2]), 0.0)
-        a, b = np.linalg.solve(columns, ends.T).T
-        roots = np.arctan2(-a, b) % np.pi
-        cuts = np.unique(np.concatenate([[0.0, np.pi / 2], roots[roots < np.pi / 2]]))
-        mids = (cuts[:-1] + cuts[1:]) / 2
-        ks.append(np.cos(mids)[:, None] * a + np.sin(mids)[:, None] * b)
-        signs += [sign] * len(mids)
-    ks = np.concatenate(ks)
-    # bases (x1, x2) = Q (k_u+ e_u+ + k_v- e_v-, k_u- e_u- + k_v+ e_v+)
-    bases = columns @ (ks[:, :, None] * np.array([[1, 0], [0, 1], [0, 1], [1, 0]]))
-    wing_plus, wing_minus, _ = crooked._regions(c_wing, bases, EPS_ALG)
-    hits = np.flatnonzero(crooked._regions(c_stem, bases, EPS_ALG)[2] & np.where(
-        np.array(signs) > 0, wing_plus, wing_minus))
-    if not hits.size:
-        return None
-    k = ks[hits[0]]
-    x1 = columns[:, [0, 3]] @ k[[0, 3]]
-    x2 = columns[:, [1, 2]] @ k[[1, 2]]
-    return x1 + x2, Plane2.span(c_stem.space, x1, x2)
+def _stem_wing_contacts(stem, wing):
+    """Stem points of quadrilaterals on wing photons of others, in closed
+    form: for stem and wing columns (n, 4, 4), the generators x1, x2 (n, 4)
+    of the first contact L = span{x1, x2} and the (n,) mask of the rows
+    that have one.  S1 and S2 split V, so a wing photon x = x1 + x2 (xi in
+    Si) lies on one Lagrangian of their torus, span{x1, x2}, on the wing.
+    Each coordinate of k = Q^-1 x(theta), x(theta) = cos(theta) x(0) +
+    sin(theta) x(pi/2), vanishes at atan2(-A, B) mod pi; cut there (padded
+    with pi/2 to five pieces, one of length 0 being none), each piece lies
+    in one part of the torus.  The first midpoint, wing+ then wing-, that
+    `crooked._quad_regions` puts on the stem and the wing is the contact."""
+    n = len(stem)
+    ends, _ = _wing_generators(wing[:, None, None], np.array([[+1], [-1]]),
+                               np.array([0.0, np.pi / 2]), 0.0)
+    a, b = np.moveaxis(np.linalg.solve(stem[:, None], ends.swapaxes(-1, -2)), -1, 0)
+    roots = np.arctan2(-a, b) % np.pi
+    cuts = np.sort(np.concatenate([np.broadcast_to([0.0, np.pi / 2], (n, 2, 2)),
+                                   np.where(roots < np.pi / 2, roots, np.pi / 2)], -1), -1)
+    mids = (cuts[..., :-1] + cuts[..., 1:]) / 2
+    ks = np.cos(mids)[..., None] * a[..., None, :] + np.sin(mids)[..., None] * b[..., None, :]
+    # (k_u+ e_u+ + k_v- e_v-, k_u- e_u- + k_v+ e_v+) over Q
+    bases = stem[:, None, None] @ (ks[..., None] * np.array([[1, 0], [0, 1], [0, 1], [1, 0]]))
+    wing_plus, wing_minus, _ = crooked._quad_regions(wing[:, None, None], bases, EPS_ALG)
+    on_stem = crooked._quad_regions(stem[:, None, None], bases, EPS_ALG)[2]
+    hits = ((cuts[..., :-1] < cuts[..., 1:]) & on_stem
+            & np.where([[True], [False]], wing_plus, wing_minus)).reshape(n, 10)
+    k = ks.reshape(n, 10, 4)[np.arange(n), hits.argmax(axis=1)]
+    # Q[:, j] @ k[j] of each row, its operands laid out as for one row
+    # (Q[:, j] Fortran-ordered), so that numpy takes the same BLAS route
+    x1, x2 = ((np.take(stem.swapaxes(-1, -2), j, axis=-2).swapaxes(-1, -2)
+               @ np.take(k, j, axis=-1)[..., None])[..., 0] for j in ([0, 3], [1, 2]))
+    return x1, x2, hits.any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -759,15 +720,11 @@ def photon_crossing_oracle(p, surface):
     return Plane2.span(surface.space, p, w[0]) if hit[0] else None
 
 
-def crossing_residual(p, surface, plane):
-    """Numerical residual of 'plane is a surface point on the photon of p'."""
-    space = surface.space
-    p = np.asarray(p, dtype=float)
+def _crossing_residual(space, p, onb):
+    """Numerical residual of 'the plane of onb is a Lagrangian through p'."""
     p = p / np.linalg.norm(p)
-    onb = plane.sub.onb
     lag = abs(space.omega(onb[:, 0], onb[:, 1]))
-    containment = float(np.linalg.norm(p - onb @ (onb.T @ p)))
-    return max(lag, containment)
+    return max(lag, float(np.linalg.norm(p - onb @ (onb.T @ p))))
 
 
 # ---------------------------------------------------------------------------
@@ -784,26 +741,49 @@ def _report(suite, trials, seed, failures, max_violation):
     }
 
 
-def _blocks(trials, draw):
+def _blocks(trials, draw, screen=None):
     """The draw stage of a suite: draw(done) is called per candidate and
-    returns a trial's record, or None to skip.  Yields (number of the first
-    trial, records) for blocks of at most _ORACLE_BLOCK trials, each before
-    the next is drawn; raises RetryExhausted after ATTEMPTS_PER_TRIAL *
-    trials candidates."""
+    returns a trial's record, or None to skip.  With screen, draw makes only
+    the rng calls and screen(records) returns the records kept of a chunk,
+    at most the trials its block lacks (so none is drawn past the last).
+    Yields (number of the first trial, records) for blocks of at most
+    _ORACLE_BLOCK trials, each before the next is drawn; raises
+    RetryExhausted after ATTEMPTS_PER_TRIAL * trials candidates."""
     limit = ATTEMPTS_PER_TRIAL * trials
-    block, done = [], 0
-    for _ in range(limit):
-        if done == trials:
-            return
-        record = draw(done)
-        if record is not None:
-            done += 1
-            block.append(record)
-            if len(block) == _ORACLE_BLOCK or done == trials:
-                yield done - len(block) + 1, block
-                block = []
-    if done < trials:
-        raise RetryExhausted(f"fewer than {trials} accepted trials in {limit} attempts")
+    block, done, drawn = [], 0, 0
+    while done < trials:
+        if drawn == limit:
+            raise RetryExhausted(f"fewer than {trials} accepted trials in {limit} attempts")
+        count = min(_ORACLE_BLOCK - len(block), trials - done, limit - drawn) if screen else 1
+        records = [draw(done) for _ in range(count)]
+        drawn += count
+        kept = screen(records) if screen else [r for r in records if r is not None]
+        block += kept
+        done += len(kept)
+        if len(block) == _ORACLE_BLOCK or done == trials:
+            yield done - len(block) + 1, block
+            block = []
+
+
+def _unit_rows(v):
+    """v / np.linalg.norm(v) of each row, the norm a dot product as there."""
+    return v / np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+
+
+def _surface_checks(space, rows):
+    """check(i) runs the closed-form checks of `LightlikeQuadrilateral`
+    then `CrookedSurface` on each of the quadrilateral rows (n, ..., 4, 4)
+    of trial i."""
+    rows = rows.reshape(len(rows), -1, 4, 4)
+    grams = (rows @ space.matrix @ rows.swapaxes(-1, -2)).tolist()
+    row_lists = rows.tolist()
+
+    def check(i):
+        for g, q in zip(grams[i], row_lists[i]):
+            crooked._check_quadrilateral(g, space.vol_coeff, EPS_ALG)
+            crooked._check_planes(q, g)
+
+    return check
 
 
 def suite_torus_trichotomy(trials=1000, seed=7):
@@ -1152,36 +1132,55 @@ def suite_photon_avoidance(trials=1000, seed=7):
     """Photon-vs-surface sign test against the oracle that solves for the
     photon's incidences with the wing vertices and stem planes.
 
-    Each draw runs the predicates and, for a meeting photon, the witness;
-    the oracle (`_photon_crossings`) then reads each block's unit photons
-    and quadrilateral columns at once.  Within a trial the oracle's failure
-    comes before the witness's."""
+    A candidate draws a generator and a photon.  A chunk of candidates is
+    decided at once: one stacked expm, the scalar closed-form checks in
+    candidate order, the margins and their |margin| <= 1e-6 skip band, and
+    a meeting photon's witness (`crooked._crossing_bases`), its residual
+    and membership.  The oracle (`_photon_crossings`) runs once a block;
+    within a trial its failure comes before the witness's."""
     rng = make_rng([seed, 5])
     space = symplectic.standard_space()
     failures = []
     max_residual = 0.0
 
     def draw(done):
-        surface = crooked.CrookedSurface(random_quadrilateral(space, rng))
-        p = rng.normal(size=4)
-        p /= np.linalg.norm(p)
-        m1, m2 = crooked.photon_margins(p, surface)
-        if min(abs(m1), abs(m2)) <= 1e-6:
-            return None
-        verdict = crooked.photon_disjoint(p, surface)
-        residual = witness = None  # the witness's residual and failure
-        if not verdict:
-            plane = crooked.find_crossing_lagrangian(p, surface)
-            if plane is None:
-                witness = "no constructive witness"
-            else:
-                residual = crossing_residual(p, surface, plane)
-                if residual > 1e-9 or crooked.surface_contains(surface, plane) is None:
-                    witness = f"witness residual {residual:.3e}"
-        # the unit photon as `photon_crossing_oracle` takes p
-        return verdict, p / np.linalg.norm(p), surface.quad.columns, residual, witness
+        return rng.uniform(-1.0, 1.0, size=(4, 4)), rng.normal(size=4)
 
-    for first, block in _blocks(trials, draw):
+    def screen(draws):
+        s, p = (np.array(v) for v in zip(*draws))
+        rows = _random_rows(space, s)
+        check = _surface_checks(space, rows)
+        columns = rows.swapaxes(-1, -2).copy()  # C-ordered, as a quadrilateral keeps them
+        p = _unit_rows(p)
+        units = crooked._unit_photons(p)  # p as the predicates take it
+        w = (units[:, None] @ space.matrix @ columns)[:, 0]
+        m1, m2 = crooked._products(w)
+        verdicts = crooked._avoids(m1, m2, EPS_ALG)
+        skip = np.minimum(abs(m1), abs(m2)) <= 1e-6
+        bases, fails = crooked._crossing_bases(units, columns, w, EPS_ALG)
+        need = ~(verdicts | skip) & fails
+        onb = _orthonormal_columns(bases[need], EPS_RANK)
+        regions, checks = crooked._lagrangian_regions(space, columns[need], onb, EPS_ALG)
+        on = np.logical_or.reduce(regions)
+        kept, witnesses = [], iter(range(len(onb)))
+        for i, oracle_unit in enumerate(_unit_rows(p)):  # as `photon_crossing_oracle` takes p
+            check(i)
+            if skip[i]:
+                continue
+            residual = witness = None  # the witness's residual and failure
+            if not (verdicts[i] or fails[i]):
+                witness = "no constructive witness"
+            elif not verdicts[i]:
+                j = next(witnesses)
+                residual = _crossing_residual(space, p[i], onb[j])
+                if residual <= 1e-9:
+                    _raise_first(checks, j)
+                if residual > 1e-9 or not on[j]:
+                    witness = f"witness residual {residual:.3e}"
+            kept.append((bool(verdicts[i]), oracle_unit, columns[i], residual, witness))
+        return kept
+
+    for first, block in _blocks(trials, draw, screen):
         verdicts, units, columns, residuals, witnesses = zip(*block)
         _, found = _photon_crossings(space, np.array(units), np.array(columns))
         for k, verdict, hit, residual, witness in zip(
@@ -1198,32 +1197,57 @@ def suite_photon_avoidance(trials=1000, seed=7):
 
 
 def suite_surface_disjointness(trials=200, seed=7):
-    """Sixteen-inequality verdicts against sampled chordal gaps."""
+    """Sixteen-inequality verdicts against sampled chordal gaps.
+
+    A disjoint trial draws a `disjoint_ads_pair` (the one sequential
+    rejection loop) and both surfaces' `sample_surface` draws, whatever
+    its verdict; an intersecting one, an `_intersecting_draw`.  A block
+    then builds its quadrilaterals stacked, runs the scalar closed-form
+    checks in trial order and reads the stacked sixteen margins; a passing
+    disjoint pair's clouds and gap are built one pair at a time, and an
+    intersecting pair's shared point is checked on both surfaces."""
     rng = make_rng([seed, 6])
     space = ads.ads_space()
     std = symplectic.standard_space()
     failures = []
     min_disjoint_gap = math.inf
-    for k in range(trials):
-        p1, p2 = disjoint_ads_pair(rng)
-        c1 = crooked.CrookedSurface(ads.ads_quadrilateral(p1))
-        c2 = crooked.CrookedSurface(ads.ads_quadrilateral(p2))
-        if not crooked.surfaces_disjoint(c1, c2):
-            failures.append(f"disjoint pair {k}: criterion says not disjoint")
-            continue
-        cloud1 = sample_surface(c1, 320, rng)
-        cloud2 = sample_surface(c2, 320, rng)
-        gap = min_gap(cloud1, cloud2)
-        min_disjoint_gap = min(min_disjoint_gap, gap)
-        if gap <= 1e-4:
-            failures.append(f"disjoint pair {k}: sampled gap {gap:.3e}")
-    for k in range(trials):
-        c1, c2, shared = intersecting_surface_pair(std, rng)
-        if crooked.surfaces_disjoint(c1, c2):
-            failures.append(f"intersecting pair {k}: criterion says disjoint")
-        if crooked.surface_contains(c1, shared) is None \
-                or crooked.surface_contains(c2, shared) is None:
-            failures.append(f"intersecting pair {k}: shared point not on both")
+
+    def disjoint_draw(done):
+        return (*disjoint_ads_pair(rng), _cloud_draws(rng, 320), _cloud_draws(rng, 320))
+
+    def sixteen_pass(space, rows):
+        return crooked._avoids(*crooked._sixteen_margins(rows.swapaxes(-1, -2), space.matrix),
+                               EPS_ALG).all(axis=(1, 2))
+
+    for first, block in _blocks(trials, disjoint_draw):
+        rows = ads._quad_rows(*(np.array([[getattr(p, name) for p in pair[:2]] for pair in block])
+                                for name in ("base", "a", "b")))
+        check = _surface_checks(space, rows)
+        passed = sixteen_pass(space, rows)
+        for k, i in enumerate(range(len(block)), first - 1):
+            check(i)
+            if not passed[i]:
+                failures.append(f"disjoint pair {k}: criterion says not disjoint")
+                continue
+            gap = min_gap(*(_surface_cloud(space, q.T, draws)
+                            for q, draws in zip(rows[i], block[i][2:])))
+            min_disjoint_gap = min(min_disjoint_gap, gap)
+            if gap <= 1e-4:
+                failures.append(f"disjoint pair {k}: sampled gap {gap:.3e}")
+    for first, block in _blocks(trials, lambda done: _intersecting_draw(rng)):
+        rows, shared = _intersecting_rows(std, block)
+        check = _surface_checks(std, rows)
+        passed = sixteen_pass(std, rows)
+        regions, checks = crooked._lagrangian_regions(std, rows.swapaxes(-1, -2), shared[:, None],
+                                                      EPS_ALG)
+        on_both = np.logical_or.reduce(regions).all(axis=1)
+        for k, i in enumerate(range(len(block)), first - 1):
+            check(i)
+            if passed[i]:
+                failures.append(f"intersecting pair {k}: criterion says disjoint")
+            _raise_first(checks, i)
+            if not on_both[i]:
+                failures.append(f"intersecting pair {k}: shared point not on both")
     return _report("surface-disjointness", 2 * trials, seed, failures,
                    min_disjoint_gap)
 
@@ -1232,31 +1256,52 @@ def suite_stem_only(trials=200, seed=7):
     """Stems never meet alone: two crooked surfaces whose stems share a
     constructed point also meet stem to wing.
 
-    Each trial draws a `stem_crossing_pair`, checks the shared point with
-    `stem_contains` on both stems (the draw carries c2 onto it without
-    reading membership), and solves for a stem-wing contact in either order
-    (`_stem_wing_contact`).  A pair is a failure when the shared point is
-    off a stem or neither order yields a contact that the membership rule
-    puts on one stem and the other wing; that is the test of the lemma.  The
-    violation is the largest membership residual of the contacts
-    (`crossing_residual`: how far L is from Lagrangian and x from L), which
-    only confirms the construction: x = x1 + x2 lies on L = span{x1, x2},
-    and L is Lagrangian because S1 and S2 are omega-orthogonal, whatever
-    contact is chosen."""
+    A trial draws the rng calls of a `stem_crossing_pair`.  A block takes
+    one stacked expm, carries the second quadrilaterals onto the shared
+    points (`_carried_rows`), runs the scalar closed-form checks in trial
+    order, checks the shared point on both stems, and solves for a
+    stem-wing contact in either order (`_stem_wing_contacts`).  A pair
+    fails when the shared point is off a stem or neither order has a
+    contact: the test of the lemma.  The violation, the largest residual
+    of the contacts (`_crossing_residual`), only confirms the construction:
+    L = span{x1, x2} is Lagrangian (S1, S2 are omega-orthogonal) and holds
+    x1 + x2."""
     rng = make_rng([seed, 8])
     space = symplectic.standard_space()
     failures = []
     max_residual = 0.0
-    for k in range(trials):
-        c1, c2, shared = stem_crossing_pair(space, rng)
-        if not (crooked.stem_contains(c1, shared) and crooked.stem_contains(c2, shared)):
-            failures.append(f"pair {k}: the shared point is off a stem")
-        contact = _stem_wing_contact(c1, c2) or _stem_wing_contact(c2, c1)
-        if contact is None:
-            failures.append(f"pair {k}: stems meet but no stem-wing contact")
-            continue
-        x, l = contact
-        max_residual = max(max_residual, crossing_residual(x, c1, l))
+
+    def draw(done):
+        return (rng.uniform(-1.0, 1.0, size=(4, 4)), *_stem_point(rng),
+                rng.uniform(-1.0, 1.0, size=(4, 4)), *_stem_point(rng))
+
+    for first, block in _blocks(trials, draw):
+        n = len(block)
+        s1, c1, a1, b1, s0, c0, a0, b0 = (np.array(v) for v in zip(*block))
+        rows1, rows0 = np.split(_random_rows(space, np.concatenate([s1, s0])), 2)
+        shared = _orthonormal_columns(
+            np.stack(_stem_generators(rows1.swapaxes(-1, -2), c1, a1, b1), -1), EPS_RANK)
+        x = np.stack(_stem_generators(rows0.swapaxes(-1, -2), c0, a0, b0), -1)
+        rows = np.stack([rows1, _carried_rows(space, shared, rows0, x)], axis=1)
+        check = _surface_checks(space, rows)
+        q1, q2 = np.moveaxis(rows.swapaxes(-1, -2), 1, 0)
+        regions, checks = crooked._lagrangian_regions(space, rows.swapaxes(-1, -2),
+                                                      shared[:, None], EPS_ALG)
+        on_stems = regions[2].all(axis=1)
+        # either order: the stem of c1 on a wing of c2, else the reverse
+        x1, x2, hit = _stem_wing_contacts(np.concatenate([q1, q2]), np.concatenate([q2, q1]))
+        x1, x2 = (np.where(hit[:n, None], x[:n], x[n:]) for x in (x1, x2))
+        contact = hit[:n] | hit[n:]
+        onb = iter(_orthonormal_columns(np.stack([x1, x2], axis=-1)[contact], EPS_RANK))
+        for k, i in enumerate(range(n), first - 1):
+            check(i)
+            _raise_first(checks, i)
+            if not on_stems[i]:
+                failures.append(f"pair {k}: the shared point is off a stem")
+            if not contact[i]:
+                failures.append(f"pair {k}: stems meet but no stem-wing contact")
+                continue
+            max_residual = max(max_residual, _crossing_residual(space, x1[i] + x2[i], next(onb)))
     return _report("stem-only-impossibility", trials, seed, failures, max_residual)
 
 
@@ -1285,16 +1330,14 @@ def suite_ads_equivalence(trials=1000, seed=7):
     for first, block in _blocks(trials, draw):
         # units (n, 2, 2, 2): the directions (a, b) of each plane, as rows
         *directions, x = (np.array(v) for v in zip(*block))
-        raw = np.stack(directions, 1)
-        units = raw / np.sqrt(raw[..., None, :] @ raw[..., :, None])[..., 0]
+        units = _unit_rows(np.stack(directions, 1))
         f = _sl2_exp(x)
         bases = np.stack([np.broadcast_to(base, f.shape), f], 1)
         with np.errstate(all="ignore"):  # a row that fails its checks raises below
             rows = ads._quad_rows(bases, units[..., 0, :], units[..., 1, :])
-            grams = rows @ space.matrix @ rows.swapaxes(-1, -2)
+            check = _surface_checks(space, rows)
         finite = np.isfinite(rows).all(axis=(1, 2, 3)).tolist()  # and so units and f
         f_lists, unit_lists = f.tolist(), units.tolist()
-        row_lists, gram_lists = rows.tolist(), grams.tolist()
         for i in range(len(block)):
             if not finite[i]:  # the scalar constructors raise their error
                 planes = [ads.AdsCrookedPlane(m, *d) for m, d in zip((base, f[i]), units[i])]
@@ -1305,9 +1348,7 @@ def suite_ads_equivalence(trials=1000, seed=7):
             ads._check_independent(*unit_lists[i][0])
             ads._check_sl2(f_lists[i], EPS_ALG)
             ads._check_independent(*unit_lists[i][1])
-            for g, q in zip(gram_lists[i], row_lists[i]):
-                crooked._check_quadrilateral(g, space.vol_coeff, EPS_ALG)
-                crooked._check_planes(q, g)
+            check(i)
         y, xp = units.swapaxes(-1, -2).swapaxes(0, 1)
         four = (ads._margin_array(base, y, f, xp) > EPS_ALG).all(axis=(1, 2)).tolist()
         dgk = ads._dgk_passes(*ads._dgk_array(base, y, f, xp), EPS_ALG).all(axis=(1, 2)).tolist()

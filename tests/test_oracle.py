@@ -6,7 +6,7 @@ from ein3 import crooked as C
 from ein3 import einstein as E
 from ein3 import oracle as O
 from ein3 import symplectic as S
-from ein3.linalg import GeometryError
+from ein3.linalg import EPS_RANK, GeometryError, _orthonormal_columns, _raise_first
 
 SP = S.standard_space()
 # a nonsingular antisymmetric form with no zero entry off the diagonal
@@ -126,14 +126,20 @@ def test_disjoint_ads_pair_margins():
     assert ads.ads_disjoint(p1, p2)
 
 
+def _stem_contains(surface, l):
+    """Stem membership of one Lagrangian plane: the stem mask of the
+    membership rule."""
+    return C._regions_of(surface, l, C.EPS_ALG)[2]
+
+
 def test_stem_crossing_pair():
     # c2 is carried onto the shared point in one draw, with no candidate to
     # reject (seed 67 once needed a redraw, when c2 was solved for around
     # the point), and both stems contain it
     for seed in (7, 67):
         c1, c2, shared = O.stem_crossing_pair(SP, O.make_rng(seed))
-        assert C.stem_contains(c1, shared)
-        assert C.stem_contains(c2, shared)
+        assert _stem_contains(c1, shared)
+        assert _stem_contains(c2, shared)
 
 
 @pytest.mark.parametrize("space", [ads.ads_space(), S.SympSpace(GENERAL_OMEGA)],
@@ -163,9 +169,7 @@ def test_each_draw_validates_one_quadrilateral_per_surface(monkeypatch):
 
     monkeypatch.setattr(C.LightlikeQuadrilateral, "__init__", counted)
     rng = O.make_rng(9)
-    for draw, per_draw in ((O.random_quadrilateral, 1),
-                           (O.intersecting_surface_pair, 2),
-                           (O.stem_crossing_pair, 2)):
+    for draw, per_draw in ((O.random_quadrilateral, 1), (O.stem_crossing_pair, 2)):
         for _ in range(5):
             built.clear()
             draw(SP, rng)
@@ -225,7 +229,13 @@ def test_disjoint_ads_pair_draws_as_random_ads_config():
 def test_stem_only_checks_the_shared_point_within_its_trials(monkeypatch):
     # a shared point read as off a stem is one failure per pair: the check
     # is reachable, and the suite still runs exactly its trials
-    monkeypatch.setattr(C, "stem_contains", lambda *args, **kwargs: False)
+    regions = C._lagrangian_regions
+
+    def off_stem(*args):
+        (wing_plus, wing_minus, stem), checks = regions(*args)
+        return (wing_plus, wing_minus, np.zeros_like(stem)), checks
+
+    monkeypatch.setattr(C, "_lagrangian_regions", off_stem)
     report = O.suite_stem_only(trials=3, seed=7)
     assert report["failures"] == [f"pair {k}: the shared point is off a stem"
                                   for k in range(3)]
@@ -279,11 +289,10 @@ def test_stem_wing_contact_reads_no_disjointness_predicate(monkeypatch):
 def test_stem_wing_contact_misses_disjoint_surfaces():
     from ein3 import ads
     rng = O.make_rng(17)
-    for _ in range(50):
-        c1, c2 = (C.CrookedSurface(ads.ads_quadrilateral(p))
-                  for p in O.disjoint_ads_pair(rng))
-        assert O._stem_wing_contact(c1, c2) is None
-        assert O._stem_wing_contact(c2, c1) is None
+    q1, q2 = np.array([[ads.ads_quadrilateral(p).columns for p in O.disjoint_ads_pair(rng)]
+                       for _ in range(50)]).swapaxes(0, 1)
+    _, _, hit = O._stem_wing_contacts(np.concatenate([q1, q2]), np.concatenate([q2, q1]))
+    assert not hit.any()
 
 
 def test_stem_only_contacts_are_timelike_and_on_a_wing_photon():
@@ -292,12 +301,11 @@ def test_stem_only_contacts_are_timelike_and_on_a_wing_photon():
     rng = O.make_rng([7, 8])
     for _ in range(200):
         c1, c2, _shared = O.stem_crossing_pair(SP, rng)
-        c_stem, c_wing = c1, c2
-        contact = O._stem_wing_contact(c1, c2)
-        if contact is None:
-            c_stem, c_wing = c2, c1
-            contact = O._stem_wing_contact(c2, c1)
-        _x, l = contact
+        x1, x2, hit = O._stem_wing_contacts(
+            *(np.array([c.quad.columns for c in order]) for order in ((c1, c2), (c2, c1))))
+        c_stem, c_wing = (c1, c2) if hit[0] else (c2, c1)
+        assert hit.any()
+        l = S.Plane2.span(SP, *(x[0 if hit[0] else 1] for x in (x1, x2)))
         assert abs(S.maslov(SP, c_stem.p_zero, l, c_stem.p_inf)) == 2
         assert 1 in (S.plane_intersection_dim(l, c_wing.p_plus),
                      S.plane_intersection_dim(l, c_wing.p_minus))
@@ -317,20 +325,35 @@ def test_photon_oracle_finds_meeting_photons_without_the_predicate(monkeypatch):
         found = O.photon_crossing_oracle(p, surface)
         assert found is not None
         assert C.surface_contains(surface, found) is not None
-        assert O.crossing_residual(p, surface, found) <= 1e-9
+        assert _crossing_residual(p, surface, found) <= 1e-9
+
+
+def _crossing_residual(p, surface, plane):
+    """Numerical residual of 'plane is a surface point on the photon of p',
+    one plane at a time: the reference of `oracle._crossing_residual`."""
+    space = surface.space
+    p = np.asarray(p, dtype=float)
+    p = p / np.linalg.norm(p)
+    onb = plane.sub.onb
+    lag = abs(space.omega(onb[:, 0], onb[:, 1]))
+    containment = float(np.linalg.norm(p - onb @ (onb.T @ p)))
+    return max(lag, containment)
 
 
 def test_pair_draws_read_no_membership_predicate(monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(C, "_regions", _predicate_side_rule)
+        for name in ("_quad_regions", "_lagrangian_regions"):
+            patch.setattr(C, name, _predicate_side_rule)
         rngs = [O.make_rng(seed) for seed in range(1, 6)]
         stem = [O.stem_crossing_pair(SP, rng) for rng in rngs]
-        intersecting = [O.intersecting_surface_pair(SP, rng) for rng in rngs]
-    for c1, c2, shared in stem:
-        assert C.stem_contains(c1, shared) and C.stem_contains(c2, shared)
-    for c1, c2, shared in intersecting:
-        assert C.surface_contains(c1, shared) is not None
-        assert shared == c2.p_plus
+        rows, shared = O._intersecting_rows(SP, [O._intersecting_draw(rng) for rng in rngs])
+    for c1, c2, l in stem:
+        assert _stem_contains(c1, l) and _stem_contains(c2, l)
+    for (r1, r2), onb in zip(rows, shared):
+        c1, c2 = (C.CrookedSurface(C.LightlikeQuadrilateral(SP, *r)) for r in (r1, r2))
+        l = S.Plane2(SP, onb)
+        assert C.surface_contains(c1, l) is not None
+        assert l == c2.p_plus
 
 
 def test_torus_probe_reads_neither_eta_nor_the_classifier(monkeypatch):
@@ -350,13 +373,13 @@ def test_torus_probe_reads_neither_eta_nor_the_classifier(monkeypatch):
 
 
 def test_photon_suite_catches_a_flipped_wing_minus_sign(monkeypatch):
-    margins = C.photon_margins
+    products = C._products  # the suite's margins, read off W
 
-    def flipped(p, surface):
-        m1, m2 = margins(p, surface)
+    def flipped(w):
+        m1, m2 = products(w)
         return m1, -m2
 
-    monkeypatch.setattr(C, "photon_margins", flipped)
+    monkeypatch.setattr(C, "_products", flipped)
     assert O.suite_photon_avoidance(trials=30, seed=7)["failures"]
 
 
@@ -574,7 +597,8 @@ def _reference_photon_crossing(p, surface):
     t = np.arctan2(-a, b)
     ws = np.cos(t)[:, None] * w1 + np.sin(t)[:, None] * w2
     bases = np.stack([np.broadcast_to(p, ws.shape), ws], axis=-1)
-    hits = np.flatnonzero(np.logical_or.reduce(C._regions(surface, bases, C.EPS_ALG)))
+    hits = np.flatnonzero(np.logical_or.reduce(
+        C._quad_regions(surface.quad.columns, bases, C.EPS_ALG)))
     return ws[hits[0]] if hits.size else None
 
 
@@ -623,12 +647,38 @@ def test_blocks_spend_a_bounded_budget():
     assert len(drawn) == 40
 
 
+def test_screened_blocks_draw_no_candidate_past_the_last_trial():
+    drawn, chunks = [], []
+
+    def draw(done):
+        drawn.append(len(drawn))
+        return drawn[-1]
+
+    def screen(records):  # skips every third candidate
+        chunks.append(len(records))
+        return [r for r in records if r % 3]
+
+    blocks = list(O._blocks(300, draw, screen))
+    # the candidates a trial-by-trial loop keeps, and no more drawn
+    kept = [r for r in range(1000) if r % 3][:300]
+    assert [r for _, block in blocks for r in block] == kept
+    assert len(drawn) == kept[-1] + 1 == sum(chunks)
+    assert [(first, len(block)) for first, block in blocks] == [(1, 128), (129, 128), (257, 44)]
+    assert chunks[0] == 128 and max(chunks) <= 128
+    drawn.clear()
+    with pytest.raises(O.RetryExhausted, match="fewer than 4 accepted trials in 40 attempts"):
+        list(O._blocks(4, draw, lambda records: []))
+    assert len(drawn) == 40
+
+
 def test_photon_suite_reports_a_blind_or_a_seeing_oracle_in_trial_order(monkeypatch):
     assert O.suite_photon_avoidance(trials=20, seed=7)["failures"] == []
     with monkeypatch.context() as patch:
         patch.setattr(O, "_photon_crossings", _constant_oracle(False))
         blind = O.suite_photon_avoidance(trials=20, seed=7)["failures"]
-        patch.setattr(C, "find_crossing_lagrangian", lambda *args: None)
+        crossing_bases = C._crossing_bases  # the suite's witnesses
+        patch.setattr(C, "_crossing_bases", lambda units, *args: (
+            crossing_bases(units, *args)[0], np.zeros(len(units), dtype=bool)))
         both = O.suite_photon_avoidance(trials=20, seed=7)["failures"]
     with monkeypatch.context() as patch:
         patch.setattr(O, "_photon_crossings", _constant_oracle(True))
@@ -1023,3 +1073,108 @@ def test_ads_equivalence_reports_a_perturbed_lift_with_its_trial_number(monkeypa
     assert blocks == [128, 2]
     assert len(failures) == 1
     assert failures[0].startswith("equivariance trial 129: residual ")
+
+
+def test_surface_disjointness_reports_a_failed_criterion_and_draws_on(monkeypatch):
+    # the criterion reads "not disjoint" for disjoint pair 3 and "disjoint"
+    # for intersecting pair 3: each side reports exactly that trial, and
+    # the failed pair's clouds are drawn all the same, so every later
+    # pair, and its gap, is the one drawn without the failure
+    avoids, min_gap = C._avoids, O.min_gap
+    gaps = []
+
+    def failed(m1, m2, eps):
+        out = avoids(m1, m2, eps)
+        if out.ndim == 3:  # the sixteen verdicts of a block of pairs
+            out[3] = not out[3].all()
+        return out
+
+    monkeypatch.setattr(O, "min_gap", lambda a, b: gaps.append(min_gap(a, b)) or gaps[-1])
+    assert O.suite_surface_disjointness(trials=8, seed=7)["failures"] == []
+    want = gaps[:3] + gaps[4:]
+    gaps.clear()
+    monkeypatch.setattr(C, "_avoids", failed)
+    report = O.suite_surface_disjointness(trials=8, seed=7)
+    assert report["failures"] == ["disjoint pair 3: criterion says not disjoint",
+                                  "intersecting pair 3: criterion says disjoint"]
+    assert gaps == want
+    assert report["max_violation"] == min(want)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_stacked_witness_matches_the_per_trial_reference(seed):
+    # every meeting photon the photon-avoidance suite draws at this seed:
+    # the stacked witness, its residual and its region against
+    # `find_crossing_lagrangian`, the per-trial residual and
+    # `surface_contains`
+    rng = O.make_rng([seed, 5])
+    draws = []
+    while len(draws) < 1000:
+        surface = C.CrookedSurface(O.random_quadrilateral(SP, rng))
+        p = rng.normal(size=4)
+        p /= np.linalg.norm(p)
+        if min(map(abs, C.photon_margins(p, surface))) > 1e-6:
+            draws.append((p, surface))
+    meeting = [(p, s) for p, s in draws if not C.photon_disjoint(p, s)]
+    p = np.array([p for p, _ in meeting])
+    columns = np.array([s.quad.columns for _, s in meeting])
+    units = C._unit_photons(p)
+    bases, fails = C._crossing_bases(units, columns, (units[:, None] @ SP.matrix @ columns)[:, 0],
+                                     C.EPS_ALG)
+    assert fails.all() and len(meeting) > 300
+    onb = _orthonormal_columns(bases, EPS_RANK)
+    regions, checks = C._lagrangian_regions(SP, columns, onb, C.EPS_ALG)
+    for j, (q, surface) in enumerate(meeting):
+        want = C.find_crossing_lagrangian(q, surface)
+        assert np.array_equal(bases[j], want.basis)
+        assert np.array_equal(onb[j], want.sub.onb)
+        assert O._crossing_residual(SP, q, onb[j]) == _crossing_residual(q, surface, want)
+
+        def region(j=j):
+            _raise_first(checks, j)
+            return next((r for r, mask in zip(C.SurfaceRegion, regions) if mask[j]), None)
+
+        assert _outcome(region) == _outcome(C.surface_contains, surface, want)
+
+
+def _reference_stem_wing_contact(c_stem, c_wing):
+    """The stem-wing contact as it was written per pair, kept as the
+    reference of the stacked `_stem_wing_contacts`: (x1, x2) of the first
+    contact, or None."""
+    columns = c_stem.quad.columns
+    signs, ks = [], []
+    for sign in (+1, -1):
+        ends, _ = O._wing_generators(c_wing.quad.columns, sign, np.array([0.0, np.pi / 2]), 0.0)
+        a, b = np.linalg.solve(columns, ends.T).T
+        roots = np.arctan2(-a, b) % np.pi
+        cuts = np.unique(np.concatenate([[0.0, np.pi / 2], roots[roots < np.pi / 2]]))
+        mids = (cuts[:-1] + cuts[1:]) / 2
+        ks.append(np.cos(mids)[:, None] * a + np.sin(mids)[:, None] * b)
+        signs += [sign] * len(mids)
+    ks = np.concatenate(ks)
+    bases = columns @ (ks[:, :, None] * np.array([[1, 0], [0, 1], [0, 1], [1, 0]]))
+    wing_plus, wing_minus, _ = C._quad_regions(c_wing.quad.columns, bases, C.EPS_ALG)
+    hits = np.flatnonzero(C._quad_regions(columns, bases, C.EPS_ALG)[2] & np.where(
+        np.array(signs) > 0, wing_plus, wing_minus))
+    if not hits.size:
+        return None
+    k = ks[hits[0]]
+    return columns[:, [0, 3]] @ k[[0, 3]], columns[:, [1, 2]] @ k[[1, 2]]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_stacked_contact_matches_the_per_trial_reference(seed):
+    # every pair the stem-only suite draws at this seed, in both orders:
+    # the stacked contact's generators and plane against the per-pair ones
+    rng = O.make_rng([seed, 8])
+    pairs = [O.stem_crossing_pair(SP, rng)[:2] for _ in range(200)]
+    orders = [(c1, c2) for c1, c2 in pairs] + [(c2, c1) for c1, c2 in pairs]
+    x1, x2, hit = O._stem_wing_contacts(*(np.array([c.quad.columns for c in cs])
+                                          for cs in zip(*orders)))
+    assert hit[:200].sum() > 100 and (hit[:200] | hit[200:]).all()
+    for (c_stem, c_wing), y1, y2, h in zip(orders, x1, x2, hit):
+        want = _reference_stem_wing_contact(c_stem, c_wing)
+        assert h == (want is not None)
+        if h:
+            assert np.array_equal(y1, want[0]) and np.array_equal(y2, want[1])
+            assert _outcome(S.Plane2.span, SP, y1, y2) == _outcome(S.Plane2.span, SP, *want)
