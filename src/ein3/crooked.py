@@ -380,7 +380,8 @@ def _crossing_bases(units, columns, w, eps):
     quadrilateral columns (n, 4, 4) and W = P Omega Q (n, 4): the bases
     (n, 4, 2) of the witnesses (of the vertex P+ = span{u+, v+} or P- =
     span{u-, v-} within eps of it) and the (n,) mask of the rows that have
-    one.  One photon takes the scalar route, which builds fewer arrays."""
+    one.  `find_crossing_lagrangian` is the one-photon version, which the
+    CLI calls and the tests compare this block against."""
     wu_plus, wu_minus, wv_plus, wv_minus = w.T
     plus = wv_plus * wu_plus <= eps
     fails = plus | (wv_minus * wu_minus >= -eps)

@@ -170,20 +170,14 @@ def random_splitting(space, rng):
 
 
 def _random_rows(space, s):
-    """Rows (u+, u-, v+, v-) of `random_quadrilateral` for a draw s of its
-    generator, or a stack of draws: the canonical quadrilateral (d1, d2,
-    d4, d3) of a Darboux basis d carried by expm of s, not validated."""
+    """Rows (u+, u-, v+, v-) of a random lightlike quadrilateral for a draw
+    s of its generator (`uniform(-1, 1, (4, 4))`), or a stack of draws: the
+    canonical quadrilateral (d1, d2, d4, d3) of a Darboux basis d carried by
+    expm of s, not validated."""
     standard = np.array_equal(space.matrix, symplectic.STANDARD_OMEGA)
     d = np.eye(4) if standard else symplectic.symplectic_basis(space)
     g = _symplectic_exp(space, s)
     return np.stack([g @ d[:, j] for j in (0, 1, 3, 2)], axis=-2)
-
-
-def random_quadrilateral(space, rng):
-    """Random lightlike quadrilateral: a random symplectic image of the
-    canonical one."""
-    return crooked.LightlikeQuadrilateral(
-        space, *_random_rows(space, rng.uniform(-1.0, 1.0, size=(4, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -586,16 +580,23 @@ def _carried_rows(space, l, rows, x):
     return (g[..., None, :, :] @ rows[..., None])[..., 0]
 
 
-def stem_crossing_pair(space, rng):
-    """Two random crooked surfaces whose stems share a constructed point: a
-    random stem point of the first, onto which a random stem point of the
-    second is carried (`_carried_rows`); one pair of stem-only's draws."""
-    c1 = crooked.CrookedSurface(random_quadrilateral(space, rng))
-    shared = Plane2(space, np.stack(_stem_generators(c1.quad.columns, *_stem_point(rng)), -1))
-    rows = _random_rows(space, rng.uniform(-1.0, 1.0, size=(4, 4)))
-    rows = _carried_rows(space, shared.sub.onb, rows,
-                         np.stack(_stem_generators(rows.T, *_stem_point(rng)), -1))
-    return c1, crooked.CrookedSurface(crooked.LightlikeQuadrilateral(space, *rows)), shared
+def _stem_draw(rng):
+    """The rng calls of a stem-only pair: per surface, a generator and a
+    stem point."""
+    return (rng.uniform(-1.0, 1.0, size=(4, 4)), *_stem_point(rng),
+            rng.uniform(-1.0, 1.0, size=(4, 4)), *_stem_point(rng))
+
+
+def _stem_rows(space, draws):
+    """Quadrilateral rows (n, 2, 4, 4) of the pairs of n `_stem_draw`s and
+    orthonormal bases (n, 4, 2) of their shared points: a stem point of the
+    first surface, onto which a stem point of the second is carried."""
+    s1, c1, a1, b1, s0, c0, a0, b0 = (np.array(v) for v in zip(*draws))
+    rows1, rows0 = np.split(_random_rows(space, np.concatenate([s1, s0])), 2)
+    shared = _orthonormal_columns(
+        np.stack(_stem_generators(rows1.swapaxes(-1, -2), c1, a1, b1), -1), EPS_RANK)
+    x = np.stack(_stem_generators(rows0.swapaxes(-1, -2), c0, a0, b0), -1)
+    return np.stack([rows1, _carried_rows(space, shared, rows0, x)], axis=1), shared
 
 
 def _intersecting_draw(rng):
@@ -1256,11 +1257,11 @@ def suite_stem_only(trials=200, seed=7):
     """Stems never meet alone: two crooked surfaces whose stems share a
     constructed point also meet stem to wing.
 
-    A trial draws the rng calls of a `stem_crossing_pair`.  A block takes
-    one stacked expm, carries the second quadrilaterals onto the shared
-    points (`_carried_rows`), runs the scalar closed-form checks in trial
-    order, checks the shared point on both stems, and solves for a
-    stem-wing contact in either order (`_stem_wing_contacts`).  A pair
+    A trial makes the rng calls of a `_stem_draw`.  A block takes one
+    stacked expm, carries the second quadrilaterals onto the shared points
+    (`_stem_rows`), runs the scalar closed-form checks in trial order,
+    checks the shared point on both stems, and solves for a stem-wing
+    contact in either order (`_stem_wing_contacts`).  A pair
     fails when the shared point is off a stem or neither order has a
     contact: the test of the lemma.  The violation, the largest residual
     of the contacts (`_crossing_residual`), only confirms the construction:
@@ -1270,19 +1271,9 @@ def suite_stem_only(trials=200, seed=7):
     space = symplectic.standard_space()
     failures = []
     max_residual = 0.0
-
-    def draw(done):
-        return (rng.uniform(-1.0, 1.0, size=(4, 4)), *_stem_point(rng),
-                rng.uniform(-1.0, 1.0, size=(4, 4)), *_stem_point(rng))
-
-    for first, block in _blocks(trials, draw):
+    for first, block in _blocks(trials, lambda done: _stem_draw(rng)):
         n = len(block)
-        s1, c1, a1, b1, s0, c0, a0, b0 = (np.array(v) for v in zip(*block))
-        rows1, rows0 = np.split(_random_rows(space, np.concatenate([s1, s0])), 2)
-        shared = _orthonormal_columns(
-            np.stack(_stem_generators(rows1.swapaxes(-1, -2), c1, a1, b1), -1), EPS_RANK)
-        x = np.stack(_stem_generators(rows0.swapaxes(-1, -2), c0, a0, b0), -1)
-        rows = np.stack([rows1, _carried_rows(space, shared, rows0, x)], axis=1)
+        rows, shared = _stem_rows(space, block)
         check = _surface_checks(space, rows)
         q1, q2 = np.moveaxis(rows.swapaxes(-1, -2), 1, 0)
         regions, checks = crooked._lagrangian_regions(space, rows.swapaxes(-1, -2),

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ein3 import ads, cli, einstein, symplectic
-from ein3.oracle import make_rng, random_quadrilateral
+from ein3.oracle import make_rng
+
+from draws import random_quadrilateral
 
 QUAD = {"type": "quadrilateral", "u_plus": [1, 0, 0, 0], "u_minus": [0, 1, 0, 0],
         "v_plus": [0, 0, 0, 1], "v_minus": [0, 0, 1, 0]}

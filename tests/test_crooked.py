@@ -14,11 +14,11 @@ from ein3.oracle import (
     min_gap,
     photon_crossing_oracle,
     random_lagrangian,
-    random_quadrilateral,
     random_symplectic,
     sample_surface,
-    stem_crossing_pair,
 )
+
+from draws import random_quadrilateral, stem_crossing_pair
 
 SP = S.standard_space()
 E4 = np.eye(4)

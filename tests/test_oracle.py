@@ -8,6 +8,8 @@ from ein3 import oracle as O
 from ein3 import symplectic as S
 from ein3.linalg import EPS_RANK, GeometryError, _orthonormal_columns, _raise_first
 
+from draws import random_quadrilateral, stem_crossing_pair
+
 SP = S.standard_space()
 # a nonsingular antisymmetric form with no zero entry off the diagonal
 GENERAL_OMEGA = np.array([[0.0, 0.7, 1.3, -0.4],
@@ -19,7 +21,7 @@ GENERAL_OMEGA = np.array([[0.0, 0.7, 1.3, -0.4],
 def test_generators_deterministic():
     for make in (O.random_unit_spacelike,
                   lambda r: O.random_lagrangian(SP, r).basis,
-                  lambda r: O.random_quadrilateral(SP, r).u_plus):
+                  lambda r: random_quadrilateral(SP, r).u_plus):
         a = make(O.make_rng(42))
         b = make(O.make_rng(42))
         assert np.array_equal(np.asarray(a), np.asarray(b))
@@ -33,7 +35,7 @@ def test_generators_pass_validators():
     for _ in range(100):
         assert O.random_lagrangian(SP, rng).is_lagrangian
     for _ in range(50):
-        quad = O.random_quadrilateral(SP, rng)
+        quad = random_quadrilateral(SP, rng)
         assert all(abs(v) < 1e-9 for v in quad.product_residuals().values())
 
 
@@ -71,7 +73,7 @@ def test_sample_torus():
 
 def test_sample_surface_membership():
     rng = O.make_rng(3)
-    surf = C.CrookedSurface(O.random_quadrilateral(SP, rng))
+    surf = C.CrookedSurface(random_quadrilateral(SP, rng))
     cloud = O.sample_surface(surf, 50, rng)
     assert len(cloud) == 50
     labels = {lab: 0 for lab in ("wing_plus", "wing_minus", "stem")}
@@ -137,7 +139,7 @@ def test_stem_crossing_pair():
     # reject (seed 67 once needed a redraw, when c2 was solved for around
     # the point), and both stems contain it
     for seed in (7, 67):
-        c1, c2, shared = O.stem_crossing_pair(SP, O.make_rng(seed))
+        c1, c2, shared = stem_crossing_pair(SP, O.make_rng(seed))
         assert _stem_contains(c1, shared)
         assert _stem_contains(c2, shared)
 
@@ -151,7 +153,7 @@ def test_random_quadrilateral_under_a_nonstandard_omega(space):
     d = S.symplectic_basis(space)
     canonical = C.LightlikeQuadrilateral(space, d[:, 0], d[:, 1], d[:, 3], d[:, 2])
     for _ in range(50):
-        quad = O.random_quadrilateral(space, rng)
+        quad = random_quadrilateral(space, rng)
         assert all(abs(v) < 1e-9 for v in quad.product_residuals().values())
         C.CrookedSurface(quad)
         g = O.random_symplectic(space, replay)
@@ -160,20 +162,42 @@ def test_random_quadrilateral_under_a_nonstandard_omega(space):
 
 
 def test_each_draw_validates_one_quadrilateral_per_surface(monkeypatch):
-    built = []
-    init = C.LightlikeQuadrilateral.__init__
+    # the stacked suites check every candidate of a block in trial order:
+    # the closed-form quadrilateral and plane checks once per surface
+    blocks, counts = [], {"_check_quadrilateral": 0, "_check_planes": 0}
+    surface_checks = O._surface_checks
 
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
+    def recorded(space, rows):
+        checked, check = [], surface_checks(space, rows)
+        blocks.append((len(rows), rows.reshape(len(rows), -1, 4, 4).shape[1], checked))
 
-    monkeypatch.setattr(C.LightlikeQuadrilateral, "__init__", counted)
-    rng = O.make_rng(9)
-    for draw, per_draw in ((O.random_quadrilateral, 1), (O.stem_crossing_pair, 2)):
-        for _ in range(5):
-            built.clear()
-            draw(SP, rng)
-            assert len(built) == per_draw, draw.__name__
+        def recorded_check(i):
+            checked.append(i)
+            check(i)
+        return recorded_check
+
+    def counted(name):
+        kernel = getattr(C, name)
+
+        def wrapped(*args):
+            counts[name] += 1
+            return kernel(*args)
+        return wrapped
+
+    monkeypatch.setattr(O, "_surface_checks", recorded)
+    for name in counts:
+        monkeypatch.setattr(C, name, counted(name))
+    for suite, trials, per_trial, candidates in (
+            (O.suite_photon_avoidance, 30, 1, lambda n: n >= 30),
+            (O.suite_stem_only, 30, 2, lambda n: n == 30),
+            (O.suite_surface_disjointness, 6, 2, lambda n: n == 12)):
+        blocks.clear()
+        counts.update(dict.fromkeys(counts, 0))
+        assert suite(trials=trials, seed=7)["failures"] == []
+        assert all(per == per_trial and checked == list(range(n)) for n, per, checked in blocks)
+        n = sum(n for n, *_ in blocks)
+        assert candidates(n), suite.__name__
+        assert counts == dict.fromkeys(counts, per_trial * n), suite.__name__
 
 
 def test_probe_kinds_and_draws_are_pinned():
@@ -300,7 +324,7 @@ def test_stem_only_contacts_are_timelike_and_on_a_wing_photon():
     # subspace intersection rather than by the membership predicates
     rng = O.make_rng([7, 8])
     for _ in range(200):
-        c1, c2, _shared = O.stem_crossing_pair(SP, rng)
+        c1, c2, _shared = stem_crossing_pair(SP, rng)
         x1, x2, hit = O._stem_wing_contacts(
             *(np.array([c.quad.columns for c in order]) for order in ((c1, c2), (c2, c1))))
         c_stem, c_wing = (c1, c2) if hit[0] else (c2, c1)
@@ -315,7 +339,7 @@ def test_photon_oracle_finds_meeting_photons_without_the_predicate(monkeypatch):
     rng = O.make_rng(11)
     meeting = []
     while len(meeting) < 50:
-        surface = C.CrookedSurface(O.random_quadrilateral(SP, rng))
+        surface = C.CrookedSurface(random_quadrilateral(SP, rng))
         p = rng.normal(size=4)
         if not C.photon_disjoint(p, surface):
             meeting.append((p, surface))
@@ -345,7 +369,7 @@ def test_pair_draws_read_no_membership_predicate(monkeypatch):
         for name in ("_quad_regions", "_lagrangian_regions"):
             patch.setattr(C, name, _predicate_side_rule)
         rngs = [O.make_rng(seed) for seed in range(1, 6)]
-        stem = [O.stem_crossing_pair(SP, rng) for rng in rngs]
+        stem = [stem_crossing_pair(SP, rng) for rng in rngs]
         rows, shared = O._intersecting_rows(SP, [O._intersecting_draw(rng) for rng in rngs])
     for c1, c2, l in stem:
         assert _stem_contains(c1, l) and _stem_contains(c2, l)
@@ -606,7 +630,7 @@ def test_stacked_photon_oracle_matches_the_per_trial_reference():
     rng = O.make_rng(11)
     draws = []
     for _ in range(3000):
-        surface = C.CrookedSurface(O.random_quadrilateral(SP, rng))
+        surface = C.CrookedSurface(random_quadrilateral(SP, rng))
         draws.append((rng.normal(size=4), surface))
     want = [_reference_photon_crossing(p, surface) for p, surface in draws]
     units = np.array([p / np.linalg.norm(p) for p, _ in draws])
@@ -1110,7 +1134,7 @@ def test_stacked_witness_matches_the_per_trial_reference(seed):
     rng = O.make_rng([seed, 5])
     draws = []
     while len(draws) < 1000:
-        surface = C.CrookedSurface(O.random_quadrilateral(SP, rng))
+        surface = C.CrookedSurface(random_quadrilateral(SP, rng))
         p = rng.normal(size=4)
         p /= np.linalg.norm(p)
         if min(map(abs, C.photon_margins(p, surface))) > 1e-6:
@@ -1167,7 +1191,7 @@ def test_stacked_contact_matches_the_per_trial_reference(seed):
     # every pair the stem-only suite draws at this seed, in both orders:
     # the stacked contact's generators and plane against the per-pair ones
     rng = O.make_rng([seed, 8])
-    pairs = [O.stem_crossing_pair(SP, rng)[:2] for _ in range(200)]
+    pairs = [stem_crossing_pair(SP, rng)[:2] for _ in range(200)]
     orders = [(c1, c2) for c1, c2 in pairs] + [(c2, c1) for c1, c2 in pairs]
     x1, x2, hit = O._stem_wing_contacts(*(np.array([c.quad.columns for c in cs])
                                           for cs in zip(*orders)))
