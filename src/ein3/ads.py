@@ -43,14 +43,9 @@ def ads_space():
     return _SPACE
 
 
-def omega0(x, y):
-    """The area form on V0: omega0(x, y) = x^T J y."""
-    return float(_omega0_cells(as_vector(x, 2), as_vector(y, 2))[0, 0])
-
-
 def _omega0_cells(x, y):
-    """omega0 of two vectors as a 1x1 array, or row by row of two stacks of
-    them (..., 1, 1)."""
+    """The area form omega0(x, y) = x^T J y on V0 of two vectors as a 1x1
+    array, or row by row of two stacks of them (..., 1, 1)."""
     return x[..., None, :] @ J @ y[..., :, None]
 
 

@@ -34,7 +34,6 @@ from ein3.linalg import (
     _singular,
     as_vector,
     inertia,
-    _intersection_dims,
     nullspace,
 )
 
@@ -477,26 +476,12 @@ def torus_from_plane(space, s):
     return einstein.EinsteinTorus(space.to_einstein(m))
 
 
-def lagrangian_point(space, l):
-    """Point of the null-cone model corresponding to a Lagrangian plane."""
-    if not l.is_lagrangian:
-        raise GeometryError("expected a Lagrangian plane")
-    reps, checks = _lagrangian_points(space, l.basis)
-    _raise_first(checks)
-    return einstein.EinPoint(reps)
-
-
 def _lagrangian_points(space, bases, eps=EPS_ALG):
-    """`lagrangian_point` over stacked bases of Lagrangian planes: the
-    normalized points, and the checks."""
+    """The points of the null-cone model of stacked bases of Lagrangian
+    planes: the normalized points, and the checks."""
     x, kernel = space._to_einstein(plucker_rows(bases[..., 0], bases[..., 1]), eps)
     reps, null = einstein._null_points(x, eps)
     return reps, kernel + null
-
-
-def plane_intersection_dim(p, q, eps=EPS_RANK):
-    """dim(P cap Q) through plain subspace intersection (no bivectors)."""
-    return int(_intersection_dims(p.sub.onb, q.sub.onb, eps))
 
 
 def symplectic_basis(space, eps=EPS_RANK):

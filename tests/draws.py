@@ -1,9 +1,54 @@
-"""The oracle's draws one at a time, as validated objects: the quadrilaterals
-and surface pairs that tests build from the stacked draw stages."""
+"""The oracle's draws one at a time, as validated objects: the planes,
+quadrilaterals and surface pairs that tests build from the suites' own
+draws and screens."""
+
+import numpy as np
 
 from ein3 import crooked as C
 from ein3 import oracle as O
-from ein3.symplectic import Plane2
+from ein3.symplectic import Plane2, Splitting
+
+
+def _first(draw, keep):
+    """The first candidate of draw() that the stacked decision keep accepts,
+    drawn one candidate at a time as `oracle._blocks` draws a suite of one
+    trial (so at most ATTEMPTS_PER_TRIAL candidates)."""
+    return next(O._blocks(1, draw, lambda c: O._kept(c, keep(np.array(c)))))[1][0]
+
+
+def random_symplectic(space, rng, scale=1.0):
+    """Random element of Sp(V): the exponential of a random Hamiltonian
+    matrix (entries of the symmetric generator uniform in [-scale, scale]),
+    as symplectic-identities draws it."""
+    return O._symplectic_exp(space, rng.uniform(-1.0, 1.0, size=(4, 4)) * scale)
+
+
+def random_lagrangian(space, rng):
+    """Random Lagrangian plane: maslov-bridge's draw of one plane, and its
+    screen."""
+    return Plane2(space, _first(lambda: O._lagrangian_bases(space, *rng.normal(size=(2, 4))),
+                                lambda m: O._planes(space, m)[1]))
+
+
+def random_nondegenerate_plane(space, rng):
+    """Random nondegenerate plane, well-conditioned for omega (|omega| > 0.2
+    on its orthonormal basis): eta-bridge's draw of a basis, and its
+    screen."""
+    return Plane2(space, _first(lambda: rng.normal(size=(4, 2)), lambda m: O._planes(space, m)[2]))
+
+
+def random_splitting(space, rng):
+    return Splitting.from_plane(space, random_nondegenerate_plane(space, rng))
+
+
+def random_ads_config(rng):
+    """Random pair of AdS crooked planes, the first based at the identity:
+    ads-equivalence's draw of one candidate, kept when both planes pass
+    the |omega0(a, b)| > 1e-2 screen of `oracle._ads_arrays`."""
+    z = _first(lambda: rng.normal(size=(6, 2)),
+               lambda z: np.isfinite(O._ads_arrays(z)[2]).all(axis=(1, 2)))
+    units, f, _ = O._ads_arrays(z[None])
+    return O._ads_planes(units[0], f[0])
 
 
 def random_quadrilateral(space, rng):

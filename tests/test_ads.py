@@ -7,6 +7,9 @@ from ein3 import crooked as C
 from ein3.linalg import GeometryError
 from ein3.oracle import make_rng
 
+from draws import random_ads_config
+from references import omega0
+
 SP = A.ads_space()
 
 
@@ -173,7 +176,7 @@ def test_killing():
     rng = make_rng(8)
     for _ in range(200):
         a, b = rng.normal(size=(2, 2))
-        lhs = A.omega0(a, b) ** 2
+        lhs = omega0(a, b) ** 2
         rhs = -A.killing(A.boundary_lift(a), A.boundary_lift(b)) \
             if np.linalg.norm(a) > 0 and np.linalg.norm(b) > 0 else lhs
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, lhs)
@@ -251,7 +254,7 @@ def reference_config(p1, p2):
 def reference_ads_margins(p1, p2):
     """ads_margins one omega0 at a time."""
     f, a, b, ap, bp = reference_config(p1, p2)
-    w = A.omega0
+    w = omega0
     return {
         "a'-b": w(ap, b) ** 2 - w(f @ ap, b) ** 2,
         "a'-a": w(ap, a) ** 2 - w(f @ ap, a) ** 2,
@@ -278,7 +281,7 @@ def reference_dgk_margins(p1, p2):
 
 
 def test_ads_and_dgk_margins_match_the_scalar_reference():
-    from ein3.oracle import disjoint_ads_pair, random_ads_config
+    from ein3.oracle import disjoint_ads_pair
     rng = make_rng(30)
     disjoint = 0
     pairs = [random_ads_config(rng) for _ in range(200)]
@@ -308,7 +311,7 @@ def test_ads_and_dgk_margins_match_the_scalar_reference():
 
 def _seeded_ads_pairs(n=520):
     """Alternating `random_ads_config` and `disjoint_ads_pair` draws."""
-    from ein3.oracle import disjoint_ads_pair, random_ads_config
+    from ein3.oracle import disjoint_ads_pair
     rng = make_rng(31)
     return [disjoint_ads_pair(rng) if k % 2 else random_ads_config(rng) for k in range(n)]
 

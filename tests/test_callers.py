@@ -19,8 +19,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 ENTRY_POINTS = (
     "minkowski_embed", "classify_point", "reflect", "triple_lightcone_empty",
     "embed", "involution", "wing_contains", "intersect", "bivector_to_plane",
-    "omega_of", "lagrangian_point", "plane_intersection_dim", "product_residuals",
-    "to_dict",
+    "omega_of", "product_residuals", "to_dict",
 )
 
 

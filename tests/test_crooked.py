@@ -13,12 +13,11 @@ from ein3.oracle import (
     make_rng,
     min_gap,
     photon_crossing_oracle,
-    random_lagrangian,
-    random_symplectic,
     sample_surface,
 )
 
-from draws import random_quadrilateral, stem_crossing_pair
+from draws import (random_ads_config, random_lagrangian, random_quadrilateral,
+                   random_symplectic, stem_crossing_pair)
 
 SP = S.standard_space()
 E4 = np.eye(4)
@@ -283,7 +282,7 @@ def seeded_surface_pairs(n):
     """n random quadrilateral pairs in the standard space, then n AdS pairs
     (about half of them certified disjoint) carried into the AdS space."""
     from ein3 import ads
-    from ein3.oracle import disjoint_ads_pair, random_ads_config
+    from ein3.oracle import disjoint_ads_pair
     rng = make_rng(21)
     for _ in range(n):
         yield (C.CrookedSurface(random_quadrilateral(SP, rng)),
@@ -604,7 +603,6 @@ def test_surface_raise_paths(columns, message):
 
 def test_predicate_path_builds_no_planes(monkeypatch):
     from ein3 import ads, linalg
-    from ein3.oracle import random_ads_config
 
     def fail(*args, **kwargs):
         raise AssertionError("built a plane")
@@ -705,7 +703,6 @@ def test_basis_check_at_a_large_omega():
 
 def test_construction_path_runs_no_svd_or_det(monkeypatch):
     from ein3 import ads, einstein
-    from ein3.oracle import random_ads_config
 
     def fail(*args, **kwargs):
         raise AssertionError("called np.linalg.svd or np.linalg.det")

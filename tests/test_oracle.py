@@ -8,7 +8,9 @@ from ein3 import oracle as O
 from ein3 import symplectic as S
 from ein3.linalg import EPS_RANK, GeometryError, _orthonormal_columns, _raise_first
 
-from draws import random_quadrilateral, stem_crossing_pair
+from draws import (random_ads_config, random_lagrangian, random_quadrilateral,
+                   random_splitting, random_symplectic, stem_crossing_pair)
+from references import lagrangian_point, omega0, plane_intersection_dim
 
 SP = S.standard_space()
 # a nonsingular antisymmetric form with no zero entry off the diagonal
@@ -20,7 +22,7 @@ GENERAL_OMEGA = np.array([[0.0, 0.7, 1.3, -0.4],
 
 def test_generators_deterministic():
     for make in (O.random_unit_spacelike,
-                  lambda r: O.random_lagrangian(SP, r).basis,
+                  lambda r: random_lagrangian(SP, r).basis,
                   lambda r: random_quadrilateral(SP, r).u_plus):
         a = make(O.make_rng(42))
         b = make(O.make_rng(42))
@@ -33,7 +35,7 @@ def test_generators_pass_validators():
         v = O.random_unit_spacelike(rng)
         assert E.inner(v, v) == pytest.approx(1.0, abs=1e-9)
     for _ in range(100):
-        assert O.random_lagrangian(SP, rng).is_lagrangian
+        assert random_lagrangian(SP, rng).is_lagrangian
     for _ in range(50):
         quad = random_quadrilateral(SP, rng)
         assert all(abs(v) < 1e-9 for v in quad.product_residuals().values())
@@ -42,7 +44,7 @@ def test_generators_pass_validators():
 def test_random_symplectic():
     rng = O.make_rng(1)
     for _ in range(30):
-        g = O.random_symplectic(SP, rng)
+        g = random_symplectic(SP, rng)
         assert np.allclose(g.T @ SP.matrix @ g, SP.matrix, atol=1e-11)
 
 
@@ -156,7 +158,7 @@ def test_random_quadrilateral_under_a_nonstandard_omega(space):
         quad = random_quadrilateral(space, rng)
         assert all(abs(v) < 1e-9 for v in quad.product_residuals().values())
         C.CrookedSurface(quad)
-        g = O.random_symplectic(space, replay)
+        g = random_symplectic(space, replay)
         want = C.LightlikeQuadrilateral(space, *(g @ v for v in canonical.vectors()))
         assert np.array_equal(quad.columns, want.columns)
 
@@ -226,7 +228,7 @@ class _ParallelRng:
 
 def test_random_ads_config_rejection_is_bounded():
     with pytest.raises(O.RetryExhausted):
-        O.random_ads_config(_ParallelRng())
+        random_ads_config(_ParallelRng())
 
 
 def test_disjoint_ads_pair_rejection_is_bounded():
@@ -234,20 +236,30 @@ def test_disjoint_ads_pair_rejection_is_bounded():
         O.disjoint_ads_pair(_ParallelRng())
 
 
+def _scalar_ads_pair(z):
+    """The planes of one AdS candidate draw z (6, 2) by the scalar
+    constructors, the base exponentiated by scipy, or None where a plane
+    has |omega0(a, b)| <= 1e-2 (where `oracle._ads_arrays` gives NaN)."""
+    from scipy.linalg import expm
+    a, b, ap, bp = (v / np.linalg.norm(v) for v in z[:4])
+    if min(abs(omega0(a, b)), abs(omega0(ap, bp))) <= 1e-2:
+        return None
+    x = z[4:]
+    return (ads.AdsCrookedPlane(np.eye(2), a, b),
+            ads.AdsCrookedPlane(expm(x - 0.5 * np.trace(x) * np.eye(2)), ap, bp))
+
+
 def test_disjoint_ads_pair_draws_as_random_ads_config():
-    # the accepted pair is the first random_ads_config draw with margins
-    # above the bound, as planes built from the same arrays
-    from ein3 import ads
+    # the accepted pair is the first candidate of its chunk whose margins
+    # pass, as the scalar constructors build it from that candidate's draw
     for seed in range(5):
-        rng = O.make_rng(seed)
-        while True:
-            want = O.random_ads_config(rng)
-            if min(ads.ads_margins(*want).values()) > 1e-2:
-                break
+        chunk = O.make_rng(seed).normal(size=(O._ORACLE_BLOCK, 6, 2))
+        want = next(pair for pair in map(_scalar_ads_pair, chunk)
+                    if pair and min(ads.ads_margins(*pair).values()) > 1e-2)
         got = O.disjoint_ads_pair(O.make_rng(seed))
         for p, q in zip(got, want):
             for name in ("base", "a", "b"):
-                assert np.array_equal(getattr(p, name), getattr(q, name))
+                assert np.allclose(getattr(p, name), getattr(q, name), rtol=0.0, atol=1e-14)
 
 
 def test_stem_only_checks_the_shared_point_within_its_trials(monkeypatch):
@@ -331,8 +343,8 @@ def test_stem_only_contacts_are_timelike_and_on_a_wing_photon():
         assert hit.any()
         l = S.Plane2.span(SP, *(x[0 if hit[0] else 1] for x in (x1, x2)))
         assert abs(S.maslov(SP, c_stem.p_zero, l, c_stem.p_inf)) == 2
-        assert 1 in (S.plane_intersection_dim(l, c_wing.p_plus),
-                     S.plane_intersection_dim(l, c_wing.p_minus))
+        assert 1 in (plane_intersection_dim(l, c_wing.p_plus),
+                     plane_intersection_dim(l, c_wing.p_minus))
 
 
 def test_photon_oracle_finds_meeting_photons_without_the_predicate(monkeypatch):
@@ -498,10 +510,9 @@ def _suite_eta_draws(seed, count):
     rng = O.make_rng([seed, 2])
     draws = []
     while len(draws) < count:
-        split = O.random_splitting(SP, rng)
-        f = rng.uniform(-2.0, 2.0, size=(2, 2))
-        if abs(S.det_omega(f) + 1.0) > 1e-3:
-            draws.append((split, f))
+        m, f = rng.normal(size=(4, 2)), rng.uniform(-2.0, 2.0, size=(2, 2))
+        if O._planes(SP, m)[2] and abs(S.det_omega(f) + 1.0) > 1e-3:
+            draws.append((S.Splitting.from_plane(SP, S.Plane2(SP, m)), f))
     return draws
 
 
@@ -510,7 +521,7 @@ def _near_det_minus_one_draws(count, rng):
     ill-conditioned band just outside the suite's skip."""
     draws = []
     while len(draws) < count:
-        split = O.random_splitting(SP, rng)
+        split = random_splitting(SP, rng)
         f = rng.uniform(-2.0, 2.0, size=(2, 2))
         d = S.det_omega(f)
         if d >= -1e-2:
@@ -544,65 +555,6 @@ def test_oracle_imports_neither_fractions_nor_decimal():
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.strip() == "[]"
-
-
-def _ads_draws(seeds=20, draws=20):
-    """Arrays of alternating `random_ads_config` and `disjoint_ads_pair`
-    draws on each seed, and the generator state after them."""
-    out = []
-    for seed in range(seeds):
-        rng = O.make_rng(seed)
-        for k in range(draws):
-            pair = O.disjoint_ads_pair(rng) if k % 2 else O.random_ads_config(rng)
-            out.append([np.concatenate([p.base.ravel(), p.a, p.b]) for p in pair])
-        out.append(rng.bit_generator.state)
-    return out
-
-
-def test_screened_ads_draws_equal_the_exact_route(monkeypatch):
-    # with an infinite guard band no draw is decided on floats: every one
-    # takes the exact route, and the screened draws must equal those bit for
-    # bit and leave the generator where they leave it
-    screened = _ads_draws()
-    monkeypatch.setattr(O, "_SCREEN_BAND", np.inf)
-    exact = _ads_draws()
-    for got, want in zip(screened, exact):
-        if isinstance(want, dict):
-            assert got == want
-        else:
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
-
-
-def test_screen_sends_only_candidates_in_its_band_to_the_exact_route(monkeypatch):
-    import scipy.linalg
-
-    calls = {"expm": 0, "margins": 0, "drawn": 0}
-    expm, margin_array, screened_margins = (scipy.linalg.expm, ads._margin_array,
-                                            O._screened_margins)
-
-    def counted_expm(m):
-        calls["expm"] += np.shape(m) == (2, 2)  # not random_symplectic's 4x4
-        return expm(m)
-
-    def counted_margins(*args):
-        calls["margins"] += 1
-        return margin_array(*args)
-
-    def counted_screen(draw):
-        calls["drawn"] += 1
-        return screened_margins(draw)
-
-    monkeypatch.setattr(scipy.linalg, "expm", counted_expm)
-    monkeypatch.setattr(ads, "_margin_array", counted_margins)
-    monkeypatch.setattr(O, "_screened_margins", counted_screen)
-    report = O.suite_surface_disjointness(trials=20, seed=7)
-    assert report["failures"] == []
-    # one exact route per candidate the screen passes: the 20 accepted pairs
-    # and the ones in its band, which at this seed are none; without the
-    # screen every drawn candidate would take it
-    assert calls["expm"] == calls["margins"] == 20
-    assert calls["drawn"] > 300
 
 
 def _reference_photon_crossing(p, surface):
@@ -656,42 +608,29 @@ def _constant_oracle(hit):
 
 def test_blocks_spend_a_bounded_budget():
     assert list(O._blocks(0, None)) == []
-    drawn = []
-
-    def every_third(done):
-        drawn.append(done)
-        return done if len(drawn) % 3 == 0 else None
-
-    # 3 trials need 9 candidates of the 30 the budget allows
-    assert list(O._blocks(3, every_third)) == [(1, [0, 1, 2])]
-    assert len(drawn) == 9
-    drawn.clear()
-    with pytest.raises(O.RetryExhausted, match="fewer than 4 accepted trials in 40 attempts"):
-        list(O._blocks(4, drawn.append))  # skips every candidate
-    assert len(drawn) == 40
-
-
-def test_screened_blocks_draw_no_candidate_past_the_last_trial():
     drawn, chunks = [], []
 
-    def draw(done):
+    def draw():
         drawn.append(len(drawn))
-        return drawn[-1]
+        return drawn[-1] if drawn[-1] % 3 else None  # every third skipped
 
-    def screen(records):  # skips every third candidate
+    def screen(records):
         chunks.append(len(records))
-        return [r for r in records if r % 3]
+        return [r for r in records if r is not None]
 
     blocks = list(O._blocks(300, draw, screen))
-    # the candidates a trial-by-trial loop keeps, and no more drawn
+    # the candidates a trial-by-trial loop keeps, and no more drawn; the
+    # default screen drops the same ones
     kept = [r for r in range(1000) if r % 3][:300]
     assert [r for _, block in blocks for r in block] == kept
     assert len(drawn) == kept[-1] + 1 == sum(chunks)
     assert [(first, len(block)) for first, block in blocks] == [(1, 128), (129, 128), (257, 44)]
     assert chunks[0] == 128 and max(chunks) <= 128
     drawn.clear()
+    assert list(O._blocks(300, draw)) == blocks and len(drawn) == kept[-1] + 1
+    drawn.clear()
     with pytest.raises(O.RetryExhausted, match="fewer than 4 accepted trials in 40 attempts"):
-        list(O._blocks(4, draw, lambda records: []))
+        list(O._blocks(4, draw, lambda records: []))  # skips every candidate
     assert len(drawn) == 40
 
 
@@ -744,12 +683,14 @@ def test_min_gap_equals_the_clipped_maximum():
         assert O.min_gap(a, b) == float(np.sqrt(max(0.0, 1.0 - float(cos.max()) ** 2)))
 
 
-# report_lines of the four stacked suites at trials=200 on seeds 1-3 (two
-# blocks each), as the trial-by-trial suites wrote them
+# report_lines of four suites at trials=200 on seeds 1-3 (two blocks each):
+# torus-trichotomy's and maslov-bridge's as the trial-by-trial suites wrote
+# them, eta-bridge's and symplectic-identities' as the draws decided by the
+# stacked screens write them
 _STACKED_SUITE_SHA256 = {
     "torus-trichotomy": "1d3eadefdcbaada00fea4131f7d7e1a9c74936d4c6d3c4ebbc20afe126e08fb7",
-    "eta-bridge": "604c84de9ba1ce501acbfdd9368df21a211a20840f40ca3ccb156aefeed71f4d",
-    "symplectic-identities": "f21530a44d89be3a5e41220d8f706d1ca13959853297e9266c9c691aa23c40c3",
+    "eta-bridge": "4fc562b8e240b31395aebdda8476e8ad87598b68b054bd029fa42f73d90d9b27",
+    "symplectic-identities": "a07f62ce823414a16306abca8118ab26880524b445dfe6c2f6e08f4e99504f21",
     "maslov-bridge": "aba5054fe7d90dcec6b8c4951e908dbf685f6314e4b2c4e69b27e5af994982fc",
 }
 
@@ -759,62 +700,6 @@ def test_stacked_suites_keep_their_report_bytes(name):
     import hashlib
     lines = O.report_lines([O.run_suite(name, trials=200, seed=seed) for seed in (1, 2, 3)])
     assert hashlib.sha256(lines.encode()).hexdigest() == _STACKED_SUITE_SHA256[name]
-
-
-def _plane_draws(seeds=20, draws=20):
-    """Bases of alternating `random_lagrangian`, `random_nondegenerate_plane`
-    and `random_splitting` draws on each seed, and the generator state after
-    them."""
-    out = []
-    for seed in range(seeds):
-        rng = O.make_rng(seed)
-        for k in range(draws):
-            if k % 3 == 0:
-                out.append(O.random_lagrangian(SP, rng).basis)
-            elif k % 3 == 1:
-                out.append(O.random_nondegenerate_plane(SP, rng).basis)
-            else:
-                split = O.random_splitting(SP, rng)
-                out.append(np.hstack([split.s_basis, split.s_perp_basis]))
-        out.append(rng.bit_generator.state)
-    return out
-
-
-def test_screened_plane_draws_equal_the_exact_route(monkeypatch):
-    # with an infinite guard band every test of a plane draw takes the exact
-    # route (SVD, Plane2); the screened draws must equal those bit for bit
-    # and leave the generator where they leave it
-    screened = _plane_draws()
-    monkeypatch.setattr(O, "_SCREEN_BAND", np.inf)
-    exact = _plane_draws()
-    for got, want in zip(screened, exact):
-        if isinstance(want, dict):
-            assert got == want
-        else:
-            assert np.array_equal(got, want)
-
-
-def test_maslov_bridge_takes_the_exact_route_only_in_its_band(monkeypatch):
-    calls = {"svd": 0, "planes": 0}
-    svd, init = np.linalg.svd, S.Plane2.__init__
-
-    def counted_svd(*args, **kwargs):
-        calls["svd"] += 1
-        return svd(*args, **kwargs)
-
-    def counted_plane(self, *args, **kwargs):
-        calls["planes"] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(S.Plane2, "__init__", counted_plane)
-    report = O.suite_maslov_bridge(trials=100, seed=7)
-    assert report["failures"] == []
-    # trial by trial the suite made 635 SVDs and 300 planes here; stacked,
-    # one SVD for the bases of all triples and one for the spans of the
-    # points, and no draw in a band
-    assert calls["planes"] == 0
-    assert calls["svd"] <= 3
 
 
 def _trial_numbers(failures):
@@ -917,8 +802,8 @@ def test_stacked_maslov_and_causal_kernels_match_the_per_trial_reference():
     rng = O.make_rng(17)
     triples = []
     for k in range(600):
-        l, lp = O.random_lagrangian(SP, rng), O.random_lagrangian(SP, rng)
-        p = O.random_lagrangian(SP, rng)
+        l, lp = random_lagrangian(SP, rng), random_lagrangian(SP, rng)
+        p = random_lagrangian(SP, rng)
         if k % 4 == 0:  # P = L: no index, and a point that coincides with p0
             p = l
         elif k % 4 == 1:  # P through a line of L: no index, a lightlike point
@@ -930,7 +815,7 @@ def test_stacked_maslov_and_causal_kernels_match_the_per_trial_reference():
     ls, ps, lps = ([t[j] for t in triples] for j in range(3))
     onb = [np.array([plane.sub.onb for plane in planes]) for planes in (ls, ps, lps)]
     index, checks = S._maslov_rows(SP, *onb)
-    points = [[S.lagrangian_point(SP, plane) for plane in planes] for planes in (ps, ls, lps)]
+    points = [[lagrangian_point(SP, plane) for plane in planes] for planes in (ps, ls, lps)]
     reps, point_checks = S._lagrangian_points(
         SP, np.concatenate([np.array([plane.basis for plane in planes]) for planes in (ps, ls, lps)]))
     assert not any(mask.any() for mask, _ in point_checks)
@@ -954,35 +839,19 @@ def test_stacked_maslov_and_causal_kernels_match_the_per_trial_reference():
     assert "point coincides with a reference point" in outcomes["causal"]
 
 
-def test_plane_screen_reads_the_singular_values_and_omega():
-    # the float screen's least and largest singular values and its |omega| on
-    # an orthonormal basis agree with the SVD and with `Plane2` to within
-    # rounding, far inside the guard band, also near rank one
-    rng = O.make_rng(23)
-    for k in range(500):
-        m = rng.normal(size=(4, 2)) * 10.0 ** rng.uniform(-3.0, 3.0)
-        if k % 4 == 0:
-            m[:, 1] = 2.0 * m[:, 0] + 1e-5 * np.abs(m).max() * rng.normal(size=4)
-        least, top, omega = O._plane_screen(SP, m)
-        s = np.linalg.svd(m, compute_uv=False)
-        onb = S.Plane2(SP, m).sub.onb
-        assert least == pytest.approx(s[1], rel=1e-9)
-        assert top == pytest.approx(s[0], rel=1e-12)
-        assert omega == pytest.approx(abs(SP.omega(onb[:, 0], onb[:, 1])), abs=1e-10)
-
-
-# report_lines of every suite at trials=130 on seeds 1 and 2, as the
-# parent of the stacked ads-equivalence suite wrote them; 130 trials cross
-# one block of _ORACLE_BLOCK = 128 in the stacked suites
+# report_lines of every suite at trials=130 on seeds 1 and 2, 130 trials
+# crossing one block of _ORACLE_BLOCK = 128: eta-bridge's,
+# surface-disjointness's and ads-equivalence's as the draws decided by the
+# stacked screens write them, the others' as the trial-by-trial suites did
 _CROSS_BLOCK_SHA256 = {
     "torus-trichotomy": "e6a6bf214d5b0ade51178b1a62432469b26b587cc0417433ebf283012e066668",
-    "eta-bridge": "c25ea656a1f884f75c45da41fd20ae74b53a8771677e80ab7f4468b1ef3b8084",
+    "eta-bridge": "b1cee82f1f3d5e21bf2626403c7d10f23024e361b4f32ebaf18cc47ee00b21ed",
     "symplectic-identities": "7032344e460037d4bf9f601d5c389daebdf2e466db89b09098fdbc6b1f62cb12",
     "maslov-bridge": "5d816ecdafae0eb47871355429c9abb8a5425cfa9bb674eb538a6e805c96f50a",
     "photon-avoidance": "3fdcaa5bb0542fec9705a4ec4a03c2df89ee26185047f2f59fe80fb830b1ebcd",
-    "surface-disjointness": "caba46b26d45edf1ed6dc4ea30dcac26a9c17c990dfab0b5132bc7bd72230772",
+    "surface-disjointness": "2301c4c31cf4c1e3d7d549d9ce995e7c698a1102a243061826b7cfa3606a3619",
     "stem-only": "d9c92d6829190f28af54b5c9a93757659a7d0d539980bf3b9f046bbcb2ecdfed",
-    "ads-equivalence": "b82bc8600ff7f630a52d60b19eec5f19c265c7cbcf8d924b0e8d72263ec362af",
+    "ads-equivalence": "52136e36c1cec0772e680824061b083b7c6937c3f566dc11ba95805e0f0ce147",
 }
 
 
@@ -994,43 +863,161 @@ def test_suites_keep_their_report_bytes_across_a_block(name):
     assert hashlib.sha256(lines.encode()).hexdigest() == _CROSS_BLOCK_SHA256[name]
 
 
+def _scalar_plane(m):
+    """`Plane2` of a basis, or None where it raises."""
+    try:
+        return S.Plane2(SP, m)
+    except GeometryError:
+        return None
+
+
+def _scalar_tags(m):
+    """Whether one basis makes a Lagrangian plane, and whether a
+    nondegenerate one with |omega| > 0.2 on its orthonormal basis."""
+    plane = _scalar_plane(m)
+    if plane is None:
+        return [False, False]
+    onb = plane.sub.onb
+    return [plane.is_lagrangian,
+            not plane.is_lagrangian and abs(SP.omega(onb[:, 0], onb[:, 1])) > 0.2]
+
+
+def _scalar_eta_screen(m, f):
+    return _scalar_tags(m)[1] and abs(S.det_omega(f) + 1.0) > 1e-3
+
+
+def _scalar_maslov_screen(l, p, lp):
+    planes = [_scalar_plane(m) for m in (l, p, lp)]
+    if not all(q is not None and q.is_lagrangian for q in planes):
+        return False
+    l, p, lp = planes
+    return SP.transverse(l, lp) and SP.transverse(p, lp) and p != l and p != lp
+
+
+def _scalar_maslov_triple(bases, split):
+    planes = [_scalar_plane(m) for m in bases]
+    if not all(q is not None and q.is_lagrangian for q in planes) or not _scalar_tags(split)[1]:
+        return False
+    l, lp, p = planes
+    return not isinstance(_outcome(S.maslov, SP, l, p, lp), str)
+
+
+def _scalar_ads_decisions(z):
+    """Whether one AdS candidate passes disjoint_ads_pair's margin bound and
+    ads-equivalence's |margin| bound, by `ads_margins` of its planes."""
+    pair = _scalar_ads_pair(z)
+    if pair is None:
+        return [False, False]
+    margins = list(ads.ads_margins(*pair).values())
+    return [min(margins) > 1e-2, min(map(abs, margins)) > 1e-6]
+
+
+# each stacked screen: the decisions of its candidates from its arguments
+# and output, and the same decisions on one candidate by the scalar route
+_SCREENS = {
+    "_planes": (lambda args, out: (args[1].reshape(-1, 4, 2),
+                                   np.stack([out[1].ravel(), out[2].ravel()], -1)),
+                _scalar_tags),
+    "_eta_screen": (lambda args, out: (list(zip(*args[1:])), out),
+                    lambda draw: _scalar_eta_screen(*draw)),
+    "_maslov_screen": (lambda args, out: (list(zip(*args[1:])), out),
+                       lambda triple: _scalar_maslov_screen(*triple)),
+    "_maslov_triples": (lambda args, out: (list(zip(*args[1:])), out[1]),
+                        lambda trial: _scalar_maslov_triple(*trial)),
+    "_ads_arrays": (lambda args, out: (args[0], np.stack(
+        [out[2].min(axis=(1, 2)) > 1e-2, abs(out[2]).min(axis=(1, 2)) > 1e-6], -1)),
+                    _scalar_ads_decisions),
+}
+
+_E4 = np.eye(4)
+_L12, _L34, _P23 = _E4[:, [0, 1]], _E4[:, [2, 3]], _E4[:, [1, 2]]
+_GRAPH = _L12 + _L34  # Lagrangian, transverse to L12 and L34
+_TILTED = np.column_stack([_E4[0], _E4[1] + _E4[2]])  # |omega| = 0.71, transverse to L34
+# candidates on which exactly one condition of a screen decides
+_CRAFTED = {
+    "_planes": (SP, np.array([np.zeros((4, 2)), np.column_stack([_E4[0], 1e-12 * _E4[2]]),
+                              _L12, _TILTED, np.column_stack([_E4[0], _E4[1] + 0.1 * _E4[2]])])),
+    "_eta_screen": (SP, np.array([_TILTED, _TILTED, _L12]),
+                    np.array([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)])),
+    "_maslov_screen": (SP, *np.array([(_L12, _L12, _L34), (_L12, _L34, _L12),
+                                      (_L12, _P23, _L34), (_L12, _TILTED, _L34),
+                                      (_L12, _GRAPH, _L34)]).swapaxes(0, 1)),
+    "_maslov_triples": (SP, np.array([(_L12, _L34, _P23), (_L12, _L12, _GRAPH),
+                                      (_L12, _L34, _TILTED), (_L12, _L34, _GRAPH),
+                                      (_L12, _L34, _GRAPH)]),
+                        np.array([_TILTED, _TILTED, _TILTED, _L12, _TILTED])),
+    "_ads_arrays": (np.array([[[1, 0], [2, 0], [1, 0], [1, 1], [0, 0], [0, 0]],
+                              [[1, 0], [0, 1], [1, 0], [1, 1], [0, 0], [0, 0]],
+                              [[1, 0], [0, 1], [1, 1], [-1, 1], [0, 1], [-1, 0]]], float),),
+}
+
+
+@pytest.mark.parametrize("name, suite, trials", [
+    ("_planes", "eta-bridge", 130), ("_planes", "symplectic-identities", 130),
+    ("_planes", "maslov-bridge", 130), ("_eta_screen", "eta-bridge", 130),
+    ("_maslov_screen", "maslov-bridge", 130), ("_maslov_triples", "symplectic-identities", 130),
+    ("_ads_arrays", "ads-equivalence", 130), ("_ads_arrays", "surface-disjointness", 20),
+])
+def test_stacked_screens_decide_as_the_scalar_route(monkeypatch, name, suite, trials):
+    # every candidate a draw stage screens at seeds 1 and 2, accepted and
+    # rejected (surface-disjointness screens 128 candidates a pair, so 20
+    # pairs), and candidates on which one condition alone decides: the
+    # stacked decision equals `Plane2`'s rank and tag, `Plane2 ==`,
+    # `SympSpace.transverse`, `maslov`'s raise, and the `AdsCrookedPlane`
+    # constructors and `ads_margins` of the planes
+    calls, screen = [], getattr(O, name)
+
+    def recorded(*args):
+        calls.append((args, screen(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(O, name, recorded)
+    for seed in (1, 2):
+        O.run_suite(suite, trials=trials, seed=seed)
+    recorded(*_CRAFTED[name])
+    stacked, scalar = _SCREENS[name]
+    for args, out in calls:
+        candidates, decisions = stacked(args, out)
+        assert [scalar(c) for c in candidates] == np.asarray(decisions).tolist()
+    assert len(calls) > 2
+
+
+def _corrupt_ads_records(monkeypatch, corrupt):
+    """Patch `_blocks` so that corrupt(trial, units, f) rewrites each record
+    (unit directions, second base) of ads-equivalence's blocks."""
+    blocks = O._blocks
+
+    def corrupted(trials, draw, screen):
+        for first, block in blocks(trials, draw, screen):
+            yield first, [corrupt(k, units.copy(), f.copy())
+                          for k, (units, f) in enumerate(block, first)]
+
+    monkeypatch.setattr(O, "_blocks", corrupted)
+
+
 @pytest.mark.parametrize("dependent, scaled, message", [
     (3, 7, "direction vectors must be independent"),
     (7, 3, "matrix must have determinant 1"),
 ])
 def test_ads_equivalence_raises_the_first_corrupted_record_in_trial_order(
         monkeypatch, dependent, scaled, message):
-    blocks, sl2_exp = O._blocks, O._sl2_exp
+    def corrupt(k, units, f):
+        if k == dependent:  # the first plane of this trial gets dependent directions
+            units[0, 1] = 2.0 * units[0, 0]
+        return units, 1.5 * f if k == scaled else f  # det f = 2.25
 
-    def corrupted_blocks(trials, draw):
-        for first, block in blocks(trials, draw):
-            (a, b), second, x = block[dependent - first]
-            # the first plane of this trial gets dependent directions
-            block[dependent - first] = (a, 2.0 * a), second, x
-            yield first, block
-
-    def scaled_exp(x):
-        f = sl2_exp(x)
-        if f.ndim == 3:  # the bases of a block of trials 1..30
-            f[scaled - 1] *= 1.5  # det f = 2.25
-        return f
-
-    monkeypatch.setattr(O, "_blocks", corrupted_blocks)
-    monkeypatch.setattr(O, "_sl2_exp", scaled_exp)
+    _corrupt_ads_records(monkeypatch, corrupt)
     with pytest.raises(GeometryError, match=message):
         O.suite_ads_equivalence(trials=30, seed=7)
 
 
 def test_ads_equivalence_sends_a_non_finite_record_to_the_scalar_constructors(monkeypatch):
-    sl2_exp = O._sl2_exp
+    def overflowed(k, units, f):
+        if k == 5:
+            f[0, 0] = np.inf
+        return units, f
 
-    def overflowed(x):
-        f = sl2_exp(x)
-        if f.ndim == 3:
-            f[4, 0, 0] = np.inf
-        return f
-
-    monkeypatch.setattr(O, "_sl2_exp", overflowed)
+    _corrupt_ads_records(monkeypatch, overflowed)
     # the message of `as_sl2`, which the closed-form det check alone would
     # not give ("entries up to inf are too large to test det = 1")
     with pytest.raises(GeometryError, match="an AdS point needs finite entries"):

@@ -4,6 +4,10 @@ import pytest
 from ein3 import einstein
 from ein3 import symplectic as S
 from ein3.linalg import GeometryError
+from ein3.oracle import make_rng
+
+from draws import random_lagrangian, random_nondegenerate_plane, random_splitting
+from references import plane_intersection_dim
 
 SP = S.standard_space()
 E4 = np.eye(4)
@@ -83,7 +87,6 @@ def test_plucker_rejects_a_raw_array_that_is_not_a_finite_4x2(basis):
 
 
 def test_lagrangians_map_to_null_kernel_lines():
-    from ein3.oracle import make_rng, random_lagrangian
     rng = make_rng(2)
     for _ in range(50):
         l = random_lagrangian(SP, rng)
@@ -150,7 +153,7 @@ def test_transverse_agrees_with_intersection_dim():
             shared = rng.normal(size=4)
             p = S.Plane2(SP, np.column_stack([shared, rng.normal(size=4)]))
             q = S.Plane2(SP, np.column_stack([shared, rng.normal(size=4)]))
-        assert SP.transverse(p, q) == (S.plane_intersection_dim(p, q) == 0)
+        assert SP.transverse(p, q) == (plane_intersection_dim(p, q) == 0)
 
 
 def test_reflect_omega_star():
@@ -199,7 +202,6 @@ def test_maslov_examples():
 
 
 def test_maslov_antisymmetric_random():
-    from ein3.oracle import make_rng, random_lagrangian
     rng = make_rng(7)
     count = 0
     while count < 50:
@@ -219,7 +221,6 @@ def test_mu():
     assert SP.wedge(m, m) == pytest.approx(0.5)
     assert SP.wedge(m, SP.omega_star) == pytest.approx(0.0)
     rng = np.random.default_rng(8)
-    from ein3.oracle import random_nondegenerate_plane
     for _ in range(50):
         s = random_nondegenerate_plane(SP, rng)
         ms = S.mu(SP, s)
@@ -234,7 +235,6 @@ def test_mu():
 
 
 def test_lagrangian_in_torus_matches_model():
-    from ein3.oracle import make_rng, random_lagrangian, random_splitting
     rng = make_rng(10)
     hits = 0
     for _ in range(100):
