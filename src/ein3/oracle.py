@@ -426,7 +426,7 @@ def disjoint_ads_pair(rng, min_margin=1e-2):
         passed = margins.min(axis=(1, 2)) > min_margin
         if passed.any():
             i = int(passed.argmax())
-            return _ads_planes(units[i], f[i])
+            return _ads_planes(units[i], f[i].copy())  # no view keeps the chunk alive
     raise RetryExhausted(f"no valid sample in {RETRY_LIMIT} attempts")
 
 
