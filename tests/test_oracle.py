@@ -259,7 +259,20 @@ def test_disjoint_ads_pair_draws_as_random_ads_config():
         got = O.disjoint_ads_pair(O.make_rng(seed))
         for p, q in zip(got, want):
             for name in ("base", "a", "b"):
-                assert np.allclose(getattr(p, name), getattr(q, name), rtol=0.0, atol=1e-14)
+                assert np.allclose(getattr(p, name), getattr(q, name), rtol=1e-13, atol=0.0)
+
+
+def test_sl2_exp_matches_scipy():
+    # the closed form against scipy's expm of the traceless part, over
+    # normal draws (both signs of det X) and a nilpotent X (d = 0)
+    from scipy.linalg import expm
+    x = np.concatenate([O.make_rng(5).normal(size=(2000, 2, 2)), [[[0.5, 1.0], [0.0, 0.5]]]])
+    f = O._sl2_exp(x)
+    want = np.array([expm(m - 0.5 * np.trace(m) * np.eye(2)) for m in x])
+    scale = np.abs(want).max(axis=(1, 2))
+    assert (np.abs(f - want).max(axis=(1, 2)) <= 1e-13 * scale).all()
+    assert (np.abs(np.linalg.det(f) - 1.0) <= 1e-14 * scale ** 2).all()
+    assert np.array_equal(f[-1], [[1.0, 1.0], [0.0, 1.0]])
 
 
 def test_stem_only_checks_the_shared_point_within_its_trials(monkeypatch):
