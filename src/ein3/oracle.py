@@ -1094,9 +1094,9 @@ def suite_photon_avoidance(trials=1000, seed=7):
 def suite_surface_disjointness(trials=200, seed=7):
     """Sixteen-inequality verdicts against sampled chordal gaps.
 
-    A disjoint trial draws a `disjoint_ads_pair` (the one sequential
-    rejection loop) and both surfaces' `sample_surface` draws, whatever
-    its verdict; an intersecting one, an `_intersecting_draw`.  A block
+    A disjoint trial draws a `disjoint_ads_pair` (a chunk of 128 AdS
+    candidates per rng call) and both surfaces' `sample_surface` draws,
+    whatever its verdict; an intersecting one, an `_intersecting_draw`.  A block
     then builds its quadrilaterals stacked, runs the scalar closed-form
     checks in trial order and reads the stacked sixteen margins; a passing
     disjoint pair's clouds and gap are built one pair at a time, and an

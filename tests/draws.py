@@ -24,16 +24,17 @@ def random_symplectic(space, rng, scale=1.0):
 
 
 def random_lagrangian(space, rng):
-    """Random Lagrangian plane: maslov-bridge's draw of one plane, and its
-    screen."""
+    """Random Lagrangian plane: the draw of one plane of maslov-bridge's and
+    symplectic-identities' triples, kept by `oracle._planes`' Lagrangian
+    mask."""
     return Plane2(space, _first(lambda: O._lagrangian_bases(space, *rng.normal(size=(2, 4))),
                                 lambda m: O._planes(space, m)[1]))
 
 
 def random_nondegenerate_plane(space, rng):
     """Random nondegenerate plane, well-conditioned for omega (|omega| > 0.2
-    on its orthonormal basis): eta-bridge's draw of a basis, and its
-    screen."""
+    on its orthonormal basis): eta-bridge's draw of a basis, kept by
+    `oracle._planes`' nondegenerate mask."""
     return Plane2(space, _first(lambda: rng.normal(size=(4, 2)), lambda m: O._planes(space, m)[2]))
 
 
