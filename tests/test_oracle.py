@@ -765,6 +765,14 @@ def test_eta_bridge_reports_flipped_kinds_in_trial_order(monkeypatch):
     assert all(" kind IntersectionKind." in f and " vs eta " in f for f in failures)
 
 
+def test_eta_bridge_reads_no_kind_of_a_torus_in_the_null_band():
+    # trial 900 at seed 17 has |det f + 1| = 1.008e-3, outside the skip
+    # band, but its graph's torus normal has Q(s)/|s|^2 = 5.3e-10, inside
+    # the null band where `EinsteinTorus` raises: the suite compares the
+    # trial's eta routes and reads no kind of it
+    assert O.suite_eta_bridge(trials=900, seed=17)["failures"] == []
+
+
 def _reference_maslov(space, l, p, lp, eps=1e-9):
     """`maslov` as it was written per triple, kept as the reference of the
     stacked `_maslov_rows`."""
