@@ -621,6 +621,23 @@ def _constant_oracle(hit):
 
 def test_blocks_spend_a_bounded_budget():
     assert list(O._blocks(0, None)) == []
+    drawn = []
+
+    def every_third():
+        drawn.append(len(drawn))
+        return drawn[-1] if len(drawn) % 3 == 0 else None
+
+    # 3 trials need 9 candidates of the 30 the budget allows; the default
+    # screen drops the skipped (None) ones
+    assert list(O._blocks(3, every_third)) == [(1, [2, 5, 8])]
+    assert len(drawn) == 9
+    drawn.clear()
+    with pytest.raises(O.RetryExhausted, match="fewer than 4 accepted trials in 40 attempts"):
+        list(O._blocks(4, lambda: drawn.append(None)))  # skips every candidate
+    assert len(drawn) == 40
+
+
+def test_screened_blocks_draw_no_candidate_past_the_last_trial():
     drawn, chunks = [], []
 
     def draw():
