@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ein3.linalg import EPS_ALG, GeometryError, _raise_first, as_rows, as_vector
-from ein3.symplectic import Plane2, SympSpace
+from ein3.symplectic import SympSpace
 from ein3.crooked import LightlikeQuadrilateral
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -27,8 +27,6 @@ OMEGA_ADS = np.block([
     [J, np.zeros((2, 2))],
     [np.zeros((2, 2)), -J],
 ])
-
-_INVOLUTION = np.diag([1.0, 1.0, -1.0, -1.0])
 
 # signs of the rows (a; fa), (b; fb), (a; fa), (b; fb) that give the rows
 # u+, u-, v+, v- of `ads_quadrilateral`, before those of b are scaled
@@ -73,30 +71,6 @@ def _check_sl2(m, eps):
         raise GeometryError(f"matrix must have determinant 1, got {np.float64(det)!r}")
 
 
-def embed(f):
-    """Lagrangian plane graph(f) of an element f of SL(V0).
-
-    Columns of the basis matrix are (x; f x) over the standard basis of V0.
-    Equivariant for the action (A, B) . f = A f B^{-1} realized by the
-    block-diagonal symplectic matrix B (+) A.
-    """
-    f = as_sl2(f)
-    basis = np.vstack([np.eye(2), f])
-    plane = Plane2(_SPACE, basis)
-    if not plane.is_lagrangian:
-        raise GeometryError("graph of the matrix is not Lagrangian")
-    return plane
-
-
-def involution(l):
-    """Image of a plane under the involution induced by I (+) -I.
-
-    Involutive; its fixed Lagrangians form the conformal boundary of the
-    AdS patch, disjoint from the image of `embed`.
-    """
-    return Plane2(l.space, _INVOLUTION @ l.basis)
-
-
 @dataclass
 class AdsCrookedPlane:
     """An AdS crooked plane: a base point of SL(V0) and two directions.
@@ -113,10 +87,6 @@ class AdsCrookedPlane:
         directions = as_rows((self.a, self.b), 2)
         _check_independent(*directions.tolist())
         self.a, self.b = directions
-
-    def to_dict(self):
-        return {"base": self.base.tolist(), "a": self.a.tolist(),
-                "b": self.b.tolist()}
 
 
 def _check_independent(a, b):

@@ -149,12 +149,14 @@ class Config:
 
 def load_config(path, args):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path} is nested too deeply to read") from exc
     return Config(doc,
                   eps_alg=getattr(args, "eps_alg", None),
                   seed=getattr(args, "seed", None))
@@ -323,6 +325,8 @@ def _write_csv(path, coords, labels):
 
 def _write_ply(path, coords, labels):
     codes = sorted(set(labels))
+    if len(codes) > 256:
+        raise ConfigError(f"{len(codes)} labels exceed the ply uchar's 256; use --format csv")
     index = {lab: i for i, lab in enumerate(codes)}
     with open(path, "w", newline="\n") as handle:
         handle.write("ply\nformat ascii 1.0\n")

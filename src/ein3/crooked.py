@@ -76,16 +76,8 @@ class LightlikeQuadrilateral:
         self.gram = self.columns.T @ space.matrix @ self.columns  # G = Q^T Omega Q
         _check_quadrilateral(self.gram.tolist(), space.vol_coeff, eps)
 
-    def product_residuals(self):
-        """Deviation of each omega product from its required value, read
-        off the Gram matrix G."""
-        return dict(zip(_RESIDUAL_KEYS, _product_residuals(self.gram.tolist())))
-
     def vectors(self):
         return (self.u_plus, self.u_minus, self.v_plus, self.v_minus)
-
-    def to_dict(self):
-        return {k: list(getattr(self, k)) for k in _QUAD_KEYS}
 
     def __repr__(self):
         return ("LightlikeQuadrilateral("
@@ -232,24 +224,12 @@ def _lagrangian_regions(space, columns, onb, eps):
 
 
 def _regions_of(surface, l, eps):
-    """`_quad_regions` of one Lagrangian plane, as three bools."""
+    """`_quad_regions` of one Lagrangian plane, as three bools.  The wing+
+    (wing-) mask holds on the photons [t u + s v] through P+ (P-) with
+    t s >= 0 (<= 0), the vertex included."""
     if not l.is_lagrangian:
         raise GeometryError("expected a Lagrangian plane")
     return [bool(mask[0]) for mask in _quad_regions(surface.quad.columns, l.sub.onb[None], eps)]
-
-
-def wing_contains(surface, l, sign, eps=EPS_ALG):
-    """Whether a Lagrangian lies on the chosen wing.
-
-    The wing with sign +1 (-1) is the union of the photons
-    [t u + s v] with t s >= 0 (<= 0) through the vertex P+ (P-).  A point
-    lies on it when its plane meets the vertex plane in a line whose
-    photon coordinates satisfy the sign condition; the vertex itself,
-    through which every wing photon passes, counts as a member.
-    """
-    if sign not in (+1, -1):
-        raise GeometryError("wing sign must be +1 or -1")
-    return _regions_of(surface, l, eps)[(1 - sign) // 2]
 
 
 def surface_contains(surface, l, eps=EPS_ALG) -> Optional[SurfaceRegion]:

@@ -5,8 +5,8 @@ form x^2 + y^2 - z^2 - u*v.  Points of the Einstein universe are null lines,
 photons are totally isotropic 2-planes, and an Einstein torus is the
 projectivized null cone of the hyperplane orthogonal to a unit spacelike
 normal.  This convention is the one that makes the standard embedding of
-Minkowski space (see `minkowski_embed`) land on the null cone with improper
-point (0, 0, 0, 1, 0).
+Minkowski space, (v1, v2, v3) -> [(v1, v2, v3, v1^2 + v2^2 - v3^2, 1)],
+land on the null cone with improper point (0, 0, 0, 1, 0).
 """
 
 import functools
@@ -168,17 +168,6 @@ def _carrier_signatures(n1, n2):
         _perp_onb(np.stack([n1, n2], axis=-1)))))
 
 
-def minkowski_embed(point):
-    """Embed a point (v1, v2, v3) of Minkowski space into the model.
-
-    The image is [(v1, v2, v3, v1^2 + v2^2 - v3^2, 1)], which is null for the
-    model form; v3 is the time coordinate.
-    """
-    v = as_vector(point, 3)
-    lorentz_norm = v[0] ** 2 + v[1] ** 2 - v[2] ** 2
-    return EinPoint(np.array([v[0], v[1], v[2], lorentz_norm, 1.0]))
-
-
 def _incident(a, b, eps=EPS_ALG):
     """`incident` over stacked rows of null representatives."""
     a = a / np.linalg.norm(a, axis=-1, keepdims=True)
@@ -199,8 +188,10 @@ _CAUSAL = (CausalType.LIGHTLIKE, CausalType.TIMELIKE, CausalType.SPACELIKE)
 
 
 def _causal_rows(p, p0, pinf, eps=EPS_ALG):
-    """`classify_point` over stacked rows: indices into _CAUSAL, and the
-    checks in its order (a span's rank check raises here)."""
+    """Causal types of stacked rows of points p of the Minkowski patch of
+    (p0, pinf): indices into _CAUSAL (lightlike when incident to p0, else
+    by the signature of span{p, p0, pinf}: (1,2) timelike, (2,1)
+    spacelike), and the checks in order (a span's rank check raises here)."""
     no_patch = _incident(p0, pinf, eps)
     same = _close(p, p0) | _close(p, pinf)
     lightlike = _incident(p, p0, eps)
@@ -217,24 +208,6 @@ def _causal_rows(p, p0, pinf, eps=EPS_ALG):
         (outside, "point lies on the light cone of pinf, outside the Minkowski patch"),
         (placed & ~(timelike | spacelike),
          lambda i: f"degenerate configuration, span signature {tuple(sig[i].tolist())}")]
-
-
-def classify_point(p, p0, pinf, eps=EPS_ALG):
-    """Causal type of a point of the Minkowski patch determined by (p0, pinf).
-
-    A point is lightlike when it is incident to p0; otherwise the signature
-    of span{p, p0, pinf} decides: (1,2) timelike, (2,1) spacelike.
-
-    Raises
-    ------
-    GeometryError
-        If p0 and pinf are incident (no Minkowski patch), if p coincides
-        with p0 or pinf, or if p lies on the light cone of pinf (outside
-        the patch).
-    """
-    index, checks = _causal_rows(p.rep, p0.rep, pinf.rep, eps)
-    _raise_first(checks)
-    return _CAUSAL[index]
 
 
 def eta(t1, t2):

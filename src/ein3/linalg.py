@@ -91,15 +91,6 @@ def _singular(m, eps, full_matrices=False):
     return u, (s > _zero_tol(s, eps)).sum(axis=-1), vh
 
 
-def _range_basis(m, eps):
-    """Orthonormal basis of the column space of m: the left singular vectors
-    whose singular values are above the zero threshold."""
-    if m.shape[1] == 0:
-        return m
-    u, rank, _ = _singular(m, eps)
-    return u[:, :rank]
-
-
 def _orthonormal_columns(basis, eps):
     """Orthonormal basis of the column span (of each matrix of a stack, the
     first that fails raising), with a finiteness and a rank check."""
@@ -157,10 +148,6 @@ class Subspace:
         """Subspace spanned by the given vectors (columns)."""
         cols = [as_vector(v) for v in vectors]
         return cls(np.column_stack(cols))
-
-    @classmethod
-    def zero(cls, ambient_dim):
-        return cls(np.zeros((ambient_dim, 0)))
 
     @property
     def dim(self):
@@ -283,27 +270,9 @@ def nullspace(a, eps=EPS_RANK):
     return vh[rank:].T
 
 
-def intersect(a, b, eps=EPS_RANK):
-    """Intersection of two subspaces of the same ambient space.
-
-    Computed from the nullspace of the stacked system [A | -B]: a combination
-    A x = B y lies in both spans.
-    """
-    if a.ambient_dim != b.ambient_dim:
-        raise GeometryError("subspaces live in different ambient dimensions")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim)
-    stacked = np.hstack([a.onb, -b.onb])
-    coeffs = nullspace(stacked, eps)
-    if coeffs.shape[1] == 0:
-        return Subspace.zero(a.ambient_dim)
-    # re-orthonormalize: the combinations can be nearly dependent
-    return Subspace(_range_basis(a.onb @ coeffs[:a.dim], eps))
-
-
 def _intersection_dims(a, b, eps=EPS_RANK):
     """dim of the intersection of the spans of orthonormal bases a, b (of
-    stacked pairs), as `intersect`: rank of a x over (x, y) in null [a | -b]."""
+    stacked pairs): rank of a x over (x, y) in null [a | -b]."""
     _, rank, vh = _singular(np.concatenate([a, -b], axis=-1), eps, full_matrices=True)
     null = np.arange(vh.shape[-1]) >= np.asarray(rank)[..., None]
     return _singular(a @ (np.swapaxes(vh, -1, -2)[..., :a.shape[-1], :] * null[..., None, :]),

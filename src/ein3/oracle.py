@@ -231,13 +231,12 @@ def _stem_generators(columns, component, t1, t2):
     return w, wp
 
 
-def _cloud_draws(rng, n, proportions=(0.4, 0.4, 0.2)):
+def _cloud_draws(rng, n):
     """The rng calls of `sample_surface`: photon parameters and pencil
     angles of wing+, then of wing-, then the stem's t1, t2 and components."""
-    draws = []
-    for count in (int(round(n * proportions[0])), int(round(n * proportions[1]))):
-        draws += [rng.uniform(0.0, np.pi / 2, size=count), rng.uniform(0.0, np.pi, size=count)]
-    n_stem = n - len(draws[0]) - len(draws[2])
+    count = int(round(n * 0.4))  # on each wing; the stem takes the rest
+    draws = [rng.uniform(0.0, top, size=count) for _ in range(2) for top in (np.pi / 2, np.pi)]
+    n_stem = n - 2 * count
     margin = 1e-2  # keep clear of the stem boundary, where Maslov degenerates
     draws += [rng.uniform(margin, np.pi / 2 - margin, size=n_stem) for _ in range(2)]
     return (*draws, rng.integers(0, 2, size=n_stem) * 2 - 1)
@@ -256,16 +255,15 @@ def _surface_cloud(space, columns, draws):
     return SampleCloud(np.vstack(rows) @ space.bridge[0].T, labels)
 
 
-def sample_surface(surface, n, rng, proportions=(0.4, 0.4, 0.2)):
-    """Sample a crooked surface: wings and stem in the given proportions.
+def sample_surface(surface, n, rng):
+    """Sample a crooked surface: 40% of the points on each wing, the rest
+    on the stem.
 
     Wing points combine a random photon of the wing family with a random
     Lagrangian through it; stem points pair random directions of the two
     stem planes within the timelike (Maslov +/-2) components.
     """
-    if len(proportions) != 3 or abs(sum(proportions) - 1.0) > 1e-12:
-        raise GeometryError("proportions must be three numbers summing to 1")
-    return _surface_cloud(surface.space, surface.quad.columns, _cloud_draws(rng, n, proportions))
+    return _surface_cloud(surface.space, surface.quad.columns, _cloud_draws(rng, n))
 
 
 def min_gap(cloud_a, cloud_b):
@@ -410,12 +408,12 @@ def _ads_planes(units, f):
     return ads.AdsCrookedPlane(np.eye(2), *units[0]), ads.AdsCrookedPlane(f, *units[1])
 
 
-def disjoint_ads_pair(rng, min_margin=1e-2):
+def disjoint_ads_pair(rng):
     """Random AdS crooked plane pair certified disjoint with healthy margins.
 
     Draws chunks of _ORACLE_BLOCK candidates (`_ads_arrays`) in one rng
     call each and returns the first candidate whose four reduced
-    inequalities all hold with margin above min_margin, as planes, whose
+    inequalities all hold with margin above 1e-2, as planes, whose
     validation cannot fail (|omega0(a, b)| > 1e-2 makes the directions
     independent, and det exp(traceless) = 1).  Raises RetryExhausted after
     RETRY_LIMIT candidates.
@@ -423,7 +421,7 @@ def disjoint_ads_pair(rng, min_margin=1e-2):
     for start in range(0, RETRY_LIMIT, _ORACLE_BLOCK):
         units, f, margins = _ads_arrays(
             rng.normal(size=(min(_ORACLE_BLOCK, RETRY_LIMIT - start), 6, 2)))
-        passed = margins.min(axis=(1, 2)) > min_margin
+        passed = margins.min(axis=(1, 2)) > 1e-2
         if passed.any():
             i = int(passed.argmax())
             return _ads_planes(units[i], f[i].copy())  # no view keeps the chunk alive

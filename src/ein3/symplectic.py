@@ -182,10 +182,6 @@ class SympSpace:
         """omega(x, y) on vectors of V."""
         return float(as_vector(x, 4) @ self.matrix @ as_vector(y, 4))
 
-    def omega_of(self, b):
-        """omega extended to bivectors: omega(u ^ v) = omega(u, v)."""
-        return float(as_vector(b, 6) @ self._omega_fun)
-
     def wedge(self, b1, b2):
         """The signature-(3,3) product on bivectors.
 
@@ -218,31 +214,6 @@ class SympSpace:
             if np.linalg.matrix_rank(basis) < 2:
                 raise GeometryError("plane basis is rank deficient")
         return plucker_rows(basis[:, 0], basis[:, 1])
-
-    def bivector_to_plane(self, b, eps=EPS_ALG):
-        """The 2-plane whose Pluecker line contains a decomposable bivector.
-
-        The plane is the column space of the antisymmetric coefficient matrix
-        of b, which has rank 2 exactly when b is decomposable (b . b = 0).
-        """
-        b = as_vector(b, 6)
-        nb = np.linalg.norm(b)
-        if nb == 0.0:
-            raise GeometryError("zero bivector")
-        if abs(self.wedge(b, b)) > eps * nb * nb * max(1.0, abs(self.vol_coeff)):
-            raise GeometryError(
-                f"bivector is not decomposable: b.b = {self.wedge(b, b):.3e}")
-        m = np.zeros((4, 4))
-        for a, (i, j) in enumerate(PAIRS):
-            m[i, j] = b[a]
-            m[j, i] = -b[a]
-        u, s, _ = np.linalg.svd(m)
-        plane = Plane2(self, u[:, :2])
-        # sanity: the round trip must reproduce b projectively
-        back = self.plucker(plane)
-        if abs(abs(back @ b) / (np.linalg.norm(back) * nb) - 1.0) > 1e2 * eps:
-            raise GeometryError("bivector does not come from a 2-plane")
-        return plane
 
     def transverse(self, p, q, eps=EPS_ALG):
         """Whether two 2-planes intersect trivially.

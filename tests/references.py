@@ -1,10 +1,14 @@
 """Scalar routes kept as the references that tests compare the package's
-stacked kernels against."""
+stacked kernels against, and the model's constructions that only tests
+build."""
+
+import numpy as np
 
 from ein3 import einstein
 from ein3.ads import _omega0_cells
-from ein3.linalg import EPS_RANK, GeometryError, _intersection_dims, _raise_first, as_vector
-from ein3.symplectic import _lagrangian_points
+from ein3.linalg import (EPS_ALG, EPS_RANK, GeometryError, Subspace, _intersection_dims,
+                         _raise_first, _singular, as_vector, nullspace)
+from ein3.symplectic import PAIRS, Plane2, _lagrangian_points
 
 
 def omega0(x, y):
@@ -24,3 +28,62 @@ def lagrangian_point(space, l):
 def plane_intersection_dim(p, q, eps=EPS_RANK):
     """dim(P cap Q) through plain subspace intersection (no bivectors)."""
     return int(_intersection_dims(p.sub.onb, q.sub.onb, eps))
+
+
+def intersect(a, b, eps=EPS_RANK):
+    """Intersection of two subspaces of the same ambient space.
+
+    Computed from the nullspace of the stacked system [A | -B]: a combination
+    A x = B y lies in both spans.
+    """
+    if a.ambient_dim != b.ambient_dim:
+        raise GeometryError("subspaces live in different ambient dimensions")
+    coeffs = nullspace(np.hstack([a.onb, -b.onb]), eps)
+    # re-orthonormalize: the combinations can be nearly dependent
+    u, rank, _ = _singular(a.onb @ coeffs[:a.dim], eps)
+    return Subspace(u[:, :rank])
+
+
+def bivector_to_plane(space, b, eps=EPS_ALG):
+    """The 2-plane whose Pluecker line contains a decomposable bivector.
+
+    The plane is the column space of the antisymmetric coefficient matrix
+    of b, which has rank 2 exactly when b is decomposable (b . b = 0).
+    """
+    b = as_vector(b, 6)
+    nb = np.linalg.norm(b)
+    if nb == 0.0:
+        raise GeometryError("zero bivector")
+    if abs(space.wedge(b, b)) > eps * nb * nb * max(1.0, abs(space.vol_coeff)):
+        raise GeometryError(
+            f"bivector is not decomposable: b.b = {space.wedge(b, b):.3e}")
+    m = np.zeros((4, 4))
+    for a, (i, j) in enumerate(PAIRS):
+        m[i, j] = b[a]
+        m[j, i] = -b[a]
+    u, s, _ = np.linalg.svd(m)
+    plane = Plane2(space, u[:, :2])
+    # sanity: the round trip must reproduce b projectively
+    back = space.plucker(plane)
+    if abs(abs(back @ b) / (np.linalg.norm(back) * nb) - 1.0) > 1e2 * eps:
+        raise GeometryError("bivector does not come from a 2-plane")
+    return plane
+
+
+def minkowski_embed(point):
+    """Embed a point (v1, v2, v3) of Minkowski space into the model.
+
+    The image is [(v1, v2, v3, v1^2 + v2^2 - v3^2, 1)], which is null for the
+    model form; v3 is the time coordinate.
+    """
+    v = as_vector(point, 3)
+    lorentz_norm = v[0] ** 2 + v[1] ** 2 - v[2] ** 2
+    return einstein.EinPoint(np.array([v[0], v[1], v[2], lorentz_norm, 1.0]))
+
+
+def classify_point(p, p0, pinf, eps=EPS_ALG):
+    """Causal type of a point of the Minkowski patch determined by (p0, pinf):
+    one row of `einstein._causal_rows`, raising its first failed check."""
+    index, checks = einstein._causal_rows(p.rep, p0.rep, pinf.rep, eps)
+    _raise_first(checks)
+    return einstein._CAUSAL[index]

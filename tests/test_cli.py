@@ -20,6 +20,12 @@ QUAD = {"type": "quadrilateral", "u_plus": [1, 0, 0, 0], "u_minus": [0, 1, 0, 0]
         "v_plus": [0, 0, 0, 1], "v_minus": [0, 0, 1, 0]}
 
 
+def fields(obj, keys=("u_plus", "u_minus", "v_plus", "v_minus")):
+    """Document fields of an object: a quadrilateral's four vectors, or the
+    given attributes (an AdS plane's base, a and b)."""
+    return {k: getattr(obj, k).tolist() for k in keys}
+
+
 def photon_doc(vector):
     return {"objects": {"P": {"type": "photon", "vector": vector}, "Q": QUAD}}
 
@@ -108,6 +114,38 @@ def test_malformed_config_exits_2(tmp_path, capsys):
         "T1": {"type": "torus", "normal": [1, 0, 1, 0, 0, 0]}}})
     code, _, err = run(["classify-tori", path], capsys)
     assert code == 2
+    # a file that is not UTF-8, and one nested past the decoder's recursion
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"objects": {"T\xe9": {}}}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for bad in (latin, deep):
+        code, out, err = run(["classify-tori", str(bad)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad} is ")
+
+
+def test_sample_ply_takes_at_most_256_labels(tmp_path, capsys):
+    # three labels per quadrilateral and one per torus: 256 fit the ply
+    # uchar label, 257 exit 2 before the file is written
+    objects = {f"Q{i}": QUAD for i in range(85)}
+    objects["T1"] = {"type": "torus", "normal": [1, 0, 0, 0, 0]}
+    out_ply = tmp_path / "cloud.ply"
+    code, _, _ = run(["sample", write_config(tmp_path, {"objects": objects}), "--count", "30",
+                      "--format", "ply", "--out", str(out_ply)], capsys)
+    assert code == 0
+    labels = sorted([f"Q{i}:{r}" for i in range(85) for r in ("wing_plus", "wing_minus", "stem")]
+                    + ["T1"])
+    content = out_ply.read_text().splitlines()
+    assert content[2:258] == [f"comment label {i} = {lab}" for i, lab in enumerate(labels)]
+    assert content[258].startswith("element vertex ")
+    out_ply.unlink()
+    objects["T2"] = {"type": "torus", "normal": [0, 1, 0, 0, 0]}
+    code, out, err = run(["sample", write_config(tmp_path, {"objects": objects}), "--count", "30",
+                          "--format", "ply", "--out", str(out_ply)], capsys)
+    assert code == 2 and out == ""
+    assert "257 labels" in err and "--format csv" in err
+    assert not out_ply.exists()
 
 
 @pytest.mark.parametrize("command", ["classify-tori", "check-photon",
@@ -267,8 +305,8 @@ def test_seeds_must_be_non_negative(argv, capsys):
 def test_check_crooked_disjoint_pair(tmp_path, capsys):
     from ein3.oracle import disjoint_ads_pair
     p1, p2 = disjoint_ads_pair(make_rng(3))
-    q1 = ads.ads_quadrilateral(p1).to_dict()
-    q2 = ads.ads_quadrilateral(p2).to_dict()
+    q1 = fields(ads.ads_quadrilateral(p1))
+    q2 = fields(ads.ads_quadrilateral(p2))
     for q in (q1, q2):
         q.update({"type": "quadrilateral", "space": "ads"})
     path = write_config(tmp_path, {"objects": {"Q1": q1, "Q2": q2}})
@@ -320,7 +358,7 @@ def test_check_photon_rejects_a_photon_of_another_space(tmp_path, capsys):
 def test_check_crooked_rejects_quadrilaterals_of_different_spaces(tmp_path, capsys):
     quad = ads.ads_quadrilateral(ads.AdsCrookedPlane(np.eye(2), [1, 0], [0, 1]))
     doc = {"objects": {"C1": dict(QUAD, space="standard"),
-                       "C2": dict(type="quadrilateral", space="ads", **quad.to_dict())}}
+                       "C2": dict(type="quadrilateral", space="ads", **fields(quad))}}
     code, out, err = run(["check-crooked", write_config(tmp_path, doc)], capsys)
     assert code == 2
     assert out == ""
@@ -408,7 +446,7 @@ def quads_of(ads_doc):
     for name, spec in ads_doc["objects"].items():
         plane = ads.AdsCrookedPlane(np.asarray(spec["base"], dtype=float),
                                     spec["a"], spec["b"])
-        quad = ads.ads_quadrilateral(plane).to_dict()
+        quad = fields(ads.ads_quadrilateral(plane))
         objects["Q" + name[1:]] = {"type": "quadrilateral", "space": "ads",
                                    **{k: [float(x) for x in v] for k, v in quad.items()}}
     return {"objects": objects}
@@ -501,14 +539,14 @@ def test_verify_subcommand(tmp_path, capsys):
 def test_config_roundtrip(tmp_path):
     rng = make_rng(9)
     quad = random_quadrilateral(symplectic.standard_space(), rng)
-    doc = {"objects": {"Q": {"type": "quadrilateral", **quad.to_dict()}}}
+    doc = {"objects": {"Q": {"type": "quadrilateral", **fields(quad)}}}
     path = write_config(tmp_path, doc)
     cfg = cli.load_config(path, argparse_stub())
     again = cfg.objects["Q"]
     for key in ("u_plus", "u_minus", "v_plus", "v_minus"):
         assert np.allclose(getattr(again, key), getattr(quad, key))
     plane = ads.AdsCrookedPlane(np.eye(2), [1, 0], [0, 1])
-    doc2 = {"objects": {"A": {"type": "ads_plane", **plane.to_dict()}}}
+    doc2 = {"objects": {"A": {"type": "ads_plane", **fields(plane, ("base", "a", "b"))}}}
     cfg2 = cli.load_config(write_config(tmp_path, doc2, "a.json"),
                            argparse_stub())
     back = cfg2.objects["A"]

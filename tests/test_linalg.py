@@ -6,9 +6,10 @@ from ein3.linalg import (
     GeometryError,
     QuadSpace,
     Subspace,
-    intersect,
     projective_normalize,
 )
+
+from references import intersect
 
 DIAG3 = QuadSpace(np.diag([1.0, 1.0, -1.0]))
 W = einstein.model_space()
