@@ -63,6 +63,9 @@ class Config:
         if not (isinstance(objects, dict)
                 and all(isinstance(spec, dict) for spec in objects.values())):
             raise ConfigError("'objects' must map names to object specifications")
+        for name in objects:  # names reach the exports' lines and headers as they are
+            if any(ord(c) < 32 or 127 <= ord(c) < 160 for c in name):
+                raise ConfigError(f"object name {name!r} contains a control character")
         self.pair = doc.get("pair")
         if self.pair is not None and not (
                 isinstance(self.pair, list) and len(self.pair) == 2
@@ -320,6 +323,8 @@ def _write_csv(path, coords, labels):
     with open(path, "w", newline="\n") as handle:
         handle.write("x,y,z,label\n")
         for (x, y, z), lab in zip(coords, labels):
+            if "," in lab or '"' in lab:  # quoted, with its quotes doubled (RFC 4180)
+                lab = '"' + lab.replace('"', '""') + '"'
             handle.write(f"{_fmt(x)},{_fmt(y)},{_fmt(z)},{lab}\n")
 
 

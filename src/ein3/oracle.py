@@ -697,103 +697,96 @@ def suite_torus_trichotomy(trials=1000, seed=7):
             sigs = np.stack(einstein._carrier_signatures(s1, s2), -1).tolist()
             frames = einstein.model_space().unit_frame(einstein._perp_onb(s1[..., None]))[1]
             curve = _intersection_curve(frames, s2)
-            rows = zip(sigs, frames, thetas, _tangent_forms(curve, thetas), curve(angles))
+            # sampled intersection points lie on both tori: <x, s1>, <x, s2>
+            # and <x, x> at each unit point, as `einstein.inner` forms them
+            x = _unit_rows(curve(angles))
+            xg = x[..., None, :] @ einstein.GRAM
+            residuals = abs(np.concatenate([xg @ s1[:, None, :, None], xg @ s2[:, None, :, None],
+                                            xg @ x[..., :, None]], -1)).max(-1)[..., 0].tolist()
+            rows = zip(sigs, frames, thetas, _tangent_forms(curve, thetas), residuals)
         for k, (cls, angles) in enumerate(block, first):
             if not angles:
                 failures.append(f"trial {k}: kind {cls.kind} vs eta {cls.eta}")
                 continue
-            sig, frame, theta, q, points = next(rows)
+            sig, frame, theta, q, residuals = next(rows)
             if tuple(sig) != expected_sig[cls.kind]:
                 failures.append(f"trial {k}: carrier signature {tuple(sig)} for {cls.kind}")
-            s1, s2 = cls.normals
+            s2 = cls.normals[1]
             probed = _probe_kind(lambda t: _intersection_curve(frame[None], s2[None])(t), theta, q)
             if probed is not cls.kind:
                 failures.append(f"trial {k}: probe {probed} vs {cls.kind}")
-            # sampled intersection points lie on both tori
-            for x in points:
-                x = x / np.linalg.norm(x)
-                xg = x @ einstein.GRAM  # <x, .>, as `einstein.inner` forms it
-                res = max(abs(float(xg @ s1)), abs(float(xg @ s2)), abs(float(xg @ x)))
-                max_violation = max(max_violation, res)
-                if res > EPS_ALG:
-                    failures.append(f"trial {k}: intersection point off tori by {res:.3e}")
+            max_violation = max(max_violation, *residuals)
+            failures += [f"trial {k}: intersection point off tori by {res:.3e}"
+                         for res in residuals if res > EPS_ALG]
     return _report("torus-trichotomy", trials, seed, failures, max_violation)
-
-
-def _dyadic(values):
-    """Floats as integer numerators over one common power of two, as an
-    object array of Python ints and the denominator."""
-    ratios = [float(x).as_integer_ratio() for x in values]
-    den = max(d for _, d in ratios)
-    return np.array([n * (den // d) for n, d in ratios], dtype=object), den
-
-
-def _positive(den, *vectors):
-    """Numerator vectors over den, with the sign moved off den."""
-    sign = -1 if den < 0 else 1
-    return (sign * den, *(sign * x for x in vectors))
-
-
-# omega, the bivector product and omega* of the standard space over Python
-# ints (omega* over one power of two)
-_OMEGA_INT = symplectic.standard_space().matrix.astype(int).astype(object)
-_WEDGE_INT = symplectic.standard_space()._gram.astype(int).astype(object)
-_STAR = _dyadic(symplectic.standard_space().omega_star)
 
 
 def _eta_values(s_basis, f):
     """The invariant of (S, graph(f)) along the two mu-based routes, for
-    the omega-normalized basis s_basis of S.
+    stacked omega-normalized bases s_basis (n, 4, 2) of S and maps f
+    (n, 2, 2) whose rows pass their splittings' checks: eta_mu and
+    eta_einstein (n,), and the checks of the mu images.
 
-    Near det(f) = -1 the invariant blows up, and its sensitivity amplifies
-    both float cancellation and the 1e-16 structural leakage of a float
-    splitting far past any fixed tolerance.  So the splitting is first made
-    structurally exact (exactly omega-normalized and omega-orthogonal
-    summands, seeded from the float ones) and the wedge products are then
-    evaluated exactly.  Every float is dyadic, so each vector is carried as
-    Python-int numerators over one positive denominator (a common power of
-    two for the inputs) and no step before the last rounds: only the final
-    divisions (correctly rounded int / int) and square roots do.  Returns
-    (eta_mu, eta_einstein).  Standard basis convention only (omega and the
-    bivector products have integer coefficients there).
-    """
-    space = symplectic.standard_space()
-    u, du = _dyadic(s_basis[:, 0])
-    v = _dyadic(s_basis[:, 1])[0]
-    # v / omega(u, v)
-    dv, v = _positive(u @ _OMEGA_INT @ v, du * v)
+    Near det(f) = -1 the invariant blows up, amplifying float cancellation
+    and the 1e-16 structural leakage of a float splitting far past any
+    fixed tolerance.  So the splitting is made structurally exact (exactly
+    omega-normalized and omega-orthogonal summands, seeded from the float
+    ones) and the wedge products are evaluated exactly, on object arrays of
+    Python-int numerators over one denominator per row: only the final
+    divisions (correctly rounded int / int) and square roots round.
+    Standard basis only: omega, omega* = -(e02 + e13) and the bivector
+    product are written out."""
+    n = len(f)
+    rows = np.arange(n)[:, None]
+
+    def omega_rows(x):  # x @ Omega: omega(x, e_j) over the last axis
+        return np.concatenate([-x[..., 2:], x[..., :2]], -1)
+
+    # u, v (the columns of s_basis) and f as numerators over du = df = 2^-low,
+    # one power of two per row: a float is (m 2^53) 2^(e - 53), m 2^53 an int
+    m, e = np.frexp(np.concatenate([s_basis.swapaxes(-1, -2).reshape(n, 8), f.reshape(n, 4)], -1))
+    low = np.minimum(e.min(-1, keepdims=True) - 53, 0)
+    x = (m * 2.0 ** 53).astype(np.int64).astype(object) << (e - 53 - low).astype(object)
+    du = df = 1 << -low.astype(object)
+    u, (f00, f01, f10, f11) = x[:, :4], x[:, 8:].T[..., None]
+    r1 = omega_rows(u)
+    dv, v = (r1 * x[:, 4:8]).sum(-1, keepdims=True), du * x[:, 4:8]  # v / omega(u, v)
     # the omega-complement of S: the nullspace of the rows omega(u, .) and
-    # omega(v, .), eliminated on the pivots of largest magnitude, with 1 at
-    # each free index k, all over den
-    r1, r2 = u @ _OMEGA_INT, v @ _OMEGA_INT
-    j1 = max(range(4), key=lambda j: abs(r1[j]))
-    r2 = r1[j1] * r2 - r2[j1] * r1
-    j2 = max((j for j in range(4) if j != j1), key=lambda j: abs(r2[j]))
-    den = r1[j1] * r2[j2]
-    q1, q2 = np.zeros((2, 4), dtype=object)
-    for x, k in zip((q1, q2), sorted({0, 1, 2, 3} - {j1, j2})):
-        x[k], x[j2], x[j1] = den, -r2[k] * r1[j1], r1[j2] * r2[k] - r1[k] * r2[j2]
+    # omega(v, .), eliminated on the first pivots of largest |entry| (as max()
+    # picks them; r2[j1] = 0), with 1 at each free index k, all over den
+    r2 = omega_rows(v)
+    j1 = np.abs(r1).argmax(-1)[:, None]
+    p1 = r1[rows, j1]
+    r2 = p1 * r2 - r2[rows, j1] * r1
+    j2 = np.abs(r2).argmax(-1)[:, None]
+    p2 = r2[rows, j2]
+    den = p1 * p2
+    k = np.argsort((np.arange(4) == j1) | (np.arange(4) == j2), -1, kind="stable")[:, :2]
+    q, pair = np.zeros((n, 2, 4), object), np.arange(2)
+    q[rows, pair, k] = den
+    q[rows, pair, j2] = -r2[rows, k] * p1
+    q[rows, pair, j1] = r1[rows, j2] * r2[rows, k] - r1[rows, k] * p2
     # q2 / omega(q1, q2), with q1 over the same denominator dq
-    w12 = q1 @ _OMEGA_INT @ q2
-    dq, q1, q2 = _positive(den * w12, w12 * q1, den * den * q2)
-    (f00, f01, f10, f11), df = _dyadic(np.ravel(f))
+    w12 = (omega_rows(q[:, 0]) * q[:, 1]).sum(-1, keepdims=True)
+    dq, q1, q2 = den * w12, w12 * q[:, 0], den * den * q[:, 1]
     t1 = u * dq * df + du * (q1 * f00 + q2 * f10)
     t2 = v * dq * df + dv * (q1 * f01 + q2 * f11)
-
-    ds, dt = du * dv, du * dv * (dq * df) ** 2
-    iota_s, iota_t = symplectic.plucker_rows(np.stack([u, t1]), np.stack([v, t2]))
-    w_s, w_t = u @ _OMEGA_INT @ v, t1 @ _OMEGA_INT @ t2
+    # the rows of S, then of graph(f)
+    a, b, d = np.stack([u, t1]), np.stack([v, t2]), np.stack([du * dv, du * dv * (dq * df) ** 2])
+    iota, w = symplectic.plucker_rows(a, b), (omega_rows(a) * b).sum(-1, keepdims=True)
     # mu(A) . mu(B) = iota(A) . iota(B) + (1/2) omega(iota A) omega(iota B),
-    # here doubled and over ds * dt; the self-products of the decomposable
-    # iotas vanish exactly, so mu(A) . mu(A) = omega(iota A)^2 / (2 ds^2)
-    dot = 2 * (iota_s @ _WEDGE_INT @ iota_t) + w_s * w_t
-    eta_mu = math.sqrt(dot * dot / (w_s * w_s * w_t * w_t))
+    # here doubled and over d_S d_T; the self-products of the decomposable
+    # iotas vanish exactly, so mu(A) . mu(A) = omega(iota A)^2 / (2 d^2)
+    p = iota[0] * iota[1][..., ::-1]  # products over complementary pairs
+    w_s, w_t = w[:, :, 0]
+    dot = 2 * (p[..., [0, 2, 3, 5]].sum(-1) - p[..., [1, 4]].sum(-1)) + w_s * w_t
+    eta_mu = np.sqrt((dot * dot / (w_s * w_s * w_t * w_t)).astype(float))
     # unit normals in the null-cone model, normalized by the exact norms
-    star, dstar = _STAR
-    s1, s2 = (space.to_einstein((2 * dstar * iota + w * star) / (2 * d * dstar))
-              / math.sqrt(w * w / (2 * d * d))
-              for iota, w, d in ((iota_s, w_s, ds), (iota_t, w_t, dt)))
-    return eta_mu, abs(einstein.inner(s1, s2))
+    mu = (2 * iota - w * [0, 1, 0, 0, 1, 0]) / (2 * d)
+    images, checks = symplectic.standard_space()._to_einstein(mu.astype(float))
+    s1, s2 = images / np.sqrt((w * w / (2 * d * d)).astype(float))
+    return (eta_mu, abs((s1[:, None, :] @ einstein.GRAM @ s2[:, :, None])[:, 0, 0]),
+            [(mask.any(0), message) for mask, message in checks])  # of S or of graph(f)
 
 
 def _splittings(space, bases):
@@ -817,8 +810,8 @@ def suite_eta_bridge(trials=1000, seed=7):
     """Determinant route vs. unit-normal route to the torus-pair invariant.
     A candidate draws a basis and a map f; a chunk keeps those that
     `_eta_screen` passes.  Splittings, graph planes and mu images are built
-    a block of trials at a time; the exact invariants are taken per trial,
-    and a kind is read where |eta - 1| > 1e-6 and both tori can be built."""
+    a block of trials at a time, and so are the exact invariants; a kind is
+    read where |eta - 1| > 1e-6 and both tori can be built."""
     rng = make_rng([seed, 2])
     space = symplectic.standard_space()
 
@@ -833,6 +826,12 @@ def suite_eta_bridge(trials=1000, seed=7):
     for first, block in _blocks(trials, draw, screen):
         m, f = (np.array(a) for a in zip(*block))
         s_basis, t_basis, checks = _splittings(space, m)
+        # a row that fails a splitting check raises before its invariants
+        # are read, so they are taken of the Darboux plane (e1, e3) there
+        failed = np.logical_or.reduce([mask for mask, _ in checks])
+        eta_mu, eta_ein, eta_checks = _eta_values(
+            np.where(failed[:, None, None], np.eye(4)[:, [0, 2]], s_basis), f)
+        eta_mu, eta_ein = eta_mu.tolist(), eta_ein.tolist()
         etas = [symplectic.eta_from_det(x) for x in f]
         apart = np.abs(np.array(etas) - 1.0) > 1e-6  # where the kinds are read
         graphs = (s_basis + t_basis @ f)[apart]
@@ -848,9 +847,9 @@ def suite_eta_bridge(trials=1000, seed=7):
         read = iter(range(len(g)))
         for k, i in enumerate(range(len(block)), first):
             _raise_first(checks, i)
+            _raise_first(eta_checks, i)
             d, eta_det = symplectic.det_omega(f[i]), etas[i]
-            eta_mu, eta_ein = _eta_values(s_basis[i], f[i])
-            diff = max(abs(eta_det - eta_mu), abs(eta_det - eta_ein))
+            diff = max(abs(eta_det - eta_mu[i]), abs(eta_det - eta_ein[i]))
             max_violation = max(max_violation, diff)
             if diff > 1e-9:
                 failures.append(f"trial {k}: eta mismatch {diff:.3e} (det {d:.4f})")

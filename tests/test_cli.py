@@ -501,6 +501,34 @@ def test_sample_csv_and_ply(tmp_path, capsys):
     assert len(content) - header_end - 1 == n
 
 
+@pytest.mark.parametrize("name", ["T,1\nend_header", "T\r1", "T\t1", "T\x7f", "T\x85"])
+def test_a_name_with_a_control_character_exits_2(tmp_path, capsys, name):
+    doc = {"objects": {name: {"type": "torus", "normal": [1, 0, 0, 0, 0]}}}
+    out_csv = tmp_path / "cloud.csv"
+    code, out, err = run(["sample", write_config(tmp_path, doc), "--count", "20",
+                          "--out", str(out_csv)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: object name ") and "control character" in err
+    assert not out_csv.exists()
+
+
+def test_sample_csv_quotes_a_name_with_a_comma_or_a_quote(tmp_path, capsys):
+    import csv
+
+    doc = {"objects": {'T,"1"': {"type": "torus", "normal": [1, 0, 0, 0, 0]},
+                       "T2": {"type": "torus", "normal": [0, 1, 0, 0, 0]}}}
+    out_csv = tmp_path / "cloud.csv"
+    code, _, _ = run(["sample", write_config(tmp_path, doc), "--count", "40",
+                      "--out", str(out_csv)], capsys)
+    assert code == 0
+    with open(out_csv, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["x", "y", "z", "label"]
+    assert {len(row) for row in rows} == {4}
+    assert {row[3] for row in rows[1:]} == {'T,"1"', "T2"}
+
+
 def test_sample_to_a_missing_directory_exits_2(tmp_path, capsys):
     doc = {"objects": {"T1": {"type": "torus", "normal": [1, 0, 0, 0, 0]}}}
     out_csv = str(tmp_path / "missing" / "cloud.csv")

@@ -545,11 +545,63 @@ def _near_det_minus_one_draws(count, rng):
     return draws
 
 
+def _stacked(draws):
+    return (np.array([split.s_basis for split, _ in draws]),
+            np.array([f for _, f in draws]))
+
+
 def test_integer_eta_bridge_matches_the_rational_reference():
     draws = (_suite_eta_draws(7, 200)
              + _near_det_minus_one_draws(50, O.make_rng(2024)))
-    for split, f in draws:
-        assert O._eta_values(split.s_basis, f) == _fraction_eta_bridge_values(split, f)
+    eta_mu, eta_ein, checks = O._eta_values(*_stacked(draws))
+    assert not np.logical_or.reduce([mask for mask, _ in checks]).any()
+    for (split, f), got in zip(draws, zip(eta_mu.tolist(), eta_ein.tolist())):
+        assert got == _fraction_eta_bridge_values(split, f)
+
+
+def test_eta_values_do_not_depend_on_the_block():
+    s_basis, f = _stacked(_suite_eta_draws(1, 130))
+    eta_mu, eta_ein, checks = O._eta_values(s_basis, f)
+    for i in range(130):
+        one = O._eta_values(s_basis[i:i + 1], f[i:i + 1])
+        assert (one[0].tolist(), one[1].tolist()) == ([eta_mu[i]], [eta_ein[i]])
+        assert [mask.tolist() for mask, _ in one[2]] == [[mask[i]] for mask, _ in checks]
+
+
+def test_eta_bridge_takes_the_exact_invariants_once_per_block(monkeypatch):
+    calls = []
+    eta_values = O._eta_values
+
+    def counted(s_basis, f):
+        calls.append(len(f))
+        return eta_values(s_basis, f)
+
+    monkeypatch.setattr(O, "_eta_values", counted)
+    assert O.suite_eta_bridge(trials=130, seed=7)["failures"] == []
+    assert calls == [128, 2]
+
+
+@pytest.mark.parametrize("kernel_row, message", [(3, "kernel check"), (7, "splitting check")])
+def test_eta_bridge_raises_the_first_failed_check_in_trial_order(monkeypatch, kernel_row,
+                                                                 message):
+    # trial 5's basis is zero, where the exact route would divide by zero,
+    # and fails a splitting check; a mu image fails its kernel check at
+    # kernel_row: whichever trial comes first raises its own error
+    splittings, eta_values = O._splittings, O._eta_values
+
+    def broken_splitting(space, m):
+        s_basis, t_basis, checks = splittings(space, m)
+        s_basis[5] = 0.0
+        return s_basis, t_basis, checks + [(np.arange(len(m)) == 5, "splitting check")]
+
+    def broken_kernel(s_basis, f):
+        eta_mu, eta_ein, checks = eta_values(s_basis, f)
+        return eta_mu, eta_ein, checks + [(np.arange(len(f)) == kernel_row, "kernel check")]
+
+    monkeypatch.setattr(O, "_splittings", broken_splitting)
+    monkeypatch.setattr(O, "_eta_values", broken_kernel)
+    with pytest.raises(GeometryError, match=message):
+        O.suite_eta_bridge(trials=20, seed=7)
 
 
 def test_oracle_imports_neither_fractions_nor_decimal():
