@@ -182,8 +182,8 @@ def cmd_classify_tori(args):
     (n1, t1), (n2, t2) = cfg.select_pair(einstein.EinsteinTorus)
     cls = einstein.classify_torus_pair(t1, t2, eps=cfg.eps_alg)
     line = f"eta={_fmt(cls.eta)} kind={_KIND_NAMES[cls.kind]}"
-    if cls.carrier is not None:
-        sig = einstein.model_space().signature(cls.carrier)
+    if cls.normals is not None:
+        sig = einstein._carrier_signatures(*cls.normals)
         line += f" carrier_signature=({sig[0]},{sig[1]},{sig[2]})"
     print(line)
     for name, other in ((n1, t2), (n2, t1)):
@@ -356,6 +356,21 @@ def cmd_verify(args):
     return 0 if all(not r["failures"] for r in reports) else 1
 
 
+# points per sampled object: a larger --count exits 2 before anything is
+# drawn.  A torus and a surface at 100,000 points each raise peak RSS by
+# ~45 MB, so ~0.45 GB at this ceiling
+SAMPLE_COUNT_MAX = 1_000_000
+
+
+def _sample_count(text):
+    """argparse type of `sample --count`: an integer in [1, SAMPLE_COUNT_MAX]."""
+    value = _int_at_least(1)(text)
+    if value > SAMPLE_COUNT_MAX:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer <= {SAMPLE_COUNT_MAX}, got {text}")
+    return value
+
+
 def _int_at_least(least):
     """argparse type: an integer >= least."""
     def integer(text):
@@ -393,7 +408,8 @@ def main(argv=None):
 
     p = sub.add_parser("sample", help="export sampled point clouds")
     p.add_argument("config")
-    p.add_argument("--count", type=_int_at_least(1), default=2000)
+    p.add_argument("--count", type=_sample_count, default=2000,
+                   help=f"points per object, 1 to {SAMPLE_COUNT_MAX} (default 2000)")
     p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--format", choices=["csv", "ply"], default="csv")
     p.add_argument("--out", required=True)

@@ -9,7 +9,6 @@ Minkowski space, (v1, v2, v3) -> [(v1, v2, v3, v1^2 + v2^2 - v3^2, 1)],
 land on the null cone with improper point (0, 0, 0, 1, 0).
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -21,10 +20,9 @@ from ein3.linalg import (
     EPS_ALG,
     EPS_RANK,
     GeometryError,
-    QuadSpace,
-    Subspace,
     _orthonormal_columns,
     _raise_first,
+    _zero_tol,
     as_vector,
     inertia,
     projective_normalize,
@@ -39,17 +37,28 @@ GRAM = np.array([
     [0.0, 0.0, 0.0, -0.5, 0.0],
 ])
 
-_SPACE = QuadSpace(GRAM)
+
+def _complement_onb(onb):
+    """Orthonormal basis of the GRAM-orthogonal complement of the span of an
+    orthonormal basis (5, k), or of each of a stack: a nullspace of dim
+    5 - k, as GRAM is nonsingular."""
+    vh = np.linalg.svd(np.swapaxes(onb, -1, -2) @ GRAM)[2]
+    return _orthonormal_columns(np.swapaxes(vh[..., onb.shape[-1]:, :], -1, -2), EPS_RANK)
 
 
-def model_space():
-    """The fixed signature-(3,2) form space housing the model."""
-    return _SPACE
+def _signatures(onb, eps=EPS_RANK):
+    """Inertia (p, q, z) of the form on the span of an orthonormal basis
+    (arrays for a stack)."""
+    return inertia(np.linalg.eigvalsh(np.swapaxes(onb, -1, -2) @ GRAM @ onb), eps)
 
 
-def inner(v, w):
-    """The model form evaluated on two 5-vectors."""
-    return _SPACE.inner(v, w)
+def _unit_frame(onb):
+    """Eigenvectors of the form on the span of an orthonormal basis (of
+    each of a stack), in ambient coordinates, ascending by eigenvalue and
+    scaled to |Q| = 1 (columns of zero eigenvalues keep unit length)."""
+    w, vecs = np.linalg.eigh(np.swapaxes(onb, -1, -2) @ GRAM @ onb)
+    scale = np.where(np.abs(w) > _zero_tol(w, EPS_RANK), np.sqrt(np.abs(w)), 1.0)
+    return (onb @ vecs) / scale[..., None, :]
 
 
 class CausalType(Enum):
@@ -83,11 +92,15 @@ class EinPoint:
 
 
 def _null_points(reps, eps=EPS_ALG):
-    """`EinPoint` over stacked rows: normalized rows, and the null check."""
+    """`EinPoint` over stacked rows: normalized rows, and the null check
+    |Q(u)| <= eps of each unit row u."""
     def message(i):
-        u = reps[i] / np.linalg.norm(reps[i])
-        return f"representative is not null: Q(v) = {u @ GRAM @ u:.3e}"
-    null = _SPACE.is_null(reps, eps)
+        return f"representative is not null: Q(v) = {u[i] @ GRAM @ u[i]:.3e}"
+    norms = np.linalg.norm(reps, axis=-1, keepdims=True)
+    if (norms == 0.0).any():
+        raise GeometryError("zero vector has no causal type")
+    u = reps / norms
+    null = abs(((u @ GRAM) * u).sum(axis=-1)) <= eps
     return projective_normalize(reps), [(~null, message)]
 
 
@@ -129,10 +142,6 @@ class EinsteinTorus:
             return NotImplemented
         return bool(_close(self.normal, other.normal))
 
-    def hyperplane(self):
-        """The 4-dimensional subspace whose null cone projectivizes to the torus."""
-        return _SPACE.orthogonal_complement(Subspace.span(self.normal))
-
     def __repr__(self):
         return f"EinsteinTorus({np.array2string(self.normal, precision=6)})"
 
@@ -141,31 +150,24 @@ class EinsteinTorus:
 class IntersectionClass:
     """Classification of the intersection of two Einstein tori.
 
-    `normals` holds the two unit normals (None for EQUAL).  `carrier`, the
-    3-dimensional orthogonal complement of their span (None for EQUAL), is
-    computed on first read: the kind and eta need no SVD.
+    `normals` holds the two unit normals (None for EQUAL), from which
+    `_carrier_signatures` reads the carrier: the kind and eta need no SVD.
     """
     kind: IntersectionKind
     eta: float
     normals: Optional[tuple] = field(default=None, repr=False, compare=False)
 
-    @functools.cached_property
-    def carrier(self) -> Optional[Subspace]:
-        if self.normals is None:
-            return None
-        return _SPACE.orthogonal_complement(Subspace.span(*self.normals))
-
 
 def _perp_onb(normals):
     """Orthonormal bases of the hyperplanes (j = 1) or carriers (j = 2) of
-    stacked normals (n, 5, j), as `orthogonal_complement` builds them."""
-    return _SPACE.complement_onb(_orthonormal_columns(normals, EPS_RANK))
+    stacked normals (n, 5, j), or of one (5, j)."""
+    return _complement_onb(_orthonormal_columns(normals, EPS_RANK))
 
 
 def _carrier_signatures(n1, n2):
-    """Inertia arrays (p, q, z) of the carriers of stacked normal rows."""
-    return inertia(np.linalg.eigvalsh(_SPACE.restricted_gram(
-        _perp_onb(np.stack([n1, n2], axis=-1)))))
+    """Inertia arrays (p, q, z) of the carriers of stacked normal rows, or
+    the inertia of one pair's carrier."""
+    return _signatures(_perp_onb(np.stack([n1, n2], axis=-1)))
 
 
 def _incident(a, b, eps=EPS_ALG):
@@ -199,7 +201,7 @@ def _causal_rows(p, p0, pinf, eps=EPS_ALG):
     placed = ~(no_patch | same | lightlike | outside)
     sig = np.zeros(np.shape(placed) + (3,), dtype=int)
     onb = _orthonormal_columns(np.stack([p, p0, pinf], axis=-1)[placed], EPS_RANK)
-    sig[placed] = np.stack(inertia(np.linalg.eigvalsh(_SPACE.restricted_gram(onb))), -1)
+    sig[placed] = np.stack(_signatures(onb), -1)
     timelike = (sig == (1, 2, 0)).all(axis=-1)
     spacelike = (sig == (2, 1, 0)).all(axis=-1)
     return np.where(lightlike, 0, np.where(timelike, 1, 2)), [
@@ -228,10 +230,10 @@ def classify_torus_pair(t1, t2, eps=EPS_ALG):
     * eta > 1: a spacelike circle (carrier signature (2,1)),
     * eta = 1: a pair of photons meeting in one point (degenerate carrier).
 
-    The carrier is the 3-dimensional orthogonal complement of span{s1, s2},
-    built when it is first read; the intersection is the projectivized null
-    cone of the carrier.  Equal tori are reported separately (eta would be 1
-    there too).
+    The carrier is the 3-dimensional orthogonal complement of span{s1, s2}
+    (its signature is `_carrier_signatures` of the normals); the
+    intersection is the projectivized null cone of the carrier.  Equal tori
+    are reported separately (eta would be 1 there too).
     """
     if t1 == t2:
         return IntersectionClass(IntersectionKind.EQUAL, 1.0)
@@ -252,10 +254,10 @@ def reflect(s, v):
     """
     s = as_vector(s, 5)
     v = as_vector(v, 5)
-    ss = inner(s, s)
+    ss = float(s @ GRAM @ s)
     if abs(ss) <= EPS_ALG * float(s @ s):
         raise GeometryError("cannot reflect in a null vector")
-    return v - 2.0 * (inner(v, s) / ss) * s
+    return v - 2.0 * (float(v @ GRAM @ s) / ss) * s
 
 
 def triple_lightcone_empty(p, p0, pinf, eps=EPS_RANK):
@@ -270,8 +272,5 @@ def triple_lightcone_empty(p, p0, pinf, eps=EPS_RANK):
     if incident(p, p0) and incident(p, pinf):
         raise GeometryError(
             "degenerate configuration: p is incident to both p0 and pinf")
-    span = Subspace.span(p.rep, p0.rep, pinf.rep)
-    if span.dim < 3:
-        raise GeometryError("reference points do not span a 3-space")
-    comp = _SPACE.orthogonal_complement(span)
-    return _SPACE.signature(comp, eps) == (2, 0, 0)
+    span = _orthonormal_columns(np.column_stack([p.rep, p0.rep, pinf.rep]), EPS_RANK)
+    return _signatures(_complement_onb(span), eps) == (2, 0, 0)

@@ -1,10 +1,10 @@
-"""Small fixed-dimension real linear algebra over bilinear form spaces.
+"""Small fixed-dimension real linear algebra.
 
 Vectors are plain 1-d numpy arrays.  A subspace is the column span of a
 full-rank matrix; two subspaces are equal when their spans coincide up to
-the rank tolerance.  All signature decisions go through a symmetric
-eigendecomposition of the restricted Gram matrix, which is robust at the
-dimensions (<= 6) used in this package.
+the rank tolerance.  All signature decisions go through `inertia` of the
+eigenvalues of a symmetric (restricted Gram) matrix, which is robust at
+the dimensions (<= 6) used in this package.
 """
 
 import math
@@ -136,19 +136,6 @@ class Subspace:
         self.basis = basis
         self.onb = _orthonormal_columns(basis, eps)
 
-    @classmethod
-    def _of_onb(cls, onb):
-        """The span of an `_orthonormal_columns` basis, with no second SVD."""
-        sub = cls.__new__(cls)
-        sub.basis = sub.onb = onb
-        return sub
-
-    @classmethod
-    def span(cls, *vectors):
-        """Subspace spanned by the given vectors (columns)."""
-        cols = [as_vector(v) for v in vectors]
-        return cls(np.column_stack(cols))
-
     @property
     def dim(self):
         return self.onb.shape[1]
@@ -181,86 +168,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-class QuadSpace:
-    """Real vector space with a nondegenerate symmetric bilinear form.
-
-    Parameters
-    ----------
-    gram : (n, n) array-like
-        Symmetric nonsingular Gram matrix of the form.
-    """
-
-    def __init__(self, gram, eps=EPS_RANK):
-        gram = np.asarray(gram, dtype=float)
-        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-            raise GeometryError("gram must be a square matrix")
-        if not np.allclose(gram, gram.T, atol=eps):
-            raise GeometryError("gram matrix must be symmetric")
-        if abs(np.linalg.det(gram)) <= eps:
-            raise GeometryError("gram matrix must be nonsingular")
-        self.gram = 0.5 * (gram + gram.T)
-        self.dim = gram.shape[0]
-
-    def inner(self, v, w):
-        """Evaluate the bilinear form on a pair of vectors."""
-        v = as_vector(v, self.dim)
-        w = as_vector(w, self.dim)
-        return float(v @ self.gram @ w)
-
-    def is_null(self, v, eps=EPS_ALG):
-        """Whether a vector (each row of a stack) is null: |Q(u)| <= eps."""
-        v = as_vector(v, self.dim) if np.ndim(v) < 2 else np.asarray(v, dtype=float)
-        nv = np.linalg.norm(v, axis=-1, keepdims=True)
-        if (nv == 0.0).any():
-            raise GeometryError("zero vector has no causal type")
-        u = v / nv
-        return abs(((u @ self.gram) * u).sum(axis=-1)) <= eps
-
-    def restricted_gram(self, sub):
-        """The form on a subspace, or on each orthonormal basis of a stack."""
-        b = sub.onb if isinstance(sub, Subspace) else sub
-        return np.swapaxes(b, -1, -2) @ self.gram @ b
-
-    def signature(self, sub=None, eps=EPS_RANK):
-        """Inertia (p, q, z) of the form restricted to a subspace.
-
-        Returns the number of positive, negative and (within tolerance) zero
-        eigenvalues of the restricted Gram matrix; p + q + z = dim(sub).
-        A degenerate restriction (z > 0) is a legal output.
-        """
-        if sub is None:
-            g = self.gram
-        else:
-            if sub.ambient_dim != self.dim:
-                raise GeometryError("subspace has wrong ambient dimension")
-            g = self.restricted_gram(sub)
-        return inertia(np.linalg.eigvalsh(g), eps)
-
-    def unit_frame(self, sub, eps=EPS_RANK):
-        """Ascending eigenvalues w of the form on a subspace, with the
-        matching eigenvectors in ambient coordinates scaled to |Q| = 1
-        (columns of zero eigenvalues keep unit length); also over a stack."""
-        w, vecs = np.linalg.eigh(self.restricted_gram(sub))
-        scale = np.where(np.abs(w) > _zero_tol(w, eps), np.sqrt(np.abs(w)), 1.0)
-        b = sub.onb if isinstance(sub, Subspace) else sub
-        return w, (b @ vecs) / scale[..., None, :]
-
-    def orthogonal_complement(self, sub, eps=EPS_RANK):
-        """All vectors orthogonal (for the form) to a subspace."""
-        if sub.ambient_dim != self.dim:
-            raise GeometryError("subspace has wrong ambient dimension")
-        if sub.dim == 0:
-            return Subspace(np.eye(self.dim))
-        return Subspace._of_onb(self.complement_onb(sub.onb, eps))
-
-    def complement_onb(self, onb, eps=EPS_RANK):
-        """Orthonormal basis of the complement of the span of an orthonormal
-        basis (n, k), or of each of a stack: a nullspace of dim n - k, as
-        the form is nonsingular."""
-        vh = np.linalg.svd(np.swapaxes(onb, -1, -2) @ self.gram)[2]
-        return _orthonormal_columns(np.swapaxes(vh[..., onb.shape[-1]:, :], -1, -2), eps)
 
 
 def nullspace(a, eps=EPS_RANK):

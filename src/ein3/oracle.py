@@ -69,10 +69,10 @@ def random_unit_spacelike(rng):
         return rng.normal(size=5)
 
     def accept(v):
-        return einstein.inner(v, v) > 1e-3 * float(v @ v)
+        return float(v @ einstein.GRAM @ v) > 1e-3 * float(v @ v)
 
     v = _retrying(make, accept)
-    return v / math.sqrt(einstein.inner(v, v))
+    return v / math.sqrt(float(v @ einstein.GRAM @ v))
 
 
 def _symplectic_exp(space, s):
@@ -168,8 +168,8 @@ def _torus_points(frame, alphas, betas):
     one per angle pair, along a new last axis.  frame is the unit frame
     (n1, n2, p1, p2) of the torus hyperplane (or a stack of them, with a
     row of angles each), negatives first as
-    `unit_frame` sorts them; every such vector is null, and the two angles
-    sweep the torus."""
+    `einstein._unit_frame` sorts them; every such vector is null, and the
+    two angles sweep the torus."""
     n1, n2, p1, p2 = np.moveaxis(frame[..., None, :, :], -1, 0)
     a = np.asarray(alphas)[..., None]
     b = np.asarray(betas)[..., None]
@@ -177,7 +177,7 @@ def _torus_points(frame, alphas, betas):
 
 
 def _torus_frame(torus):
-    return einstein.model_space().unit_frame(torus.hyperplane())[1]
+    return einstein._unit_frame(einstein._perp_onb(torus.normal[:, None]))
 
 
 def sample_torus(torus, n, rng):
@@ -695,10 +695,10 @@ def suite_torus_trichotomy(trials=1000, seed=7):
             normals, thetas, angles = (np.array(a) for a in zip(*kept))
             s1, s2 = normals.swapaxes(0, 1)
             sigs = np.stack(einstein._carrier_signatures(s1, s2), -1).tolist()
-            frames = einstein.model_space().unit_frame(einstein._perp_onb(s1[..., None]))[1]
+            frames = einstein._unit_frame(einstein._perp_onb(s1[..., None]))
             curve = _intersection_curve(frames, s2)
             # sampled intersection points lie on both tori: <x, s1>, <x, s2>
-            # and <x, x> at each unit point, as `einstein.inner` forms them
+            # and <x, x> at each unit point, as `float(x @ GRAM @ y)` forms them
             x = _unit_rows(curve(angles))
             xg = x[..., None, :] @ einstein.GRAM
             residuals = abs(np.concatenate([xg @ s1[:, None, :, None], xg @ s2[:, None, :, None],

@@ -11,6 +11,11 @@ from ein3.linalg import (EPS_ALG, EPS_RANK, GeometryError, Subspace, _intersecti
 from ein3.symplectic import PAIRS, Plane2, _lagrangian_points
 
 
+def inner(v, w):
+    """The model form evaluated on two 5-vectors."""
+    return float(as_vector(v, 5) @ einstein.GRAM @ as_vector(w, 5))
+
+
 def omega0(x, y):
     """The area form on V0: omega0(x, y) = x^T J y."""
     return float(_omega0_cells(as_vector(x, 2), as_vector(y, 2))[0, 0])

@@ -501,6 +501,38 @@ def test_sample_csv_and_ply(tmp_path, capsys):
     assert len(content) - header_end - 1 == n
 
 
+# sha256 of the CSV that `sample` writes for one torus and one ads_plane at
+# --count 300 --seed 11, taken before the torus frame moved to
+# `einstein._unit_frame`; a change that moves a sampled point changes it
+_SAMPLE_CSV_SHA256 = "9d1899068c5cb0d9259df073958bcaf81ab61d185b77120c2409c13a5ee3b48f"
+
+
+def test_sample_csv_bytes_are_pinned(tmp_path, capsys):
+    import hashlib
+
+    doc = {"objects": {
+        "T": {"type": "torus", "normal": [2, 0, 0, 3, 1]},
+        "A": {"type": "ads_plane", "base": [[1, 0], [0, 1]], "a": [1, 0], "b": [0, 1]},
+    }}
+    out_csv = tmp_path / "cloud.csv"
+    code, out, _ = run(["sample", write_config(tmp_path, doc), "--count", "300",
+                        "--seed", "11", "--out", str(out_csv)], capsys)
+    assert code == 0
+    assert out == f"wrote 600 points to {out_csv}\n"
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == _SAMPLE_CSV_SHA256
+
+
+@pytest.mark.parametrize("count", [str(cli.SAMPLE_COUNT_MAX + 1), "10000000000000"])
+def test_sample_count_above_the_ceiling_exits_2(count, tmp_path, capsys):
+    doc = {"objects": {"T": {"type": "torus", "normal": [1, 0, 0, 0, 0]}}}
+    out_csv = tmp_path / "cloud.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sample", write_config(tmp_path, doc), "--count", count,
+                  "--out", str(out_csv)])
+    assert exc.value.code == 2
+    assert f"expected an integer <= 1000000, got {count}" in capsys.readouterr().err
+    assert not out_csv.exists()
+
 @pytest.mark.parametrize("name", ["T,1\nend_header", "T\r1", "T\t1", "T\x7f", "T\x85"])
 def test_a_name_with_a_control_character_exits_2(tmp_path, capsys, name):
     doc = {"objects": {name: {"type": "torus", "normal": [1, 0, 0, 0, 0]}}}

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from ein3 import einstein
 from ein3 import symplectic as S
 from ein3.linalg import GeometryError
 from ein3.oracle import make_rng
 
 from draws import random_lagrangian, random_nondegenerate_plane, random_splitting
-from references import bivector_to_plane, plane_intersection_dim
+from references import bivector_to_plane, inner, plane_intersection_dim
 
 SP = S.standard_space()
 E4 = np.eye(4)
@@ -244,7 +243,7 @@ def test_lagrangian_in_torus_matches_model():
         # model check: the point is orthogonal to the torus normal
         point = SP.to_einstein(SP.plucker(l))
         normal = S.torus_from_plane(SP, split.s).normal
-        val = einstein.inner(point / np.linalg.norm(point), normal)
+        val = inner(point / np.linalg.norm(point), normal)
         if member:
             hits += 1
             assert abs(val) < 1e-7
@@ -304,7 +303,7 @@ def test_bridge_isometry():
                 b -= (b @ space._omega_fun) / (space.omega_star @ space._omega_fun) \
                     * space.omega_star
             lhs = space.wedge(b1, b2)
-            rhs = einstein.inner(space.to_einstein(b1), space.to_einstein(b2))
+            rhs = inner(space.to_einstein(b1), space.to_einstein(b2))
             assert lhs == pytest.approx(rhs, abs=1e-10)
             assert np.allclose(space.bridge[1] @ space.to_einstein(b1), b1,
                                atol=1e-10)
