@@ -22,7 +22,6 @@ significant digits; diagnostics go to stderr.
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -53,9 +52,10 @@ class Config:
         if not isinstance(doc, dict):
             raise ConfigError("configuration must be a JSON object")
         self.eps_alg = eps_alg if eps_alg is not None else doc.get("eps_alg", linalg.EPS_ALG)
-        if isinstance(self.eps_alg, bool) or not (
-                isinstance(self.eps_alg, (int, float)) and 0 < self.eps_alg < math.inf):
+        if isinstance(self.eps_alg, bool) or not (  # an int compares exactly, so none overflows
+                isinstance(self.eps_alg, (int, float)) and 0 < self.eps_alg <= sys.float_info.max):
             raise ConfigError(f"eps_alg must be a finite positive number, got {self.eps_alg!r}")
+        self.eps_alg = float(self.eps_alg)
         self.seed = seed if seed is not None else doc.get("seed", 7)
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")

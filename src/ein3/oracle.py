@@ -27,8 +27,6 @@ from ein3.symplectic import Plane2
 
 EPS_GEO = 1e-6
 
-RETRY_LIMIT = 10_000
-
 
 def make_rng(seed):
     """Deterministic generator; identical seeds reproduce identical streams."""
@@ -39,20 +37,12 @@ class RetryExhausted(GeometryError):
     """Rejection sampling failed to produce a valid object."""
 
 
-def _retrying(make, accept):
-    for _ in range(RETRY_LIMIT):
-        obj = make()
-        if accept(obj):
-            return obj
-    raise RetryExhausted(f"no valid sample in {RETRY_LIMIT} attempts")
-
-
-# candidates `_blocks` may draw per trial: a suite gives up only when fewer
-# than one in ten is accepted.  A candidate is skipped whole when any of its
-# bases or bands fails.  Over seeds 1-20 at default trials eta-bridge keeps
-# 79.8% of its candidates (76.8% on its lowest seed), symplectic-identities
-# 80.3% (77.6%), ads-equivalence 98.8% (98.3%), and the other five suites
-# all of them: the lowest, 76.8%, is far above one in ten
+# candidates `_blocks` may draw per trial, every suite's one budget: a suite
+# gives up only when fewer than one in ten is accepted.  Over seeds 1-20 at
+# default trials torus-trichotomy keeps 45.3% of its candidates (44.3% on
+# its lowest seed), eta-bridge 79.8% (76.8%), symplectic-identities 80.3%
+# (77.6%), ads-equivalence 98.8% (98.3%), surface-disjointness 99.9% of its
+# AdS chunks (99.5%), and the other three suites all of them
 ATTEMPTS_PER_TRIAL = 10
 
 # trials per block of a stacked suite's check stage
@@ -62,18 +52,6 @@ _ORACLE_BLOCK = 128
 # ---------------------------------------------------------------------------
 # random objects
 # ---------------------------------------------------------------------------
-
-def random_unit_spacelike(rng):
-    """Unit spacelike vector of the null-cone model space."""
-    def make():
-        return rng.normal(size=5)
-
-    def accept(v):
-        return float(v @ einstein.GRAM @ v) > 1e-3 * float(v @ v)
-
-    v = _retrying(make, accept)
-    return v / math.sqrt(float(v @ einstein.GRAM @ v))
-
 
 def _symplectic_exp(space, s):
     """expm of the Hamiltonian matrices of symmetrized draws s (slice by slice)."""
@@ -369,22 +347,6 @@ def _probe_kind(curve, thetas, q):
         f"probe tangents disagree: Q/|t|^2 from {q.min():.3e} to {q.max():.3e}")
 
 
-def probe_intersection_type(t1, t2, n, rng):
-    """Sampled classification of the intersection of two distinct tori.
-
-    Solves for the intersection along torus 1's own angles
-    (`_intersection_curve`) and classifies the causal character of its
-    finite-difference tangents at n sampled points by the sign of the
-    form (`_probe_kind`).  Reads neither eta nor the carrier used by
-    `einstein.classify_torus_pair`.
-    """
-    if t1 == t2:
-        raise GeometryError("probe requires distinct tori")
-    curve = _intersection_curve(_torus_frame(t1)[None], t2.normal[None])
-    thetas = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    return _probe_kind(curve, thetas, _tangent_forms(curve, thetas)[0])
-
-
 # ---------------------------------------------------------------------------
 # constructions used by the suites
 # ---------------------------------------------------------------------------
@@ -402,30 +364,6 @@ def _ads_arrays(z):
     margins = ads._margin_array(np.eye(2), y, f, x)
     apart = (abs(ads._omega0_cells(units[:, :, 0], units[:, :, 1])) > 1e-2).all(axis=(1, 2, 3))
     return units, f, np.where(apart[:, None, None], margins, np.nan)
-
-
-def _ads_planes(units, f):
-    return ads.AdsCrookedPlane(np.eye(2), *units[0]), ads.AdsCrookedPlane(f, *units[1])
-
-
-def disjoint_ads_pair(rng):
-    """Random AdS crooked plane pair certified disjoint with healthy margins.
-
-    Draws chunks of _ORACLE_BLOCK candidates (`_ads_arrays`) in one rng
-    call each and returns the first candidate whose four reduced
-    inequalities all hold with margin above 1e-2, as planes, whose
-    validation cannot fail (|omega0(a, b)| > 1e-2 makes the directions
-    independent, and det exp(traceless) = 1).  Raises RetryExhausted after
-    RETRY_LIMIT candidates.
-    """
-    for start in range(0, RETRY_LIMIT, _ORACLE_BLOCK):
-        units, f, margins = _ads_arrays(
-            rng.normal(size=(min(_ORACLE_BLOCK, RETRY_LIMIT - start), 6, 2)))
-        passed = margins.min(axis=(1, 2)) > 1e-2
-        if passed.any():
-            i = int(passed.argmax())
-            return _ads_planes(units[i], f[i].copy())  # no view keeps the chunk alive
-    raise RetryExhausted(f"no valid sample in {RETRY_LIMIT} attempts")
 
 
 def _stem_point(rng):
@@ -557,7 +495,10 @@ def _photon_crossings(space, units, columns):
     p of `space` and the (n, 4, 4) columns of quadrilaterals Q, the (n, 4)
     second generators w of the first candidate span{p, w} that
     `crooked._quad_regions` puts on the surface of Q, and the (n,) mask of
-    the rows that have one (see `photon_crossing_oracle`)."""
+    the rows that have one; no sign inequality is read.  Every surface point
+    meets P+, P- (wings) or S1, S2 (stem) in a line, and along the circle
+    span{p, cos t w1 + sin t w2} that incidence, the Pluecker minor of
+    Q^-1 [p, w], is a cos t + b sin t: each plane is met at atan2(-a, b)."""
     n = len(units)
     w1, w2 = _second_generators(space, units)
     k = np.linalg.solve(columns, np.stack([units, w1, w2], axis=-1))
@@ -570,25 +511,6 @@ def _photon_crossings(space, units, columns):
     on = np.logical_or.reduce(crooked._quad_regions(
         np.repeat(columns, 4, axis=0), bases.reshape(4 * n, 4, 2), EPS_ALG)).reshape(n, 4)
     return ws[np.arange(n), on.argmax(axis=1)], on.any(axis=1)
-
-
-def photon_crossing_oracle(p, surface):
-    """A surface point on the photon of p, found without the sign
-    inequalities; None when the photon misses the surface.
-
-    Every surface point meets one of P+, P- (wings) or S1, S2 (stem) in a
-    line.  Along the circle of Lagrangians span{p, cos t w1 + sin t w2}
-    through p, the incidence with each of these planes is the Pluecker
-    minor 13, 02, 12 or 03 of Q^-1 [p, w] over the quadrilateral Q, which
-    is linear in w: a cos t + b sin t, so each plane is met at
-    t = atan2(-a, b).  The first of the four candidates that
-    `crooked._quad_regions` puts on the surface is returned.  This is the
-    one-row call of `_photon_crossings`.
-    """
-    p = np.asarray(p, dtype=float)
-    p = p / np.linalg.norm(p)
-    w, hit = _photon_crossings(surface.space, p[None], surface.quad.columns[None])
-    return Plane2.span(surface.space, p, w[0]) if hit[0] else None
 
 
 def _crossing_residual(space, p, onb):
@@ -660,12 +582,42 @@ def _surface_checks(space, rows):
     return check
 
 
+def _ads_pairs(space, units, f):
+    """Quadrilateral rows (n, 2, 4, 4) of AdS plane pairs from directions
+    units (n, 2, 2, 2), rows (a, b) per plane, and bases f (n, 2, 2) of the
+    second (the first's is I); check(i) runs both `AdsCrookedPlane`
+    constructors' checks, then `_surface_checks`, on trial i."""
+    rows = ads._quad_rows(np.stack([np.broadcast_to(np.eye(2), f.shape), f], 1),
+                          units[..., 0, :], units[..., 1, :])
+    surface, unit_lists, f_lists = _surface_checks(space, rows), units.tolist(), f.tolist()
+
+    def check(i):
+        ads._check_independent(*unit_lists[i][0])
+        ads._check_sl2(f_lists[i], EPS_ALG)
+        ads._check_independent(*unit_lists[i][1])
+        surface(i)
+
+    return rows, check
+
+
+def _torus_screen(normals):
+    """torus-trichotomy's decision on stacked normal pairs (n, 2, 5): both
+    with Q(v) > 1e-3 |v|^2, and eta of the unit normals outside the declared
+    band |eta - 1| < 1e-6, which holds equal tori too (eta = 1)."""
+    q = ((normals @ einstein.GRAM) * normals).sum(-1)
+    spacelike = q > 1e-3 * (normals * normals).sum(-1)
+    units = normals / np.sqrt(np.where(spacelike, q, 1.0))[..., None]
+    eta = abs(((units[:, 0] @ einstein.GRAM) * units[:, 1]).sum(-1))
+    return spacelike.all(-1) & (abs(eta - 1.0) >= 1e-6)
+
+
 def suite_torus_trichotomy(trials=1000, seed=7):
     """Torus-pair trichotomy: kind vs. eta, carrier signature, and the
-    sampled causal character of the intersection curve.  Each draw makes
-    the tori, their class (the band and the kind decide what is drawn
-    next), 32 probe angles and 4 point angles; carriers, frames, probe
-    tangents and curve points are then read a block at a time."""
+    sampled causal character of the intersection curve.  A candidate draws
+    two normals, 32 probe angles and 4 point angles, whatever is decided;
+    a chunk keeps the pairs that `_torus_screen` passes.  Each kept trial
+    builds its two `EinsteinTorus` and `classify_torus_pair`; carriers,
+    frames, probe tangents and curve points are read a block at a time."""
     rng = make_rng([seed, 1])
     expected_sig = {
         IntersectionKind.TIMELIKE_CIRCLE: (1, 2, 0),
@@ -673,42 +625,34 @@ def suite_torus_trichotomy(trials=1000, seed=7):
     }
 
     def draw():
-        t1 = EinsteinTorus(random_unit_spacelike(rng))
-        t2 = EinsteinTorus(random_unit_spacelike(rng))
-        if t1 == t2:
-            return None
-        cls = einstein.classify_torus_pair(t1, t2)
-        if abs(cls.eta - 1.0) < 1e-6:
-            return None  # declared ambiguity band
-        want = (IntersectionKind.SPACELIKE_CIRCLE if cls.eta > 1.0
-                else IntersectionKind.TIMELIKE_CIRCLE)
-        if cls.kind is not want:
-            return cls, None
-        return cls, (rng.uniform(0.0, 2.0 * np.pi, size=32),
-                     rng.uniform(0.0, 2.0 * np.pi, size=4))
+        return (rng.normal(size=(2, 5)), rng.uniform(0.0, 2.0 * np.pi, size=32),
+                rng.uniform(0.0, 2.0 * np.pi, size=4))
+
+    def screen(draws):
+        return _kept(draws, _torus_screen(np.array([d[0] for d in draws])))
 
     failures = []
     max_violation = 0.0
-    for first, block in _blocks(trials, draw):
-        kept = [(cls.normals, *angles) for cls, angles in block if angles]
-        if kept:
-            normals, thetas, angles = (np.array(a) for a in zip(*kept))
-            s1, s2 = normals.swapaxes(0, 1)
-            sigs = np.stack(einstein._carrier_signatures(s1, s2), -1).tolist()
-            frames = einstein._unit_frame(einstein._perp_onb(s1[..., None]))
-            curve = _intersection_curve(frames, s2)
-            # sampled intersection points lie on both tori: <x, s1>, <x, s2>
-            # and <x, x> at each unit point, as `float(x @ GRAM @ y)` forms them
-            x = _unit_rows(curve(angles))
-            xg = x[..., None, :] @ einstein.GRAM
-            residuals = abs(np.concatenate([xg @ s1[:, None, :, None], xg @ s2[:, None, :, None],
-                                            xg @ x[..., :, None]], -1)).max(-1)[..., 0].tolist()
-            rows = zip(sigs, frames, thetas, _tangent_forms(curve, thetas), residuals)
-        for k, (cls, angles) in enumerate(block, first):
-            if not angles:
+    for first, block in _blocks(trials, draw, screen):
+        classes = [einstein.classify_torus_pair(EinsteinTorus(v1), EinsteinTorus(v2))
+                   for (v1, v2), _, _ in block]
+        s1, s2 = np.array([cls.normals for cls in classes]).swapaxes(0, 1)
+        _, thetas, angles = (np.array(a) for a in zip(*block))
+        sigs = np.stack(einstein._carrier_signatures(s1, s2), -1).tolist()
+        frames = einstein._unit_frame(einstein._perp_onb(s1[..., None]))
+        curve = _intersection_curve(frames, s2)
+        # sampled intersection points lie on both tori: <x, s1>, <x, s2>
+        # and <x, x> at each unit point, as `float(x @ GRAM @ y)` forms them
+        x = _unit_rows(curve(angles))
+        xg = x[..., None, :] @ einstein.GRAM
+        residuals = abs(np.concatenate([xg @ s1[:, None, :, None], xg @ s2[:, None, :, None],
+                                        xg @ x[..., :, None]], -1)).max(-1)[..., 0].tolist()
+        rows = zip(classes, sigs, frames, thetas, _tangent_forms(curve, thetas), residuals)
+        for k, (cls, sig, frame, theta, q, residuals) in enumerate(rows, first):
+            if cls.kind is not (IntersectionKind.SPACELIKE_CIRCLE if cls.eta > 1.0
+                                else IntersectionKind.TIMELIKE_CIRCLE):
                 failures.append(f"trial {k}: kind {cls.kind} vs eta {cls.eta}")
                 continue
-            sig, frame, theta, q, residuals = next(rows)
             if tuple(sig) != expected_sig[cls.kind]:
                 failures.append(f"trial {k}: carrier signature {tuple(sig)} for {cls.kind}")
             s2 = cls.normals[1]
@@ -1055,7 +999,7 @@ def suite_photon_avoidance(trials=1000, seed=7):
         regions, checks = crooked._lagrangian_regions(space, columns[need], onb, EPS_ALG)
         on = np.logical_or.reduce(regions)
         kept, witnesses = [], iter(range(len(onb)))
-        for i, oracle_unit in enumerate(_unit_rows(p)):  # as `photon_crossing_oracle` takes p
+        for i, oracle_unit in enumerate(_unit_rows(p)):  # the oracle normalizes p again
             check(i)
             if skip[i]:
                 continue
@@ -1091,13 +1035,14 @@ def suite_photon_avoidance(trials=1000, seed=7):
 def suite_surface_disjointness(trials=200, seed=7):
     """Sixteen-inequality verdicts against sampled chordal gaps.
 
-    A disjoint trial draws a `disjoint_ads_pair` (a chunk of 128 AdS
-    candidates per rng call) and both surfaces' `sample_surface` draws,
-    whatever its verdict; an intersecting one, an `_intersecting_draw`.  A block
-    then builds its quadrilaterals stacked, runs the scalar closed-form
-    checks in trial order and reads the stacked sixteen margins; a passing
-    disjoint pair's clouds and gap are built one pair at a time, and an
-    intersecting pair's shared point is checked on both surfaces."""
+    A disjoint candidate draws _ORACLE_BLOCK AdS candidates in one rng call
+    (`_ads_arrays`), keeps the first whose margins pass 1e-2, if any, and
+    draws both surfaces' `sample_surface` draws, whatever the verdict; an
+    intersecting one, an `_intersecting_draw`.  A block then builds its
+    quadrilaterals stacked, runs the scalar closed-form checks in trial
+    order and reads the stacked sixteen margins; a passing disjoint pair's
+    clouds and gap are built one pair at a time, and an intersecting pair's
+    shared point is checked on both surfaces."""
     rng = make_rng([seed, 6])
     space = ads.ads_space()
     std = symplectic.standard_space()
@@ -1105,16 +1050,19 @@ def suite_surface_disjointness(trials=200, seed=7):
     min_disjoint_gap = math.inf
 
     def disjoint_draw():
-        return (*disjoint_ads_pair(rng), _cloud_draws(rng, 320), _cloud_draws(rng, 320))
+        units, f, margins = _ads_arrays(rng.normal(size=(_ORACLE_BLOCK, 6, 2)))
+        passed = np.flatnonzero(margins.min(axis=(1, 2)) > 1e-2)
+        if not passed.size:
+            return None
+        i = passed[0]  # copied, so that no view keeps the chunk alive
+        return units[i].copy(), f[i].copy(), _cloud_draws(rng, 320), _cloud_draws(rng, 320)
 
     def sixteen_pass(space, rows):
         return crooked._avoids(*crooked._sixteen_margins(rows.swapaxes(-1, -2), space.matrix),
                                EPS_ALG).all(axis=(1, 2))
 
     for first, block in _blocks(trials, disjoint_draw):
-        rows = ads._quad_rows(*(np.array([[getattr(p, name) for p in pair[:2]] for pair in block])
-                                for name in ("base", "a", "b")))
-        check = _surface_checks(space, rows)
+        rows, check = _ads_pairs(space, *(np.array(v) for v in zip(*(r[:2] for r in block))))
         passed = sixteen_pass(space, rows)
         for k, i in enumerate(range(len(block)), first - 1):
             check(i)
@@ -1207,24 +1155,15 @@ def suite_ads_equivalence(trials=1000, seed=7):
         return _kept(list(zip(units, f)), abs(margins).min(axis=(1, 2)) > 1e-6)
 
     for first, block in _blocks(trials, lambda: rng.normal(size=(6, 2)), screen):
-        # units (n, 2, 2, 2): the directions (a, b) of each plane, as rows
         units, f = (np.array(v) for v in zip(*block))
-        bases = np.stack([np.broadcast_to(base, f.shape), f], 1)
         with np.errstate(all="ignore"):  # a row that fails its checks raises below
-            rows = ads._quad_rows(bases, units[..., 0, :], units[..., 1, :])
-            check = _surface_checks(space, rows)
+            rows, check = _ads_pairs(space, units, f)
         finite = np.isfinite(rows).all(axis=(1, 2, 3)).tolist()  # and so units and f
-        f_lists, unit_lists = f.tolist(), units.tolist()
         for i in range(len(block)):
             if not finite[i]:  # the scalar constructors raise their error
                 planes = [ads.AdsCrookedPlane(m, *d) for m, d in zip((base, f[i]), units[i])]
                 for plane in planes:
                     crooked.CrookedSurface(ads.ads_quadrilateral(plane))
-            # the constructors' checks, in their order: planes, then
-            # quadrilaterals and surfaces
-            ads._check_independent(*unit_lists[i][0])
-            ads._check_sl2(f_lists[i], EPS_ALG)
-            ads._check_independent(*unit_lists[i][1])
             check(i)
         y, xp = units.swapaxes(-1, -2).swapaxes(0, 1)
         four = (ads._margin_array(base, y, f, xp) > EPS_ALG).all(axis=(1, 2)).tolist()

@@ -2,9 +2,13 @@
 quadrilaterals and surface pairs that tests build from the suites' own
 draws and screens."""
 
+import math
+
 import numpy as np
 
+from ein3 import ads
 from ein3 import crooked as C
+from ein3 import einstein as E
 from ein3 import oracle as O
 from ein3.symplectic import Plane2, Splitting
 
@@ -49,7 +53,35 @@ def random_ads_config(rng):
     z = _first(lambda: rng.normal(size=(6, 2)),
                lambda z: np.isfinite(O._ads_arrays(z)[2]).all(axis=(1, 2)))
     units, f, _ = O._ads_arrays(z[None])
-    return O._ads_planes(units[0], f[0])
+    return _ads_planes(units[0], f[0])
+
+
+def _ads_planes(units, f):
+    return ads.AdsCrookedPlane(np.eye(2), *units[0]), ads.AdsCrookedPlane(f, *units[1])
+
+
+def disjoint_ads_pair(rng):
+    """Random AdS crooked plane pair certified disjoint with healthy margins:
+    surface-disjointness' draw of one pair, a chunk of _ORACLE_BLOCK
+    `oracle._ads_arrays` candidates in one rng call per candidate, kept when
+    one of them has all four margins above 1e-2; the first such is built."""
+    def passes(z):  # of stacked chunks (..., _ORACLE_BLOCK, 6, 2)
+        margins = O._ads_arrays(z.reshape(-1, 6, 2))[2]
+        return margins.min(axis=(1, 2)).reshape(z.shape[:-2]) > 1e-2
+
+    z = _first(lambda: rng.normal(size=(O._ORACLE_BLOCK, 6, 2)), lambda c: passes(c).any(-1))
+    units, f, _ = O._ads_arrays(z)
+    i = int(passes(z).argmax())
+    return _ads_planes(units[i], f[i])
+
+
+def random_unit_spacelike(rng):
+    """Unit spacelike vector of the null-cone model space: one normal of
+    torus-trichotomy's draw, kept when Q(v) > 1e-3 |v|^2, as
+    `oracle._torus_screen` keeps both."""
+    v = _first(lambda: rng.normal(size=5),
+               lambda c: np.array([float(v @ E.GRAM @ v) > 1e-3 * float(v @ v) for v in c]))
+    return v / math.sqrt(float(v @ E.GRAM @ v))
 
 
 def random_quadrilateral(space, rng):

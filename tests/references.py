@@ -5,6 +5,7 @@ build."""
 import numpy as np
 
 from ein3 import einstein
+from ein3 import oracle as O
 from ein3.ads import _omega0_cells
 from ein3.linalg import (EPS_ALG, EPS_RANK, GeometryError, Subspace, _intersection_dims,
                          _raise_first, _singular, as_vector, nullspace)
@@ -92,3 +93,29 @@ def classify_point(p, p0, pinf, eps=EPS_ALG):
     index, checks = einstein._causal_rows(p.rep, p0.rep, pinf.rep, eps)
     _raise_first(checks)
     return einstein._CAUSAL[index]
+
+
+def probe_intersection_type(t1, t2, n, rng):
+    """Sampled classification of the intersection of two distinct tori.
+
+    Solves for the intersection along torus 1's own angles
+    (`_intersection_curve`) and classifies the causal character of its
+    finite-difference tangents at n sampled points by the sign of the
+    form (`_probe_kind`).  Reads neither eta nor the carrier used by
+    `einstein.classify_torus_pair`.
+    """
+    if t1 == t2:
+        raise GeometryError("probe requires distinct tori")
+    curve = O._intersection_curve(O._torus_frame(t1)[None], t2.normal[None])
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    return O._probe_kind(curve, thetas, O._tangent_forms(curve, thetas)[0])
+
+
+def photon_crossing_oracle(p, surface):
+    """A surface point on the photon of p, found without the sign
+    inequalities; None when the photon misses the surface: the one-row
+    call of `oracle._photon_crossings`."""
+    p = np.asarray(p, dtype=float)
+    p = p / np.linalg.norm(p)
+    w, hit = O._photon_crossings(surface.space, p[None], surface.quad.columns[None])
+    return Plane2.span(surface.space, p, w[0]) if hit[0] else None

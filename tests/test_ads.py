@@ -8,7 +8,7 @@ from ein3.linalg import GeometryError
 from ein3.oracle import make_rng
 from ein3.symplectic import Plane2
 
-from draws import random_ads_config
+from draws import disjoint_ads_pair, random_ads_config
 from references import omega0
 
 SP = A.ads_space()
@@ -293,7 +293,6 @@ def reference_dgk_margins(p1, p2):
 
 
 def test_ads_and_dgk_margins_match_the_scalar_reference():
-    from ein3.oracle import disjoint_ads_pair
     rng = make_rng(30)
     disjoint = 0
     pairs = [random_ads_config(rng) for _ in range(200)]
@@ -323,7 +322,6 @@ def test_ads_and_dgk_margins_match_the_scalar_reference():
 
 def _seeded_ads_pairs(n=520):
     """Alternating `random_ads_config` and `disjoint_ads_pair` draws."""
-    from ein3.oracle import disjoint_ads_pair
     rng = make_rng(31)
     return [disjoint_ads_pair(rng) if k % 2 else random_ads_config(rng) for k in range(n)]
 

@@ -4,7 +4,9 @@ A caller is code of the package outside the definition itself, the
 benchmark harness under perfbench/, or the tuple of library entry points
 below.  A name counts as it appears in the syntax tree (a Name or an
 Attribute node, not a docstring); perfbench also names what it traces in
-strings such as "oracle.min_gap".
+strings, and such a string counts only when it is a definition's full
+trace name, module then qualified name, such as "oracle.min_gap" or
+"symplectic.SympSpace.transverse".
 """
 
 import ast
@@ -41,22 +43,23 @@ def _names(tree):
 
 
 def _callers():
-    """The names of the package, per module, and those of the benchmark."""
+    """The names of the package, per module, and those of the benchmark: the
+    names of its syntax trees, and its strings."""
     package = {path.stem: _names(ast.parse(path.read_text()))
                for path in (ROOT / "src" / "ein3").glob("*.py")}
-    bench = set()
+    names, strings = set(), set()
     for path in (ROOT / "perfbench").glob("*.py"):
         tree = ast.parse(path.read_text())
-        bench.update(name for _, name in _names(tree))
-        bench.update(part for n in ast.walk(tree)
-                     if isinstance(n, ast.Constant) and isinstance(n.value, str)
-                     for part in n.value.split("."))
-    return package, bench
+        names.update(name for _, name in _names(tree))
+        strings.update(n.value for n in ast.walk(tree)
+                       if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    return package, (names, strings)
 
 
-def _called(module, node, package, bench):
+def _called(module, qualname, node, package, bench):
     """Whether a definition's name is used outside the definition itself."""
-    return node.name in bench or any(
+    bench_names, bench_strings = bench
+    return node.name in bench_names or f"{module}.{qualname}" in bench_strings or any(
         used == node.name and not (where == module and node.lineno <= line <= node.end_lineno)
         for where, names in package.items() for line, used in names)
 
@@ -64,14 +67,15 @@ def _called(module, node, package, bench):
 def test_every_public_function_has_a_caller():
     package, bench = _callers()
     uncalled = [f"{module}.{qualname}" for module, qualname, node in _public_definitions()
-                if not (_called(module, node, package, bench) or node.name in ENTRY_POINTS)]
+                if not (_called(module, qualname, node, package, bench)
+                        or node.name in ENTRY_POINTS)]
     assert uncalled == []
 
 
 def test_no_entry_point_has_a_caller():
     package, bench = _callers()
     called = [f"{module}.{qualname}" for module, qualname, node in _public_definitions()
-              if node.name in ENTRY_POINTS and _called(module, node, package, bench)]
+              if node.name in ENTRY_POINTS and _called(module, qualname, node, package, bench)]
     assert called == []
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from ein3 import ads, cli, einstein, symplectic
 from ein3.oracle import make_rng
 
-from draws import random_quadrilateral
+from draws import disjoint_ads_pair, random_quadrilateral
 
 QUAD = {"type": "quadrilateral", "u_plus": [1, 0, 0, 0], "u_minus": [0, 1, 0, 0],
         "v_plus": [0, 0, 0, 1], "v_minus": [0, 0, 1, 0]}
@@ -208,7 +208,7 @@ def malformed_documents(draw, command):
         doc["eps_alg"] = draw(st.one_of(
             SCALARS.filter(lambda x: not isinstance(x, (int, float)) or isinstance(x, bool)
                            or x <= 0),
-            st.sampled_from([math.inf, -math.inf, math.nan])))
+            st.sampled_from([math.inf, -math.inf, math.nan, 10 ** 400])))
     return doc
 
 
@@ -257,6 +257,15 @@ def test_an_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
     assert "too large" in err
 
 
+@pytest.mark.parametrize("command", sorted(WELL_FORMED))
+def test_an_eps_alg_too_large_for_a_float_exits_2(command, tmp_path, capsys):
+    doc = dict(WELL_FORMED[command], eps_alg=10 ** 400)  # 401 digits
+    code, out, err = run([command, write_config(tmp_path, doc)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: eps_alg must be a finite positive number, got 1000")
+
+
 def test_classify_tori_takes_a_small_spacelike_normal(tmp_path, capsys):
     doc = {"objects": {"T1": {"type": "torus", "normal": [1e-5, 0, 0, 0, 0]},
                        "T2": {"type": "torus", "normal": [0, 1, 0, 0, 0]}}}
@@ -303,7 +312,6 @@ def test_seeds_must_be_non_negative(argv, capsys):
 
 
 def test_check_crooked_disjoint_pair(tmp_path, capsys):
-    from ein3.oracle import disjoint_ads_pair
     p1, p2 = disjoint_ads_pair(make_rng(3))
     q1 = fields(ads.ads_quadrilateral(p1))
     q2 = fields(ads.ads_quadrilateral(p2))

@@ -12,13 +12,12 @@ from ein3.oracle import (
     _wing_generators,
     make_rng,
     min_gap,
-    photon_crossing_oracle,
     sample_surface,
 )
 
-from draws import (random_ads_config, random_lagrangian, random_quadrilateral,
-                   random_symplectic, stem_crossing_pair)
-from references import intersect
+from draws import (disjoint_ads_pair, random_ads_config, random_lagrangian,
+                   random_quadrilateral, random_symplectic, stem_crossing_pair)
+from references import intersect, photon_crossing_oracle
 
 SP = S.standard_space()
 E4 = np.eye(4)
@@ -229,7 +228,6 @@ def test_surfaces_disjoint_shared_photon(surface):
 
 def test_surfaces_disjoint_separated_pair():
     from ein3 import ads
-    from ein3.oracle import disjoint_ads_pair
     rng = make_rng(4)
     p1, p2 = disjoint_ads_pair(rng)
     c1 = C.CrookedSurface(ads.ads_quadrilateral(p1))
@@ -283,7 +281,6 @@ def seeded_surface_pairs(n):
     """n random quadrilateral pairs in the standard space, then n AdS pairs
     (about half of them certified disjoint) carried into the AdS space."""
     from ein3 import ads
-    from ein3.oracle import disjoint_ads_pair
     rng = make_rng(21)
     for _ in range(n):
         yield (C.CrookedSurface(random_quadrilateral(SP, rng)),

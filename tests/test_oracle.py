@@ -8,10 +8,12 @@ from ein3 import oracle as O
 from ein3 import symplectic as S
 from ein3.linalg import EPS_RANK, GeometryError, _orthonormal_columns, _raise_first
 
-from draws import (random_ads_config, random_lagrangian, random_quadrilateral,
-                   random_splitting, random_symplectic, stem_crossing_pair)
+from draws import (disjoint_ads_pair, random_ads_config, random_lagrangian,
+                   random_quadrilateral, random_splitting, random_symplectic,
+                   random_unit_spacelike, stem_crossing_pair)
 from references import (bivector_to_plane, classify_point, inner, lagrangian_point,
-                        omega0, plane_intersection_dim)
+                        omega0, photon_crossing_oracle, plane_intersection_dim,
+                        probe_intersection_type)
 
 SP = S.standard_space()
 # a nonsingular antisymmetric form with no zero entry off the diagonal
@@ -22,7 +24,7 @@ GENERAL_OMEGA = np.array([[0.0, 0.7, 1.3, -0.4],
 
 
 def test_generators_deterministic():
-    for make in (O.random_unit_spacelike,
+    for make in (random_unit_spacelike,
                   lambda r: random_lagrangian(SP, r).basis,
                   lambda r: random_quadrilateral(SP, r).u_plus):
         a = make(O.make_rng(42))
@@ -33,7 +35,7 @@ def test_generators_deterministic():
 def test_generators_pass_validators():
     rng = O.make_rng(0)
     for _ in range(200):
-        v = O.random_unit_spacelike(rng)
+        v = random_unit_spacelike(rng)
         assert inner(v, v) == pytest.approx(1.0, abs=1e-9)
     for _ in range(100):
         assert random_lagrangian(SP, rng).is_lagrangian
@@ -111,20 +113,20 @@ def test_probe_intersection_type():
     rng = O.make_rng(5)
     t1 = E.EinsteinTorus([1, 0, 0, 0, 0])
     orth = E.EinsteinTorus([0, 1, 0, 0, 0])
-    assert O.probe_intersection_type(t1, orth, 32, rng) \
+    assert probe_intersection_type(t1, orth, 32, rng) \
         is E.IntersectionKind.TIMELIKE_CIRCLE
     far = E.EinsteinTorus([2, 0, 0, 3, 1])
-    assert O.probe_intersection_type(t1, far, 32, rng) \
+    assert probe_intersection_type(t1, far, 32, rng) \
         is E.IntersectionKind.SPACELIKE_CIRCLE
     touching = E.EinsteinTorus([1, 0, 0, 1, 0])
-    assert O.probe_intersection_type(t1, touching, 32, rng) \
+    assert probe_intersection_type(t1, touching, 32, rng) \
         is E.IntersectionKind.PHOTON_PAIR
 
 
 def test_disjoint_ads_pair_margins():
     rng = O.make_rng(6)
     from ein3 import ads
-    p1, p2 = O.disjoint_ads_pair(rng)
+    p1, p2 = disjoint_ads_pair(rng)
     assert min(ads.ads_margins(p1, p2).values()) > 1e-2
     assert ads.ads_disjoint(p1, p2)
 
@@ -205,10 +207,10 @@ def test_probe_kinds_and_draws_are_pinned():
     rng = O.make_rng(11)
     kinds = []
     for _ in range(11):
-        t1 = E.EinsteinTorus(O.random_unit_spacelike(rng))
-        t2 = E.EinsteinTorus(O.random_unit_spacelike(rng))
-        kinds.append(O.probe_intersection_type(t1, t2, 32, rng).name)
-    kinds.append(O.probe_intersection_type(
+        t1 = E.EinsteinTorus(random_unit_spacelike(rng))
+        t2 = E.EinsteinTorus(random_unit_spacelike(rng))
+        kinds.append(probe_intersection_type(t1, t2, 32, rng).name)
+    kinds.append(probe_intersection_type(
         E.EinsteinTorus([1, 0, 0, 0, 0]), E.EinsteinTorus([1, 0, 0, 1, 0]),
         32, rng).name)
     t, s, p = "TIMELIKE_CIRCLE", "SPACELIKE_CIRCLE", "PHOTON_PAIR"
@@ -219,10 +221,18 @@ def test_probe_kinds_and_draws_are_pinned():
 
 
 class _ParallelRng:
-    """Stands in for a generator whose direction draws are always parallel."""
+    """Stands in for a generator whose direction draws are always parallel,
+    and so are its normals of tori, all null (Q(1, 1, 1, 1, 1) = 0)."""
+
+    def __init__(self):
+        self.normals = 0
 
     def normal(self, size):
+        self.normals += 1
         return np.ones(size)
+
+    def uniform(self, low, high, size):
+        return np.full(size, low)
 
 
 def test_random_ads_config_rejection_is_bounded():
@@ -232,7 +242,18 @@ def test_random_ads_config_rejection_is_bounded():
 
 def test_disjoint_ads_pair_rejection_is_bounded():
     with pytest.raises(O.RetryExhausted):
-        O.disjoint_ads_pair(_ParallelRng())
+        disjoint_ads_pair(_ParallelRng())
+
+
+@pytest.mark.parametrize("suite", [O.suite_torus_trichotomy, O.suite_surface_disjointness])
+def test_suites_stop_at_the_shared_budget(monkeypatch, suite):
+    # no candidate passes: the suite gives up in `_blocks`, one normal draw
+    # per candidate, after ATTEMPTS_PER_TRIAL candidates a trial
+    rng = _ParallelRng()
+    monkeypatch.setattr(O, "make_rng", lambda seed: rng)
+    with pytest.raises(O.RetryExhausted, match="fewer than 5 accepted trials in 50 attempts"):
+        suite(trials=5, seed=7)
+    assert rng.normals == 50
 
 
 def _scalar_ads_pair(z):
@@ -255,7 +276,7 @@ def test_disjoint_ads_pair_draws_as_random_ads_config():
         chunk = O.make_rng(seed).normal(size=(O._ORACLE_BLOCK, 6, 2))
         want = next(pair for pair in map(_scalar_ads_pair, chunk)
                     if pair and min(ads.ads_margins(*pair).values()) > 1e-2)
-        got = O.disjoint_ads_pair(O.make_rng(seed))
+        got = disjoint_ads_pair(O.make_rng(seed))
         for p, q in zip(got, want):
             for name in ("base", "a", "b"):
                 assert np.allclose(getattr(p, name), getattr(q, name), rtol=1e-13, atol=0.0)
@@ -310,7 +331,7 @@ def test_probe_reads_a_photon_pair_at_its_kink(thetas):
     # difference of a draw within ~3e-5 is not null
     t1 = E.EinsteinTorus([1, 0, 0, 0, 0])
     touching = E.EinsteinTorus([1, 0, 0, 1, 0])
-    assert O.probe_intersection_type(t1, touching, len(thetas), _FixedRng(thetas)) \
+    assert probe_intersection_type(t1, touching, len(thetas), _FixedRng(thetas)) \
         is E.IntersectionKind.PHOTON_PAIR
 
 
@@ -337,7 +358,7 @@ def test_stem_wing_contact_reads_no_disjointness_predicate(monkeypatch):
 def test_stem_wing_contact_misses_disjoint_surfaces():
     from ein3 import ads
     rng = O.make_rng(17)
-    q1, q2 = np.array([[ads.ads_quadrilateral(p).columns for p in O.disjoint_ads_pair(rng)]
+    q1, q2 = np.array([[ads.ads_quadrilateral(p).columns for p in disjoint_ads_pair(rng)]
                        for _ in range(50)]).swapaxes(0, 1)
     _, _, hit = O._stem_wing_contacts(np.concatenate([q1, q2]), np.concatenate([q2, q1]))
     assert not hit.any()
@@ -370,7 +391,7 @@ def test_photon_oracle_finds_meeting_photons_without_the_predicate(monkeypatch):
     for name in ("photon_margins", "photon_disjoint", "find_crossing_lagrangian"):
         monkeypatch.setattr(C, name, _predicate_side_rule)
     for p, surface in meeting:
-        found = O.photon_crossing_oracle(p, surface)
+        found = photon_crossing_oracle(p, surface)
         assert found is not None
         assert C.surface_contains(surface, found) is not None
         assert _crossing_residual(p, surface, found) <= 1e-9
@@ -408,8 +429,8 @@ def test_torus_probe_reads_neither_eta_nor_the_classifier(monkeypatch):
     rng = O.make_rng(13)
     pairs = [(E.EinsteinTorus([1, 0, 0, 0, 0]), E.EinsteinTorus([1, 0, 0, 1, 0]))]
     while len(pairs) < 201:
-        t1 = E.EinsteinTorus(O.random_unit_spacelike(rng))
-        t2 = E.EinsteinTorus(O.random_unit_spacelike(rng))
+        t1 = E.EinsteinTorus(random_unit_spacelike(rng))
+        t2 = E.EinsteinTorus(random_unit_spacelike(rng))
         if abs(E.eta(t1, t2) - 1.0) >= 1e-6:
             pairs.append((t1, t2))
     kinds = [E.classify_torus_pair(t1, t2).kind for t1, t2 in pairs]
@@ -417,7 +438,7 @@ def test_torus_probe_reads_neither_eta_nor_the_classifier(monkeypatch):
     for name in ("eta", "classify_torus_pair"):
         monkeypatch.setattr(E, name, _predicate_side_rule)
     for (t1, t2), kind in zip(pairs, kinds):
-        assert O.probe_intersection_type(t1, t2, 32, rng) is kind
+        assert probe_intersection_type(t1, t2, 32, rng) is kind
 
 
 def test_photon_suite_catches_a_flipped_wing_minus_sign(monkeypatch):
@@ -658,7 +679,7 @@ def test_stacked_photon_oracle_matches_the_per_trial_reference():
         if hit:
             assert S.Plane2.span(SP, p, got) == S.Plane2.span(SP, p, w)
     for (p, surface), w in zip(draws[:300], want):
-        found = O.photon_crossing_oracle(p, surface)
+        found = photon_crossing_oracle(p, surface)
         assert (found is None) == (w is None)
         if found is not None:
             assert found == S.Plane2.span(SP, p / np.linalg.norm(p), w)
@@ -757,19 +778,19 @@ def test_photon_suite_calls_the_oracle_in_blocks(monkeypatch):
 def test_min_gap_equals_the_clipped_maximum():
     rng = O.make_rng(21)
     for k in range(20):
-        a = O.sample_torus(E.EinsteinTorus(O.random_unit_spacelike(rng)), 50, rng)
+        a = O.sample_torus(E.EinsteinTorus(random_unit_spacelike(rng)), 50, rng)
         b = a if k % 5 == 0 else O.sample_torus(
-            E.EinsteinTorus(O.random_unit_spacelike(rng)), 50, rng)
+            E.EinsteinTorus(random_unit_spacelike(rng)), 50, rng)
         cos = np.clip(np.abs(a.unit_points() @ b.unit_points().T), 0.0, 1.0)
         assert O.min_gap(a, b) == float(np.sqrt(max(0.0, 1.0 - float(cos.max()) ** 2)))
 
 
 # report_lines of four suites at trials=200 on seeds 1-3 (two blocks each):
-# torus-trichotomy's and maslov-bridge's as the trial-by-trial suites wrote
-# them, eta-bridge's and symplectic-identities' as the draws decided by the
-# stacked screens write them
+# maslov-bridge's as the trial-by-trial suite wrote them, the others' as the
+# draws decided by the stacked screens write them (torus-trichotomy's since
+# each candidate draws its pair of normals and all of its angles)
 _STACKED_SUITE_SHA256 = {
-    "torus-trichotomy": "1d3eadefdcbaada00fea4131f7d7e1a9c74936d4c6d3c4ebbc20afe126e08fb7",
+    "torus-trichotomy": "d48b4f958afe3ce194527413c9bdef8b9d0ac8df1ee9929b0c15f6623ef883da",
     "eta-bridge": "4fc562b8e240b31395aebdda8476e8ad87598b68b054bd029fa42f73d90d9b27",
     "symplectic-identities": "a07f62ce823414a16306abca8118ab26880524b445dfe6c2f6e08f4e99504f21",
     "maslov-bridge": "aba5054fe7d90dcec6b8c4951e908dbf685f6314e4b2c4e69b27e5af994982fc",
@@ -823,7 +844,8 @@ def test_torus_trichotomy_validates_each_normal_once():
     finally:
         sys.setprofile(previous)
     assert report["failures"] == []
-    # no candidate of this seed is skipped: 50 pairs, two validations each
+    # 50 trials, two validations each: `_torus_screen` drops the candidates
+    # it skips before any torus is built, so none of them is counted
     assert list(counts.values()) == [100, 100]
 
 def test_torus_trichotomy_reports_a_patched_carrier_kernel_in_trial_order(monkeypatch):
@@ -953,11 +975,11 @@ def test_stacked_maslov_and_causal_kernels_match_the_per_trial_reference():
 
 
 # report_lines of every suite at trials=130 on seeds 1 and 2, 130 trials
-# crossing one block of _ORACLE_BLOCK = 128: eta-bridge's,
+# crossing one block of _ORACLE_BLOCK = 128: torus-trichotomy's, eta-bridge's,
 # surface-disjointness's and ads-equivalence's as the draws decided by the
 # stacked screens write them, the others' as the trial-by-trial suites did
 _CROSS_BLOCK_SHA256 = {
-    "torus-trichotomy": "e6a6bf214d5b0ade51178b1a62432469b26b587cc0417433ebf283012e066668",
+    "torus-trichotomy": "cced6a1f0794ea9ce3ade0e692334138688d90da5ccdd5609e7cbb4a63387c88",
     "eta-bridge": "b1cee82f1f3d5e21bf2626403c7d10f23024e361b4f32ebaf18cc47ee00b21ed",
     "symplectic-identities": "7032344e460037d4bf9f601d5c389daebdf2e466db89b09098fdbc6b1f62cb12",
     "maslov-bridge": "5d816ecdafae0eb47871355429c9abb8a5425cfa9bb674eb538a6e805c96f50a",
@@ -1061,13 +1083,22 @@ def _scalar_maslov_triple(bases, split):
 
 
 def _scalar_ads_decisions(z):
-    """Whether one AdS candidate passes disjoint_ads_pair's margin bound and
-    ads-equivalence's |margin| bound, by `ads_margins` of its planes."""
+    """Whether one AdS candidate passes surface-disjointness' margin bound
+    and ads-equivalence's |margin| bound, by `ads_margins` of its planes."""
     pair = _scalar_ads_pair(z)
     if pair is None:
         return [False, False]
     margins = list(ads.ads_margins(*pair).values())
     return [min(margins) > 1e-2, min(map(abs, margins)) > 1e-6]
+
+
+def _scalar_torus_screen(normals):
+    """Whether one pair of normals passes torus-trichotomy's screen, by the
+    classifier of its tori."""
+    if not all(float(v @ E.GRAM @ v) > 1e-3 * float(v @ v) for v in normals):
+        return False
+    cls = E.classify_torus_pair(*map(E.EinsteinTorus, normals))
+    return abs(cls.eta - 1.0) >= 1e-6
 
 
 # each stacked screen: the decisions of its candidates from its arguments
@@ -1085,9 +1116,10 @@ _SCREENS = {
     "_ads_arrays": (lambda args, out: (args[0], np.stack(
         [out[2].min(axis=(1, 2)) > 1e-2, abs(out[2]).min(axis=(1, 2)) > 1e-6], -1)),
                     _scalar_ads_decisions),
+    "_torus_screen": (lambda args, out: (args[0], out), _scalar_torus_screen),
 }
 
-_E4 = np.eye(4)
+_E4, _E5 = np.eye(4), np.eye(5)
 _L12, _L34, _P23 = _E4[:, [0, 1]], _E4[:, [2, 3]], _E4[:, [1, 2]]
 _GRAPH = _L12 + _L34  # Lagrangian, transverse to L12 and L34
 _TILTED = np.column_stack([_E4[0], _E4[1] + _E4[2]])  # |omega| = 0.71, transverse to L34
@@ -1107,6 +1139,14 @@ _CRAFTED = {
     "_ads_arrays": (np.array([[[1, 0], [2, 0], [1, 0], [1, 1], [0, 0], [0, 0]],
                               [[1, 0], [0, 1], [1, 0], [1, 1], [0, 0], [0, 0]],
                               [[1, 0], [0, 1], [1, 1], [-1, 1], [0, 1], [-1, 0]]], float),),
+    # a timelike normal, and one spacelike below the 1e-3 bound; eta = 1 of
+    # distinct (touching) tori, and ~1e-7 above it, inside the band; equal
+    # tori; eta = 0 and eta = 2
+    "_torus_screen": (np.array([[_E5[0], _E5[2]], [[1.0, 0.0, 0.9999, 0.0, 0.0], _E5[0]],
+                                [_E5[0], _E5[0] + _E5[3]],
+                                [_E5[0], [np.cosh(4.5e-4), 0.0, np.sinh(4.5e-4), 0.0, 0.0]],
+                                [_E5[0], -2.0 * _E5[0]], [_E5[0], _E5[1]],
+                                [_E5[0], [2.0, 0.0, 0.0, 3.0, 1.0]]]),),
 }
 
 
@@ -1115,14 +1155,15 @@ _CRAFTED = {
     ("_planes", "maslov-bridge", 130), ("_eta_screen", "eta-bridge", 130),
     ("_maslov_screen", "maslov-bridge", 130), ("_maslov_triples", "symplectic-identities", 130),
     ("_ads_arrays", "ads-equivalence", 130), ("_ads_arrays", "surface-disjointness", 20),
+    ("_torus_screen", "torus-trichotomy", 130),
 ])
 def test_stacked_screens_decide_as_the_scalar_route(monkeypatch, name, suite, trials):
     # every candidate a draw stage screens at seeds 1 and 2, accepted and
     # rejected (surface-disjointness screens 128 candidates a pair, so 20
     # pairs), and candidates on which one condition alone decides: the
     # stacked decision equals `Plane2`'s rank and tag, `Plane2 ==`,
-    # `SympSpace.transverse`, `maslov`'s raise, and the `AdsCrookedPlane`
-    # constructors and `ads_margins` of the planes
+    # `SympSpace.transverse`, `maslov`'s raise, the `AdsCrookedPlane`
+    # constructors and `ads_margins` of the planes, and `classify_torus_pair`
     calls, screen = [], getattr(O, name)
 
     def recorded(*args):
