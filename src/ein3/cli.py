@@ -220,7 +220,7 @@ def cmd_check_photon(args):
     if not disjoint:
         witness = crooked.find_crossing_lagrangian(vec, surface, eps=cfg.eps_alg)
         if witness is not None:
-            flat = " ".join(_fmt(x) for x in witness.sub.onb.T.ravel())
+            flat = " ".join(_fmt(x) for x in witness.onb.T.ravel())
             print(f"crossing_lagrangian={flat}")
     return 0 if disjoint else 1
 

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from ein3.linalg import EPS_ALG, EPS_RANK, GeometryError, as_rows, as_vector
-from ein3.symplectic import Plane2, _omega_pairs, pfaffian4, plucker_rows
+from ein3.symplectic import Plane2, _lagrangian, pfaffian4, plucker_rows
 
 _QUAD_KEYS = ("u_plus", "u_minus", "v_plus", "v_minus")
 
@@ -58,6 +58,7 @@ class LightlikeQuadrilateral:
     u_plus, u_minus, v_plus, v_minus : length-4 vectors
         Must satisfy omega(u+, v-) = omega(u-, v+) = 1 and have all four
         remaining mutual products zero, within eps; the vectors must span V.
+        Kept as `eps`, the tolerance its `CrookedSurface` tags planes at.
 
     Violated products are reported with their magnitudes.  The products
     and det Q = Pf(G) / Pf(Omega) are read off the Gram matrix
@@ -70,14 +71,12 @@ class LightlikeQuadrilateral:
 
     def __init__(self, space, u_plus, u_minus, v_plus, v_minus, eps=EPS_ALG):
         self.space = space
+        self.eps = eps
         rows = as_rows((u_plus, u_minus, v_plus, v_minus), 4)
         self.u_plus, self.u_minus, self.v_plus, self.v_minus = rows
         self.columns = rows.T.copy()  # Q = (u+, u-, v+, v-), C-ordered
         self.gram = self.columns.T @ space.matrix @ self.columns  # G = Q^T Omega Q
         _check_quadrilateral(self.gram.tolist(), space.vol_coeff, eps)
-
-    def vectors(self):
-        return (self.u_plus, self.u_minus, self.v_plus, self.v_minus)
 
     def __repr__(self):
         return ("LightlikeQuadrilateral("
@@ -135,19 +134,19 @@ def _plane_singular_values(rows):
     return values
 
 
-def _check_planes(rows, g):
+def _check_planes(rows, g, eps):
     """The checks of `CrookedSurface` on its six planes, from the rows
     (u+, u-, v+, v-) of Q^T and the Gram matrix G of its quadrilateral as
     lists: the rank rule of `Plane2` on the singular values of each basis,
-    reporting the least rank of the six, then its Lagrangian tag, |omega|
-    of the orthonormalized basis, which is |omega(b0, b1)| / (s0 s1) with
-    omega(b0, b1) read off G."""
+    reporting the least rank of the six, then the Lagrangian tag at eps,
+    |omega| of the orthonormalized basis, which is |omega(b0, b1)| /
+    (s0 s1) with omega(b0, b1) read off G."""
     values = _plane_singular_values(rows)
     tols = [EPS_RANK * max(1.0, s0) for s0, _ in values]
     if not all(s1 > tol for (_, s1), tol in zip(values, tols)):
         rank = min((s0 > tol) + (s1 > tol) for (s0, s1), tol in zip(values, tols))
         raise GeometryError(f"basis matrix has rank {rank} < 2 column(s)")
-    lagrangian = [abs(g[i][j]) / (s0 * s1) <= EPS_ALG
+    lagrangian = [abs(g[i][j]) / (s0 * s1) <= eps
                   for (i, j), (s0, s1) in zip(_PLANES, values)]
     for name, tag in zip(("P0", "Pinf", "P+", "P-"), lagrangian):
         if not tag:
@@ -168,14 +167,15 @@ class CrookedSurface:
     the nondegenerate, mutually omega-orthogonal stem planes S1, S2.  The
     constructor checks all six by the rules of `Plane2`, from the
     closed-form singular values of their bases and from omega read off the
-    quadrilateral's G; the six `Plane2` objects are built, one by one, on
-    the first read of any of them, and no predicate reads them.
+    quadrilateral's G, the Lagrangian tag at the quadrilateral's eps; the
+    six `Plane2` objects are built, one by one, on the first read of any of
+    them, and no predicate reads them.
     """
 
     def __init__(self, quad):
         self.quad = quad
         self.space = quad.space
-        _check_planes(quad.columns.T.tolist(), quad.gram.tolist())
+        _check_planes(quad.columns.T.tolist(), quad.gram.tolist(), quad.eps)
 
     @functools.cached_property
     def _planes(self):
@@ -219,8 +219,8 @@ def _quad_regions(columns, bases, eps):
 def _lagrangian_regions(space, columns, onb, eps):
     """`_quad_regions` of the planes of orthonormal bases onb, and the check
     (for `_raise_first`) that `Plane2` tags each Lagrangian."""
-    lagrangian = abs(_omega_pairs(space, onb)) <= EPS_ALG
-    return _quad_regions(columns, onb, eps), [(~lagrangian, "expected a Lagrangian plane")]
+    return _quad_regions(columns, onb, eps), [(~_lagrangian(space, onb),
+                                               "expected a Lagrangian plane")]
 
 
 def _regions_of(surface, l, eps):
@@ -229,7 +229,7 @@ def _regions_of(surface, l, eps):
     t s >= 0 (<= 0), the vertex included."""
     if not l.is_lagrangian:
         raise GeometryError("expected a Lagrangian plane")
-    return [bool(mask[0]) for mask in _quad_regions(surface.quad.columns, l.sub.onb[None], eps)]
+    return [bool(mask[0]) for mask in _quad_regions(surface.quad.columns, l.onb[None], eps)]
 
 
 def surface_contains(surface, l, eps=EPS_ALG) -> Optional[SurfaceRegion]:

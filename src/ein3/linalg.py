@@ -1,10 +1,13 @@
 """Small fixed-dimension real linear algebra.
 
-Vectors are plain 1-d numpy arrays.  A subspace is the column span of a
-full-rank matrix; two subspaces are equal when their spans coincide up to
-the rank tolerance.  All signature decisions go through `inertia` of the
-eigenvalues of a symmetric (restricted Gram) matrix, which is robust at
-the dimensions (<= 6) used in this package.
+Vectors are plain 1-d numpy arrays, and a subspace is given by an
+orthonormal basis of its span (`_orthonormal_columns`, which also checks
+finiteness and full rank); two spans are equal when every column of each
+basis lies within the rank tolerance of the other's span (`_same_spans`).
+The kernels take a stack of matrices as well as one.  All signature
+decisions go through `inertia` of the eigenvalues of a symmetric
+(restricted Gram) matrix, which is robust at the dimensions (<= 6) used in
+this package.
 """
 
 import math
@@ -13,8 +16,8 @@ import numpy as np
 
 # Global numerical policy: one tolerance for algebraic identities (inner
 # products that should vanish, normalization residuals) and one for rank /
-# zero-eigenvalue decisions.  Predicates in the rest of the package take an
-# optional eps overriding these.
+# zero-eigenvalue decisions.  A predicate whose threshold a caller may set
+# takes an optional eps overriding the one it uses.
 EPS_ALG = 1e-9
 EPS_RANK = 1e-9
 
@@ -115,59 +118,13 @@ def _raise_first(checks, i=()):
             raise GeometryError(message if isinstance(message, str) else message(i))
 
 
-class Subspace:
-    """Column span of a full-column-rank basis matrix.
-
-    Parameters
-    ----------
-    basis : (n, k) array-like
-        Columns spanning the subspace.  k = 0 gives the zero subspace.
-
-    Equality is span equality: two Subspaces compare equal when each is
-    contained in the other within the rank tolerance.
-    """
-
-    def __init__(self, basis, eps=EPS_RANK):
-        basis = np.asarray(basis, dtype=float)
-        if basis.ndim == 1:
-            basis = basis[:, None]
-        if basis.ndim != 2:
-            raise GeometryError("basis must be a matrix of column vectors")
-        self.basis = basis
-        self.onb = _orthonormal_columns(basis, eps)
-
-    @property
-    def dim(self):
-        return self.onb.shape[1]
-
-    @property
-    def ambient_dim(self):
-        return self.onb.shape[0]
-
-    def contains_vector(self, v, eps=EPS_RANK):
-        v = as_vector(v, self.ambient_dim)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return True
-        residual = v - self.onb @ (self.onb.T @ v)
-        return np.linalg.norm(residual) <= eps * nv
-
-    def contains(self, other, eps=EPS_RANK):
-        return all(self.contains_vector(other.onb[:, j], eps)
-                   for j in range(other.dim))
-
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (self.ambient_dim == other.ambient_dim
-                and self.dim == other.dim
-                and self.contains(other) and other.contains(self))
-
-    def __hash__(self):  # spans are not hashable in a useful way
-        raise TypeError("Subspace is unhashable; compare spans with ==")
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
+def _same_spans(a, b, eps=EPS_RANK):
+    """Whether orthonormal bases a, b (of each pair of a stack) span the
+    same subspace: every column of each lies within eps of the other's
+    span."""
+    residuals = np.concatenate([a - b @ (np.swapaxes(b, -1, -2) @ a),
+                                b - a @ (np.swapaxes(a, -1, -2) @ b)], axis=-1)
+    return (np.linalg.norm(residuals, axis=-2) <= eps).all(axis=-1)
 
 
 def nullspace(a, eps=EPS_RANK):

@@ -21,7 +21,7 @@ import numpy as np
 
 from ein3 import ads, crooked, einstein, symplectic
 from ein3.linalg import (EPS_ALG, EPS_RANK, GeometryError, _intersection_dims,
-                         _orthonormal_columns, _raise_first, _singular)
+                         _orthonormal_columns, _raise_first, _same_spans, _singular)
 from ein3.einstein import EinsteinTorus, IntersectionKind
 from ein3.symplectic import Plane2
 
@@ -89,8 +89,8 @@ def _planes(space, m):
     their orthonormal bases); both need the rank 2 that `Plane2` checks."""
     u, rank, _ = _singular(m, EPS_RANK)
     onb = u[..., :2]
-    omega = abs(symplectic._omega_pairs(space, onb))
-    return onb, (rank == 2) & (omega <= EPS_ALG), (rank == 2) & (omega > 0.2)
+    return (onb, (rank == 2) & symplectic._lagrangian(space, onb),
+            (rank == 2) & (abs(symplectic._omega_pairs(space, onb)) > 0.2))
 
 
 def _random_rows(space, s):
@@ -577,7 +577,7 @@ def _surface_checks(space, rows):
     def check(i):
         for g, q in zip(grams[i], row_lists[i]):
             crooked._check_quadrilateral(g, space.vol_coeff, EPS_ALG)
-            crooked._check_planes(q, g)
+            crooked._check_planes(q, g, EPS_ALG)
 
     return check
 
@@ -739,8 +739,8 @@ def _splittings(space, bases):
     s = _orthonormal_columns(bases, EPS_RANK)
     comp, checks = symplectic._complements(space, s)
     t = _orthonormal_columns(comp, EPS_RANK)
-    s_tag, t_tag = (abs(symplectic._omega_pairs(space, b)) <= EPS_ALG for b in (s, t))
-    checks += symplectic._splitting_checks(space, s, s_tag, t, t_tag)
+    checks += symplectic._splitting_checks(space, s, symplectic._lagrangian(space, s),
+                                           t, symplectic._lagrangian(space, t))
     return symplectic._normalized(space, s), symplectic._normalized(space, t), checks
 
 
@@ -780,7 +780,7 @@ def suite_eta_bridge(trials=1000, seed=7):
         apart = np.abs(np.array(etas) - 1.0) > 1e-6  # where the kinds are read
         graphs = (s_basis + t_basis @ f)[apart]
         g = _orthonormal_columns(graphs, EPS_RANK)
-        lagrangian = abs(symplectic._omega_pairs(space, g)) <= EPS_ALG
+        lagrangian = symplectic._lagrangian(space, g)
         mu_s, s_checks = space._to_einstein(symplectic._mu_rows(space, s_basis[apart]))
         mu_t, t_checks = space._to_einstein(symplectic._mu_rows(space, symplectic._normalized(
             space, np.where(lagrangian[:, None, None], s_basis[apart], g))))
@@ -854,7 +854,7 @@ def suite_symplectic_identities(trials=1000, seed=7):
         po, qo = np.split(_orthonormal_columns(np.concatenate([p, q]), EPS_RANK), 2)
         wval = space._transversality(_plucker(p), _plucker(q))
         dims = _intersection_dims(po, qo)
-        for k, i in enumerate(range(len(block)), first - 1):
+        for k, i in enumerate(range(len(block)), first):
             max_violation = max(max_violation, res[i])
             if res[i] > 1e-12:
                 failures.append(f"trial {k}: adjugate identity off by {res[i]:.3e}")
@@ -880,15 +880,15 @@ def suite_symplectic_identities(trials=1000, seed=7):
         space, moved[:, 0], moved[:, 2], moved[:, 1])
     s_basis, t_basis, split_checks = _splittings(space, split[kept])
     graphs = _orthonormal_columns(s_basis + t_basis @ f[kept], EPS_RANK)
-    degenerate = abs(symplectic._omega_pairs(space, graphs)) <= EPS_ALG
+    degenerate = symplectic._lagrangian(space, graphs)
     for j, k in enumerate(np.flatnonzero(kept).tolist()):
         _raise_first(moved_checks, j)  # where `maslov` of the moved triple raises
         if moved_index[j] != index[k]:
-            failures.append(f"trial {k}: maslov not Sp-invariant")
+            failures.append(f"trial {k + 1}: maslov not Sp-invariant")
         _raise_first(split_checks, j)
         # away from det = -1 the graph is nondegenerate
         if abs(symplectic.det_omega(f[k]) + 1.0) > 1e-6 and degenerate[j]:
-            failures.append(f"trial {k}: graph degeneracy vs det mismatch")
+            failures.append(f"trial {k + 1}: graph degeneracy vs det mismatch")
     return _report("symplectic-identities", trials, seed, failures, max_violation)
 
 
@@ -911,12 +911,9 @@ def _plucker(m):
 def _maslov_screen(space, l, p, lp):
     """maslov-bridge's decision on stacked bases (n, 4, 2) of triples: all
     three planes Lagrangian (`_planes`), L' transverse to L and to P
-    (`SympSpace.transverse`; so P != L'), and P != L (`Plane2 ==`: the
-    columns of P's orthonormal basis within EPS_RANK of L's span)."""
+    (`SympSpace.transverse`; so P != L'), and P != L (`Plane2 ==`)."""
     (ol, op, _), lagrangian, _ = _planes(space, np.stack([l, p, lp]))
-    residual = np.linalg.norm(op - ol @ (ol.swapaxes(-1, -2) @ op), axis=-2)
-    equal = (residual <= EPS_RANK * np.linalg.norm(op, axis=-2)).all(axis=-1)
-    return (lagrangian.all(axis=0) & ~equal
+    return (lagrangian.all(axis=0) & ~_same_spans(ol, op)
             & (space._transversality(_plucker(l), _plucker(lp)) > EPS_ALG)
             & (space._transversality(_plucker(p), _plucker(lp)) > EPS_ALG))
 
@@ -1064,7 +1061,7 @@ def suite_surface_disjointness(trials=200, seed=7):
     for first, block in _blocks(trials, disjoint_draw):
         rows, check = _ads_pairs(space, *(np.array(v) for v in zip(*(r[:2] for r in block))))
         passed = sixteen_pass(space, rows)
-        for k, i in enumerate(range(len(block)), first - 1):
+        for k, i in enumerate(range(len(block)), first):
             check(i)
             if not passed[i]:
                 failures.append(f"disjoint pair {k}: criterion says not disjoint")
@@ -1081,7 +1078,7 @@ def suite_surface_disjointness(trials=200, seed=7):
         regions, checks = crooked._lagrangian_regions(std, rows.swapaxes(-1, -2), shared[:, None],
                                                       EPS_ALG)
         on_both = np.logical_or.reduce(regions).all(axis=1)
-        for k, i in enumerate(range(len(block)), first - 1):
+        for k, i in enumerate(range(len(block)), first):
             check(i)
             if passed[i]:
                 failures.append(f"intersecting pair {k}: criterion says disjoint")
@@ -1123,7 +1120,7 @@ def suite_stem_only(trials=200, seed=7):
         x1, x2 = (np.where(hit[:n, None], x[:n], x[n:]) for x in (x1, x2))
         contact = hit[:n] | hit[n:]
         onb = iter(_orthonormal_columns(np.stack([x1, x2], axis=-1)[contact], EPS_RANK))
-        for k, i in enumerate(range(n), first - 1):
+        for k, i in enumerate(range(n), first):
             check(i)
             _raise_first(checks, i)
             if not on_stems[i]:
@@ -1179,7 +1176,7 @@ def suite_ads_equivalence(trials=1000, seed=7):
         # than 1e-3 is skipped
         z = rng.normal(size=(min(_ORACLE_BLOCK, trials - start), 4, 2))
         kept = (np.linalg.norm(z[:, :2], axis=-1) >= 1e-3).all(axis=1)
-        ks, a, b, x = start + np.flatnonzero(kept), z[kept, 0], z[kept, 1], z[kept, 2:]
+        ks, a, b, x = start + 1 + np.flatnonzero(kept), z[kept, 0], z[kept, 1], z[kept, 2:]
         g = _sl2_exp(x)
         ga = (g @ a[..., None])[..., 0]
         lifts, checks = ads._boundary_lifts(np.concatenate([ga, a, b]))

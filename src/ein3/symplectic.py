@@ -19,7 +19,6 @@ specialization relies on.
 
 import functools
 import warnings
-from enum import Enum
 
 import numpy as np
 
@@ -28,9 +27,9 @@ from ein3.linalg import (
     EPS_ALG,
     EPS_RANK,
     GeometryError,
-    Subspace,
     _orthonormal_columns,
     _raise_first,
+    _same_spans,
     _singular,
     as_vector,
     inertia,
@@ -81,36 +80,28 @@ def pfaffian4(omega):
             + omega[0][3] * omega[1][2])
 
 
-class PlaneKind(Enum):
-    LAGRANGIAN = "lagrangian"
-    NONDEGENERATE = "nondegenerate"
-
-
 class Plane2:
     """A 2-plane in V, tagged Lagrangian or nondegenerate for omega.
 
     The restriction of a symplectic form to a 2-plane is either identically
-    zero (Lagrangian) or nonsingular, so the tag is a true dichotomy; it is
-    decided at construction against the plane's orthonormalized basis.
+    zero (Lagrangian) or nonsingular, so the tag is a true dichotomy.  The
+    constructor checks the basis once (a finite 4x2 matrix of rank 2) and
+    sets `basis`, its orthonormalized `onb` and the tag `is_lagrangian`,
+    decided on `onb` by `_lagrangian`.  Equality is span equality.
     """
 
-    def __init__(self, space, basis, eps=EPS_ALG):
+    def __init__(self, space, basis):
         basis = np.asarray(basis, dtype=float)
         if basis.shape != (4, 2):
             raise GeometryError("a 2-plane needs a 4x2 basis matrix")
         self.space = space
-        self.sub = Subspace(basis)
         self.basis = basis
-        self.tag = PlaneKind.LAGRANGIAN if abs(_omega_pairs(space, self.sub.onb)) <= eps \
-            else PlaneKind.NONDEGENERATE
+        self.onb = _orthonormal_columns(basis, EPS_RANK)
+        self.is_lagrangian = bool(_lagrangian(space, self.onb))
 
     @classmethod
-    def span(cls, space, u, v, eps=EPS_ALG):
-        return cls(space, np.column_stack([as_vector(u, 4), as_vector(v, 4)]), eps)
-
-    @property
-    def is_lagrangian(self):
-        return self.tag is PlaneKind.LAGRANGIAN
+    def span(cls, space, u, v):
+        return cls(space, np.column_stack([as_vector(u, 4), as_vector(v, 4)]))
 
     def normalized_basis(self):
         """Basis (u, v) of the plane rescaled so omega(u, v) = 1.
@@ -119,20 +110,26 @@ class Plane2:
         """
         if self.is_lagrangian:
             raise GeometryError("a Lagrangian plane has no omega-normalized basis")
-        return _normalized(self.space, self.sub.onb)
+        return _normalized(self.space, self.onb)
 
     def __eq__(self, other):
         if not isinstance(other, Plane2):
             return NotImplemented
-        return self.sub == other.sub
+        return bool(_same_spans(self.onb, other.onb))
 
     def __repr__(self):
-        return f"Plane2({self.tag.value}, basis=\n{self.basis})"
+        return f"Plane2(lagrangian={self.is_lagrangian}, basis=\n{self.basis})"
 
 
 def _omega_pairs(space, onb):
     """omega of the two columns of a basis (4, 2), or of each of a stack."""
     return (onb[..., None, :, 0] @ space.matrix @ onb[..., :, 1, None])[..., 0, 0]
+
+
+def _lagrangian(space, onb):
+    """The Lagrangian tag of the planes of orthonormal bases, one (4, 2) or
+    a stack: |omega| of the basis within EPS_ALG."""
+    return abs(_omega_pairs(space, onb)) <= EPS_ALG
 
 
 def _normalized(space, onb):
@@ -198,22 +195,15 @@ class SympSpace:
     # -- Pluecker machinery --------------------------------------------------
 
     def plucker(self, plane):
-        """Pluecker image u ^ v of a plane with stored basis (u, v).
+        """Pluecker image u ^ v of a `Plane2` with stored basis (u, v).
 
         Decomposable (the self-product vanishes); rescaling the basis
-        rescales the output.  A raw array must be a finite 4x2 basis of
-        rank 2, checked here; a `Plane2` passed the stricter rank check of
-        its `Subspace` when it was built.
+        rescales the output.  The plane's basis passed its rank check when
+        the plane was built, so none is made here.
         """
-        if isinstance(plane, Plane2):
-            basis = plane.basis
-        else:
-            basis = np.asarray(plane, float)
-            if basis.shape != (4, 2) or not np.isfinite(basis).all():
-                raise GeometryError("a plane basis must be a finite 4x2 array")
-            if np.linalg.matrix_rank(basis) < 2:
-                raise GeometryError("plane basis is rank deficient")
-        return plucker_rows(basis[:, 0], basis[:, 1])
+        if not isinstance(plane, Plane2):
+            raise GeometryError("plucker expects a Plane2")
+        return plucker_rows(plane.basis[:, 0], plane.basis[:, 1])
 
     def transverse(self, p, q, eps=EPS_ALG):
         """Whether two 2-planes intersect trivially.
@@ -293,8 +283,8 @@ class Splitting:
     """
 
     def __init__(self, space, s, s_perp, eps=EPS_ALG):
-        _raise_first(_splitting_checks(space, s.sub.onb, s.is_lagrangian,
-                                       s_perp.sub.onb, s_perp.is_lagrangian, eps))
+        _raise_first(_splitting_checks(space, s.onb, s.is_lagrangian,
+                                       s_perp.onb, s_perp.is_lagrangian, eps))
         self.space = space
         self.s = s
         self.s_perp = s_perp
@@ -303,10 +293,15 @@ class Splitting:
 
     @classmethod
     def from_plane(cls, space, s, eps=EPS_ALG):
+        if s.is_lagrangian:  # raised before its complement, itself, is taken
+            raise GeometryError(_DEGENERATE_SUMMANDS)
         return cls(space, s, symplectic_complement(space, s), eps)
 
     def __repr__(self):
         return f"Splitting(s=\n{self.s_basis}, s_perp=\n{self.s_perp_basis})"
+
+
+_DEGENERATE_SUMMANDS = "splitting summands must be nondegenerate"
 
 
 def _splitting_checks(space, s, s_lagrangian, t, t_lagrangian, eps=EPS_ALG):
@@ -315,7 +310,7 @@ def _splitting_checks(space, s, s_lagrangian, t, t_lagrangian, eps=EPS_ALG):
     nondegenerate = ~(np.asarray(s_lagrangian) | t_lagrangian)
     val = np.abs(np.swapaxes(s, -1, -2) @ space.matrix @ t).max(axis=(-2, -1))
     _orthonormal_columns(np.concatenate([s, t], -1)[nondegenerate & (val <= eps)], EPS_RANK)
-    return [(~nondegenerate, "splitting summands must be nondegenerate"),
+    return [(~nondegenerate, _DEGENERATE_SUMMANDS),
             (val > eps, lambda i: f"summands are not omega-orthogonal: omega = {val[i]:.3e}")]
 
 
@@ -337,7 +332,7 @@ def symplectic_complement(space, s):
     if s.is_lagrangian:
         warnings.warn("symplectic complement of a Lagrangian plane is itself",
                       stacklevel=2)
-    comp, checks = _complements(space, s.sub.onb)
+    comp, checks = _complements(space, s.onb)
     _raise_first(checks)
     return Plane2(space, comp)
 
@@ -353,7 +348,7 @@ def maslov(space, l, p, l_prime, eps=EPS_RANK):
     for plane, name in ((l, "L"), (p, "P"), (l_prime, "L'")):
         if not plane.is_lagrangian:
             raise GeometryError(f"{name} is not Lagrangian")
-    index, checks = _maslov_rows(space, l.sub.onb, p.sub.onb, l_prime.sub.onb, eps)
+    index, checks = _maslov_rows(space, l.onb, p.onb, l_prime.onb, eps)
     _raise_first(checks)
     return int(index)
 

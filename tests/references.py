@@ -7,8 +7,8 @@ import numpy as np
 from ein3 import einstein
 from ein3 import oracle as O
 from ein3.ads import _omega0_cells
-from ein3.linalg import (EPS_ALG, EPS_RANK, GeometryError, Subspace, _intersection_dims,
-                         _raise_first, _singular, as_vector, nullspace)
+from ein3.linalg import (EPS_ALG, EPS_RANK, GeometryError, _intersection_dims, _raise_first,
+                         _singular, as_vector, nullspace)
 from ein3.symplectic import PAIRS, Plane2, _lagrangian_points
 
 
@@ -33,21 +33,22 @@ def lagrangian_point(space, l):
 
 def plane_intersection_dim(p, q, eps=EPS_RANK):
     """dim(P cap Q) through plain subspace intersection (no bivectors)."""
-    return int(_intersection_dims(p.sub.onb, q.sub.onb, eps))
+    return int(_intersection_dims(p.onb, q.onb, eps))
 
 
 def intersect(a, b, eps=EPS_RANK):
-    """Intersection of two subspaces of the same ambient space.
+    """Orthonormal basis of the intersection of the spans of orthonormal
+    bases a, b of the same ambient space; its dimension is shape[1].
 
     Computed from the nullspace of the stacked system [A | -B]: a combination
     A x = B y lies in both spans.
     """
-    if a.ambient_dim != b.ambient_dim:
+    if a.shape[0] != b.shape[0]:
         raise GeometryError("subspaces live in different ambient dimensions")
-    coeffs = nullspace(np.hstack([a.onb, -b.onb]), eps)
+    coeffs = nullspace(np.hstack([a, -b]), eps)
     # re-orthonormalize: the combinations can be nearly dependent
-    u, rank, _ = _singular(a.onb @ coeffs[:a.dim], eps)
-    return Subspace(u[:, :rank])
+    u, rank, _ = _singular(a @ coeffs[:a.shape[1]], eps)
+    return u[:, :rank]
 
 
 def bivector_to_plane(space, b, eps=EPS_ALG):

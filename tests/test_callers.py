@@ -3,7 +3,9 @@
 A caller is code of the package outside the definition itself, the
 benchmark harness under perfbench/, or the tuple of library entry points
 below.  A name counts as it appears in the syntax tree (a Name or an
-Attribute node, not a docstring); perfbench also names what it traces in
+Attribute node, not a docstring), and a method's name only as an Attribute
+node (x.name): a local variable or parameter of the same name does not
+keep a method alive.  perfbench also names what it traces in
 strings, and such a string counts only when it is a definition's full
 trace name, module then qualified name, such as "oracle.min_gap" or
 "symplectic.SympSpace.transverse".
@@ -37,8 +39,9 @@ def _public_definitions():
 
 
 def _names(tree):
-    """(line, name) of every Name and Attribute node of a tree."""
-    return [(n.lineno, n.id if isinstance(n, ast.Name) else n.attr)
+    """(line, name, whether an Attribute node) of every Name and Attribute
+    node of a tree."""
+    return [(n.lineno, n.id, False) if isinstance(n, ast.Name) else (n.lineno, n.attr, True)
             for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))]
 
 
@@ -50,18 +53,23 @@ def _callers():
     names, strings = set(), set()
     for path in (ROOT / "perfbench").glob("*.py"):
         tree = ast.parse(path.read_text())
-        names.update(name for _, name in _names(tree))
+        names.update((name, attribute) for _, name, attribute in _names(tree))
         strings.update(n.value for n in ast.walk(tree)
                        if isinstance(n, ast.Constant) and isinstance(n.value, str))
     return package, (names, strings)
 
 
 def _called(module, qualname, node, package, bench):
-    """Whether a definition's name is used outside the definition itself."""
+    """Whether a definition's name is used outside the definition itself; a
+    method's only as an attribute."""
     bench_names, bench_strings = bench
-    return node.name in bench_names or f"{module}.{qualname}" in bench_strings or any(
-        used == node.name and not (where == module and node.lineno <= line <= node.end_lineno)
-        for where, names in package.items() for line, used in names)
+    method = "." in qualname
+    return (any(used == node.name and (attribute or not method)
+                for used, attribute in bench_names)
+            or f"{module}.{qualname}" in bench_strings
+            or any(used == node.name and (attribute or not method)
+                   and not (where == module and node.lineno <= line <= node.end_lineno)
+                   for where, names in package.items() for line, used, attribute in names))
 
 
 def test_every_public_function_has_a_caller():

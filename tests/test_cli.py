@@ -42,6 +42,13 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
+def child_env():
+    """The environment of a child process that imports the ein3 under test."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_classify_tori_normals(tmp_path, capsys):
     path = write_config(tmp_path, {"objects": {
         "T1": {"type": "torus", "normal": [1, 0, 0, 0, 0]},
@@ -92,6 +99,17 @@ def test_classify_tori_rejects_a_map_that_is_not_a_finite_2x2(map_text, tmp_path
     code, out, err = run(["classify-tori", str(path)], capsys)
     assert code == 2 and out == ""
     assert "'T2'" in err and "finite 2x2" in err
+
+
+def test_a_lagrangian_splitting_exits_2_with_one_error_line(tmp_path):
+    # rejected before its complement, the plane itself, is taken: no
+    # warning precedes the error
+    path = write_config(tmp_path, {"objects": {
+        "T1": {"type": "torus", "splitting": [[1, 0, 0, 0], [0, 1, 0, 0]]}}})
+    proc = subprocess.run([sys.executable, "-m", "ein3.cli", "classify-tori", path],
+                          capture_output=True, text=True, env=child_env())
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: object 'T1': splitting summands must be nondegenerate\n"
 
 
 def test_classify_tori_equal(tmp_path, capsys):
@@ -408,6 +426,32 @@ def test_sample_passes_eps_alg_to_an_ads_plane_quadrilateral(tmp_path, capsys):
     assert out == f"wrote 50 points to {out_csv}\n"
 
 
+# omega(v+, v-) = -1e-7: within --eps-alg 1e-6, over the default eps
+Q1 = dict(QUAD, v_minus=[0, 1e-7, 1, 0])
+
+
+@pytest.mark.parametrize("command, objects, want", [
+    ("check-photon", {"P": {"type": "photon", "vector": [1, 1, -1, 1]}}, (0, "disjoint=true\n")),
+    ("check-crooked", {"Q2": dict(QUAD, u_plus=[3, 0, 0, 0], u_minus=[0, 3, 0, 0],
+                                  v_plus=[0, 0, 0, 1 / 3], v_minus=[0, 0, 1 / 3, 0])},
+     (1, "disjoint=false\n")),
+    ("sample", {}, (0, "wrote 20 points")),
+])
+def test_eps_alg_reaches_the_surface_plane_tags(command, objects, want, tmp_path, capsys):
+    # the quadrilateral's products pass at --eps-alg, and so must the
+    # Lagrangian tags of its surface's vertices
+    argv = [command, write_config(tmp_path, {"objects": dict(objects, Q1=Q1)})]
+    if command == "sample":
+        argv += ["--count", "20", "--out", str(tmp_path / "cloud.csv")]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: object 'Q1': quadrilateral products violated")
+    code, out, err = run(["--eps-alg", "1e-6"] + argv, capsys)
+    assert code == want[0]
+    assert want[1] in out
+    assert "error" not in err
+
+
 def test_check_ads(tmp_path, capsys):
     path = write_config(tmp_path, {"objects": {
         "A1": {"type": "ads_plane", "base": [[1, 0], [0, 1]],
@@ -660,12 +704,8 @@ def test_check_commands_and_sample_skip_scipy_and_the_oracle(tmp_path):
                 loaded.append([m for m in ("scipy", "ein3.oracle") if m in sys.modules])
         print(json.dumps(loaded))
     """)
-    # the child imports the ein3 under test
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", child, json.dumps([checks, sample])],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=child_env(), check=True)
     loaded = json.loads(proc.stdout)
     assert loaded == [[]] * len(checks) + [["ein3.oracle"]]
 

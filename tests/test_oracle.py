@@ -160,7 +160,8 @@ def test_random_quadrilateral_under_a_nonstandard_omega(space):
         assert all(abs(v) < 1e-9 for v in C._product_residuals(quad.gram.tolist()))
         C.CrookedSurface(quad)
         g = random_symplectic(space, replay)
-        want = C.LightlikeQuadrilateral(space, *(g @ v for v in canonical.vectors()))
+        want = C.LightlikeQuadrilateral(space, *(g @ v for v in (
+            canonical.u_plus, canonical.u_minus, canonical.v_plus, canonical.v_minus)))
         assert np.array_equal(quad.columns, want.columns)
 
 
@@ -307,7 +308,7 @@ def test_stem_only_checks_the_shared_point_within_its_trials(monkeypatch):
     monkeypatch.setattr(C, "_lagrangian_regions", off_stem)
     report = O.suite_stem_only(trials=3, seed=7)
     assert report["failures"] == [f"pair {k}: the shared point is off a stem"
-                                  for k in range(3)]
+                                  for k in range(1, 4)]
 
 
 class _FixedRng:
@@ -403,7 +404,7 @@ def _crossing_residual(p, surface, plane):
     space = surface.space
     p = np.asarray(p, dtype=float)
     p = p / np.linalg.norm(p)
-    onb = plane.sub.onb
+    onb = plane.onb
     lag = abs(space.omega(onb[:, 0], onb[:, 1]))
     containment = float(np.linalg.norm(p - onb @ (onb.T @ p)))
     return max(lag, containment)
@@ -890,11 +891,11 @@ def _reference_maslov(space, l, p, lp, eps=1e-9):
     """`maslov` as it was written per triple, kept as the reference of the
     stacked `_maslov_rows`."""
     from ein3.linalg import inertia
-    m = np.hstack([l.sub.onb, lp.sub.onb])
+    m = np.hstack([l.onb, lp.onb])
     if abs(np.linalg.det(m)) <= eps:
         raise GeometryError("L and L' are not transverse")
-    coeffs = np.linalg.solve(m, p.sub.onb)
-    g = (l.sub.onb @ coeffs[:2]).T @ space.matrix @ (lp.sub.onb @ coeffs[2:])
+    coeffs = np.linalg.solve(m, p.onb)
+    g = (l.onb @ coeffs[:2]).T @ space.matrix @ (lp.onb @ coeffs[2:])
     pos, neg, zero = inertia(np.linalg.eigvalsh((g + g.T) / 2), eps)
     if zero:
         raise GeometryError("restricted form is degenerate: P is not transverse to L and L'")
@@ -904,7 +905,7 @@ def _reference_maslov(space, l, p, lp, eps=1e-9):
 def _reference_causal(p, p0, pinf, eps=1e-9):
     """`classify_point` as it was written per point, kept as the reference
     of the stacked `_causal_rows`."""
-    from ein3.linalg import Subspace, inertia
+    from ein3.linalg import inertia
 
     def incident(a, b):
         return abs(inner(a.rep / np.linalg.norm(a.rep), b.rep / np.linalg.norm(b.rep))) <= eps
@@ -918,7 +919,7 @@ def _reference_causal(p, p0, pinf, eps=1e-9):
     if incident(p, pinf):
         raise GeometryError(
             "point lies on the light cone of pinf, outside the Minkowski patch")
-    onb = Subspace(np.column_stack([p.rep, p0.rep, pinf.rep])).onb
+    onb = _orthonormal_columns(np.column_stack([p.rep, p0.rep, pinf.rep]), EPS_RANK)
     sig = inertia(np.linalg.eigvalsh(onb.T @ E.GRAM @ onb))
     types = {(1, 2, 0): E.CausalType.TIMELIKE, (2, 1, 0): E.CausalType.SPACELIKE}
     if sig not in types:
@@ -948,7 +949,7 @@ def test_stacked_maslov_and_causal_kernels_match_the_per_trial_reference():
             p = S.Plane2.span(SP, x, r - (r @ base) / (base @ base) * base)
         triples.append((l, p, lp))
     ls, ps, lps = ([t[j] for t in triples] for j in range(3))
-    onb = [np.array([plane.sub.onb for plane in planes]) for planes in (ls, ps, lps)]
+    onb = [np.array([plane.onb for plane in planes]) for planes in (ls, ps, lps)]
     index, checks = S._maslov_rows(SP, *onb)
     points = [[lagrangian_point(SP, plane) for plane in planes] for planes in (ps, ls, lps)]
     reps, point_checks = S._lagrangian_points(
@@ -1057,7 +1058,7 @@ def _scalar_tags(m):
     plane = _scalar_plane(m)
     if plane is None:
         return [False, False]
-    onb = plane.sub.onb
+    onb = plane.onb
     return [plane.is_lagrangian,
             not plane.is_lagrangian and abs(SP.omega(onb[:, 0], onb[:, 1])) > 0.2]
 
@@ -1277,17 +1278,18 @@ def test_ads_equivalence_reports_a_perturbed_lift_with_its_trial_number(monkeypa
         return lifts, checks
 
     monkeypatch.setattr(ads, "_boundary_lifts", perturbed)
-    # equivariance trials count every candidate from 0; at this seed none of
-    # the first 130 is skipped, so row 1 of the second block is trial 129
+    # equivariance trials count every candidate from 1; at this seed none of
+    # the first 130 is skipped, so row 1 of the second block is trial 130
     failures = O.suite_ads_equivalence(trials=130, seed=7)["failures"]
     assert blocks == [128, 2]
     assert len(failures) == 1
-    assert failures[0].startswith("equivariance trial 129: residual ")
+    assert failures[0].startswith("equivariance trial 130: residual ")
 
 
 def test_surface_disjointness_reports_a_failed_criterion_and_draws_on(monkeypatch):
-    # the criterion reads "not disjoint" for disjoint pair 3 and "disjoint"
-    # for intersecting pair 3: each side reports exactly that trial, and
+    # the criterion reads "not disjoint" for disjoint pair 4 (row 3 of the
+    # block) and "disjoint" for intersecting pair 4: each side reports
+    # exactly that trial, numbered from 1 as every suite numbers them, and
     # the failed pair's clouds are drawn all the same, so every later
     # pair, and its gap, is the one drawn without the failure
     avoids, min_gap = C._avoids, O.min_gap
@@ -1305,8 +1307,8 @@ def test_surface_disjointness_reports_a_failed_criterion_and_draws_on(monkeypatc
     gaps.clear()
     monkeypatch.setattr(C, "_avoids", failed)
     report = O.suite_surface_disjointness(trials=8, seed=7)
-    assert report["failures"] == ["disjoint pair 3: criterion says not disjoint",
-                                  "intersecting pair 3: criterion says disjoint"]
+    assert report["failures"] == ["disjoint pair 4: criterion says not disjoint",
+                                  "intersecting pair 4: criterion says disjoint"]
     assert gaps == want
     assert report["max_violation"] == min(want)
 
@@ -1337,7 +1339,7 @@ def test_stacked_witness_matches_the_per_trial_reference(seed):
     for j, (q, surface) in enumerate(meeting):
         want = C.find_crossing_lagrangian(q, surface)
         assert np.array_equal(bases[j], want.basis)
-        assert np.array_equal(onb[j], want.sub.onb)
+        assert np.array_equal(onb[j], want.onb)
         assert O._crossing_residual(SP, q, onb[j]) == _crossing_residual(q, surface, want)
 
         def region(j=j):

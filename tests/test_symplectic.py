@@ -40,10 +40,7 @@ def test_omega_star():
     rng = np.random.default_rng(0)
     for _ in range(50):
         u, v = rng.normal(size=(2, 4))
-        biv = SP.plucker(np.column_stack([u, v])) if np.linalg.matrix_rank(
-            np.column_stack([u, v])) == 2 else None
-        if biv is None:
-            continue
+        biv = SP.plucker(S.Plane2.span(SP, u, v))
         assert SP.wedge(SP.omega_star, biv) == pytest.approx(SP.omega(u, v))
 
 
@@ -56,32 +53,34 @@ def test_plucker():
         biv = SP.plucker(p)
         assert abs(SP.wedge(biv, biv)) < 1e-9 * float(biv @ biv)
         lam = rng.uniform(0.5, 2.0)
-        assert np.allclose(SP.plucker(p.basis * lam), lam * lam * biv)
-    with pytest.raises(GeometryError):
+        assert np.allclose(SP.plucker(S.Plane2(SP, p.basis * lam)), lam * lam * biv)
+    with pytest.raises(GeometryError, match="plucker expects a Plane2"):
         SP.plucker(np.column_stack([E4[:, 0], E4[:, 0]]))
 
 
-def test_plucker_rank_checks_raw_arrays_and_trusts_built_planes():
+def test_plucker_rejects_raw_arrays_and_trusts_built_planes():
     rng = np.random.default_rng(5)
     rank_one = np.outer(rng.normal(size=4), [1.0, -2.0])
-    with pytest.raises(GeometryError, match="plane basis is rank deficient"):
+    with pytest.raises(GeometryError, match="plucker expects a Plane2"):
         SP.plucker(rank_one)
-    # a Plane2's rank check is the stricter one: this basis passes
-    # matrix_rank but is no plane
+    with pytest.raises(GeometryError, match="rank 1 < 2"):
+        S.Plane2(SP, rank_one)
+    # the rank check of Plane2 is stricter than matrix_rank: this basis
+    # passes matrix_rank but is no plane
     nearly = np.column_stack([E4[:, 0], E4[:, 0] + 1e-12 * E4[:, 1]])
     assert np.linalg.matrix_rank(nearly) == 2
     with pytest.raises(GeometryError, match="rank 1 < 2"):
         S.Plane2(SP, nearly)
     planes = ([S.Plane2(SP, rng.normal(size=(4, 2))) for _ in range(3)]
               + [S.Plane2.span(SP, rng.normal(size=4), rng.normal(size=4))])
-    for p in planes:
-        assert np.array_equal(SP.plucker(p), SP.plucker(p.basis))
+    for p in planes:  # the stored basis, not the orthonormalized one
+        assert np.array_equal(SP.plucker(p), S.plucker_rows(p.basis[:, 0], p.basis[:, 1]))
 
 
 @pytest.mark.parametrize("basis", [E4[:, :3], E4[:3, :2], np.full((4, 2), np.nan)],
                          ids=["4x3", "3x2", "nan"])
 def test_plucker_rejects_a_raw_array_that_is_not_a_finite_4x2(basis):
-    with pytest.raises(GeometryError, match="finite 4x2"):
+    with pytest.raises(GeometryError, match="plucker expects a Plane2"):
         SP.plucker(basis)
 
 
@@ -182,7 +181,7 @@ def test_symplectic_complement():
         assert S.symplectic_complement(SP, comp) == p
         for i in range(2):
             for j in range(2):
-                assert abs(SP.omega(p.sub.onb[:, i], comp.sub.onb[:, j])) < 1e-9
+                assert abs(SP.omega(p.onb[:, i], comp.onb[:, j])) < 1e-9
     with pytest.warns(UserWarning):
         self_comp = S.symplectic_complement(SP, L12)
     assert self_comp == L12
