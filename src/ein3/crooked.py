@@ -169,7 +169,7 @@ class CrookedSurface:
     closed-form singular values of their bases and from omega read off the
     quadrilateral's G, the Lagrangian tag at the quadrilateral's eps; the
     six `Plane2` objects are built, one by one, on the first read of any of
-    them, and no predicate reads them.
+    them, and carry those tags; no predicate reads them.
     """
 
     def __init__(self, quad):
@@ -179,7 +179,10 @@ class CrookedSurface:
 
     @functools.cached_property
     def _planes(self):
-        return [Plane2(self.space, b) for b in self.quad.columns.take(_PLANE_ENTRIES)]
+        planes = [Plane2(self.space, b) for b in self.quad.columns.take(_PLANE_ENTRIES)]
+        for k, plane in enumerate(planes):  # the tags checked at quad.eps
+            plane.is_lagrangian = k < 4
+        return planes
 
     p_zero = _built_plane(0, "The vertex P0 = span{v+, v-}.")
     p_inf = _built_plane(1, "The vertex P_infinity = span{u+, u-}.")

@@ -219,13 +219,13 @@ class SympSpace:
         return abs(wedge) / (np.linalg.norm(bp, axis=-1) * np.linalg.norm(bq, axis=-1))
 
     def reflect_omega_star(self, b):
-        """Reflection u -> u + (u . omega*) omega*; fixes W pointwise.
+        """Reflection u -> u + (u . omega*) omega*, row by row; fixes W pointwise.
 
         For a nondegenerate plane S the reflection carries the Pluecker line
         of S to the line of its symplectic complement.
         """
-        b = as_vector(b, 6)
-        return b + self.wedge(b, self.omega_star) * self.omega_star
+        b, w = (as_vector(b, 6) if np.ndim(b) < 2 else b), self.omega_star
+        return b + (b[..., None, :] @ self._gram @ w[:, None])[..., 0] * w
 
     # -- bridge to the null-cone model ---------------------------------------
 

@@ -62,14 +62,14 @@ def _ads_planes(units, f):
 
 def disjoint_ads_pair(rng):
     """Random AdS crooked plane pair certified disjoint with healthy margins:
-    surface-disjointness' draw of one pair, a chunk of _ORACLE_BLOCK
-    `oracle._ads_arrays` candidates in one rng call per candidate, kept when
-    one of them has all four margins above 1e-2; the first such is built."""
-    def passes(z):  # of stacked chunks (..., _ORACLE_BLOCK, 6, 2)
+    surface-disjointness' draw of one pair, _ADS_ROWS `oracle._ads_arrays`
+    candidates in one rng call per candidate, kept when one of them has all
+    four margins above 1e-2; the first such is built."""
+    def passes(z):  # of stacked candidates (..., _ADS_ROWS, 6, 2)
         margins = O._ads_arrays(z.reshape(-1, 6, 2))[2]
         return margins.min(axis=(1, 2)).reshape(z.shape[:-2]) > 1e-2
 
-    z = _first(lambda: rng.normal(size=(O._ORACLE_BLOCK, 6, 2)), lambda c: passes(c).any(-1))
+    z = _first(lambda: rng.normal(size=(O._ADS_ROWS, 6, 2)), lambda c: passes(c).any(-1))
     units, f, _ = O._ads_arrays(z)
     i = int(passes(z).argmax())
     return _ads_planes(units[i], f[i])

@@ -120,3 +120,16 @@ def photon_crossing_oracle(p, surface):
     p = p / np.linalg.norm(p)
     w, hit = O._photon_crossings(surface.space, p[None], surface.quad.columns[None])
     return Plane2.span(surface.space, p, w[0]) if hit[0] else None
+
+
+def unit_points(cloud):
+    """The points of a `SampleCloud` over their norms."""
+    return cloud.points / np.linalg.norm(cloud.points, axis=1, keepdims=True)
+
+
+def min_gap(cloud_a, cloud_b):
+    """Minimum chordal distance between the projective classes of two
+    `SampleCloud`s, by surface-disjointness' kernel `oracle._gap`."""
+    if len(cloud_a) == 0 or len(cloud_b) == 0:
+        raise GeometryError("min_gap needs nonempty clouds")
+    return O._gap(unit_points(cloud_a), unit_points(cloud_b))

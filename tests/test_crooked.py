@@ -11,13 +11,12 @@ from ein3.oracle import (
     _stem_generators,
     _wing_generators,
     make_rng,
-    min_gap,
     sample_surface,
 )
 
 from draws import (disjoint_ads_pair, random_ads_config, random_lagrangian,
                    random_quadrilateral, random_symplectic, stem_crossing_pair)
-from references import intersect, photon_crossing_oracle
+from references import intersect, min_gap, photon_crossing_oracle
 
 SP = S.standard_space()
 E4 = np.eye(4)
@@ -357,6 +356,20 @@ def test_surface_planes_equal_their_single_spans():
             assert np.array_equal(plane.onb, single.onb)
             assert np.array_equal(plane.basis, single.basis)
             assert plane.is_lagrangian is single.is_lagrangian
+
+
+def test_surface_planes_carry_the_tags_checked_at_the_quadrilateral_eps():
+    # P0 = span{v+, v-} has |omega| = 1e-7 on its orthonormal basis: a
+    # vertex at eps 1e-6, which `Plane2` alone tags nondegenerate at EPS_ALG
+    quad = C.LightlikeQuadrilateral(SP, E4[0], E4[1], E4[3], E4[2] + 1e-7 * E4[1], eps=1e-6)
+    surface = C.CrookedSurface(quad)
+    planes = [surface.p_zero, surface.p_inf, surface.p_plus, surface.p_minus,
+              surface.stem1, surface.stem2]
+    assert [plane.is_lagrangian for plane in planes] == [True] * 4 + [False] * 2
+    assert not S.Plane2(SP, surface.p_zero.basis).is_lagrangian
+    wing_plus, wing_minus = C.SurfaceRegion.WING_PLUS, C.SurfaceRegion.WING_MINUS
+    assert [C.surface_contains(surface, vertex, eps=1e-6) for vertex in planes[:4]] == [
+        wing_plus, wing_plus, wing_plus, wing_minus]
 
 
 def test_surfaces_of_different_spaces_are_rejected(surface):

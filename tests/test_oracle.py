@@ -12,8 +12,8 @@ from draws import (disjoint_ads_pair, random_ads_config, random_lagrangian,
                    random_quadrilateral, random_splitting, random_symplectic,
                    random_unit_spacelike, stem_crossing_pair)
 from references import (bivector_to_plane, classify_point, inner, lagrangian_point,
-                        omega0, photon_crossing_oracle, plane_intersection_dim,
-                        probe_intersection_type)
+                        min_gap, omega0, photon_crossing_oracle, plane_intersection_dim,
+                        probe_intersection_type, unit_points)
 
 SP = S.standard_space()
 # a nonsingular antisymmetric form with no zero entry off the diagonal
@@ -55,7 +55,7 @@ def test_sample_torus():
     rng = O.make_rng(2)
     t = E.EinsteinTorus([2, 0, 0, 3, 1])
     cloud = O.sample_torus(t, 200, rng)
-    unit = cloud.unit_points()
+    unit = unit_points(cloud)
     for x in unit:
         assert abs(inner(x, x)) < 1e-9
         assert abs(inner(x, t.normal)) < 1e-9
@@ -72,7 +72,7 @@ def test_sample_torus():
     t1 = E.EinsteinTorus([1, 0, 0, 0, 0])
     far = E.EinsteinTorus([50, 0, 0, 51, 49])
     assert E.eta(t1, far) == pytest.approx(50.0)
-    samples = O.sample_torus(t1, 300, O.make_rng(2)).unit_points()
+    samples = unit_points(O.sample_torus(t1, 300, O.make_rng(2)))
     assert min(abs(inner(x, far.normal)) for x in samples) > 0.05
 
 
@@ -95,11 +95,11 @@ def test_min_gap():
     rng = O.make_rng(4)
     t = E.EinsteinTorus([1, 0, 0, 0, 0])
     cloud = O.sample_torus(t, 100, rng)
-    assert O.min_gap(cloud, cloud) == 0.0
+    assert min_gap(cloud, cloud) == 0.0
     shifted = O.SampleCloud(cloud.points[:50], cloud.labels[:50])
-    assert O.min_gap(cloud, shifted) == 0.0  # shares points
+    assert min_gap(cloud, shifted) == 0.0  # shares points
     with pytest.raises(GeometryError):
-        O.min_gap(O.SampleCloud(np.zeros((0, 5)), []), cloud)
+        min_gap(O.SampleCloud(np.zeros((0, 5)), []), cloud)
 
 
 def test_projective_distance_precision():
@@ -107,6 +107,22 @@ def test_projective_distance_precision():
     assert O.projective_distance(v, -2.0 * v) < 1e-15
     w = v + 1e-12 * np.array([1.0, 0, 0, 0, 0])
     assert O.projective_distance(v, w) < 1e-11
+
+
+def test_projective_distance_of_rows_equals_the_per_row_norms():
+    # symplectic-identities takes a block's distances at once, on Pluecker
+    # rows that are not contiguous; each equals the distance of its two
+    # rows by `np.linalg.norm`, as the suite took it one trial at a time
+    rng = O.make_rng(6)
+    a, b = (O._plucker(rng.normal(size=(500, 4, 2))) for _ in range(2))
+    assert not a.flags.c_contiguous
+
+    def one_row(x, y):
+        ux, uy = x / np.linalg.norm(x), y / np.linalg.norm(y)
+        return float(min(np.linalg.norm(ux - uy), np.linalg.norm(ux + uy)))
+
+    assert O.projective_distance(a, b).tolist() == [
+        one_row(np.ascontiguousarray(x), np.ascontiguousarray(y)) for x, y in zip(a, b)]
 
 
 def test_probe_intersection_type():
@@ -271,10 +287,11 @@ def _scalar_ads_pair(z):
 
 
 def test_disjoint_ads_pair_draws_as_random_ads_config():
-    # the accepted pair is the first candidate of its chunk whose margins
-    # pass, as the scalar constructors build it from that candidate's draw
+    # the accepted pair is the first AdS candidate whose margins pass, over
+    # the rows of at most ATTEMPTS_PER_TRIAL draws (one rng stream), as the
+    # scalar constructors build it from that candidate's draw
     for seed in range(5):
-        chunk = O.make_rng(seed).normal(size=(O._ORACLE_BLOCK, 6, 2))
+        chunk = O.make_rng(seed).normal(size=(O.ATTEMPTS_PER_TRIAL * O._ADS_ROWS, 6, 2))
         want = next(pair for pair in map(_scalar_ads_pair, chunk)
                     if pair and min(ads.ads_margins(*pair).values()) > 1e-2)
         got = disjoint_ads_pair(O.make_rng(seed))
@@ -737,6 +754,22 @@ def test_screened_blocks_draw_no_candidate_past_the_last_trial():
     assert len(drawn) == 40
 
 
+def test_blocks_cut_a_screen_that_keeps_several_records_a_candidate():
+    # three records a candidate: each chunk's records are cut to the trials
+    # its block lacks, the rest dropped with their candidates
+    drawn = []
+
+    def draw():
+        drawn.append(len(drawn))
+        return drawn[-1]
+
+    blocks = list(O._blocks(300, draw, lambda chunk: [(r, j) for r in chunk for j in range(3)]))
+    assert [(first, len(block)) for first, block in blocks] == [(1, 128), (129, 128), (257, 44)]
+    assert blocks[0][1] == [(r, j) for r in range(43) for j in range(3)][:128]
+    assert blocks[1][1][0] == (128, 0) and blocks[2][1][0] == (256, 0)
+    assert len(drawn) == 300
+
+
 def test_photon_suite_reports_a_blind_or_a_seeing_oracle_in_trial_order(monkeypatch):
     assert O.suite_photon_avoidance(trials=20, seed=7)["failures"] == []
     with monkeypatch.context() as patch:
@@ -782,19 +815,22 @@ def test_min_gap_equals_the_clipped_maximum():
         a = O.sample_torus(E.EinsteinTorus(random_unit_spacelike(rng)), 50, rng)
         b = a if k % 5 == 0 else O.sample_torus(
             E.EinsteinTorus(random_unit_spacelike(rng)), 50, rng)
-        cos = np.clip(np.abs(a.unit_points() @ b.unit_points().T), 0.0, 1.0)
-        assert O.min_gap(a, b) == float(np.sqrt(max(0.0, 1.0 - float(cos.max()) ** 2)))
+        cos = np.clip(np.abs(unit_points(a) @ unit_points(b).T), 0.0, 1.0)
+        assert min_gap(a, b) == float(np.sqrt(max(0.0, 1.0 - float(cos.max()) ** 2)))
 
 
-# report_lines of four suites at trials=200 on seeds 1-3 (two blocks each):
+# report_lines of five suites at trials=200 on seeds 1-3 (two blocks each):
 # maslov-bridge's as the trial-by-trial suite wrote them, the others' as the
 # draws decided by the stacked screens write them (torus-trichotomy's since
-# each candidate draws its pair of normals and all of its angles)
+# each candidate draws its pair of normals and all of its angles,
+# surface-disjointness' since its disjoint pairs are every pass of
+# _ADS_ROWS-row candidates and its clouds are drawn in the check stage)
 _STACKED_SUITE_SHA256 = {
     "torus-trichotomy": "d48b4f958afe3ce194527413c9bdef8b9d0ac8df1ee9929b0c15f6623ef883da",
     "eta-bridge": "4fc562b8e240b31395aebdda8476e8ad87598b68b054bd029fa42f73d90d9b27",
     "symplectic-identities": "a07f62ce823414a16306abca8118ab26880524b445dfe6c2f6e08f4e99504f21",
     "maslov-bridge": "aba5054fe7d90dcec6b8c4951e908dbf685f6314e4b2c4e69b27e5af994982fc",
+    "surface-disjointness": "ad44c289388277da439aefaeca9fb9567de57da1479a81e237d05cc4eb625ed3",
 }
 
 
@@ -985,7 +1021,7 @@ _CROSS_BLOCK_SHA256 = {
     "symplectic-identities": "7032344e460037d4bf9f601d5c389daebdf2e466db89b09098fdbc6b1f62cb12",
     "maslov-bridge": "5d816ecdafae0eb47871355429c9abb8a5425cfa9bb674eb538a6e805c96f50a",
     "photon-avoidance": "3fdcaa5bb0542fec9705a4ec4a03c2df89ee26185047f2f59fe80fb830b1ebcd",
-    "surface-disjointness": "2301c4c31cf4c1e3d7d549d9ce995e7c698a1102a243061826b7cfa3606a3619",
+    "surface-disjointness": "79e14d03c05aa11c86904157b70fd72646aa4fba8765f33cfeb1e829bf63a1a3",
     "stem-only": "d9c92d6829190f28af54b5c9a93757659a7d0d539980bf3b9f046bbcb2ecdfed",
     "ads-equivalence": "52136e36c1cec0772e680824061b083b7c6937c3f566dc11ba95805e0f0ce147",
 }
@@ -1155,13 +1191,13 @@ _CRAFTED = {
     ("_planes", "eta-bridge", 130), ("_planes", "symplectic-identities", 130),
     ("_planes", "maslov-bridge", 130), ("_eta_screen", "eta-bridge", 130),
     ("_maslov_screen", "maslov-bridge", 130), ("_maslov_triples", "symplectic-identities", 130),
-    ("_ads_arrays", "ads-equivalence", 130), ("_ads_arrays", "surface-disjointness", 20),
+    ("_ads_arrays", "ads-equivalence", 130), ("_ads_arrays", "surface-disjointness", 130),
     ("_torus_screen", "torus-trichotomy", 130),
 ])
 def test_stacked_screens_decide_as_the_scalar_route(monkeypatch, name, suite, trials):
     # every candidate a draw stage screens at seeds 1 and 2, accepted and
-    # rejected (surface-disjointness screens 128 candidates a pair, so 20
-    # pairs), and candidates on which one condition alone decides: the
+    # rejected (each of surface-disjointness' candidates holds _ADS_ROWS
+    # AdS candidates), and candidates on which one condition alone decides: the
     # stacked decision equals `Plane2`'s rank and tag, `Plane2 ==`,
     # `SympSpace.transverse`, `maslov`'s raise, the `AdsCrookedPlane`
     # constructors and `ads_margins` of the planes, and `classify_torus_pair`
@@ -1292,7 +1328,7 @@ def test_surface_disjointness_reports_a_failed_criterion_and_draws_on(monkeypatc
     # exactly that trial, numbered from 1 as every suite numbers them, and
     # the failed pair's clouds are drawn all the same, so every later
     # pair, and its gap, is the one drawn without the failure
-    avoids, min_gap = C._avoids, O.min_gap
+    avoids, pair_gap = C._avoids, O._gap
     gaps = []
 
     def failed(m1, m2, eps):
@@ -1301,7 +1337,7 @@ def test_surface_disjointness_reports_a_failed_criterion_and_draws_on(monkeypatc
             out[3] = not out[3].all()
         return out
 
-    monkeypatch.setattr(O, "min_gap", lambda a, b: gaps.append(min_gap(a, b)) or gaps[-1])
+    monkeypatch.setattr(O, "_gap", lambda a, b: gaps.append(pair_gap(a, b)) or gaps[-1])
     assert O.suite_surface_disjointness(trials=8, seed=7)["failures"] == []
     want = gaps[:3] + gaps[4:]
     gaps.clear()
@@ -1311,6 +1347,80 @@ def test_surface_disjointness_reports_a_failed_criterion_and_draws_on(monkeypatc
                                   "intersecting pair 4: criterion says disjoint"]
     assert gaps == want
     assert report["max_violation"] == min(want)
+
+
+class _Replay:
+    """Stands in for a generator making the rng calls of `_cloud_draws`: it
+    returns the recorded draws of one surface, in order."""
+
+    def __init__(self, draws):
+        self.draws = [*draws[:6], (draws[6] + 1) // 2]  # components as integers draws them
+
+    def uniform(self, low, high, size):
+        assert len(self.draws[0]) == size
+        return self.draws.pop(0)
+
+    integers = uniform
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_stacked_clouds_equal_sample_surface(monkeypatch, seed):
+    # every sub-block of clouds that surface-disjointness builds at this
+    # seed: each surface's points against `sample_surface` of that surface
+    # replaying its draws, bit for bit, and each pair's gap against
+    # `min_gap` of the two clouds
+    calls, gaps, cloud, pair_gap = [], [], O._surface_cloud, O._gap
+    monkeypatch.setattr(O, "_surface_cloud",
+                        lambda *args: calls.append((args, cloud(*args))) or calls[-1][1])
+    monkeypatch.setattr(O, "_gap", lambda a, b: gaps.append(pair_gap(a, b)) or gaps[-1])
+    assert O.suite_surface_disjointness(trials=130, seed=seed)["failures"] == []
+    monkeypatch.undo()
+    assert [len(columns) for (_, columns, _), _ in calls] == [O._CLOUD_PAIRS] * 8 + [2]
+    gaps = iter(gaps)
+    for (space, columns, draws), points in calls:
+        for i, pair in enumerate(columns):
+            clouds = [O.sample_surface(C.CrookedSurface(C.LightlikeQuadrilateral(space, *q.T)),
+                                       320, _Replay([d[i, j] for d in draws]))
+                      for j, q in enumerate(pair)]
+            for got, want in zip(points[i], clouds):
+                assert np.array_equal(O._lead_rows(got), want.points)
+            assert next(gaps) == min_gap(*clouds)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_disjoint_pairs_are_the_passes_of_their_candidates_in_order(monkeypatch, seed):
+    # surface-disjointness' draw stage at this seed: each `_ads_arrays`
+    # call takes the rows of a chunk's candidates, _ADS_ROWS a candidate,
+    # and a block's pairs are every pass of its calls (all four margins
+    # above 1e-2) in draw order, the last call's cut to what the block
+    # lacks; the first block's rows are the first of the suite's stream
+    calls, blocks, arrays, blocks_of = [], [], O._ads_arrays, O._blocks
+
+    def recorded_blocks(*args):
+        for first, block in blocks_of(*args):
+            blocks.append(block)
+            yield first, block
+
+    monkeypatch.setattr(O, "_ads_arrays", lambda z: calls.append((z, arrays(z))) or calls[-1][1])
+    monkeypatch.setattr(O, "_blocks", recorded_blocks)
+    O.suite_surface_disjointness(trials=200, seed=seed)
+    assert [len(block) for block in blocks[:2]] == [128, 72]
+    calls = iter(calls)
+    for k, block in enumerate(blocks[:2]):
+        rows, pairs = [], []
+        while len(pairs) < len(block):
+            z, (units, f, margins) = next(calls)
+            assert len(z) % O._ADS_ROWS == 0
+            passed = margins.min(axis=(1, 2)) > 1e-2
+            rows.append(z)
+            pairs += zip(units[passed], f[passed])
+        assert len(pairs) - len(block) < passed.sum()
+        for (units, f), (want_units, want_f) in zip(block, pairs):
+            assert np.array_equal(units, want_units) and np.array_equal(f, want_f)
+        if k == 0:
+            rows = np.concatenate(rows)
+            assert np.array_equal(rows, O.make_rng([seed, 6]).normal(size=rows.shape))
+    assert next(calls, None) is None
 
 
 @pytest.mark.parametrize("seed", [1, 2])

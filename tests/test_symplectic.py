@@ -168,6 +168,10 @@ def test_reflect_omega_star():
     for _ in range(50):
         c = rng.normal(size=6)
         assert np.allclose(SP.reflect_omega_star(SP.reflect_omega_star(c)), c)
+    # a stack is reflected row by row, each row as b + wedge(b, omega*) omega*
+    rows = rng.normal(size=(50, 6))
+    assert np.array_equal(SP.reflect_omega_star(rows),
+                          [c + SP.wedge(c, SP.omega_star) * SP.omega_star for c in rows])
 
 
 def test_symplectic_complement():
