@@ -9,7 +9,6 @@ Minkowski space, (v1, v2, v3) -> [(v1, v2, v3, v1^2 + v2^2 - v3^2, 1)],
 land on the null cone with improper point (0, 0, 0, 1, 0).
 """
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -110,40 +109,56 @@ def _close(a, b):
     return (np.abs(a - b) <= 10 * EPS_ALG + 1e-5 * np.abs(b)).all(axis=-1)
 
 
-def _canonical_sign(v):
-    # same sign rule as projective_normalize: largest-|entry| becomes positive
-    i = int(np.argmax(np.abs(v)))
-    return -v if v[i] < 0 else v
-
-
 class EinsteinTorus:
-    """An Einstein torus: the hyperplane orthogonal to a spacelike normal.
-
-    The normal is stored unit (Q(s) = 1) and sign-canonicalized, so equal
-    tori have equal normals.  It is spacelike when Q(s) > eps |s|^2, a test
-    that does not depend on the scale of s.  Q(s), |s|^2 and the unit
-    normal are taken of s / 2^e, max |s| = m 2^e with 1/2 <= m < 1: the
-    power of two is exact, so no Q(s) overflows or underflows and the
-    stored normal is that of s.
-    """
+    """An Einstein torus: the hyperplane orthogonal to a spacelike normal,
+    stored unit (Q(s) = 1) and sign-canonicalized (`_torus_normals`)."""
 
     def __init__(self, normal, eps=EPS_ALG):
-        s = as_vector(normal, 5)
-        s = np.ldexp(s, -math.frexp(max(map(abs, s.tolist())))[1])
-        q = float(s @ GRAM @ s)
-        n = float(s @ s)
-        if q <= eps * n:
-            raise GeometryError(
-                f"normal must be spacelike, got Q(s)/|s|^2 = {q / n if n else 0.0:.3e}")
-        self.normal = _canonical_sign(s / np.sqrt(q))
+        self.normal, checks = _torus_normals(as_vector(normal, 5), eps)
+        _raise_first(checks)
 
     def __eq__(self, other):
         if not isinstance(other, EinsteinTorus):
             return NotImplemented
-        return bool(_close(self.normal, other.normal))
+        return _KINDS[_torus_kinds(self.normal, other.normal)[0]] is IntersectionKind.EQUAL
 
     def __repr__(self):
         return f"EinsteinTorus({np.array2string(self.normal, precision=6)})"
+
+
+def _torus_normals(normals, eps=EPS_ALG):
+    """`EinsteinTorus` over stacked rows (..., 5): the unit normals, signed
+    as `projective_normalize` signs a row (largest |entry| positive), and
+    the check that each is spacelike, Q(s) > eps |s|^2, a test that does not
+    depend on the scale of s.  Q(s), |s|^2 and the unit normal are taken of
+    s / 2^e, max |s| = m 2^e with 1/2 <= m < 1: the power of two is exact,
+    so no Q(s) overflows or underflows and the unit normal is that of s."""
+    s = np.ldexp(normals, -np.frexp(np.abs(normals).max(-1, keepdims=True))[1])
+    q = (s[..., None, :] @ GRAM @ s[..., :, None])[..., 0, 0]
+    n = (s[..., None, :] @ s[..., :, None])[..., 0, 0]
+    spacelike = q > eps * n
+    units = s / np.sqrt(np.where(spacelike, q, 1.0))[..., None]
+    lead = np.take_along_axis(units, np.abs(units).argmax(-1)[..., None], -1)
+    return np.where(lead < 0, -units, units), [(~spacelike, lambda i: (
+        f"normal must be spacelike, got Q(s)/|s|^2 = {q[i] / n[i] if n[i] else 0.0:.3e}"))]
+
+
+# the kinds `_torus_kinds` indexes, the two circles last
+_KINDS = (IntersectionKind.EQUAL, IntersectionKind.PHOTON_PAIR,
+          IntersectionKind.SPACELIKE_CIRCLE, IntersectionKind.TIMELIKE_CIRCLE)
+
+
+def _torus_kinds(s1, s2, eps=EPS_ALG):
+    """`classify_torus_pair` over stacked unit-normal rows: indices into
+    _KINDS, and eta = |s1 . s2| (1 for equal tori).  Tori are equal when
+    `_close` holds and eta is within 10 EPS_ALG of 1, past its rounding (< 4
+    float epsilons |s1| |s2| for equal normals, taken as 16 of the Euclidean
+    s1 s2): `_close` alone holds distinct tori of normal entries ~1e4 equal."""
+    e = abs(s1[..., None, :] @ GRAM @ s2[..., :, None])[..., 0, 0]
+    rounding = 16 * np.finfo(float).eps * (s1[..., None, :] @ s2[..., :, None])[..., 0, 0]
+    equal = _close(s1, s2) & (abs(e - 1.0) <= 10 * EPS_ALG + rounding)
+    kinds = np.where(abs(e - 1.0) <= eps, 1, np.where(e > 1.0, 2, 3))
+    return np.where(equal, 0, kinds), np.where(equal, 1.0, e)
 
 
 @dataclass
@@ -212,14 +227,6 @@ def _causal_rows(p, p0, pinf, eps=EPS_ALG):
          lambda i: f"degenerate configuration, span signature {tuple(sig[i].tolist())}")]
 
 
-def eta(t1, t2):
-    """Invariant |s1 . s2| of a pair of tori with unit spacelike normals.
-
-    Symmetric, and independent of the sign choices of the normals.
-    """
-    return abs(float(t1.normal @ GRAM @ t2.normal))
-
-
 def classify_torus_pair(t1, t2, eps=EPS_ALG):
     """Classify the intersection of two Einstein tori.
 
@@ -233,18 +240,12 @@ def classify_torus_pair(t1, t2, eps=EPS_ALG):
     The carrier is the 3-dimensional orthogonal complement of span{s1, s2}
     (its signature is `_carrier_signatures` of the normals); the
     intersection is the projectivized null cone of the carrier.  Equal tori
-    are reported separately (eta would be 1 there too).
+    are reported separately, with eta = 1 (`_torus_kinds`).
     """
-    if t1 == t2:
-        return IntersectionClass(IntersectionKind.EQUAL, 1.0)
-    e = eta(t1, t2)
-    if abs(e - 1.0) <= eps:
-        kind = IntersectionKind.PHOTON_PAIR
-    elif e > 1.0:
-        kind = IntersectionKind.SPACELIKE_CIRCLE
-    else:
-        kind = IntersectionKind.TIMELIKE_CIRCLE
-    return IntersectionClass(kind, e, (t1.normal, t2.normal))
+    index, e = _torus_kinds(t1.normal, t2.normal, eps)
+    kind = _KINDS[index]
+    return IntersectionClass(kind, float(e), None if kind is IntersectionKind.EQUAL
+                             else (t1.normal, t2.normal))
 
 
 def reflect(s, v):

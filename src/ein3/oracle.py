@@ -21,8 +21,9 @@ import numpy as np
 
 from ein3 import ads, crooked, einstein, symplectic
 from ein3.linalg import (EPS_ALG, EPS_RANK, GeometryError, _intersection_dims,
-                         _orthonormal_columns, _raise_first, _same_spans, _singular)
-from ein3.einstein import EinsteinTorus, IntersectionKind
+                         _orthonormal_columns, _raise_first, _same_spans, _singular,
+                         projective_normalize)
+from ein3.einstein import IntersectionKind
 from ein3.symplectic import Plane2
 
 EPS_GEO = 1e-6
@@ -124,7 +125,7 @@ class SampleCloud:
             raise GeometryError("cloud points must be an (n, 5) array")
         if len(labels) != len(points):
             raise GeometryError("one label per point required")
-        self.points = _lead_rows(points)
+        self.points = projective_normalize(points)
         self.labels = list(labels)
 
     def __len__(self):
@@ -139,11 +140,6 @@ class SampleCloud:
         return self.points[keep, :3] / v[keep, None], keep
 
 
-def _lead_rows(points):
-    """Points over their entry of largest |.|, row by row (any leading axes)."""
-    return points / np.take_along_axis(points, np.abs(points).argmax(-1)[..., None], -1)
-
-
 def _torus_points(frame, alphas, betas):
     """Null vectors cos(a) p1 + sin(a) p2 + cos(b) n1 + sin(b) n2 of a torus,
     one per angle pair, along a new last axis.  frame is the unit frame
@@ -156,14 +152,15 @@ def _torus_points(frame, alphas, betas):
     return np.cos(a) * p1 + np.sin(a) * p2 + np.cos(b) * n1 + np.sin(b) * n2
 
 
-def _torus_frame(torus):
-    return einstein._unit_frame(einstein._perp_onb(torus.normal[:, None]))
+def _torus_frame(normals):
+    """The unit frames of the hyperplanes of unit normals (..., 5)."""
+    return einstein._unit_frame(einstein._perp_onb(normals[..., None]))
 
 
 def sample_torus(torus, n, rng):
     """n random null points of an Einstein torus (see `_torus_points`)."""
     a, b = (rng.uniform(0.0, 2.0 * np.pi, size=n) for _ in range(2))
-    return SampleCloud(_torus_points(_torus_frame(torus), a, b), ["torus"] * n)
+    return SampleCloud(_torus_points(_torus_frame(torus.normal), a, b), ["torus"] * n)
 
 
 def _wing_generators(columns, sign, thetas, phis):
@@ -524,7 +521,7 @@ def _report(suite, trials, seed, failures, max_violation):
             "max_violation": max_violation}
 
 
-def _blocks(trials, draw, screen=lambda records: [r for r in records if r is not None]):
+def _blocks(trials, draw, screen=lambda records: records):
     """The draw stage of a suite: draw() makes one candidate's rng calls,
     and screen(records) returns the records kept of a chunk of at most the
     trials its block lacks, so none is drawn past the last, and is cut to
@@ -591,23 +588,21 @@ def _ads_pairs(space, units, f):
 
 
 def _torus_screen(normals):
-    """torus-trichotomy's decision on stacked normal pairs (n, 2, 5): both
-    with Q(v) > 1e-3 |v|^2, and eta of the unit normals outside the declared
-    band |eta - 1| < 1e-6, which holds equal tori too (eta = 1)."""
-    q = ((normals @ einstein.GRAM) * normals).sum(-1)
-    spacelike = q > 1e-3 * (normals * normals).sum(-1)
-    units = normals / np.sqrt(np.where(spacelike, q, 1.0))[..., None]
-    eta = abs(((units[:, 0] @ einstein.GRAM) * units[:, 1]).sum(-1))
-    return spacelike.all(-1) & (abs(eta - 1.0) >= 1e-6)
+    """torus-trichotomy's decision on stacked normal pairs (n, 2, 5): the
+    unit normals, and whether both are spacelike at eps 1e-3 and the pair is
+    a circle at eps 1e-6, neither equal nor within |eta - 1| <= 1e-6."""
+    units, ((failed, _),) = einstein._torus_normals(normals, 1e-3)
+    kinds = einstein._torus_kinds(units[:, 0], units[:, 1], 1e-6)[0]
+    return units, ~failed.any(-1) & (kinds >= 2)  # the circles of _KINDS
 
 
 def suite_torus_trichotomy(trials=1000, seed=7):
     """Torus-pair trichotomy: kind vs. eta, carrier signature, and the
     sampled causal character of the intersection curve.  A candidate draws
     two normals, 32 probe angles and 4 point angles, whatever is decided;
-    a chunk keeps the pairs that `_torus_screen` passes.  Each kept trial
-    builds its two `EinsteinTorus` and `classify_torus_pair`; carriers,
-    frames, probe tangents and curve points are read a block at a time."""
+    a chunk keeps the pairs that `_torus_screen` passes, with their unit
+    normals.  Kinds and eta (`einstein._torus_kinds`), carriers, frames,
+    probe tangents and curve points are read a block at a time."""
     rng = make_rng([seed, 1])
     expected_sig = {
         IntersectionKind.TIMELIKE_CIRCLE: (1, 2, 0),
@@ -619,17 +614,18 @@ def suite_torus_trichotomy(trials=1000, seed=7):
                 rng.uniform(0.0, 2.0 * np.pi, size=4))
 
     def screen(draws):
-        return _kept(draws, _torus_screen(np.array([d[0] for d in draws])))
+        units, keep = _torus_screen(np.array([d[0] for d in draws]))
+        return _kept([(u, *d[1:]) for u, d in zip(units, draws)], keep)
 
     failures = []
     max_violation = 0.0
     for first, block in _blocks(trials, draw, screen):
-        classes = [einstein.classify_torus_pair(EinsteinTorus(v1), EinsteinTorus(v2))
-                   for (v1, v2), _, _ in block]
-        s1, s2 = np.array([cls.normals for cls in classes]).swapaxes(0, 1)
-        _, thetas, angles = (np.array(a) for a in zip(*block))
+        units, thetas, angles = (np.array(a) for a in zip(*block))
+        s1, s2 = units.swapaxes(0, 1)
+        index, etas = einstein._torus_kinds(s1, s2)
+        kinds, etas = [einstein._KINDS[i] for i in index.tolist()], etas.tolist()
         sigs = np.stack(einstein._carrier_signatures(s1, s2), -1).tolist()
-        frames = einstein._unit_frame(einstein._perp_onb(s1[..., None]))
+        frames = _torus_frame(s1)
         curve = _intersection_curve(frames, s2)
         # sampled intersection points lie on both tori: <x, s1>, <x, s2>
         # and <x, x> at each unit point, as `float(x @ GRAM @ y)` forms them
@@ -637,18 +633,18 @@ def suite_torus_trichotomy(trials=1000, seed=7):
         xg = x[..., None, :] @ einstein.GRAM
         residuals = abs(np.concatenate([xg @ s1[:, None, :, None], xg @ s2[:, None, :, None],
                                         xg @ x[..., :, None]], -1)).max(-1)[..., 0].tolist()
-        rows = zip(classes, sigs, frames, thetas, _tangent_forms(curve, thetas), residuals)
-        for k, (cls, sig, frame, theta, q, residuals) in enumerate(rows, first):
-            if cls.kind is not (IntersectionKind.SPACELIKE_CIRCLE if cls.eta > 1.0
-                                else IntersectionKind.TIMELIKE_CIRCLE):
-                failures.append(f"trial {k}: kind {cls.kind} vs eta {cls.eta}")
+        rows = zip(kinds, etas, sigs, frames, s2, thetas, _tangent_forms(curve, thetas),
+                   residuals)
+        for k, (kind, eta, sig, frame, n2, theta, q, residuals) in enumerate(rows, first):
+            if kind is not (IntersectionKind.SPACELIKE_CIRCLE if eta > 1.0
+                            else IntersectionKind.TIMELIKE_CIRCLE):
+                failures.append(f"trial {k}: kind {kind} vs eta {eta}")
                 continue
-            if tuple(sig) != expected_sig[cls.kind]:
-                failures.append(f"trial {k}: carrier signature {tuple(sig)} for {cls.kind}")
-            s2 = cls.normals[1]
-            probed = _probe_kind(lambda t: _intersection_curve(frame[None], s2[None])(t), theta, q)
-            if probed is not cls.kind:
-                failures.append(f"trial {k}: probe {probed} vs {cls.kind}")
+            if tuple(sig) != expected_sig[kind]:
+                failures.append(f"trial {k}: carrier signature {tuple(sig)} for {kind}")
+            probed = _probe_kind(lambda t: _intersection_curve(frame[None], n2[None])(t), theta, q)
+            if probed is not kind:
+                failures.append(f"trial {k}: probe {probed} vs {kind}")
             max_violation = max(max_violation, *residuals)
             failures += [f"trial {k}: intersection point off tori by {res:.3e}"
                          for res in residuals if res > EPS_ALG]
@@ -744,8 +740,8 @@ def suite_eta_bridge(trials=1000, seed=7):
     """Determinant route vs. unit-normal route to the torus-pair invariant.
     A candidate draws a basis and a map f; a chunk keeps those that
     `_eta_screen` passes.  Splittings, graph planes and mu images are built
-    a block of trials at a time, and so are the exact invariants; a kind is
-    read where |eta - 1| > 1e-6 and both tori can be built."""
+    a block of trials at a time, and so are the exact invariants and the
+    kinds; a kind is read where |eta - 1| > 1e-6 and both normals pass."""
     rng = make_rng([seed, 2])
     space = symplectic.standard_space()
 
@@ -777,7 +773,9 @@ def suite_eta_bridge(trials=1000, seed=7):
         # a graph far from omega-orthonormal can put its normal within the
         # null band of `EinsteinTorus` though |det f + 1| > 1e-3; its torus,
         # and so its kind, is not read
-        null = ((mu_t @ einstein.GRAM) * mu_t).sum(-1) <= EPS_ALG * (mu_t * mu_t).sum(-1)
+        s1, torus_checks = einstein._torus_normals(mu_s)
+        s2, ((null, _),) = einstein._torus_normals(mu_t)
+        kinds = einstein._torus_kinds(s1, s2)[0].tolist()
         read = iter(range(len(g)))
         for k, i in enumerate(range(len(block)), first):
             _raise_first(checks, i)
@@ -790,13 +788,13 @@ def suite_eta_bridge(trials=1000, seed=7):
             if apart[i]:
                 j = next(read)
                 _raise_first(s_checks, j)
-                n1 = EinsteinTorus(mu_s[j])
+                _raise_first(torus_checks, j)
                 if lagrangian[j]:  # mu raises its error
                     symplectic.mu(space, Plane2(space, graphs[j]))
                 _raise_first(t_checks, j)
                 if null[j]:
                     continue
-                kind = einstein.classify_torus_pair(n1, EinsteinTorus(mu_t[j])).kind
+                kind = einstein._KINDS[kinds[j]]
                 want = (IntersectionKind.SPACELIKE_CIRCLE if eta_det > 1.0
                         else IntersectionKind.TIMELIKE_CIRCLE)
                 if kind is not want:
@@ -1060,7 +1058,7 @@ def suite_surface_disjointness(trials=200, seed=7):
             draws = [[_cloud_draws(rng, 320) for _ in range(2)] for _ in part]
             # each of the seven draws as one array (trials, 2 surfaces, points)
             fields = [np.array(field) for field in zip(*(zip(*pair) for pair in draws))]
-            points = _lead_rows(_surface_cloud(space, part.swapaxes(-1, -2), fields))
+            points = projective_normalize(_surface_cloud(space, part.swapaxes(-1, -2), fields))
             points /= np.linalg.norm(points, axis=-1, keepdims=True)
             for k, (a, b) in enumerate(points, first + start):
                 if not passed[k - first]:

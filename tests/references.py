@@ -2,6 +2,8 @@
 stacked kernels against, and the model's constructions that only tests
 build."""
 
+import math
+
 import numpy as np
 
 from ein3 import einstein
@@ -96,6 +98,47 @@ def classify_point(p, p0, pinf, eps=EPS_ALG):
     return einstein._CAUSAL[index]
 
 
+def torus_normal(normal, eps=EPS_ALG):
+    """The unit normal of `EinsteinTorus`, one normal at a time, as its
+    constructor took it before `einstein._torus_normals`: Q(s) and |s|^2 of
+    s / 2^e, max |s| = m 2^e with 1/2 <= m < 1, the normal spacelike when
+    Q(s) > eps |s|^2, and the largest |entry| of the unit normal made
+    positive."""
+    s = as_vector(normal, 5)
+    s = np.ldexp(s, -math.frexp(max(map(abs, s.tolist())))[1])
+    q = float(s @ einstein.GRAM @ s)
+    n = float(s @ s)
+    if q <= eps * n:
+        raise GeometryError(
+            f"normal must be spacelike, got Q(s)/|s|^2 = {q / n if n else 0.0:.3e}")
+    s = s / np.sqrt(q)
+    return -s if s[int(np.argmax(np.abs(s)))] < 0 else s
+
+
+def eta(t1, t2):
+    """Invariant |s1 . s2| of a pair of tori with unit spacelike normals."""
+    return abs(float(t1.normal @ einstein.GRAM @ t2.normal))
+
+
+def classify_tori(t1, t2, eps=EPS_ALG):
+    """`classify_torus_pair` as it was written per pair before
+    `einstein._torus_kinds`, with the equality `EinsteinTorus ==` now takes: normals
+    allclose at atol 10 EPS_ALG and eta within 10 EPS_ALG of 1, past 16
+    float epsilons of the Euclidean s1 s2 for rounding."""
+    e = eta(t1, t2)
+    rounding = 16 * np.finfo(float).eps * float(t1.normal @ t2.normal)
+    if (np.allclose(t1.normal, t2.normal, atol=10 * EPS_ALG)
+            and abs(e - 1.0) <= 10 * EPS_ALG + rounding):
+        return einstein.IntersectionClass(einstein.IntersectionKind.EQUAL, 1.0)
+    if abs(e - 1.0) <= eps:
+        kind = einstein.IntersectionKind.PHOTON_PAIR
+    elif e > 1.0:
+        kind = einstein.IntersectionKind.SPACELIKE_CIRCLE
+    else:
+        kind = einstein.IntersectionKind.TIMELIKE_CIRCLE
+    return einstein.IntersectionClass(kind, e, (t1.normal, t2.normal))
+
+
 def probe_intersection_type(t1, t2, n, rng):
     """Sampled classification of the intersection of two distinct tori.
 
@@ -103,11 +146,12 @@ def probe_intersection_type(t1, t2, n, rng):
     (`_intersection_curve`) and classifies the causal character of its
     finite-difference tangents at n sampled points by the sign of the
     form (`_probe_kind`).  Reads neither eta nor the carrier used by
-    `einstein.classify_torus_pair`.
+    `einstein.classify_torus_pair`, so it tells tori apart by their unit
+    normals alone.
     """
-    if t1 == t2:
+    if np.allclose(t1.normal, t2.normal, atol=10 * EPS_ALG):
         raise GeometryError("probe requires distinct tori")
-    curve = O._intersection_curve(O._torus_frame(t1)[None], t2.normal[None])
+    curve = O._intersection_curve(O._torus_frame(t1.normal)[None], t2.normal[None])
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=n)
     return O._probe_kind(curve, thetas, O._tangent_forms(curve, thetas)[0])
 

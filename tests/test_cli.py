@@ -122,6 +122,18 @@ def test_classify_tori_equal(tmp_path, capsys):
     assert "kind=equal" in out
 
 
+def test_classify_tori_tells_apart_tori_of_allclose_large_normals(tmp_path, capsys):
+    # unit normals of entries ~1e4 that agree to an rtol of 1e-5 on each
+    # entry, but eta = 0.9975
+    doc = {"objects": {
+        "T1": {"type": "torus", "normal": [1e4, 1e4, 14142.135588375611, 0, 0]},
+        "T2": {"type": "torus", "normal": [10000.05, 9999.95, 14142.135588552388, 0, 0]}}}
+    code, out, _ = run(["classify-tori", write_config(tmp_path, doc)], capsys)
+    assert code == 0
+    assert out.startswith("eta=0.9975")
+    assert "kind=timelike carrier_signature=(1,2,0)" in out
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from ein3 import einstein as E
-from ein3.linalg import GeometryError
+from ein3.linalg import GeometryError, _raise_first
 
-from references import classify_point, inner, minkowski_embed
+from references import (classify_point, classify_tori, eta, inner, minkowski_embed,
+                        torus_normal)
 
 
 def random_null_vector(rng):
@@ -75,14 +76,18 @@ def test_classify_point_rejects_bad_configurations():
                        minkowski_embed([1, 0, 1]))  # incident references
 
 
+def _eta(t1, t2):
+    return E.classify_torus_pair(t1, t2).eta
+
+
 def test_eta_examples():
     t1 = E.EinsteinTorus([1, 0, 0, 0, 0])
-    assert E.eta(t1, t1) == 1.0
+    assert _eta(t1, t1) == 1.0
     t2 = E.EinsteinTorus([0, 1, 0, 0, 0])
-    assert E.eta(t1, t2) == 0.0
+    assert _eta(t1, t2) == 0.0
     t3 = E.EinsteinTorus([2, 0, 0, 3, 1])
     assert inner(t3.normal, t3.normal) == pytest.approx(1.0)
-    assert E.eta(t1, t3) == pytest.approx(2.0)
+    assert _eta(t1, t3) == pytest.approx(2.0)
 
 
 def test_eta_sign_invariant():
@@ -96,8 +101,8 @@ def test_eta_sign_invariant():
             continue
         t1, t1m = E.EinsteinTorus(v), E.EinsteinTorus(-v)
         t2 = E.EinsteinTorus(w)
-        assert E.eta(t1, t2) == pytest.approx(E.eta(t1m, t2))
-        assert E.eta(t1, t2) == pytest.approx(E.eta(t2, t1))
+        assert _eta(t1, t2) == pytest.approx(_eta(t1m, t2))
+        assert _eta(t1, t2) == pytest.approx(_eta(t2, t1))
 
 
 def test_classify_torus_pair_examples():
@@ -160,6 +165,72 @@ def test_triple_lightcone_matches_classify():
         assert E.triple_lightcone_empty(p, p0, pinf) == timelike
 
 
+# distinct tori whose unit normals, of entries ~1e4, are allclose (an rtol
+# of 1e-5 on each entry): eta = 0.9975, a timelike circle
+_APART = ([1e4, 1e4, 14142.135588375611, 0, 0], [10000.05, 9999.95, 14142.135588552388, 0, 0])
+
+
+def test_tori_of_allclose_large_normals_are_distinct():
+    t1, t2 = map(E.EinsteinTorus, _APART)
+    assert np.allclose(t1.normal, t2.normal, atol=10 * E.EPS_ALG)
+    assert t1 != t2
+    cls = E.classify_torus_pair(t1, t2)
+    assert cls.kind is E.IntersectionKind.TIMELIKE_CIRCLE
+    assert cls.eta == pytest.approx(0.99750000297, abs=1e-10)
+    assert E._carrier_signatures(*cls.normals) == (1, 2, 0)
+    # eta of equal normals this large rounds off 1 by ~4e-8: still equal
+    rescaled = E.EinsteinTorus(-3.0 * np.array(_APART[0]))
+    assert abs(eta(t1, rescaled) - 1.0) > 10 * E.EPS_ALG
+    assert t1 == t1 and t1 == rescaled
+    assert E.classify_torus_pair(t1, rescaled).kind is E.IntersectionKind.EQUAL
+
+
+def _torus_rows():
+    """Normals at scales e^-20 to e^20, and crafted rows: zero, timelike,
+    Q(s)/|s|^2 just below and above 1e-9, and ties in the largest |entry|."""
+    rng = np.random.default_rng(53)
+    rows = rng.normal(size=(3000, 5)) * np.exp(rng.uniform(-20.0, 20.0, size=(3000, 1)))
+    z = [np.sqrt((1 - r) / (1 + r)) for r in (0.9e-9, 1.1e-9)]  # Q(s)/|s|^2 = r
+    crafted = [[0, 0, 0, 0, 0], [0, 0, 1, 0, 0], [1, 0, z[0], 0, 0], [1, 0, z[1], 0, 0],
+               [1, 0, 0, 0, -1], [-1, 0, 0, 0, 1], [0, -2, 0, 2, 0], [3, -3, 0, 0, 0],
+               [1, 0, 0, 0, 0], [1, 0, 0, 1, 0], *_APART]
+    return np.concatenate([rows, np.array(crafted, float)])
+
+
+def test_torus_kernels_match_the_scalar_route():
+    # the stacked kernels against `EinsteinTorus` and `classify_torus_pair`
+    # as they were written one torus and one pair at a time: the unit
+    # normals and eta bit for bit, the kinds, and each error message
+    rows = _torus_rows()
+    units, checks = E._torus_normals(rows)
+    tori = []
+    for i, row in enumerate(rows):
+        try:
+            want = torus_normal(row)
+        except GeometryError as error:
+            with pytest.raises(GeometryError) as got:
+                _raise_first(checks, i)
+            assert str(got.value) == str(error)
+            continue
+        _raise_first(checks, i)
+        tori.append(E.EinsteinTorus(row))
+        assert np.array_equal(units[i], want) and np.array_equal(tori[-1].normal, want)
+    assert min(len(tori), len(rows) - len(tori)) > 500
+    e0, e3 = E.EinsteinTorus([1, 0, 0, 0, 0]), E.EinsteinTorus([1, 0, 0, 1, 0])
+    pairs = list(zip(tori[::2], tori[1::2])) + [(t, t) for t in tori[-8:]] + [
+        (e0, e3), (e0, E.EinsteinTorus([-2, 0, 0, 0, 0])), (tori[-2], tori[-1]),
+        (tori[-2], E.EinsteinTorus(-3.0 * np.array(_APART[0])))]
+    index, etas = E._torus_kinds(*(np.array([t.normal for t in pair]) for pair in zip(*pairs)))
+    kinds = []
+    for (t1, t2), i, e in zip(pairs, index.tolist(), etas.tolist()):
+        want = classify_tori(t1, t2)
+        got = E.classify_torus_pair(t1, t2)
+        assert E._KINDS[i] is got.kind is want.kind
+        assert e == got.eta == want.eta
+        kinds.append(want.kind)
+    assert set(kinds) == set(E.IntersectionKind)
+
+
 def test_classify_torus_pair_takes_no_svd(monkeypatch):
     rng = np.random.default_rng(3)
     normals = [([1, 0, 0, 0, 0], [0, 1, 0, 0, 0]), ([1, 0, 0, 0, 0], [2, 0, 0, 3, 1]),
@@ -177,7 +248,7 @@ def test_classify_torus_pair_takes_no_svd(monkeypatch):
             E.IntersectionKind.TIMELIKE_CIRCLE, E.IntersectionKind.SPACELIKE_CIRCLE,
             E.IntersectionKind.PHOTON_PAIR]
         for c, (t1, t2) in zip(classes, pairs):
-            assert c.eta == E.eta(t1, t2)
+            assert c.eta == eta(t1, t2)
 
 
 def test_torus_and_point_equality_match_allclose():

@@ -6,12 +6,13 @@ from ein3 import crooked as C
 from ein3 import einstein as E
 from ein3 import oracle as O
 from ein3 import symplectic as S
-from ein3.linalg import EPS_RANK, GeometryError, _orthonormal_columns, _raise_first
+from ein3.linalg import (EPS_RANK, GeometryError, _orthonormal_columns, _raise_first,
+                         projective_normalize)
 
 from draws import (disjoint_ads_pair, random_ads_config, random_lagrangian,
                    random_quadrilateral, random_splitting, random_symplectic,
                    random_unit_spacelike, stem_crossing_pair)
-from references import (bivector_to_plane, classify_point, inner, lagrangian_point,
+from references import (bivector_to_plane, classify_point, eta, inner, lagrangian_point,
                         min_gap, omega0, photon_crossing_oracle, plane_intersection_dim,
                         probe_intersection_type, unit_points)
 
@@ -71,7 +72,7 @@ def test_sample_torus():
     # (numeric sweep at this seed gives about 0.15)
     t1 = E.EinsteinTorus([1, 0, 0, 0, 0])
     far = E.EinsteinTorus([50, 0, 0, 51, 49])
-    assert E.eta(t1, far) == pytest.approx(50.0)
+    assert E.classify_torus_pair(t1, far).eta == pytest.approx(50.0)
     samples = unit_points(O.sample_torus(t1, 300, O.make_rng(2)))
     assert min(abs(inner(x, far.normal)) for x in samples) > 0.05
 
@@ -449,11 +450,11 @@ def test_torus_probe_reads_neither_eta_nor_the_classifier(monkeypatch):
     while len(pairs) < 201:
         t1 = E.EinsteinTorus(random_unit_spacelike(rng))
         t2 = E.EinsteinTorus(random_unit_spacelike(rng))
-        if abs(E.eta(t1, t2) - 1.0) >= 1e-6:
+        if abs(eta(t1, t2) - 1.0) >= 1e-6:
             pairs.append((t1, t2))
     kinds = [E.classify_torus_pair(t1, t2).kind for t1, t2 in pairs]
     assert kinds[0] is E.IntersectionKind.PHOTON_PAIR
-    for name in ("eta", "classify_torus_pair"):
+    for name in ("_torus_kinds", "classify_torus_pair"):
         monkeypatch.setattr(E, name, _predicate_side_rule)
     for (t1, t2), kind in zip(pairs, kinds):
         assert probe_intersection_type(t1, t2, 32, rng) is kind
@@ -709,6 +710,10 @@ def _constant_oracle(hit):
     return crossings
 
 
+def _drop_none(records):
+    return [r for r in records if r is not None]
+
+
 def test_blocks_spend_a_bounded_budget():
     assert list(O._blocks(0, None)) == []
     drawn = []
@@ -717,14 +722,16 @@ def test_blocks_spend_a_bounded_budget():
         drawn.append(len(drawn))
         return drawn[-1] if len(drawn) % 3 == 0 else None
 
-    # 3 trials need 9 candidates of the 30 the budget allows; the default
-    # screen drops the skipped (None) ones
-    assert list(O._blocks(3, every_third)) == [(1, [2, 5, 8])]
+    # 3 trials need 9 candidates of the 30 the budget allows; the screen
+    # drops the skipped (None) ones
+    assert list(O._blocks(3, every_third, _drop_none)) == [(1, [2, 5, 8])]
     assert len(drawn) == 9
     drawn.clear()
     with pytest.raises(O.RetryExhausted, match="fewer than 4 accepted trials in 40 attempts"):
-        list(O._blocks(4, lambda: drawn.append(None)))  # skips every candidate
+        list(O._blocks(4, lambda: drawn.append(None), _drop_none))  # skips every candidate
     assert len(drawn) == 40
+    # the default screen keeps every record
+    assert list(O._blocks(3, lambda: None)) == [(1, [None] * 3)]
 
 
 def test_screened_blocks_draw_no_candidate_past_the_last_trial():
@@ -736,18 +743,17 @@ def test_screened_blocks_draw_no_candidate_past_the_last_trial():
 
     def screen(records):
         chunks.append(len(records))
-        return [r for r in records if r is not None]
+        return _drop_none(records)
 
     blocks = list(O._blocks(300, draw, screen))
-    # the candidates a trial-by-trial loop keeps, and no more drawn; the
-    # default screen drops the same ones
+    # the candidates a trial-by-trial loop keeps, and no more drawn
     kept = [r for r in range(1000) if r % 3][:300]
     assert [r for _, block in blocks for r in block] == kept
     assert len(drawn) == kept[-1] + 1 == sum(chunks)
     assert [(first, len(block)) for first, block in blocks] == [(1, 128), (129, 128), (257, 44)]
     assert chunks[0] == 128 and max(chunks) <= 128
     drawn.clear()
-    assert list(O._blocks(300, draw)) == blocks and len(drawn) == kept[-1] + 1
+    assert list(O._blocks(300, draw, _drop_none)) == blocks and len(drawn) == kept[-1] + 1
     drawn.clear()
     with pytest.raises(O.RetryExhausted, match="fewer than 4 accepted trials in 40 attempts"):
         list(O._blocks(4, draw, lambda records: []))  # skips every candidate
@@ -862,13 +868,15 @@ def test_maslov_bridge_reports_a_swapped_causal_kernel_in_trial_order(monkeypatc
 
 
 def test_torus_trichotomy_validates_each_normal_once():
-    # the EinsteinTorus boundary validates each drawn normal; the draws'
-    # forms, the class, carriers, frames and curve points take arrays as
-    # they are.  Counted by code object, whichever module binds the name
+    # the normal kernel checks each screened chunk's normals once, and no
+    # trial builds an `EinsteinTorus` (whose boundary is `as_vector`); the
+    # kinds, carriers, frames and curve points take arrays as they are.
+    # Counted by code object, whichever module binds the name
     import sys
     from ein3 import linalg
 
-    counts = {linalg.as_vector.__code__: 0, E.EinsteinTorus.__init__.__code__: 0}
+    counts = {linalg.as_vector.__code__: 0, E.EinsteinTorus.__init__.__code__: 0,
+              E._torus_normals.__code__: 0, O._torus_screen.__code__: 0}
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in counts:
@@ -881,9 +889,8 @@ def test_torus_trichotomy_validates_each_normal_once():
     finally:
         sys.setprofile(previous)
     assert report["failures"] == []
-    # 50 trials, two validations each: `_torus_screen` drops the candidates
-    # it skips before any torus is built, so none of them is counted
-    assert list(counts.values()) == [100, 100]
+    chunks = counts[O._torus_screen.__code__]
+    assert chunks > 1 and list(counts.values()) == [0, 0, chunks, chunks]
 
 def test_torus_trichotomy_reports_a_patched_carrier_kernel_in_trial_order(monkeypatch):
     signatures = E._carrier_signatures
@@ -901,15 +908,15 @@ def test_torus_trichotomy_reports_a_patched_carrier_kernel_in_trial_order(monkey
 
 
 def test_eta_bridge_reports_flipped_kinds_in_trial_order(monkeypatch):
-    classify = E.classify_torus_pair
-    flip = {E.IntersectionKind.TIMELIKE_CIRCLE: E.IntersectionKind.SPACELIKE_CIRCLE,
-            E.IntersectionKind.SPACELIKE_CIRCLE: E.IntersectionKind.TIMELIKE_CIRCLE}
+    kinds = E._torus_kinds
+    circles = [E._KINDS.index(E.IntersectionKind.TIMELIKE_CIRCLE),
+               E._KINDS.index(E.IntersectionKind.SPACELIKE_CIRCLE)]
 
-    def flipped(t1, t2, *args):
-        cls = classify(t1, t2, *args)
-        return E.IntersectionClass(flip[cls.kind], cls.eta, cls.normals)
+    def flipped(s1, s2, *args):
+        index, e = kinds(s1, s2, *args)
+        return np.select([index == circles[0], index == circles[1]], circles[::-1], index), e
 
-    monkeypatch.setattr(E, "classify_torus_pair", flipped)
+    monkeypatch.setattr(E, "_torus_kinds", flipped)
     failures = O.suite_eta_bridge(trials=30, seed=7)["failures"]
     assert _trial_numbers(failures) == list(range(1, 31))
     assert all(" kind IntersectionKind." in f and " vs eta " in f for f in failures)
@@ -1131,11 +1138,11 @@ def _scalar_ads_decisions(z):
 
 def _scalar_torus_screen(normals):
     """Whether one pair of normals passes torus-trichotomy's screen, by the
-    classifier of its tori."""
+    classifier of its tori at eps 1e-6."""
     if not all(float(v @ E.GRAM @ v) > 1e-3 * float(v @ v) for v in normals):
         return False
-    cls = E.classify_torus_pair(*map(E.EinsteinTorus, normals))
-    return abs(cls.eta - 1.0) >= 1e-6
+    kind = E.classify_torus_pair(*map(E.EinsteinTorus, normals), eps=1e-6).kind
+    return kind in (E.IntersectionKind.SPACELIKE_CIRCLE, E.IntersectionKind.TIMELIKE_CIRCLE)
 
 
 # each stacked screen: the decisions of its candidates from its arguments
@@ -1153,7 +1160,7 @@ _SCREENS = {
     "_ads_arrays": (lambda args, out: (args[0], np.stack(
         [out[2].min(axis=(1, 2)) > 1e-2, abs(out[2]).min(axis=(1, 2)) > 1e-6], -1)),
                     _scalar_ads_decisions),
-    "_torus_screen": (lambda args, out: (args[0], out), _scalar_torus_screen),
+    "_torus_screen": (lambda args, out: (args[0], out[1]), _scalar_torus_screen),
 }
 
 _E4, _E5 = np.eye(4), np.eye(5)
@@ -1178,12 +1185,15 @@ _CRAFTED = {
                               [[1, 0], [0, 1], [1, 1], [-1, 1], [0, 1], [-1, 0]]], float),),
     # a timelike normal, and one spacelike below the 1e-3 bound; eta = 1 of
     # distinct (touching) tori, and ~1e-7 above it, inside the band; equal
-    # tori; eta = 0 and eta = 2
+    # tori; eta = 0 and eta = 2; distinct tori of normal entries ~1e4 whose
+    # normals are allclose (eta = 0.9975)
     "_torus_screen": (np.array([[_E5[0], _E5[2]], [[1.0, 0.0, 0.9999, 0.0, 0.0], _E5[0]],
                                 [_E5[0], _E5[0] + _E5[3]],
                                 [_E5[0], [np.cosh(4.5e-4), 0.0, np.sinh(4.5e-4), 0.0, 0.0]],
                                 [_E5[0], -2.0 * _E5[0]], [_E5[0], _E5[1]],
-                                [_E5[0], [2.0, 0.0, 0.0, 3.0, 1.0]]]),),
+                                [_E5[0], [2.0, 0.0, 0.0, 3.0, 1.0]],
+                                [[1e4, 1e4, 14142.135588375611, 0.0, 0.0],
+                                 [10000.05, 9999.95, 14142.135588552388, 0.0, 0.0]]]),),
 }
 
 
@@ -1383,7 +1393,7 @@ def test_stacked_clouds_equal_sample_surface(monkeypatch, seed):
                                        320, _Replay([d[i, j] for d in draws]))
                       for j, q in enumerate(pair)]
             for got, want in zip(points[i], clouds):
-                assert np.array_equal(O._lead_rows(got), want.points)
+                assert np.array_equal(projective_normalize(got), want.points)
             assert next(gaps) == min_gap(*clouds)
 
 
