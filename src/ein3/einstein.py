@@ -143,21 +143,22 @@ def _torus_normals(normals, eps=EPS_ALG):
         f"normal must be spacelike, got Q(s)/|s|^2 = {q[i] / n[i] if n[i] else 0.0:.3e}"))]
 
 
-# the kinds `_torus_kinds` indexes, the two circles last
+# the kinds `_torus_kinds` indexes, and which of them are circles
 _KINDS = (IntersectionKind.EQUAL, IntersectionKind.PHOTON_PAIR,
           IntersectionKind.SPACELIKE_CIRCLE, IntersectionKind.TIMELIKE_CIRCLE)
+_CIRCLES = np.array([kind.name.endswith("_CIRCLE") for kind in _KINDS])
 
 
 def _torus_kinds(s1, s2, eps=EPS_ALG):
     """`classify_torus_pair` over stacked unit-normal rows: indices into
     _KINDS, and eta = |s1 . s2| (1 for equal tori).  Tori are equal when
     `_close` holds and eta is within 10 EPS_ALG of 1, past its rounding (< 4
-    float epsilons |s1| |s2| for equal normals, taken as 16 of the Euclidean
-    s1 s2): `_close` alone holds distinct tori of normal entries ~1e4 equal."""
+    float epsilons |s1| |s2| for equal normals, taken as 2^-48, 16 epsilons,
+    of the Euclidean s1 s2): `_close` alone holds distinct tori of entries ~1e4 equal."""
     e = abs(s1[..., None, :] @ GRAM @ s2[..., :, None])[..., 0, 0]
-    rounding = 16 * np.finfo(float).eps * (s1[..., None, :] @ s2[..., :, None])[..., 0, 0]
-    equal = _close(s1, s2) & (abs(e - 1.0) <= 10 * EPS_ALG + rounding)
-    kinds = np.where(abs(e - 1.0) <= eps, 1, np.where(e > 1.0, 2, 3))
+    gap, rounding = abs(e - 1.0), 2.0 ** -48 * (s1[..., None, :] @ s2[..., :, None])[..., 0, 0]
+    equal = _close(s1, s2) & (gap <= 10 * EPS_ALG + rounding)
+    kinds = np.where(gap <= eps, 1, np.where(e > 1.0, 2, 3))
     return np.where(equal, 0, kinds), np.where(equal, 1.0, e)
 
 

@@ -593,7 +593,7 @@ def _torus_screen(normals):
     a circle at eps 1e-6, neither equal nor within |eta - 1| <= 1e-6."""
     units, ((failed, _),) = einstein._torus_normals(normals, 1e-3)
     kinds = einstein._torus_kinds(units[:, 0], units[:, 1], 1e-6)[0]
-    return units, ~failed.any(-1) & (kinds >= 2)  # the circles of _KINDS
+    return units, ~failed.any(-1) & einstein._CIRCLES[kinds]
 
 
 def suite_torus_trichotomy(trials=1000, seed=7):

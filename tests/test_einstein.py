@@ -82,12 +82,12 @@ def _eta(t1, t2):
 
 def test_eta_examples():
     t1 = E.EinsteinTorus([1, 0, 0, 0, 0])
-    assert _eta(t1, t1) == 1.0
+    assert eta(t1, t1) == 1.0
     t2 = E.EinsteinTorus([0, 1, 0, 0, 0])
-    assert _eta(t1, t2) == 0.0
+    assert eta(t1, t2) == 0.0
     t3 = E.EinsteinTorus([2, 0, 0, 3, 1])
     assert inner(t3.normal, t3.normal) == pytest.approx(1.0)
-    assert _eta(t1, t3) == pytest.approx(2.0)
+    assert eta(t1, t3) == pytest.approx(2.0)
 
 
 def test_eta_sign_invariant():
@@ -200,7 +200,8 @@ def _torus_rows():
 def test_torus_kernels_match_the_scalar_route():
     # the stacked kernels against `EinsteinTorus` and `classify_torus_pair`
     # as they were written one torus and one pair at a time: the unit
-    # normals and eta bit for bit, the kinds, and each error message
+    # normals and eta bit for bit, the kinds at eps 1e-9 and at
+    # torus-trichotomy's 1e-6, and each error message
     rows = _torus_rows()
     units, checks = E._torus_normals(rows)
     tori = []
@@ -217,18 +218,23 @@ def test_torus_kernels_match_the_scalar_route():
         assert np.array_equal(units[i], want) and np.array_equal(tori[-1].normal, want)
     assert min(len(tori), len(rows) - len(tori)) > 500
     e0, e3 = E.EinsteinTorus([1, 0, 0, 0, 0]), E.EinsteinTorus([1, 0, 0, 1, 0])
+    boost = E.EinsteinTorus([np.cosh(4.5e-4), 0, np.sinh(4.5e-4), 0, 0])  # eta - 1 = 1e-7
     pairs = list(zip(tori[::2], tori[1::2])) + [(t, t) for t in tori[-8:]] + [
         (e0, e3), (e0, E.EinsteinTorus([-2, 0, 0, 0, 0])), (tori[-2], tori[-1]),
-        (tori[-2], E.EinsteinTorus(-3.0 * np.array(_APART[0])))]
-    index, etas = E._torus_kinds(*(np.array([t.normal for t in pair]) for pair in zip(*pairs)))
-    kinds = []
-    for (t1, t2), i, e in zip(pairs, index.tolist(), etas.tolist()):
-        want = classify_tori(t1, t2)
-        got = E.classify_torus_pair(t1, t2)
-        assert E._KINDS[i] is got.kind is want.kind
-        assert e == got.eta == want.eta
-        kinds.append(want.kind)
-    assert set(kinds) == set(E.IntersectionKind)
+        (tori[-2], E.EinsteinTorus(-3.0 * np.array(_APART[0]))), (e0, boost)]
+    rows = [np.array([t.normal for t in pair]) for pair in zip(*pairs)]
+    for eps in (E.EPS_ALG, 1e-6):
+        index, etas = E._torus_kinds(*rows, eps)
+        kinds = []
+        for (t1, t2), i, e in zip(pairs, index.tolist(), etas.tolist()):
+            want = classify_tori(t1, t2, eps)
+            got = E.classify_torus_pair(t1, t2, eps)
+            assert E._KINDS[i] is got.kind is want.kind
+            assert e == got.eta == want.eta
+            kinds.append(want.kind)
+        assert set(kinds) == set(E.IntersectionKind)
+        assert kinds[-1] is (E.IntersectionKind.SPACELIKE_CIRCLE if eps == E.EPS_ALG
+                             else E.IntersectionKind.PHOTON_PAIR)
 
 
 def test_classify_torus_pair_takes_no_svd(monkeypatch):

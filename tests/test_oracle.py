@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,10 @@ from ein3.linalg import (EPS_RANK, GeometryError, _orthonormal_columns, _raise_f
 from draws import (disjoint_ads_pair, random_ads_config, random_lagrangian,
                    random_quadrilateral, random_splitting, random_symplectic,
                    random_unit_spacelike, stem_crossing_pair)
-from references import (bivector_to_plane, classify_point, eta, inner, lagrangian_point,
-                        min_gap, omega0, photon_crossing_oracle, plane_intersection_dim,
-                        probe_intersection_type, unit_points)
+from references import (bivector_to_plane, classify_point, classify_tori, eta, inner,
+                        lagrangian_point, min_gap, omega0, photon_crossing_oracle,
+                        plane_intersection_dim, probe_intersection_type, torus_normal,
+                        unit_points)
 
 SP = S.standard_space()
 # a nonsingular antisymmetric form with no zero entry off the diagonal
@@ -1138,11 +1141,13 @@ def _scalar_ads_decisions(z):
 
 def _scalar_torus_screen(normals):
     """Whether one pair of normals passes torus-trichotomy's screen, by the
-    classifier of its tori at eps 1e-6."""
+    one-pair reference route: both spacelike at 1e-3, and the reference
+    classifier of their reference unit normals a circle at eps 1e-6."""
     if not all(float(v @ E.GRAM @ v) > 1e-3 * float(v @ v) for v in normals):
         return False
-    kind = E.classify_torus_pair(*map(E.EinsteinTorus, normals), eps=1e-6).kind
-    return kind in (E.IntersectionKind.SPACELIKE_CIRCLE, E.IntersectionKind.TIMELIKE_CIRCLE)
+    t1, t2 = (SimpleNamespace(normal=torus_normal(v)) for v in normals)
+    return classify_tori(t1, t2, eps=1e-6).kind in (E.IntersectionKind.SPACELIKE_CIRCLE,
+                                                    E.IntersectionKind.TIMELIKE_CIRCLE)
 
 
 # each stacked screen: the decisions of its candidates from its arguments
