@@ -90,7 +90,7 @@ _RESIDUAL_KEYS = ("omega(u+, v-) - 1", "omega(u-, v+) - 1", "omega(u+, u-)",
 
 def _product_residuals(g):
     """The residuals named by _RESIDUAL_KEYS, read off a Gram matrix G as
-    lists."""
+    lists, or off a stack with its matrix axes first."""
     (_, g01, g02, g03), (_, _, g12, g13), (_, _, _, g23), _ = g
     return g03 - 1.0, g12 - 1.0, g01, g02, g13, g23
 
@@ -153,6 +153,40 @@ def _check_planes(rows, g, eps):
             raise GeometryError(f"vertex {name} is not Lagrangian")
     if lagrangian[4] or lagrangian[5]:
         raise GeometryError("stem planes must be nondegenerate")
+
+
+def _surface_check_rows(rows, grams, vol_coeff, eps):
+    """`_check_quadrilateral` then `_check_planes` over a stack of rows
+    (..., 4, 4) of Q^T and their Gram matrices, as (mask, message) pairs
+    for `_raise_first`, in order; an area is the root of a sum of squared
+    minors, not `math.hypot`.  No value of a row past its first failed
+    check is read, so its overflow or 0/0 goes unreported."""
+    with np.errstate(all="ignore"):
+        g = np.moveaxis(grams, (-2, -1), (0, 1))
+        residuals = np.stack(_product_residuals(g), axis=-1)
+        basis = np.abs(pfaffian4(g) * vol_coeff) <= EPS_RANK
+        peaks = np.abs(rows).max(axis=-1)
+        units = rows / peaks[..., None]
+        norms = (units * units).sum(axis=-1)
+        i, j = np.array(_PLANES).T
+        scale = np.maximum(peaks[..., i], peaks[..., j])
+        ri, rj = peaks[..., i] / scale, peaks[..., j] / scale
+        area = ri * rj * np.linalg.norm(plucker_rows(units[..., i, :], units[..., j, :]), axis=-1)
+        frob = ri * ri * norms[..., i] + rj * rj * norms[..., j]
+        s0 = 0.5 * (np.sqrt(frob + 2.0 * area) + np.sqrt(np.maximum(frob - 2.0 * area, 0.0)))
+        s0, s1 = scale * s0, scale * (area / s0)
+        nonzero = np.stack([s0, s1], axis=-1) > EPS_RANK * np.maximum(1.0, s0)[..., None]
+        tags = np.abs(grams[..., i, j]) / (s0 * s1) <= eps
+        violated = np.abs(residuals) > eps
+    return [(violated.any(axis=-1), lambda k: "quadrilateral products violated: " + ", ".join(
+                f"{key} off by {v:.3e}" for key, v, bad in zip(
+                    _RESIDUAL_KEYS, residuals[k].tolist(), violated[k]) if bad)),
+            (basis, "quadrilateral vectors do not form a basis"),
+            (~nonzero[..., 1].all(axis=-1),
+             lambda k: f"basis matrix has rank {nonzero[k].sum(axis=-1).min()} < 2 column(s)"),
+            (~tags[..., :4].all(axis=-1), lambda k: "vertex {} is not Lagrangian".format(
+                ("P0", "Pinf", "P+", "P-")[tags[k][:4].argmin()])),
+            (tags[..., 4] | tags[..., 5], "stem planes must be nondegenerate")]
 
 
 def _built_plane(index, doc):

@@ -505,11 +505,13 @@ def _photon_crossings(space, units, columns):
     return ws[np.arange(n), on.argmax(axis=1)], on.any(axis=1)
 
 
-def _crossing_residual(space, p, onb):
-    """Numerical residual of 'the plane of onb is a Lagrangian through p'."""
-    p = p / np.linalg.norm(p)
-    lag = abs(space.omega(onb[:, 0], onb[:, 1]))
-    return max(lag, float(np.linalg.norm(p - onb @ (onb.T @ p))))
+def _crossing_residuals(space, p, onb):
+    """Residuals max(|omega(b0, b1)|, |p' - B B^T p'|), p' = p / |p|, of 'span B
+    is a Lagrangian through p', for rows p (n, 4) and orthonormal B (n, 4, 2)."""
+    p = _unit_rows(p)
+    lag = np.abs(onb[..., None, :, 0] @ space.matrix @ onb[..., :, 1, None])[..., 0, 0]
+    off = p - (onb @ (onb.swapaxes(-1, -2) @ p[..., None]))[..., 0]
+    return np.maximum(lag, np.sqrt(off[..., None, :] @ off[..., :, None])[..., 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -554,17 +556,16 @@ def _unit_rows(v):
 
 
 def _surface_checks(space, rows):
-    """check(i) runs the closed-form checks of `LightlikeQuadrilateral`
-    then `CrookedSurface` on each of the quadrilateral rows (n, ..., 4, 4)
-    of trial i."""
+    """check(i) raises the first failed check of `LightlikeQuadrilateral`
+    then `CrookedSurface` on the quadrilateral rows (n, ..., 4, 4) of trial
+    i, surface by surface: one `crooked._surface_check_rows` of the block."""
     rows = rows.reshape(len(rows), -1, 4, 4)
-    grams = (rows @ space.matrix @ rows.swapaxes(-1, -2)).tolist()
-    row_lists = rows.tolist()
+    checks = crooked._surface_check_rows(rows, rows @ space.matrix @ rows.swapaxes(-1, -2),
+                                         space.vol_coeff, EPS_ALG)
 
     def check(i):
-        for g, q in zip(grams[i], row_lists[i]):
-            crooked._check_quadrilateral(g, space.vol_coeff, EPS_ALG)
-            crooked._check_planes(q, g, EPS_ALG)
+        for j in range(rows.shape[1]):
+            _raise_first(checks, (i, j))
 
     return check
 
@@ -958,9 +959,9 @@ def suite_photon_avoidance(trials=1000, seed=7):
     photon's incidences with the wing vertices and stem planes.
 
     A candidate draws a generator and a photon.  A chunk of candidates is
-    decided at once: one stacked expm, the scalar closed-form checks in
-    candidate order, the margins and their |margin| <= 1e-6 skip band, and
-    a meeting photon's witness (`crooked._crossing_bases`), its residual
+    decided at once: one stacked expm, the stacked surface checks (raised
+    in candidate order), the margins and their |margin| <= 1e-6 skip band,
+    and a meeting photon's witness (`crooked._crossing_bases`), its residual
     and membership.  The oracle (`_photon_crossings`) runs once a block;
     within a trial its failure comes before the witness's."""
     rng = make_rng([seed, 5])
@@ -987,7 +988,7 @@ def suite_photon_avoidance(trials=1000, seed=7):
         onb = _orthonormal_columns(bases[need], EPS_RANK)
         regions, checks = crooked._lagrangian_regions(space, columns[need], onb, EPS_ALG)
         on = np.logical_or.reduce(regions)
-        kept, witnesses = [], iter(range(len(onb)))
+        kept, witnesses = [], iter(enumerate(_crossing_residuals(space, p[need], onb).tolist()))
         for i, oracle_unit in enumerate(_unit_rows(p)):  # the oracle normalizes p again
             check(i)
             if skip[i]:
@@ -996,8 +997,7 @@ def suite_photon_avoidance(trials=1000, seed=7):
             if not (verdicts[i] or fails[i]):
                 witness = "no constructive witness"
             elif not verdicts[i]:
-                j = next(witnesses)
-                residual = _crossing_residual(space, p[i], onb[j])
+                j, residual = next(witnesses)
                 if residual <= 1e-9:
                     _raise_first(checks, j)
                 if residual > 1e-9 or not on[j]:
@@ -1027,8 +1027,8 @@ def suite_surface_disjointness(trials=200, seed=7):
     A disjoint candidate draws _ADS_ROWS AdS candidates in one rng call,
     and one `_ads_arrays` over a chunk's keeps every one whose margins pass
     1e-2, in draw order; an intersecting one is an `_intersecting_draw`.  A
-    block builds its quadrilaterals stacked, runs the scalar closed-form
-    checks in trial order and reads the stacked sixteen margins.  Then each
+    block builds and checks its quadrilaterals stacked, raising in trial
+    order, and reads the stacked sixteen margins.  Then each
     disjoint trial draws both surfaces' `sample_surface` draws in trial
     order, whatever its verdict; the clouds of _CLOUD_PAIRS trials are
     built at once, a passing pair's gap one pair at a time.  An
@@ -1092,12 +1092,12 @@ def suite_stem_only(trials=200, seed=7):
 
     A trial makes the rng calls of a `_stem_draw`.  A block takes one
     stacked expm, carries the second quadrilaterals onto the shared points
-    (`_stem_rows`), runs the scalar closed-form checks in trial order,
+    (`_stem_rows`), checks the surfaces stacked, raising in trial order,
     checks the shared point on both stems, and solves for a stem-wing
     contact in either order (`_stem_wing_contacts`).  A pair
     fails when the shared point is off a stem or neither order has a
     contact: the test of the lemma.  The violation, the largest residual
-    of the contacts (`_crossing_residual`), only confirms the construction:
+    of the contacts (`_crossing_residuals`), only confirms the construction:
     L = span{x1, x2} is Lagrangian (S1, S2 are omega-orthogonal) and holds
     x1 + x2."""
     rng = make_rng([seed, 8])
@@ -1116,7 +1116,9 @@ def suite_stem_only(trials=200, seed=7):
         x1, x2, hit = _stem_wing_contacts(np.concatenate([q1, q2]), np.concatenate([q2, q1]))
         x1, x2 = (np.where(hit[:n, None], x[:n], x[n:]) for x in (x1, x2))
         contact = hit[:n] | hit[n:]
-        onb = iter(_orthonormal_columns(np.stack([x1, x2], axis=-1)[contact], EPS_RANK))
+        onb = _orthonormal_columns(np.stack([x1, x2], axis=-1)[contact], EPS_RANK)
+        max_residual = max([max_residual,
+                            *_crossing_residuals(space, (x1 + x2)[contact], onb).tolist()])
         for k, i in enumerate(range(n), first):
             check(i)
             _raise_first(checks, i)
@@ -1124,8 +1126,6 @@ def suite_stem_only(trials=200, seed=7):
                 failures.append(f"pair {k}: the shared point is off a stem")
             if not contact[i]:
                 failures.append(f"pair {k}: stems meet but no stem-wing contact")
-                continue
-            max_residual = max(max_residual, _crossing_residual(space, x1[i] + x2[i], next(onb)))
     return _report("stem-only-impossibility", trials, seed, failures, max_residual)
 
 
@@ -1134,9 +1134,9 @@ def suite_ads_equivalence(trials=1000, seed=7):
 
     A candidate is one `_ads_arrays` draw; a chunk keeps those whose
     least |margin| is above 1e-6.  Each block of accepted trials then runs
-    every plane, quadrilateral and surface check by its scalar closed form
-    in trial order, and reads the three routes from the stacked margin
-    kernels.  The equivariance and trace-form loop draws a vector pair and
+    every plane check by its scalar closed form and the quadrilateral and
+    surface checks stacked, raising in trial order, and reads the three
+    routes from the stacked margin kernels.  The equivariance and trace-form loop draws a vector pair and
     a 2x2 matrix per trial and checks a block of trials at a time."""
     rng = make_rng([seed, 7])
     space = ads.ads_space()

@@ -175,10 +175,6 @@ class SympSpace:
 
     # -- the form and its extension to bivectors ----------------------------
 
-    def omega(self, x, y):
-        """omega(x, y) on vectors of V."""
-        return float(as_vector(x, 4) @ self.matrix @ as_vector(y, 4))
-
     def wedge(self, b1, b2):
         """The signature-(3,3) product on bivectors.
 

@@ -19,6 +19,11 @@ def inner(v, w):
     return float(as_vector(v, 5) @ einstein.GRAM @ as_vector(w, 5))
 
 
+def omega(space, x, y):
+    """omega(x, y) on vectors of V."""
+    return float(as_vector(x, 4) @ space.matrix @ as_vector(y, 4))
+
+
 def omega0(x, y):
     """The area form on V0: omega0(x, y) = x^T J y."""
     return float(_omega0_cells(as_vector(x, 2), as_vector(y, 2))[0, 0])

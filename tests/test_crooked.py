@@ -1,3 +1,5 @@
+import collections
+import functools
 import itertools
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 from ein3 import crooked as C
 from ein3 import symplectic as S
-from ein3.linalg import EPS_ALG, EPS_RANK, GeometryError
+from ein3.linalg import EPS_ALG, EPS_RANK, GeometryError, _raise_first
 from ein3.oracle import (
     _second_generators,
     _stem_generators,
@@ -16,7 +18,7 @@ from ein3.oracle import (
 
 from draws import (disjoint_ads_pair, random_ads_config, random_lagrangian,
                    random_quadrilateral, random_symplectic, stem_crossing_pair)
-from references import intersect, min_gap, photon_crossing_oracle
+from references import intersect, min_gap, omega, photon_crossing_oracle
 
 SP = S.standard_space()
 E4 = np.eye(4)
@@ -86,8 +88,7 @@ def test_surface_vertices(surface):
     assert not surface.stem2.is_lagrangian
     for i in range(2):
         for j in range(2):
-            assert abs(SP.omega(surface.stem1.onb[:, i],
-                                surface.stem2.onb[:, j])) < 1e-12
+            assert abs(omega(SP, surface.stem1.onb[:, i], surface.stem2.onb[:, j])) < 1e-12
 
 
 def test_wing_contains_examples(surface):
@@ -267,7 +268,7 @@ def reference_margins(c1, c2):
     omega(p^, v-) omega(p^, u-) against the other, with p^ = p / |p|."""
     out = []
     for surface, other in ((c1, c2), (c2, c1)):
-        q, w = surface.quad, surface.space.omega
+        q, w = surface.quad, functools.partial(omega, surface.space)
         for key in C._QUAD_KEYS:
             p = getattr(other.quad, key)
             p = p / np.linalg.norm(p)
@@ -314,7 +315,7 @@ def test_photon_margins_match_the_scalar_reference():
     for _ in range(200):
         surf = C.CrookedSurface(random_quadrilateral(SP, rng))
         p = rng.normal(size=4)
-        q, w, u = surf.quad, SP.omega, p / np.linalg.norm(p)
+        q, w, u = surf.quad, functools.partial(omega, SP), p / np.linalg.norm(p)
         m1, m2 = C.photon_margins(p, surf)
         assert abs(m1 - w(u, q.v_plus) * w(u, q.u_plus)) <= 1e-12 * max(
             1.0, np.linalg.norm(q.u_plus) * np.linalg.norm(q.v_plus))
@@ -326,7 +327,7 @@ def test_product_residuals_match_the_scalar_products():
     rng = make_rng(23)
     for _ in range(50):
         q = random_quadrilateral(SP, rng)
-        w = SP.omega
+        w = functools.partial(omega, SP)
         reference = {
             "omega(u+, v-) - 1": w(q.u_plus, q.v_minus) - 1.0,
             "omega(u-, v+) - 1": w(q.u_minus, q.v_plus) - 1.0,
@@ -599,7 +600,7 @@ _e1, _e2, _e3, _e4 = E4.T
 _x = _e1 + 1e-9 * _e4
 
 
-@pytest.mark.parametrize("columns, message", [
+_RAISE_PATHS = [
     ((1e-3 * _e1, _e2, _e4 + 1e-7 * _e3, _e3 / 1e-3), "vertex P\\+ is not Lagrangian"),
     ((1e5 * _e1, _e2, _e4, 1e-5 * _e3 + 1e5 * _e1), "basis matrix has rank 1 < 2 column"),
     # u-, v+ span the omega-complement of S1 = span{u+, v-}; in this family
@@ -607,7 +608,10 @@ _x = _e1 + 1e-9 * _e4
     # threshold, so this case passes both rules at their rounding ties
     ((1 / 1e-9 * _e1, _e2 + _x, -3 * _e2 + (1 / 1e-9 - 3) * _x, _e2 + 1e-9 * _e3),
      "stem planes must be nondegenerate"),
-], ids=["vertex", "rank", "stem"])
+]
+
+
+@pytest.mark.parametrize("columns, message", _RAISE_PATHS, ids=["vertex", "rank", "stem"])
 def test_surface_raise_paths(columns, message):
     quad = C.LightlikeQuadrilateral(SP, *columns)
     with pytest.raises(GeometryError, match=message):
@@ -702,6 +706,57 @@ def test_closed_form_checks_at_extreme_scales(p):
     assert svd_route(quad) == "basis matrix has rank 1 < 2 column(s)"
     with pytest.raises(GeometryError, match=r"^basis matrix has rank 1 < 2 column\(s\)$"):
         C.CrookedSurface(quad)
+
+
+def kernel_and_scalar_messages(space, rows):
+    """For a stack of quadrilateral rows (n, 4, 4), the message or None that
+    one `_surface_check_rows` call raises row by row, and those of
+    `_check_quadrilateral` then `_check_planes`, one row at a time."""
+    grams = rows @ space.matrix @ rows.swapaxes(-1, -2)
+    checks = C._surface_check_rows(rows, grams, space.vol_coeff, EPS_ALG)
+
+    def scalar(k):
+        C._check_quadrilateral(grams[k].tolist(), space.vol_coeff, EPS_ALG)
+        C._check_planes(rows[k].tolist(), grams[k].tolist(), EPS_ALG)
+
+    return ([outcome(lambda k: _raise_first(checks, k), k)[1] for k in range(len(rows))],
+            [outcome(scalar, k)[1] for k in range(len(rows))])
+
+
+def test_surface_check_rows_match_the_scalar_checks():
+    # the family of test_closed_form_checks_match_the_svd_route in one
+    # stacked call, failed products included, the rows of the raise paths
+    # and the extreme scales, and one violated product per residual key
+    rng = make_rng(25)
+    canonical = E4[:, [0, 1, 3, 2]]  # columns of the quadrilateral (e1, e2, e4, e3)
+    rows = []
+    for _ in range(20000):
+        cols = random_symplectic(SP, rng) @ canonical
+        p = 10.0 ** rng.uniform(-6, 6)
+        cols *= [1 / p, 1, 1, p]
+        j = rng.integers(4)
+        cols[:, j] += 10.0 ** rng.uniform(-12, -6) * rng.normal(size=4) * np.linalg.norm(cols[:, j])
+        rows.append(cols.T)
+    rows += [np.array(columns) for columns, _ in _RAISE_PATHS]
+    rows += [(canonical * [p, 1, 1, 1 / p]).T for p in (1e100, 1e160, 1e200, 1e-200)]
+    # row t += f row s moves exactly one product off, in _RESIDUAL_KEYS order
+    for t, s, f in ((3, 3, 0.5), (2, 2, 0.5), (1, 3, 1e-3), (2, 3, 1e-3), (3, 2, 1e-3),
+                    (3, 1, 1e-3)):
+        rows.append(canonical.T.copy())
+        rows[-1][t] += f * rows[-1][s]
+    messages, want = kernel_and_scalar_messages(SP, np.array(rows))
+    assert messages == want
+    kinds = collections.Counter(m and m.split()[0] for m in messages[:20000])
+    assert min(kinds[k] for k in (None, "quadrilateral", "basis", "vertex")) > 50, kinds
+    assert [m.split()[0] for m in messages[20000:20007]] == [
+        "vertex", "basis", "stem", "basis", "basis", "basis", "basis"]
+    for key, message in zip(C._RESIDUAL_KEYS, messages[20007:]):
+        assert message.startswith(f"quadrilateral products violated: {key} off by ")
+        assert message.count(" off by ") == 1
+    # a singular basis: the products hold at omega = 1e10 STANDARD_OMEGA
+    assert kernel_and_scalar_messages(S.SympSpace(1e10 * S.STANDARD_OMEGA),
+                                      1e-5 * canonical.T[None]) == (
+        ["quadrilateral vectors do not form a basis"],) * 2
 
 
 def test_basis_check_at_a_large_omega():

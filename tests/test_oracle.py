@@ -1,3 +1,5 @@
+import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +17,7 @@ from draws import (disjoint_ads_pair, random_ads_config, random_lagrangian,
                    random_quadrilateral, random_splitting, random_symplectic,
                    random_unit_spacelike, stem_crossing_pair)
 from references import (bivector_to_plane, classify_point, classify_tori, eta, inner,
-                        lagrangian_point, min_gap, omega0, photon_crossing_oracle,
+                        lagrangian_point, min_gap, omega, omega0, photon_crossing_oracle,
                         plane_intersection_dim, probe_intersection_type, torus_normal,
                         unit_points)
 
@@ -185,11 +187,16 @@ def test_random_quadrilateral_under_a_nonstandard_omega(space):
         assert np.array_equal(quad.columns, want.columns)
 
 
+def _called_a_scalar_check(*args):
+    raise AssertionError("a suite called a scalar surface check")
+
+
 def test_each_draw_validates_one_quadrilateral_per_surface(monkeypatch):
-    # the stacked suites check every candidate of a block in trial order:
-    # the closed-form quadrilateral and plane checks once per surface
-    blocks, counts = [], {"_check_quadrilateral": 0, "_check_planes": 0}
-    surface_checks = O._surface_checks
+    # the stacked suites check every candidate of a block in trial order,
+    # from one call of the stacked kernel per `_surface_checks`, never by
+    # the scalar closed forms
+    blocks, kernel_rows = [], []
+    surface_checks, kernel = O._surface_checks, C._surface_check_rows
 
     def recorded(space, rows):
         checked, check = [], surface_checks(space, rows)
@@ -200,28 +207,57 @@ def test_each_draw_validates_one_quadrilateral_per_surface(monkeypatch):
             check(i)
         return recorded_check
 
-    def counted(name):
-        kernel = getattr(C, name)
-
-        def wrapped(*args):
-            counts[name] += 1
-            return kernel(*args)
-        return wrapped
+    def counted(rows, *args):
+        kernel_rows.append(rows.shape[:2])
+        return kernel(rows, *args)
 
     monkeypatch.setattr(O, "_surface_checks", recorded)
-    for name in counts:
-        monkeypatch.setattr(C, name, counted(name))
+    monkeypatch.setattr(C, "_surface_check_rows", counted)
+    for name in ("_check_quadrilateral", "_check_planes"):
+        monkeypatch.setattr(C, name, _called_a_scalar_check)
     for suite, trials, per_trial, candidates in (
             (O.suite_photon_avoidance, 30, 1, lambda n: n >= 30),
             (O.suite_stem_only, 30, 2, lambda n: n == 30),
             (O.suite_surface_disjointness, 6, 2, lambda n: n == 12)):
         blocks.clear()
-        counts.update(dict.fromkeys(counts, 0))
+        kernel_rows.clear()
         assert suite(trials=trials, seed=7)["failures"] == []
         assert all(per == per_trial and checked == list(range(n)) for n, per, checked in blocks)
-        n = sum(n for n, *_ in blocks)
-        assert candidates(n), suite.__name__
-        assert counts == dict.fromkeys(counts, per_trial * n), suite.__name__
+        assert kernel_rows == [(n, per) for n, per, _ in blocks], suite.__name__
+        assert candidates(sum(n for n, *_ in blocks)), suite.__name__
+
+
+def _scalar_surface_checks(rows):
+    """`_check_quadrilateral` then `_check_planes` on each quadrilateral of
+    one trial's rows (surfaces, 4, 4) in turn, as the constructors run them."""
+    for q in rows:
+        gram = (q @ SP.matrix @ q.T).tolist()
+        C._check_quadrilateral(gram, SP.vol_coeff, C.EPS_ALG)
+        C._check_planes(q.tolist(), gram, C.EPS_ALG)
+
+
+def test_surface_checks_raise_the_first_failure_in_trial_order():
+    # trial 3's second surface fails a product check and trial 7's first a
+    # plane check; trial 5's first surface fails the plane check and its
+    # second the product check
+    rng = O.make_rng(3)
+    rows = np.array([[random_quadrilateral(SP, rng).columns.T for _ in range(2)]
+                     for _ in range(10)])
+    e1, e2, e3, e4 = np.eye(4)
+    rows[[3, 5], 1, 3] *= 1.5  # v-, so that omega(u+, v-) = 1.5
+    rows[[5, 7], 0] = (1e-3 * e1, e2, e4 + 1e-7 * e3, e3 / 1e-3)  # P+ is not Lagrangian
+    want = [_outcome(_scalar_surface_checks, r) for r in rows]
+    assert want[3].startswith("quadrilateral products violated: omega(u+, v-) - 1 off by")
+    assert want[5] == want[7] == "vertex P+ is not Lagrangian"
+    assert want.count(None) == 7
+    check = O._surface_checks(SP, rows)
+    assert [_outcome(check, i) for i in range(10)] == want
+    checked = []
+    with pytest.raises(GeometryError, match=f"^{re.escape(want[3])}$"):
+        for i in range(10):
+            checked.append(i)
+            check(i)
+    assert checked == [0, 1, 2, 3]
 
 
 def test_probe_kinds_and_draws_are_pinned():
@@ -421,12 +457,12 @@ def test_photon_oracle_finds_meeting_photons_without_the_predicate(monkeypatch):
 
 def _crossing_residual(p, surface, plane):
     """Numerical residual of 'plane is a surface point on the photon of p',
-    one plane at a time: the reference of `oracle._crossing_residual`."""
+    one plane at a time: the reference of `oracle._crossing_residuals`."""
     space = surface.space
     p = np.asarray(p, dtype=float)
     p = p / np.linalg.norm(p)
     onb = plane.onb
-    lag = abs(space.omega(onb[:, 0], onb[:, 1]))
+    lag = abs(omega(space, onb[:, 0], onb[:, 1]))
     containment = float(np.linalg.norm(p - onb @ (onb.T @ p)))
     return max(lag, containment)
 
@@ -1106,7 +1142,7 @@ def _scalar_tags(m):
         return [False, False]
     onb = plane.onb
     return [plane.is_lagrangian,
-            not plane.is_lagrangian and abs(SP.omega(onb[:, 0], onb[:, 1])) > 0.2]
+            not plane.is_lagrangian and abs(omega(SP, onb[:, 0], onb[:, 1])) > 0.2]
 
 
 def _scalar_eta_screen(m, f):
@@ -1262,17 +1298,32 @@ def test_ads_equivalence_raises_the_first_corrupted_record_in_trial_order(
         O.suite_ads_equivalence(trials=30, seed=7)
 
 
-def test_ads_equivalence_sends_a_non_finite_record_to_the_scalar_constructors(monkeypatch):
-    def overflowed(k, units, f):
+def _raises_quietly(monkeypatch, corrupt, message):
+    """ads-equivalence with trial 5's record made non-finite by
+    corrupt(units, f) raises the scalar constructors' message; the block's
+    stacked checks run on the row and warn nothing."""
+    def corrupted(k, units, f):
         if k == 5:
-            f[0, 0] = np.inf
+            corrupt(units, f)
         return units, f
 
-    _corrupt_ads_records(monkeypatch, overflowed)
+    _corrupt_ads_records(monkeypatch, corrupted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match=message):
+            O.suite_ads_equivalence(trials=30, seed=7)
+
+
+def test_ads_equivalence_sends_a_non_finite_record_to_the_scalar_constructors(monkeypatch):
     # the message of `as_sl2`, which the closed-form det check alone would
     # not give ("entries up to inf are too large to test det = 1")
-    with pytest.raises(GeometryError, match="an AdS point needs finite entries"):
-        O.suite_ads_equivalence(trials=30, seed=7)
+    _raises_quietly(monkeypatch, lambda units, f: f.__setitem__((0, 0), np.inf),
+                    "an AdS point needs finite entries")
+
+
+def test_ads_equivalence_sends_a_nan_direction_to_the_scalar_constructors(monkeypatch):
+    _raises_quietly(monkeypatch, lambda units, f: units.__setitem__((1, 0, 1), np.nan),
+                    "vector has non-finite entries")
 
 
 def test_ads_equivalence_reports_a_flipped_route_with_its_trial_number(monkeypatch):
@@ -1461,11 +1512,12 @@ def test_stacked_witness_matches_the_per_trial_reference(seed):
     assert fails.all() and len(meeting) > 300
     onb = _orthonormal_columns(bases, EPS_RANK)
     regions, checks = C._lagrangian_regions(SP, columns, onb, C.EPS_ALG)
+    residuals = O._crossing_residuals(SP, p, onb)
     for j, (q, surface) in enumerate(meeting):
         want = C.find_crossing_lagrangian(q, surface)
         assert np.array_equal(bases[j], want.basis)
         assert np.array_equal(onb[j], want.onb)
-        assert O._crossing_residual(SP, q, onb[j]) == _crossing_residual(q, surface, want)
+        assert residuals[j] == _crossing_residual(q, surface, want)
 
         def region(j=j):
             _raise_first(checks, j)
