@@ -722,6 +722,20 @@ def test_check_commands_and_sample_skip_scipy_and_the_oracle(tmp_path):
     assert loaded == [[]] * len(checks) + [["ein3.oracle"]]
 
 
+def test_verify_runs_without_scipy():
+    # every suite's draws, the Hamiltonian exponentials included, on numpy alone
+    child = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from ein3 import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--suite", "all", "--trials", "5", "--seed", "3"]) == 0
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+    """)
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=child_env(), check=True)
+    assert json.loads(proc.stdout) == []
+
+
 def test_verify_suite_alias(capsys):
     code = cli.main(["verify", "--suite", "dgk-equivalence",
                      "--trials", "10", "--seed", "3"])
