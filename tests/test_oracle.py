@@ -724,6 +724,79 @@ def test_eta_bridge_raises_the_first_failed_check_in_trial_order(monkeypatch, ke
         O.suite_eta_bridge(trials=20, seed=7)
 
 
+def _failing_at(rows, message):
+    """A check that fails at the given rows of a stack of n."""
+    return lambda n: (np.isin(np.arange(n), rows), message)
+
+
+@pytest.mark.parametrize("point_row, causal_row, message", [
+    (3, 7, "point check"), (7, 3, "causal check"), (5, 5, "point check")])
+def test_maslov_bridge_raises_the_first_failed_check_in_trial_order(monkeypatch, point_row,
+                                                                    causal_row, message):
+    # the points of P, L and L' are stacked: L's point of trial point_row
+    # fails a point check, the causal type of trial causal_row its check;
+    # within a trial the points come first
+    lagrangian_points, causal_rows = S._lagrangian_points, E._causal_rows
+
+    def broken_points(space, bases):
+        reps, checks = lagrangian_points(space, bases)
+        return reps, checks + [_failing_at(len(bases) // 3 + point_row - 1, "point check")(
+            len(bases))]
+
+    def broken_causal(p, p0, pinf):
+        index, checks = causal_rows(p, p0, pinf)
+        return index, checks + [_failing_at(causal_row - 1, "causal check")(len(p))]
+
+    monkeypatch.setattr(S, "_lagrangian_points", broken_points)
+    monkeypatch.setattr(E, "_causal_rows", broken_causal)
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        O.suite_maslov_bridge(trials=20, seed=7)
+
+
+def test_symplectic_identities_raises_the_first_failed_complement_check(monkeypatch):
+    # the first block's complements fail at trials 4 and 8, with their own
+    # messages: trial 4's raises
+    complements, calls = S._complements, []
+
+    def broken(space, s):
+        comp, checks = complements(space, s)
+        calls.append(len(s))
+        if len(calls) == 1:
+            checks = checks + [_failing_at(7, "trial 8")(len(s)), _failing_at(3, "trial 4")(len(s))]
+        return comp, checks
+
+    monkeypatch.setattr(S, "_complements", broken)
+    with pytest.raises(GeometryError, match="^trial 4$"):
+        O.suite_symplectic_identities(trials=20, seed=7)
+
+
+@pytest.mark.parametrize("moved_row, split_row, message", [
+    (3, 7, "moved check"), (7, 3, "splitting check"), (5, 5, "moved check")])
+def test_symplectic_identities_raises_the_first_failed_maslov_check(monkeypatch, moved_row,
+                                                                     split_row, message):
+    # the kept Maslov/graph trials' moved triples fail at moved_row and their
+    # splittings at split_row; within a trial the moved triple comes first.
+    # The first `_maslov_rows` call is the screen's, the second the moved one
+    maslov_rows, splittings, calls = S._maslov_rows, O._splittings, []
+
+    def broken_maslov(space, l, p, lp, *args):
+        index, checks = maslov_rows(space, l, p, lp, *args)
+        calls.append(len(l))
+        if len(calls) == 2:
+            checks = checks + [_failing_at(moved_row, "moved check")(len(l))]
+        return index, checks
+
+    def broken_splittings(space, m):
+        s_basis, t_basis, checks = splittings(space, m)
+        return s_basis, t_basis, checks + [_failing_at(split_row, "splitting check")(len(m))]
+
+    monkeypatch.setattr(S, "_maslov_rows", broken_maslov)
+    monkeypatch.setattr(O, "_splittings", broken_splittings)
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        O.suite_symplectic_identities(trials=20, seed=7)
+    assert len(calls) == 2
+
+
 def test_oracle_imports_neither_fractions_nor_decimal():
     import os
     import subprocess
