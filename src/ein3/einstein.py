@@ -154,11 +154,14 @@ def _torus_kinds(s1, s2, eps=EPS_ALG):
     _KINDS, and eta = |s1 . s2| (1 for equal tori).  Tori are equal when
     `_close` holds and eta is within 10 EPS_ALG of 1, past its rounding (< 4
     float epsilons |s1| |s2| for equal normals, taken as 2^-48, 16 epsilons,
-    of the Euclidean s1 s2): `_close` alone holds distinct tori of entries ~1e4 equal."""
+    of the Euclidean s1 s2): `_close` alone holds distinct tori of entries ~1e4 equal.
+    A photon pair's band, |eta - 1| <= eps, carries the same rounding (of
+    |s1 s2|, which may be negative there), as it passes 1e-9 once the
+    entries reach ~1e4."""
     e = abs(s1[..., None, :] @ GRAM @ s2[..., :, None])[..., 0, 0]
-    gap, rounding = abs(e - 1.0), 2.0 ** -48 * (s1[..., None, :] @ s2[..., :, None])[..., 0, 0]
+    gap, rounding = abs(e - 1.0), 2.0 ** -48 * abs(s1[..., None, :] @ s2[..., :, None])[..., 0, 0]
     equal = _close(s1, s2) & (gap <= 10 * EPS_ALG + rounding)
-    kinds = np.where(gap <= eps, 1, np.where(e > 1.0, 2, 3))
+    kinds = np.where(gap <= eps + rounding, 1, np.where(e > 1.0, 2, 3))
     return np.where(equal, 0, kinds), np.where(equal, 1.0, e)
 
 

@@ -555,6 +555,11 @@ def _blocks(trials, draw, screen=lambda records: records):
             block = []
 
 
+def _failed_rows(checks):
+    """The rows of a stack that fail any of its (mask, message) checks."""
+    return np.logical_or.reduce([mask for mask, _ in checks])
+
+
 def _kept(records, keep):
     """The records of a chunk that a stacked screen keeps."""
     return [r for r, k in zip(records, keep.tolist()) if k]
@@ -623,8 +628,8 @@ def suite_torus_trichotomy(trials=1000, seed=7):
     }
 
     def draw():
-        return (rng.normal(size=(2, 5)), rng.uniform(0.0, 2.0 * np.pi, size=32),
-                rng.uniform(0.0, 2.0 * np.pi, size=4))
+        normals, angles = rng.normal(size=(2, 5)), rng.uniform(0.0, 2.0 * np.pi, size=36)
+        return normals, angles[:32], angles[32:]
 
     def screen(draws):
         units, keep = _torus_screen(np.array([d[0] for d in draws]))
@@ -676,9 +681,23 @@ def _eta_values(s_basis, f):
     omega-normalized and omega-orthogonal summands, seeded from the float
     ones) and the wedge products are evaluated exactly, on object arrays of
     Python-int numerators over one denominator per row: only the final
-    divisions (correctly rounded int / int) and square roots round.
+    divisions (correctly rounded int / int) and square roots round, so
+    numerators and denominators may share any factor.
     Standard basis only: omega, omega* = -(e02 + e13) and the bivector
-    product are written out."""
+    product are written out.
+
+    The integers are kept small, fraction-free as in Bareiss' elimination,
+    by two identities of integer rows r1 = omega(u, .), r2 = omega(v, .)
+    with 2x2 minors M(a, b) = r1[a] r2[b] - r1[b] r2[a], pivots j1 (the
+    largest |r1|, p1 = r1[j1]) and j2 (the largest |M(j1, .)|, p2 = M(j1,
+    j2)), and free indices k:
+    - Sylvester's identity: the nullspace vectors of r1 and the eliminated
+      row p1 r2 - r2[j1] r1 = M(j1, .) by Cramer's rule, (k: p1 p2, j2: -p1
+      M(j1, k), j1: r1[j2] M(j1, k) - r1[k] p2), are p1 times the vectors q
+      (k: p2, j2: -M(j1, k), j1: M(j2, k)) of one denominator p2;
+    - the two vectors q0, q1 have omega(q0, q1) = +-p2 omega(u, v), the
+      sign that of the permutation (k0, k1, j1, j2) negated, so p2 and
+      omega(u, v) both divide it."""
     n = len(f)
     rows = np.arange(n)[:, None]
 
@@ -690,32 +709,29 @@ def _eta_values(s_basis, f):
     m, e = np.frexp(np.concatenate([s_basis.swapaxes(-1, -2).reshape(n, 8), f.reshape(n, 4)], -1))
     low = np.minimum(e.min(-1, keepdims=True) - 53, 0)
     x = (m * 2.0 ** 53).astype(np.int64).astype(object) << (e - 53 - low).astype(object)
-    du = df = 1 << -low.astype(object)
-    u, (f00, f01, f10, f11) = x[:, :4], x[:, 8:].T[..., None]
-    r1 = omega_rows(u)
-    dv, v = (r1 * x[:, 4:8]).sum(-1, keepdims=True), du * x[:, 4:8]  # v / omega(u, v)
-    # the omega-complement of S: the nullspace of the rows omega(u, .) and
-    # omega(v, .), eliminated on the first pivots of largest |entry| (as max()
-    # picks them; r2[j1] = 0), with 1 at each free index k, all over den
-    r2 = omega_rows(v)
+    df = 1 << -low.astype(object)
+    u, v, (f00, f01, f10, f11) = x[:, :4], x[:, 4:8], x[:, 8:].T[..., None]
+    r1, r2 = omega_rows(u), omega_rows(v)
+    dv = (r1 * v).sum(-1, keepdims=True)  # omega(u, v): S's basis is u / df, v df / dv
+    # the omega-complement of S by the first identity, pivots as max() picks them
     j1 = np.abs(r1).argmax(-1)[:, None]
-    p1 = r1[rows, j1]
-    r2 = p1 * r2 - r2[rows, j1] * r1
-    j2 = np.abs(r2).argmax(-1)[:, None]
-    p2 = r2[rows, j2]
-    den = p1 * p2
+    minors = r1[rows, j1] * r2 - r2[rows, j1] * r1  # M(j1, .)
+    j2 = np.abs(minors).argmax(-1)[:, None]
+    den = minors[rows, j2]
     k = np.argsort((np.arange(4) == j1) | (np.arange(4) == j2), -1, kind="stable")[:, :2]
     q, pair = np.zeros((n, 2, 4), object), np.arange(2)
     q[rows, pair, k] = den
-    q[rows, pair, j2] = -r2[rows, k] * p1
-    q[rows, pair, j1] = r1[rows, j2] * r2[rows, k] - r1[rows, k] * p2
-    # q2 / omega(q1, q2), with q1 over the same denominator dq
-    w12 = (omega_rows(q[:, 0]) * q[:, 1]).sum(-1, keepdims=True)
-    dq, q1, q2 = den * w12, w12 * q[:, 0], den * den * q[:, 1]
-    t1 = u * dq * df + du * (q1 * f00 + q2 * f10)
-    t2 = v * dq * df + dv * (q1 * f01 + q2 * f11)
-    # the rows of S, then of graph(f)
-    a, b, d = np.stack([u, t1]), np.stack([v, t2]), np.stack([du * dv, du * dv * (dq * df) ** 2])
+    q[rows, pair, j2] = -minors[rows, k]
+    q[rows, pair, j1] = r1[rows, j2] * r2[rows, k] - r1[rows, k] * r2[rows, j2]
+    # q0 / den and q1 / omega(q0, q1) (den q1 / dq), over dq = omega(q0, q1),
+    # which den divides by the second identity
+    dq = (omega_rows(q[:, 0]) * q[:, 1]).sum(-1, keepdims=True)
+    q1, q2 = (dq // den) * q[:, 0], den * q[:, 1]
+    # graph(f) over dq df: S's vectors plus f of the complement's; dv divides dq
+    t1 = u * dq + q1 * f00 + q2 * f10
+    t2 = v * (dq // dv) * df * df + q1 * f01 + q2 * f11
+    # the rows of S, over df dv / df = dv, then of graph(f)
+    a, b, d = np.stack([u, t1]), np.stack([v, t2]), np.stack([dv, (dq * df) ** 2])
     iota, w = symplectic.plucker_rows(a, b), (omega_rows(a) * b).sum(-1, keepdims=True)
     # mu(A) . mu(B) = iota(A) . iota(B) + (1/2) omega(iota A) omega(iota B),
     # here doubled and over d_S d_T; the self-products of the decomposable
@@ -771,12 +787,12 @@ def suite_eta_bridge(trials=1000, seed=7):
         s_basis, t_basis, checks = _splittings(space, m)
         # a row that fails a splitting check raises before its invariants
         # are read, so they are taken of the Darboux plane (e1, e3) there
-        failed = np.logical_or.reduce([mask for mask, _ in checks])
+        failed = _failed_rows(checks)
         eta_mu, eta_ein, eta_checks = _eta_values(
             np.where(failed[:, None, None], np.eye(4)[:, [0, 2]], s_basis), f)
         eta_mu, eta_ein = eta_mu.tolist(), eta_ein.tolist()
-        etas = [symplectic.eta_from_det(x) for x in f]
-        apart = np.abs(np.array(etas) - 1.0) > 1e-6  # where the kinds are read
+        etas = symplectic.eta_from_det(f)
+        apart = np.abs(etas - 1.0) > 1e-6  # where the kinds are read
         graphs = (s_basis + t_basis @ f)[apart]
         g = _orthonormal_columns(graphs, EPS_RANK)
         lagrangian = symplectic._lagrangian(space, g)
@@ -789,22 +805,28 @@ def suite_eta_bridge(trials=1000, seed=7):
         s1, torus_checks = einstein._torus_normals(mu_s)
         s2, ((null, _),) = einstein._torus_normals(mu_t)
         kinds = einstein._torus_kinds(s1, s2)[0].tolist()
-        read = iter(range(len(g)))
+        # the trials that raise below: a failed check, or a Lagrangian graph
+        failed |= _failed_rows(eta_checks)
+        failed[apart] |= _failed_rows(s_checks + torus_checks + t_checks) | lagrangian
+        failed, apart, null = failed.tolist(), apart.tolist(), null.tolist()
+        dets, etas, read = symplectic.det_omega(f).tolist(), etas.tolist(), iter(range(len(g)))
         for k, i in enumerate(range(len(block)), first):
-            _raise_first(checks, i)
-            _raise_first(eta_checks, i)
-            d, eta_det = symplectic.det_omega(f[i]), etas[i]
+            if failed[i]:
+                _raise_first(checks, i)
+                _raise_first(eta_checks, i)
+            d, eta_det = dets[i], etas[i]
             diff = max(abs(eta_det - eta_mu[i]), abs(eta_det - eta_ein[i]))
             max_violation = max(max_violation, diff)
             if diff > 1e-9:
                 failures.append(f"trial {k}: eta mismatch {diff:.3e} (det {d:.4f})")
             if apart[i]:
                 j = next(read)
-                _raise_first(s_checks, j)
-                _raise_first(torus_checks, j)
-                if lagrangian[j]:  # mu raises its error
-                    symplectic.mu(space, Plane2(space, graphs[j]))
-                _raise_first(t_checks, j)
+                if failed[i]:
+                    _raise_first(s_checks, j)
+                    _raise_first(torus_checks, j)
+                    if lagrangian[j]:  # mu raises its error
+                        symplectic.mu(space, Plane2(space, graphs[j]))
+                    _raise_first(t_checks, j)
                 if null[j]:
                     continue
                 kind = einstein._KINDS[kinds[j]]
@@ -835,13 +857,13 @@ def suite_symplectic_identities(trials=1000, seed=7):
     max_violation = max(max_violation, abs(os2 + 2.0))
     candidates = itertools.count()
 
-    def draw():
-        f, s = rng.uniform(-3.0, 3.0, size=(2, 2)), rng.normal(size=(4, 2))
+    def draw():  # f, then s and the planes' normals in one call
+        f = rng.uniform(-3.0, 3.0, size=(2, 2))
         if next(candidates) % 2 == 0:
-            return f, s, rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
-        shared = rng.normal(size=4)
-        return (f, s, np.column_stack([shared, rng.normal(size=4)]),
-                np.column_stack([shared, rng.normal(size=4)]))
+            return f, *rng.normal(size=(3, 4, 2))
+        z = rng.normal(size=20)  # s, the shared vector, then each plane's other
+        return (f, z[:8].reshape(4, 2), np.column_stack([z[8:12], z[12:16]]),
+                np.column_stack([z[8:12], z[16:]]))
 
     def screen(draws):
         return _kept(draws, _planes(space, np.array([d[1] for d in draws]))[2])
@@ -857,11 +879,13 @@ def suite_symplectic_identities(trials=1000, seed=7):
         dims = _intersection_dims(po, qo)
         dists = projective_distance(space.reflect_omega_star(_plucker(s)),
                                     _plucker(comp)).tolist()
+        failed = _failed_rows(checks).tolist()
         for k, i in enumerate(range(len(block)), first):
             max_violation = max(max_violation, res[i])
             if res[i] > 1e-12:
                 failures.append(f"trial {k}: adjugate identity off by {res[i]:.3e}")
-            _raise_first(checks, i)
+            if failed[i]:
+                _raise_first(checks, i)
             max_violation = max(max_violation, dists[i])
             if dists[i] > 1e-9:
                 failures.append(f"trial {k}: reflection/complement distance {dists[i]:.3e}")
@@ -882,13 +906,16 @@ def suite_symplectic_identities(trials=1000, seed=7):
     s_basis, t_basis, split_checks = _splittings(space, split[kept])
     graphs = _orthonormal_columns(s_basis + t_basis @ f[kept], EPS_RANK)
     degenerate = symplectic._lagrangian(space, graphs)
+    failed = (_failed_rows(moved_checks) | _failed_rows(split_checks)).tolist()
+    # away from det = -1 the graph is nondegenerate
+    away = (abs(symplectic.det_omega(f) + 1.0) > 1e-6).tolist()
     for j, k in enumerate(np.flatnonzero(kept).tolist()):
-        _raise_first(moved_checks, j)  # where `maslov` of the moved triple raises
+        if failed[j]:
+            _raise_first(moved_checks, j)  # where `maslov` of the moved triple raises
+            _raise_first(split_checks, j)
         if moved_index[j] != index[k]:
             failures.append(f"trial {k + 1}: maslov not Sp-invariant")
-        _raise_first(split_checks, j)
-        # away from det = -1 the graph is nondegenerate
-        if abs(symplectic.det_omega(f[k]) + 1.0) > 1e-6 and degenerate[j]:
+        if away[k] and degenerate[j]:
             failures.append(f"trial {k + 1}: graph degeneracy vs det mismatch")
     return _report("symplectic-identities", trials, seed, failures, max_violation)
 
@@ -900,8 +927,7 @@ def _maslov_triples(space, bases, split):
     basis is nondegenerate (`_planes`) and whose `maslov` does not raise."""
     onb, lagrangian, _ = _planes(space, bases)
     index, checks = symplectic._maslov_rows(space, onb[:, 0], onb[:, 2], onb[:, 1])
-    return index, (lagrangian.all(axis=1) & _planes(space, split)[2]
-                   & ~np.logical_or.reduce([mask for mask, _ in checks]))
+    return index, lagrangian.all(axis=1) & _planes(space, split)[2] & ~_failed_rows(checks)
 
 
 def _plucker(m):
@@ -930,11 +956,11 @@ def suite_maslov_bridge(trials=1000, seed=7):
     space = symplectic.standard_space()
     candidates = itertools.count()
 
-    def draw():  # x and r of L, of L' and of P; P's x as (coefficients over L, NaN, NaN)
-        l, lp = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
-        if next(candidates) % 3 == 2:
-            return l, lp, np.append(rng.normal(size=2), [np.nan, np.nan]), rng.normal(size=4)
-        return l, lp, *rng.normal(size=(2, 4))
+    def draw():  # x and r of L, of L' and of P, in one call
+        on_l = next(candidates) % 3 == 2  # P's x as (coefficients over L, NaN, NaN)
+        z = rng.normal(size=22 if on_l else 24)
+        x = np.append(z[16:18], [np.nan, np.nan]) if on_l else z[16:20]
+        return z[:8].reshape(2, 4), z[8:16].reshape(2, 4), x, z[-4:]
 
     def screen(draws):
         l, lp, x, r = (np.array(v) for v in zip(*draws))
@@ -952,11 +978,15 @@ def suite_maslov_bridge(trials=1000, seed=7):
             _orthonormal_columns(np.concatenate([l, p, lp]), EPS_RANK), 3))
         reps, point_checks = symplectic._lagrangian_points(space, np.concatenate([p, l, lp]))
         causal, causal_checks = einstein._causal_rows(*np.split(reps, 3))
+        failed = (_failed_rows(point_checks).reshape(3, n).any(0)
+                  | _failed_rows(causal_checks)).tolist()
+        indices = np.where(_failed_rows(maslov_checks), -1, abs(index)).tolist()
         for k, i in enumerate(range(n), first):
-            m = None if any(mask[i] for mask, _ in maslov_checks) else abs(int(index[i]))
-            for row in (i, n + i, 2 * n + i):  # the points of P, L, L'
-                _raise_first(point_checks, row)
-            _raise_first(causal_checks, i)
+            m = None if indices[i] < 0 else indices[i]
+            if failed[i]:
+                for row in (i, n + i, 2 * n + i):  # the points of P, L, L'
+                    _raise_first(point_checks, row)
+                _raise_first(causal_checks, i)
             got = einstein._CAUSAL[causal[i]]
             want = {None: einstein.CausalType.LIGHTLIKE,
                     2: einstein.CausalType.TIMELIKE,
@@ -1195,14 +1225,17 @@ def suite_ads_equivalence(trials=1000, seed=7):
         equiv = np.abs(lift_ga - g @ lift_a @ np.linalg.inv(g)).max(axis=(1, 2)).tolist()
         top = np.abs(lift_ga).max(axis=(1, 2)).tolist()
         omega = ads._omega0_cells(a, b)[:, 0, 0].tolist()
+        failed = (_failed_rows(checks).reshape(3, -1).any(0)
+                  | _failed_rows(killing_checks)).tolist()
         for i, k in enumerate(ks.tolist()):
-            for j in (i, len(ks) + i, 2 * len(ks) + i):
-                _raise_first(checks, j)
+            if failed[i]:
+                for j in (i, len(ks) + i, 2 * len(ks) + i):
+                    _raise_first(checks, j)
+                _raise_first(killing_checks, i)
             scale = max(1.0, top[i])
             max_violation = max(max_violation, equiv[i] / scale)
             if equiv[i] > 1e-12 * scale:
                 failures.append(f"equivariance trial {k}: residual {equiv[i]:.3e}")
-            _raise_first(killing_checks, i)
             residual = abs(omega[i] ** 2 + killing[i])
             scale = max(1.0, omega[i] ** 2)
             max_violation = max(max_violation, residual / scale)

@@ -420,13 +420,14 @@ def graph(space, f, splitting):
 
 
 def eta_from_det(f, eps=EPS_ALG):
-    """Torus-pair invariant of (S, graph(f)) computed from Det(f).
+    """Torus-pair invariant of (S, graph(f)) computed from Det(f), of one f
+    or of each of a stack (raising if one has Det(f) = -1).
 
     Equals |1 - Det(f)| / |1 + Det(f)|, the normalized invariant
     |mu(S) . mu(T)| / sqrt((mu(S) . mu(S)) (mu(T) . mu(T))).
     """
     d = det_omega(f)
-    if abs(1.0 + d) <= eps:
+    if np.any(abs(1.0 + d) <= eps):
         raise GeometryError("invariant undefined at Det(f) = -1")
     return abs(1.0 - d) / abs(1.0 + d)
 

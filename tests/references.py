@@ -129,13 +129,14 @@ def classify_tori(t1, t2, eps=EPS_ALG):
     """`classify_torus_pair` as it was written per pair before
     `einstein._torus_kinds`, with the equality `EinsteinTorus ==` now takes: normals
     allclose at atol 10 EPS_ALG and eta within 10 EPS_ALG of 1, past 16
-    float epsilons of the Euclidean s1 s2 for rounding."""
+    float epsilons of the Euclidean |s1 s2| for rounding, and a photon
+    pair's band |eta - 1| <= eps past the same rounding."""
     e = eta(t1, t2)
-    rounding = 16 * np.finfo(float).eps * float(t1.normal @ t2.normal)
+    rounding = 16 * np.finfo(float).eps * abs(float(t1.normal @ t2.normal))
     if (np.allclose(t1.normal, t2.normal, atol=10 * EPS_ALG)
             and abs(e - 1.0) <= 10 * EPS_ALG + rounding):
         return einstein.IntersectionClass(einstein.IntersectionKind.EQUAL, 1.0)
-    if abs(e - 1.0) <= eps:
+    if abs(e - 1.0) <= eps + rounding:
         kind = einstein.IntersectionKind.PHOTON_PAIR
     elif e > 1.0:
         kind = einstein.IntersectionKind.SPACELIKE_CIRCLE

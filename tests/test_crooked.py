@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -618,6 +619,22 @@ def test_surface_raise_paths(columns, message):
         plane_route(quad)
     with pytest.raises(GeometryError, match=message):
         C.CrookedSurface(quad)
+
+
+def test_rank_rule_floors_its_threshold_at_one():
+    # P0 = span{v+, v-} has s0 = 1.4e-3 and s1 = 7.1e-11: above EPS_RANK s0,
+    # below the floor EPS_RANK max(1, s0), so every route reads rank 1
+    rows = np.array([E4[0], E4[1], 1e-3 * E4[2], 1e-3 * E4[2] + 1e-10 * E4[3]])
+    s0, s1 = np.linalg.svd(rows[[2, 3]].T, compute_uv=False)
+    assert EPS_RANK * s0 < s1 < EPS_RANK < s0 < 1.0
+    message = "basis matrix has rank 1 < 2 column(s)"
+    gram = rows @ SP.matrix @ rows.T
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        C._check_planes(rows.tolist(), gram.tolist(), EPS_ALG)
+    rank = C._surface_check_rows(rows[None], gram[None], SP.vol_coeff, EPS_ALG)[2]
+    assert rank[0].tolist() == [True] and rank[1](0) == message
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        S.Plane2(SP, rows[[2, 3]].T)
 
 
 def test_predicate_path_builds_no_planes(monkeypatch):

@@ -125,6 +125,16 @@ def test_classify_torus_pair_examples():
     assert equal.normals is None
 
 
+@pytest.mark.parametrize("r", [6.0, 8.0, 10.0])
+def test_photon_pairs_of_large_normals_read_past_the_rounding_of_eta(r):
+    # s1 is orthogonal to the null vector e4, so eta = 1 exactly; at r = 10
+    # eta's rounding (eta - 1 = 3.5e-8) passes eps = 1e-9
+    s1 = np.array([np.cosh(r), 0.0, np.sinh(r), 0.0, 0.0])
+    t1, t2 = E.EinsteinTorus(s1), E.EinsteinTorus(s1 + np.eye(5)[3])
+    assert E.classify_torus_pair(t1, t2).kind is E.IntersectionKind.PHOTON_PAIR
+    assert classify_tori(t1, t2).kind is E.IntersectionKind.PHOTON_PAIR
+
+
 def test_reflect():
     rng = np.random.default_rng(3)
     s = np.array([1.0, 0.0, 0.0, 0.0, 0.0])

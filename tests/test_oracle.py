@@ -1,3 +1,4 @@
+import itertools
 import re
 import warnings
 from types import SimpleNamespace
@@ -670,13 +671,82 @@ def _stacked(draws):
             np.array([f for _, f in draws]))
 
 
+def _omega_rows(x):
+    """omega(x, e_j) over the last axis, as `_eta_values` writes it."""
+    return np.concatenate([-x[..., 2:], x[..., :2]], -1)
+
+
+def _pivots(u, v):
+    """The pivots (j1, j2) `_eta_values` eliminates on, in floats: the
+    largest |omega(u, .)|, then the largest |minor| against it."""
+    r1, r2 = _omega_rows(u), _omega_rows(v)
+    j1 = int(np.abs(r1).argmax())
+    return j1, int(np.abs(r1[j1] * r2 - r2[j1] * r1).argmax())
+
+
+def _wide_and_pivot_draws(rng):
+    """(basis, f) pairs of two kinds: entries whose binary exponents span
+    at least 20, so that the common power of two is large, and bases that
+    put the pivots at each of the 12 index pairs (j1, j2), from rows
+    omega(u, .) and omega(v, .) each led by one entry."""
+    draws, pairs = [], set()
+    while len(draws) < 40:
+        m = rng.normal(size=(4, 2)) * 2.0 ** rng.integers(-15, 16, size=(4, 2))
+        f = rng.uniform(-2.0, 2.0, size=(2, 2)) * 2.0 ** rng.integers(-8, 9, size=(2, 2))
+        exponents = np.frexp(np.concatenate([m.ravel(), f.ravel()]))[1]
+        if exponents.max() - exponents.min() >= 20 and abs(S.det_omega(f) + 1.0) > 1e-3:
+            draws.append((SimpleNamespace(s_basis=m), f))
+    for j1, j2 in itertools.permutations(range(4), 2):
+        r1, r2 = rng.normal(size=(2, 4)) + 10.0 * np.eye(4)[[j1, j2]]
+        m = -_omega_rows(np.stack([r1, r2], -1).T).T  # omega(u, .) = r1, omega(v, .) = r2
+        pairs.add(_pivots(*m.T))
+        draws.append((SimpleNamespace(s_basis=m), rng.uniform(0.5, 1.5, size=(2, 2)) * np.eye(2)))
+    assert len(pairs) == 12
+    return draws
+
+
 def test_integer_eta_bridge_matches_the_rational_reference():
     draws = (_suite_eta_draws(7, 200)
-             + _near_det_minus_one_draws(50, O.make_rng(2024)))
+             + _near_det_minus_one_draws(50, O.make_rng(2024))
+             + _wide_and_pivot_draws(O.make_rng(2025)))
     eta_mu, eta_ein, checks = O._eta_values(*_stacked(draws))
     assert not np.logical_or.reduce([mask for mask, _ in checks]).any()
     for (split, f), got in zip(draws, zip(eta_mu.tolist(), eta_ein.tolist())):
         assert got == _fraction_eta_bridge_values(split, f)
+
+
+def test_eta_values_reduce_by_exact_divisions():
+    # the two identities of `_eta_values`' docstring on random integer rows:
+    # the first pivot divides the Cramer vectors of the eliminated rows,
+    # leaving the minors, and omega(q0, q1) = -+ p2 omega(u, v), the sign
+    # that of the permutation (k0, k1, j1, j2)
+    rng = O.make_rng(2026)
+    for _ in range(2000):
+        bits = [int(b) for b in rng.integers(1, 120, size=2)]
+        u, v = ([int(x) >> int(s) for x, s in zip(rng.integers(-2 ** 62, 2 ** 62, size=4),
+                                                   rng.integers(0, 62, size=4))]
+                for _ in range(2))
+        u, v = [x << bits[0] for x in u], [x << bits[1] for x in v]
+        r1, r2 = list(_omega_rows(np.array(u, object))), list(_omega_rows(np.array(v, object)))
+        j1 = max(range(4), key=lambda j: abs(r1[j]))
+        p1 = r1[j1]
+        eliminated = [p1 * b - r2[j1] * a for a, b in zip(r1, r2)]
+        if p1 == 0 or not any(eliminated):
+            continue
+        j2 = max(range(4), key=lambda j: abs(eliminated[j]))
+        p2 = eliminated[j2]
+        k = [j for j in range(4) if j not in (j1, j2)]
+        q = []
+        for kk in k:
+            cramer = {kk: p1 * p2, j2: -p1 * eliminated[kk],
+                      j1: r1[j2] * eliminated[kk] - r1[kk] * p2}
+            assert all(x % p1 == 0 for x in cramer.values())
+            assert cramer[j1] // p1 == r1[j2] * r2[kk] - r1[kk] * r2[j2]
+            q.append([cramer.get(j, 0) // p1 for j in range(4)])
+        w12 = sum(a * b for a, b in zip(_omega_rows(np.array(q[0], object)), q[1]))
+        order = k + [j1, j2]
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(order, 2))
+        assert w12 == -sign * p2 * sum(a * b for a, b in zip(r1, v))
 
 
 def test_eta_values_do_not_depend_on_the_block():
