@@ -704,8 +704,8 @@ def _eta_values(s_basis, f):
     def omega_rows(x):  # x @ Omega: omega(x, e_j) over the last axis
         return np.concatenate([-x[..., 2:], x[..., :2]], -1)
 
-    # u, v (the columns of s_basis) and f as numerators over du = df = 2^-low,
-    # one power of two per row: a float is (m 2^53) 2^(e - 53), m 2^53 an int
+    # u, v (the columns of s_basis) and f as numerators over df = 2^-low, one
+    # power of two per row: a float is (m 2^53) 2^(e - 53), m 2^53 an int
     m, e = np.frexp(np.concatenate([s_basis.swapaxes(-1, -2).reshape(n, 8), f.reshape(n, 4)], -1))
     low = np.minimum(e.min(-1, keepdims=True) - 53, 0)
     x = (m * 2.0 ** 53).astype(np.int64).astype(object) << (e - 53 - low).astype(object)
@@ -717,20 +717,20 @@ def _eta_values(s_basis, f):
     j1 = np.abs(r1).argmax(-1)[:, None]
     minors = r1[rows, j1] * r2 - r2[rows, j1] * r1  # M(j1, .)
     j2 = np.abs(minors).argmax(-1)[:, None]
-    den = minors[rows, j2]
+    p2 = minors[rows, j2]
     k = np.argsort((np.arange(4) == j1) | (np.arange(4) == j2), -1, kind="stable")[:, :2]
     q, pair = np.zeros((n, 2, 4), object), np.arange(2)
-    q[rows, pair, k] = den
+    q[rows, pair, k] = p2
     q[rows, pair, j2] = -minors[rows, k]
     q[rows, pair, j1] = r1[rows, j2] * r2[rows, k] - r1[rows, k] * r2[rows, j2]
-    # q0 / den and q1 / omega(q0, q1) (den q1 / dq), over dq = omega(q0, q1),
-    # which den divides by the second identity
+    # q0 / p2 and q1 / omega(q0, q1) (p2 q1 / dq), over dq = omega(q0, q1),
+    # which p2 divides by the second identity
     dq = (omega_rows(q[:, 0]) * q[:, 1]).sum(-1, keepdims=True)
-    q1, q2 = (dq // den) * q[:, 0], den * q[:, 1]
+    q1, q2 = (dq // p2) * q[:, 0], p2 * q[:, 1]
     # graph(f) over dq df: S's vectors plus f of the complement's; dv divides dq
     t1 = u * dq + q1 * f00 + q2 * f10
     t2 = v * (dq // dv) * df * df + q1 * f01 + q2 * f11
-    # the rows of S, over df dv / df = dv, then of graph(f)
+    # the rows of S (u / df and v df / dv, both over dv), then of graph(f)
     a, b, d = np.stack([u, t1]), np.stack([v, t2]), np.stack([dv, (dq * df) ** 2])
     iota, w = symplectic.plucker_rows(a, b), (omega_rows(a) * b).sum(-1, keepdims=True)
     # mu(A) . mu(B) = iota(A) . iota(B) + (1/2) omega(iota A) omega(iota B),
@@ -980,9 +980,10 @@ def suite_maslov_bridge(trials=1000, seed=7):
         causal, causal_checks = einstein._causal_rows(*np.split(reps, 3))
         failed = (_failed_rows(point_checks).reshape(3, n).any(0)
                   | _failed_rows(causal_checks)).tolist()
-        indices = np.where(_failed_rows(maslov_checks), -1, abs(index)).tolist()
+        indices = [None if bad else m for bad, m in zip(_failed_rows(maslov_checks).tolist(),
+                                                         abs(index).tolist())]
         for k, i in enumerate(range(n), first):
-            m = None if indices[i] < 0 else indices[i]
+            m = indices[i]
             if failed[i]:
                 for row in (i, n + i, 2 * n + i):  # the points of P, L, L'
                     _raise_first(point_checks, row)

@@ -716,23 +716,19 @@ def test_integer_eta_bridge_matches_the_rational_reference():
 
 
 def test_eta_values_reduce_by_exact_divisions():
-    # the two identities of `_eta_values`' docstring on random integer rows:
-    # the first pivot divides the Cramer vectors of the eliminated rows,
-    # leaving the minors, and omega(q0, q1) = -+ p2 omega(u, v), the sign
-    # that of the permutation (k0, k1, j1, j2)
+    # the two identities of `_eta_values`' docstring on random integer rows
+    # of mixed lengths: the first pivot divides the Cramer vectors of the
+    # eliminated rows, leaving the minors, and omega(q0, q1) = -+ p2 omega(u,
+    # v), the sign that of the permutation (k0, k1, j1, j2)
     rng = O.make_rng(2026)
     for _ in range(2000):
-        bits = [int(b) for b in rng.integers(1, 120, size=2)]
-        u, v = ([int(x) >> int(s) for x, s in zip(rng.integers(-2 ** 62, 2 ** 62, size=4),
-                                                   rng.integers(0, 62, size=4))]
+        u, v = ([int(x) << int(shift) for x, shift in zip(rng.integers(-2 ** 62, 2 ** 62, size=4),
+                                                          rng.integers(0, 120, size=4))]
                 for _ in range(2))
-        u, v = [x << bits[0] for x in u], [x << bits[1] for x in v]
-        r1, r2 = list(_omega_rows(np.array(u, object))), list(_omega_rows(np.array(v, object)))
+        r1, r2 = (list(_omega_rows(np.array(x, object))) for x in (u, v))
         j1 = max(range(4), key=lambda j: abs(r1[j]))
         p1 = r1[j1]
         eliminated = [p1 * b - r2[j1] * a for a, b in zip(r1, r2)]
-        if p1 == 0 or not any(eliminated):
-            continue
         j2 = max(range(4), key=lambda j: abs(eliminated[j]))
         p2 = eliminated[j2]
         k = [j for j in range(4) if j not in (j1, j2)]
@@ -744,9 +740,8 @@ def test_eta_values_reduce_by_exact_divisions():
             assert cramer[j1] // p1 == r1[j2] * r2[kk] - r1[kk] * r2[j2]
             q.append([cramer.get(j, 0) // p1 for j in range(4)])
         w12 = sum(a * b for a, b in zip(_omega_rows(np.array(q[0], object)), q[1]))
-        order = k + [j1, j2]
-        sign = (-1) ** sum(a > b for a, b in itertools.combinations(order, 2))
-        assert w12 == -sign * p2 * sum(a * b for a, b in zip(r1, v))
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(k + [j1, j2], 2))
+        assert p2 != 0 and w12 == -sign * p2 * sum(a * b for a, b in zip(r1, v))
 
 
 def test_eta_values_do_not_depend_on_the_block():
@@ -794,9 +789,9 @@ def test_eta_bridge_raises_the_first_failed_check_in_trial_order(monkeypatch, ke
         O.suite_eta_bridge(trials=20, seed=7)
 
 
-def _failing_at(rows, message):
+def _failing_at(n, rows, message):
     """A check that fails at the given rows of a stack of n."""
-    return lambda n: (np.isin(np.arange(n), rows), message)
+    return np.isin(np.arange(n), rows), message
 
 
 @pytest.mark.parametrize("point_row, causal_row, message", [
@@ -810,12 +805,12 @@ def test_maslov_bridge_raises_the_first_failed_check_in_trial_order(monkeypatch,
 
     def broken_points(space, bases):
         reps, checks = lagrangian_points(space, bases)
-        return reps, checks + [_failing_at(len(bases) // 3 + point_row - 1, "point check")(
-            len(bases))]
+        row = len(bases) // 3 + point_row - 1  # L's point of trial point_row
+        return reps, checks + [_failing_at(len(bases), row, "point check")]
 
     def broken_causal(p, p0, pinf):
         index, checks = causal_rows(p, p0, pinf)
-        return index, checks + [_failing_at(causal_row - 1, "causal check")(len(p))]
+        return index, checks + [_failing_at(len(p), causal_row - 1, "causal check")]
 
     monkeypatch.setattr(S, "_lagrangian_points", broken_points)
     monkeypatch.setattr(E, "_causal_rows", broken_causal)
@@ -832,7 +827,8 @@ def test_symplectic_identities_raises_the_first_failed_complement_check(monkeypa
         comp, checks = complements(space, s)
         calls.append(len(s))
         if len(calls) == 1:
-            checks = checks + [_failing_at(7, "trial 8")(len(s)), _failing_at(3, "trial 4")(len(s))]
+            checks = checks + [_failing_at(len(s), 7, "trial 8"),
+                               _failing_at(len(s), 3, "trial 4")]
         return comp, checks
 
     monkeypatch.setattr(S, "_complements", broken)
@@ -853,12 +849,12 @@ def test_symplectic_identities_raises_the_first_failed_maslov_check(monkeypatch,
         index, checks = maslov_rows(space, l, p, lp, *args)
         calls.append(len(l))
         if len(calls) == 2:
-            checks = checks + [_failing_at(moved_row, "moved check")(len(l))]
+            checks = checks + [_failing_at(len(l), moved_row, "moved check")]
         return index, checks
 
     def broken_splittings(space, m):
         s_basis, t_basis, checks = splittings(space, m)
-        return s_basis, t_basis, checks + [_failing_at(split_row, "splitting check")(len(m))]
+        return s_basis, t_basis, checks + [_failing_at(len(m), split_row, "splitting check")]
 
     monkeypatch.setattr(S, "_maslov_rows", broken_maslov)
     monkeypatch.setattr(O, "_splittings", broken_splittings)
