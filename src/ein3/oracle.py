@@ -577,7 +577,7 @@ def _surface_checks(space, rows):
     rows = rows.reshape(len(rows), -1, 4, 4)
     checks = crooked._surface_check_rows(rows, rows @ space.matrix @ rows.swapaxes(-1, -2),
                                          space.vol_coeff, EPS_ALG)
-    failed = np.any([mask for mask, _ in checks], axis=(0, 2)).tolist()
+    failed = _failed_rows(checks).any(-1).tolist()
 
     def check(i):
         if failed[i]:
