@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from ein3.linalg import EPS_ALG, EPS_RANK, GeometryError, as_rows, as_vector
+from ein3.linalg import EPS_ALG, EPS_RANK, GeometryError, _plane_values, as_rows, as_vector
 from ein3.symplectic import Plane2, _lagrangian, pfaffian4, plucker_rows
 
 _QUAD_KEYS = ("u_plus", "u_minus", "v_plus", "v_minus")
@@ -158,32 +158,23 @@ def _check_planes(rows, g, eps):
 def _surface_check_rows(rows, grams, vol_coeff, eps):
     """`_check_quadrilateral` then `_check_planes` over a stack of rows
     (..., 4, 4) of Q^T and their Gram matrices, as (mask, message) pairs
-    for `_raise_first`, in order; an area is the root of a sum of squared
-    minors, not `math.hypot`.  No value of a row past its first failed
-    check is read, so its overflow or 0/0 goes unreported."""
+    for `_raise_first`, in order, the planes' by `_plane_values`.  No value
+    of a row past its first failed check is read, so its overflow or 0/0
+    goes unreported."""
     with np.errstate(all="ignore"):
         g = np.moveaxis(grams, (-2, -1), (0, 1))
         residuals = np.stack(_product_residuals(g), axis=-1)
         basis = np.abs(pfaffian4(g) * vol_coeff) <= EPS_RANK
-        peaks = np.abs(rows).max(axis=-1)
-        units = rows / peaks[..., None]
-        norms = (units * units).sum(axis=-1)
         i, j = np.array(_PLANES).T
-        scale = np.maximum(peaks[..., i], peaks[..., j])
-        ri, rj = peaks[..., i] / scale, peaks[..., j] / scale
-        area = ri * rj * np.linalg.norm(plucker_rows(units[..., i, :], units[..., j, :]), axis=-1)
-        frob = ri * ri * norms[..., i] + rj * rj * norms[..., j]
-        s0 = 0.5 * (np.sqrt(frob + 2.0 * area) + np.sqrt(np.maximum(frob - 2.0 * area, 0.0)))
-        s0, s1 = scale * s0, scale * (area / s0)
-        nonzero = np.stack([s0, s1], axis=-1) > EPS_RANK * np.maximum(1.0, s0)[..., None]
+        s0, s1, rank, _, _ = _plane_values(rows, i, j, EPS_RANK)
         tags = np.abs(grams[..., i, j]) / (s0 * s1) <= eps
         violated = np.abs(residuals) > eps
     return [(violated.any(axis=-1), lambda k: "quadrilateral products violated: " + ", ".join(
                 f"{key} off by {v:.3e}" for key, v, bad in zip(
                     _RESIDUAL_KEYS, residuals[k].tolist(), violated[k]) if bad)),
             (basis, "quadrilateral vectors do not form a basis"),
-            (~nonzero[..., 1].all(axis=-1),
-             lambda k: f"basis matrix has rank {nonzero[k].sum(axis=-1).min()} < 2 column(s)"),
+            ((rank < 2).any(axis=-1),
+             lambda k: f"basis matrix has rank {rank[k].min()} < 2 column(s)"),
             (~tags[..., :4].all(axis=-1), lambda k: "vertex {} is not Lagrangian".format(
                 ("P0", "Pinf", "P+", "P-")[tags[k][:4].argmin()])),
             (tags[..., 4] | tags[..., 5], "stem planes must be nondegenerate")]

@@ -21,7 +21,6 @@ from ein3.linalg import (
     GeometryError,
     _orthonormal_columns,
     _raise_first,
-    _zero_tol,
     as_vector,
     inertia,
     projective_normalize,
@@ -49,15 +48,6 @@ def _signatures(onb, eps=EPS_RANK):
     """Inertia (p, q, z) of the form on the span of an orthonormal basis
     (arrays for a stack)."""
     return inertia(np.linalg.eigvalsh(np.swapaxes(onb, -1, -2) @ GRAM @ onb), eps)
-
-
-def _unit_frame(onb):
-    """Eigenvectors of the form on the span of an orthonormal basis (of
-    each of a stack), in ambient coordinates, ascending by eigenvalue and
-    scaled to |Q| = 1 (columns of zero eigenvalues keep unit length)."""
-    w, vecs = np.linalg.eigh(np.swapaxes(onb, -1, -2) @ GRAM @ onb)
-    scale = np.where(np.abs(w) > _zero_tol(w, EPS_RANK), np.sqrt(np.abs(w)), 1.0)
-    return (onb @ vecs) / scale[..., None, :]
 
 
 class CausalType(Enum):
@@ -177,16 +167,10 @@ class IntersectionClass:
     normals: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
-def _perp_onb(normals):
-    """Orthonormal bases of the hyperplanes (j = 1) or carriers (j = 2) of
-    stacked normals (n, 5, j), or of one (5, j)."""
-    return _complement_onb(_orthonormal_columns(normals, EPS_RANK))
-
-
 def _carrier_signatures(n1, n2):
     """Inertia arrays (p, q, z) of the carriers of stacked normal rows, or
     the inertia of one pair's carrier."""
-    return _signatures(_perp_onb(np.stack([n1, n2], axis=-1)))
+    return _signatures(_complement_onb(_orthonormal_columns(np.stack([n1, n2], -1), EPS_RANK)))
 
 
 def _incident(a, b, eps=EPS_ALG):

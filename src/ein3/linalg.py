@@ -2,8 +2,9 @@
 
 Vectors are plain 1-d numpy arrays, and a subspace is given by an
 orthonormal basis of its span (`_orthonormal_columns`, which also checks
-finiteness and full rank); two spans are equal when every column of each
-basis lies within the rank tolerance of the other's span (`_same_spans`).
+finiteness and full rank, or `_plane_frames` for 2-planes of R^4); two spans
+are equal when every column of each basis lies within the rank tolerance of
+the other's span (`_same_spans`).
 The kernels take a stack of matrices as well as one.  All signature
 decisions go through `inertia` of the eigenvalues of a symmetric
 (restricted Gram) matrix, which is robust at the dimensions (<= 6) used in
@@ -108,6 +109,49 @@ def _orthonormal_columns(basis, eps):
         raise GeometryError(f"basis matrix has rank {np.ravel(rank)[np.argmax(short)]} "
                             f"< {k} column(s)")
     return u[..., :k]
+
+
+_PAIR_I, _PAIR_J = np.triu_indices(4, 1)  # (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+
+
+def plucker_rows(u, v):
+    """Pluecker coordinates of u ^ v over the last axis: one vector pair, or
+    stacked rows of pairs (n x 4 each, n x 6 out)."""
+    return u[..., _PAIR_I] * v[..., _PAIR_J] - u[..., _PAIR_J] * v[..., _PAIR_I]
+
+
+def _plane_values(rows, i, j, eps):
+    """Singular values s0 >= s1 and ranks (`_singular`'s rule) of the planes of
+    rows i, j (indices or index arrays) of rows (..., k, 4): s0 s1 = |x ^ y| and
+    s0^2 + s1^2 = |x|^2 + |y|^2 of x, y (returned last), the rows over their largest
+    |entry| (a zero row stays zero), times the larger of the two, so nothing overflows."""
+    peaks = np.abs(rows).max(axis=-1)
+    units = rows / np.where(peaks == 0.0, 1.0, peaks)[..., None]
+    norms, x, y = (units * units).sum(axis=-1), units[..., i, :], units[..., j, :]
+    scale = np.maximum(peaks[..., i], peaks[..., j])
+    rx, ry = peaks[..., i] / scale, peaks[..., j] / scale
+    area = rx * ry * np.linalg.norm(plucker_rows(x, y), axis=-1)
+    frob = rx * rx * norms[..., i] + ry * ry * norms[..., j]
+    # s0 + s1 and s0 - s1 are the roots of frob + 2 area and frob - 2 area
+    s0 = 0.5 * (np.sqrt(frob + 2.0 * area) + np.sqrt(np.maximum(frob - 2.0 * area, 0.0)))
+    s0, s1 = scale * s0, scale * (area / s0)
+    return s0, s1, (np.stack([s0, s1], -1) > eps * np.maximum(1.0, s0)[..., None]).sum(-1), x, y
+
+
+def _plane_frames(bases, eps, check=True):
+    """(u[..., :2], rank) of `_singular` of bases (..., 4, 2): the rank by
+    `_plane_values`, the frame by Gram-Schmidt twice (Giraud, Langou and
+    Rozloznik, 2005).  A row of rank < 2 has meaningless columns; with check,
+    it sends the stack to `_orthonormal_columns`, which raises its error."""
+    with np.errstate(all="ignore"):
+        _, _, rank, x, y = _plane_values(np.swapaxes(bases, -1, -2), 0, 1, eps)
+        x = x / np.sqrt((x * x).sum(axis=-1, keepdims=True))
+        for _ in range(2):
+            y = y - x * (x * y).sum(axis=-1, keepdims=True)
+        onb = np.stack([x, y / np.sqrt((y * y).sum(axis=-1, keepdims=True))], -1)
+    if check and (rank < 2).any():
+        onb = _orthonormal_columns(bases, eps)
+    return onb, rank
 
 
 def _raise_first(checks, i=()):

@@ -21,8 +21,8 @@ import numpy as np
 
 from ein3 import ads, crooked, einstein, symplectic
 from ein3.linalg import (EPS_ALG, EPS_RANK, GeometryError, _intersection_dims,
-                         _orthonormal_columns, _raise_first, _same_spans, _singular,
-                         projective_normalize)
+                         _orthonormal_columns, _plane_frames, _raise_first,
+                         _same_spans, projective_normalize)
 from ein3.einstein import IntersectionKind
 from ein3.symplectic import Plane2
 
@@ -97,12 +97,11 @@ def _lagrangian_bases(space, x, r):
 
 
 def _planes(space, m):
-    """`Plane2` over stacked bases m (..., 4, 2): the orthonormal bases, and
-    the masks of the bases that make Lagrangian planes and of those that
-    make nondegenerate planes well-conditioned for omega (|omega| > 0.2 on
-    their orthonormal bases); both need the rank 2 that `Plane2` checks."""
-    u, rank, _ = _singular(m, EPS_RANK)
-    onb = u[..., :2]
+    """`Plane2` over stacked bases m (..., 4, 2), by `_plane_frames`: the
+    orthonormal bases, and the masks of the bases that make Lagrangian planes
+    and of those that make nondegenerate planes well-conditioned for omega
+    (|omega| > 0.2 on their orthonormal bases); both need `Plane2`'s rank 2."""
+    onb, rank = _plane_frames(m, EPS_RANK, check=False)
     return (onb, (rank == 2) & symplectic._lagrangian(space, onb),
             (rank == 2) & (abs(symplectic._omega_pairs(space, onb)) > 0.2))
 
@@ -154,17 +153,30 @@ def _torus_points(frame, alphas, betas):
     """Null vectors cos(a) p1 + sin(a) p2 + cos(b) n1 + sin(b) n2 of a torus,
     one per angle pair, along a new last axis.  frame is the unit frame
     (n1, n2, p1, p2) of the torus hyperplane (or a stack of them, with a
-    row of angles each), negatives first as
-    `einstein._unit_frame` sorts them; every such vector is null, and the
-    two angles sweep the torus."""
+    row of angles each), Q = -1, -1, +1, +1 (`_torus_frame`); every such
+    vector is null, and the two angles sweep the torus."""
     n1, n2, p1, p2 = np.moveaxis(frame[..., None, :, :], -1, 0)
     a, b = (np.asarray(angles)[..., None] for angles in (alphas, betas))
     return np.cos(a) * p1 + np.sin(a) * p2 + np.cos(b) * n1 + np.sin(b) * n2
 
 
+# unit axes e_x, e_y and e_u - e_v (which keeps s = (0, 0, 0, t, -1/t) off a
+# large reflection); (n1, n2, p1, p2) of each's hyperplane = (e_z, e_u + e_v, the others)
+_AXES = np.array([[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, -1.0]])
+_AXIS_FRAMES = np.stack([np.column_stack([[0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 1.0],
+                                          *np.delete(_AXES, k, 0)]) for k in range(3)])
+
+
 def _torus_frame(normals):
-    """The unit frames of the hyperplanes of unit normals (..., 5)."""
-    return einstein._unit_frame(einstein._perp_onb(normals[..., None]))
+    """Unit frames (n1, n2, p1, p2) of the hyperplanes of unit normals s (..., 5):
+    the axis e of the largest |s_k| = |<s, e>| has its frame reflected in w = s +
+    sgn(s_k) e (Q(w) = 2 + 2 |s_k|): e to -sgn(s_k) s, f to f - <f, s> w / (1 + |s_k|)."""
+    proj = normals @ einstein.GRAM @ _AXES.T
+    k = abs(proj).argmax(-1)
+    s_k = np.take_along_axis(proj, k[..., None], -1)
+    w, frame = normals + np.where(s_k < 0.0, -1.0, 1.0) * _AXES[k], _AXIS_FRAMES[k]
+    return frame - w[..., :, None] * ((normals[..., None, :] @ einstein.GRAM @ frame)
+                                      / (1.0 + abs(s_k))[..., None])
 
 
 def sample_torus(torus, n, rng):
@@ -217,29 +229,43 @@ def _stem_generators(columns, component, t1, t2):
 
 
 def _cloud_draws(rng, n):
-    """The rng calls of `sample_surface`: photon parameters and pencil
-    angles of wing+, then of wing-, then the stem's t1, t2 and components."""
+    """The rng calls of `sample_surface`, uniform(low, high) as low + (high -
+    low) random(): wing+'s then wing-'s photon parameters and pencil angles
+    in one call, the stem's t1, t2 in one, and its components."""
     count = int(round(n * 0.4))  # on each wing; the stem takes the rest
-    draws = [rng.uniform(0.0, top, size=count) for _ in range(2) for top in (np.pi / 2, np.pi)]
     n_stem = n - 2 * count
     margin = 1e-2  # keep clear of the stem boundary, where Maslov degenerates
-    draws += [rng.uniform(margin, np.pi / 2 - margin, size=n_stem) for _ in range(2)]
-    return (*draws, rng.integers(0, 2, size=n_stem) * 2 - 1)
+    wings = rng.random((4, count)) * np.array([[np.pi / 2], [np.pi], [np.pi / 2], [np.pi]])
+    stem = margin + ((np.pi / 2 - margin) - margin) * rng.random((2, n_stem))
+    return (*wings, *stem, rng.integers(0, 2, size=n_stem) * 2 - 1)
 
 
 def _surface_cloud(space, columns, draws):
     """The points of `sample_surface` from its draws, on the surface of the
     quadrilateral columns (4, 4), or of each of a stack of them with a row
     of draws each: wing+, wing-, then the stem points of component +1, then
-    of -1, each in draw order."""
+    of -1, each in draw order.  A point is bilinear in the columns of Q: its
+    coefficients over their six wedges (Pluecker order), those of x ^ g of
+    `_wing_generators` or w ^ w' of `_stem_generators`, times the wedges'
+    images under the bridge.  On wing+ they are (c e, cos phi, c f, -s e, 0,
+    s f), (c, s) = (cos, sin) theta, e = sin phi (1 + (c - s) s) and f = sin
+    phi (1 - (c - s) c); on wing-, (-c e, 0, s e, -c f, cos phi, -s f)."""
     thetas_plus, phis_plus, thetas_minus, phis_minus, t1, t2, comps = draws
     order = np.argsort(-comps, axis=-1, kind="stable")
     comps, t1, t2 = (np.take_along_axis(a, order, -1) for a in (comps, t1, t2))
-    columns = columns[..., None, :, :]
-    rows = [symplectic.plucker_rows(*_wing_generators(columns, +1, thetas_plus, phis_plus)),
-            symplectic.plucker_rows(*_wing_generators(columns, -1, thetas_minus, phis_minus)),
-            symplectic.plucker_rows(*_stem_generators(columns, comps, t1, t2))]
-    return np.concatenate(rows, -2) @ space.bridge[0].T
+
+    def wing(thetas, phis, sign, at):  # wing+'s coefficients, times sign, at their places
+        c, s, sin_phi = np.cos(thetas), np.sin(thetas), sign * np.sin(phis)
+        e, f = sin_phi * (1.0 + (c - s) * s), sin_phi * (1.0 - (c - s) * c)
+        return np.stack([c * e, np.cos(phis), c * f, -s * e, np.zeros_like(c), s * f], -1)[..., at]
+
+    (c1, c2), (s1, s2), zero = np.cos([t1, t2]), np.sin([t1, t2]), np.zeros_like(t1)
+    stem = np.stack([c1 * c2, comps * c1 * s2, zero, zero, -comps * s1 * c2, -s1 * s2], -1)
+    q = columns.swapaxes(-1, -2)[..., symplectic.PAIRS, :]
+    images = symplectic.plucker_rows(q[..., 0, :], q[..., 1, :]) @ space.bridge[0].T
+    return np.concatenate([wing(thetas_plus, phis_plus, 1.0, slice(None)),
+                           wing(thetas_minus, phis_minus, -1.0, [0, 4, 3, 2, 1, 5]), stem],
+                          -2) @ images
 
 
 def sample_surface(surface, n, rng):
@@ -290,18 +316,12 @@ def _intersection_curve(frames, normals):
     B being the products of s2 with (p1, p2) and (n1, n2).  The angle of
     the shorter of A and B drives; the other angle is atan2 + arccos of the
     remaining equation, which has a root at every driving angle.  One
-    arccos branch covers every point once up to sign.  The coefficients
-    are taken pair by pair with math.hypot and math.atan2, which round
-    differently from their numpy forms.
+    arccos branch covers every point once up to sign.
     """
-    rows = []
-    for frame, s2 in zip(frames, normals):
-        n1, n2, p1, p2 = (frame.T @ einstein.GRAM @ s2).tolist()
-        a_drives = math.hypot(p1, p2) <= math.hypot(n1, n2)
-        (c1, c2), (d1, d2) = ((p1, p2), (n1, n2)) if a_drives else ((n1, n2), (p1, p2))
-        rows.append((a_drives, c1, c2, math.atan2(d2, d1), math.hypot(d1, d2)))
-    a_drives, c1, c2, phase, radius = np.array(rows).T[..., None]
-    a_drives = a_drives.astype(bool)
+    n1, n2, p1, p2 = np.moveaxis(normals[:, None, :] @ einstein.GRAM @ frames, -1, 0)
+    a_drives = np.hypot(p1, p2) <= np.hypot(n1, n2)
+    c1, c2, d1, d2 = (np.where(a_drives, a, b) for a, b in ((p1, n1), (p2, n2), (n1, p1), (n2, p2)))
+    phase, radius = np.arctan2(d2, d1), np.hypot(d1, d2)
 
     def curve(theta):
         ratio = np.clip(-(c1 * np.cos(theta) + c2 * np.sin(theta)) / radius, -1.0, 1.0)
@@ -591,15 +611,22 @@ def _ads_pairs(space, units, f):
     """Quadrilateral rows (n, 2, 4, 4) of AdS plane pairs from directions
     units (n, 2, 2, 2), rows (a, b) per plane, and bases f (n, 2, 2) of the
     second (the first's is I); check(i) runs both `AdsCrookedPlane`
-    constructors' checks, then `_surface_checks`, on trial i."""
+    constructors' checks, then `_surface_checks`, on trial i, the scalar
+    plane checks only where their stacked form (the same float operations) fails."""
     rows = ads._quad_rows(np.stack([np.broadcast_to(np.eye(2), f.shape), f], 1),
                           units[..., 0, :], units[..., 1, :])
-    surface, unit_lists, f_lists = _surface_checks(space, rows), units.tolist(), f.tolist()
+    surface = _surface_checks(space, rows)
+    (a0, a1), (b0, b1) = np.moveaxis(units, (-2, -1), (0, 1))
+    tol = EPS_ALG * np.maximum(1.0, abs(f).max(axis=(-2, -1)) ** 2)  # x ** 2 is x * x
+    failed = (~((abs(a0 * b1 - a1 * b0) > EPS_ALG * np.sqrt(a0 * a0 + a1 * a1)
+                 * np.sqrt(b0 * b0 + b1 * b1)).all(-1) & np.isfinite(tol)
+                & (abs(symplectic.det_omega(f) - 1.0) <= tol))).tolist()
 
     def check(i):
-        ads._check_independent(*unit_lists[i][0])
-        ads._check_sl2(f_lists[i], EPS_ALG)
-        ads._check_independent(*unit_lists[i][1])
+        if failed[i]:
+            ads._check_independent(*units[i, 0].tolist())
+            ads._check_sl2(f[i].tolist(), EPS_ALG)
+            ads._check_independent(*units[i, 1].tolist())
         surface(i)
 
     return rows, check
@@ -751,9 +778,9 @@ def _eta_values(s_basis, f):
 def _splittings(space, bases):
     """`Splitting.from_plane` over stacked bases (n, 4, 2) of nondegenerate
     planes: the omega-normalized bases of both summands, and the checks."""
-    s = _orthonormal_columns(bases, EPS_RANK)
+    s = _plane_frames(bases, EPS_RANK)[0]
     comp, checks = symplectic._complements(space, s)
-    t = _orthonormal_columns(comp, EPS_RANK)
+    t = _plane_frames(comp, EPS_RANK)[0]
     checks += symplectic._splitting_checks(space, s, symplectic._lagrangian(space, s),
                                            t, symplectic._lagrangian(space, t))
     return symplectic._normalized(space, s), symplectic._normalized(space, t), checks
@@ -794,7 +821,7 @@ def suite_eta_bridge(trials=1000, seed=7):
         etas = symplectic.eta_from_det(f)
         apart = np.abs(etas - 1.0) > 1e-6  # where the kinds are read
         graphs = (s_basis + t_basis @ f)[apart]
-        g = _orthonormal_columns(graphs, EPS_RANK)
+        g = _plane_frames(graphs, EPS_RANK)[0]
         lagrangian = symplectic._lagrangian(space, g)
         mu_s, s_checks = space._to_einstein(symplectic._mu_rows(space, s_basis[apart]))
         mu_t, t_checks = space._to_einstein(symplectic._mu_rows(space, symplectic._normalized(
@@ -872,9 +899,9 @@ def suite_symplectic_identities(trials=1000, seed=7):
         f, s, p, q = (np.array(a) for a in zip(*block))
         res = np.abs(symplectic.adjugate(f) @ f
                      - symplectic.det_omega(f)[:, None, None] * np.eye(2)).max(axis=(1, 2))
-        comp, checks = symplectic._complements(space, _orthonormal_columns(s, EPS_RANK))
-        _orthonormal_columns(comp, EPS_RANK)
-        po, qo = np.split(_orthonormal_columns(np.concatenate([p, q]), EPS_RANK), 2)
+        comp, checks = symplectic._complements(space, _plane_frames(s, EPS_RANK)[0])
+        _plane_frames(comp, EPS_RANK)
+        po, qo = np.split(_plane_frames(np.concatenate([p, q]), EPS_RANK)[0], 2)
         wval = space._transversality(_plucker(p), _plucker(q))
         dims = _intersection_dims(po, qo)
         dists = projective_distance(space.reflect_omega_star(_plucker(s)),
@@ -900,11 +927,11 @@ def suite_symplectic_identities(trials=1000, seed=7):
     bases = _lagrangian_bases(space, xr[:, :, 0], xr[:, :, 1])  # L, L', P
     index, kept = _maslov_triples(space, bases, split)
     g = _symplectic_exp(space, h[kept])
-    moved = _orthonormal_columns(g[:, None] @ bases[kept], EPS_RANK)
+    moved = _plane_frames(g[:, None] @ bases[kept], EPS_RANK)[0]
     moved_index, moved_checks = symplectic._maslov_rows(
         space, moved[:, 0], moved[:, 2], moved[:, 1])
     s_basis, t_basis, split_checks = _splittings(space, split[kept])
-    graphs = _orthonormal_columns(s_basis + t_basis @ f[kept], EPS_RANK)
+    graphs = _plane_frames(s_basis + t_basis @ f[kept], EPS_RANK)[0]
     degenerate = symplectic._lagrangian(space, graphs)
     failed = (_failed_rows(moved_checks) | _failed_rows(split_checks)).tolist()
     # away from det = -1 the graph is nondegenerate
@@ -975,7 +1002,7 @@ def suite_maslov_bridge(trials=1000, seed=7):
         n = len(block)
         l, p, lp = (np.array(a) for a in zip(*block))
         index, maslov_checks = symplectic._maslov_rows(space, *np.split(
-            _orthonormal_columns(np.concatenate([l, p, lp]), EPS_RANK), 3))
+            _plane_frames(np.concatenate([l, p, lp]), EPS_RANK)[0], 3))
         reps, point_checks = symplectic._lagrangian_points(space, np.concatenate([p, l, lp]))
         causal, causal_checks = einstein._causal_rows(*np.split(reps, 3))
         failed = (_failed_rows(point_checks).reshape(3, n).any(0)
@@ -1177,8 +1204,8 @@ def suite_ads_equivalence(trials=1000, seed=7):
 
     A candidate is one `_ads_arrays` draw; a chunk keeps those whose
     least |margin| is above 1e-6.  Each block of accepted trials then runs
-    every plane check by its scalar closed form and the quadrilateral and
-    surface checks stacked, raising in trial order, and reads the three
+    the plane, quadrilateral and surface checks stacked, the planes' scalar
+    closed forms on a failing trial only, raising in trial order; it reads the three
     routes from the stacked margin kernels.  The equivariance and trace-form loop draws a vector pair and
     a 2x2 matrix per trial and checks a block of trials at a time."""
     rng = make_rng([seed, 7])

@@ -34,11 +34,11 @@ from ein3.linalg import (
     as_vector,
     inertia,
     nullspace,
+    plucker_rows,
 )
 
 # lexicographic basis of Lambda^2 R^4
-PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_PAIR_I, _PAIR_J = np.array(PAIRS).T
+PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))  # as `plucker_rows` orders them
 
 # omega(e1,e3) = omega(e2,e4) = 1, everything else zero
 STANDARD_OMEGA = np.array([
@@ -65,12 +65,6 @@ for _a, (_i, _j) in enumerate(PAIRS):
     for _b, (_k, _l) in enumerate(PAIRS):
         if len({_i, _j, _k, _l}) == 4:
             _EPSILON4[(_a, _b)] = _perm_sign((_i, _j, _k, _l))
-
-
-def plucker_rows(u, v):
-    """Pluecker coordinates of u ^ v over the last axis: one vector pair, or
-    stacked rows of pairs (n x 4 each, n x 6 out)."""
-    return u[..., _PAIR_I] * v[..., _PAIR_J] - u[..., _PAIR_J] * v[..., _PAIR_I]
 
 
 def pfaffian4(omega):

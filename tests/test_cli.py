@@ -566,9 +566,10 @@ def test_sample_csv_and_ply(tmp_path, capsys):
 
 
 # sha256 of the CSV that `sample` writes for one torus and one ads_plane at
-# --count 300 --seed 11, taken before the torus frame moved to
-# `einstein._unit_frame`; a change that moves a sampled point changes it
-_SAMPLE_CSV_SHA256 = "9d1899068c5cb0d9259df073958bcaf81ab61d185b77120c2409c13a5ee3b48f"
+# --count 300 --seed 11, taken since the torus frame is a reflected axis
+# frame (`oracle._torus_frame`) and a surface point a bivector product
+# (`oracle._surface_cloud`); a change that moves a sampled point changes it
+_SAMPLE_CSV_SHA256 = "b62fd830817d10db185631b2964f6a40c80c622579c84b5042b4de33453575e6"
 
 
 def test_sample_csv_bytes_are_pinned(tmp_path, capsys):

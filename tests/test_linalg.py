@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from ein3.linalg import (
     EPS_RANK,
     GeometryError,
     _orthonormal_columns,
+    _plane_frames,
     _same_spans,
+    _singular,
     projective_normalize,
 )
 
@@ -108,6 +112,62 @@ def test_same_spans_matches_the_rank_reference():
     assert _same_spans(*(np.array(x) for x in zip(*pairs))).tolist() == want
     assert want[1::5] == [True] * 50 and want[3::5] == [True] * 50
     assert not any(want[0::5] + want[2::5] + want[4::5])
+
+
+def _plane_bases(rng):
+    """Bases (n, 4, 2) of 2-planes: random ones, ones of singular values s0
+    and s1 = c EPS_RANK max(1, s0) on both sides of the rank threshold
+    (c = 0.5, 0.9, 1.1, 2), the rank-1 plane of
+    `test_rank_rule_floors_its_threshold_at_one` (s0 = 1.4e-3, s1 = 7.1e-11),
+    and random ones with columns scaled by 1e+-150 together and apart."""
+    bases = list(rng.normal(size=(100, 4, 2)))
+    for s0 in (1e-3, 1.0, 1e3):
+        for c in (0.5, 0.9, 1.1, 2.0):
+            u = np.linalg.qr(rng.normal(size=(4, 2)))[0]
+            v = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+            bases.append(u @ np.diag([s0, c * EPS_RANK * max(1.0, s0)]) @ v.T)
+    e = np.eye(4)
+    bases.append(np.column_stack([1e-3 * e[2], 1e-3 * e[2] + 1e-10 * e[3]]))
+    for scales in ((1e150, 1e150), (1e-150, 1e-150), (1e150, 1e-150), (1.0, 1e-150)):
+        bases += list(rng.normal(size=(5, 4, 2)) * scales)
+    return np.array(bases)
+
+
+def test_plane_frames_match_the_svd_route():
+    # the closed-form frames against `_orthonormal_columns`: the same rank;
+    # on rank 2, the same span (within 64 eps s0 / s1 of a plane near rank
+    # 1, where the span itself moves by that much under rounding) and
+    # orthonormal within 4 eps; a one-row call is its row of the stack
+    bases = _plane_bases(np.random.default_rng(5))
+    onb, rank = _plane_frames(bases, EPS_RANK, check=False)
+    u, svd_rank, _ = _singular(bases, EPS_RANK)
+    assert rank.tolist() == svd_rank.tolist()
+    assert rank[100:112].tolist() == [1, 1, 2, 2] * 3 and rank[112] == 1
+    full = rank == 2
+    s = np.linalg.svd(bases[full], compute_uv=False)
+    tol = np.maximum(EPS_RANK, 64 * np.finfo(float).eps * s[:, :1] / s[:, 1:])
+    assert _same_spans(onb[full], u[full, :, :2], tol).all()
+    gram = onb[full].swapaxes(-1, -2) @ onb[full]
+    assert np.abs(gram - np.eye(2)).max() <= 4 * np.finfo(float).eps
+    for i in range(len(bases)):
+        one, one_rank = _plane_frames(bases[i], EPS_RANK, check=False)
+        assert np.array_equal(one, onb[i], equal_nan=True) and one_rank == rank[i]
+    assert np.array_equal(_plane_frames(bases[full], EPS_RANK)[0], onb[full])
+
+
+@pytest.mark.parametrize("column, rank, message", [
+    (np.zeros(4), 1, "basis matrix has rank 1 < 2 column(s)"),
+    (np.array([1.0, np.inf, 0.0, 0.0]), 0, "basis has non-finite entries"),
+    (np.array([np.nan, 0.0, 0.0, 0.0]), 0, "basis has non-finite entries")])
+def test_plane_frames_raise_as_orthonormal_columns(column, rank, message):
+    # a bad row mid-stack raises `_orthonormal_columns`' error for the stack,
+    # and a zero basis after it does not come first
+    bases = np.random.default_rng(6).normal(size=(9, 4, 2))
+    bases[4, :, 1], bases[6] = column, 0.0
+    for call in (_orthonormal_columns, _plane_frames):
+        with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+            call(bases, EPS_RANK)
+    assert _plane_frames(bases, EPS_RANK, check=False)[1][4] == rank
 
 
 def test_projective_normalize():

@@ -83,6 +83,34 @@ def test_sample_torus():
     assert min(abs(inner(x, far.normal)) for x in samples) > 0.05
 
 
+@pytest.mark.parametrize("rapidity", [0.0, 1.0, 5.0, 10.0])
+def test_torus_frames_are_gram_orthonormal_frames_of_the_hyperplane(rapidity):
+    # normals cosh(r) e + sinh(r) t, e unit spacelike and t unit timelike and
+    # GRAM-orthogonal to e, and (0, 0, 0, t, -1/t) and its swap, t = e^r,
+    # made unit by `_torus_normals` at eps 0 (|s|^2 reaches 1e9 at r = 10,
+    # past `EinsteinTorus`' spacelike test): the reflected axis frames have Q = -1,
+    # -1, +1, +1 and are orthogonal to s, each product within 4 eps of the
+    # product of the Euclidean norms of its two vectors; a one-row call is
+    # its row of the stack, bit for bit
+    rng, rows = np.random.default_rng(40 + int(rapidity)), []
+    while len(rows) < 200:
+        e, t = rng.normal(size=(2, 5))
+        if inner(e, e) > 0.1:
+            e /= np.sqrt(inner(e, e))
+            t -= inner(t, e) * e
+            if inner(t, t) < -0.1:
+                rows.append(np.cosh(rapidity) * e + np.sinh(rapidity) * t / np.sqrt(-inner(t, t)))
+    t = np.exp(rapidity)
+    s = E._torus_normals(np.array(rows + [[0, 0, 0, t, -1 / t], [0, 0, 0, -1 / t, t]]), 0.0)[0]
+    frames = O._torus_frame(s)
+    vectors = np.concatenate([s[..., None], frames], -1)
+    norms = np.linalg.norm(vectors, axis=-2)
+    gram = (vectors.swapaxes(-1, -2) @ E.GRAM @ vectors)[..., 1:]
+    bound = 4 * np.finfo(float).eps * norms[:, :, None] * norms[:, None, 1:]
+    assert (abs(gram - np.diag([1.0, -1.0, -1.0, 1.0, 1.0])[:, 1:]) <= bound).all()
+    assert all(np.array_equal(O._torus_frame(row), frame) for row, frame in zip(s, frames))
+
+
 def test_sample_surface_membership():
     rng = O.make_rng(3)
     surf = C.CrookedSurface(random_quadrilateral(SP, rng))
@@ -235,6 +263,27 @@ def _scalar_surface_checks(rows):
         gram = (q @ SP.matrix @ q.T).tolist()
         C._check_quadrilateral(gram, SP.vol_coeff, C.EPS_ALG)
         C._check_planes(q.tolist(), gram, C.EPS_ALG)
+
+
+def test_closed_form_frames_call_no_lapack(monkeypatch):
+    # eta-bridge, symplectic-identities and maslov-bridge take their 2-plane
+    # frames of R^4 in closed form, with no `svd` of a (..., 4, 2) stack,
+    # and `_torus_frame` calls neither `svd` nor `eigh`
+    calls = []
+
+    def counted(name, call):
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, np.shape(a)[-2:]))
+            return call(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("svd", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    O._torus_frame(E._torus_normals(O.make_rng(3).normal(size=(20, 5)) + [3, 0, 0, 0, 0])[0])
+    assert calls == []
+    for suite in (O.suite_eta_bridge, O.suite_symplectic_identities, O.suite_maslov_bridge):
+        assert suite(trials=20, seed=7)["failures"] == []
+    assert calls and ("svd", (4, 2)) not in calls
 
 
 def test_surface_checks_raise_the_first_failure_in_trial_order():
@@ -1049,13 +1098,15 @@ def test_min_gap_equals_the_clipped_maximum():
 # draws decided by the stacked screens write them (torus-trichotomy's since
 # each candidate draws its pair of normals and all of its angles,
 # surface-disjointness' since its disjoint pairs are every pass of
-# _ADS_ROWS-row candidates and its clouds are drawn in the check stage)
+# _ADS_ROWS-row candidates and its clouds are drawn in the check stage);
+# the max_violation of torus-trichotomy, eta-bridge and surface-disjointness
+# as the closed-form torus and plane frames and bilinear clouds round it
 _STACKED_SUITE_SHA256 = {
-    "torus-trichotomy": "d48b4f958afe3ce194527413c9bdef8b9d0ac8df1ee9929b0c15f6623ef883da",
-    "eta-bridge": "4fc562b8e240b31395aebdda8476e8ad87598b68b054bd029fa42f73d90d9b27",
+    "torus-trichotomy": "1d977929925f00bb494e2b52898991a8d8e0fb38558262ee45952bff28db87bc",
+    "eta-bridge": "fd40e60c0ce3b5651cf6410a21d06368807d9fda80ce6f224ba5b4f25dd64e0b",
     "symplectic-identities": "a07f62ce823414a16306abca8118ab26880524b445dfe6c2f6e08f4e99504f21",
     "maslov-bridge": "aba5054fe7d90dcec6b8c4951e908dbf685f6314e4b2c4e69b27e5af994982fc",
-    "surface-disjointness": "ad44c289388277da439aefaeca9fb9567de57da1479a81e237d05cc4eb625ed3",
+    "surface-disjointness": "ce879c71a6d5063c7b7023830e2b367178dc3b48756caa712802a15e839deaa6",
 }
 
 
@@ -1240,14 +1291,16 @@ def test_stacked_maslov_and_causal_kernels_match_the_per_trial_reference():
 # report_lines of every suite at trials=130 on seeds 1 and 2, 130 trials
 # crossing one block of _ORACLE_BLOCK = 128: torus-trichotomy's, eta-bridge's,
 # surface-disjointness's and ads-equivalence's as the draws decided by the
-# stacked screens write them, the others' as the trial-by-trial suites did
+# stacked screens write them, the others' as the trial-by-trial suites did;
+# the max_violation of the first three as the closed-form frames and clouds
+# round it
 _CROSS_BLOCK_SHA256 = {
-    "torus-trichotomy": "cced6a1f0794ea9ce3ade0e692334138688d90da5ccdd5609e7cbb4a63387c88",
-    "eta-bridge": "b1cee82f1f3d5e21bf2626403c7d10f23024e361b4f32ebaf18cc47ee00b21ed",
+    "torus-trichotomy": "f9fbfe83cc349ffd10badbb7bf688c626e78f186f9ee438b916b8c85e7861299",
+    "eta-bridge": "ca89a4754dbefeb46eca7a7a3858ae296689fbaa99da7400992d4ddd02c0971b",
     "symplectic-identities": "7032344e460037d4bf9f601d5c389daebdf2e466db89b09098fdbc6b1f62cb12",
     "maslov-bridge": "5d816ecdafae0eb47871355429c9abb8a5425cfa9bb674eb538a6e805c96f50a",
     "photon-avoidance": "461ec6f09a945382257c0a5e8e36164973ad8d22aa6f54211865a0915a30e74b",
-    "surface-disjointness": "79e14d03c05aa11c86904157b70fd72646aa4fba8765f33cfeb1e829bf63a1a3",
+    "surface-disjointness": "d8e212ba3912a6d3081d77a71e622a9aea391ad22d78d451f7d5e4a75972369e",
     "stem-only": "a1903557c25a360da739d70c009b2764bcbba7bf1fe72165350ce9f29886b815",
     "ads-equivalence": "52136e36c1cec0772e680824061b083b7c6937c3f566dc11ba95805e0f0ce147",
 }
@@ -1478,6 +1531,27 @@ def test_ads_equivalence_raises_the_first_corrupted_record_in_trial_order(
         O.suite_ads_equivalence(trials=30, seed=7)
 
 
+@pytest.mark.parametrize("dependent, scaled, message", [
+    (70, 90, "direction vectors must be independent"),
+    (90, 70, "matrix must have determinant 1"),
+    (70, 70, "matrix must have determinant 1"),
+])
+def test_ads_pairs_raise_the_first_failed_plane_check_in_trial_order(
+        monkeypatch, dependent, scaled, message):
+    # mid-block of 128: the second plane of trial `dependent` gets dependent
+    # directions and trial `scaled`'s base det 2.25; the earlier trial
+    # raises, and within one trial the base's det check comes before the
+    # second plane's directions
+    def corrupt(k, units, f):
+        if k == dependent:
+            units[1, 1] = -3.0 * units[1, 0]
+        return units, 1.5 * f if k == scaled else f
+
+    _corrupt_ads_records(monkeypatch, corrupt)
+    with pytest.raises(GeometryError, match=f"^{message}"):
+        O.suite_ads_equivalence(trials=130, seed=7)
+
+
 def _raises_quietly(monkeypatch, corrupt, message):
     """ads-equivalence with trial 5's record made non-finite by
     corrupt(units, f) raises the scalar constructors' message; the block's
@@ -1595,42 +1669,100 @@ def test_surface_disjointness_reports_a_failed_criterion_and_draws_on(monkeypatc
     assert report["max_violation"] == min(want)
 
 
+class _Recording:
+    """A generator that appends the output of each of its calls to a list."""
+
+    def __init__(self, rng, outputs):
+        self.rng, self.outputs = rng, outputs
+
+    def __getattr__(self, method):
+        def call(*args, **kwargs):
+            self.outputs.append(getattr(self.rng, method)(*args, **kwargs))
+            return self.outputs[-1]
+        return call
+
+
 class _Replay:
     """Stands in for a generator making the rng calls of `_cloud_draws`: it
-    returns the recorded draws of one surface, in order."""
+    returns the recorded outputs of one surface's calls, in order: the wing
+    draws, the stem angles (both of `random`) and the components."""
 
-    def __init__(self, draws):
-        self.draws = [*draws[:6], (draws[6] + 1) // 2]  # components as integers draws them
+    def __init__(self, outputs):
+        self.outputs = list(outputs)
 
-    def uniform(self, low, high, size):
-        assert len(self.draws[0]) == size
-        return self.draws.pop(0)
+    def random(self, size):
+        assert self.outputs[0].shape == size
+        return self.outputs.pop(0)
 
-    integers = uniform
+    def integers(self, low, high, size):
+        assert (low, high) == (0, 2) and self.outputs[0].shape == (size,)
+        return self.outputs.pop(0)
+
+
+def test_cloud_draws_are_the_draws_of_uniform():
+    # each merged call of `_cloud_draws` gives, bit for bit, the rows that
+    # one `uniform` call per row gave: 200 clouds of one stream each
+    for seed in range(200):
+        rng, margin, tops = O.make_rng(seed), 1e-2, (np.pi / 2, np.pi, np.pi / 2, np.pi)
+        draws, n = O._cloud_draws(O.make_rng(seed), 320), 320
+        want = [rng.uniform(0.0, top, size=128) for top in tops]
+        want += [rng.uniform(margin, np.pi / 2 - margin, size=64) for _ in range(2)]
+        want.append(rng.integers(0, 2, size=n - 256) * 2 - 1)
+        assert all(np.array_equal(a, b) for a, b in zip(draws, want)) and len(draws) == 7
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_stacked_clouds_equal_sample_surface(monkeypatch, seed):
     # every sub-block of clouds that surface-disjointness builds at this
     # seed: each surface's points against `sample_surface` of that surface
-    # replaying its draws, bit for bit, and each pair's gap against
+    # replaying its rng outputs, bit for bit, and each pair's gap against
     # `min_gap` of the two clouds
     calls, gaps, cloud, pair_gap = [], [], O._surface_cloud, O._gap
+    outputs, cloud_draws = [], O._cloud_draws  # the rng outputs of each surface
+
+    def recorded_draws(rng, n):
+        outputs.append([])
+        return cloud_draws(_Recording(rng, outputs[-1]), n)
+
+    monkeypatch.setattr(O, "_cloud_draws", recorded_draws)
     monkeypatch.setattr(O, "_surface_cloud",
                         lambda *args: calls.append((args, cloud(*args))) or calls[-1][1])
     monkeypatch.setattr(O, "_gap", lambda a, b: gaps.append(pair_gap(a, b)) or gaps[-1])
     assert O.suite_surface_disjointness(trials=130, seed=seed)["failures"] == []
     monkeypatch.undo()
     assert [len(columns) for (_, columns, _), _ in calls] == [O._CLOUD_PAIRS] * 8 + [2]
-    gaps = iter(gaps)
+    assert all(len(made) == 3 for made in outputs)  # three rng calls a surface
+    gaps, outputs = iter(gaps), iter(outputs)
     for (space, columns, draws), points in calls:
         for i, pair in enumerate(columns):
             clouds = [O.sample_surface(C.CrookedSurface(C.LightlikeQuadrilateral(space, *q.T)),
-                                       320, _Replay([d[i, j] for d in draws]))
-                      for j, q in enumerate(pair)]
+                                       320, _Replay(next(outputs)))
+                      for q in pair]
             for got, want in zip(points[i], clouds):
                 assert np.array_equal(projective_normalize(got), want.points)
             assert next(gaps) == min_gap(*clouds)
+
+
+@pytest.mark.parametrize("space", [SP, ads.ads_space()], ids=["standard", "ads"])
+def test_surface_clouds_are_the_wedges_of_the_generators(space):
+    # `_surface_cloud`'s one bivector product against the Pluecker rows of
+    # `_wing_generators` and `_stem_generators` under the bridge, within
+    # 1e-15 of each cloud's largest point, on 40 stacked surfaces
+    rng = O.make_rng(8)
+    columns = O._random_rows(space, rng.uniform(-1.0, 1.0, (40, 4, 4))).swapaxes(-1, -2)
+    draws = [np.array(d) for d in zip(*(O._cloud_draws(rng, 320) for _ in columns))]
+    thetas_plus, phis_plus, thetas_minus, phis_minus, t1, t2, comps = draws
+    order = np.argsort(-comps, axis=-1, kind="stable")
+    comps, t1, t2 = (np.take_along_axis(a, order, -1) for a in (comps, t1, t2))
+    c = columns[:, None]
+    want = np.concatenate([S.plucker_rows(*O._wing_generators(c, +1, thetas_plus, phis_plus)),
+                           S.plucker_rows(*O._wing_generators(c, -1, thetas_minus, phis_minus)),
+                           S.plucker_rows(*O._stem_generators(c, comps, t1, t2))], -2)
+    want = want @ space.bridge[0].T
+    got = O._surface_cloud(space, columns, draws)
+    scale = np.linalg.norm(want, axis=-1).max(-1)[:, None, None]
+    assert (abs(got - want) <= 1e-15 * scale).all()
+    assert np.array_equal(O._surface_cloud(space, columns[7], [d[7] for d in draws]), got[7])
 
 
 @pytest.mark.parametrize("seed", [1, 2])
