@@ -178,10 +178,23 @@ def nullspace(a, eps=EPS_RANK):
     return vh[rank:].T
 
 
+def _frame_pair_values(a, b, eps):
+    """Singular values (..., 4), descending, and rank (`_singular`'s rule) of
+    [a | b] for orthonormal 2-frames a, b (..., 4, 2) of R^4, in closed form:
+    sqrt(1 +- cos t) over the principal angles t of the two spans, the small
+    ones as sin t / sqrt(1 + cos t).  The sines are `_plane_values` of b - a
+    (a^T b) (Bjorck and Golub, 1973); spans that are equal to the last bit
+    have sines 0."""
+    rows = np.swapaxes(b - a @ (np.swapaxes(a, -1, -2) @ b), -1, -2)
+    with np.errstate(invalid="ignore"):
+        s0, s1 = _plane_values(rows, 0, 1, eps)[:2]
+    sines = np.where(rows.any(axis=(-2, -1))[..., None], np.stack([s1, s0], -1), 0.0)
+    big = np.sqrt(1.0 + np.sqrt(np.maximum(1.0 - sines * sines, 0.0)))
+    values = np.concatenate([big, (sines / big)[..., ::-1]], -1)
+    return values, (values > eps * values[..., :1]).sum(-1)
+
+
 def _intersection_dims(a, b, eps=EPS_RANK):
-    """dim of the intersection of the spans of orthonormal bases a, b (of
-    stacked pairs): rank of a x over (x, y) in null [a | -b]."""
-    _, rank, vh = _singular(np.concatenate([a, -b], axis=-1), eps, full_matrices=True)
-    null = np.arange(vh.shape[-1]) >= np.asarray(rank)[..., None]
-    return _singular(a @ (np.swapaxes(vh, -1, -2)[..., :a.shape[-1], :] * null[..., None, :]),
-                     eps)[1]
+    """dim of the intersection of the spans of orthonormal 2-frames a, b of
+    R^4 (of stacked pairs): the nullity of [a | b] (`_frame_pair_values`)."""
+    return 4 - _frame_pair_values(a, b, eps)[1]

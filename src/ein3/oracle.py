@@ -13,7 +13,6 @@ geometry; EPS_GEO below is the coarser tolerance for such comparisons,
 since sampling error dominates the algebraic tolerances.
 """
 
-import itertools
 import json
 import math
 
@@ -40,10 +39,11 @@ class RetryExhausted(GeometryError):
 
 # candidates `_blocks` may draw per trial, every suite's one budget: a suite
 # gives up only when fewer than one in ten is accepted.  Over seeds 1-20 at
-# default trials torus-trichotomy keeps 45.3% of its candidates (44.3% on
-# its lowest seed), eta-bridge 79.8% (76.8%), symplectic-identities 80.3%
-# (77.6%), ads-equivalence 98.8% (98.3%), surface-disjointness 92.5 disjoint
-# trials per 100 candidates (85.5), and the other three suites all of them
+# default trials, of the candidates its chunks screen, torus-trichotomy
+# keeps 45.8% (43.7% on its lowest seed), eta-bridge 80.0% (78.3%),
+# symplectic-identities 79.9% (76.4%), ads-equivalence 98.8% (98.3%),
+# surface-disjointness 95.4 disjoint trials per 100 candidates (87.1), and
+# the other three suites all of them
 ATTEMPTS_PER_TRIAL = 10
 
 # trials per block of a stacked suite's check stage
@@ -228,16 +228,19 @@ def _stem_generators(columns, component, t1, t2):
     return w, wp
 
 
-def _cloud_draws(rng, n):
+def _cloud_draws(rng, n, shape=()):
     """The rng calls of `sample_surface`, uniform(low, high) as low + (high -
     low) random(): wing+'s then wing-'s photon parameters and pencil angles
-    in one call, the stem's t1, t2 in one, and its components."""
+    in one call, the stem's t1, t2 in one, and its components; each call
+    draws the clouds of a stack of the given shape at once, one surface's
+    rows at a time, and its fields keep that shape as leading axes."""
     count = int(round(n * 0.4))  # on each wing; the stem takes the rest
     n_stem = n - 2 * count
     margin = 1e-2  # keep clear of the stem boundary, where Maslov degenerates
-    wings = rng.random((4, count)) * np.array([[np.pi / 2], [np.pi], [np.pi / 2], [np.pi]])
-    stem = margin + ((np.pi / 2 - margin) - margin) * rng.random((2, n_stem))
-    return (*wings, *stem, rng.integers(0, 2, size=n_stem) * 2 - 1)
+    wings = rng.random((*shape, 4, count)) * np.array([[np.pi / 2], [np.pi], [np.pi / 2], [np.pi]])
+    stem = margin + ((np.pi / 2 - margin) - margin) * rng.random((*shape, 2, n_stem))
+    return (*np.moveaxis(wings, -2, 0), *np.moveaxis(stem, -2, 0),
+            rng.integers(0, 2, size=(*shape, n_stem)) * 2 - 1)
 
 
 def _surface_cloud(space, columns, draws):
@@ -388,12 +391,6 @@ def _ads_arrays(z):
     return units, f, np.where(apart[:, None, None], margins, np.nan)
 
 
-def _stem_point(rng):
-    """The rng calls of a random stem point: its component, t1 and t2."""
-    t1, t2 = (rng.uniform(0.15, np.pi / 2 - 0.15) for _ in range(2))
-    return +1 if rng.uniform() < 0.5 else -1, t1, t2
-
-
 def _carried_rows(space, l, rows, x):
     """Rows of quadrilaterals q0 (..., 4, 4) carried so that the Lagrangian
     of the basis x of a point of q0 lands on that of the orthonormal basis
@@ -410,43 +407,46 @@ def _carried_rows(space, l, rows, x):
     return (g[..., None, :, :] @ rows[..., None])[..., 0]
 
 
-def _stem_draw(rng):
-    """The rng calls of a stem-only pair: per surface, a generator and a
-    stem point."""
-    return (rng.uniform(-1.0, 1.0, size=(4, 4)), *_stem_point(rng),
-            rng.uniform(-1.0, 1.0, size=(4, 4)), *_stem_point(rng))
+def _stem_draw(rng, k):
+    """The rng calls of k stem-only pairs: both surfaces' generators (k, 2,
+    4, 4) in one, and their stem points' numbers (k, 2, 3) in one (a
+    component, t1 and t2 each)."""
+    return rng.uniform(-1.0, 1.0, size=(k, 2, 4, 4)), rng.random((k, 2, 3))
 
 
-def _stem_rows(space, draws):
-    """Quadrilateral rows (n, 2, 4, 4) of the pairs of n `_stem_draw`s and
-    orthonormal bases (n, 4, 2) of their shared points: a stem point of the
-    first surface, onto which a stem point of the second is carried."""
-    s1, c1, a1, b1, s0, c0, a0, b0 = (np.array(v) for v in zip(*draws))
-    rows1, rows0 = np.split(_random_rows(space, np.concatenate([s1, s0])), 2)
+def _stem_rows(space, s, u):
+    """Quadrilateral rows (n, 2, 4, 4) of the pairs of a `_stem_draw` (s, u)
+    and orthonormal bases (n, 4, 2) of their shared points: a stem point of
+    the first surface, onto which a stem point of the second is carried.  A
+    stem point's component is +1 when its first number is below 0.5, and its
+    t1, t2 are uniform in [0.15, pi/2 - 0.15]."""
+    rows1, rows0 = np.moveaxis(_random_rows(space, s), 1, 0)
+    comps, t = np.where(u[..., 0] < 0.5, 1, -1), 0.15 + (np.pi / 2 - 0.3) * u[..., 1:]
+    (c1, c0), (a1, a0), (b1, b0) = comps.T, t[..., 0].T, t[..., 1].T
     shared = _orthonormal_columns(
         np.stack(_stem_generators(rows1.swapaxes(-1, -2), c1, a1, b1), -1), EPS_RANK)
     x = np.stack(_stem_generators(rows0.swapaxes(-1, -2), c0, a0, b0), -1)
     return np.stack([rows1, _carried_rows(space, shared, rows0, x)], axis=1), shared
 
 
-def _intersecting_draw(rng):
-    """The rng calls of an intersecting pair of surface-disjointness: a
-    generator, a wing point (True; sign's number, theta, phi) or stem point
-    (False; t1, t2, component's number) of it, a second generator."""
-    s = rng.uniform(-1.0, 1.0, size=(4, 4))
-    wing = rng.uniform() < 0.5
-    first = rng.uniform() if wing else rng.uniform(0.1, np.pi / 2 - 0.1)
-    second = rng.uniform(0.1, np.pi / 2 - 0.1)
-    third = rng.uniform(0.0, np.pi) if wing else rng.uniform()
-    return s, wing, first, second, third, rng.uniform(-1.0, 1.0, size=(4, 4))
+def _intersecting_draw(rng, k):
+    """The rng calls of k intersecting pairs of surface-disjointness: both
+    generators (k, 2, 4, 4) in one, and the numbers (k, 4) of the shared
+    point in one (`_intersecting_rows`)."""
+    return rng.uniform(-1.0, 1.0, size=(k, 2, 4, 4)), rng.random((k, 4))
 
 
-def _intersecting_rows(space, draws):
-    """Quadrilateral rows (n, 2, 4, 4) of the pairs of n `_intersecting_draw`s
-    and orthonormal bases (n, 4, 2) of their shared points: a point of the
-    first surface, onto which the second's vertex P+ is carried."""
-    s1, wing, a, b, c, s0 = (np.array(v) for v in zip(*draws))
-    rows1, rows0 = np.split(_random_rows(space, np.concatenate([s1, s0])), 2)
+def _intersecting_rows(space, s, u):
+    """Quadrilateral rows (n, 2, 4, 4) of the pairs of an `_intersecting_draw`
+    (s, u) and orthonormal bases (n, 4, 2) of their shared points: a point
+    of the first surface, onto which the second's vertex P+ is carried.  The
+    point is on a wing when u0 < 0.5 (wing +1 when u1 < 0.5, theta uniform in
+    [0.1, pi/2 - 0.1] by u2, phi in [0, pi] by u3), else on the stem (t1, t2
+    uniform in [0.1, pi/2 - 0.1] by u1, u2, component +1 when u3 < 0.5)."""
+    wing = u[:, 0] < 0.5
+    a = np.where(wing, u[:, 1], 0.1 + (np.pi / 2 - 0.2) * u[:, 1])
+    b, c = 0.1 + (np.pi / 2 - 0.2) * u[:, 2], np.where(wing, np.pi * u[:, 3], u[:, 3])
+    rows1, rows0 = np.moveaxis(_random_rows(space, s), 1, 0)
     columns = rows1.swapaxes(-1, -2)
     on_wing = np.stack(_wing_generators(columns, np.where(a < 0.5, 1, -1), b, c), axis=-1)
     on_stem = np.stack(_stem_generators(columns, np.where(c < 0.5, 1, -1), a, b), axis=-1)
@@ -481,8 +481,8 @@ def _stem_wing_contacts(stem, wing):
     ks = np.cos(mids)[..., None] * a[..., None, :] + np.sin(mids)[..., None] * b[..., None, :]
     # (k_u+ e_u+ + k_v- e_v-, k_u- e_u- + k_v+ e_v+) over Q
     bases = stem[:, None, None] @ (ks[..., None] * np.array([[1, 0], [0, 1], [0, 1], [1, 0]]))
-    wing_plus, wing_minus, _ = crooked._quad_regions(wing[:, None, None], bases, EPS_ALG)
-    on_stem = crooked._quad_regions(stem[:, None, None], bases, EPS_ALG)[2]
+    wing_plus, wing_minus, _ = crooked._quad_regions(wing, bases, EPS_ALG)
+    on_stem = crooked._quad_regions(stem, bases, EPS_ALG)[2]
     hits = ((cuts[..., :-1] < cuts[..., 1:]) & on_stem
             & np.where([[True], [False]], wing_plus, wing_minus)).reshape(n, 10)
     k = ks.reshape(n, 10, 4)[np.arange(n), hits.argmax(axis=1)]
@@ -497,19 +497,27 @@ def _stem_wing_contacts(stem, wing):
 # photon-surface oracle
 # ---------------------------------------------------------------------------
 
+_PAIR_ROWS, _PAIR_COLUMNS = np.array(symplectic.PAIRS).T
+
+
 def _second_generators(space, x):
     """Lagrangian completions of a photon vector x, or of each row of a
     stack of them: an orthonormal pair (w1, w2) spanning x-perp (for omega)
     modulo x, so that span{x, cos t w1 + sin t w2} runs over the circle of
-    Lagrangians through x.  x-perp is the nullspace of the row
-    (omega x)^T, and (w1, w2) are the leading left singular vectors of its
-    basis with x projected out."""
-    rows = (x @ space.matrix.T)[..., None, :]
-    perp = np.swapaxes(np.linalg.svd(rows)[2][..., 1:, :], -1, -2)  # 3-dim, contains x
-    proj = perp - x[..., :, None] * (x[..., None, :] @ perp) / (x * x).sum(
-        axis=-1)[..., None, None]
-    u = np.linalg.svd(proj, full_matrices=False)[0]
-    return u[..., 0], u[..., 1]
+    Lagrangians through x.  x-perp is the Euclidean complement of y = Omega^T x,
+    and x is Euclidean-orthogonal to y, so x-perp modulo x is the complement
+    of span{x, y}: the plane of the dual Pluecker row d of x ^ y, spanned by
+    columns i, j of its antisymmetric matrix D (D[a, b] = d_ab), ij the pair
+    of the largest |d_ij|, and orthonormalized by `_plane_frames`."""
+    p = symplectic.plucker_rows(x, x @ space.matrix)
+    d = p[..., ::-1] * [1.0, -1.0, 1.0, 1.0, -1.0, 1.0]  # the Hodge dual, pairs as p's
+    matrix = np.zeros((*d.shape[:-1], 4, 4))
+    matrix[..., _PAIR_ROWS, _PAIR_COLUMNS] = d
+    matrix[..., _PAIR_COLUMNS, _PAIR_ROWS] = -d
+    pair = np.abs(d).argmax(-1)
+    columns = np.stack([_PAIR_ROWS[pair], _PAIR_COLUMNS[pair]], -1)[..., None, :]
+    onb = _plane_frames(np.take_along_axis(matrix, columns, -1), EPS_RANK, check=False)[0]
+    return onb[..., 0], onb[..., 1]
 
 
 def _photon_crossings(space, units, columns):
@@ -530,8 +538,7 @@ def _photon_crossings(space, units, columns):
     t = np.arctan2(-a, b)
     ws = np.cos(t)[..., None] * w1[:, None] + np.sin(t)[..., None] * w2[:, None]
     bases = np.stack([np.broadcast_to(units[:, None], ws.shape), ws], axis=-1)
-    on = np.logical_or.reduce(crooked._quad_regions(
-        np.repeat(columns, 4, axis=0), bases.reshape(4 * n, 4, 2), EPS_ALG)).reshape(n, 4)
+    on = np.logical_or.reduce(crooked._quad_regions(columns, bases, EPS_ALG))
     return ws[np.arange(n), on.argmax(axis=1)], on.any(axis=1)
 
 
@@ -553,36 +560,56 @@ def _report(suite, trials, seed, failures, max_violation):
             "max_violation": max_violation}
 
 
-def _blocks(trials, draw, screen=lambda records: records):
-    """The draw stage of a suite: draw() makes one candidate's rng calls,
-    and screen(records) returns the records kept of a chunk of at most the
-    trials its block lacks, so none is drawn past the last, and is cut to
-    those trials.  Yields (number of the first trial, records) for blocks
-    of at most _ORACLE_BLOCK trials, each before the next is drawn; raises
-    RetryExhausted after ATTEMPTS_PER_TRIAL * trials candidates."""
+def _blocks(trials, draw, screen=None):
+    """The draw stage of a suite.  Candidates come in chunks of
+    _ORACLE_BLOCK, or of what is left of the budget of ATTEMPTS_PER_TRIAL *
+    trials candidates: draw(first, k) makes the rng calls of candidates
+    first, ..., first + k - 1 (numbered from 0), one call per distribution,
+    and returns a tuple of arrays over them (a leading candidate axis).
+    screen(chunk) returns (keep, records, check): a mask keep over the
+    chunk's leading axis (or axes, where a candidate holds several
+    records), the records kept as a tuple of arrays, one row per True of
+    keep in C order, and None or check(stop), which raises the first error
+    of the chunk's candidates before stop.  By default every candidate is a
+    record.
+
+    Yields (number of the first trial, records) for blocks of _ORACLE_BLOCK
+    records in candidate order (the last of what trials lacks), each before
+    the next chunk is drawn; records past a full block carry into the next,
+    and a screen's check is read up to the last candidate consumed only.
+    Raises RetryExhausted when the budget gives fewer than trials records."""
     limit = ATTEMPTS_PER_TRIAL * trials
-    block, done, drawn = [], 0, 0
+    drawn, done, held = 0, 0, None
     while done < trials:
         if drawn == limit:
             raise RetryExhausted(f"fewer than {trials} accepted trials in {limit} attempts")
-        lack = min(_ORACLE_BLOCK - len(block), trials - done)
-        kept = screen([draw() for _ in range(min(lack, limit - drawn))])[:lack]
-        drawn = min(drawn + lack, limit)
-        block += kept
-        done += len(kept)
-        if len(block) == _ORACLE_BLOCK or done == trials:
-            yield done - len(block) + 1, block
-            block = []
+        k = min(_ORACLE_BLOCK, limit - drawn)
+        chunk = draw(drawn, k)
+        keep, records, check = (np.ones(k, bool), chunk, None) if screen is None else screen(chunk)
+        drawn += k
+        # the chunk's records through each candidate, after the `before` held
+        through = np.cumsum(keep.reshape(k, -1).sum(-1))
+        before = 0 if held is None else len(held[0])
+        held = records if held is None else tuple(map(np.concatenate, zip(held, records)))
+        while done < trials and len(held[0]) >= min(_ORACLE_BLOCK, trials - done):
+            n = min(_ORACLE_BLOCK, trials - done)
+            if check is not None:
+                check(int(np.searchsorted(through, n - before)) + 1)
+            yield done + 1, tuple(a[:n] for a in held)
+            held, done, before = tuple(a[n:] for a in held), done + n, before - n
+        if check is not None and done < trials:
+            check(k)
+
+
+def _keeping(keep, *arrays):
+    """The (keep, records, check) of a screen (`_blocks`) that keeps the rows
+    of arrays that keep marks and raises nothing."""
+    return keep, tuple(a[keep] for a in arrays), None
 
 
 def _failed_rows(checks):
     """The rows of a stack that fail any of its (mask, message) checks."""
     return np.logical_or.reduce([mask for mask, _ in checks])
-
-
-def _kept(records, keep):
-    """The records of a chunk that a stacked screen keeps."""
-    return [r for r, k in zip(records, keep.tolist()) if k]
 
 
 def _unit_rows(v):
@@ -591,20 +618,22 @@ def _unit_rows(v):
 
 
 def _surface_checks(space, rows):
-    """check(i) raises the first failed check of `LightlikeQuadrilateral` then
-    `CrookedSurface` on the quadrilateral rows (n, ..., 4, 4) of trial i, surface
-    by surface: one `crooked._surface_check_rows` of the block, read where i fails."""
+    """The (n,) mask of the trials that fail a check of `LightlikeQuadrilateral`
+    or `CrookedSurface` on their quadrilateral rows (n, ..., 4, 4), and
+    check(i), which raises the first failed check of trial i, surface by
+    surface: one `crooked._surface_check_rows` of the block, read where i fails."""
     rows = rows.reshape(len(rows), -1, 4, 4)
     checks = crooked._surface_check_rows(rows, rows @ space.matrix @ rows.swapaxes(-1, -2),
                                          space.vol_coeff, EPS_ALG)
-    failed = _failed_rows(checks).any(-1).tolist()
+    failed = _failed_rows(checks).any(-1)
+    flags = failed.tolist()
 
     def check(i):
-        if failed[i]:
+        if flags[i]:
             for j in range(rows.shape[1]):
                 _raise_first(checks, (i, j))
 
-    return check
+    return failed, check
 
 
 def _ads_pairs(space, units, f):
@@ -615,7 +644,7 @@ def _ads_pairs(space, units, f):
     plane checks only where their stacked form (the same float operations) fails."""
     rows = ads._quad_rows(np.stack([np.broadcast_to(np.eye(2), f.shape), f], 1),
                           units[..., 0, :], units[..., 1, :])
-    surface = _surface_checks(space, rows)
+    surface = _surface_checks(space, rows)[1]
     (a0, a1), (b0, b1) = np.moveaxis(units, (-2, -1), (0, 1))
     tol = EPS_ALG * np.maximum(1.0, abs(f).max(axis=(-2, -1)) ** 2)  # x ** 2 is x * x
     failed = (~((abs(a0 * b1 - a1 * b0) > EPS_ALG * np.sqrt(a0 * a0 + a1 * a1)
@@ -644,28 +673,28 @@ def _torus_screen(normals):
 def suite_torus_trichotomy(trials=1000, seed=7):
     """Torus-pair trichotomy: kind vs. eta, carrier signature, and the
     sampled causal character of the intersection curve.  A candidate draws
-    two normals, 32 probe angles and 4 point angles, whatever is decided;
-    a chunk keeps the pairs that `_torus_screen` passes, with their unit
-    normals.  Kinds and eta (`einstein._torus_kinds`), carriers, frames,
-    probe tangents and curve points are read a block at a time."""
+    two normals, 32 probe angles and 4 point angles, whatever is decided,
+    a chunk's normals in one rng call and its angles in one; a chunk keeps
+    the pairs that `_torus_screen` passes, with their unit normals.  Kinds
+    and eta (`einstein._torus_kinds`), carriers, frames, probe tangents and
+    curve points are read a block at a time."""
     rng = make_rng([seed, 1])
     expected_sig = {
         IntersectionKind.TIMELIKE_CIRCLE: (1, 2, 0),
         IntersectionKind.SPACELIKE_CIRCLE: (2, 1, 0),
     }
 
-    def draw():
-        normals, angles = rng.normal(size=(2, 5)), rng.uniform(0.0, 2.0 * np.pi, size=36)
-        return normals, angles[:32], angles[32:]
+    def draw(first, k):
+        return rng.normal(size=(k, 2, 5)), rng.uniform(0.0, 2.0 * np.pi, size=(k, 36))
 
-    def screen(draws):
-        units, keep = _torus_screen(np.array([d[0] for d in draws]))
-        return _kept([(u, *d[1:]) for u, d in zip(units, draws)], keep)
+    def screen(chunk):
+        normals, angles = chunk
+        units, keep = _torus_screen(normals)
+        return _keeping(keep, units, angles[:, :32], angles[:, 32:])
 
     failures = []
     max_violation = 0.0
-    for first, block in _blocks(trials, draw, screen):
-        units, thetas, angles = (np.array(a) for a in zip(*block))
+    for first, (units, thetas, angles) in _blocks(trials, draw, screen):
         s1, s2 = units.swapaxes(0, 1)
         index, etas = einstein._torus_kinds(s1, s2)
         kinds, etas = [einstein._KINDS[i] for i in index.tolist()], etas.tolist()
@@ -794,23 +823,23 @@ def _eta_screen(space, m, f):
 
 def suite_eta_bridge(trials=1000, seed=7):
     """Determinant route vs. unit-normal route to the torus-pair invariant.
-    A candidate draws a basis and a map f; a chunk keeps those that
-    `_eta_screen` passes.  Splittings, graph planes and mu images are built
-    a block of trials at a time, and so are the exact invariants and the
-    kinds; a kind is read where |eta - 1| > 1e-6 and both normals pass."""
+    A candidate draws a basis and a map f, a chunk's bases in one rng call
+    and its maps in one; a chunk keeps those that `_eta_screen` passes.
+    Splittings, graph planes and mu images are built a block of trials at a
+    time, and so are the exact invariants and the kinds; a kind is read
+    where |eta - 1| > 1e-6 and both normals pass."""
     rng = make_rng([seed, 2])
     space = symplectic.standard_space()
 
-    def draw():
-        return rng.normal(size=(4, 2)), rng.uniform(-2.0, 2.0, size=(2, 2))
+    def draw(first, k):
+        return rng.normal(size=(k, 4, 2)), rng.uniform(-2.0, 2.0, size=(k, 2, 2))
 
-    def screen(draws):
-        return _kept(draws, _eta_screen(space, *(np.array(v) for v in zip(*draws))))
+    def screen(chunk):
+        return _keeping(_eta_screen(space, *chunk), *chunk)
 
     failures = []
     max_violation = 0.0
-    for first, block in _blocks(trials, draw, screen):
-        m, f = (np.array(a) for a in zip(*block))
+    for first, (m, f) in _blocks(trials, draw, screen):
         s_basis, t_basis, checks = _splittings(space, m)
         # a row that fails a splitting check raises before its invariants
         # are read, so they are taken of the Darboux plane (e1, e3) there
@@ -837,7 +866,7 @@ def suite_eta_bridge(trials=1000, seed=7):
         failed[apart] |= _failed_rows(s_checks + torus_checks + t_checks) | lagrangian
         failed, apart, null = failed.tolist(), apart.tolist(), null.tolist()
         dets, etas, read = symplectic.det_omega(f).tolist(), etas.tolist(), iter(range(len(g)))
-        for k, i in enumerate(range(len(block)), first):
+        for k, i in enumerate(range(len(f)), first):
             if failed[i]:
                 _raise_first(checks, i)
                 _raise_first(eta_checks, i)
@@ -868,11 +897,12 @@ def suite_symplectic_identities(trials=1000, seed=7):
     """Dual bivector normalization, adjugate identity, complement through
     the reflection, and transversality vs. plain intersection.  A candidate
     draws f, a basis s and two planes, on even candidates random ones and
-    on odd ones a pair sharing a vector; a chunk keeps those whose s is
-    nondegenerate (`_planes`), and a block of trials is checked at a time,
-    the reflection/complement distances too.  Then
-    200 Maslov/graph trials are drawn, each a Lagrangian triple, a
-    symplectic generator, a map and a splitting basis, and checked at once
+    on odd ones a pair sharing its first vector, a chunk's maps in one rng
+    call and its bases in one; a chunk keeps those whose s is nondegenerate
+    (`_planes`), and a block of trials is checked at a time, the
+    reflection/complement distances too.  Then 200 Maslov/graph trials are
+    drawn, each a Lagrangian triple, a symplectic generator, a map and a
+    splitting basis (one rng call for each), and checked at once
     (`_maslov_triples`)."""
     rng = make_rng([seed, 3])
     space = symplectic.standard_space()
@@ -882,21 +912,17 @@ def suite_symplectic_identities(trials=1000, seed=7):
     if abs(os2 + 2.0) > 1e-12:
         failures.append(f"omega*.omega* = {os2!r}")
     max_violation = max(max_violation, abs(os2 + 2.0))
-    candidates = itertools.count()
 
-    def draw():  # f, then s and the planes' normals in one call
-        f = rng.uniform(-3.0, 3.0, size=(2, 2))
-        if next(candidates) % 2 == 0:
-            return f, *rng.normal(size=(3, 4, 2))
-        z = rng.normal(size=20)  # s, the shared vector, then each plane's other
-        return (f, z[:8].reshape(4, 2), np.column_stack([z[8:12], z[12:16]]),
-                np.column_stack([z[8:12], z[16:]]))
+    def draw(first, k):  # f, then s and the planes' bases
+        f, (s, p, q) = rng.uniform(-3.0, 3.0, size=(k, 2, 2)), rng.normal(size=(3, k, 4, 2))
+        odd = (first + np.arange(k)) % 2 == 1
+        q[odd, :, 0] = p[odd, :, 0]
+        return f, s, p, q
 
-    def screen(draws):
-        return _kept(draws, _planes(space, np.array([d[1] for d in draws]))[2])
+    def screen(chunk):
+        return _keeping(_planes(space, chunk[1])[2], *chunk)
 
-    for first, block in _blocks(trials, draw, screen):
-        f, s, p, q = (np.array(a) for a in zip(*block))
+    for first, (f, s, p, q) in _blocks(trials, draw, screen):
         res = np.abs(symplectic.adjugate(f) @ f
                      - symplectic.det_omega(f)[:, None, None] * np.eye(2)).max(axis=(1, 2))
         comp, checks = symplectic._complements(space, _plane_frames(s, EPS_RANK)[0])
@@ -907,7 +933,7 @@ def suite_symplectic_identities(trials=1000, seed=7):
         dists = projective_distance(space.reflect_omega_star(_plucker(s)),
                                     _plucker(comp)).tolist()
         failed = _failed_rows(checks).tolist()
-        for k, i in enumerate(range(len(block)), first):
+        for k, i in enumerate(range(len(f)), first):
             max_violation = max(max_violation, res[i])
             if res[i] > 1e-12:
                 failures.append(f"trial {k}: adjugate identity off by {res[i]:.3e}")
@@ -921,9 +947,8 @@ def suite_symplectic_identities(trials=1000, seed=7):
                 if trans != (dim == 0):
                     failures.append(
                         f"trial {k}: transverse {trans} vs dim {dim} (wedge {wval[i]:.3e})")
-    draws = [(rng.normal(size=(3, 2, 4)), rng.uniform(-1.0, 1.0, size=(4, 4)),
-              rng.uniform(-2.0, 2.0, size=(2, 2)), rng.normal(size=(4, 2))) for _ in range(200)]
-    xr, h, f, split = (np.array(v) for v in zip(*draws))
+    xr, h = rng.normal(size=(200, 3, 2, 4)), rng.uniform(-1.0, 1.0, size=(200, 4, 4))
+    f, split = rng.uniform(-2.0, 2.0, size=(200, 2, 2)), rng.normal(size=(200, 4, 2))
     bases = _lagrangian_bases(space, xr[:, :, 0], xr[:, :, 1])  # L, L', P
     index, kept = _maslov_triples(space, bases, split)
     g = _symplectic_exp(space, h[kept])
@@ -974,33 +999,29 @@ def _maslov_screen(space, l, p, lp):
 
 def suite_maslov_bridge(trials=1000, seed=7):
     """Maslov index of Lagrangian triples vs. causal type of points.  A
-    candidate draws L, L' and P, every third candidate P through a random
-    line of L (a lightlike point); a chunk keeps the triples that
+    candidate draws L, L' and P, every third candidate (numbered from 0, the
+    second of each three) P through a random line of L (a lightlike point),
+    a chunk's vectors in one rng call; a chunk keeps the triples that
     `_maslov_screen` passes.  Bases, indices, points and causal types are
     read a block of trials at a time, raising the first error in trial
     order."""
     rng = make_rng([seed, 4])
     space = symplectic.standard_space()
-    candidates = itertools.count()
 
-    def draw():  # x and r of L, of L' and of P, in one call
-        on_l = next(candidates) % 3 == 2  # P's x as (coefficients over L, NaN, NaN)
-        z = rng.normal(size=22 if on_l else 24)
-        x = np.append(z[16:18], [np.nan, np.nan]) if on_l else z[16:20]
-        return z[:8].reshape(2, 4), z[8:16].reshape(2, 4), x, z[-4:]
+    def draw(first, k):  # x and r of L, of L' and of P
+        return rng.normal(size=(k, 6, 4)), (first + np.arange(k)) % 3 == 2
 
-    def screen(draws):
-        l, lp, x, r = (np.array(v) for v in zip(*draws))
-        l, lp = (_lagrangian_bases(space, *m.swapaxes(0, 1)) for m in (l, lp))
-        on_l = np.isnan(x[:, 2])
-        x[on_l] = _unit_rows((l[on_l] @ x[on_l, :2, None])[..., 0])
-        p = _lagrangian_bases(space, x, r)
-        return _kept(list(zip(l, p, lp)), _maslov_screen(space, l, p, lp))
+    def screen(chunk):
+        (x, r, xp, rp, xl, rl), on_l = np.moveaxis(chunk[0], 1, 0), chunk[1]
+        l, lp = _lagrangian_bases(space, x, r), _lagrangian_bases(space, xp, rp)
+        # P's x on L: its first two entries are the coefficients over L's basis
+        xl[on_l] = _unit_rows((l[on_l] @ xl[on_l, :2, None])[..., 0])
+        p = _lagrangian_bases(space, xl, rl)
+        return _keeping(_maslov_screen(space, l, p, lp), l, p, lp)
 
     failures = []
-    for first, block in _blocks(trials, draw, screen):
-        n = len(block)
-        l, p, lp = (np.array(a) for a in zip(*block))
+    for first, (l, p, lp) in _blocks(trials, draw, screen):
+        n = len(l)
         index, maslov_checks = symplectic._maslov_rows(space, *np.split(
             _plane_frames(np.concatenate([l, p, lp]), EPS_RANK)[0], 3))
         reps, point_checks = symplectic._lagrangian_points(space, np.concatenate([p, l, lp]))
@@ -1024,111 +1045,123 @@ def suite_maslov_bridge(trials=1000, seed=7):
     return _report("maslov-bridge", trials, seed, failures, 0.0)
 
 
+def _photon_draw(rng, k):
+    """The rng calls of k photon-avoidance candidates: the generators (k, 4,
+    4) of their quadrilaterals in one, their photons (k, 4) in one."""
+    return rng.uniform(-1.0, 1.0, size=(k, 4, 4)), rng.normal(size=(k, 4))
+
+
 def suite_photon_avoidance(trials=1000, seed=7):
     """Photon-vs-surface sign test against the oracle that solves for the
     photon's incidences with the wing vertices and stem planes.
 
-    A candidate draws a generator and a photon.  A chunk of candidates is
-    decided at once: one stacked expm, the stacked surface checks (raised
-    in candidate order), the margins and their |margin| <= 1e-6 skip band,
-    and a meeting photon's witness (`crooked._crossing_bases`), its residual
-    and membership.  The oracle (`_photon_crossings`) runs once a block;
-    within a trial its failure comes before the witness's."""
+    A candidate draws a generator and a photon (`_photon_draw`).  A chunk of
+    candidates is decided at once: one stacked expm, the stacked surface
+    checks, the margins and their |margin| <= 1e-6 skip band, and a meeting
+    photon's witness (`crooked._crossing_bases`), its frame, residual and
+    membership; a candidate's errors are raised in candidate order, the
+    surface's before the witness's.  The oracle (`_photon_crossings`) runs
+    once a block; within a trial its failure comes before the witness's."""
     rng = make_rng([seed, 5])
     space = symplectic.standard_space()
     failures = []
     max_residual = 0.0
 
-    def draw():
-        return rng.uniform(-1.0, 1.0, size=(4, 4)), rng.normal(size=4)
-
-    def screen(draws):
-        s, p = (np.array(v) for v in zip(*draws))
-        rows = _random_rows(space, s)
-        check = _surface_checks(space, rows)
+    def screen(chunk):
+        rows = _random_rows(space, chunk[0])
+        failed, check = _surface_checks(space, rows)
         columns = rows.swapaxes(-1, -2).copy()  # C-ordered, as a quadrilateral keeps them
-        p = _unit_rows(p)
+        p = _unit_rows(chunk[1])
         units = crooked._unit_photons(p)  # p as the predicates take it
         w = (units[:, None] @ space.matrix @ columns)[:, 0]
         m1, m2 = crooked._products(w)
         verdicts = crooked._avoids(m1, m2, EPS_ALG)
         skip = np.minimum(abs(m1), abs(m2)) <= 1e-6
         bases, fails = crooked._crossing_bases(units, columns, w, EPS_ALG)
-        need = ~(verdicts | skip) & fails
-        onb = _orthonormal_columns(bases[need], EPS_RANK)
+        need = ~(verdicts | skip) & fails  # the candidates whose witness is read
+        onb, rank = _plane_frames(bases[need], EPS_RANK, check=False)
         regions, checks = crooked._lagrangian_regions(space, columns[need], onb, EPS_ALG)
-        on = np.logical_or.reduce(regions)
-        kept, witnesses = [], iter(enumerate(_crossing_residuals(space, p[need], onb).tolist()))
-        for i, oracle_unit in enumerate(_unit_rows(p)):  # the oracle normalizes p again
-            check(i)
-            if skip[i]:
-                continue
-            residual = witness = None  # the witness's residual and failure
-            if not (verdicts[i] or fails[i]):
-                witness = "no constructive witness"
-            elif not verdicts[i]:
-                j, residual = next(witnesses)
-                if residual <= 1e-9:
-                    _raise_first(checks, j)
-                if residual > 1e-9 or not on[j]:
-                    witness = f"witness residual {residual:.3e}"
-            kept.append((bool(verdicts[i]), oracle_unit, columns[i], residual, witness))
-        return kept
+        residuals = np.full(len(p), np.nan)
+        residuals[need] = _crossing_residuals(space, p[need], onb)
+        # a witness of rank < 2 raises `Plane2`'s error, one of residual
+        # <= 1e-9 its membership check's; the others fail their trial
+        read = residuals[need] <= 1e-9
+        failed[need] |= (rank < 2) | (read & _failed_rows(checks))
+        off = need.copy()
+        off[need] = ~read | ~np.logical_or.reduce(regions)
+        row = np.cumsum(need) - 1  # of each witness among the chunk's
 
-    for first, block in _blocks(trials, draw, screen):
-        verdicts, units, columns, residuals, witnesses = zip(*block)
-        _, found = _photon_crossings(space, np.array(units), np.array(columns))
-        for k, verdict, hit, residual, witness in zip(
-                range(first, first + len(block)), verdicts, found, residuals, witnesses):
+        def raise_first(stop):
+            for i in np.flatnonzero(failed[:stop])[:1].tolist():
+                check(i)  # the surface's error, if any; else the witness's
+                if rank[row[i]] < 2:
+                    _orthonormal_columns(bases[i], EPS_RANK)
+                _raise_first(checks, row[i])
+
+        keep = ~skip  # the oracle normalizes p again
+        records = verdicts, _unit_rows(p), columns, residuals, ~(verdicts | fails), off
+        return keep, tuple(a[keep] for a in records), raise_first
+
+    draws = _blocks(trials, lambda first, k: _photon_draw(rng, k), screen)
+    for first, (verdicts, units, columns, residuals, unwitnessed, off) in draws:
+        _, found = _photon_crossings(space, units, columns)
+        max_residual = float(np.fmax.reduce(residuals, initial=max_residual))
+        for k, verdict, hit, residual, none, bad in zip(
+                range(first, first + len(units)), verdicts.tolist(), found.tolist(),
+                residuals.tolist(), unwitnessed.tolist(), off.tolist()):
             if verdict and hit:
                 failures.append(f"trial {k}: disjoint photon but oracle found a point")
             if not verdict and not hit:
                 failures.append(f"trial {k}: meeting photon but oracle found nothing")
-            if residual is not None:
-                max_residual = max(max_residual, residual)
-            if witness is not None:
-                failures.append(f"trial {k}: {witness}")
+            if none:
+                failures.append(f"trial {k}: no constructive witness")
+            elif bad:
+                failures.append(f"trial {k}: witness residual {residual:.3e}")
     return _report("photon-avoidance", trials, seed, failures, max_residual)
 
 
 def suite_surface_disjointness(trials=200, seed=7):
     """Sixteen-inequality verdicts against sampled chordal gaps.
 
-    A disjoint candidate draws _ADS_ROWS AdS candidates in one rng call,
-    and one `_ads_arrays` over a chunk's keeps every one whose margins pass
-    1e-2, in draw order; an intersecting one is an `_intersecting_draw`.  A
-    block builds and checks its quadrilaterals stacked, raising in trial
-    order, and reads the stacked sixteen margins.  Then each
-    disjoint trial draws both surfaces' `sample_surface` draws in trial
-    order, whatever its verdict; the clouds of _CLOUD_PAIRS trials are
-    built at once, a passing pair's gap one pair at a time.  An
-    intersecting pair's shared point is checked on both surfaces."""
+    A disjoint candidate draws _ADS_ROWS AdS candidates, a chunk's in one
+    rng call, and one `_ads_arrays` over a chunk's keeps every one whose
+    margins pass 1e-2, in draw order; an intersecting one is an
+    `_intersecting_draw`.  A block builds and checks its quadrilaterals
+    stacked, raising in trial order, and reads the stacked sixteen margins.
+    Then the disjoint trials draw both surfaces' `sample_surface` draws,
+    whatever their verdicts, _CLOUD_PAIRS trials at a time, each of
+    `_cloud_draws`' three rng calls for all their clouds at once; the
+    clouds of those trials are built at once, a passing pair's gap one pair
+    at a time.  An intersecting pair's shared point is checked on both
+    surfaces."""
     rng = make_rng([seed, 6])
     space = ads.ads_space()
     std = symplectic.standard_space()
     failures = []
     min_disjoint_gap = math.inf
 
-    def screen(draws):
-        units, f, margins = _ads_arrays(np.concatenate(draws))
+    def screen(chunk):
+        units, f, margins = _ads_arrays(chunk[0].reshape(-1, 6, 2))
         passed = margins.min(axis=(1, 2)) > 1e-2
-        return list(zip(units[passed], f[passed]))
+        return passed.reshape(-1, _ADS_ROWS), (units[passed], f[passed]), None
 
     def sixteen_pass(space, rows):
         return crooked._avoids(*crooked._sixteen_margins(rows.swapaxes(-1, -2), space.matrix),
                                EPS_ALG).all(axis=(1, 2))
 
-    for first, block in _blocks(trials, lambda: rng.normal(size=(_ADS_ROWS, 6, 2)), screen):
-        rows, check = _ads_pairs(space, *(np.array(v) for v in zip(*block)))
+    def draw(first, k):
+        return (rng.normal(size=(k, _ADS_ROWS, 6, 2)),)
+
+    for first, block in _blocks(trials, draw, screen):
+        rows, check = _ads_pairs(space, *block)
         passed = sixteen_pass(space, rows).tolist()
-        for i in range(len(block)):
+        for i in range(len(rows)):
             check(i)
-        for start in range(0, len(block), _CLOUD_PAIRS):
+        for start in range(0, len(rows), _CLOUD_PAIRS):
             part = rows[start:start + _CLOUD_PAIRS]
-            draws = [[_cloud_draws(rng, 320) for _ in range(2)] for _ in part]
             # each of the seven draws as one array (trials, 2 surfaces, points)
-            fields = [np.array(field) for field in zip(*(zip(*pair) for pair in draws))]
-            points = projective_normalize(_surface_cloud(space, part.swapaxes(-1, -2), fields))
+            draws = _cloud_draws(rng, 320, (len(part), 2))
+            points = projective_normalize(_surface_cloud(space, part.swapaxes(-1, -2), draws))
             points /= np.linalg.norm(points, axis=-1, keepdims=True)
             for k, (a, b) in enumerate(points, first + start):
                 if not passed[k - first]:
@@ -1138,14 +1171,14 @@ def suite_surface_disjointness(trials=200, seed=7):
                 min_disjoint_gap = min(min_disjoint_gap, gap)
                 if gap <= 1e-4:
                     failures.append(f"disjoint pair {k}: sampled gap {gap:.3e}")
-    for first, block in _blocks(trials, lambda: _intersecting_draw(rng)):
-        rows, shared = _intersecting_rows(std, block)
-        check = _surface_checks(std, rows)
+    for first, block in _blocks(trials, lambda first, k: _intersecting_draw(rng, k)):
+        rows, shared = _intersecting_rows(std, *block)
+        check = _surface_checks(std, rows)[1]
         passed = sixteen_pass(std, rows)
         regions, checks = crooked._lagrangian_regions(std, rows.swapaxes(-1, -2), shared[:, None],
                                                       EPS_ALG)
         on_both = np.logical_or.reduce(regions).all(axis=1)
-        for k, i in enumerate(range(len(block)), first):
+        for k, i in enumerate(range(len(rows)), first):
             check(i)
             if passed[i]:
                 failures.append(f"intersecting pair {k}: criterion says disjoint")
@@ -1160,7 +1193,7 @@ def suite_stem_only(trials=200, seed=7):
     """Stems never meet alone: two crooked surfaces whose stems share a
     constructed point also meet stem to wing.
 
-    A trial makes the rng calls of a `_stem_draw`.  A block takes one
+    A chunk of pairs makes the rng calls of a `_stem_draw`.  A block takes one
     stacked expm, carries the second quadrilaterals onto the shared points
     (`_stem_rows`), checks the surfaces stacked, raising in trial order,
     checks the shared point on both stems, and solves for a stem-wing
@@ -1174,10 +1207,10 @@ def suite_stem_only(trials=200, seed=7):
     space = symplectic.standard_space()
     failures = []
     max_residual = 0.0
-    for first, block in _blocks(trials, lambda: _stem_draw(rng)):
-        n = len(block)
-        rows, shared = _stem_rows(space, block)
-        check = _surface_checks(space, rows)
+    for first, block in _blocks(trials, lambda first, k: _stem_draw(rng, k)):
+        rows, shared = _stem_rows(space, *block)
+        n = len(rows)
+        check = _surface_checks(space, rows)[1]
         q1, q2 = np.moveaxis(rows.swapaxes(-1, -2), 1, 0)
         regions, checks = crooked._lagrangian_regions(space, rows.swapaxes(-1, -2),
                                                       shared[:, None], EPS_ALG)
@@ -1202,28 +1235,30 @@ def suite_stem_only(trials=200, seed=7):
 def suite_ads_equivalence(trials=1000, seed=7):
     """Four-inequality, boundary-lift and sixteen-inequality routes agree.
 
-    A candidate is one `_ads_arrays` draw; a chunk keeps those whose
-    least |margin| is above 1e-6.  Each block of accepted trials then runs
-    the plane, quadrilateral and surface checks stacked, the planes' scalar
-    closed forms on a failing trial only, raising in trial order; it reads the three
-    routes from the stacked margin kernels.  The equivariance and trace-form loop draws a vector pair and
-    a 2x2 matrix per trial and checks a block of trials at a time."""
+    A candidate is one `_ads_arrays` draw, a chunk's in one rng call; a
+    chunk keeps those whose least |margin| is above 1e-6.  Each block of
+    accepted trials then runs the plane, quadrilateral and surface checks
+    stacked, the planes' scalar closed forms on a failing trial only,
+    raising in trial order; it reads the three routes from the stacked
+    margin kernels.  The equivariance and trace-form loop draws a vector
+    pair and a 2x2 matrix per trial, a block's in one rng call, and checks
+    a block of trials at a time."""
     rng = make_rng([seed, 7])
     space = ads.ads_space()
     base = ads.as_sl2(np.eye(2))  # the first plane of every pair
     failures = []
     max_violation = 0.0
 
-    def screen(draws):
-        units, f, margins = _ads_arrays(np.array(draws))
-        return _kept(list(zip(units, f)), abs(margins).min(axis=(1, 2)) > 1e-6)
+    def screen(chunk):
+        units, f, margins = _ads_arrays(chunk[0])
+        return _keeping(abs(margins).min(axis=(1, 2)) > 1e-6, units, f)
 
-    for first, block in _blocks(trials, lambda: rng.normal(size=(6, 2)), screen):
-        units, f = (np.array(v) for v in zip(*block))
+    for first, (units, f) in _blocks(trials, lambda first, k: (rng.normal(size=(k, 6, 2)),),
+                                     screen):
         with np.errstate(all="ignore"):  # a row that fails its checks raises below
             rows, check = _ads_pairs(space, units, f)
         finite = np.isfinite(rows).all(axis=(1, 2, 3)).tolist()  # and so units and f
-        for i in range(len(block)):
+        for i in range(len(f)):
             if not finite[i]:  # the scalar constructors raise their error
                 planes = [ads.AdsCrookedPlane(m, *d) for m, d in zip((base, f[i]), units[i])]
                 for plane in planes:
@@ -1234,7 +1269,7 @@ def suite_ads_equivalence(trials=1000, seed=7):
         dgk = ads._dgk_passes(*ads._dgk_array(base, y, f, xp), EPS_ALG).all(axis=(1, 2)).tolist()
         sixteen = crooked._avoids(*crooked._sixteen_margins(rows.swapaxes(-1, -2), space.matrix),
                                   EPS_ALG).all(axis=(1, 2)).tolist()
-        for k, ads_k, dgk_k, sixteen_k in zip(range(first, first + len(block)), four, dgk, sixteen):
+        for k, ads_k, dgk_k, sixteen_k in zip(range(first, first + len(f)), four, dgk, sixteen):
             if not (ads_k == dgk_k == sixteen_k):
                 failures.append(f"trial {k}: ads {ads_k}, dgk {dgk_k}, surfaces {sixteen_k}")
 

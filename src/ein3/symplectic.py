@@ -27,6 +27,7 @@ from ein3.linalg import (
     EPS_ALG,
     EPS_RANK,
     GeometryError,
+    _frame_pair_values,
     _orthonormal_columns,
     _raise_first,
     _same_spans,
@@ -299,7 +300,10 @@ def _splitting_checks(space, s, s_lagrangian, t, t_lagrangian, eps=EPS_ALG):
     summands and their tags (the rank check of the sum raises here)."""
     nondegenerate = ~(np.asarray(s_lagrangian) | t_lagrangian)
     val = np.abs(np.swapaxes(s, -1, -2) @ space.matrix @ t).max(axis=(-2, -1))
-    _orthonormal_columns(np.concatenate([s, t], -1)[nondegenerate & (val <= eps)], EPS_RANK)
+    sums = nondegenerate & (val <= eps)
+    rank = _frame_pair_values(s[sums], t[sums], EPS_RANK)[1]
+    if (rank < 4).any():
+        raise GeometryError(f"basis matrix has rank {rank[rank < 4][0]} < 4 column(s)")
     return [(~nondegenerate, _DEGENERATE_SUMMANDS),
             (val > eps, lambda i: f"summands are not omega-orthogonal: omega = {val[i]:.3e}")]
 
@@ -347,7 +351,7 @@ def _maslov_rows(space, l, p, l_prime, eps=EPS_RANK):
     """`maslov` over stacked orthonormal bases of Lagrangian triples: the
     indices, and the checks after the tags (a failed row has no index)."""
     m = np.concatenate([l, l_prime], axis=-1)
-    apart = abs(np.linalg.det(m)) > eps
+    apart = _frame_pair_values(l, l_prime, eps)[1] == 4
     # coordinates of P's basis in [L | L'], on the identity where L, L' meet
     coeffs = np.linalg.solve(np.where(apart[..., None, None], m, np.eye(4)), p)
     g = (np.swapaxes(l @ coeffs[..., :2, :], -1, -2) @ space.matrix

@@ -17,8 +17,8 @@ from ein3.oracle import (
     sample_surface,
 )
 
-from draws import (disjoint_ads_pair, random_ads_config, random_lagrangian,
-                   random_quadrilateral, random_symplectic, stem_crossing_pair)
+from draws import (disjoint_ads_pair, photon_draws, random_ads_config, random_lagrangian,
+                   random_quadrilateral, random_symplectic, stem_crossing_pairs)
 from references import intersect, min_gap, omega, photon_crossing_oracle
 
 SP = S.standard_space()
@@ -389,7 +389,7 @@ def reference_regions(surface, l, eps=C.EPS_ALG):
     photon coordinates (t, s) by least squares in (u, v), the stem by its
     stem lines, transversality to P0 and P_infinity and the Maslov index.
     Raises GeometryError where `maslov` does: a restricted form read as
-    degenerate, or |det| of the P0 and P_infinity bases <= eps."""
+    degenerate, or [P0 | P_infinity] of rank < 4 by the rank rule."""
     q = surface.quad
     regions = []
     for vertex, u, v, sign in ((surface.p_plus, q.u_plus, q.v_plus, +1),
@@ -428,12 +428,10 @@ def photon_candidates(seed, trials=1000):
     """(surface, planes) for the suite_photon_avoidance draws of a seed: the
     four planes through p meeting P+, P-, S1, S2 (incidence det[p, w, a, b]
     = 0 on orthonormal bases), and the witness when the photon meets."""
-    rng = make_rng([seed, 5])
-    done = 0
+    done, draws = 0, photon_draws(seed)
     while done < trials:
-        surface = C.CrookedSurface(random_quadrilateral(SP, rng))
-        p = rng.normal(size=4)
-        p /= np.linalg.norm(p)
+        p, surface = next(draws)
+        p = p / np.linalg.norm(p)
         if min(map(abs, C.photon_margins(p, surface))) <= 1e-6:
             continue
         done += 1
@@ -451,9 +449,7 @@ def photon_candidates(seed, trials=1000):
 def stem_only_candidates(seed, trials=200):
     """(surface, planes) for the suite_stem_only draws of a seed: every
     contact piece midpoint in both orders, against both surfaces."""
-    rng = make_rng([seed, 8])
-    for _ in range(trials):
-        c1, c2, _shared = stem_crossing_pair(SP, rng)
+    for c1, c2, _shared in stem_crossing_pairs(SP, make_rng([seed, 8]), trials):
         for c_stem, c_wing in ((c1, c2), (c2, c1)):
             planes = list(contact_planes(c_stem, c_wing))
             yield c_stem, planes

@@ -7,6 +7,8 @@ from ein3.einstein import _complement_onb, _signatures
 from ein3.linalg import (
     EPS_RANK,
     GeometryError,
+    _frame_pair_values,
+    _intersection_dims,
     _orthonormal_columns,
     _plane_frames,
     _same_spans,
@@ -84,6 +86,26 @@ def test_intersect_dimension_formula():
         b = _orthonormal_columns(rng.normal(size=(5, rng.integers(1, 4))), EPS_RANK)
         join = np.linalg.matrix_rank(np.hstack([a, b]))
         assert intersect(a, b).shape[1] + join == a.shape[1] + b.shape[1]
+
+
+def test_frame_pair_values_match_the_svd():
+    # the closed-form singular values of [A | B] against numpy's SVD, within
+    # 1e-12, and the intersection dimension against the nullspace route of
+    # `intersect`, on random 2-frames of R^4: apart, sharing a vector, and
+    # the same span (also as the same frame, where B - A A^T B is exactly 0)
+    rng = np.random.default_rng(6)
+    m, n = rng.normal(size=(2, 600, 4, 2))
+    n[200:400, :, 0] = m[200:400, :, 0]
+    n[400:] = m[400:] @ rng.normal(size=(200, 2, 2))
+    a, b = (_plane_frames(x, EPS_RANK)[0] for x in (m, n))
+    b[500:] = a[500:]
+    values, rank = _frame_pair_values(a, b, EPS_RANK)
+    want = np.linalg.svd(np.concatenate([a, b], -1), compute_uv=False)
+    assert np.abs(values - want).max() <= 1e-12
+    dims = _intersection_dims(a, b)
+    assert np.array_equal(dims, 4 - rank)
+    assert dims.tolist() == [intersect(x, y).shape[1] for x, y in zip(a, b)]
+    assert dims.tolist() == [0] * 200 + [1] * 200 + [2] * 200
 
 
 def _same_spans_by_rank(a, b):

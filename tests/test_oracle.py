@@ -1,6 +1,7 @@
 import itertools
 import re
 import warnings
+from contextlib import nullcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,9 +15,9 @@ from ein3 import symplectic as S
 from ein3.linalg import (EPS_RANK, GeometryError, _orthonormal_columns, _raise_first,
                          projective_normalize)
 
-from draws import (disjoint_ads_pair, random_ads_config, random_lagrangian,
+from draws import (disjoint_ads_pair, photon_draws, random_ads_config, random_lagrangian,
                    random_quadrilateral, random_splitting, random_symplectic,
-                   random_unit_spacelike, stem_crossing_pair)
+                   random_unit_spacelike, stem_crossing_pair, stem_crossing_pairs)
 from references import (bivector_to_plane, classify_point, classify_tori, eta, inner,
                         lagrangian_point, min_gap, omega, omega0, photon_crossing_oracle,
                         plane_intersection_dim, probe_intersection_type, torus_normal,
@@ -223,18 +224,19 @@ def _called_a_scalar_check(*args):
 def test_each_draw_validates_one_quadrilateral_per_surface(monkeypatch):
     # the stacked suites check every candidate of a block in trial order,
     # from one call of the stacked kernel per `_surface_checks`, never by
-    # the scalar closed forms
+    # the scalar closed forms; photon-avoidance's screen reads the check of
+    # a failing candidate only, and none fails at this seed
     blocks, kernel_rows = [], []
     surface_checks, kernel = O._surface_checks, C._surface_check_rows
 
     def recorded(space, rows):
-        checked, check = [], surface_checks(space, rows)
+        checked, (failed, check) = [], surface_checks(space, rows)
         blocks.append((len(rows), rows.reshape(len(rows), -1, 4, 4).shape[1], checked))
 
         def recorded_check(i):
             checked.append(i)
             check(i)
-        return recorded_check
+        return failed, recorded_check
 
     def counted(rows, *args):
         kernel_rows.append(rows.shape[:2])
@@ -244,14 +246,15 @@ def test_each_draw_validates_one_quadrilateral_per_surface(monkeypatch):
     monkeypatch.setattr(C, "_surface_check_rows", counted)
     for name in ("_check_quadrilateral", "_check_planes"):
         monkeypatch.setattr(C, name, _called_a_scalar_check)
-    for suite, trials, per_trial, candidates in (
-            (O.suite_photon_avoidance, 30, 1, lambda n: n >= 30),
-            (O.suite_stem_only, 30, 2, lambda n: n == 30),
-            (O.suite_surface_disjointness, 6, 2, lambda n: n == 12)):
+    for suite, trials, per_trial, candidates, every in (
+            (O.suite_photon_avoidance, 30, 1, lambda n: n >= 30, False),
+            (O.suite_stem_only, 30, 2, lambda n: n == 30, True),
+            (O.suite_surface_disjointness, 6, 2, lambda n: n == 12, True)):
         blocks.clear()
         kernel_rows.clear()
         assert suite(trials=trials, seed=7)["failures"] == []
-        assert all(per == per_trial and checked == list(range(n)) for n, per, checked in blocks)
+        assert all(per == per_trial and checked == list(range(n if every else 0))
+                   for n, per, checked in blocks)
         assert kernel_rows == [(n, per) for n, per, _ in blocks], suite.__name__
         assert candidates(sum(n for n, *_ in blocks)), suite.__name__
 
@@ -268,7 +271,9 @@ def _scalar_surface_checks(rows):
 def test_closed_form_frames_call_no_lapack(monkeypatch):
     # eta-bridge, symplectic-identities and maslov-bridge take their 2-plane
     # frames of R^4 in closed form, with no `svd` of a (..., 4, 2) stack,
-    # and `_torus_frame` calls neither `svd` nor `eigh`
+    # `_torus_frame` calls neither `svd` nor `eigh`, and photon-avoidance's
+    # `_second_generators` and symplectic-identities' `_intersection_dims`
+    # call no `svd` at all
     calls = []
 
     def counted(name, call):
@@ -284,6 +289,22 @@ def test_closed_form_frames_call_no_lapack(monkeypatch):
     for suite in (O.suite_eta_bridge, O.suite_symplectic_identities, O.suite_maslov_bridge):
         assert suite(trials=20, seed=7)["failures"] == []
     assert calls and ("svd", (4, 2)) not in calls
+    inside = []
+
+    def watched(name, call):
+        def wrapped(*args, **kwargs):
+            start = len(calls)
+            out = call(*args, **kwargs)
+            inside.append((name, calls[start:]))
+            return out
+        return wrapped
+
+    for name in ("_second_generators", "_intersection_dims"):
+        monkeypatch.setattr(O, name, watched(name, getattr(O, name)))
+    for suite in (O.suite_photon_avoidance, O.suite_symplectic_identities):
+        assert suite(trials=20, seed=7)["failures"] == []
+    assert {name for name, _ in inside} == {"_second_generators", "_intersection_dims"}
+    assert all(made == [] for _, made in inside)
 
 
 def test_surface_checks_raise_the_first_failure_in_trial_order():
@@ -300,7 +321,8 @@ def test_surface_checks_raise_the_first_failure_in_trial_order():
     assert want[3].startswith("quadrilateral products violated: omega(u+, v-) - 1 off by")
     assert want[5] == want[7] == "vertex P+ is not Lagrangian"
     assert want.count(None) == 7
-    check = O._surface_checks(SP, rows)
+    failed, check = O._surface_checks(SP, rows)
+    assert failed.tolist() == [w is not None for w in want]
     assert [_outcome(check, i) for i in range(10)] == want
     checked = []
     with pytest.raises(GeometryError, match=f"^{re.escape(want[3])}$"):
@@ -321,10 +343,10 @@ def test_probe_kinds_and_draws_are_pinned():
         E.EinsteinTorus([1, 0, 0, 0, 0]), E.EinsteinTorus([1, 0, 0, 1, 0]),
         32, rng).name)
     t, s, p = "TIMELIKE_CIRCLE", "SPACELIKE_CIRCLE", "PHOTON_PAIR"
-    assert kinds == [t, t, s, t, t, s, s, s, t, t, s, p]
+    assert kinds == [s, t, s, s, t, s, s, t, t, t, s, p]
     # the probe draws n numbers for every kind, so the stream after it is
     # fixed
-    assert rng.uniform().hex() == "0x1.b9360e88a74d0p-4"
+    assert rng.uniform().hex() == "0x1.3c22d7c327218p-4"
 
 
 class _ParallelRng:
@@ -354,13 +376,14 @@ def test_disjoint_ads_pair_rejection_is_bounded():
 
 @pytest.mark.parametrize("suite", [O.suite_torus_trichotomy, O.suite_surface_disjointness])
 def test_suites_stop_at_the_shared_budget(monkeypatch, suite):
-    # no candidate passes: the suite gives up in `_blocks`, one normal draw
-    # per candidate, after ATTEMPTS_PER_TRIAL candidates a trial
+    # no candidate passes: the suite gives up in `_blocks` after
+    # ATTEMPTS_PER_TRIAL candidates a trial, its one chunk of 50 candidates
+    # drawn by one normal call
     rng = _ParallelRng()
     monkeypatch.setattr(O, "make_rng", lambda seed: rng)
     with pytest.raises(O.RetryExhausted, match="fewer than 5 accepted trials in 50 attempts"):
         suite(trials=5, seed=7)
-    assert rng.normals == 50
+    assert rng.normals == 1
 
 
 def _scalar_ads_pair(z):
@@ -516,9 +539,7 @@ def test_stem_wing_contact_misses_disjoint_surfaces():
 def test_stem_only_contacts_are_timelike_and_on_a_wing_photon():
     # the contacts of the stem-only suite, checked by Maslov index and
     # subspace intersection rather than by the membership predicates
-    rng = O.make_rng([7, 8])
-    for _ in range(200):
-        c1, c2, _shared = stem_crossing_pair(SP, rng)
+    for c1, c2, _shared in stem_crossing_pairs(SP, O.make_rng([7, 8]), 200):
         x1, x2, hit = O._stem_wing_contacts(
             *(np.array([c.quad.columns for c in order]) for order in ((c1, c2), (c2, c1))))
         c_stem, c_wing = (c1, c2) if hit[0] else (c2, c1)
@@ -564,7 +585,8 @@ def test_pair_draws_read_no_membership_predicate(monkeypatch):
             patch.setattr(C, name, _predicate_side_rule)
         rngs = [O.make_rng(seed) for seed in range(1, 6)]
         stem = [stem_crossing_pair(SP, rng) for rng in rngs]
-        rows, shared = O._intersecting_rows(SP, [O._intersecting_draw(rng) for rng in rngs])
+        rows, shared = O._intersecting_rows(SP, *map(np.concatenate, zip(
+            *(O._intersecting_draw(rng, 1) for rng in rngs))))
     for c1, c2, l in stem:
         assert _stem_contains(c1, l) and _stem_contains(c2, l)
     for (r1, r2), onb in zip(rows, shared):
@@ -978,70 +1000,145 @@ def _constant_oracle(hit):
     return crossings
 
 
-def _drop_none(records):
-    return [r for r in records if r is not None]
+def _numbered(chunks):
+    """A draw of `_blocks` whose candidates are their own numbers, one
+    array a chunk; each chunk's (first, k) is appended to chunks."""
+    def draw(first, k):
+        chunks.append((first, k))
+        return np.arange(first, first + k),
+    return draw
+
+
+def _keeping_where(rule):
+    """A screen of `_numbered` candidates that keeps those where rule holds."""
+    return lambda chunk: O._keeping(rule(chunk[0]), *chunk)
 
 
 def test_blocks_spend_a_bounded_budget():
     assert list(O._blocks(0, None)) == []
-    drawn = []
-
-    def every_third():
-        drawn.append(len(drawn))
-        return drawn[-1] if len(drawn) % 3 == 0 else None
-
-    # 3 trials need 9 candidates of the 30 the budget allows; the screen
-    # drops the skipped (None) ones
-    assert list(O._blocks(3, every_third, _drop_none)) == [(1, [2, 5, 8])]
-    assert len(drawn) == 9
-    drawn.clear()
+    chunks = []
+    draw = _numbered(chunks)
+    # 3 trials draw one chunk of the whole budget of 30 candidates, and the
+    # screen drops those it skips
+    assert [(first, block[0].tolist()) for first, block in O._blocks(
+        3, draw, _keeping_where(lambda c: c % 3 == 2))] == [(1, [2, 5, 8])]
+    assert chunks == [(0, 30)]
+    chunks.clear()
     with pytest.raises(O.RetryExhausted, match="fewer than 4 accepted trials in 40 attempts"):
-        list(O._blocks(4, lambda: drawn.append(None), _drop_none))  # skips every candidate
-    assert len(drawn) == 40
-    # the default screen keeps every record
-    assert list(O._blocks(3, lambda: None)) == [(1, [None] * 3)]
+        list(O._blocks(4, draw, _keeping_where(lambda c: c < 0)))  # skips every candidate
+    assert chunks == [(0, 40)]
+    chunks.clear()
+    with pytest.raises(O.RetryExhausted, match="fewer than 20 accepted trials in 200 attempts"):
+        list(O._blocks(20, draw, _keeping_where(lambda c: c < 0)))
+    assert chunks == [(0, O._ORACLE_BLOCK), (O._ORACLE_BLOCK, 200 - O._ORACLE_BLOCK)]
+    # the default screen keeps every candidate
+    assert [(first, block[0].tolist()) for first, block in O._blocks(3, draw)] == [(1, [0, 1, 2])]
 
 
-def test_screened_blocks_draw_no_candidate_past_the_last_trial():
-    drawn, chunks = [], []
+@pytest.mark.parametrize("trials", [1, 3, 13, 40, 200])
+def test_blocks_give_up_exactly_when_the_budget_keeps_too_few(trials):
+    # over keep patterns about the one-in-ten rate, and one that keeps one
+    # too few and one just enough within the budget (the last at its last
+    # candidate): the budget message exactly when the first
+    # ATTEMPTS_PER_TRIAL * trials candidates keep fewer than trials, else
+    # the first trials kept candidates
+    limit = O.ATTEMPTS_PER_TRIAL * trials
+    rng = np.random.default_rng(trials)
+    patterns = [rng.random(limit + 2 * O._ORACLE_BLOCK) < rate
+                for rate in (0.05, 0.09, 0.1, 0.1, 0.11, 0.15, 0.5)]
+    for last in (False, True):
+        keep = np.ones(limit + 2 * O._ORACLE_BLOCK, bool)
+        keep[:limit] = False
+        keep[rng.choice(limit - 1, trials - 1, replace=False)] = True
+        keep[limit - 1] = last
+        patterns.append(keep)
+    outcomes = set()
+    for keep in patterns:
+        blocks = O._blocks(trials, _numbered([]), _keeping_where(lambda c: keep[c]))
+        short = bool(keep[:limit].sum() < trials)
+        outcomes.add(short)
+        if short:
+            with pytest.raises(O.RetryExhausted,
+                               match=f"^fewer than {trials} accepted trials in {limit} attempts$"):
+                list(blocks)
+        else:
+            got = np.concatenate([block[0] for _, block in blocks])
+            assert got.tolist() == np.flatnonzero(keep)[:trials].tolist()
+    assert outcomes == {True, False}
 
-    def draw():
-        drawn.append(len(drawn))
-        return drawn[-1] if drawn[-1] % 3 else None  # every third skipped
 
-    def screen(records):
-        chunks.append(len(records))
-        return _drop_none(records)
-
-    blocks = list(O._blocks(300, draw, screen))
-    # the candidates a trial-by-trial loop keeps, and no more drawn
+def test_screened_blocks_draw_whole_chunks_in_candidate_order():
+    chunks = []
+    blocks = list(O._blocks(300, _numbered(chunks), _keeping_where(lambda c: c % 3 != 0)))
+    # the candidates a trial-by-trial loop keeps, in full blocks but the last
     kept = [r for r in range(1000) if r % 3][:300]
-    assert [r for _, block in blocks for r in block] == kept
-    assert len(drawn) == kept[-1] + 1 == sum(chunks)
-    assert [(first, len(block)) for first, block in blocks] == [(1, 128), (129, 128), (257, 44)]
-    assert chunks[0] == 128 and max(chunks) <= 128
-    drawn.clear()
-    assert list(O._blocks(300, draw, _drop_none)) == blocks and len(drawn) == kept[-1] + 1
-    drawn.clear()
-    with pytest.raises(O.RetryExhausted, match="fewer than 4 accepted trials in 40 attempts"):
-        list(O._blocks(4, draw, lambda records: []))  # skips every candidate
-    assert len(drawn) == 40
+    assert [r for _, block in blocks for r in block[0].tolist()] == kept
+    assert [(first, len(block[0])) for first, block in blocks] == [(1, 128), (129, 128), (257, 44)]
+    # whole chunks of _ORACLE_BLOCK, up to the one that holds the last trial
+    assert chunks == [(first, O._ORACLE_BLOCK) for first in range(0, kept[-1] + 1, O._ORACLE_BLOCK)]
 
 
-def test_blocks_cut_a_screen_that_keeps_several_records_a_candidate():
-    # three records a candidate: each chunk's records are cut to the trials
-    # its block lacks, the rest dropped with their candidates
-    drawn = []
+def test_blocks_carry_what_a_screen_keeps_past_a_block():
+    # three records a candidate, (candidate, j), from one chunk: the records
+    # past a full block come first in the next, and no candidate is dropped
+    chunks = []
 
-    def draw():
-        drawn.append(len(drawn))
-        return drawn[-1]
+    def screen(chunk):
+        c = chunk[0]
+        return np.ones((len(c), 3), bool), (np.repeat(c, 3), np.tile(np.arange(3), len(c))), None
 
-    blocks = list(O._blocks(300, draw, lambda chunk: [(r, j) for r in chunk for j in range(3)]))
-    assert [(first, len(block)) for first, block in blocks] == [(1, 128), (129, 128), (257, 44)]
-    assert blocks[0][1] == [(r, j) for r in range(43) for j in range(3)][:128]
-    assert blocks[1][1][0] == (128, 0) and blocks[2][1][0] == (256, 0)
-    assert len(drawn) == 300
+    blocks = list(O._blocks(300, _numbered(chunks), screen))
+    assert [(first, len(block[0])) for first, block in blocks] == [(1, 128), (129, 128), (257, 44)]
+    records = [(r, j) for r in range(100) for j in range(3)]
+    assert [list(zip(*(a.tolist() for a in block))) for _, block in blocks] == [
+        records[:128], records[128:256], records[256:300]]
+    assert chunks == [(0, O._ORACLE_BLOCK)]
+
+
+@pytest.mark.parametrize("trials", [13, 40, 130, 300])
+def test_blocks_of_fewer_trials_are_a_prefix(trials):
+    # with whole chunks of _ORACLE_BLOCK from the first on (10 trials >=
+    # 128 candidates), trials=T yields the first T records of trials=2T,
+    # for a draw of two rng calls a chunk
+    def records(n):
+        rng = np.random.default_rng(5)
+
+        def draw(first, k):
+            return rng.normal(size=k), rng.uniform(size=(k, 2))
+
+        blocks = O._blocks(n, draw, lambda c: O._keeping(c[0] > 0.5, *c))
+        return [np.concatenate(a) for a in zip(*(block for _, block in blocks))]
+
+    few, many = records(trials), records(2 * trials)
+    assert len(few[0]) == trials and len(many[0]) == 2 * trials
+    assert all(np.array_equal(a, b[:trials]) for a, b in zip(few, many))
+
+
+@pytest.mark.parametrize("trials, bad, raises, yielded", [
+    (5, [9], "candidate 9", 0), (5, [10, 4], "candidate 4", 0), (5, [10], None, 1),
+    (200, [255], "candidate 255", 0), (200, [300, 270], "candidate 270", 1),
+    (200, [399], "candidate 399", 1), (200, [400], None, 2)])
+def test_blocks_read_a_screen_check_up_to_the_last_candidate_consumed(trials, bad, raises,
+                                                                     yielded):
+    # odd candidates are kept, and the check fails at the bad ones: the first
+    # bad candidate in candidate order raises, if at or before the last one
+    # consumed (5 trials: candidate 9; 200 trials: 255 ends the first block,
+    # 399 the second), after the blocks before it
+    def screen(chunk):
+        c = chunk[0]
+
+        def check(stop):
+            for i in c[:stop].tolist():
+                if i in bad:
+                    raise GeometryError(f"candidate {i}")
+
+        return c % 2 == 1, (c[c % 2 == 1],), check
+
+    got = []
+    with pytest.raises(GeometryError, match=f"^{raises}$") if raises else nullcontext():
+        for _, block in O._blocks(trials, _numbered([]), screen):
+            got.append(block)
+    assert len(got) == yielded
 
 
 def test_photon_suite_reports_a_blind_or_a_seeing_oracle_in_trial_order(monkeypatch):
@@ -1102,11 +1199,11 @@ def test_min_gap_equals_the_clipped_maximum():
 # the max_violation of torus-trichotomy, eta-bridge and surface-disjointness
 # as the closed-form torus and plane frames and bilinear clouds round it
 _STACKED_SUITE_SHA256 = {
-    "torus-trichotomy": "1d977929925f00bb494e2b52898991a8d8e0fb38558262ee45952bff28db87bc",
-    "eta-bridge": "fd40e60c0ce3b5651cf6410a21d06368807d9fda80ce6f224ba5b4f25dd64e0b",
+    "torus-trichotomy": "a25b4fa5bd2facaec0920cf2d191dc0bcba904c4fc0421c9ab24b2fd04e468f6",
+    "eta-bridge": "fbe4bd31dd20179eb96ba01cc1723b6f8e427ec5391f5531dede869ececfe6d1",
     "symplectic-identities": "a07f62ce823414a16306abca8118ab26880524b445dfe6c2f6e08f4e99504f21",
     "maslov-bridge": "aba5054fe7d90dcec6b8c4951e908dbf685f6314e4b2c4e69b27e5af994982fc",
-    "surface-disjointness": "ce879c71a6d5063c7b7023830e2b367178dc3b48756caa712802a15e839deaa6",
+    "surface-disjointness": "dd080d9483fcd6d2b844860567048355a49c6d97f263206396c2059fdc8084ee",
 }
 
 
@@ -1155,7 +1252,7 @@ def test_torus_trichotomy_validates_each_normal_once():
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        report = O.suite_torus_trichotomy(trials=50, seed=7)
+        report = O.suite_torus_trichotomy(trials=130, seed=7)
     finally:
         sys.setprofile(previous)
     assert report["failures"] == []
@@ -1202,10 +1299,12 @@ def test_eta_bridge_reads_no_kind_of_a_torus_in_the_null_band():
 
 def _reference_maslov(space, l, p, lp, eps=1e-9):
     """`maslov` as it was written per triple, kept as the reference of the
-    stacked `_maslov_rows`."""
+    stacked `_maslov_rows`, transversality by the rank rule of `_singular`
+    on the SVD of [L | L']."""
     from ein3.linalg import inertia
     m = np.hstack([l.onb, lp.onb])
-    if abs(np.linalg.det(m)) <= eps:
+    values = np.linalg.svd(m, compute_uv=False)
+    if values[-1] <= eps * max(1.0, values[0]):
         raise GeometryError("L and L' are not transverse")
     coeffs = np.linalg.solve(m, p.onb)
     g = (l.onb @ coeffs[:2]).T @ space.matrix @ (lp.onb @ coeffs[2:])
@@ -1295,14 +1394,14 @@ def test_stacked_maslov_and_causal_kernels_match_the_per_trial_reference():
 # the max_violation of the first three as the closed-form frames and clouds
 # round it
 _CROSS_BLOCK_SHA256 = {
-    "torus-trichotomy": "f9fbfe83cc349ffd10badbb7bf688c626e78f186f9ee438b916b8c85e7861299",
-    "eta-bridge": "ca89a4754dbefeb46eca7a7a3858ae296689fbaa99da7400992d4ddd02c0971b",
+    "torus-trichotomy": "8d975c1d7797a9fbcdafbf700f5d9a623c649807ca21cafdf57f1766771ed5b6",
+    "eta-bridge": "ccb63f8dee438b41d0720b0fbaa727b7daa29951ae9606f584709fbc9e6140ea",
     "symplectic-identities": "7032344e460037d4bf9f601d5c389daebdf2e466db89b09098fdbc6b1f62cb12",
     "maslov-bridge": "5d816ecdafae0eb47871355429c9abb8a5425cfa9bb674eb538a6e805c96f50a",
-    "photon-avoidance": "461ec6f09a945382257c0a5e8e36164973ad8d22aa6f54211865a0915a30e74b",
-    "surface-disjointness": "d8e212ba3912a6d3081d77a71e622a9aea391ad22d78d451f7d5e4a75972369e",
-    "stem-only": "a1903557c25a360da739d70c009b2764bcbba7bf1fe72165350ce9f29886b815",
-    "ads-equivalence": "52136e36c1cec0772e680824061b083b7c6937c3f566dc11ba95805e0f0ce147",
+    "photon-avoidance": "ad89fa82dc1b93e83ecface888b9132e89b23ecd42deff6b071455eaab4973f3",
+    "surface-disjointness": "5392ca8a888f5d8160f7b9a61f00d12e51260477bf3643ad252d23b7bc2d0baf",
+    "stem-only": "b8491de5a1eb84fbc0e4580855260bdec012245ffcda221a406821004085ef7e",
+    "ads-equivalence": "76d790ed7d355d10221ebb290a3913a173e2499ae94aee2ce33d330d40c67858",
 }
 
 
@@ -1318,8 +1417,8 @@ def test_suites_keep_their_report_bytes_across_a_block(name):
 # [] and 0.0 whatever it draws, and symplectic-identities' report pins do
 # not see its Maslov/graph draws
 _DRAW_SHA256 = {
-    "maslov-bridge": "bb1b5b33eb19babe8c439ad617c69df4013a4825c5d90ab85e2166bfdbc21edd",
-    "symplectic-identities": "b13992df92be607c9f82173a01016d6f79d5e038882422fc0219bc54ab4a2f65",
+    "maslov-bridge": "32836fe3fbf52d8e0ff42a271b29303d5ca736a27ba14404968f420398a98da6",
+    "symplectic-identities": "80dc94dc12782918bc0eb15df374c04d4036da7719350d165381a61a901873ba",
 }
 
 
@@ -1344,7 +1443,7 @@ def test_suites_keep_their_draws(monkeypatch, name):
     def recorded(*args):
         for first, block in blocks(*args):
             digest.update(str(first).encode())
-            for record in block:
+            for record in zip(*block):
                 for a in record:
                     digest.update(np.ascontiguousarray(a, float).tobytes())
             yield first, block
@@ -1509,8 +1608,9 @@ def _corrupt_ads_records(monkeypatch, corrupt):
 
     def corrupted(trials, draw, screen):
         for first, block in blocks(trials, draw, screen):
-            yield first, [corrupt(k, units.copy(), f.copy())
-                          for k, (units, f) in enumerate(block, first)]
+            records = [corrupt(k, units.copy(), f.copy())
+                       for k, (units, f) in enumerate(zip(*block), first)]
+            yield first, tuple(map(np.array, zip(*records)))
 
     monkeypatch.setattr(O, "_blocks", corrupted)
 
@@ -1695,7 +1795,7 @@ class _Replay:
         return self.outputs.pop(0)
 
     def integers(self, low, high, size):
-        assert (low, high) == (0, 2) and self.outputs[0].shape == (size,)
+        assert (low, high) == (0, 2) and self.outputs[0].shape == size
         return self.outputs.pop(0)
 
 
@@ -1715,14 +1815,14 @@ def test_cloud_draws_are_the_draws_of_uniform():
 def test_stacked_clouds_equal_sample_surface(monkeypatch, seed):
     # every sub-block of clouds that surface-disjointness builds at this
     # seed: each surface's points against `sample_surface` of that surface
-    # replaying its rng outputs, bit for bit, and each pair's gap against
-    # `min_gap` of the two clouds
+    # replaying its rows of the sub-block's rng outputs, bit for bit, and
+    # each pair's gap against `min_gap` of the two clouds
     calls, gaps, cloud, pair_gap = [], [], O._surface_cloud, O._gap
-    outputs, cloud_draws = [], O._cloud_draws  # the rng outputs of each surface
+    outputs, cloud_draws = [], O._cloud_draws  # the rng outputs of each sub-block
 
-    def recorded_draws(rng, n):
+    def recorded_draws(rng, n, shape):
         outputs.append([])
-        return cloud_draws(_Recording(rng, outputs[-1]), n)
+        return cloud_draws(_Recording(rng, outputs[-1]), n, shape)
 
     monkeypatch.setattr(O, "_cloud_draws", recorded_draws)
     monkeypatch.setattr(O, "_surface_cloud",
@@ -1731,13 +1831,14 @@ def test_stacked_clouds_equal_sample_surface(monkeypatch, seed):
     assert O.suite_surface_disjointness(trials=130, seed=seed)["failures"] == []
     monkeypatch.undo()
     assert [len(columns) for (_, columns, _), _ in calls] == [O._CLOUD_PAIRS] * 8 + [2]
-    assert all(len(made) == 3 for made in outputs)  # three rng calls a surface
-    gaps, outputs = iter(gaps), iter(outputs)
-    for (space, columns, draws), points in calls:
+    assert len(outputs) == len(calls)
+    assert all(len(made) == 3 for made in outputs)  # three rng calls a sub-block
+    gaps = iter(gaps)
+    for ((space, columns, draws), points), made in zip(calls, outputs):
         for i, pair in enumerate(columns):
             clouds = [O.sample_surface(C.CrookedSurface(C.LightlikeQuadrilateral(space, *q.T)),
-                                       320, _Replay(next(outputs)))
-                      for q in pair]
+                                       320, _Replay([out[i, j] for out in made]))
+                      for j, q in enumerate(pair)]
             for got, want in zip(points[i], clouds):
                 assert np.array_equal(projective_normalize(got), want.points)
             assert next(gaps) == min_gap(*clouds)
@@ -1769,9 +1870,9 @@ def test_surface_clouds_are_the_wedges_of_the_generators(space):
 def test_disjoint_pairs_are_the_passes_of_their_candidates_in_order(monkeypatch, seed):
     # surface-disjointness' draw stage at this seed: each `_ads_arrays`
     # call takes the rows of a chunk's candidates, _ADS_ROWS a candidate,
-    # and a block's pairs are every pass of its calls (all four margins
-    # above 1e-2) in draw order, the last call's cut to what the block
-    # lacks; the first block's rows are the first of the suite's stream
+    # and the blocks' pairs are the first passes of its calls (all four
+    # margins above 1e-2) in draw order; the first call's rows are the first
+    # of the suite's stream
     calls, blocks, arrays, blocks_of = [], [], O._ads_arrays, O._blocks
 
     def recorded_blocks(*args):
@@ -1782,23 +1883,19 @@ def test_disjoint_pairs_are_the_passes_of_their_candidates_in_order(monkeypatch,
     monkeypatch.setattr(O, "_ads_arrays", lambda z: calls.append((z, arrays(z))) or calls[-1][1])
     monkeypatch.setattr(O, "_blocks", recorded_blocks)
     O.suite_surface_disjointness(trials=200, seed=seed)
-    assert [len(block) for block in blocks[:2]] == [128, 72]
-    calls = iter(calls)
-    for k, block in enumerate(blocks[:2]):
-        rows, pairs = [], []
-        while len(pairs) < len(block):
-            z, (units, f, margins) = next(calls)
-            assert len(z) % O._ADS_ROWS == 0
-            passed = margins.min(axis=(1, 2)) > 1e-2
-            rows.append(z)
-            pairs += zip(units[passed], f[passed])
-        assert len(pairs) - len(block) < passed.sum()
-        for (units, f), (want_units, want_f) in zip(block, pairs):
-            assert np.array_equal(units, want_units) and np.array_equal(f, want_f)
-        if k == 0:
-            rows = np.concatenate(rows)
-            assert np.array_equal(rows, O.make_rng([seed, 6]).normal(size=rows.shape))
-    assert next(calls, None) is None
+    assert [len(block[0]) for block in blocks[:2]] == [128, 72]
+    rows, pairs = [], []
+    for z, (units, f, margins) in calls:
+        assert len(z) % O._ADS_ROWS == 0
+        passed = margins.min(axis=(1, 2)) > 1e-2
+        rows.append(z)
+        pairs += zip(units[passed], f[passed])
+    # the last call is the one the blocks need
+    assert len(pairs) - 200 < passed.sum()
+    for (units, f), (want_units, want_f) in zip(
+            (r for block in blocks[:2] for r in zip(*block)), pairs):
+        assert np.array_equal(units, want_units) and np.array_equal(f, want_f)
+    assert np.array_equal(rows[0], O.make_rng([seed, 6]).normal(size=rows[0].shape))
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -1807,12 +1904,10 @@ def test_stacked_witness_matches_the_per_trial_reference(seed):
     # the stacked witness, its residual and its region against
     # `find_crossing_lagrangian`, the per-trial residual and
     # `surface_contains`
-    rng = O.make_rng([seed, 5])
-    draws = []
+    draws, candidates = [], photon_draws(seed)
     while len(draws) < 1000:
-        surface = C.CrookedSurface(random_quadrilateral(SP, rng))
-        p = rng.normal(size=4)
-        p /= np.linalg.norm(p)
+        p, surface = next(candidates)
+        p = p / np.linalg.norm(p)
         if min(map(abs, C.photon_margins(p, surface))) > 1e-6:
             draws.append((p, surface))
     meeting = [(p, s) for p, s in draws if not C.photon_disjoint(p, s)]
@@ -1867,8 +1962,7 @@ def _reference_stem_wing_contact(c_stem, c_wing):
 def test_stacked_contact_matches_the_per_trial_reference(seed):
     # every pair the stem-only suite draws at this seed, in both orders:
     # the stacked contact's generators and plane against the per-pair ones
-    rng = O.make_rng([seed, 8])
-    pairs = [stem_crossing_pair(SP, rng)[:2] for _ in range(200)]
+    pairs = [pair[:2] for pair in stem_crossing_pairs(SP, O.make_rng([seed, 8]), 200)]
     orders = [(c1, c2) for c1, c2 in pairs] + [(c2, c1) for c1, c2 in pairs]
     x1, x2, hit = O._stem_wing_contacts(*(np.array([c.quad.columns for c in cs])
                                           for cs in zip(*orders)))

@@ -203,6 +203,37 @@ def test_maslov_examples():
         S.maslov(SP, L12, pp, P13)  # not Lagrangian
 
 
+# rows (u+, u-, v+, v-) of a valid lightlike quadrilateral of cond(Q) 1.9e6, a
+# draw of a symplectic generator of scale 8 (`oracle._random_rows`)
+_STIFF_QUAD = [
+    ["0x1.b8a312e9edfdfp+7", "-0x1.59f2589f89cc5p+7", "-0x1.f976fef135855p+7", "0x1.91e6bd9ae1f21p+9"],
+    ["0x1.34eeacd6b36e9p+6", "-0x1.428a4ae6022e3p+5", "-0x1.4d6f047e1bde1p+6", "0x1.840d0d687db98p+7"],
+    ["-0x1.07ba2c9d7c138p+8", "0x1.86c3527e6735ap+6", "0x1.126052d18e878p+8", "-0x1.e9d2b73029f45p+8"],
+    ["-0x1.839826600f05cp+7", "0x1.4c55632caa204p+7", "0x1.c3d364891d4fcp+7", "-0x1.7fcb5279f68dap+9"]]
+
+
+def test_maslov_reads_transversality_by_the_rank_rule():
+    # P0 and P_inf of a valid surface: [P0 | P_inf] has det 2.4e-10, below
+    # EPS_RANK, where an absolute det test read them as meeting, but least
+    # singular value 8.0e-7, so rank 4 by `_singular`'s rule; `maslov` of a
+    # stem point between them is -2, and the closed-form singular values of
+    # `_frame_pair_values` are the SVD's
+    from ein3 import crooked as C
+    from ein3.linalg import EPS_RANK, _frame_pair_values, _intersection_dims
+    from ein3.oracle import _stem_generators
+
+    rows = np.array([[float.fromhex(x) for x in row] for row in _STIFF_QUAD])
+    surface = C.CrookedSurface(C.LightlikeQuadrilateral(SP, *rows))
+    p0, pinf = surface.p_zero.onb, surface.p_inf.onb
+    want = np.linalg.svd(np.hstack([p0, pinf]), compute_uv=False)
+    assert abs(np.linalg.det(np.hstack([p0, pinf]))) < EPS_RANK < 1e-7 < want[-1] < 1e-6
+    values, rank = _frame_pair_values(p0, pinf, EPS_RANK)
+    assert rank == 4 and _intersection_dims(p0, pinf) == 0
+    assert np.allclose(values, want, rtol=1e-6, atol=0.0)
+    stem = plane(*_stem_generators(surface.quad.columns, 1, 0.7, 0.8))
+    assert S.maslov(SP, surface.p_zero, stem, surface.p_inf) == -2
+
+
 def test_maslov_antisymmetric_random():
     rng = make_rng(7)
     count = 0
