@@ -233,12 +233,13 @@ def _quad_regions(columns, bases, eps):
     -p01 p12 are t s times a square (p01 p03 and -p12 p23 on wing-), so
     their sum has the sign of t s, and is 0 on the vertex.  The stem is
     transverse to P0 and P_infinity with Maslov index +/-2: p01 p23 < 0.
-    Bases with more leading axes than columns (n, 4, 4), (n, j..., 4, 2), are
-    solved for in one solve a quadrilateral, the axes j... folded into the
-    columns of the right-hand side.
+    Bases with more leading axes than a stack of columns (n, 4, 4), (n, j...,
+    4, 2), are solved for in one solve a quadrilateral, the axes j... folded
+    into the columns of the right-hand side (for one quadrilateral the
+    reshaping costs more than it saves).
     """
     lead = columns.ndim - 2
-    if bases.ndim - 2 > lead and bases.shape[:lead] == columns.shape[:-2]:
+    if lead and bases.ndim - 2 > lead and bases.shape[:lead] == columns.shape[:-2]:
         rhs = np.moveaxis(bases, -2, lead)
         k = np.moveaxis(np.linalg.solve(columns, rhs.reshape(*rhs.shape[:lead + 1], -1)).reshape(
             rhs.shape), lead, -2)
