@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ein3.linalg import EPS_ALG, GeometryError, _raise_first, as_rows, as_vector
+from ein3.linalg import EPS_ALG, GeometryError, _NON_FINITE, _raise_first, as_rows, as_vector
 from ein3.symplectic import SympSpace
 from ein3.crooked import LightlikeQuadrilateral
 
@@ -53,9 +53,16 @@ def as_sl2(m, eps=EPS_ALG):
     if m.shape != (2, 2):
         raise GeometryError("an AdS point is a 2x2 matrix")
     if not np.isfinite(m).all():
-        raise GeometryError("an AdS point needs finite entries")
+        raise GeometryError(_NON_FINITE_POINT)
     _check_sl2(m.tolist(), eps)
     return m
+
+
+# the messages of the plane checks, shared by their scalar and stacked forms
+_NON_FINITE_POINT = "an AdS point needs finite entries"
+_TOO_LARGE = "entries up to {!r} are too large to test det = 1"
+_NOT_SL2 = "matrix must have determinant 1, got {!r}"
+_DEPENDENT = "direction vectors must be independent"
 
 
 def _check_sl2(m, eps):
@@ -65,10 +72,10 @@ def _check_sl2(m, eps):
     scale = max(abs(a), abs(b), abs(c), abs(d))
     tol = eps * max(1.0, scale * scale)
     if not math.isfinite(tol):
-        raise GeometryError(f"entries up to {scale!r} are too large to test det = 1")
+        raise GeometryError(_TOO_LARGE.format(scale))
     det = a * d - b * c
     if abs(det - 1.0) > tol:
-        raise GeometryError(f"matrix must have determinant 1, got {np.float64(det)!r}")
+        raise GeometryError(_NOT_SL2.format(np.float64(det)))
 
 
 @dataclass
@@ -95,7 +102,25 @@ def _check_independent(a, b):
     (a0, a1), (b0, b1) = a, b
     if abs(a0 * b1 - a1 * b0) <= EPS_ALG * math.sqrt(a0 * a0 + a1 * a1) \
             * math.sqrt(b0 * b0 + b1 * b1):
-        raise GeometryError("direction vectors must be independent")
+        raise GeometryError(_DEPENDENT)
+
+
+def _plane_check_rows(bases, directions):
+    """The checks of `AdsCrookedPlane` over stacked bases (..., 2, 2) and
+    directions (..., 2, 2), rows (a, b), for `_raise_first`, in its order:
+    `as_sl2`'s finiteness and `_check_sl2`, the directions' finiteness
+    (`as_rows`), then `_check_independent`, with their float operations."""
+    (a0, a1), (b0, b1) = np.moveaxis(directions, (-2, -1), (0, 1))
+    with np.errstate(all="ignore"):
+        scale = abs(bases).max(axis=(-2, -1))
+        tol = EPS_ALG * np.maximum(1.0, scale * scale)
+        det = bases[..., 0, 0] * bases[..., 1, 1] - bases[..., 0, 1] * bases[..., 1, 0]
+        return [(~np.isfinite(bases).all(axis=(-2, -1)), _NON_FINITE_POINT),
+                (~np.isfinite(tol), lambda k: _TOO_LARGE.format(float(scale[k]))),
+                (abs(det - 1.0) > tol, lambda k: _NOT_SL2.format(det[k])),
+                (~np.isfinite(directions).all(axis=(-2, -1)), _NON_FINITE),
+                (abs(a0 * b1 - a1 * b0) <= EPS_ALG * np.sqrt(a0 * a0 + a1 * a1)
+                 * np.sqrt(b0 * b0 + b1 * b1), _DEPENDENT)]
 
 
 def ads_quadrilateral(plane, eps=EPS_ALG):

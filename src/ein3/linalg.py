@@ -27,6 +27,9 @@ class GeometryError(ValueError):
     """An input violates the geometric preconditions of an operation."""
 
 
+_NON_FINITE = "vector has non-finite entries"
+
+
 def as_vector(v, dim=None):
     """Coerce to a finite 1-d float array, optionally of prescribed length."""
     v = np.asarray(v, dtype=float)
@@ -35,7 +38,7 @@ def as_vector(v, dim=None):
     if dim is not None and v.shape[0] != dim:
         raise GeometryError(f"expected a vector of length {dim}, got {v.shape[0]}")
     if not np.isfinite(v).all():
-        raise GeometryError("vector has non-finite entries")
+        raise GeometryError(_NON_FINITE)
     return v
 
 
@@ -160,6 +163,19 @@ def _raise_first(checks, i=()):
     for mask, message in checks:
         if np.asarray(mask)[i]:
             raise GeometryError(message if isinstance(message, str) else message(i))
+
+
+def _failed_rows(checks):
+    """The rows of a stack that fail any of its (mask, message) checks, each
+    mask indexed by row, its trailing size-1 axes reduced."""
+    return np.logical_or.reduce([np.reshape(mask, len(mask)) for mask, _ in checks])
+
+
+def _raise_first_row(checks):
+    """Raise for the first failed check of the first row of a stack that
+    fails any (`_failed_rows`), in the order of checks (`_raise_first`)."""
+    for i in np.flatnonzero(_failed_rows(checks))[:1].tolist():
+        _raise_first(checks, i)
 
 
 def _same_spans(a, b, eps=EPS_RANK):

@@ -19,11 +19,10 @@ import math
 import numpy as np
 
 from ein3 import ads, crooked, einstein, symplectic
-from ein3.linalg import (EPS_ALG, EPS_RANK, GeometryError, _intersection_dims,
-                         _orthonormal_columns, _plane_frames, _raise_first,
-                         _same_spans, projective_normalize)
+from ein3.linalg import (EPS_ALG, EPS_RANK, GeometryError, _NON_FINITE, _failed_rows,
+                         _intersection_dims, _orthonormal_columns, _plane_frames, _raise_first,
+                         _raise_first_row, _same_spans, projective_normalize)
 from ein3.einstein import IntersectionKind
-from ein3.symplectic import Plane2
 
 EPS_GEO = 1e-6
 
@@ -510,7 +509,7 @@ def _second_generators(space, x):
     columns i, j of its antisymmetric matrix D (D[a, b] = d_ab), ij the pair
     of the largest |d_ij|, and orthonormalized by `_plane_frames`."""
     p = symplectic.plucker_rows(x, x @ space.matrix)
-    d = p[..., ::-1] * [1.0, -1.0, 1.0, 1.0, -1.0, 1.0]  # the Hodge dual, pairs as p's
+    d = p[..., ::-1] * symplectic._HODGE  # the Hodge dual, pairs as p's
     matrix = np.zeros((*d.shape[:-1], 4, 4))
     matrix[..., _PAIR_ROWS, _PAIR_COLUMNS] = d
     matrix[..., _PAIR_COLUMNS, _PAIR_ROWS] = -d
@@ -607,58 +606,43 @@ def _keeping(keep, *arrays):
     return keep, tuple(a[keep] for a in arrays), None
 
 
-def _failed_rows(checks):
-    """The rows of a stack that fail any of its (mask, message) checks."""
-    return np.logical_or.reduce([mask for mask, _ in checks])
-
-
 def _unit_rows(v):
     """v / np.linalg.norm(v) of each row, the norm a dot product as there."""
     return v / np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
 
 
+def _per_trial(checks, n, parts, row):
+    """Checks of the parts of n trials, `parts` a trial, as checks of the
+    trials (for `_raise_first_row`), part by part: row(i, k) is where trial
+    i's part k is in a mask, and where a message function reads it."""
+    trials = np.arange(n)
+    return [(mask[row(trials, k)], message if isinstance(message, str)
+             else lambda i, message=message, k=k: message(row(i, k)))
+            for k in range(parts) for mask, message in checks]
+
+
 def _surface_checks(space, rows):
-    """The (n,) mask of the trials that fail a check of `LightlikeQuadrilateral`
-    or `CrookedSurface` on their quadrilateral rows (n, ..., 4, 4), and
-    check(i), which raises the first failed check of trial i, surface by
-    surface: one `crooked._surface_check_rows` of the block, read where i fails."""
+    """The checks of `LightlikeQuadrilateral` and `CrookedSurface` on the
+    quadrilateral rows (n, ..., 4, 4) of n trials, per trial and surface by
+    surface (`_per_trial`): `as_rows`' finiteness, then those of one
+    `crooked._surface_check_rows` of the block."""
     rows = rows.reshape(len(rows), -1, 4, 4)
     checks = crooked._surface_check_rows(rows, rows @ space.matrix @ rows.swapaxes(-1, -2),
                                          space.vol_coeff, EPS_ALG)
-    failed = _failed_rows(checks).any(-1)
-    flags = failed.tolist()
-
-    def check(i):
-        if flags[i]:
-            for j in range(rows.shape[1]):
-                _raise_first(checks, (i, j))
-
-    return failed, check
+    return _per_trial([(~np.isfinite(rows).all(axis=(-2, -1)), _NON_FINITE)] + checks,
+                      len(rows), rows.shape[1], lambda i, k: (i, k))
 
 
 def _ads_pairs(space, units, f):
     """Quadrilateral rows (n, 2, 4, 4) of AdS plane pairs from directions
     units (n, 2, 2, 2), rows (a, b) per plane, and bases f (n, 2, 2) of the
-    second (the first's is I); check(i) runs both `AdsCrookedPlane`
-    constructors' checks, then `_surface_checks`, on trial i, the scalar
-    plane checks only where their stacked form (the same float operations) fails."""
-    rows = ads._quad_rows(np.stack([np.broadcast_to(np.eye(2), f.shape), f], 1),
-                          units[..., 0, :], units[..., 1, :])
-    surface = _surface_checks(space, rows)[1]
-    (a0, a1), (b0, b1) = np.moveaxis(units, (-2, -1), (0, 1))
-    tol = EPS_ALG * np.maximum(1.0, abs(f).max(axis=(-2, -1)) ** 2)  # x ** 2 is x * x
-    failed = (~((abs(a0 * b1 - a1 * b0) > EPS_ALG * np.sqrt(a0 * a0 + a1 * a1)
-                 * np.sqrt(b0 * b0 + b1 * b1)).all(-1) & np.isfinite(tol)
-                & (abs(symplectic.det_omega(f) - 1.0) <= tol))).tolist()
-
-    def check(i):
-        if failed[i]:
-            ads._check_independent(*units[i, 0].tolist())
-            ads._check_sl2(f[i].tolist(), EPS_ALG)
-            ads._check_independent(*units[i, 1].tolist())
-        surface(i)
-
-    return rows, check
+    second (the first's is I), and their checks per trial: both
+    `AdsCrookedPlane` constructors' (`ads._plane_check_rows`), then
+    `_surface_checks`."""
+    bases = np.stack([np.broadcast_to(np.eye(2), f.shape), f], 1)
+    rows = ads._quad_rows(bases, units[..., 0, :], units[..., 1, :])
+    return rows, (_per_trial(ads._plane_check_rows(bases, units), len(f), 2, lambda i, k: (i, k))
+                  + _surface_checks(space, rows))
 
 
 def _torus_screen(normals):
@@ -848,44 +832,30 @@ def suite_eta_bridge(trials=1000, seed=7):
             np.where(failed[:, None, None], np.eye(4)[:, [0, 2]], s_basis), f)
         eta_mu, eta_ein = eta_mu.tolist(), eta_ein.tolist()
         etas = symplectic.eta_from_det(f)
-        apart = np.abs(etas - 1.0) > 1e-6  # where the kinds are read
-        graphs = (s_basis + t_basis @ f)[apart]
-        g = _plane_frames(graphs, EPS_RANK)[0]
+        apart = np.abs(etas - 1.0) > 1e-6  # where the tori are checked and the kinds read
+        g = _plane_frames(s_basis + t_basis @ f, EPS_RANK)[0]  # the graphs
         lagrangian = symplectic._lagrangian(space, g)
-        mu_s, s_checks = space._to_einstein(symplectic._mu_rows(space, s_basis[apart]))
+        mu_s, s_checks = space._to_einstein(symplectic._mu_rows(space, s_basis))
         mu_t, t_checks = space._to_einstein(symplectic._mu_rows(space, symplectic._normalized(
-            space, np.where(lagrangian[:, None, None], s_basis[apart], g))))
+            space, np.where(lagrangian[:, None, None], s_basis, g))))
         # a graph far from omega-orthonormal can put its normal within the
         # null band of `EinsteinTorus` though |det f + 1| > 1e-3; its torus,
         # and so its kind, is not read
         s1, torus_checks = einstein._torus_normals(mu_s)
         s2, ((null, _),) = einstein._torus_normals(mu_t)
         kinds = einstein._torus_kinds(s1, s2)[0].tolist()
-        # the trials that raise below: a failed check, or a Lagrangian graph
-        failed |= _failed_rows(eta_checks)
-        failed[apart] |= _failed_rows(s_checks + torus_checks + t_checks) | lagrangian
-        failed, apart, null = failed.tolist(), apart.tolist(), null.tolist()
-        dets, etas, read = symplectic.det_omega(f).tolist(), etas.tolist(), iter(range(len(g)))
+        tori = s_checks + torus_checks + [(lagrangian, symplectic._MU_LAGRANGIAN)] + t_checks
+        _raise_first_row(checks + eta_checks + [(apart & mask, message) for mask, message in tori])
+        apart, null = apart.tolist(), null.tolist()
+        dets, etas = symplectic.det_omega(f).tolist(), etas.tolist()
         for k, i in enumerate(range(len(f)), first):
-            if failed[i]:
-                _raise_first(checks, i)
-                _raise_first(eta_checks, i)
             d, eta_det = dets[i], etas[i]
             diff = max(abs(eta_det - eta_mu[i]), abs(eta_det - eta_ein[i]))
             max_violation = max(max_violation, diff)
             if diff > 1e-9:
                 failures.append(f"trial {k}: eta mismatch {diff:.3e} (det {d:.4f})")
-            if apart[i]:
-                j = next(read)
-                if failed[i]:
-                    _raise_first(s_checks, j)
-                    _raise_first(torus_checks, j)
-                    if lagrangian[j]:  # mu raises its error
-                        symplectic.mu(space, Plane2(space, graphs[j]))
-                    _raise_first(t_checks, j)
-                if null[j]:
-                    continue
-                kind = einstein._KINDS[kinds[j]]
+            if apart[i] and not null[i]:
+                kind = einstein._KINDS[kinds[i]]
                 want = (IntersectionKind.SPACELIKE_CIRCLE if eta_det > 1.0
                         else IntersectionKind.TIMELIKE_CIRCLE)
                 if kind is not want:
@@ -926,19 +896,16 @@ def suite_symplectic_identities(trials=1000, seed=7):
         res = np.abs(symplectic.adjugate(f) @ f
                      - symplectic.det_omega(f)[:, None, None] * np.eye(2)).max(axis=(1, 2))
         comp, checks = symplectic._complements(space, _plane_frames(s, EPS_RANK)[0])
-        _plane_frames(comp, EPS_RANK)
         po, qo = np.split(_plane_frames(np.concatenate([p, q]), EPS_RANK)[0], 2)
         wval = space._transversality(_plucker(p), _plucker(q))
         dims = _intersection_dims(po, qo)
         dists = projective_distance(space.reflect_omega_star(_plucker(s)),
                                     _plucker(comp)).tolist()
-        failed = _failed_rows(checks).tolist()
+        _raise_first_row(checks)
         for k, i in enumerate(range(len(f)), first):
             max_violation = max(max_violation, res[i])
             if res[i] > 1e-12:
                 failures.append(f"trial {k}: adjugate identity off by {res[i]:.3e}")
-            if failed[i]:
-                _raise_first(checks, i)
             max_violation = max(max_violation, dists[i])
             if dists[i] > 1e-9:
                 failures.append(f"trial {k}: reflection/complement distance {dists[i]:.3e}")
@@ -958,13 +925,10 @@ def suite_symplectic_identities(trials=1000, seed=7):
     s_basis, t_basis, split_checks = _splittings(space, split[kept])
     graphs = _plane_frames(s_basis + t_basis @ f[kept], EPS_RANK)[0]
     degenerate = symplectic._lagrangian(space, graphs)
-    failed = (_failed_rows(moved_checks) | _failed_rows(split_checks)).tolist()
+    _raise_first_row(moved_checks + split_checks)  # `maslov`'s of the moved triple first
     # away from det = -1 the graph is nondegenerate
     away = (abs(symplectic.det_omega(f) + 1.0) > 1e-6).tolist()
     for j, k in enumerate(np.flatnonzero(kept).tolist()):
-        if failed[j]:
-            _raise_first(moved_checks, j)  # where `maslov` of the moved triple raises
-            _raise_first(split_checks, j)
         if moved_index[j] != index[k]:
             failures.append(f"trial {k + 1}: maslov not Sp-invariant")
         if away[k] and degenerate[j]:
@@ -1026,16 +990,12 @@ def suite_maslov_bridge(trials=1000, seed=7):
             _plane_frames(np.concatenate([l, p, lp]), EPS_RANK)[0], 3))
         reps, point_checks = symplectic._lagrangian_points(space, np.concatenate([p, l, lp]))
         causal, causal_checks = einstein._causal_rows(*np.split(reps, 3))
-        failed = (_failed_rows(point_checks).reshape(3, n).any(0)
-                  | _failed_rows(causal_checks)).tolist()
+        # the points of P, L and L' of each trial, then its causal type
+        _raise_first_row(_per_trial(point_checks, n, 3, lambda i, k: k * n + i) + causal_checks)
         indices = [None if bad else m for bad, m in zip(_failed_rows(maslov_checks).tolist(),
                                                          abs(index).tolist())]
         for k, i in enumerate(range(n), first):
             m = indices[i]
-            if failed[i]:
-                for row in (i, n + i, 2 * n + i):  # the points of P, L, L'
-                    _raise_first(point_checks, row)
-                _raise_first(causal_checks, i)
             got = einstein._CAUSAL[causal[i]]
             want = {None: einstein.CausalType.LIGHTLIKE,
                     2: einstein.CausalType.TIMELIKE,
@@ -1069,7 +1029,8 @@ def suite_photon_avoidance(trials=1000, seed=7):
 
     def screen(chunk):
         rows = _random_rows(space, chunk[0])
-        failed, check = _surface_checks(space, rows)
+        surface = _surface_checks(space, rows)
+        failed = _failed_rows(surface)
         columns = rows.swapaxes(-1, -2).copy()  # C-ordered, as a quadrilateral keeps them
         p = _unit_rows(chunk[1])
         units = crooked._unit_photons(p)  # p as the predicates take it
@@ -1093,7 +1054,7 @@ def suite_photon_avoidance(trials=1000, seed=7):
 
         def raise_first(stop):
             for i in np.flatnonzero(failed[:stop])[:1].tolist():
-                check(i)  # the surface's error, if any; else the witness's
+                _raise_first(surface, i)  # the surface's error, if any; else the witness's
                 if rank[row[i]] < 2:
                     _orthonormal_columns(bases[i], EPS_RANK)
                 _raise_first(checks, row[i])
@@ -1153,10 +1114,9 @@ def suite_surface_disjointness(trials=200, seed=7):
         return (rng.normal(size=(k, _ADS_ROWS, 6, 2)),)
 
     for first, block in _blocks(trials, draw, screen):
-        rows, check = _ads_pairs(space, *block)
+        rows, checks = _ads_pairs(space, *block)
+        _raise_first_row(checks)
         passed = sixteen_pass(space, rows).tolist()
-        for i in range(len(rows)):
-            check(i)
         for start in range(0, len(rows), _CLOUD_PAIRS):
             part = rows[start:start + _CLOUD_PAIRS]
             # each of the seven draws as one array (trials, 2 surfaces, points)
@@ -1173,16 +1133,14 @@ def suite_surface_disjointness(trials=200, seed=7):
                     failures.append(f"disjoint pair {k}: sampled gap {gap:.3e}")
     for first, block in _blocks(trials, lambda first, k: _intersecting_draw(rng, k)):
         rows, shared = _intersecting_rows(std, *block)
-        check = _surface_checks(std, rows)[1]
         passed = sixteen_pass(std, rows)
         regions, checks = crooked._lagrangian_regions(std, rows.swapaxes(-1, -2), shared[:, None],
                                                       EPS_ALG)
+        _raise_first_row(_surface_checks(std, rows) + checks)
         on_both = np.logical_or.reduce(regions).all(axis=1)
         for k, i in enumerate(range(len(rows)), first):
-            check(i)
             if passed[i]:
                 failures.append(f"intersecting pair {k}: criterion says disjoint")
-            _raise_first(checks, i)
             if not on_both[i]:
                 failures.append(f"intersecting pair {k}: shared point not on both")
     return _report("surface-disjointness", 2 * trials, seed, failures,
@@ -1210,7 +1168,6 @@ def suite_stem_only(trials=200, seed=7):
     for first, block in _blocks(trials, lambda first, k: _stem_draw(rng, k)):
         rows, shared = _stem_rows(space, *block)
         n = len(rows)
-        check = _surface_checks(space, rows)[1]
         q1, q2 = np.moveaxis(rows.swapaxes(-1, -2), 1, 0)
         regions, checks = crooked._lagrangian_regions(space, rows.swapaxes(-1, -2),
                                                       shared[:, None], EPS_ALG)
@@ -1222,9 +1179,8 @@ def suite_stem_only(trials=200, seed=7):
         onb = _orthonormal_columns(np.stack([x1, x2], axis=-1)[contact], EPS_RANK)
         max_residual = max([max_residual,
                             *_crossing_residuals(space, (x1 + x2)[contact], onb).tolist()])
+        _raise_first_row(_surface_checks(space, rows) + checks)
         for k, i in enumerate(range(n), first):
-            check(i)
-            _raise_first(checks, i)
             if not on_stems[i]:
                 failures.append(f"pair {k}: the shared point is off a stem")
             if not contact[i]:
@@ -1238,11 +1194,10 @@ def suite_ads_equivalence(trials=1000, seed=7):
     A candidate is one `_ads_arrays` draw, a chunk's in one rng call; a
     chunk keeps those whose least |margin| is above 1e-6.  Each block of
     accepted trials then runs the plane, quadrilateral and surface checks
-    stacked, the planes' scalar closed forms on a failing trial only,
-    raising in trial order; it reads the three routes from the stacked
-    margin kernels.  The equivariance and trace-form loop draws a vector
-    pair and a 2x2 matrix per trial, a block's in one rng call, and checks
-    a block of trials at a time."""
+    stacked (`_ads_pairs`), raising in trial order; it reads the three
+    routes from the stacked margin kernels.  The equivariance and
+    trace-form loop draws a vector pair and a 2x2 matrix per trial, a
+    block's in one rng call, and checks a block of trials at a time."""
     rng = make_rng([seed, 7])
     space = ads.ads_space()
     base = ads.as_sl2(np.eye(2))  # the first plane of every pair
@@ -1255,15 +1210,9 @@ def suite_ads_equivalence(trials=1000, seed=7):
 
     for first, (units, f) in _blocks(trials, lambda first, k: (rng.normal(size=(k, 6, 2)),),
                                      screen):
-        with np.errstate(all="ignore"):  # a row that fails its checks raises below
-            rows, check = _ads_pairs(space, units, f)
-        finite = np.isfinite(rows).all(axis=(1, 2, 3)).tolist()  # and so units and f
-        for i in range(len(f)):
-            if not finite[i]:  # the scalar constructors raise their error
-                planes = [ads.AdsCrookedPlane(m, *d) for m, d in zip((base, f[i]), units[i])]
-                for plane in planes:
-                    crooked.CrookedSurface(ads.ads_quadrilateral(plane))
-            check(i)
+        with np.errstate(all="ignore"):  # a row that fails its checks raises here
+            rows, checks = _ads_pairs(space, units, f)
+        _raise_first_row(checks)
         y, xp = units.swapaxes(-1, -2).swapaxes(0, 1)
         four = (ads._margin_array(base, y, f, xp) > EPS_ALG).all(axis=(1, 2)).tolist()
         dgk = ads._dgk_passes(*ads._dgk_array(base, y, f, xp), EPS_ALG).all(axis=(1, 2)).tolist()
@@ -1279,22 +1228,18 @@ def suite_ads_equivalence(trials=1000, seed=7):
         z = rng.normal(size=(min(_ORACLE_BLOCK, trials - start), 4, 2))
         kept = (np.linalg.norm(z[:, :2], axis=-1) >= 1e-3).all(axis=1)
         ks, a, b, x = start + 1 + np.flatnonzero(kept), z[kept, 0], z[kept, 1], z[kept, 2:]
-        g = _sl2_exp(x)
+        n, g = len(ks), _sl2_exp(x)
         ga = (g @ a[..., None])[..., 0]
         lifts, checks = ads._boundary_lifts(np.concatenate([ga, a, b]))
-        killing, killing_checks = ads._killing_rows(*np.split(lifts[len(ks):], 2))
+        killing, killing_checks = ads._killing_rows(*np.split(lifts[n:], 2))
         killing = killing.tolist()
-        lift_ga, lift_a = lifts[:len(ks)], lifts[len(ks):2 * len(ks)]
+        lift_ga, lift_a = lifts[:n], lifts[n:2 * n]
         equiv = np.abs(lift_ga - g @ lift_a @ np.linalg.inv(g)).max(axis=(1, 2)).tolist()
         top = np.abs(lift_ga).max(axis=(1, 2)).tolist()
         omega = ads._omega0_cells(a, b)[:, 0, 0].tolist()
-        failed = (_failed_rows(checks).reshape(3, -1).any(0)
-                  | _failed_rows(killing_checks)).tolist()
+        # the lifts of g a, a and b of each trial, then its trace form
+        _raise_first_row(_per_trial(checks, n, 3, lambda i, k: k * n + i) + killing_checks)
         for i, k in enumerate(ks.tolist()):
-            if failed[i]:
-                for j in (i, len(ks) + i, 2 * len(ks) + i):
-                    _raise_first(checks, j)
-                _raise_first(killing_checks, i)
             scale = max(1.0, top[i])
             max_violation = max(max_violation, equiv[i] / scale)
             if equiv[i] > 1e-12 * scale:

@@ -49,23 +49,9 @@ STANDARD_OMEGA = np.array([
     [0.0, -1.0, 0.0, 0.0],
 ])
 
-_EPSILON4 = {}  # sign table of 4-permutations
-
-
-def _perm_sign(perm):
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-for _a, (_i, _j) in enumerate(PAIRS):
-    for _b, (_k, _l) in enumerate(PAIRS):
-        if len({_i, _j, _k, _l}) == 4:
-            _EPSILON4[(_a, _b)] = _perm_sign((_i, _j, _k, _l))
+# the sign of the permutation (i, j, k, l) of each pair ij of PAIRS and its
+# complement kl, the pair at the mirrored place: e_ij ^ e_kl = sign e1234
+_HODGE = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
 
 
 def pfaffian4(omega):
@@ -160,10 +146,7 @@ class SympSpace:
         self.matrix = 0.5 * (omega - omega.T)
         # (omega ^ omega) = 2 Pf(omega) e^1^e^2^e^3^e^4, so vol = -e1234 / Pf
         self.vol_coeff = -1.0 / pf
-        gram = np.zeros((6, 6))
-        for (a, b), sign in _EPSILON4.items():
-            gram[a, b] = sign / self.vol_coeff
-        self._gram = gram
+        self._gram = gram = np.fliplr(np.diag(_HODGE)) / self.vol_coeff
         # omega as a linear functional on bivectors
         self._omega_fun = np.array([self.matrix[i, j] for (i, j) in PAIRS])
         self.omega_star = np.linalg.solve(gram, self._omega_fun)
@@ -363,6 +346,9 @@ def _maslov_rows(space, l, p, l_prime, eps=EPS_RANK):
          "restricted form is degenerate: P is not transverse to L and L'")]
 
 
+_MU_LAGRANGIAN = "mu is not defined on Lagrangian planes (the projection would be null)"
+
+
 def mu(space, s):
     """Projection of the Pluecker image of a nondegenerate plane onto W.
 
@@ -373,8 +359,7 @@ def mu(space, s):
     if not isinstance(s, Plane2):
         raise GeometryError("mu expects a Plane2")
     if s.is_lagrangian:
-        raise GeometryError("mu is not defined on Lagrangian planes "
-                            "(the projection would be null)")
+        raise GeometryError(_MU_LAGRANGIAN)
     return _mu_rows(space, s.normalized_basis())
 
 

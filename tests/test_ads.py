@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from ein3 import ads as A
 from ein3 import crooked as C
-from ein3.linalg import GeometryError
+from ein3.linalg import GeometryError, _raise_first
 from ein3.oracle import make_rng
 from ein3.symplectic import Plane2
 
@@ -209,6 +209,39 @@ def test_lift_and_trace_form_checks_flag_their_row():
     k, [(bad, _)] = A._killing_rows(lifts, traced)
     assert bad.tolist() == [False, False, True]
     assert k[0] == A.killing(lifts[0], lifts[0])
+
+
+def _first_error(call):
+    try:
+        call()
+    except GeometryError as error:
+        return str(error)
+
+
+def test_plane_check_rows_raise_as_the_constructors():
+    # pairs of planes (I, a, b), (f, a', b'), crafted to fail a check each
+    # (row 7 two, the base's first), raise through the stacked checks what
+    # building both `AdsCrookedPlane`s raises first
+    rng = make_rng(5)
+    units = rng.normal(size=(8, 2, 2, 2))
+    bases = np.stack([np.broadcast_to(np.eye(2), (8, 2, 2)),
+                      [random_sl2(rng) for _ in range(8)]], 1)
+    units[1, 0, 1] = 2.0 * units[1, 0, 0]  # dependent directions, the first plane
+    units[[2, 7], 1, 1] = -3.0 * units[[2, 7], 1, 0]  # and the second
+    bases[[3, 7], 1] *= 1.5  # det 2.25
+    bases[4, 1] = [[1e200, 0.0], [0.0, 1e-200]]
+    bases[5, 1, 0, 0] = np.inf
+    units[6, 1, 0, 1] = np.nan
+    checks = A._plane_check_rows(bases, units)
+    got = [_first_error(lambda: [_raise_first(checks, (i, j)) for j in range(2)])
+           for i in range(8)]
+    want = [_first_error(lambda: [A.AdsCrookedPlane(m, *d) for m, d in zip(b, u)])
+            for b, u in zip(bases, units)]
+    assert got == want
+    assert want[0] is None and want[1] == want[2] == "direction vectors must be independent"
+    assert all(want[i].startswith("matrix must have determinant 1, got ") for i in (3, 7))
+    assert want[4:7] == ["entries up to 1e+200 are too large to test det = 1",
+                         "an AdS point needs finite entries", "vector has non-finite entries"]
 
 
 def test_horocycle_distance():

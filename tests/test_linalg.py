@@ -9,8 +9,10 @@ from ein3.linalg import (
     GeometryError,
     _frame_pair_values,
     _intersection_dims,
+    _failed_rows,
     _orthonormal_columns,
     _plane_frames,
+    _raise_first_row,
     _same_spans,
     _singular,
     projective_normalize,
@@ -190,6 +192,26 @@ def test_plane_frames_raise_as_orthonormal_columns(column, rank, message):
         with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
             call(bases, EPS_RANK)
     assert _plane_frames(bases, EPS_RANK, check=False)[1][4] == rank
+
+
+def test_raise_first_row_raises_the_first_failed_check_of_the_first_failing_row():
+    # rows 2 and 4 of six fail; row 4 fails the first check, row 2 the second
+    # (a mask with a trailing size-1 axis, its message a function of the row)
+    # and the third
+    def failing_at(*rows):
+        return np.isin(np.arange(6), rows)
+
+    first, second, third = ((failing_at(4), "first"),
+                            (failing_at(2, 4)[:, None], lambda i: f"second at row {i}"),
+                            (failing_at(2), "third"))
+    assert _failed_rows([first, second, third]).tolist() == [0, 0, 1, 0, 1, 0]
+    for checks, message in (([first, second, third], "second at row 2"),
+                            ([first, third, second], "third"),
+                            ([first], "first")):
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            _raise_first_row(checks)
+    _raise_first_row([(np.zeros((6, 1), bool), "never"), (failing_at(), lambda i: "never")])
+    _raise_first_row([(np.zeros(0, bool), "never")])
 
 
 def test_projective_normalize():

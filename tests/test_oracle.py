@@ -12,8 +12,8 @@ from ein3 import crooked as C
 from ein3 import einstein as E
 from ein3 import oracle as O
 from ein3 import symplectic as S
-from ein3.linalg import (EPS_RANK, GeometryError, _orthonormal_columns, _raise_first,
-                         projective_normalize)
+from ein3.linalg import (EPS_RANK, GeometryError, _failed_rows, _orthonormal_columns,
+                         _raise_first, _raise_first_row, projective_normalize)
 
 from draws import (disjoint_ads_pair, photon_draws, random_ads_config, random_lagrangian,
                    random_quadrilateral, random_splitting, random_symplectic,
@@ -218,45 +218,59 @@ def test_random_quadrilateral_under_a_nonstandard_omega(space):
 
 
 def _called_a_scalar_check(*args):
-    raise AssertionError("a suite called a scalar surface check")
+    raise AssertionError("a suite called a scalar surface or plane check")
 
 
 def test_each_draw_validates_one_quadrilateral_per_surface(monkeypatch):
     # the stacked suites check every candidate of a block in trial order,
-    # from one call of the stacked kernel per `_surface_checks`, never by
-    # the scalar closed forms; photon-avoidance's screen reads the check of
-    # a failing candidate only, and none fails at this seed
-    blocks, kernel_rows = [], []
+    # from one call of the stacked kernel per `_surface_checks` whose checks
+    # `_raise_first_row` reads whole, never by the scalar closed forms of a
+    # surface or an AdS plane (ads-equivalence's one `as_sl2` of I aside);
+    # photon-avoidance's screen reads the checks of a failing candidate
+    # only, and none fails at this seed
+    blocks, kernel_rows, read, sl2 = [], [], [], []
     surface_checks, kernel = O._surface_checks, C._surface_check_rows
+    raise_first_row, raise_first, check_sl2 = O._raise_first_row, O._raise_first, ads._check_sl2
 
     def recorded(space, rows):
-        checked, (failed, check) = [], surface_checks(space, rows)
-        blocks.append((len(rows), rows.reshape(len(rows), -1, 4, 4).shape[1], checked))
-
-        def recorded_check(i):
-            checked.append(i)
-            check(i)
-        return failed, recorded_check
+        checks = surface_checks(space, rows)
+        blocks.append((len(rows), rows.reshape(len(rows), -1, 4, 4).shape[1], checks))
+        return checks
 
     def counted(rows, *args):
         kernel_rows.append(rows.shape[:2])
         return kernel(rows, *args)
 
+    def reading(raise_checks):
+        def wrapped(checks, *args):
+            read.extend(id(mask) for mask, _ in checks)
+            return raise_checks(checks, *args)
+        return wrapped
+
     monkeypatch.setattr(O, "_surface_checks", recorded)
     monkeypatch.setattr(C, "_surface_check_rows", counted)
-    for name in ("_check_quadrilateral", "_check_planes"):
-        monkeypatch.setattr(C, name, _called_a_scalar_check)
+    monkeypatch.setattr(O, "_raise_first_row", reading(raise_first_row))
+    monkeypatch.setattr(O, "_raise_first", reading(raise_first))
+    monkeypatch.setattr(ads, "_check_sl2", lambda *args: sl2.append(args) or check_sl2(*args))
+    for module, name in ((C, "_check_quadrilateral"), (C, "_check_planes"),
+                         (ads, "_check_independent"), (ads, "AdsCrookedPlane")):
+        monkeypatch.setattr(module, name, _called_a_scalar_check)
     for suite, trials, per_trial, candidates, every in (
             (O.suite_photon_avoidance, 30, 1, lambda n: n >= 30, False),
             (O.suite_stem_only, 30, 2, lambda n: n == 30, True),
-            (O.suite_surface_disjointness, 6, 2, lambda n: n == 12, True)):
+            (O.suite_surface_disjointness, 6, 2, lambda n: n == 12, True),
+            (O.suite_ads_equivalence, 30, 2, lambda n: n == 30, True)):
         blocks.clear()
         kernel_rows.clear()
+        read.clear()
+        sl2.clear()
         assert suite(trials=trials, seed=7)["failures"] == []
-        assert all(per == per_trial and checked == list(range(n if every else 0))
-                   for n, per, checked in blocks)
+        assert all(per == per_trial and [id(mask) in read for mask, _ in checks] == [every] * len(
+            checks) for n, per, checks in blocks), suite.__name__
         assert kernel_rows == [(n, per) for n, per, _ in blocks], suite.__name__
         assert candidates(sum(n for n, *_ in blocks)), suite.__name__
+        one = [([[1.0, 0.0], [0.0, 1.0]], O.EPS_ALG)]  # ads-equivalence's `as_sl2` of I
+        assert sl2 == (one if suite is O.suite_ads_equivalence else []), suite.__name__
 
 
 def _scalar_surface_checks(rows):
@@ -321,15 +335,11 @@ def test_surface_checks_raise_the_first_failure_in_trial_order():
     assert want[3].startswith("quadrilateral products violated: omega(u+, v-) - 1 off by")
     assert want[5] == want[7] == "vertex P+ is not Lagrangian"
     assert want.count(None) == 7
-    failed, check = O._surface_checks(SP, rows)
-    assert failed.tolist() == [w is not None for w in want]
-    assert [_outcome(check, i) for i in range(10)] == want
-    checked = []
+    checks = O._surface_checks(SP, rows)
+    assert _failed_rows(checks).tolist() == [w is not None for w in want]
+    assert [_outcome(_raise_first, checks, i) for i in range(10)] == want
     with pytest.raises(GeometryError, match=f"^{re.escape(want[3])}$"):
-        for i in range(10):
-            checked.append(i)
-            check(i)
-    assert checked == [0, 1, 2, 3]
+        _raise_first_row(checks)
 
 
 def test_probe_kinds_and_draws_are_pinned():
@@ -858,6 +868,16 @@ def test_eta_bridge_raises_the_first_failed_check_in_trial_order(monkeypatch, ke
     monkeypatch.setattr(O, "_eta_values", broken_kernel)
     with pytest.raises(GeometryError, match=message):
         O.suite_eta_bridge(trials=20, seed=7)
+
+
+def test_eta_bridge_runs_a_block_with_no_kind_to_read(monkeypatch):
+    # every eta read as 1: no trial's torus is checked or its kind read, and
+    # each trial reports its mismatch with the mu routes
+    monkeypatch.setattr(S, "eta_from_det", lambda f, eps=C.EPS_ALG: np.ones(len(f)))
+    failures = O.suite_eta_bridge(trials=20, seed=7)["failures"]
+    assert failures[0] == "trial 1: eta mismatch 7.543e-01 (det 1.6515)"
+    assert _trial_numbers(failures) == list(range(1, 21))
+    assert all(": eta mismatch " in failure for failure in failures)
 
 
 def _failing_at(n, rows, message):

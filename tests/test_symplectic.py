@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ein3 import ads as A
 from ein3 import symplectic as S
 from ein3.linalg import GeometryError
 from ein3.oracle import make_rng
@@ -27,6 +28,15 @@ def test_wedge_product_examples():
     assert SP.wedge(b13, b13) == 0.0
     assert SP.wedge(b13, SP.plucker(P24)) == -1.0
     assert SP.wedge(SP.omega_star, SP.omega_star) == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_bivector_product_is_the_hodge_sign_row_over_the_volume():
+    # e_ij ^ e_kl = sign(i, j, k, l) e1234, and vol = vol_coeff e1234
+    for matrix in (S.STANDARD_OMEGA, A.OMEGA_ADS, 2.5 * S.STANDARD_OMEGA):
+        space = S.SympSpace(matrix)
+        signs = [[round(np.linalg.det(E4[[*p, *q]])) if not set(p) & set(q) else 0
+                  for q in S.PAIRS] for p in S.PAIRS]
+        assert np.array_equal(space._gram, np.array(signs) / space.vol_coeff)
 
 
 def test_omega_star():
