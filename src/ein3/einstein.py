@@ -39,9 +39,9 @@ GRAM = np.array([
 def _complement_onb(onb):
     """Orthonormal basis of the GRAM-orthogonal complement of the span of an
     orthonormal basis (5, k), or of each of a stack: a nullspace of dim
-    5 - k, as GRAM is nonsingular."""
+    5 - k, as GRAM is nonsingular, read off the full SVD's orthonormal vh."""
     vh = np.linalg.svd(np.swapaxes(onb, -1, -2) @ GRAM)[2]
-    return _orthonormal_columns(np.swapaxes(vh[..., onb.shape[-1]:, :], -1, -2), EPS_RANK)
+    return np.swapaxes(vh[..., onb.shape[-1]:, :], -1, -2)
 
 
 def _signatures(onb, eps=EPS_RANK):

@@ -37,16 +37,16 @@ class RetryExhausted(GeometryError):
 
 
 # candidates `_blocks` may draw per trial, every suite's one budget: a suite
-# gives up only when fewer than one in ten is accepted.  Over seeds 1-20 at
-# default trials, of the candidates its chunks screen, torus-trichotomy
-# keeps 45.8% (43.7% on its lowest seed), eta-bridge 80.0% (78.3%),
-# symplectic-identities 79.9% (76.4%), ads-equivalence 98.8% (98.3%),
-# surface-disjointness 95.4 disjoint trials per 100 candidates (87.1), and
-# the other three suites all of them
+# gives up only when fewer than one in ten is accepted.  Of the candidates its
+# chunks screen over seeds 1-20 at default trials (lowest seed in brackets),
+# torus-trichotomy keeps 44.9% (43.5%), eta-bridge 79.7% (78.5%),
+# symplectic-identities 80.0% (78.0%), ads-equivalence 98.8% (98.3%),
+# surface-disjointness 95.3 disjoint trials per 100 (87.1), the others all
 ATTEMPTS_PER_TRIAL = 10
 
-# trials per block of a stacked suite's check stage
-_ORACLE_BLOCK = 128
+# candidates a draw chunk, trials a check block: 256 halves 128's fixed calls (8 suites, seed 7,
+# 2-core Xeon: 186 -> 156 ms CPU, RSS +3%); 512: no faster (154 ms, RSS +5%); 1,000: 166 ms, +13%
+_ORACLE_BLOCK = 256
 
 # surface-disjointness: AdS rows a candidate (0.95 passes on average), trials a cloud sub-block
 _ADS_ROWS = _CLOUD_PAIRS = 16

@@ -98,7 +98,7 @@ def test_criterion_8_ads_equivalences():
 
 # sha256 of `ein3 verify --suite all --seed 7` with one BLAS thread; a change
 # that moves these bytes on purpose updates the pin and says why
-VERIFY_SHA256 = "07bbc135787106318a07f360df64fd9985456cd41248d171ba01a6a4de67f078"
+VERIFY_SHA256 = "7cac613a5ae4a832efef94d95bca8fd521d5fb15f7e2b3279fb00d9cd8bdd9b5"
 
 
 def test_criterion_9_determinism():
@@ -119,6 +119,17 @@ def test_criterion_9_determinism():
     # no warning of a stacked kernel's masked rows (or anything else)
     # reaches stderr, where pytest's warning filters do not reach
     assert first.stderr == second.stderr == b""
+
+
+def test_every_suite_passes_on_seeds_1_to_20():
+    """All eight suites at their default trials on seeds 1-20: none raises
+    and none reports a failure, so that a change cannot pass on seed 7
+    alone."""
+    failing = [(name, seed, failures[:3]) for name in oracle.SUITES for seed in range(1, 21)
+               if (failures := oracle.run_suite(name, seed=seed)["failures"])]
+    status = "PASS" if not failing else "FAIL"
+    print(f"[{status}] seeds 1-20: {20 * len(oracle.SUITES)} suite runs")
+    assert failing == []
 
 
 if __name__ == "__main__":

@@ -843,8 +843,8 @@ def test_eta_bridge_takes_the_exact_invariants_once_per_block(monkeypatch):
         return eta_values(s_basis, f)
 
     monkeypatch.setattr(O, "_eta_values", counted)
-    assert O.suite_eta_bridge(trials=130, seed=7)["failures"] == []
-    assert calls == [128, 2]
+    assert O.suite_eta_bridge(trials=O._ORACLE_BLOCK + 2, seed=7)["failures"] == []
+    assert calls == [O._ORACLE_BLOCK, 2]
 
 
 @pytest.mark.parametrize("kernel_row, message", [(3, "kernel check"), (7, "splitting check")])
@@ -875,7 +875,7 @@ def test_eta_bridge_runs_a_block_with_no_kind_to_read(monkeypatch):
     # each trial reports its mismatch with the mu routes
     monkeypatch.setattr(S, "eta_from_det", lambda f, eps=C.EPS_ALG: np.ones(len(f)))
     failures = O.suite_eta_bridge(trials=20, seed=7)["failures"]
-    assert failures[0] == "trial 1: eta mismatch 7.543e-01 (det 1.6515)"
+    assert failures[0] == "trial 1: eta mismatch 1.103e-01 (det 0.0584)"
     assert _trial_numbers(failures) == list(range(1, 21))
     assert all(": eta mismatch " in failure for failure in failures)
 
@@ -1048,9 +1048,12 @@ def test_blocks_spend_a_bounded_budget():
         list(O._blocks(4, draw, _keeping_where(lambda c: c < 0)))  # skips every candidate
     assert chunks == [(0, 40)]
     chunks.clear()
-    with pytest.raises(O.RetryExhausted, match="fewer than 20 accepted trials in 200 attempts"):
-        list(O._blocks(20, draw, _keeping_where(lambda c: c < 0)))
-    assert chunks == [(0, O._ORACLE_BLOCK), (O._ORACLE_BLOCK, 200 - O._ORACLE_BLOCK)]
+    trials = O._ORACLE_BLOCK // O.ATTEMPTS_PER_TRIAL + 1  # a budget past one chunk
+    limit = O.ATTEMPTS_PER_TRIAL * trials
+    with pytest.raises(O.RetryExhausted,
+                       match=f"fewer than {trials} accepted trials in {limit} attempts"):
+        list(O._blocks(trials, draw, _keeping_where(lambda c: c < 0)))
+    assert chunks == [(0, O._ORACLE_BLOCK), (O._ORACLE_BLOCK, limit - O._ORACLE_BLOCK)]
     # the default screen keeps every candidate
     assert [(first, block[0].tolist()) for first, block in O._blocks(3, draw)] == [(1, [0, 1, 2])]
 
@@ -1087,13 +1090,18 @@ def test_blocks_give_up_exactly_when_the_budget_keeps_too_few(trials):
     assert outcomes == {True, False}
 
 
+def _block_shapes(trials):
+    """(number of the first trial, trials) of each block `_blocks` yields."""
+    return [(t + 1, min(O._ORACLE_BLOCK, trials - t)) for t in range(0, trials, O._ORACLE_BLOCK)]
+
+
 def test_screened_blocks_draw_whole_chunks_in_candidate_order():
     chunks = []
     blocks = list(O._blocks(300, _numbered(chunks), _keeping_where(lambda c: c % 3 != 0)))
     # the candidates a trial-by-trial loop keeps, in full blocks but the last
     kept = [r for r in range(1000) if r % 3][:300]
     assert [r for _, block in blocks for r in block[0].tolist()] == kept
-    assert [(first, len(block[0])) for first, block in blocks] == [(1, 128), (129, 128), (257, 44)]
+    assert [(first, len(block[0])) for first, block in blocks] == _block_shapes(300)
     # whole chunks of _ORACLE_BLOCK, up to the one that holds the last trial
     assert chunks == [(first, O._ORACLE_BLOCK) for first in range(0, kept[-1] + 1, O._ORACLE_BLOCK)]
 
@@ -1108,18 +1116,18 @@ def test_blocks_carry_what_a_screen_keeps_past_a_block():
         return np.ones((len(c), 3), bool), (np.repeat(c, 3), np.tile(np.arange(3), len(c))), None
 
     blocks = list(O._blocks(300, _numbered(chunks), screen))
-    assert [(first, len(block[0])) for first, block in blocks] == [(1, 128), (129, 128), (257, 44)]
+    assert [(first, len(block[0])) for first, block in blocks] == _block_shapes(300)
     records = [(r, j) for r in range(100) for j in range(3)]
     assert [list(zip(*(a.tolist() for a in block))) for _, block in blocks] == [
-        records[:128], records[128:256], records[256:300]]
+        records[first - 1:first - 1 + n] for first, n in _block_shapes(300)]
     assert chunks == [(0, O._ORACLE_BLOCK)]
 
 
-@pytest.mark.parametrize("trials", [13, 40, 130, 300])
+@pytest.mark.parametrize("trials", [O._ORACLE_BLOCK // O.ATTEMPTS_PER_TRIAL + 1, 40, 130, 300])
 def test_blocks_of_fewer_trials_are_a_prefix(trials):
-    # with whole chunks of _ORACLE_BLOCK from the first on (10 trials >=
-    # 128 candidates), trials=T yields the first T records of trials=2T,
-    # for a draw of two rng calls a chunk
+    # with whole chunks of _ORACLE_BLOCK from the first on (ATTEMPTS_PER_TRIAL
+    # * trials >= _ORACLE_BLOCK candidates), trials=T yields the first T
+    # records of trials=2T, for a draw of two rng calls a chunk
     def records(n):
         rng = np.random.default_rng(5)
 
@@ -1138,12 +1146,16 @@ def test_blocks_of_fewer_trials_are_a_prefix(trials):
     (5, [9], "candidate 9", 0), (5, [10, 4], "candidate 4", 0), (5, [10], None, 1),
     (200, [255], "candidate 255", 0), (200, [300, 270], "candidate 270", 1),
     (200, [399], "candidate 399", 1), (200, [400], None, 2)])
-def test_blocks_read_a_screen_check_up_to_the_last_candidate_consumed(trials, bad, raises,
-                                                                     yielded):
+def test_blocks_read_a_screen_check_up_to_the_last_candidate_consumed(monkeypatch, trials, bad,
+                                                                     raises, yielded):
     # odd candidates are kept, and the check fails at the bad ones: the first
     # bad candidate in candidate order raises, if at or before the last one
     # consumed (5 trials: candidate 9; 200 trials: 255 ends the first block,
-    # 399 the second), after the blocks before it
+    # 399 the second), after the blocks before it.  The rule does not depend
+    # on the block size, and the candidate numbers are worked out for blocks
+    # of 128, which the test sets
+    monkeypatch.setattr(O, "_ORACLE_BLOCK", 128)
+
     def screen(chunk):
         c = chunk[0]
 
@@ -1197,7 +1209,7 @@ def test_photon_suite_calls_the_oracle_in_blocks(monkeypatch):
 
     monkeypatch.setattr(O, "_photon_crossings", counted)
     assert O.suite_photon_avoidance(trials=300, seed=3)["failures"] == []
-    assert sizes == [128, 128, 44]
+    assert sizes == [n for _, n in _block_shapes(300)]
 
 
 def test_min_gap_equals_the_clipped_maximum():
@@ -1210,7 +1222,7 @@ def test_min_gap_equals_the_clipped_maximum():
         assert min_gap(a, b) == float(np.sqrt(max(0.0, 1.0 - float(cos.max()) ** 2)))
 
 
-# report_lines of five suites at trials=200 on seeds 1-3 (two blocks each):
+# report_lines of five suites at trials=200 on seeds 1-3 (one block each):
 # maslov-bridge's as the trial-by-trial suite wrote them, the others' as the
 # draws decided by the stacked screens write them (torus-trichotomy's since
 # each candidate draws its pair of normals and all of its angles,
@@ -1219,11 +1231,11 @@ def test_min_gap_equals_the_clipped_maximum():
 # the max_violation of torus-trichotomy, eta-bridge and surface-disjointness
 # as the closed-form torus and plane frames and bilinear clouds round it
 _STACKED_SUITE_SHA256 = {
-    "torus-trichotomy": "a25b4fa5bd2facaec0920cf2d191dc0bcba904c4fc0421c9ab24b2fd04e468f6",
-    "eta-bridge": "fbe4bd31dd20179eb96ba01cc1723b6f8e427ec5391f5531dede869ececfe6d1",
+    "torus-trichotomy": "50e27e4614f606d45ad9b89e02911a83c4ffd8dd1c5811cf46ef0938c2e28c4c",
+    "eta-bridge": "d9f298b7c5857ec3cbe0fff54709e5d12e892161c7960a0be18c45fe1d297022",
     "symplectic-identities": "a07f62ce823414a16306abca8118ab26880524b445dfe6c2f6e08f4e99504f21",
     "maslov-bridge": "aba5054fe7d90dcec6b8c4951e908dbf685f6314e4b2c4e69b27e5af994982fc",
-    "surface-disjointness": "dd080d9483fcd6d2b844860567048355a49c6d97f263206396c2059fdc8084ee",
+    "surface-disjointness": "3f33d551d6752b98eada12e2bea5baa2d54147ab32ebba2fc9058b9bcf5f61c1",
 }
 
 
@@ -1272,7 +1284,7 @@ def test_torus_trichotomy_validates_each_normal_once():
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        report = O.suite_torus_trichotomy(trials=130, seed=7)
+        report = O.suite_torus_trichotomy(trials=O._ORACLE_BLOCK + 2, seed=7)
     finally:
         sys.setprofile(previous)
     assert report["failures"] == []
@@ -1407,38 +1419,45 @@ def test_stacked_maslov_and_causal_kernels_match_the_per_trial_reference():
     assert "point coincides with a reference point" in outcomes["causal"]
 
 
-# report_lines of every suite at trials=130 on seeds 1 and 2, 130 trials
-# crossing one block of _ORACLE_BLOCK = 128: torus-trichotomy's, eta-bridge's,
+# report_lines of every suite at trials=260 on seeds 1 and 2, 260 trials
+# crossing one block of _ORACLE_BLOCK = 256: torus-trichotomy's, eta-bridge's,
 # surface-disjointness's and ads-equivalence's as the draws decided by the
 # stacked screens write them, the others' as the trial-by-trial suites did;
 # the max_violation of the first three as the closed-form frames and clouds
 # round it
 _CROSS_BLOCK_SHA256 = {
-    "torus-trichotomy": "8d975c1d7797a9fbcdafbf700f5d9a623c649807ca21cafdf57f1766771ed5b6",
-    "eta-bridge": "ccb63f8dee438b41d0720b0fbaa727b7daa29951ae9606f584709fbc9e6140ea",
-    "symplectic-identities": "7032344e460037d4bf9f601d5c389daebdf2e466db89b09098fdbc6b1f62cb12",
-    "maslov-bridge": "5d816ecdafae0eb47871355429c9abb8a5425cfa9bb674eb538a6e805c96f50a",
-    "photon-avoidance": "ad89fa82dc1b93e83ecface888b9132e89b23ecd42deff6b071455eaab4973f3",
-    "surface-disjointness": "5392ca8a888f5d8160f7b9a61f00d12e51260477bf3643ad252d23b7bc2d0baf",
-    "stem-only": "b8491de5a1eb84fbc0e4580855260bdec012245ffcda221a406821004085ef7e",
-    "ads-equivalence": "76d790ed7d355d10221ebb290a3913a173e2499ae94aee2ce33d330d40c67858",
+    "torus-trichotomy": "b8f66bd75972985b59841ee5fcb5f8ea2e56137037320d33012195d49728e3eb",
+    "eta-bridge": "1167e877110c72ad47ccee8abca51518c07cc17a5775a4ef7a86c1ca8bf89a88",
+    "symplectic-identities": "2cc5be1702490695064fba5018a716329463d7e881efba41a08d2950d986e61b",
+    "maslov-bridge": "e5a67d7ee1002dae88447961ffe2d2b0425ecef092e61f299381438848bff577",
+    "photon-avoidance": "d11800fd2f52497164a4fb14e7a2fcb5a1b2bcfc8679830e94d7953b23cf6f93",
+    "surface-disjointness": "d080463d43677ca56e13ca8b6f3c5821bd7fe2b91a2601c52c068039fcbe4867",
+    "stem-only": "d90ffcdae5ac6cdd519b6ad7fbc7c4f412f8526ea5b8f1010b6042c31065a44c",
+    "ads-equivalence": "0b5a676eb1fd1a4ac6ba7b86d35ce6090c7030c27face45091663f10dde2dd5a",
 }
 
 
 @pytest.mark.parametrize("name", sorted(_CROSS_BLOCK_SHA256))
 def test_suites_keep_their_report_bytes_across_a_block(name):
     import hashlib
-    assert O._ORACLE_BLOCK < 130
-    lines = O.report_lines([O.run_suite(name, trials=130, seed=seed) for seed in (1, 2)])
+    assert O._ORACLE_BLOCK < 260
+    lines = O.report_lines([O.run_suite(name, trials=260, seed=seed) for seed in (1, 2)])
     assert hashlib.sha256(lines.encode()).hexdigest() == _CROSS_BLOCK_SHA256[name]
 
 
-# what two suites draw at trials=130 on seeds 1 and 2: maslov-bridge reports
+# what every suite draws at trials=260 on seeds 1 and 2, so that a move in
+# the draws shows apart from a move in the reports: maslov-bridge reports
 # [] and 0.0 whatever it draws, and symplectic-identities' report pins do
 # not see its Maslov/graph draws
 _DRAW_SHA256 = {
-    "maslov-bridge": "32836fe3fbf52d8e0ff42a271b29303d5ca736a27ba14404968f420398a98da6",
-    "symplectic-identities": "80dc94dc12782918bc0eb15df374c04d4036da7719350d165381a61a901873ba",
+    "torus-trichotomy": "ea88afcc16c9663c15ec90019dc6a4f64781f6783655b49505e714045b7055a0",
+    "eta-bridge": "232a6881bcfce6ef3e9e4233121904d7b28e82b49a32c9902887fb156cffa2c7",
+    "symplectic-identities": "0a2e57278e95e91546e1e66bd277fa3d22a6f9df8fb0d516b81f284ba9a20219",
+    "maslov-bridge": "fff95ed9308303a47e8d45049d7c424cf8f260b349819bd19edbf35cf26ca817",
+    "photon-avoidance": "8d03f01f7d8dbd436b01bea92d06829e2547d229d193b35232ea71480661ea1e",
+    "surface-disjointness": "72272ecf17abf40e35ee4a2a60418aabb33452bd4b49e1137f56d59a5ef0f59d",
+    "stem-only": "beb72d478d5d0743dbdf85adc290a13d09e63025490419e6a5342527435bde4e",
+    "ads-equivalence": "4063db75ad3bcee49cf0349d8f17366960b1be0c26cbaee5df74e481535ac938",
 }
 
 
@@ -1472,7 +1491,7 @@ def test_suites_keep_their_draws(monkeypatch, name):
     monkeypatch.setattr(O, "make_rng", lambda seed: Recording(make_rng(seed)))
     monkeypatch.setattr(O, "_blocks", recorded)
     for seed in (1, 2):
-        O.run_suite(name, trials=130, seed=seed)
+        O.run_suite(name, trials=260, seed=seed)
         for a in after:
             digest.update(np.ascontiguousarray(a, float).tobytes())
     assert digest.hexdigest() == _DRAW_SHA256[name]
@@ -1706,16 +1725,16 @@ def test_ads_equivalence_reports_a_flipped_route_with_its_trial_number(monkeypat
 
     def flipped(margins, k_fixed, eps):
         out = dgk_passes(margins, k_fixed, eps)
-        if out.ndim == 3:  # a block: flip trial 6 of the first, 130 of the second
+        if out.ndim == 3:  # a block: flip trial 6 of the first, the last of the second
             calls.append(len(out))
             row = 5 if len(calls) == 1 else 1
             out[row] = not out[row].all()
         return out
 
     monkeypatch.setattr(ads, "_dgk_passes", flipped)
-    failures = O.suite_ads_equivalence(trials=130, seed=7)["failures"]
-    assert calls == [128, 2]
-    assert _trial_numbers(failures) == [6, 130]
+    failures = O.suite_ads_equivalence(trials=O._ORACLE_BLOCK + 2, seed=7)["failures"]
+    assert calls == [O._ORACLE_BLOCK, 2]
+    assert _trial_numbers(failures) == [6, O._ORACLE_BLOCK + 2]
     for f in failures:
         four = f.split("ads ")[1].split(",")[0]
         assert four in ("True", "False")
@@ -1755,11 +1774,13 @@ def test_ads_equivalence_reports_a_perturbed_lift_with_its_trial_number(monkeypa
 
     monkeypatch.setattr(ads, "_boundary_lifts", perturbed)
     # equivariance trials count every candidate from 1; at this seed none of
-    # the first 130 is skipped, so row 1 of the second block is trial 130
-    failures = O.suite_ads_equivalence(trials=130, seed=7)["failures"]
-    assert blocks == [128, 2]
+    # the first _ORACLE_BLOCK + 2 is skipped, so row 1 of the second block
+    # is the last trial
+    n = O._ORACLE_BLOCK + 2
+    failures = O.suite_ads_equivalence(trials=n, seed=7)["failures"]
+    assert blocks == [O._ORACLE_BLOCK, 2]
     assert len(failures) == 1
-    assert failures[0].startswith("equivariance trial 130: residual ")
+    assert failures[0].startswith(f"equivariance trial {n}: residual ")
 
 
 def test_surface_disjointness_reports_a_failed_criterion_and_draws_on(monkeypatch):
@@ -1902,8 +1923,10 @@ def test_disjoint_pairs_are_the_passes_of_their_candidates_in_order(monkeypatch,
 
     monkeypatch.setattr(O, "_ads_arrays", lambda z: calls.append((z, arrays(z))) or calls[-1][1])
     monkeypatch.setattr(O, "_blocks", recorded_blocks)
-    O.suite_surface_disjointness(trials=200, seed=seed)
-    assert [len(block[0]) for block in blocks[:2]] == [128, 72]
+    trials = O._ORACLE_BLOCK + 72  # two blocks
+    O.suite_surface_disjointness(trials=trials, seed=seed)
+    shapes = _block_shapes(trials)  # the disjoint stage's blocks come first
+    assert [len(block[0]) for block in blocks[:len(shapes)]] == [n for _, n in shapes]
     rows, pairs = [], []
     for z, (units, f, margins) in calls:
         assert len(z) % O._ADS_ROWS == 0
@@ -1911,9 +1934,9 @@ def test_disjoint_pairs_are_the_passes_of_their_candidates_in_order(monkeypatch,
         rows.append(z)
         pairs += zip(units[passed], f[passed])
     # the last call is the one the blocks need
-    assert len(pairs) - 200 < passed.sum()
+    assert len(pairs) - trials < passed.sum()
     for (units, f), (want_units, want_f) in zip(
-            (r for block in blocks[:2] for r in zip(*block)), pairs):
+            (r for block in blocks[:len(shapes)] for r in zip(*block)), pairs):
         assert np.array_equal(units, want_units) and np.array_equal(f, want_f)
     assert np.array_equal(rows[0], O.make_rng([seed, 6]).normal(size=rows[0].shape))
 
