@@ -19,8 +19,10 @@ from ein3.linalg import (
     EPS_ALG,
     EPS_RANK,
     GeometryError,
+    _basis_checks,
     _orthonormal_columns,
     _raise_first,
+    _singular,
     as_vector,
     inertia,
     projective_normalize,
@@ -196,21 +198,25 @@ def _causal_rows(p, p0, pinf, eps=EPS_ALG):
     """Causal types of stacked rows of points p of the Minkowski patch of
     (p0, pinf): indices into _CAUSAL (lightlike when incident to p0, else
     by the signature of span{p, p0, pinf}: (1,2) timelike, (2,1)
-    spacelike), and the checks in order (a span's rank check raises here)."""
+    spacelike), and the checks in order, the span's (`_basis_checks`, its SVD
+    taken where it is read) before its signature's."""
     no_patch = _incident(p0, pinf, eps)
     same = _close(p, p0) | _close(p, pinf)
     lightlike = _incident(p, p0, eps)
     outside = _incident(p, pinf, eps) & ~lightlike
     placed = ~(no_patch | same | lightlike | outside)
-    sig = np.zeros(np.shape(placed) + (3,), dtype=int)
-    onb = _orthonormal_columns(np.stack([p, p0, pinf], axis=-1)[placed], EPS_RANK)
-    sig[placed] = np.stack(_signatures(onb), -1)
+    span = np.stack([p, p0, pinf], axis=-1)
+    finite, rank = np.isfinite(span).all(axis=(-2, -1)), np.full(np.shape(placed), 3)
+    sig, read = np.zeros(np.shape(placed) + (3,), dtype=int), placed & finite
+    u, rank[read], _ = _singular(span[read], EPS_RANK)
+    sig[read] = np.stack(_signatures(u[..., :3]), -1)
     timelike = (sig == (1, 2, 0)).all(axis=-1)
     spacelike = (sig == (2, 1, 0)).all(axis=-1)
     return np.where(lightlike, 0, np.where(timelike, 1, 2)), [
         (no_patch, "p0 and pinf are incident: no Minkowski patch"),
         (same, "point coincides with a reference point"),
         (outside, "point lies on the light cone of pinf, outside the Minkowski patch"),
+        *((placed & mask, message) for mask, message in _basis_checks(finite, rank, 3)),
         (placed & ~(timelike | spacelike),
          lambda i: f"degenerate configuration, span signature {tuple(sig[i].tolist())}")]
 

@@ -1,8 +1,10 @@
 """Small fixed-dimension real linear algebra.
 
 Vectors are plain 1-d numpy arrays, and a subspace is given by an
-orthonormal basis of its span (`_orthonormal_columns`, which also checks
-finiteness and full rank, or `_plane_frames` for 2-planes of R^4); two spans
+orthonormal basis of its span (`_column_frames`, or `_plane_frames` for
+2-planes of R^4); both return the finiteness and full-rank checks of the
+bases as (mask, message) rows, which `_orthonormal_columns` raises for one
+object and a suite reads with its others (`_raise_first_row`).  Two spans
 are equal when every column of each basis lies within the rank tolerance of
 the other's span (`_same_spans`).
 The kernels take a stack of matrices as well as one.  All signature
@@ -98,20 +100,31 @@ def _singular(m, eps, full_matrices=False):
     return u, (s > _zero_tol(s, eps)).sum(axis=-1), vh
 
 
-def _orthonormal_columns(basis, eps):
-    """Orthonormal basis of the column span (of each matrix of a stack, the
-    first that fails raising), with a finiteness and a rank check."""
-    if not np.isfinite(basis).all():
-        raise GeometryError("basis has non-finite entries")
-    k = basis.shape[-1]
-    if k == 0:
-        return basis
+def _basis_checks(finite, rank, k):
+    """The checks of bases of k columns, one or a stack, by their finiteness
+    masks and ranks: finite entries, then rank k."""
+    return [(~finite, "basis has non-finite entries"),
+            (rank < k, lambda i: f"basis matrix has rank {rank[i]} < {k} column(s)")]
+
+
+def _column_frames(basis, eps):
+    """`_singular`'s u[..., :k] of bases (..., n, k), one or a stack, and
+    their checks (`_basis_checks`); a basis with a non-finite entry is taken
+    as I[:, :k], so that its SVD converges."""
+    finite, (n, k) = np.isfinite(basis).all(axis=(-2, -1)), basis.shape[-2:]
+    if not finite.all():
+        basis = np.where(finite[..., None, None], basis, np.eye(n, k))
     u, rank, _ = _singular(basis, eps)
-    short = rank < k
-    if short.any():
-        raise GeometryError(f"basis matrix has rank {np.ravel(rank)[np.argmax(short)]} "
-                            f"< {k} column(s)")
-    return u[..., :k]
+    return u[..., :k], _basis_checks(finite, rank, k)
+
+
+def _orthonormal_columns(basis, eps):
+    """Orthonormal basis of the column span of a matrix, or of each of a
+    stack (`_column_frames`), raising the first failed check of the first
+    that fails one."""
+    onb, checks = _column_frames(basis, eps)
+    (_raise_first if basis.ndim == 2 else _raise_first_row)(checks)
+    return onb
 
 
 _PAIR_I, _PAIR_J = np.triu_indices(4, 1)  # (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
@@ -141,20 +154,24 @@ def _plane_values(rows, i, j, eps):
     return s0, s1, (np.stack([s0, s1], -1) > eps * np.maximum(1.0, s0)[..., None]).sum(-1), x, y
 
 
-def _plane_frames(bases, eps, check=True):
-    """(u[..., :2], rank) of `_singular` of bases (..., 4, 2): the rank by
-    `_plane_values`, the frame by Gram-Schmidt twice (Giraud, Langou and
-    Rozloznik, 2005).  A row of rank < 2 has meaningless columns; with check,
-    it sends the stack to `_orthonormal_columns`, which raises its error."""
+_STAND_IN = np.eye(4)[:, [0, 2]]  # (e1, e3), a Darboux plane of the standard omega
+
+
+def _plane_frames(bases, eps):
+    """(frames, ranks, checks) of bases (..., 4, 2) in closed form, the frames
+    and checks as `_column_frames` takes them: the rank by `_plane_values`,
+    the frame by Gram-Schmidt twice (Giraud, Langou and Rozloznik, 2005).  A
+    row that fails its checks has the frame _STAND_IN, so that later kernels
+    read finite numbers."""
     with np.errstate(all="ignore"):
         _, _, rank, x, y = _plane_values(np.swapaxes(bases, -1, -2), 0, 1, eps)
         x = x / np.sqrt((x * x).sum(axis=-1, keepdims=True))
         for _ in range(2):
             y = y - x * (x * y).sum(axis=-1, keepdims=True)
         onb = np.stack([x, y / np.sqrt((y * y).sum(axis=-1, keepdims=True))], -1)
-    if check and (rank < 2).any():
-        onb = _orthonormal_columns(bases, eps)
-    return onb, rank
+    finite = np.isfinite(bases).all(axis=(-2, -1))
+    onb[~finite | (rank < 2)] = _STAND_IN
+    return onb, rank, _basis_checks(finite, rank, 2)
 
 
 def _raise_first(checks, i=()):

@@ -19,8 +19,8 @@ import math
 import numpy as np
 
 from ein3 import ads, crooked, einstein, symplectic
-from ein3.linalg import (EPS_ALG, EPS_RANK, GeometryError, _NON_FINITE, _failed_rows,
-                         _intersection_dims, _orthonormal_columns, _plane_frames, _raise_first,
+from ein3.linalg import (EPS_ALG, EPS_RANK, GeometryError, _NON_FINITE, _STAND_IN,
+                         _column_frames, _failed_rows, _intersection_dims, _plane_frames,
                          _raise_first_row, _same_spans, projective_normalize)
 from ein3.einstein import IntersectionKind
 
@@ -100,7 +100,7 @@ def _planes(space, m):
     orthonormal bases, and the masks of the bases that make Lagrangian planes
     and of those that make nondegenerate planes well-conditioned for omega
     (|omega| > 0.2 on their orthonormal bases); both need `Plane2`'s rank 2."""
-    onb, rank = _plane_frames(m, EPS_RANK, check=False)
+    onb, rank, _ = _plane_frames(m, EPS_RANK)
     return (onb, (rank == 2) & symplectic._lagrangian(space, onb),
             (rank == 2) & (abs(symplectic._omega_pairs(space, onb)) > 0.2))
 
@@ -415,17 +415,17 @@ def _stem_draw(rng, k):
 
 def _stem_rows(space, s, u):
     """Quadrilateral rows (n, 2, 4, 4) of the pairs of a `_stem_draw` (s, u)
-    and orthonormal bases (n, 4, 2) of their shared points: a stem point of
+    and `_column_frames` (n, 4, 2) of their shared points: a stem point of
     the first surface, onto which a stem point of the second is carried.  A
     stem point's component is +1 when its first number is below 0.5, and its
     t1, t2 are uniform in [0.15, pi/2 - 0.15]."""
     rows1, rows0 = np.moveaxis(_random_rows(space, s), 1, 0)
     comps, t = np.where(u[..., 0] < 0.5, 1, -1), 0.15 + (np.pi / 2 - 0.3) * u[..., 1:]
     (c1, c0), (a1, a0), (b1, b0) = comps.T, t[..., 0].T, t[..., 1].T
-    shared = _orthonormal_columns(
+    shared, checks = _column_frames(
         np.stack(_stem_generators(rows1.swapaxes(-1, -2), c1, a1, b1), -1), EPS_RANK)
     x = np.stack(_stem_generators(rows0.swapaxes(-1, -2), c0, a0, b0), -1)
-    return np.stack([rows1, _carried_rows(space, shared, rows0, x)], axis=1), shared
+    return np.stack([rows1, _carried_rows(space, shared, rows0, x)], axis=1), shared, checks
 
 
 def _intersecting_draw(rng, k):
@@ -437,7 +437,7 @@ def _intersecting_draw(rng, k):
 
 def _intersecting_rows(space, s, u):
     """Quadrilateral rows (n, 2, 4, 4) of the pairs of an `_intersecting_draw`
-    (s, u) and orthonormal bases (n, 4, 2) of their shared points: a point
+    (s, u) and `_column_frames` (n, 4, 2) of their shared points: a point
     of the first surface, onto which the second's vertex P+ is carried.  The
     point is on a wing when u0 < 0.5 (wing +1 when u1 < 0.5, theta uniform in
     [0.1, pi/2 - 0.1] by u2, phi in [0, pi] by u3), else on the stem (t1, t2
@@ -449,9 +449,9 @@ def _intersecting_rows(space, s, u):
     columns = rows1.swapaxes(-1, -2)
     on_wing = np.stack(_wing_generators(columns, np.where(a < 0.5, 1, -1), b, c), axis=-1)
     on_stem = np.stack(_stem_generators(columns, np.where(c < 0.5, 1, -1), a, b), axis=-1)
-    shared = _orthonormal_columns(np.where(wing[:, None, None], on_wing, on_stem), EPS_RANK)
+    shared, checks = _column_frames(np.where(wing[:, None, None], on_wing, on_stem), EPS_RANK)
     rows2 = _carried_rows(space, shared, rows0, rows0.swapaxes(-1, -2)[..., [0, 2]])
-    return np.stack([rows1, rows2], axis=1), shared
+    return np.stack([rows1, rows2], axis=1), shared, checks
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +515,7 @@ def _second_generators(space, x):
     matrix[..., _PAIR_COLUMNS, _PAIR_ROWS] = -d
     pair = np.abs(d).argmax(-1)
     columns = np.stack([_PAIR_ROWS[pair], _PAIR_COLUMNS[pair]], -1)[..., None, :]
-    onb = _plane_frames(np.take_along_axis(matrix, columns, -1), EPS_RANK, check=False)[0]
+    onb = _plane_frames(np.take_along_axis(matrix, columns, -1), EPS_RANK)[0]
     return onb[..., 0], onb[..., 1]
 
 
@@ -565,17 +565,14 @@ def _blocks(trials, draw, screen=None):
     trials candidates: draw(first, k) makes the rng calls of candidates
     first, ..., first + k - 1 (numbered from 0), one call per distribution,
     and returns a tuple of arrays over them (a leading candidate axis).
-    screen(chunk) returns (keep, records, check): a mask keep over the
-    chunk's leading axis (or axes, where a candidate holds several
-    records), the records kept as a tuple of arrays, one row per True of
-    keep in C order, and None or check(stop), which raises the first error
-    of the chunk's candidates before stop.  By default every candidate is a
-    record.
+    screen(chunk) returns the records the chunk keeps as a tuple of arrays,
+    in candidate order (a candidate may give several); it raises nothing, as
+    a suite checks only the records it keeps.  By default every candidate
+    is a record.
 
     Yields (number of the first trial, records) for blocks of _ORACLE_BLOCK
     records in candidate order (the last of what trials lacks), each before
-    the next chunk is drawn; records past a full block carry into the next,
-    and a screen's check is read up to the last candidate consumed only.
+    the next chunk is drawn; records past a full block carry into the next.
     Raises RetryExhausted when the budget gives fewer than trials records."""
     limit = ATTEMPTS_PER_TRIAL * trials
     drawn, done, held = 0, 0, None
@@ -584,26 +581,18 @@ def _blocks(trials, draw, screen=None):
             raise RetryExhausted(f"fewer than {trials} accepted trials in {limit} attempts")
         k = min(_ORACLE_BLOCK, limit - drawn)
         chunk = draw(drawn, k)
-        keep, records, check = (np.ones(k, bool), chunk, None) if screen is None else screen(chunk)
+        records = chunk if screen is None else screen(chunk)
         drawn += k
-        # the chunk's records through each candidate, after the `before` held
-        through = np.cumsum(keep.reshape(k, -1).sum(-1))
-        before = 0 if held is None else len(held[0])
         held = records if held is None else tuple(map(np.concatenate, zip(held, records)))
         while done < trials and len(held[0]) >= min(_ORACLE_BLOCK, trials - done):
             n = min(_ORACLE_BLOCK, trials - done)
-            if check is not None:
-                check(int(np.searchsorted(through, n - before)) + 1)
             yield done + 1, tuple(a[:n] for a in held)
-            held, done, before = tuple(a[n:] for a in held), done + n, before - n
-        if check is not None and done < trials:
-            check(k)
+            held, done = tuple(a[n:] for a in held), done + n
 
 
 def _keeping(keep, *arrays):
-    """The (keep, records, check) of a screen (`_blocks`) that keeps the rows
-    of arrays that keep marks and raises nothing."""
-    return keep, tuple(a[keep] for a in arrays), None
+    """The records of a screen (`_blocks`): the rows of arrays that keep marks."""
+    return tuple(a[keep] for a in arrays)
 
 
 def _unit_rows(v):
@@ -791,11 +780,11 @@ def _eta_values(s_basis, f):
 def _splittings(space, bases):
     """`Splitting.from_plane` over stacked bases (n, 4, 2) of nondegenerate
     planes: the omega-normalized bases of both summands, and the checks."""
-    s = _plane_frames(bases, EPS_RANK)[0]
-    comp, checks = symplectic._complements(space, s)
-    t = _plane_frames(comp, EPS_RANK)[0]
-    checks += symplectic._splitting_checks(space, s, symplectic._lagrangian(space, s),
-                                           t, symplectic._lagrangian(space, t))
+    s, _, checks = _plane_frames(bases, EPS_RANK)
+    comp, comp_checks = symplectic._complements(space, s)
+    t, _, t_checks = _plane_frames(comp, EPS_RANK)
+    checks += comp_checks + t_checks + symplectic._splitting_checks(
+        space, s, symplectic._lagrangian(space, s), t, symplectic._lagrangian(space, t))
     return symplectic._normalized(space, s), symplectic._normalized(space, t), checks
 
 
@@ -829,11 +818,11 @@ def suite_eta_bridge(trials=1000, seed=7):
         # are read, so they are taken of the Darboux plane (e1, e3) there
         failed = _failed_rows(checks)
         eta_mu, eta_ein, eta_checks = _eta_values(
-            np.where(failed[:, None, None], np.eye(4)[:, [0, 2]], s_basis), f)
+            np.where(failed[:, None, None], _STAND_IN, s_basis), f)
         eta_mu, eta_ein = eta_mu.tolist(), eta_ein.tolist()
         etas = symplectic.eta_from_det(f)
         apart = np.abs(etas - 1.0) > 1e-6  # where the tori are checked and the kinds read
-        g = _plane_frames(s_basis + t_basis @ f, EPS_RANK)[0]  # the graphs
+        g, _, graph_checks = _plane_frames(s_basis + t_basis @ f, EPS_RANK)  # the graphs
         lagrangian = symplectic._lagrangian(space, g)
         mu_s, s_checks = space._to_einstein(symplectic._mu_rows(space, s_basis))
         mu_t, t_checks = space._to_einstein(symplectic._mu_rows(space, symplectic._normalized(
@@ -845,7 +834,8 @@ def suite_eta_bridge(trials=1000, seed=7):
         s2, ((null, _),) = einstein._torus_normals(mu_t)
         kinds = einstein._torus_kinds(s1, s2)[0].tolist()
         tori = s_checks + torus_checks + [(lagrangian, symplectic._MU_LAGRANGIAN)] + t_checks
-        _raise_first_row(checks + eta_checks + [(apart & mask, message) for mask, message in tori])
+        _raise_first_row(checks + eta_checks + graph_checks
+                         + [(apart & mask, message) for mask, message in tori])
         apart, null = apart.tolist(), null.tolist()
         dets, etas = symplectic.det_omega(f).tolist(), etas.tolist()
         for k, i in enumerate(range(len(f)), first):
@@ -896,12 +886,13 @@ def suite_symplectic_identities(trials=1000, seed=7):
         res = np.abs(symplectic.adjugate(f) @ f
                      - symplectic.det_omega(f)[:, None, None] * np.eye(2)).max(axis=(1, 2))
         comp, checks = symplectic._complements(space, _plane_frames(s, EPS_RANK)[0])
-        po, qo = np.split(_plane_frames(np.concatenate([p, q]), EPS_RANK)[0], 2)
+        pq, _, pq_checks = _plane_frames(np.concatenate([p, q]), EPS_RANK)
         wval = space._transversality(_plucker(p), _plucker(q))
-        dims = _intersection_dims(po, qo)
+        dims = _intersection_dims(*np.split(pq, 2))
         dists = projective_distance(space.reflect_omega_star(_plucker(s)),
                                     _plucker(comp)).tolist()
-        _raise_first_row(checks)
+        # the complement of each trial, then its p and q frames
+        _raise_first_row(checks + _per_trial(pq_checks, len(f), 2, lambda i, k: k * len(f) + i))
         for k, i in enumerate(range(len(f)), first):
             max_violation = max(max_violation, res[i])
             if res[i] > 1e-12:
@@ -919,13 +910,15 @@ def suite_symplectic_identities(trials=1000, seed=7):
     bases = _lagrangian_bases(space, xr[:, :, 0], xr[:, :, 1])  # L, L', P
     index, kept = _maslov_triples(space, bases, split)
     g = _symplectic_exp(space, h[kept])
-    moved = _plane_frames(g[:, None] @ bases[kept], EPS_RANK)[0]
+    moved, _, frame_checks = _plane_frames(g[:, None] @ bases[kept], EPS_RANK)
     moved_index, moved_checks = symplectic._maslov_rows(
         space, moved[:, 0], moved[:, 2], moved[:, 1])
     s_basis, t_basis, split_checks = _splittings(space, split[kept])
-    graphs = _plane_frames(s_basis + t_basis @ f[kept], EPS_RANK)[0]
+    graphs, _, graph_checks = _plane_frames(s_basis + t_basis @ f[kept], EPS_RANK)
     degenerate = symplectic._lagrangian(space, graphs)
-    _raise_first_row(moved_checks + split_checks)  # `maslov`'s of the moved triple first
+    # the moved triple's frames and `maslov`'s checks, then the splitting's and the graph's
+    _raise_first_row(_per_trial(frame_checks, len(g), 3, lambda i, k: (i, k)) + moved_checks
+                     + split_checks + graph_checks)
     # away from det = -1 the graph is nondegenerate
     away = (abs(symplectic.det_omega(f) + 1.0) > 1e-6).tolist()
     for j, k in enumerate(np.flatnonzero(kept).tolist()):
@@ -1016,11 +1009,11 @@ def suite_photon_avoidance(trials=1000, seed=7):
     photon's incidences with the wing vertices and stem planes.
 
     A candidate draws a generator and a photon (`_photon_draw`).  A chunk of
-    candidates is decided at once: one stacked expm, the stacked surface
-    checks, the margins and their |margin| <= 1e-6 skip band, and a meeting
-    photon's witness (`crooked._crossing_bases`), its frame, residual and
-    membership; a candidate's errors are raised in candidate order, the
-    surface's before the witness's.  The oracle (`_photon_crossings`) runs
+    candidates takes one stacked expm and its margins, and keeps those
+    outside the |margin| <= 1e-6 skip band.  A block of trials is checked at
+    once, raising in trial order: the surface checks, then a meeting
+    photon's witness (`crooked._crossing_bases`), its frame and, where its
+    residual is read, its membership.  The oracle (`_photon_crossings`) runs
     once a block; within a trial its failure comes before the witness's."""
     rng = make_rng([seed, 5])
     space = symplectic.standard_space()
@@ -1028,48 +1021,31 @@ def suite_photon_avoidance(trials=1000, seed=7):
     max_residual = 0.0
 
     def screen(chunk):
-        rows = _random_rows(space, chunk[0])
-        surface = _surface_checks(space, rows)
-        failed = _failed_rows(surface)
+        rows, p = _random_rows(space, chunk[0]), _unit_rows(chunk[1])
         columns = rows.swapaxes(-1, -2).copy()  # C-ordered, as a quadrilateral keeps them
-        p = _unit_rows(chunk[1])
         units = crooked._unit_photons(p)  # p as the predicates take it
         w = (units[:, None] @ space.matrix @ columns)[:, 0]
         m1, m2 = crooked._products(w)
-        verdicts = crooked._avoids(m1, m2, EPS_ALG)
-        skip = np.minimum(abs(m1), abs(m2)) <= 1e-6
-        bases, fails = crooked._crossing_bases(units, columns, w, EPS_ALG)
-        need = ~(verdicts | skip) & fails  # the candidates whose witness is read
-        onb, rank = _plane_frames(bases[need], EPS_RANK, check=False)
-        regions, checks = crooked._lagrangian_regions(space, columns[need], onb, EPS_ALG)
-        residuals = np.full(len(p), np.nan)
-        residuals[need] = _crossing_residuals(space, p[need], onb)
-        # a witness of rank < 2 raises `Plane2`'s error, one of residual
-        # <= 1e-9 its membership check's; the others fail their trial
-        read = residuals[need] <= 1e-9
-        failed[need] |= (rank < 2) | (read & _failed_rows(checks))
-        off = need.copy()
-        off[need] = ~read | ~np.logical_or.reduce(regions)
-        row = np.cumsum(need) - 1  # of each witness among the chunk's
-
-        def raise_first(stop):
-            for i in np.flatnonzero(failed[:stop])[:1].tolist():
-                _raise_first(surface, i)  # the surface's error, if any; else the witness's
-                if rank[row[i]] < 2:
-                    _orthonormal_columns(bases[i], EPS_RANK)
-                _raise_first(checks, row[i])
-
-        keep = ~skip  # the oracle normalizes p again
-        records = verdicts, _unit_rows(p), columns, residuals, ~(verdicts | fails), off
-        return keep, tuple(a[keep] for a in records), raise_first
+        return _keeping(~(np.minimum(abs(m1), abs(m2)) <= 1e-6), rows, columns, p, units, w)
 
     draws = _blocks(trials, lambda first, k: _photon_draw(rng, k), screen)
-    for first, (verdicts, units, columns, residuals, unwitnessed, off) in draws:
-        _, found = _photon_crossings(space, units, columns)
+    for first, (rows, columns, p, units, w) in draws:
+        verdicts = crooked._avoids(*crooked._products(w), EPS_ALG)
+        bases, fails = crooked._crossing_bases(units, columns, w, EPS_ALG)
+        need = ~verdicts & fails  # the trials whose witness is read
+        onb, _, frame_checks = _plane_frames(bases, EPS_RANK)
+        regions, checks = crooked._lagrangian_regions(space, columns, onb, EPS_ALG)
+        residuals = np.where(need, _crossing_residuals(space, p, onb), np.nan)
+        read = residuals <= 1e-9  # else a witness fails its trial, not its membership check
+        _raise_first_row(_surface_checks(space, rows)
+                         + [(need & mask, message) for mask, message in frame_checks]
+                         + [(read & mask, message) for mask, message in checks])
+        off = need & ~(read & np.logical_or.reduce(regions))
+        _, found = _photon_crossings(space, _unit_rows(p), columns)  # p normalized again
         max_residual = float(np.fmax.reduce(residuals, initial=max_residual))
         for k, verdict, hit, residual, none, bad in zip(
-                range(first, first + len(units)), verdicts.tolist(), found.tolist(),
-                residuals.tolist(), unwitnessed.tolist(), off.tolist()):
+                range(first, first + len(p)), verdicts.tolist(), found.tolist(),
+                residuals.tolist(), (~(verdicts | fails)).tolist(), off.tolist()):
             if verdict and hit:
                 failures.append(f"trial {k}: disjoint photon but oracle found a point")
             if not verdict and not hit:
@@ -1103,8 +1079,7 @@ def suite_surface_disjointness(trials=200, seed=7):
 
     def screen(chunk):
         units, f, margins = _ads_arrays(chunk[0].reshape(-1, 6, 2))
-        passed = margins.min(axis=(1, 2)) > 1e-2
-        return passed.reshape(-1, _ADS_ROWS), (units[passed], f[passed]), None
+        return _keeping(margins.min(axis=(1, 2)) > 1e-2, units, f)
 
     def sixteen_pass(space, rows):
         return crooked._avoids(*crooked._sixteen_margins(rows.swapaxes(-1, -2), space.matrix),
@@ -1132,11 +1107,11 @@ def suite_surface_disjointness(trials=200, seed=7):
                 if gap <= 1e-4:
                     failures.append(f"disjoint pair {k}: sampled gap {gap:.3e}")
     for first, block in _blocks(trials, lambda first, k: _intersecting_draw(rng, k)):
-        rows, shared = _intersecting_rows(std, *block)
+        rows, shared, shared_checks = _intersecting_rows(std, *block)
         passed = sixteen_pass(std, rows)
         regions, checks = crooked._lagrangian_regions(std, rows.swapaxes(-1, -2), shared[:, None],
                                                       EPS_ALG)
-        _raise_first_row(_surface_checks(std, rows) + checks)
+        _raise_first_row(shared_checks + _surface_checks(std, rows) + checks)
         on_both = np.logical_or.reduce(regions).all(axis=1)
         for k, i in enumerate(range(len(rows)), first):
             if passed[i]:
@@ -1153,9 +1128,9 @@ def suite_stem_only(trials=200, seed=7):
 
     A chunk of pairs makes the rng calls of a `_stem_draw`.  A block takes one
     stacked expm, carries the second quadrilaterals onto the shared points
-    (`_stem_rows`), checks the surfaces stacked, raising in trial order,
-    checks the shared point on both stems, and solves for a stem-wing
-    contact in either order (`_stem_wing_contacts`).  A pair
+    (`_stem_rows`), checks the shared point on both stems, and solves for a
+    stem-wing contact in either order (`_stem_wing_contacts`); it checks the
+    bases and the surfaces stacked, raising in trial order.  A pair
     fails when the shared point is off a stem or neither order has a
     contact: the test of the lemma.  The violation, the largest residual
     of the contacts (`_crossing_residuals`), only confirms the construction:
@@ -1166,7 +1141,7 @@ def suite_stem_only(trials=200, seed=7):
     failures = []
     max_residual = 0.0
     for first, block in _blocks(trials, lambda first, k: _stem_draw(rng, k)):
-        rows, shared = _stem_rows(space, *block)
+        rows, shared, shared_checks = _stem_rows(space, *block)
         n = len(rows)
         q1, q2 = np.moveaxis(rows.swapaxes(-1, -2), 1, 0)
         regions, checks = crooked._lagrangian_regions(space, rows.swapaxes(-1, -2),
@@ -1176,10 +1151,11 @@ def suite_stem_only(trials=200, seed=7):
         x1, x2, hit = _stem_wing_contacts(np.concatenate([q1, q2]), np.concatenate([q2, q1]))
         x1, x2 = (np.where(hit[:n, None], x[:n], x[n:]) for x in (x1, x2))
         contact = hit[:n] | hit[n:]
-        onb = _orthonormal_columns(np.stack([x1, x2], axis=-1)[contact], EPS_RANK)
-        max_residual = max([max_residual,
-                            *_crossing_residuals(space, (x1 + x2)[contact], onb).tolist()])
-        _raise_first_row(_surface_checks(space, rows) + checks)
+        onb, contact_checks = _column_frames(np.stack([x1, x2], axis=-1), EPS_RANK)
+        max_residual = max([max_residual, *_crossing_residuals(
+            space, (x1 + x2)[contact], onb[contact]).tolist()])
+        _raise_first_row(shared_checks + _surface_checks(space, rows) + checks
+                         + [(contact & mask, message) for mask, message in contact_checks])
         for k, i in enumerate(range(n), first):
             if not on_stems[i]:
                 failures.append(f"pair {k}: the shared point is off a stem")

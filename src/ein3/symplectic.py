@@ -280,15 +280,14 @@ _DEGENERATE_SUMMANDS = "splitting summands must be nondegenerate"
 
 def _splitting_checks(space, s, s_lagrangian, t, t_lagrangian, eps=EPS_ALG):
     """The checks of `Splitting` over stacked orthonormal bases s, t of the
-    summands and their tags (the rank check of the sum raises here)."""
+    summands and their tags: nondegenerate, omega-orthogonal, then the rank
+    of [s | t] where both hold."""
     nondegenerate = ~(np.asarray(s_lagrangian) | t_lagrangian)
     val = np.abs(np.swapaxes(s, -1, -2) @ space.matrix @ t).max(axis=(-2, -1))
-    sums = nondegenerate & (val <= eps)
-    rank = _frame_pair_values(s[sums], t[sums], EPS_RANK)[1]
-    if (rank < 4).any():
-        raise GeometryError(f"basis matrix has rank {rank[rank < 4][0]} < 4 column(s)")
+    rank = np.where(nondegenerate & (val <= eps), _frame_pair_values(s, t, EPS_RANK)[1], 4)
     return [(~nondegenerate, _DEGENERATE_SUMMANDS),
-            (val > eps, lambda i: f"summands are not omega-orthogonal: omega = {val[i]:.3e}")]
+            (val > eps, lambda i: f"summands are not omega-orthogonal: omega = {val[i]:.3e}"),
+            (rank < 4, lambda i: f"basis matrix has rank {rank[i]} < 4 column(s)")]
 
 
 def _complements(space, onb):

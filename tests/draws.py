@@ -103,7 +103,7 @@ def stem_crossing_pairs(space, rng, n):
     them: two crooked surfaces whose stems share a constructed point, and
     that point."""
     for _, block in O._blocks(n, lambda first, k: O._stem_draw(rng, k)):
-        rows, shared = O._stem_rows(space, *block)
+        rows, shared, _ = O._stem_rows(space, *block)
         for pair, l in zip(rows, shared):
             c1, c2 = (C.CrookedSurface(C.LightlikeQuadrilateral(space, *r)) for r in pair)
             yield c1, c2, Plane2(space, l)

@@ -13,6 +13,7 @@ from ein3.linalg import (
     _orthonormal_columns,
     _plane_frames,
     _raise_first_row,
+    _STAND_IN,
     _same_spans,
     _singular,
     projective_normalize,
@@ -163,7 +164,7 @@ def test_plane_frames_match_the_svd_route():
     # 1, where the span itself moves by that much under rounding) and
     # orthonormal within 4 eps; a one-row call is its row of the stack
     bases = _plane_bases(np.random.default_rng(5))
-    onb, rank = _plane_frames(bases, EPS_RANK, check=False)
+    onb, rank, _ = _plane_frames(bases, EPS_RANK)
     u, svd_rank, _ = _singular(bases, EPS_RANK)
     assert rank.tolist() == svd_rank.tolist()
     assert rank[100:112].tolist() == [1, 1, 2, 2] * 3 and rank[112] == 1
@@ -174,7 +175,7 @@ def test_plane_frames_match_the_svd_route():
     gram = onb[full].swapaxes(-1, -2) @ onb[full]
     assert np.abs(gram - np.eye(2)).max() <= 4 * np.finfo(float).eps
     for i in range(len(bases)):
-        one, one_rank = _plane_frames(bases[i], EPS_RANK, check=False)
+        one, one_rank, _ = _plane_frames(bases[i], EPS_RANK)
         assert np.array_equal(one, onb[i], equal_nan=True) and one_rank == rank[i]
     assert np.array_equal(_plane_frames(bases[full], EPS_RANK)[0], onb[full])
 
@@ -184,14 +185,18 @@ def test_plane_frames_match_the_svd_route():
     (np.array([1.0, np.inf, 0.0, 0.0]), 0, "basis has non-finite entries"),
     (np.array([np.nan, 0.0, 0.0, 0.0]), 0, "basis has non-finite entries")])
 def test_plane_frames_raise_as_orthonormal_columns(column, rank, message):
-    # a bad row mid-stack raises `_orthonormal_columns`' error for the stack,
-    # and a zero basis after it does not come first
+    # a bad row mid-stack fails `_plane_frames`' checks with the error that
+    # `_orthonormal_columns` raises for the stack, and a zero basis after it
+    # does not come first; both bad rows take the stand-in frame
     bases = np.random.default_rng(6).normal(size=(9, 4, 2))
     bases[4, :, 1], bases[6] = column, 0.0
-    for call in (_orthonormal_columns, _plane_frames):
+    onb, ranks, checks = _plane_frames(bases, EPS_RANK)
+    assert ranks[4] == rank and np.flatnonzero(_failed_rows(checks)).tolist() == [4, 6]
+    assert (onb[[4, 6]] == _STAND_IN).all() and np.isfinite(onb).all()
+    for call in (lambda: _orthonormal_columns(bases, EPS_RANK), lambda: _raise_first_row(checks),
+                 lambda: _orthonormal_columns(bases[4], EPS_RANK)):
         with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
-            call(bases, EPS_RANK)
-    assert _plane_frames(bases, EPS_RANK, check=False)[1][4] == rank
+            call()
 
 
 def test_raise_first_row_raises_the_first_failed_check_of_the_first_failing_row():

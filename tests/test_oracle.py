@@ -1,7 +1,6 @@
 import itertools
 import re
 import warnings
-from contextlib import nullcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -222,15 +221,13 @@ def _called_a_scalar_check(*args):
 
 
 def test_each_draw_validates_one_quadrilateral_per_surface(monkeypatch):
-    # the stacked suites check every candidate of a block in trial order,
-    # from one call of the stacked kernel per `_surface_checks` whose checks
+    # the stacked suites check every trial of a block in trial order, from
+    # one call of the stacked kernel per `_surface_checks` whose checks
     # `_raise_first_row` reads whole, never by the scalar closed forms of a
-    # surface or an AdS plane (ads-equivalence's one `as_sl2` of I aside);
-    # photon-avoidance's screen reads the checks of a failing candidate
-    # only, and none fails at this seed
+    # surface or an AdS plane (ads-equivalence's one `as_sl2` of I aside)
     blocks, kernel_rows, read, sl2 = [], [], [], []
     surface_checks, kernel = O._surface_checks, C._surface_check_rows
-    raise_first_row, raise_first, check_sl2 = O._raise_first_row, O._raise_first, ads._check_sl2
+    raise_first_row, check_sl2 = O._raise_first_row, ads._check_sl2
 
     def recorded(space, rows):
         checks = surface_checks(space, rows)
@@ -241,34 +238,31 @@ def test_each_draw_validates_one_quadrilateral_per_surface(monkeypatch):
         kernel_rows.append(rows.shape[:2])
         return kernel(rows, *args)
 
-    def reading(raise_checks):
-        def wrapped(checks, *args):
-            read.extend(id(mask) for mask, _ in checks)
-            return raise_checks(checks, *args)
-        return wrapped
+    def reading(checks):
+        read.extend(id(mask) for mask, _ in checks)
+        return raise_first_row(checks)
 
     monkeypatch.setattr(O, "_surface_checks", recorded)
     monkeypatch.setattr(C, "_surface_check_rows", counted)
-    monkeypatch.setattr(O, "_raise_first_row", reading(raise_first_row))
-    monkeypatch.setattr(O, "_raise_first", reading(raise_first))
+    monkeypatch.setattr(O, "_raise_first_row", reading)
     monkeypatch.setattr(ads, "_check_sl2", lambda *args: sl2.append(args) or check_sl2(*args))
     for module, name in ((C, "_check_quadrilateral"), (C, "_check_planes"),
                          (ads, "_check_independent"), (ads, "AdsCrookedPlane")):
         monkeypatch.setattr(module, name, _called_a_scalar_check)
-    for suite, trials, per_trial, candidates, every in (
-            (O.suite_photon_avoidance, 30, 1, lambda n: n >= 30, False),
-            (O.suite_stem_only, 30, 2, lambda n: n == 30, True),
-            (O.suite_surface_disjointness, 6, 2, lambda n: n == 12, True),
-            (O.suite_ads_equivalence, 30, 2, lambda n: n == 30, True)):
+    for suite, trials, per_trial, checked in (
+            (O.suite_photon_avoidance, 30, 1, 30),
+            (O.suite_stem_only, 30, 2, 30),
+            (O.suite_surface_disjointness, 6, 2, 12),
+            (O.suite_ads_equivalence, 30, 2, 30)):
         blocks.clear()
         kernel_rows.clear()
         read.clear()
         sl2.clear()
         assert suite(trials=trials, seed=7)["failures"] == []
-        assert all(per == per_trial and [id(mask) in read for mask, _ in checks] == [every] * len(
-            checks) for n, per, checks in blocks), suite.__name__
+        assert all(per == per_trial and all(id(mask) in read for mask, _ in checks)
+                   for n, per, checks in blocks), suite.__name__
         assert kernel_rows == [(n, per) for n, per, _ in blocks], suite.__name__
-        assert candidates(sum(n for n, *_ in blocks)), suite.__name__
+        assert sum(n for n, *_ in blocks) == checked, suite.__name__
         one = [([[1.0, 0.0], [0.0, 1.0]], O.EPS_ALG)]  # ads-equivalence's `as_sl2` of I
         assert sl2 == (one if suite is O.suite_ads_equivalence else []), suite.__name__
 
@@ -595,7 +589,7 @@ def test_pair_draws_read_no_membership_predicate(monkeypatch):
             patch.setattr(C, name, _predicate_side_rule)
         rngs = [O.make_rng(seed) for seed in range(1, 6)]
         stem = [stem_crossing_pair(SP, rng) for rng in rngs]
-        rows, shared = O._intersecting_rows(SP, *map(np.concatenate, zip(
+        rows, shared, _ = O._intersecting_rows(SP, *map(np.concatenate, zip(
             *(O._intersecting_draw(rng, 1) for rng in rngs))))
     for c1, c2, l in stem:
         assert _stem_contains(c1, l) and _stem_contains(c2, l)
@@ -954,6 +948,135 @@ def test_symplectic_identities_raises_the_first_failed_maslov_check(monkeypatch,
     assert len(calls) == 2
 
 
+def _corrupting(patch, module, name, corrupt):
+    """Patch module.name to return corrupt of what it returns."""
+    call = getattr(module, name)
+    patch.setattr(module, name, lambda *args: corrupt(call(*args)))
+
+
+def _failing_fourth(out):
+    """A kernel's (values, checks) with a check that fails at trial 4."""
+    values, checks = out
+    return values, checks + [_failing_at(len(checks[0][0]), 3, "trial 4")]
+
+
+def _nan_row(array, row=9):
+    array[row] = np.nan
+    return array
+
+
+def _short_row(bases, row=9):
+    """Bases whose second column at row is its first: rank 1."""
+    bases[row, ..., 1] = bases[row, ..., 0]
+    return bases
+
+
+def _eta_complement(patch, fail):
+    # trial 10's complement basis is NaN; trial 4's complement check fails
+    _corrupting(patch, S, "_complements", lambda out: (_nan_row(out[0]), out[1]))
+    if fail:
+        _corrupting(patch, S, "_complements", _failing_fourth)
+
+
+def _identities_frames(patch, fail):
+    # trial 10's p basis is NaN; trial 4's complement check fails
+    _corrupting(patch, O, "_keeping", lambda out: (*out[:2], _nan_row(out[2]), out[3]))
+    if fail:
+        _corrupting(patch, S, "_complements", _failing_fourth)
+
+
+def _identities_moved(patch, fail):
+    # the Maslov/graph trials' tenth moved triple is NaN; their fourth
+    # splitting fails a check
+    _corrupting(patch, O, "_symplectic_exp", _nan_row)
+    if fail:
+        _corrupting(patch, O, "_splittings", lambda out: (*out[:2], out[2] + [
+            _failing_at(len(out[0]), 3, "trial 4")]))
+
+
+def _photon_witness(patch, fail):
+    # trial 10 is a meeting photon whose witness has rank 1; trial 4's
+    # surface fails a check
+    _corrupting(patch, C, "_crossing_bases", lambda out: (_short_row(out[0]), out[1]))
+    if fail:
+        _corrupting(patch, O, "_surface_checks", lambda checks: checks + [
+            _failing_at(len(checks[0][0]), 3, "trial 4")])
+
+
+def _membership_fourth(patch, fail):
+    if fail:
+        _corrupting(patch, C, "_lagrangian_regions", _failing_fourth)
+
+
+def _stem_shared(patch, fail):
+    # trial 10's shared stem point, of the first call (the first surface's),
+    # has equal generators
+    calls = []
+
+    def equal(out):
+        calls.append(out)
+        if len(calls) == 1:
+            out[1][9] = out[0][9]
+        return out
+
+    _corrupting(patch, O, "_stem_generators", equal)
+    _membership_fourth(patch, fail)
+
+
+def _stem_contact(patch, fail):
+    # trial 10's contact generators are parallel, in either order
+    def parallel(out):
+        x1, x2, hit = out
+        rows = [9, len(x1) // 2 + 9]
+        x2[rows] = 2.0 * x1[rows]
+        return x1, x2, hit
+
+    _corrupting(patch, O, "_stem_wing_contacts", parallel)
+    _membership_fourth(patch, fail)
+
+
+def _intersecting_shared(patch, fail):
+    # trial 10's shared point, on a wing or on the stem, is NaN
+    for name in ("_wing_generators", "_stem_generators"):
+        _corrupting(patch, O, name, lambda out: (_nan_row(out[0]), out[1]))
+    _membership_fourth(patch, fail)
+
+
+def _causal_span(patch, fail):
+    # trial 10's point of P is NaN; trial 4's fails a point check
+    _corrupting(patch, S, "_lagrangian_points", lambda out: (_nan_row(out[0]), out[1]))
+    if fail:
+        _corrupting(patch, S, "_lagrangian_points", _failing_fourth)
+
+
+_NON_FINITE_BASIS = "basis has non-finite entries"
+_RANK_ONE = "basis matrix has rank 1 < 2 column(s)"
+
+
+@pytest.mark.parametrize("suite, corrupt, message", [
+    (O.suite_eta_bridge, _eta_complement, _NON_FINITE_BASIS),
+    (O.suite_symplectic_identities, _identities_frames, _NON_FINITE_BASIS),
+    (O.suite_symplectic_identities, _identities_moved, _NON_FINITE_BASIS),
+    (O.suite_photon_avoidance, _photon_witness, _RANK_ONE),
+    (O.suite_stem_only, _stem_shared, _RANK_ONE),
+    (O.suite_stem_only, _stem_contact, _RANK_ONE),
+    (O.suite_surface_disjointness, _intersecting_shared, _NON_FINITE_BASIS),
+    (O.suite_maslov_bridge, _causal_span, _NON_FINITE_BASIS)],
+    ids=["eta-complement", "identities-frames", "identities-moved", "photon-witness",
+         "stem-shared", "stem-contact", "intersecting-shared", "maslov-causal-span"])
+def test_a_kernel_basis_check_raises_in_trial_order(monkeypatch, suite, corrupt, message):
+    # trial 10 hands a frame kernel a NaN or rank-deficient basis: when
+    # trial 4 fails a check, its error comes first; else trial 10 raises the
+    # kernel's own error, with no LinAlgError and no RuntimeWarning (its row
+    # has a stand-in frame)
+    for fail, want in ((True, "trial 4"), (False, message)):
+        with monkeypatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            corrupt(patch, fail)
+            with pytest.raises(GeometryError, match=f"^{re.escape(want)}$"):
+                suite(trials=20, seed=3)
+
+
 def test_oracle_imports_neither_fractions_nor_decimal():
     import os
     import subprocess
@@ -1113,7 +1236,7 @@ def test_blocks_carry_what_a_screen_keeps_past_a_block():
 
     def screen(chunk):
         c = chunk[0]
-        return np.ones((len(c), 3), bool), (np.repeat(c, 3), np.tile(np.arange(3), len(c))), None
+        return np.repeat(c, 3), np.tile(np.arange(3), len(c))
 
     blocks = list(O._blocks(300, _numbered(chunks), screen))
     assert [(first, len(block[0])) for first, block in blocks] == _block_shapes(300)
@@ -1140,37 +1263,6 @@ def test_blocks_of_fewer_trials_are_a_prefix(trials):
     few, many = records(trials), records(2 * trials)
     assert len(few[0]) == trials and len(many[0]) == 2 * trials
     assert all(np.array_equal(a, b[:trials]) for a, b in zip(few, many))
-
-
-@pytest.mark.parametrize("trials, bad, raises, yielded", [
-    (5, [9], "candidate 9", 0), (5, [10, 4], "candidate 4", 0), (5, [10], None, 1),
-    (200, [255], "candidate 255", 0), (200, [300, 270], "candidate 270", 1),
-    (200, [399], "candidate 399", 1), (200, [400], None, 2)])
-def test_blocks_read_a_screen_check_up_to_the_last_candidate_consumed(monkeypatch, trials, bad,
-                                                                     raises, yielded):
-    # odd candidates are kept, and the check fails at the bad ones: the first
-    # bad candidate in candidate order raises, if at or before the last one
-    # consumed (5 trials: candidate 9; 200 trials: 255 ends the first block,
-    # 399 the second), after the blocks before it.  The rule does not depend
-    # on the block size, and the candidate numbers are worked out for blocks
-    # of 128, which the test sets
-    monkeypatch.setattr(O, "_ORACLE_BLOCK", 128)
-
-    def screen(chunk):
-        c = chunk[0]
-
-        def check(stop):
-            for i in c[:stop].tolist():
-                if i in bad:
-                    raise GeometryError(f"candidate {i}")
-
-        return c % 2 == 1, (c[c % 2 == 1],), check
-
-    got = []
-    with pytest.raises(GeometryError, match=f"^{raises}$") if raises else nullcontext():
-        for _, block in O._blocks(trials, _numbered([]), screen):
-            got.append(block)
-    assert len(got) == yielded
 
 
 def test_photon_suite_reports_a_blind_or_a_seeing_oracle_in_trial_order(monkeypatch):
@@ -1454,7 +1546,7 @@ _DRAW_SHA256 = {
     "eta-bridge": "232a6881bcfce6ef3e9e4233121904d7b28e82b49a32c9902887fb156cffa2c7",
     "symplectic-identities": "0a2e57278e95e91546e1e66bd277fa3d22a6f9df8fb0d516b81f284ba9a20219",
     "maslov-bridge": "fff95ed9308303a47e8d45049d7c424cf8f260b349819bd19edbf35cf26ca817",
-    "photon-avoidance": "8d03f01f7d8dbd436b01bea92d06829e2547d229d193b35232ea71480661ea1e",
+    "photon-avoidance": "1229a6fd84ee1b891537959026248619291788f8bee1c0b4cd03957b2b6cf70e",
     "surface-disjointness": "72272ecf17abf40e35ee4a2a60418aabb33452bd4b49e1137f56d59a5ef0f59d",
     "stem-only": "beb72d478d5d0743dbdf85adc290a13d09e63025490419e6a5342527435bde4e",
     "ads-equivalence": "4063db75ad3bcee49cf0349d8f17366960b1be0c26cbaee5df74e481535ac938",
