@@ -172,7 +172,7 @@ class IntersectionClass:
 def _carrier_signatures(n1, n2):
     """Inertia arrays (p, q, z) of the carriers of stacked normal rows, or
     the inertia of one pair's carrier."""
-    return _signatures(_complement_onb(_orthonormal_columns(np.stack([n1, n2], -1), EPS_RANK)))
+    return _signatures(_complement_onb(_orthonormal_columns(np.stack([n1, n2], -1))))
 
 
 def _incident(a, b, eps=EPS_ALG):
@@ -267,5 +267,5 @@ def triple_lightcone_empty(p, p0, pinf, eps=EPS_RANK):
     if incident(p, p0) and incident(p, pinf):
         raise GeometryError(
             "degenerate configuration: p is incident to both p0 and pinf")
-    span = _orthonormal_columns(np.column_stack([p.rep, p0.rep, pinf.rep]), EPS_RANK)
+    span = _orthonormal_columns(np.column_stack([p.rep, p0.rep, pinf.rep]))
     return _signatures(_complement_onb(span), eps) == (2, 0, 0)

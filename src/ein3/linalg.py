@@ -4,7 +4,8 @@ Vectors are plain 1-d numpy arrays, and a subspace is given by an
 orthonormal basis of its span (`_column_frames`, or `_plane_frames` for
 2-planes of R^4); both return the finiteness and full-rank checks of the
 bases as (mask, message) rows, which `_orthonormal_columns` raises for one
-object and a suite reads with its others (`_raise_first_row`).  Two spans
+object and a suite raises with its others (`_raise_first_row`), as it reports
+its failures (`_failed_messages`).  Two spans
 are equal when every column of each basis lies within the rank tolerance of
 the other's span (`_same_spans`).
 The kernels take a stack of matrices as well as one.  All signature
@@ -107,22 +108,22 @@ def _basis_checks(finite, rank, k):
             (rank < k, lambda i: f"basis matrix has rank {rank[i]} < {k} column(s)")]
 
 
-def _column_frames(basis, eps):
+def _column_frames(basis):
     """`_singular`'s u[..., :k] of bases (..., n, k), one or a stack, and
     their checks (`_basis_checks`); a basis with a non-finite entry is taken
     as I[:, :k], so that its SVD converges."""
     finite, (n, k) = np.isfinite(basis).all(axis=(-2, -1)), basis.shape[-2:]
     if not finite.all():
         basis = np.where(finite[..., None, None], basis, np.eye(n, k))
-    u, rank, _ = _singular(basis, eps)
+    u, rank, _ = _singular(basis, EPS_RANK)
     return u[..., :k], _basis_checks(finite, rank, k)
 
 
-def _orthonormal_columns(basis, eps):
+def _orthonormal_columns(basis):
     """Orthonormal basis of the column span of a matrix, or of each of a
     stack (`_column_frames`), raising the first failed check of the first
     that fails one."""
-    onb, checks = _column_frames(basis, eps)
+    onb, checks = _column_frames(basis)
     (_raise_first if basis.ndim == 2 else _raise_first_row)(checks)
     return onb
 
@@ -157,14 +158,14 @@ def _plane_values(rows, i, j, eps):
 _STAND_IN = np.eye(4)[:, [0, 2]]  # (e1, e3), a Darboux plane of the standard omega
 
 
-def _plane_frames(bases, eps):
+def _plane_frames(bases):
     """(frames, ranks, checks) of bases (..., 4, 2) in closed form, the frames
     and checks as `_column_frames` takes them: the rank by `_plane_values`,
     the frame by Gram-Schmidt twice (Giraud, Langou and Rozloznik, 2005).  A
     row that fails its checks has the frame _STAND_IN, so that later kernels
     read finite numbers."""
     with np.errstate(all="ignore"):
-        _, _, rank, x, y = _plane_values(np.swapaxes(bases, -1, -2), 0, 1, eps)
+        _, _, rank, x, y = _plane_values(np.swapaxes(bases, -1, -2), 0, 1, EPS_RANK)
         x = x / np.sqrt((x * x).sum(axis=-1, keepdims=True))
         for _ in range(2):
             y = y - x * (x * y).sum(axis=-1, keepdims=True)
@@ -188,11 +189,20 @@ def _failed_rows(checks):
     return np.logical_or.reduce([np.reshape(mask, len(mask)) for mask, _ in checks])
 
 
+def _failed_messages(checks):
+    """The message of every failed check of every row of a stack that fails
+    any (`_failed_rows`): row by row, and within a row in the order of
+    checks."""
+    return [message if isinstance(message, str) else message(i)
+            for i in np.flatnonzero(_failed_rows(checks)).tolist()
+            for mask, message in checks if np.asarray(mask)[i]]
+
+
 def _raise_first_row(checks):
-    """Raise for the first failed check of the first row of a stack that
-    fails any (`_failed_rows`), in the order of checks (`_raise_first`)."""
-    for i in np.flatnonzero(_failed_rows(checks))[:1].tolist():
-        _raise_first(checks, i)
+    """Raise the first of `_failed_messages`: the first failed check of the
+    first row of a stack that fails any."""
+    for message in _failed_messages(checks)[:1]:
+        raise GeometryError(message)
 
 
 def _same_spans(a, b, eps=EPS_RANK):

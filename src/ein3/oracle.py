@@ -5,7 +5,9 @@ object type, dense point sampling of tori and crooked surfaces, chordal
 gap measurement between projective point clouds, and causal probing of
 intersection curves through finite differences.  The named suites at the
 bottom run the agreement properties (algebra vs. sampling) and emit one
-machine-readable record each.
+machine-readable record each.  A block of trials ends in two lists of (mask,
+message) rows, read trial by trial: the checks a suite raises
+(`_raise_first_row`) and the failures it reports (`_failed_messages`).
 
 The chordal metric (sine of the principal angle between representative
 lines, on Euclidean-normalized representatives) is used for all sampled
@@ -19,10 +21,9 @@ import math
 import numpy as np
 
 from ein3 import ads, crooked, einstein, symplectic
-from ein3.linalg import (EPS_ALG, EPS_RANK, GeometryError, _NON_FINITE, _STAND_IN,
-                         _column_frames, _failed_rows, _intersection_dims, _plane_frames,
+from ein3.linalg import (EPS_ALG, GeometryError, _NON_FINITE, _STAND_IN, _column_frames,
+                         _failed_messages, _failed_rows, _intersection_dims, _plane_frames,
                          _raise_first_row, _same_spans, projective_normalize)
-from ein3.einstein import IntersectionKind
 
 EPS_GEO = 1e-6
 
@@ -100,7 +101,7 @@ def _planes(space, m):
     orthonormal bases, and the masks of the bases that make Lagrangian planes
     and of those that make nondegenerate planes well-conditioned for omega
     (|omega| > 0.2 on their orthonormal bases); both need `Plane2`'s rank 2."""
-    onb, rank, _ = _plane_frames(m, EPS_RANK)
+    onb, rank, _ = _plane_frames(m)
     return (onb, (rank == 2) & symplectic._lagrangian(space, onb),
             (rank == 2) & (abs(symplectic._omega_pairs(space, onb)) > 0.2))
 
@@ -347,28 +348,34 @@ def _tangent_forms(curve, thetas):
             / (tangents * tangents).sum(axis=-1))
 
 
-def _probe_kind(curve, thetas, q):
-    """Causal character of a one-row intersection curve from the forms q of
-    its central finite-difference tangents (`_tangent_forms`) at the
-    driving angles thetas: all tangents timelike, all spacelike, or all
-    null (a photon pair); anything else raises.
+_PHOTON, _SPACELIKE, _TIMELIKE = 1, 2, 3  # their indices in `einstein._KINDS`
+
+
+def _probe_kind(frames, normals, thetas):
+    """Causal character of the intersection curves of stacked distinct tori
+    (`_intersection_curve` of frames and normals) from the forms q of their
+    central finite-difference tangents (`_tangent_forms`) at driving angles
+    thetas (n, m): the `einstein._KINDS` indices of rows whose tangents are
+    all timelike, all spacelike, or all null (a photon pair), and the check
+    of the rows that are none of these.
 
     A photon pair's curve has a kink where its photons meet: within ~3e-5
     of it the difference straddles the kink or arccos near +/-1 loses the
     digits that make it null.  So a tangent that is not null is reread
     1e-3 to either side of its draw, on the photons themselves, and counts
-    as null when both rereads are."""
-    if (q < -_NULL_TANGENT).all():
-        return IntersectionKind.TIMELIKE_CIRCLE
-    if (q > _NULL_TANGENT).all():
-        return IntersectionKind.SPACELIKE_CIRCLE
-    off = thetas[np.abs(q) > _NULL_TANGENT]
-    sides = np.abs(np.stack([_tangent_forms(curve, off - 1e-3),
-                             _tangent_forms(curve, off + 1e-3)]))
-    if (sides <= _NULL_TANGENT).all():
-        return IntersectionKind.PHOTON_PAIR
-    raise GeometryError(
-        f"probe tangents disagree: Q/|t|^2 from {q.min():.3e} to {q.max():.3e}")
+    as null when both rereads are; only the rows that are neither all
+    timelike nor all spacelike are reread."""
+    q = _tangent_forms(_intersection_curve(frames, normals), thetas)
+    timelike, spacelike = (q < -_NULL_TANGENT).all(-1), (q > _NULL_TANGENT).all(-1)
+    mixed = np.flatnonzero(~(timelike | spacelike))
+    curve = _intersection_curve(frames[mixed], normals[mixed])
+    before, after = (abs(_tangent_forms(curve, thetas[mixed] + side)) <= _NULL_TANGENT
+                     for side in (-1e-3, 1e-3))
+    photon = np.zeros(len(q), bool)
+    photon[mixed] = ((abs(q[mixed]) <= _NULL_TANGENT) | (before & after)).all(-1)
+    return np.select([timelike, spacelike], [_TIMELIKE, _SPACELIKE], _PHOTON), [
+        (~(timelike | spacelike | photon), lambda i: "probe tangents disagree: Q/|t|^2 "
+         f"from {q[i].min():.3e} to {q[i].max():.3e}")]
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +430,7 @@ def _stem_rows(space, s, u):
     comps, t = np.where(u[..., 0] < 0.5, 1, -1), 0.15 + (np.pi / 2 - 0.3) * u[..., 1:]
     (c1, c0), (a1, a0), (b1, b0) = comps.T, t[..., 0].T, t[..., 1].T
     shared, checks = _column_frames(
-        np.stack(_stem_generators(rows1.swapaxes(-1, -2), c1, a1, b1), -1), EPS_RANK)
+        np.stack(_stem_generators(rows1.swapaxes(-1, -2), c1, a1, b1), -1))
     x = np.stack(_stem_generators(rows0.swapaxes(-1, -2), c0, a0, b0), -1)
     return np.stack([rows1, _carried_rows(space, shared, rows0, x)], axis=1), shared, checks
 
@@ -449,7 +456,7 @@ def _intersecting_rows(space, s, u):
     columns = rows1.swapaxes(-1, -2)
     on_wing = np.stack(_wing_generators(columns, np.where(a < 0.5, 1, -1), b, c), axis=-1)
     on_stem = np.stack(_stem_generators(columns, np.where(c < 0.5, 1, -1), a, b), axis=-1)
-    shared, checks = _column_frames(np.where(wing[:, None, None], on_wing, on_stem), EPS_RANK)
+    shared, checks = _column_frames(np.where(wing[:, None, None], on_wing, on_stem))
     rows2 = _carried_rows(space, shared, rows0, rows0.swapaxes(-1, -2)[..., [0, 2]])
     return np.stack([rows1, rows2], axis=1), shared, checks
 
@@ -515,7 +522,7 @@ def _second_generators(space, x):
     matrix[..., _PAIR_COLUMNS, _PAIR_ROWS] = -d
     pair = np.abs(d).argmax(-1)
     columns = np.stack([_PAIR_ROWS[pair], _PAIR_COLUMNS[pair]], -1)[..., None, :]
-    onb = _plane_frames(np.take_along_axis(matrix, columns, -1), EPS_RANK)[0]
+    onb = _plane_frames(np.take_along_axis(matrix, columns, -1))[0]
     return onb[..., 0], onb[..., 1]
 
 
@@ -622,6 +629,12 @@ def _surface_checks(space, rows):
                       len(rows), rows.shape[1], lambda i, k: (i, k))
 
 
+def _solvable(rows, checks):
+    """Quadrilateral rows (n, ..., 4, 4) of n trials, I for those of a trial
+    that fails one of checks (`_surface_checks`): a solve by them reads a basis."""
+    return np.where(_failed_rows(checks).reshape(-1, *(1,) * (rows.ndim - 1)), np.eye(4), rows)
+
+
 def _ads_pairs(space, units, f):
     """Quadrilateral rows (n, 2, 4, 4) of AdS plane pairs from directions
     units (n, 2, 2, 2), rows (a, b) per plane, and bases f (n, 2, 2) of the
@@ -652,10 +665,6 @@ def suite_torus_trichotomy(trials=1000, seed=7):
     and eta (`einstein._torus_kinds`), carriers, frames, probe tangents and
     curve points are read a block at a time."""
     rng = make_rng([seed, 1])
-    expected_sig = {
-        IntersectionKind.TIMELIKE_CIRCLE: (1, 2, 0),
-        IntersectionKind.SPACELIKE_CIRCLE: (2, 1, 0),
-    }
 
     def draw(first, k):
         return rng.normal(size=(k, 2, 5)), rng.uniform(0.0, 2.0 * np.pi, size=(k, 36))
@@ -670,31 +679,30 @@ def suite_torus_trichotomy(trials=1000, seed=7):
     for first, (units, thetas, angles) in _blocks(trials, draw, screen):
         s1, s2 = units.swapaxes(0, 1)
         index, etas = einstein._torus_kinds(s1, s2)
-        kinds, etas = [einstein._KINDS[i] for i in index.tolist()], etas.tolist()
-        sigs = np.stack(einstein._carrier_signatures(s1, s2), -1).tolist()
+        kinds = [einstein._KINDS[i] for i in index.tolist()]
+        spacelike = etas > 1.0
+        kind_ok = index == np.where(spacelike, _SPACELIKE, _TIMELIKE)  # else no other row is read
+        sigs = np.stack(einstein._carrier_signatures(s1, s2), -1)
         frames = _torus_frame(s1)
-        curve = _intersection_curve(frames, s2)
+        probed, probe_checks = _probe_kind(frames, s2, thetas)
+        _raise_first_row([(kind_ok & mask, message) for mask, message in probe_checks])
         # sampled intersection points lie on both tori: <x, s1>, <x, s2>
         # and <x, x> at each unit point, as `float(x @ GRAM @ y)` forms them
-        x = _unit_rows(curve(angles))
+        x = _unit_rows(_intersection_curve(frames, s2)(angles))
         xg = x[..., None, :] @ einstein.GRAM
         residuals = abs(np.concatenate([xg @ s1[:, None, :, None], xg @ s2[:, None, :, None],
-                                        xg @ x[..., :, None]], -1)).max(-1)[..., 0].tolist()
-        rows = zip(kinds, etas, sigs, frames, s2, thetas, _tangent_forms(curve, thetas),
-                   residuals)
-        for k, (kind, eta, sig, frame, n2, theta, q, residuals) in enumerate(rows, first):
-            if kind is not (IntersectionKind.SPACELIKE_CIRCLE if eta > 1.0
-                            else IntersectionKind.TIMELIKE_CIRCLE):
-                failures.append(f"trial {k}: kind {kind} vs eta {eta}")
-                continue
-            if tuple(sig) != expected_sig[kind]:
-                failures.append(f"trial {k}: carrier signature {tuple(sig)} for {kind}")
-            probed = _probe_kind(lambda t: _intersection_curve(frame[None], n2[None])(t), theta, q)
-            if probed is not kind:
-                failures.append(f"trial {k}: probe {probed} vs {kind}")
-            max_violation = max(max_violation, *residuals)
-            failures += [f"trial {k}: intersection point off tori by {res:.3e}"
-                         for res in residuals if res > EPS_ALG]
+                                        xg @ x[..., :, None]], -1)).max(-1)[..., 0]
+        max_violation = float(np.fmax.reduce(np.where(kind_ok[:, None], residuals, np.nan),
+                                              axis=None, initial=max_violation))
+        failures += _failed_messages([
+            (~kind_ok, lambda i: f"trial {first + i}: kind {kinds[i]} vs eta {etas[i]}"),
+            (kind_ok & (sigs != np.where(spacelike[:, None], (2, 1, 0), (1, 2, 0))).any(-1),
+             lambda i: f"trial {first + i}: carrier signature {tuple(sigs[i].tolist())} "
+             f"for {kinds[i]}"),
+            (kind_ok & (probed != index), lambda i: f"trial {first + i}: probe "
+             f"{einstein._KINDS[probed[i]]} vs {kinds[i]}")]
+            + [(kind_ok & (residuals[:, j] > EPS_ALG), lambda i, j=j: f"trial {first + i}: "
+                f"intersection point off tori by {residuals[i, j]:.3e}") for j in range(4)])
     return _report("torus-trichotomy", trials, seed, failures, max_violation)
 
 
@@ -780,9 +788,9 @@ def _eta_values(s_basis, f):
 def _splittings(space, bases):
     """`Splitting.from_plane` over stacked bases (n, 4, 2) of nondegenerate
     planes: the omega-normalized bases of both summands, and the checks."""
-    s, _, checks = _plane_frames(bases, EPS_RANK)
+    s, _, checks = _plane_frames(bases)
     comp, comp_checks = symplectic._complements(space, s)
-    t, _, t_checks = _plane_frames(comp, EPS_RANK)
+    t, _, t_checks = _plane_frames(comp)
     checks += comp_checks + t_checks + symplectic._splitting_checks(
         space, s, symplectic._lagrangian(space, s), t, symplectic._lagrangian(space, t))
     return symplectic._normalized(space, s), symplectic._normalized(space, t), checks
@@ -819,10 +827,9 @@ def suite_eta_bridge(trials=1000, seed=7):
         failed = _failed_rows(checks)
         eta_mu, eta_ein, eta_checks = _eta_values(
             np.where(failed[:, None, None], _STAND_IN, s_basis), f)
-        eta_mu, eta_ein = eta_mu.tolist(), eta_ein.tolist()
         etas = symplectic.eta_from_det(f)
         apart = np.abs(etas - 1.0) > 1e-6  # where the tori are checked and the kinds read
-        g, _, graph_checks = _plane_frames(s_basis + t_basis @ f, EPS_RANK)  # the graphs
+        g, _, graph_checks = _plane_frames(s_basis + t_basis @ f)  # the graphs
         lagrangian = symplectic._lagrangian(space, g)
         mu_s, s_checks = space._to_einstein(symplectic._mu_rows(space, s_basis))
         mu_t, t_checks = space._to_einstein(symplectic._mu_rows(space, symplectic._normalized(
@@ -832,24 +839,19 @@ def suite_eta_bridge(trials=1000, seed=7):
         # and so its kind, is not read
         s1, torus_checks = einstein._torus_normals(mu_s)
         s2, ((null, _),) = einstein._torus_normals(mu_t)
-        kinds = einstein._torus_kinds(s1, s2)[0].tolist()
+        kinds = einstein._torus_kinds(s1, s2)[0]
         tori = s_checks + torus_checks + [(lagrangian, symplectic._MU_LAGRANGIAN)] + t_checks
         _raise_first_row(checks + eta_checks + graph_checks
                          + [(apart & mask, message) for mask, message in tori])
-        apart, null = apart.tolist(), null.tolist()
-        dets, etas = symplectic.det_omega(f).tolist(), etas.tolist()
-        for k, i in enumerate(range(len(f)), first):
-            d, eta_det = dets[i], etas[i]
-            diff = max(abs(eta_det - eta_mu[i]), abs(eta_det - eta_ein[i]))
-            max_violation = max(max_violation, diff)
-            if diff > 1e-9:
-                failures.append(f"trial {k}: eta mismatch {diff:.3e} (det {d:.4f})")
-            if apart[i] and not null[i]:
-                kind = einstein._KINDS[kinds[i]]
-                want = (IntersectionKind.SPACELIKE_CIRCLE if eta_det > 1.0
-                        else IntersectionKind.TIMELIKE_CIRCLE)
-                if kind is not want:
-                    failures.append(f"trial {k}: kind {kind} vs eta {eta_det:.4f}")
+        dets = symplectic.det_omega(f)
+        mu_off, ein_off = abs(etas - eta_mu), abs(etas - eta_ein)
+        diff = np.where(ein_off > mu_off, ein_off, mu_off)  # Python's max(mu_off, ein_off)
+        max_violation = float(np.fmax.reduce(diff, initial=max_violation))
+        failures += _failed_messages([
+            (diff > 1e-9, lambda i: f"trial {first + i}: eta mismatch {diff[i]:.3e} "
+             f"(det {dets[i]:.4f})"),
+            (apart & ~null & (kinds != np.where(etas > 1.0, _SPACELIKE, _TIMELIKE)),
+             lambda i: f"trial {first + i}: kind {einstein._KINDS[kinds[i]]} vs eta {etas[i]:.4f}")])
     return _report("eta-bridge", trials, seed, failures, max_violation)
 
 
@@ -885,47 +887,42 @@ def suite_symplectic_identities(trials=1000, seed=7):
     for first, (f, s, p, q) in _blocks(trials, draw, screen):
         res = np.abs(symplectic.adjugate(f) @ f
                      - symplectic.det_omega(f)[:, None, None] * np.eye(2)).max(axis=(1, 2))
-        comp, checks = symplectic._complements(space, _plane_frames(s, EPS_RANK)[0])
-        pq, _, pq_checks = _plane_frames(np.concatenate([p, q]), EPS_RANK)
-        wval = space._transversality(_plucker(p), _plucker(q))
+        comp, checks = symplectic._complements(space, _plane_frames(s)[0])
+        pq, _, pq_checks = _plane_frames(np.concatenate([p, q]))
+        with np.errstate(all="ignore"):  # a p or q that fails its checks raises below
+            wval = space._transversality(_plucker(p), _plucker(q))
         dims = _intersection_dims(*np.split(pq, 2))
-        dists = projective_distance(space.reflect_omega_star(_plucker(s)),
-                                    _plucker(comp)).tolist()
+        dists = projective_distance(space.reflect_omega_star(_plucker(s)), _plucker(comp))
         # the complement of each trial, then its p and q frames
         _raise_first_row(checks + _per_trial(pq_checks, len(f), 2, lambda i, k: k * len(f) + i))
-        for k, i in enumerate(range(len(f)), first):
-            max_violation = max(max_violation, res[i])
-            if res[i] > 1e-12:
-                failures.append(f"trial {k}: adjugate identity off by {res[i]:.3e}")
-            max_violation = max(max_violation, dists[i])
-            if dists[i] > 1e-9:
-                failures.append(f"trial {k}: reflection/complement distance {dists[i]:.3e}")
-            trans, dim = bool(wval[i] > EPS_ALG), int(dims[i])
-            if wval[i] > 1e-9 or dim > 0:  # outside the ambiguity band, or provably meeting
-                if trans != (dim == 0):
-                    failures.append(
-                        f"trial {k}: transverse {trans} vs dim {dim} (wedge {wval[i]:.3e})")
+        max_violation = float(np.fmax.reduce(np.concatenate([res, dists]), initial=max_violation))
+        trans = wval > EPS_ALG
+        failures += _failed_messages([
+            (res > 1e-12, lambda i: f"trial {first + i}: adjugate identity off by {res[i]:.3e}"),
+            (dists > 1e-9, lambda i: f"trial {first + i}: reflection/complement distance "
+             f"{dists[i]:.3e}"),
+            # outside the ambiguity band, or provably meeting
+            (((wval > 1e-9) | (dims > 0)) & (trans != (dims == 0)), lambda i: f"trial {first + i}: "
+             f"transverse {trans[i]} vs dim {dims[i]} (wedge {wval[i]:.3e})")])
     xr, h = rng.normal(size=(200, 3, 2, 4)), rng.uniform(-1.0, 1.0, size=(200, 4, 4))
     f, split = rng.uniform(-2.0, 2.0, size=(200, 2, 2)), rng.normal(size=(200, 4, 2))
     bases = _lagrangian_bases(space, xr[:, :, 0], xr[:, :, 1])  # L, L', P
     index, kept = _maslov_triples(space, bases, split)
     g = _symplectic_exp(space, h[kept])
-    moved, _, frame_checks = _plane_frames(g[:, None] @ bases[kept], EPS_RANK)
+    moved, _, frame_checks = _plane_frames(g[:, None] @ bases[kept])
     moved_index, moved_checks = symplectic._maslov_rows(
         space, moved[:, 0], moved[:, 2], moved[:, 1])
     s_basis, t_basis, split_checks = _splittings(space, split[kept])
-    graphs, _, graph_checks = _plane_frames(s_basis + t_basis @ f[kept], EPS_RANK)
+    graphs, _, graph_checks = _plane_frames(s_basis + t_basis @ f[kept])
     degenerate = symplectic._lagrangian(space, graphs)
     # the moved triple's frames and `maslov`'s checks, then the splitting's and the graph's
     _raise_first_row(_per_trial(frame_checks, len(g), 3, lambda i, k: (i, k)) + moved_checks
                      + split_checks + graph_checks)
     # away from det = -1 the graph is nondegenerate
-    away = (abs(symplectic.det_omega(f) + 1.0) > 1e-6).tolist()
-    for j, k in enumerate(np.flatnonzero(kept).tolist()):
-        if moved_index[j] != index[k]:
-            failures.append(f"trial {k + 1}: maslov not Sp-invariant")
-        if away[k] and degenerate[j]:
-            failures.append(f"trial {k + 1}: graph degeneracy vs det mismatch")
+    away, ks = abs(symplectic.det_omega(f[kept]) + 1.0) > 1e-6, np.flatnonzero(kept) + 1
+    failures += _failed_messages([
+        (moved_index != index[kept], lambda j: f"trial {ks[j]}: maslov not Sp-invariant"),
+        (away & degenerate, lambda j: f"trial {ks[j]}: graph degeneracy vs det mismatch")])
     return _report("symplectic-identities", trials, seed, failures, max_violation)
 
 
@@ -980,21 +977,18 @@ def suite_maslov_bridge(trials=1000, seed=7):
     for first, (l, p, lp) in _blocks(trials, draw, screen):
         n = len(l)
         index, maslov_checks = symplectic._maslov_rows(space, *np.split(
-            _plane_frames(np.concatenate([l, p, lp]), EPS_RANK)[0], 3))
+            _plane_frames(np.concatenate([l, p, lp]))[0], 3))
         reps, point_checks = symplectic._lagrangian_points(space, np.concatenate([p, l, lp]))
         causal, causal_checks = einstein._causal_rows(*np.split(reps, 3))
         # the points of P, L and L' of each trial, then its causal type
         _raise_first_row(_per_trial(point_checks, n, 3, lambda i, k: k * n + i) + causal_checks)
-        indices = [None if bad else m for bad, m in zip(_failed_rows(maslov_checks).tolist(),
-                                                         abs(index).tolist())]
-        for k, i in enumerate(range(n), first):
-            m = indices[i]
-            got = einstein._CAUSAL[causal[i]]
-            want = {None: einstein.CausalType.LIGHTLIKE,
-                    2: einstein.CausalType.TIMELIKE,
-                    0: einstein.CausalType.SPACELIKE}[m]
-            if got is not want:
-                failures.append(f"trial {k}: maslov {m} vs causal {got}")
+        # a triple `maslov` raises for is lightlike, else |index| 2 is timelike
+        # and 0 spacelike (`einstein._CAUSAL` order)
+        none, m = _failed_rows(maslov_checks), abs(index)
+        failures += _failed_messages([(causal != np.where(none, 0, np.where(m == 2, 1, 2)),
+                                       lambda i: f"trial {first + i}: maslov "
+                                       f"{None if none[i] else m[i]} vs causal "
+                                       f"{einstein._CAUSAL[causal[i]]}")])
     return _report("maslov-bridge", trials, seed, failures, 0.0)
 
 
@@ -1011,9 +1005,10 @@ def suite_photon_avoidance(trials=1000, seed=7):
     A candidate draws a generator and a photon (`_photon_draw`).  A chunk of
     candidates takes one stacked expm and its margins, and keeps those
     outside the |margin| <= 1e-6 skip band.  A block of trials is checked at
-    once, raising in trial order: the surface checks, then a meeting
-    photon's witness (`crooked._crossing_bases`), its frame and, where its
-    residual is read, its membership.  The oracle (`_photon_crossings`) runs
+    once, raising in trial order: the surface checks (a trial that fails
+    them is read on I, `_solvable`), then a meeting photon's witness
+    (`crooked._crossing_bases`), its frame and, where its residual is read,
+    its membership.  The oracle (`_photon_crossings`) runs
     once a block; within a trial its failure comes before the witness's."""
     rng = make_rng([seed, 5])
     space = symplectic.standard_space()
@@ -1030,30 +1025,28 @@ def suite_photon_avoidance(trials=1000, seed=7):
 
     draws = _blocks(trials, lambda first, k: _photon_draw(rng, k), screen)
     for first, (rows, columns, p, units, w) in draws:
+        surface_checks = _surface_checks(space, rows)
+        columns = _solvable(columns, surface_checks)
         verdicts = crooked._avoids(*crooked._products(w), EPS_ALG)
         bases, fails = crooked._crossing_bases(units, columns, w, EPS_ALG)
         need = ~verdicts & fails  # the trials whose witness is read
-        onb, _, frame_checks = _plane_frames(bases, EPS_RANK)
+        onb, _, frame_checks = _plane_frames(bases)
         regions, checks = crooked._lagrangian_regions(space, columns, onb, EPS_ALG)
         residuals = np.where(need, _crossing_residuals(space, p, onb), np.nan)
         read = residuals <= 1e-9  # else a witness fails its trial, not its membership check
-        _raise_first_row(_surface_checks(space, rows)
-                         + [(need & mask, message) for mask, message in frame_checks]
+        _raise_first_row(surface_checks + [(need & mask, message) for mask, message in frame_checks]
                          + [(read & mask, message) for mask, message in checks])
-        off = need & ~(read & np.logical_or.reduce(regions))
         _, found = _photon_crossings(space, _unit_rows(p), columns)  # p normalized again
         max_residual = float(np.fmax.reduce(residuals, initial=max_residual))
-        for k, verdict, hit, residual, none, bad in zip(
-                range(first, first + len(p)), verdicts.tolist(), found.tolist(),
-                residuals.tolist(), (~(verdicts | fails)).tolist(), off.tolist()):
-            if verdict and hit:
-                failures.append(f"trial {k}: disjoint photon but oracle found a point")
-            if not verdict and not hit:
-                failures.append(f"trial {k}: meeting photon but oracle found nothing")
-            if none:
-                failures.append(f"trial {k}: no constructive witness")
-            elif bad:
-                failures.append(f"trial {k}: witness residual {residual:.3e}")
+        failures += _failed_messages([
+            (verdicts & found, lambda i: f"trial {first + i}: disjoint photon but oracle found "
+             "a point"),
+            (~(verdicts | found), lambda i: f"trial {first + i}: meeting photon but oracle "
+             "found nothing"),
+            (~(verdicts | fails), lambda i: f"trial {first + i}: no constructive witness"),
+            # a read witness that is off its residual or its surface
+            (need & ~(read & np.logical_or.reduce(regions)),
+             lambda i: f"trial {first + i}: witness residual {residuals[i]:.3e}")])
     return _report("photon-avoidance", trials, seed, failures, max_residual)
 
 
@@ -1091,33 +1084,31 @@ def suite_surface_disjointness(trials=200, seed=7):
     for first, block in _blocks(trials, draw, screen):
         rows, checks = _ads_pairs(space, *block)
         _raise_first_row(checks)
-        passed = sixteen_pass(space, rows).tolist()
+        passed, gaps = sixteen_pass(space, rows), np.full(len(rows), np.nan)
         for start in range(0, len(rows), _CLOUD_PAIRS):
             part = rows[start:start + _CLOUD_PAIRS]
             # each of the seven draws as one array (trials, 2 surfaces, points)
             draws = _cloud_draws(rng, 320, (len(part), 2))
             points = projective_normalize(_surface_cloud(space, part.swapaxes(-1, -2), draws))
             points /= np.linalg.norm(points, axis=-1, keepdims=True)
-            for k, (a, b) in enumerate(points, first + start):
-                if not passed[k - first]:
-                    failures.append(f"disjoint pair {k}: criterion says not disjoint")
-                    continue
-                gap = _gap(a, b)
-                min_disjoint_gap = min(min_disjoint_gap, gap)
-                if gap <= 1e-4:
-                    failures.append(f"disjoint pair {k}: sampled gap {gap:.3e}")
+            for k in np.flatnonzero(passed[start:start + _CLOUD_PAIRS]).tolist():
+                gaps[start + k] = _gap(*points[k])  # one 320 x 320 product at a time
+        min_disjoint_gap = float(np.fmin.reduce(gaps, initial=min_disjoint_gap))
+        failures += _failed_messages([
+            (~passed, lambda i: f"disjoint pair {first + i}: criterion says not disjoint"),
+            (gaps <= 1e-4, lambda i: f"disjoint pair {first + i}: sampled gap {gaps[i]:.3e}")])
     for first, block in _blocks(trials, lambda first, k: _intersecting_draw(rng, k)):
         rows, shared, shared_checks = _intersecting_rows(std, *block)
-        passed = sixteen_pass(std, rows)
+        surface_checks = _surface_checks(std, rows)
+        rows = _solvable(rows, surface_checks)
         regions, checks = crooked._lagrangian_regions(std, rows.swapaxes(-1, -2), shared[:, None],
                                                       EPS_ALG)
-        _raise_first_row(shared_checks + _surface_checks(std, rows) + checks)
-        on_both = np.logical_or.reduce(regions).all(axis=1)
-        for k, i in enumerate(range(len(rows)), first):
-            if passed[i]:
-                failures.append(f"intersecting pair {k}: criterion says disjoint")
-            if not on_both[i]:
-                failures.append(f"intersecting pair {k}: shared point not on both")
+        _raise_first_row(shared_checks + surface_checks + checks)
+        failures += _failed_messages([
+            (sixteen_pass(std, rows), lambda i: f"intersecting pair {first + i}: criterion says "
+             "disjoint"),
+            (~np.logical_or.reduce(regions).all(axis=1), lambda i: f"intersecting pair "
+             f"{first + i}: shared point not on both")])
     return _report("surface-disjointness", 2 * trials, seed, failures,
                    min_disjoint_gap)
 
@@ -1130,7 +1121,8 @@ def suite_stem_only(trials=200, seed=7):
     stacked expm, carries the second quadrilaterals onto the shared points
     (`_stem_rows`), checks the shared point on both stems, and solves for a
     stem-wing contact in either order (`_stem_wing_contacts`); it checks the
-    bases and the surfaces stacked, raising in trial order.  A pair
+    bases and the surfaces stacked, raising in trial order (a pair that
+    fails its surface checks is read on I, `_solvable`).  A pair
     fails when the shared point is off a stem or neither order has a
     contact: the test of the lemma.  The violation, the largest residual
     of the contacts (`_crossing_residuals`), only confirms the construction:
@@ -1143,24 +1135,24 @@ def suite_stem_only(trials=200, seed=7):
     for first, block in _blocks(trials, lambda first, k: _stem_draw(rng, k)):
         rows, shared, shared_checks = _stem_rows(space, *block)
         n = len(rows)
-        q1, q2 = np.moveaxis(rows.swapaxes(-1, -2), 1, 0)
-        regions, checks = crooked._lagrangian_regions(space, rows.swapaxes(-1, -2),
-                                                      shared[:, None], EPS_ALG)
-        on_stems = regions[2].all(axis=1)
+        surface_checks = _surface_checks(space, rows)
+        columns = _solvable(rows, surface_checks).swapaxes(-1, -2)
+        q1, q2 = np.moveaxis(columns, 1, 0)
+        regions, checks = crooked._lagrangian_regions(space, columns, shared[:, None], EPS_ALG)
         # either order: the stem of c1 on a wing of c2, else the reverse
-        x1, x2, hit = _stem_wing_contacts(np.concatenate([q1, q2]), np.concatenate([q2, q1]))
+        with np.errstate(all="ignore"):  # of I, I where a pair fails its surface checks
+            x1, x2, hit = _stem_wing_contacts(np.concatenate([q1, q2]), np.concatenate([q2, q1]))
         x1, x2 = (np.where(hit[:n, None], x[:n], x[n:]) for x in (x1, x2))
         contact = hit[:n] | hit[n:]
-        onb, contact_checks = _column_frames(np.stack([x1, x2], axis=-1), EPS_RANK)
-        max_residual = max([max_residual, *_crossing_residuals(
-            space, (x1 + x2)[contact], onb[contact]).tolist()])
-        _raise_first_row(shared_checks + _surface_checks(space, rows) + checks
+        onb, contact_checks = _column_frames(np.stack([x1, x2], axis=-1))
+        max_residual = float(np.fmax.reduce(_crossing_residuals(
+            space, (x1 + x2)[contact], onb[contact]), initial=max_residual))
+        _raise_first_row(shared_checks + surface_checks + checks
                          + [(contact & mask, message) for mask, message in contact_checks])
-        for k, i in enumerate(range(n), first):
-            if not on_stems[i]:
-                failures.append(f"pair {k}: the shared point is off a stem")
-            if not contact[i]:
-                failures.append(f"pair {k}: stems meet but no stem-wing contact")
+        failures += _failed_messages([
+            (~regions[2].all(axis=1), lambda i: f"pair {first + i}: the shared point is off a "
+             "stem"),
+            (~contact, lambda i: f"pair {first + i}: stems meet but no stem-wing contact")])
     return _report("stem-only-impossibility", trials, seed, failures, max_residual)
 
 
@@ -1172,7 +1164,7 @@ def suite_ads_equivalence(trials=1000, seed=7):
     accepted trials then runs the plane, quadrilateral and surface checks
     stacked (`_ads_pairs`), raising in trial order; it reads the three
     routes from the stacked margin kernels.  The equivariance and
-    trace-form loop draws a vector pair and a 2x2 matrix per trial, a
+    trace-form stage draws a vector pair and a 2x2 matrix per trial, a
     block's in one rng call, and checks a block of trials at a time."""
     rng = make_rng([seed, 7])
     space = ads.ads_space()
@@ -1190,13 +1182,13 @@ def suite_ads_equivalence(trials=1000, seed=7):
             rows, checks = _ads_pairs(space, units, f)
         _raise_first_row(checks)
         y, xp = units.swapaxes(-1, -2).swapaxes(0, 1)
-        four = (ads._margin_array(base, y, f, xp) > EPS_ALG).all(axis=(1, 2)).tolist()
-        dgk = ads._dgk_passes(*ads._dgk_array(base, y, f, xp), EPS_ALG).all(axis=(1, 2)).tolist()
+        four = (ads._margin_array(base, y, f, xp) > EPS_ALG).all(axis=(1, 2))
+        dgk = ads._dgk_passes(*ads._dgk_array(base, y, f, xp), EPS_ALG).all(axis=(1, 2))
         sixteen = crooked._avoids(*crooked._sixteen_margins(rows.swapaxes(-1, -2), space.matrix),
-                                  EPS_ALG).all(axis=(1, 2)).tolist()
-        for k, ads_k, dgk_k, sixteen_k in zip(range(first, first + len(f)), four, dgk, sixteen):
-            if not (ads_k == dgk_k == sixteen_k):
-                failures.append(f"trial {k}: ads {ads_k}, dgk {dgk_k}, surfaces {sixteen_k}")
+                                  EPS_ALG).all(axis=(1, 2))
+        failures += _failed_messages([((four != dgk) | (dgk != sixteen), lambda i: f"trial "
+                                       f"{first + i}: ads {four[i]}, dgk {dgk[i]}, "
+                                       f"surfaces {sixteen[i]}")])
 
     for start in range(0, trials, _ORACLE_BLOCK):
         # a, b and x, whose `_sl2_exp` is g; a trial with a or b shorter
@@ -1208,23 +1200,20 @@ def suite_ads_equivalence(trials=1000, seed=7):
         ga = (g @ a[..., None])[..., 0]
         lifts, checks = ads._boundary_lifts(np.concatenate([ga, a, b]))
         killing, killing_checks = ads._killing_rows(*np.split(lifts[n:], 2))
-        killing = killing.tolist()
         lift_ga, lift_a = lifts[:n], lifts[n:2 * n]
-        equiv = np.abs(lift_ga - g @ lift_a @ np.linalg.inv(g)).max(axis=(1, 2)).tolist()
-        top = np.abs(lift_ga).max(axis=(1, 2)).tolist()
-        omega = ads._omega0_cells(a, b)[:, 0, 0].tolist()
+        equiv = np.abs(lift_ga - g @ lift_a @ np.linalg.inv(g)).max(axis=(1, 2))
+        # omega0(a, b)^2 by Python's `**` (libm's pow, which rounds unlike
+        # numpy's x * x): the reports carry its last bit
+        squares = np.array([w ** 2 for w in ads._omega0_cells(a, b)[:, 0, 0].tolist()])
         # the lifts of g a, a and b of each trial, then its trace form
         _raise_first_row(_per_trial(checks, n, 3, lambda i, k: k * n + i) + killing_checks)
-        for i, k in enumerate(ks.tolist()):
-            scale = max(1.0, top[i])
-            max_violation = max(max_violation, equiv[i] / scale)
-            if equiv[i] > 1e-12 * scale:
-                failures.append(f"equivariance trial {k}: residual {equiv[i]:.3e}")
-            residual = abs(omega[i] ** 2 + killing[i])
-            scale = max(1.0, omega[i] ** 2)
-            max_violation = max(max_violation, residual / scale)
-            if residual > 1e-12 * scale:
-                failures.append(f"trace-form identity trial {k}: residual {residual:.3e}")
+        residuals = np.stack([equiv, abs(squares + killing)])
+        scales = np.fmax(1.0, np.stack([np.abs(lift_ga).max(axis=(1, 2)), squares]))
+        max_violation = float(np.fmax.reduce(residuals / scales, axis=None, initial=max_violation))
+        failures += _failed_messages([
+            (r > 1e-12 * scale, lambda i, r=r, label=label: f"{label} trial {ks[i]}: residual "
+             f"{r[i]:.3e}") for label, r, scale in zip(("equivariance", "trace-form identity"),
+                                                       residuals, scales)])
     h1 = ads.Horocycle(ads.boundary_lift(np.array([1.0, 0.0])), 1.0)
     h2 = ads.Horocycle(2.0 * ads.boundary_lift(np.array([0.0, 1.0])), 1.0)
     if ads.horocycle_distance(h1, h2) != 0.0:

@@ -77,7 +77,7 @@ class Plane2:
             raise GeometryError("a 2-plane needs a 4x2 basis matrix")
         self.space = space
         self.basis = basis
-        self.onb = _orthonormal_columns(basis, EPS_RANK)
+        self.onb = _orthonormal_columns(basis)
         self.is_lagrangian = bool(_lagrangian(space, self.onb))
 
     @classmethod

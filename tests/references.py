@@ -10,7 +10,7 @@ from ein3 import einstein
 from ein3 import oracle as O
 from ein3.ads import _omega0_cells
 from ein3.linalg import (EPS_ALG, EPS_RANK, GeometryError, _intersection_dims, _raise_first,
-                         _singular, as_vector, nullspace)
+                         _raise_first_row, _singular, as_vector, nullspace)
 from ein3.symplectic import PAIRS, Plane2, _lagrangian_points
 
 
@@ -157,9 +157,10 @@ def probe_intersection_type(t1, t2, n, rng):
     """
     if np.allclose(t1.normal, t2.normal, atol=10 * EPS_ALG):
         raise GeometryError("probe requires distinct tori")
-    curve = O._intersection_curve(O._torus_frame(t1.normal)[None], t2.normal[None])
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    return O._probe_kind(curve, thetas, O._tangent_forms(curve, thetas)[0])
+    index, checks = O._probe_kind(O._torus_frame(t1.normal)[None], t2.normal[None], thetas[None])
+    _raise_first_row(checks)
+    return einstein._KINDS[index[0]]
 
 
 def photon_crossing_oracle(p, surface):

@@ -24,7 +24,7 @@ from references import inner, intersect
 
 def span(*vectors):
     """Orthonormal basis of the span of the vectors."""
-    return _orthonormal_columns(np.column_stack(vectors), EPS_RANK)
+    return _orthonormal_columns(np.column_stack(vectors))
 
 
 def test_inner_hyperbolic_pair():
@@ -54,7 +54,7 @@ def test_signature_examples():
 def test_signature_additivity_nondegenerate():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        onb = _orthonormal_columns(rng.normal(size=(5, 2)), EPS_RANK)
+        onb = _orthonormal_columns(rng.normal(size=(5, 2)))
         p, q, z = _signatures(onb)
         if z > 0:
             continue
@@ -85,8 +85,8 @@ def test_intersect_examples():
 def test_intersect_dimension_formula():
     rng = np.random.default_rng(2)
     for _ in range(100):
-        a = _orthonormal_columns(rng.normal(size=(5, rng.integers(1, 4))), EPS_RANK)
-        b = _orthonormal_columns(rng.normal(size=(5, rng.integers(1, 4))), EPS_RANK)
+        a = _orthonormal_columns(rng.normal(size=(5, rng.integers(1, 4))))
+        b = _orthonormal_columns(rng.normal(size=(5, rng.integers(1, 4))))
         join = np.linalg.matrix_rank(np.hstack([a, b]))
         assert intersect(a, b).shape[1] + join == a.shape[1] + b.shape[1]
 
@@ -100,7 +100,7 @@ def test_frame_pair_values_match_the_svd():
     m, n = rng.normal(size=(2, 600, 4, 2))
     n[200:400, :, 0] = m[200:400, :, 0]
     n[400:] = m[400:] @ rng.normal(size=(200, 2, 2))
-    a, b = (_plane_frames(x, EPS_RANK)[0] for x in (m, n))
+    a, b = (_plane_frames(x)[0] for x in (m, n))
     b[500:] = a[500:]
     values, rank = _frame_pair_values(a, b, EPS_RANK)
     want = np.linalg.svd(np.concatenate([a, b], -1), compute_uv=False)
@@ -120,10 +120,10 @@ def test_same_spans_matches_the_rank_reference():
     rng = np.random.default_rng(4)
     pairs = []
     for _ in range(50):
-        a = _orthonormal_columns(rng.normal(size=(4, 2)), EPS_RANK)
+        a = _orthonormal_columns(rng.normal(size=(4, 2)))
         t = rng.uniform(0.1, 3.0)
         rotation = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-        pairs += [(a, _orthonormal_columns(b, EPS_RANK)) for b in (
+        pairs += [(a, _orthonormal_columns(b)) for b in (
             rng.normal(size=(4, 2)),                                 # random
             a @ rotation,                                            # same span
             np.column_stack([rng.normal(size=4), a @ rng.normal(size=2)]),  # one shared line
@@ -164,7 +164,7 @@ def test_plane_frames_match_the_svd_route():
     # 1, where the span itself moves by that much under rounding) and
     # orthonormal within 4 eps; a one-row call is its row of the stack
     bases = _plane_bases(np.random.default_rng(5))
-    onb, rank, _ = _plane_frames(bases, EPS_RANK)
+    onb, rank, _ = _plane_frames(bases)
     u, svd_rank, _ = _singular(bases, EPS_RANK)
     assert rank.tolist() == svd_rank.tolist()
     assert rank[100:112].tolist() == [1, 1, 2, 2] * 3 and rank[112] == 1
@@ -175,9 +175,9 @@ def test_plane_frames_match_the_svd_route():
     gram = onb[full].swapaxes(-1, -2) @ onb[full]
     assert np.abs(gram - np.eye(2)).max() <= 4 * np.finfo(float).eps
     for i in range(len(bases)):
-        one, one_rank, _ = _plane_frames(bases[i], EPS_RANK)
+        one, one_rank, _ = _plane_frames(bases[i])
         assert np.array_equal(one, onb[i], equal_nan=True) and one_rank == rank[i]
-    assert np.array_equal(_plane_frames(bases[full], EPS_RANK)[0], onb[full])
+    assert np.array_equal(_plane_frames(bases[full])[0], onb[full])
 
 
 @pytest.mark.parametrize("column, rank, message", [
@@ -190,11 +190,11 @@ def test_plane_frames_raise_as_orthonormal_columns(column, rank, message):
     # does not come first; both bad rows take the stand-in frame
     bases = np.random.default_rng(6).normal(size=(9, 4, 2))
     bases[4, :, 1], bases[6] = column, 0.0
-    onb, ranks, checks = _plane_frames(bases, EPS_RANK)
+    onb, ranks, checks = _plane_frames(bases)
     assert ranks[4] == rank and np.flatnonzero(_failed_rows(checks)).tolist() == [4, 6]
     assert (onb[[4, 6]] == _STAND_IN).all() and np.isfinite(onb).all()
-    for call in (lambda: _orthonormal_columns(bases, EPS_RANK), lambda: _raise_first_row(checks),
-                 lambda: _orthonormal_columns(bases[4], EPS_RANK)):
+    for call in (lambda: _orthonormal_columns(bases), lambda: _raise_first_row(checks),
+                 lambda: _orthonormal_columns(bases[4])):
         with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
             call()
 

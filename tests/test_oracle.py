@@ -11,8 +11,8 @@ from ein3 import crooked as C
 from ein3 import einstein as E
 from ein3 import oracle as O
 from ein3 import symplectic as S
-from ein3.linalg import (EPS_RANK, GeometryError, _failed_rows, _orthonormal_columns,
-                         _raise_first, _raise_first_row, projective_normalize)
+from ein3.linalg import (GeometryError, _failed_rows, _orthonormal_columns, _raise_first,
+                         _raise_first_row, projective_normalize)
 
 from draws import (disjoint_ads_pair, photon_draws, random_ads_config, random_lagrangian,
                    random_quadrilateral, random_splitting, random_symplectic,
@@ -998,6 +998,10 @@ def _photon_witness(patch, fail):
     # trial 10 is a meeting photon whose witness has rank 1; trial 4's
     # surface fails a check
     _corrupting(patch, C, "_crossing_bases", lambda out: (_short_row(out[0]), out[1]))
+    _surface_fourth(patch, fail)
+
+
+def _surface_fourth(patch, fail):
     if fail:
         _corrupting(patch, O, "_surface_checks", lambda checks: checks + [
             _failing_at(len(checks[0][0]), 3, "trial 4")])
@@ -1049,8 +1053,46 @@ def _causal_span(patch, fail):
         _corrupting(patch, S, "_lagrangian_points", _failing_fourth)
 
 
+def _identities_rank_one(patch, fail):
+    # trial 10's p basis has rank 1, so its Pluecker row is 0; trial 4's
+    # complement check fails
+    _corrupting(patch, O, "_keeping", lambda out: (*out[:2], _short_row(out[2]), out[3]))
+    if fail:
+        _corrupting(patch, S, "_complements", _failing_fourth)
+
+
+def _singular_first(rows):
+    """Quadrilateral rows (trials, ..., 4, 4) whose tenth trial's first
+    quadrilateral has v- = u+: no solve can read it."""
+    quad = rows.reshape(len(rows), -1, 4, 4)[9, 0]
+    quad[3] = quad[0]
+    return rows
+
+
+def _photon_quadrilateral(patch, fail):
+    # trial 10's quadrilateral, rows and columns, is singular; trial 4's
+    # surface fails a check
+    def singular(out):
+        rows, columns = out[:2]
+        _singular_first(rows)
+        columns[9] = rows[9].T
+        return out
+
+    _corrupting(patch, O, "_keeping", singular)
+    _surface_fourth(patch, fail)
+
+
+def _pair_quadrilateral(name):
+    def corrupt(patch, fail):
+        # the first quadrilateral of trial 10's pair is singular
+        _corrupting(patch, O, name, lambda out: (_singular_first(out[0]), *out[1:]))
+        _membership_fourth(patch, fail)
+    return corrupt
+
+
 _NON_FINITE_BASIS = "basis has non-finite entries"
 _RANK_ONE = "basis matrix has rank 1 < 2 column(s)"
+_V_MINUS_IS_U_PLUS = "quadrilateral products violated: omega(u+, v-) - 1 off by -1.000e+00"
 
 
 @pytest.mark.parametrize("suite, corrupt, message", [
@@ -1061,9 +1103,16 @@ _RANK_ONE = "basis matrix has rank 1 < 2 column(s)"
     (O.suite_stem_only, _stem_shared, _RANK_ONE),
     (O.suite_stem_only, _stem_contact, _RANK_ONE),
     (O.suite_surface_disjointness, _intersecting_shared, _NON_FINITE_BASIS),
-    (O.suite_maslov_bridge, _causal_span, _NON_FINITE_BASIS)],
+    (O.suite_maslov_bridge, _causal_span, _NON_FINITE_BASIS),
+    (O.suite_symplectic_identities, _identities_rank_one, _RANK_ONE),
+    (O.suite_photon_avoidance, _photon_quadrilateral, _V_MINUS_IS_U_PLUS),
+    (O.suite_stem_only, _pair_quadrilateral("_stem_rows"), _V_MINUS_IS_U_PLUS),
+    (O.suite_surface_disjointness, _pair_quadrilateral("_intersecting_rows"),
+     _V_MINUS_IS_U_PLUS)],
     ids=["eta-complement", "identities-frames", "identities-moved", "photon-witness",
-         "stem-shared", "stem-contact", "intersecting-shared", "maslov-causal-span"])
+         "stem-shared", "stem-contact", "intersecting-shared", "maslov-causal-span",
+         "identities-rank-one", "photon-quadrilateral", "stem-quadrilateral",
+         "intersecting-quadrilateral"])
 def test_a_kernel_basis_check_raises_in_trial_order(monkeypatch, suite, corrupt, message):
     # trial 10 hands a frame kernel a NaN or rank-deficient basis: when
     # trial 4 fails a check, its error comes first; else trial 10 raises the
@@ -1455,7 +1504,7 @@ def _reference_causal(p, p0, pinf, eps=1e-9):
     if incident(p, pinf):
         raise GeometryError(
             "point lies on the light cone of pinf, outside the Minkowski patch")
-    onb = _orthonormal_columns(np.column_stack([p.rep, p0.rep, pinf.rep]), EPS_RANK)
+    onb = _orthonormal_columns(np.column_stack([p.rep, p0.rep, pinf.rep]))
     sig = inertia(np.linalg.eigvalsh(onb.T @ E.GRAM @ onb))
     types = {(1, 2, 0): E.CausalType.TIMELIKE, (2, 1, 0): E.CausalType.SPACELIKE}
     if sig not in types:
@@ -1902,6 +1951,228 @@ def test_surface_disjointness_reports_a_failed_criterion_and_draws_on(monkeypatc
     assert report["max_violation"] == min(want)
 
 
+def _flipped_at(row):
+    """`crooked._avoids` or `ads._dgk_passes` with the verdict of a block's
+    row flipped (a block's verdicts have three axes)."""
+    def flip(call):
+        def flipped(*args):
+            out = call(*args)
+            if out.ndim == 3:
+                out[row] = not out[row].all()
+            return out
+        return flipped
+    return flip
+
+
+def _patched(patch, module, name, wrap):
+    """Patch module.name to wrap of itself."""
+    patch.setattr(module, name, wrap(getattr(module, name)))
+
+
+def _off_rows(rows):
+    """A mask of the regions of `crooked._lagrangian_regions` that drops rows."""
+    return lambda r: r & ~np.isin(np.arange(len(r)), rows)[:, None]
+
+
+def _torus_lines(patch):
+    # trial 2's kind reads a photon pair, which suppresses its later lines;
+    # every carrier signature is swapped; trial 1's first point is moved
+    # off both tori
+    def photon_second(kinds):
+        def flipped(s1, s2, *eps):
+            index, e = kinds(s1, s2, *eps)
+            if not eps:  # the block's kinds, not the screen's
+                index[1] = E._KINDS.index(E.IntersectionKind.PHOTON_PAIR)
+            return index, e
+        return flipped
+
+    def moved(curve_of):
+        def curve(frames, normals):
+            def points(t):
+                x = curve_of(frames, normals)(t)
+                if t.shape[-1] == 4:  # the block's points, not its tangents
+                    x[0, 0] += 1e-6
+                return x
+            return points
+        return curve
+
+    _patched(patch, E, "_torus_kinds", photon_second)
+    _patched(patch, O, "_intersection_curve", moved)
+    _corrupting(patch, E, "_carrier_signatures", lambda out: (out[1], out[0], out[2]))
+
+
+def _torus_probe(patch):
+    # every probe tangent's form changes sign
+    _corrupting(patch, O, "_tangent_forms", np.negative)
+
+
+def _eta_lines(patch):
+    # trial 2's determinant route is off by 1e-6; trials 2 and 3 read flipped kinds
+    circles = [E._KINDS.index(E.IntersectionKind.TIMELIKE_CIRCLE),
+               E._KINDS.index(E.IntersectionKind.SPACELIKE_CIRCLE)]
+
+    def flipped(out):
+        index, e = out
+        index[1:] = np.select([index[1:] == circles[0], index[1:] == circles[1]],
+                              circles[::-1], index[1:])
+        return index, e
+
+    _corrupting(patch, O, "_eta_values", lambda out: (out[0] + [0.0, 1e-6, 0.0], *out[1:]))
+    _corrupting(patch, E, "_torus_kinds", flipped)
+
+
+def _identities_lines(patch):
+    # omega*.omega* is off; trial 1's adjugate is off by 1e-9 and its planes
+    # read dim 1; trial 2's complement distance is off by 1e-6; the first
+    # Maslov trial's moved index changes, and its graph is Lagrangian
+    maslov_calls = []
+
+    def moved_index(out):
+        maslov_calls.append(out)
+        if len(maslov_calls) == 2:  # the moved triples, after `_maslov_triples`
+            out[0][0] += 2
+        return out
+
+    def lagrangian_graph(out):
+        s_basis, t_basis, checks = out
+        s_basis[0], t_basis[0] = np.eye(4)[:, :2], 0.0  # graph span{e1, e2}
+        return s_basis, t_basis, checks
+
+    patch.setattr(S.SympSpace, "wedge", lambda self, b1, b2: -2.0 + 1e-9)
+    _corrupting(patch, S, "adjugate", lambda a: a + np.isin(np.arange(len(a)), 0)[:, None, None]
+                * 1e-9)
+    _corrupting(patch, O, "projective_distance", lambda d: d + [0.0, 1e-6, 0.0])
+    _corrupting(patch, O, "_intersection_dims", lambda dims: dims + [1, 0, 0])
+    _corrupting(patch, S, "_maslov_rows", moved_index)
+    _corrupting(patch, O, "_splittings", lagrangian_graph)
+
+
+def _maslov_lines(patch):
+    # every causal type is swapped
+    _corrupting(patch, E, "_causal_rows", lambda out: (np.choose(out[0], [0, 2, 1]), out[1]))
+
+
+def _photon_blind(patch):
+    # the oracle finds nothing, and every residual read is 1e-6 larger
+    patch.setattr(O, "_photon_crossings", _constant_oracle(False))
+    _corrupting(patch, O, "_crossing_residuals", lambda r: r + 1e-6)
+
+
+def _photon_seeing(patch):
+    # the oracle finds a point on every photon, and no witness is built
+    patch.setattr(O, "_photon_crossings", _constant_oracle(True))
+    _corrupting(patch, C, "_crossing_bases", lambda out: (out[0], np.zeros(len(out[1]), bool)))
+
+
+def _surface_lines(patch):
+    # the criterion flips for pair 2 of both kinds, and intersecting pair
+    # 2's shared point is on no region; the second gap taken reads 1e-6 of itself
+    gaps = []
+
+    def small_second(gap):
+        gaps.append(gap)
+        return gap * (1e-6 if len(gaps) == 2 else 1.0)
+
+    _patched(patch, C, "_avoids", _flipped_at(1))
+    _corrupting(patch, C, "_lagrangian_regions", lambda out: (
+        tuple(map(_off_rows([1]), out[0])), out[1]))
+    _corrupting(patch, O, "_gap", small_second)
+
+
+def _stem_lines(patch):
+    # pair 1's shared point is off the stems; pairs 1 and 2 have no contact
+    # in either order
+    def missing(out):
+        x1, x2, hit = out
+        n = len(hit) // 2
+        hit[[0, 1, n, n + 1]] = False
+        return x1, x2, hit
+
+    _corrupting(patch, C, "_lagrangian_regions", lambda out: (
+        (*out[0][:2], _off_rows([0])(out[0][2])), out[1]))
+    _corrupting(patch, O, "_stem_wing_contacts", missing)
+
+
+def _ads_lines(patch):
+    # trial 2's dgk route flips; equivariance trial 1's lift of g a moves and
+    # its trace form is off by 1e-6; the horocycle distance is 1
+    def moved(out):
+        lifts, checks = out
+        if lifts.ndim == 3:  # the lifts of g a, a and b of a block, stacked
+            lifts[0, 0, 1] += 1e-6
+        return lifts, checks
+
+    _patched(patch, ads, "_dgk_passes", _flipped_at(1))
+    _corrupting(patch, ads, "_boundary_lifts", moved)
+    _corrupting(patch, ads, "_killing_rows", lambda out: (out[0] + np.isin(
+        np.arange(len(out[0])), 0) * 1e-6, out[1]))
+    patch.setattr(ads, "horocycle_distance", lambda h1, h2: 1.0)
+
+
+# every failure line a suite writes at seed 7, forced by patching the kernel
+# or the screen output it reads: (suite, patch, trials, failures), in trial
+# order and, within a trial, in the order of its checks
+_FAILURE_LINES = {
+    "torus": (O.suite_torus_trichotomy, _torus_lines, 3, [
+        "trial 1: carrier signature (1, 2, 0) for IntersectionKind.SPACELIKE_CIRCLE",
+        "trial 1: intersection point off tori by 5.822e-07",
+        "trial 2: kind IntersectionKind.PHOTON_PAIR vs eta 0.930975257901535",
+        "trial 3: carrier signature (1, 2, 0) for IntersectionKind.SPACELIKE_CIRCLE"]),
+    "torus-probe": (O.suite_torus_trichotomy, _torus_probe, 2, [
+        "trial 1: probe IntersectionKind.TIMELIKE_CIRCLE vs IntersectionKind.SPACELIKE_CIRCLE",
+        "trial 2: probe IntersectionKind.SPACELIKE_CIRCLE vs IntersectionKind.TIMELIKE_CIRCLE"]),
+    "eta": (O.suite_eta_bridge, _eta_lines, 3, [
+        "trial 2: eta mismatch 1.000e-06 (det -0.5864)",
+        "trial 2: kind IntersectionKind.TIMELIKE_CIRCLE vs eta 3.8358",
+        "trial 3: kind IntersectionKind.TIMELIKE_CIRCLE vs eta 2.5458"]),
+    "identities": (O.suite_symplectic_identities, _identities_lines, 3, [
+        "omega*.omega* = -1.999999999",
+        "trial 1: adjugate identity off by 3.695e-09",
+        "trial 1: transverse True vs dim 1 (wedge 2.362e-01)",
+        "trial 2: reflection/complement distance 1.000e-06",
+        "trial 1: maslov not Sp-invariant",
+        "trial 1: graph degeneracy vs det mismatch"]),
+    "maslov": (O.suite_maslov_bridge, _maslov_lines, 3, [
+        "trial 1: maslov 2 vs causal CausalType.SPACELIKE",
+        "trial 2: maslov 0 vs causal CausalType.TIMELIKE"]),
+    "photon-blind": (O.suite_photon_avoidance, _photon_blind, 4, [
+        "trial 1: meeting photon but oracle found nothing",
+        "trial 1: witness residual 1.000e-06",
+        "trial 3: meeting photon but oracle found nothing",
+        "trial 3: witness residual 1.000e-06",
+        "trial 4: meeting photon but oracle found nothing",
+        "trial 4: witness residual 1.000e-06"]),
+    "photon-seeing": (O.suite_photon_avoidance, _photon_seeing, 4, [
+        "trial 1: no constructive witness",
+        "trial 2: disjoint photon but oracle found a point",
+        "trial 3: no constructive witness",
+        "trial 4: no constructive witness"]),
+    "surface": (O.suite_surface_disjointness, _surface_lines, 3, [
+        "disjoint pair 2: criterion says not disjoint",
+        "disjoint pair 3: sampled gap 2.735e-07",
+        "intersecting pair 2: criterion says disjoint",
+        "intersecting pair 2: shared point not on both"]),
+    "stem": (O.suite_stem_only, _stem_lines, 3, [
+        "pair 1: the shared point is off a stem",
+        "pair 1: stems meet but no stem-wing contact",
+        "pair 2: stems meet but no stem-wing contact"]),
+    "ads": (O.suite_ads_equivalence, _ads_lines, 3, [
+        "trial 2: ads False, dgk True, surfaces False",
+        "equivariance trial 1: residual 1.000e-06",
+        "trace-form identity trial 1: residual 1.000e-06",
+        "horocycle distance at K = -2rr' is not exactly 0"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_FAILURE_LINES))
+def test_suites_report_each_failure_line(monkeypatch, name):
+    suite, patch, trials, lines = _FAILURE_LINES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        patch(monkeypatch)
+        assert suite(trials=trials, seed=7)["failures"] == lines
+
+
 class _Recording:
     """A generator that appends the output of each of its calls to a list."""
 
@@ -2052,7 +2323,7 @@ def test_stacked_witness_matches_the_per_trial_reference(seed):
     bases, fails = C._crossing_bases(units, columns, (units[:, None] @ SP.matrix @ columns)[:, 0],
                                      C.EPS_ALG)
     assert fails.all() and len(meeting) > 300
-    onb = _orthonormal_columns(bases, EPS_RANK)
+    onb = _orthonormal_columns(bases)
     regions, checks = C._lagrangian_regions(SP, columns, onb, C.EPS_ALG)
     residuals = O._crossing_residuals(SP, p, onb)
     for j, (q, surface) in enumerate(meeting):
