@@ -254,10 +254,10 @@ def _quad_regions(columns, bases, eps):
             & (np.abs(p23) > eps) & (p01 * p23 < 0))
 
 
-def _lagrangian_regions(space, columns, onb, eps):
+def _lagrangian_regions(space, columns, onb):
     """`_quad_regions` of the planes of orthonormal bases onb, and the check
     (for `_raise_first`) that `Plane2` tags each Lagrangian."""
-    return _quad_regions(columns, onb, eps), [(~_lagrangian(space, onb),
+    return _quad_regions(columns, onb, EPS_ALG), [(~_lagrangian(space, onb),
                                                "expected a Lagrangian plane")]
 
 
@@ -393,21 +393,21 @@ def find_crossing_lagrangian(p, surface, eps=EPS_ALG):
     return None
 
 
-def _crossing_bases(units, columns, w, eps):
+def _crossing_bases(units, columns, w):
     """`find_crossing_lagrangian` over a block, for unit photon rows p (n, 4),
     quadrilateral columns (n, 4, 4) and W = P Omega Q (n, 4): the bases
     (n, 4, 2) of the witnesses (of the vertex P+ = span{u+, v+} or P- =
-    span{u-, v-} within eps of it) and the (n,) mask of the rows that have
+    span{u-, v-} within EPS_ALG of it) and the (n,) mask of the rows that have
     one.  `find_crossing_lagrangian` is the one-photon version, which the
     CLI calls and the tests compare this block against."""
     wu_plus, wu_minus, wv_plus, wv_minus = w.T
-    plus = wv_plus * wu_plus <= eps
-    fails = plus | (wv_minus * wu_minus >= -eps)
+    plus = wv_plus * wu_plus <= EPS_ALG
+    fails = plus | (wv_minus * wu_minus >= -EPS_ALG)
     t = np.where(plus, wv_plus, wv_minus)[:, None]
     s = -np.where(plus, wu_plus, wu_minus)[:, None]
     u = np.where(plus[:, None], columns[..., 0], columns[..., 1])
     v = np.where(plus[:, None], columns[..., 2], columns[..., 3])
-    vertex = ((np.abs(t) <= eps) & (np.abs(s) <= eps))[..., None]
+    vertex = ((np.abs(t) <= EPS_ALG) & (np.abs(s) <= EPS_ALG))[..., None]
     return np.where(vertex, np.stack([u, v], -1), np.stack([units, t * u + s * v], -1)), fails
 
 

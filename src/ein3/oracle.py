@@ -21,15 +21,17 @@ import math
 import numpy as np
 
 from ein3 import ads, crooked, einstein, symplectic
-from ein3.linalg import (EPS_ALG, GeometryError, _NON_FINITE, _STAND_IN, _column_frames,
-                         _failed_messages, _failed_rows, _intersection_dims, _plane_frames,
-                         _raise_first_row, _same_spans, projective_normalize)
+from ein3.linalg import (EPS_ALG, GeometryError, _NON_FINITE, _PAIR_I, _PAIR_J, _STAND_IN,
+                         _column_frames, _failed_messages, _failed_rows, _intersection_dims,
+                         _plane_frames, _raise_first_row, _same_spans, projective_normalize)
 
 EPS_GEO = 1e-6
 
 
 def make_rng(seed):
-    """Deterministic generator; identical seeds reproduce identical streams."""
+    """Deterministic generator; identical seeds reproduce identical streams.
+    Each stage of a suite draws from a stream of its own, [seed, suite] or
+    [seed, suite, stage], so no stage's draws depend on another stage's."""
     return np.random.default_rng(seed)
 
 
@@ -503,9 +505,6 @@ def _stem_wing_contacts(stem, wing):
 # photon-surface oracle
 # ---------------------------------------------------------------------------
 
-_PAIR_ROWS, _PAIR_COLUMNS = np.array(symplectic.PAIRS).T
-
-
 def _second_generators(space, x):
     """Lagrangian completions of a photon vector x, or of each row of a
     stack of them: an orthonormal pair (w1, w2) spanning x-perp (for omega)
@@ -518,10 +517,10 @@ def _second_generators(space, x):
     p = symplectic.plucker_rows(x, x @ space.matrix)
     d = p[..., ::-1] * symplectic._HODGE  # the Hodge dual, pairs as p's
     matrix = np.zeros((*d.shape[:-1], 4, 4))
-    matrix[..., _PAIR_ROWS, _PAIR_COLUMNS] = d
-    matrix[..., _PAIR_COLUMNS, _PAIR_ROWS] = -d
+    matrix[..., _PAIR_I, _PAIR_J] = d
+    matrix[..., _PAIR_J, _PAIR_I] = -d
     pair = np.abs(d).argmax(-1)
-    columns = np.stack([_PAIR_ROWS[pair], _PAIR_COLUMNS[pair]], -1)[..., None, :]
+    columns = np.stack([_PAIR_I[pair], _PAIR_J[pair]], -1)[..., None, :]
     onb = _plane_frames(np.take_along_axis(matrix, columns, -1))[0]
     return onb[..., 0], onb[..., 1]
 
@@ -863,9 +862,9 @@ def suite_symplectic_identities(trials=1000, seed=7):
     call and its bases in one; a chunk keeps those whose s is nondegenerate
     (`_planes`), and a block of trials is checked at a time, the
     reflection/complement distances too.  Then 200 Maslov/graph trials are
-    drawn, each a Lagrangian triple, a symplectic generator, a map and a
-    splitting basis (one rng call for each), and checked at once
-    (`_maslov_triples`)."""
+    drawn from a stream of their own, each a Lagrangian triple, a symplectic
+    generator, a map and a splitting basis (one rng call for each), and
+    checked at once (`_maslov_triples`)."""
     rng = make_rng([seed, 3])
     space = symplectic.standard_space()
     failures = []
@@ -904,8 +903,9 @@ def suite_symplectic_identities(trials=1000, seed=7):
             # outside the ambiguity band, or provably meeting
             (((wval > 1e-9) | (dims > 0)) & (trans != (dims == 0)), lambda i: f"trial {first + i}: "
              f"transverse {trans[i]} vs dim {dims[i]} (wedge {wval[i]:.3e})")])
-    xr, h = rng.normal(size=(200, 3, 2, 4)), rng.uniform(-1.0, 1.0, size=(200, 4, 4))
-    f, split = rng.uniform(-2.0, 2.0, size=(200, 2, 2)), rng.normal(size=(200, 4, 2))
+    maslov_rng = make_rng([seed, 3, 1])
+    xr, h = maslov_rng.normal(size=(200, 3, 2, 4)), maslov_rng.uniform(-1.0, 1.0, (200, 4, 4))
+    f, split = maslov_rng.uniform(-2.0, 2.0, (200, 2, 2)), maslov_rng.normal(size=(200, 4, 2))
     bases = _lagrangian_bases(space, xr[:, :, 0], xr[:, :, 1])  # L, L', P
     index, kept = _maslov_triples(space, bases, split)
     g = _symplectic_exp(space, h[kept])
@@ -1028,10 +1028,10 @@ def suite_photon_avoidance(trials=1000, seed=7):
         surface_checks = _surface_checks(space, rows)
         columns = _solvable(columns, surface_checks)
         verdicts = crooked._avoids(*crooked._products(w), EPS_ALG)
-        bases, fails = crooked._crossing_bases(units, columns, w, EPS_ALG)
+        bases, fails = crooked._crossing_bases(units, columns, w)
         need = ~verdicts & fails  # the trials whose witness is read
         onb, _, frame_checks = _plane_frames(bases)
-        regions, checks = crooked._lagrangian_regions(space, columns, onb, EPS_ALG)
+        regions, checks = crooked._lagrangian_regions(space, columns, onb)
         residuals = np.where(need, _crossing_residuals(space, p, onb), np.nan)
         read = residuals <= 1e-9  # else a witness fails its trial, not its membership check
         _raise_first_row(surface_checks + [(need & mask, message) for mask, message in frame_checks]
@@ -1063,8 +1063,9 @@ def suite_surface_disjointness(trials=200, seed=7):
     `_cloud_draws`' three rng calls for all their clouds at once; the
     clouds of those trials are built at once, a passing pair's gap one pair
     at a time.  An intersecting pair's shared point is checked on both
-    surfaces."""
-    rng = make_rng([seed, 6])
+    surfaces.  The AdS candidates, the clouds and the intersecting pairs
+    each draw from a stream of their own."""
+    rng, cloud_rng, meeting_rng = (make_rng([seed, 6, *stage]) for stage in ((), (1,), (3,)))
     space = ads.ads_space()
     std = symplectic.standard_space()
     failures = []
@@ -1088,7 +1089,7 @@ def suite_surface_disjointness(trials=200, seed=7):
         for start in range(0, len(rows), _CLOUD_PAIRS):
             part = rows[start:start + _CLOUD_PAIRS]
             # each of the seven draws as one array (trials, 2 surfaces, points)
-            draws = _cloud_draws(rng, 320, (len(part), 2))
+            draws = _cloud_draws(cloud_rng, 320, (len(part), 2))
             points = projective_normalize(_surface_cloud(space, part.swapaxes(-1, -2), draws))
             points /= np.linalg.norm(points, axis=-1, keepdims=True)
             for k in np.flatnonzero(passed[start:start + _CLOUD_PAIRS]).tolist():
@@ -1097,12 +1098,11 @@ def suite_surface_disjointness(trials=200, seed=7):
         failures += _failed_messages([
             (~passed, lambda i: f"disjoint pair {first + i}: criterion says not disjoint"),
             (gaps <= 1e-4, lambda i: f"disjoint pair {first + i}: sampled gap {gaps[i]:.3e}")])
-    for first, block in _blocks(trials, lambda first, k: _intersecting_draw(rng, k)):
+    for first, block in _blocks(trials, lambda first, k: _intersecting_draw(meeting_rng, k)):
         rows, shared, shared_checks = _intersecting_rows(std, *block)
         surface_checks = _surface_checks(std, rows)
         rows = _solvable(rows, surface_checks)
-        regions, checks = crooked._lagrangian_regions(std, rows.swapaxes(-1, -2), shared[:, None],
-                                                      EPS_ALG)
+        regions, checks = crooked._lagrangian_regions(std, rows.swapaxes(-1, -2), shared[:, None])
         _raise_first_row(shared_checks + surface_checks + checks)
         failures += _failed_messages([
             (sixteen_pass(std, rows), lambda i: f"intersecting pair {first + i}: criterion says "
@@ -1138,7 +1138,7 @@ def suite_stem_only(trials=200, seed=7):
         surface_checks = _surface_checks(space, rows)
         columns = _solvable(rows, surface_checks).swapaxes(-1, -2)
         q1, q2 = np.moveaxis(columns, 1, 0)
-        regions, checks = crooked._lagrangian_regions(space, columns, shared[:, None], EPS_ALG)
+        regions, checks = crooked._lagrangian_regions(space, columns, shared[:, None])
         # either order: the stem of c1 on a wing of c2, else the reverse
         with np.errstate(all="ignore"):  # of I, I where a pair fails its surface checks
             x1, x2, hit = _stem_wing_contacts(np.concatenate([q1, q2]), np.concatenate([q2, q1]))
@@ -1164,9 +1164,10 @@ def suite_ads_equivalence(trials=1000, seed=7):
     accepted trials then runs the plane, quadrilateral and surface checks
     stacked (`_ads_pairs`), raising in trial order; it reads the three
     routes from the stacked margin kernels.  The equivariance and
-    trace-form stage draws a vector pair and a 2x2 matrix per trial, a
-    block's in one rng call, and checks a block of trials at a time."""
-    rng = make_rng([seed, 7])
+    trace-form stage draws a vector pair and a 2x2 matrix per trial from a
+    stream of its own, a block's in one rng call, and checks a block of
+    trials at a time."""
+    rng, lift_rng = make_rng([seed, 7]), make_rng([seed, 7, 1])
     space = ads.ads_space()
     base = ads.as_sl2(np.eye(2))  # the first plane of every pair
     failures = []
@@ -1193,7 +1194,7 @@ def suite_ads_equivalence(trials=1000, seed=7):
     for start in range(0, trials, _ORACLE_BLOCK):
         # a, b and x, whose `_sl2_exp` is g; a trial with a or b shorter
         # than 1e-3 is skipped
-        z = rng.normal(size=(min(_ORACLE_BLOCK, trials - start), 4, 2))
+        z = lift_rng.normal(size=(min(_ORACLE_BLOCK, trials - start), 4, 2))
         kept = (np.linalg.norm(z[:, :2], axis=-1) >= 1e-3).all(axis=1)
         ks, a, b, x = start + 1 + np.flatnonzero(kept), z[kept, 0], z[kept, 1], z[kept, 2:]
         n, g = len(ks), _sl2_exp(x)
@@ -1202,9 +1203,8 @@ def suite_ads_equivalence(trials=1000, seed=7):
         killing, killing_checks = ads._killing_rows(*np.split(lifts[n:], 2))
         lift_ga, lift_a = lifts[:n], lifts[n:2 * n]
         equiv = np.abs(lift_ga - g @ lift_a @ np.linalg.inv(g)).max(axis=(1, 2))
-        # omega0(a, b)^2 by Python's `**` (libm's pow, which rounds unlike
-        # numpy's x * x): the reports carry its last bit
-        squares = np.array([w ** 2 for w in ads._omega0_cells(a, b)[:, 0, 0].tolist()])
+        w = ads._omega0_cells(a, b)[:, 0, 0]
+        squares = w * w
         # the lifts of g a, a and b of each trial, then its trace form
         _raise_first_row(_per_trial(checks, n, 3, lambda i, k: k * n + i) + killing_checks)
         residuals = np.stack([equiv, abs(squares + killing)])

@@ -421,11 +421,11 @@ def torus_from_plane(space, s):
     return einstein.EinsteinTorus(space.to_einstein(m))
 
 
-def _lagrangian_points(space, bases, eps=EPS_ALG):
+def _lagrangian_points(space, bases):
     """The points of the null-cone model of stacked bases of Lagrangian
     planes: the normalized points, and the checks."""
-    x, kernel = space._to_einstein(plucker_rows(bases[..., 0], bases[..., 1]), eps)
-    reps, null = einstein._null_points(x, eps)
+    x, kernel = space._to_einstein(plucker_rows(bases[..., 0], bases[..., 1]))
+    reps, null = einstein._null_points(x)
     return reps, kernel + null
 
 

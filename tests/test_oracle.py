@@ -1368,7 +1368,8 @@ def test_min_gap_equals_the_clipped_maximum():
 # draws decided by the stacked screens write them (torus-trichotomy's since
 # each candidate draws its pair of normals and all of its angles,
 # surface-disjointness' since its disjoint pairs are every pass of
-# _ADS_ROWS-row candidates and its clouds are drawn in the check stage);
+# _ADS_ROWS-row candidates and its clouds, drawn in the check stage, and its
+# intersecting pairs each come from a stream of their own);
 # the max_violation of torus-trichotomy, eta-bridge and surface-disjointness
 # as the closed-form torus and plane frames and bilinear clouds round it
 _STACKED_SUITE_SHA256 = {
@@ -1376,7 +1377,7 @@ _STACKED_SUITE_SHA256 = {
     "eta-bridge": "d9f298b7c5857ec3cbe0fff54709e5d12e892161c7960a0be18c45fe1d297022",
     "symplectic-identities": "a07f62ce823414a16306abca8118ab26880524b445dfe6c2f6e08f4e99504f21",
     "maslov-bridge": "aba5054fe7d90dcec6b8c4951e908dbf685f6314e4b2c4e69b27e5af994982fc",
-    "surface-disjointness": "3f33d551d6752b98eada12e2bea5baa2d54147ab32ebba2fc9058b9bcf5f61c1",
+    "surface-disjointness": "cb5319c5de85110efe725a510a0e9852f38b642cff6a0a742d0336ad2f2b56ac",
 }
 
 
@@ -1563,7 +1564,8 @@ def test_stacked_maslov_and_causal_kernels_match_the_per_trial_reference():
 # report_lines of every suite at trials=260 on seeds 1 and 2, 260 trials
 # crossing one block of _ORACLE_BLOCK = 256: torus-trichotomy's, eta-bridge's,
 # surface-disjointness's and ads-equivalence's as the draws decided by the
-# stacked screens write them, the others' as the trial-by-trial suites did;
+# stacked screens write them (each later stage on a stream of its own), the
+# others' as the trial-by-trial suites did;
 # the max_violation of the first three as the closed-form frames and clouds
 # round it
 _CROSS_BLOCK_SHA256 = {
@@ -1572,9 +1574,9 @@ _CROSS_BLOCK_SHA256 = {
     "symplectic-identities": "2cc5be1702490695064fba5018a716329463d7e881efba41a08d2950d986e61b",
     "maslov-bridge": "e5a67d7ee1002dae88447961ffe2d2b0425ecef092e61f299381438848bff577",
     "photon-avoidance": "d11800fd2f52497164a4fb14e7a2fcb5a1b2bcfc8679830e94d7953b23cf6f93",
-    "surface-disjointness": "d080463d43677ca56e13ca8b6f3c5821bd7fe2b91a2601c52c068039fcbe4867",
+    "surface-disjointness": "7f2becbf917a102fdff74ba032b0b99b57e9c5071e9e50d9f03018e2c04dab84",
     "stem-only": "d90ffcdae5ac6cdd519b6ad7fbc7c4f412f8526ea5b8f1010b6042c31065a44c",
-    "ads-equivalence": "0b5a676eb1fd1a4ac6ba7b86d35ce6090c7030c27face45091663f10dde2dd5a",
+    "ads-equivalence": "5631895ac88253ba392eff2c4b1fd24b08a3ed7d9a5079602a819c10ceccdad1",
 }
 
 
@@ -1593,12 +1595,12 @@ def test_suites_keep_their_report_bytes_across_a_block(name):
 _DRAW_SHA256 = {
     "torus-trichotomy": "ea88afcc16c9663c15ec90019dc6a4f64781f6783655b49505e714045b7055a0",
     "eta-bridge": "232a6881bcfce6ef3e9e4233121904d7b28e82b49a32c9902887fb156cffa2c7",
-    "symplectic-identities": "0a2e57278e95e91546e1e66bd277fa3d22a6f9df8fb0d516b81f284ba9a20219",
+    "symplectic-identities": "c9aac5f12316965124fea92077cd38bffceeac8d96dcc0e82bfaed1ae8f29596",
     "maslov-bridge": "fff95ed9308303a47e8d45049d7c424cf8f260b349819bd19edbf35cf26ca817",
     "photon-avoidance": "1229a6fd84ee1b891537959026248619291788f8bee1c0b4cd03957b2b6cf70e",
-    "surface-disjointness": "72272ecf17abf40e35ee4a2a60418aabb33452bd4b49e1137f56d59a5ef0f59d",
+    "surface-disjointness": "91d2e873bb0b8f53d91ac2689bf8e2803298910d3e64b431fe21705abe296270",
     "stem-only": "beb72d478d5d0743dbdf85adc290a13d09e63025490419e6a5342527435bde4e",
-    "ads-equivalence": "4063db75ad3bcee49cf0349d8f17366960b1be0c26cbaee5df74e481535ac938",
+    "ads-equivalence": "0bb78d87dd1628c5521edcbfc5102318f25eee39c3f405718eff80353be2db44",
 }
 
 
@@ -1636,6 +1638,45 @@ def test_suites_keep_their_draws(monkeypatch, name):
         for a in after:
             digest.update(np.ascontiguousarray(a, float).tobytes())
     assert digest.hexdigest() == _DRAW_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["ads-equivalence", "surface-disjointness"])
+def test_suite_reports_do_not_depend_on_the_block_size(monkeypatch, name):
+    # each stage draws from a stream of its own, so no stage's draws follow
+    # from how many candidates an earlier stage drew in its chunks (the
+    # intersecting pairs past trial 128 differ, a chunk making two rng
+    # calls, but every one of them passes)
+    lines = []
+    for block in (128, 256):
+        monkeypatch.setattr(O, "_ORACLE_BLOCK", block)
+        lines.append(O.report_lines([O.run_suite(name, trials=260, seed=seed)
+                                     for seed in (1, 2, 3)]))
+    assert lines[0] == lines[1]
+
+
+def _draws_after_the_blocks(monkeypatch, name, trials, seed):
+    """The rng outputs a suite makes after its last `_blocks` block."""
+    outputs, blocks, make_rng = [], O._blocks, O.make_rng
+
+    def cleared(*args):
+        yield from blocks(*args)
+        outputs.clear()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(O, "make_rng", lambda seed: _Recording(make_rng(seed), outputs))
+        patch.setattr(O, "_blocks", cleared)
+        O.run_suite(name, trials=trials, seed=seed)
+    return outputs
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_symplectic_identities_maslov_draws_do_not_depend_on_the_trials(monkeypatch, seed):
+    # the first stage draws more candidates at 1,000 trials than at 260;
+    # the Maslov/graph stage's four rng calls are the same at both
+    short, long = (_draws_after_the_blocks(monkeypatch, "symplectic-identities", trials, seed)
+                   for trials in (260, 1000))
+    assert len(short) == len(long) == 4
+    assert all(np.array_equal(a, b) for a, b in zip(short, long))
 
 
 def _scalar_plane(m):
@@ -2149,7 +2190,7 @@ _FAILURE_LINES = {
         "trial 4: no constructive witness"]),
     "surface": (O.suite_surface_disjointness, _surface_lines, 3, [
         "disjoint pair 2: criterion says not disjoint",
-        "disjoint pair 3: sampled gap 2.735e-07",
+        "disjoint pair 3: sampled gap 1.962e-07",
         "intersecting pair 2: criterion says disjoint",
         "intersecting pair 2: shared point not on both"]),
     "stem": (O.suite_stem_only, _stem_lines, 3, [
@@ -2320,11 +2361,10 @@ def test_stacked_witness_matches_the_per_trial_reference(seed):
     p = np.array([p for p, _ in meeting])
     columns = np.array([s.quad.columns for _, s in meeting])
     units = C._unit_photons(p)
-    bases, fails = C._crossing_bases(units, columns, (units[:, None] @ SP.matrix @ columns)[:, 0],
-                                     C.EPS_ALG)
+    bases, fails = C._crossing_bases(units, columns, (units[:, None] @ SP.matrix @ columns)[:, 0])
     assert fails.all() and len(meeting) > 300
     onb = _orthonormal_columns(bases)
-    regions, checks = C._lagrangian_regions(SP, columns, onb, C.EPS_ALG)
+    regions, checks = C._lagrangian_regions(SP, columns, onb)
     residuals = O._crossing_residuals(SP, p, onb)
     for j, (q, surface) in enumerate(meeting):
         want = C.find_crossing_lagrangian(q, surface)
