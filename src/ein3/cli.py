@@ -18,6 +18,11 @@ object types:
 Global keys "seed" and "eps_alg" are overridden by the `--seed` flag of
 `sample` and the global `--eps-alg` flag.  All floats are printed with 17
 significant digits; diagnostics go to stderr.
+
+Each command imports the model modules it runs, and no others: a process
+that finds no cached bytecode and writes none compiles every module it
+imports, so `classify-tori` on normal vectors compiles `einstein` alone
+and `sample` no oracle.
 """
 
 import argparse
@@ -26,7 +31,7 @@ import sys
 
 import numpy as np
 
-from ein3 import ads, crooked, einstein, linalg, symplectic
+from ein3 import linalg
 from ein3.linalg import GeometryError
 
 
@@ -79,8 +84,10 @@ class Config:
     def _space(self, spec):
         tag = spec.get("space", "standard")
         if tag == "standard":
+            from ein3 import symplectic
             return symplectic.standard_space()
         if tag == "ads":
+            from ein3 import ads
             return ads.ads_space()
         raise ConfigError(f"unknown space tag {tag!r}")
 
@@ -90,6 +97,7 @@ class Config:
             if kind == "torus":
                 return self._build_torus(name, spec)
             if kind == "quadrilateral":
+                from ein3 import crooked
                 space = self._space(spec)
                 return crooked.LightlikeQuadrilateral(
                     space, spec["u_plus"], spec["u_minus"],
@@ -100,6 +108,7 @@ class Config:
                     raise ConfigError("photon vector must be nonzero")
                 return ("photon", vec, self._space(spec))
             if kind == "ads_plane":
+                from ein3 import ads
                 return ads.AdsCrookedPlane(
                     np.asarray(spec["base"], dtype=float), spec["a"], spec["b"])
             raise ConfigError(f"unknown object type {kind!r}")
@@ -108,8 +117,10 @@ class Config:
 
     def _build_torus(self, name, spec):
         if "normal" in spec:
+            from ein3 import einstein
             return einstein.EinsteinTorus(spec["normal"], eps=self.eps_alg)
         if "splitting" in spec:
+            from ein3 import symplectic
             space = symplectic.standard_space()
             basis = np.asarray(spec["splitting"], dtype=float).T
             plane = symplectic.Plane2(space, basis)
@@ -169,19 +180,12 @@ def load_config(path, args):
 # commands
 # ---------------------------------------------------------------------------
 
-_KIND_NAMES = {
-    einstein.IntersectionKind.TIMELIKE_CIRCLE: "timelike",
-    einstein.IntersectionKind.SPACELIKE_CIRCLE: "spacelike",
-    einstein.IntersectionKind.PHOTON_PAIR: "photon_pair",
-    einstein.IntersectionKind.EQUAL: "equal",
-}
-
-
 def cmd_classify_tori(args):
+    from ein3 import einstein
     cfg = load_config(args.config, args)
     (n1, t1), (n2, t2) = cfg.select_pair(einstein.EinsteinTorus)
     cls = einstein.classify_torus_pair(t1, t2, eps=cfg.eps_alg)
-    line = f"eta={_fmt(cls.eta)} kind={_KIND_NAMES[cls.kind]}"
+    line = f"eta={_fmt(cls.eta)} kind={cls.kind.value.removesuffix('_circle')}"
     if cls.normals is not None:
         sig = einstein._carrier_signatures(*cls.normals)
         line += f" carrier_signature=({sig[0]},{sig[1]},{sig[2]})"
@@ -190,6 +194,7 @@ def cmd_classify_tori(args):
         f, summand = cfg.det_routes.get(name, (None, None))
         if f is None or other != summand:
             continue
+        from ein3 import symplectic  # loaded by the splitting's torus
         try:
             eta_det = symplectic.eta_from_det(f, eps=cfg.eps_alg)
         except GeometryError:
@@ -202,6 +207,7 @@ def cmd_classify_tori(args):
 
 
 def cmd_check_photon(args):
+    from ein3 import crooked
     cfg = load_config(args.config, args)
     photons = cfg.of_type("photon")
     quads = cfg.of_type(crooked.LightlikeQuadrilateral)
@@ -226,6 +232,7 @@ def cmd_check_photon(args):
 
 
 def cmd_check_crooked(args):
+    from ein3 import crooked
     cfg = load_config(args.config, args)
     (n1, q1), (n2, q2) = cfg.select_pair(crooked.LightlikeQuadrilateral)
     c1, c2 = crooked.CrookedSurface(q1), crooked.CrookedSurface(q2)
@@ -248,6 +255,7 @@ def cmd_check_crooked(args):
 
 
 def cmd_check_ads(args):
+    from ein3 import ads
     cfg = load_config(args.config, args)
     (n1, p1), (n2, p2) = cfg.select_pair(ads.AdsCrookedPlane)
     margins, coincident = ads.dgk_margins(p1, p2)
@@ -268,28 +276,29 @@ def cmd_check_ads(args):
 
 
 def _sample_clouds(cfg, count):
-    from ein3 import oracle  # only sample and verify load the oracle
-    rng = oracle.make_rng(cfg.seed)
+    from ein3 import crooked, einstein, sampling
+    rng = sampling.make_rng(cfg.seed)
     clouds = []
     names = cfg.pair if cfg.pair is not None else list(cfg.objects)
     for name in names:
         obj = cfg.objects[name]
         if isinstance(obj, einstein.EinsteinTorus):
-            cloud = oracle.sample_torus(obj, count, rng)
+            cloud = sampling.sample_torus(obj, count, rng)
             cloud.labels = [name] * len(cloud)
-        elif isinstance(obj, (crooked.LightlikeQuadrilateral, ads.AdsCrookedPlane)):
+        elif isinstance(obj, tuple):  # a photon: nothing to sample
+            continue
+        else:
             try:
-                if isinstance(obj, ads.AdsCrookedPlane):
+                if not isinstance(obj, crooked.LightlikeQuadrilateral):  # an ads_plane
+                    from ein3 import ads
                     obj = ads.ads_quadrilateral(obj, eps=cfg.eps_alg)
                 surface = crooked.CrookedSurface(obj)
             except GeometryError as exc:
                 raise ConfigError(
                     f"object {name!r}: its crooked surface is numerically "
                     f"degenerate at this scale ({exc})") from exc
-            cloud = oracle.sample_surface(surface, count, rng)
+            cloud = sampling.sample_surface(surface, count, rng)
             cloud.labels = [f"{name}:{lab}" for lab in cloud.labels]
-        else:
-            continue
         clouds.append(cloud)
     if not clouds:
         raise ConfigError("nothing to sample: define a torus, quadrilateral "
@@ -322,10 +331,10 @@ def cmd_sample(args):
 def _write_csv(path, coords, labels):
     with open(path, "w", newline="\n") as handle:
         handle.write("x,y,z,label\n")
-        for (x, y, z), lab in zip(coords, labels):
+        for (x, y, z), lab in zip(coords.tolist(), labels):
             if "," in lab or '"' in lab:  # quoted, with its quotes doubled (RFC 4180)
                 lab = '"' + lab.replace('"', '""') + '"'
-            handle.write(f"{_fmt(x)},{_fmt(y)},{_fmt(z)},{lab}\n")
+            handle.write(f"{x:.17g},{y:.17g},{z:.17g},{lab}\n")
 
 
 def _write_ply(path, coords, labels):
@@ -340,8 +349,8 @@ def _write_ply(path, coords, labels):
         handle.write(f"element vertex {len(coords)}\n")
         handle.write("property double x\nproperty double y\nproperty double z\n")
         handle.write("property uchar label\nend_header\n")
-        for (x, y, z), lab in zip(coords, labels):
-            handle.write(f"{_fmt(x)} {_fmt(y)} {_fmt(z)} {index[lab]}\n")
+        for (x, y, z), lab in zip(coords.tolist(), labels):
+            handle.write(f"{x:.17g} {y:.17g} {z:.17g} {index[lab]}\n")
 
 
 def cmd_verify(args):

@@ -7,7 +7,7 @@ Attribute node, not a docstring), and a method's name only as an Attribute
 node (x.name): a local variable or parameter of the same name does not
 keep a method alive.  perfbench also names what it traces in
 strings, and such a string counts only when it is a definition's full
-trace name, module then qualified name, such as "oracle.sample_surface" or
+trace name, module then qualified name, such as "sampling.sample_surface" or
 "symplectic.SympSpace.transverse".
 """
 

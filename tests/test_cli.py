@@ -567,8 +567,9 @@ def test_sample_csv_and_ply(tmp_path, capsys):
 
 # sha256 of the CSV that `sample` writes for one torus and one ads_plane at
 # --count 300 --seed 11, taken since the torus frame is a reflected axis
-# frame (`oracle._torus_frame`) and a surface point a bivector product
-# (`oracle._surface_cloud`); a change that moves a sampled point changes it
+# frame (`sampling._torus_frame`) and a surface point a bivector product
+# (`sampling._surface_cloud`); rows are written from `coords.tolist()`, and a
+# change that moves a sampled point or a written digit changes it
 _SAMPLE_CSV_SHA256 = "b62fd830817d10db185631b2964f6a40c80c622579c84b5042b4de33453575e6"
 
 
@@ -701,26 +702,37 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert "'eta-bridge'" in err and "'dgk-equivalence'" in err
 
 
-def test_check_commands_and_sample_skip_scipy_and_the_oracle(tmp_path):
-    checks = [[command, write_config(tmp_path, doc, f"{command}.json")]
-              for command, doc in sorted(WELL_FORMED.items())]
-    sample = ["sample", checks[0][1], "--count", "50",
-              "--out", str(tmp_path / "cloud.csv")]
+# the ein3 modules each command loads besides ein3 and ein3.cli: a process
+# with no cached bytecode compiles every module it imports, so none is
+# loaded that the command does not run, and none loads scipy
+_LOADS = {
+    "classify-tori": {"linalg", "einstein"},
+    "check-photon": {"linalg", "einstein", "symplectic", "crooked"},
+    "check-crooked": {"linalg", "einstein", "symplectic", "crooked"},
+    "check-ads": {"linalg", "einstein", "symplectic", "crooked", "ads"},
+    "sample": {"linalg", "einstein", "symplectic", "crooked", "sampling"},
+}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     child = textwrap.dedent("""
         import contextlib, io, json, sys
         from ein3 import cli
-        checks, sample = json.loads(sys.argv[1])
-        loaded = []
         with contextlib.redirect_stdout(io.StringIO()):
-            for argv in checks + [sample]:
-                assert cli.main(argv) in (0, 1)
-                loaded.append([m for m in ("scipy", "ein3.oracle") if m in sys.modules])
-        print(json.dumps(loaded))
+            assert cli.main(sys.argv[1:]) in (0, 1)
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("ein3", "scipy"))))
     """)
-    proc = subprocess.run([sys.executable, "-c", child, json.dumps([checks, sample])],
-                          capture_output=True, text=True, env=child_env(), check=True)
-    loaded = json.loads(proc.stdout)
-    assert loaded == [[]] * len(checks) + [["ein3.oracle"]]
+    loaded = {}
+    for command in _LOADS:  # sample draws the two quadrilaterals of check-crooked
+        doc = WELL_FORMED.get(command, WELL_FORMED["check-crooked"])
+        argv = [command, write_config(tmp_path, doc, f"{command}.json")]
+        if command == "sample":
+            argv += ["--count", "50", "--out", str(tmp_path / "cloud.csv")]
+        proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
+                              text=True, env=child_env(), check=True)
+        loaded[command] = json.loads(proc.stdout)
+    assert loaded == {command: sorted({"ein3", "ein3.cli"} | {f"ein3.{m}" for m in loads})
+                      for command, loads in _LOADS.items()}
 
 
 def test_verify_runs_without_scipy():
