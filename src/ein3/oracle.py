@@ -25,8 +25,7 @@ from ein3 import ads, crooked, einstein, symplectic
 from ein3.linalg import (EPS_ALG, GeometryError, _NON_FINITE, _PAIR_I, _PAIR_J, _STAND_IN,
                          _column_frames, _failed_messages, _failed_rows, _intersection_dims,
                          _plane_frames, _raise_first_row, _same_spans, projective_normalize)
-from ein3.sampling import (EPS_GEO, SampleCloud, _cloud_draws, _surface_cloud,  # noqa: F401
-                           _torus_frame, _torus_points, make_rng, sample_surface, sample_torus)
+from ein3.sampling import _cloud_draws, _surface_cloud, _torus_frame, _torus_points, make_rng
 
 
 class RetryExhausted(GeometryError):
@@ -41,11 +40,16 @@ class RetryExhausted(GeometryError):
 # surface-disjointness 95.3 disjoint trials per 100 (87.1), the others all
 ATTEMPTS_PER_TRIAL = 10
 
-# candidates a draw chunk, trials a check block: 256 halves 128's fixed calls (8 suites, seed 7,
-# 2-core Xeon: 186 -> 156 ms CPU, RSS +3%); 512: no faster (154 ms, RSS +5%); 1,000: 166 ms, +13%
+# candidates a draw makes at a time (`_blocks`), so a candidate's draws depend only on its index
+_DRAW_QUANTUM = 64
+
+# candidates a screened chunk, trials a check block, a speed setting only (a multiple of
+# _DRAW_QUANTUM): 256 halves 128's fixed calls (8 suites, seed 7, 2-core Xeon: 186 -> 156 ms
+# CPU, RSS +3%); 512: no faster (154 ms, RSS +5%); 1,000: 166 ms, +13%
 _ORACLE_BLOCK = 256
 
-# surface-disjointness: AdS rows a candidate (0.95 passes on average), trials a cloud sub-block
+# surface-disjointness: AdS rows a candidate (0.95 passes on average), and trials a cloud
+# sub-block, the cloud stream's draw quantum: a change of it moves the sampled gaps
 _ADS_ROWS = _CLOUD_PAIRS = 16
 
 
@@ -289,19 +293,20 @@ def _carried_rows(space, l, rows, x):
     return (g[..., None, :, :] @ rows[..., None])[..., 0]
 
 
-def _stem_draw(rng, k):
-    """The rng calls of k stem-only pairs: both surfaces' generators (k, 2,
-    4, 4) in one, and their stem points' numbers (k, 2, 3) in one (a
-    component, t1 and t2 each)."""
-    return rng.uniform(-1.0, 1.0, size=(k, 2, 4, 4)), rng.random((k, 2, 3))
+def _pair_draw(rng, k, m):
+    """The rng calls of k surface pairs of stem-only (m = 6) or of
+    surface-disjointness' intersecting stage (m = 4): both generators (k, 2,
+    4, 4) in one, and the m numbers (k, m) of the shared point in one."""
+    return rng.uniform(-1.0, 1.0, size=(k, 2, 4, 4)), rng.random((k, m))
 
 
 def _stem_rows(space, s, u):
-    """Quadrilateral rows (n, 2, 4, 4) of the pairs of a `_stem_draw` (s, u)
-    and `_column_frames` (n, 4, 2) of their shared points: a stem point of
-    the first surface, onto which a stem point of the second is carried.  A
-    stem point's component is +1 when its first number is below 0.5, and its
-    t1, t2 are uniform in [0.15, pi/2 - 0.15]."""
+    """Quadrilateral rows (n, 2, 4, 4) of the pairs of a `_pair_draw` (s, u)
+    of six numbers, and `_column_frames` (n, 4, 2) of their shared points: a
+    stem point of the first surface, onto which a stem point of the second is
+    carried.  A stem point takes three numbers: its component is +1 when the
+    first is below 0.5, and its t1, t2 are uniform in [0.15, pi/2 - 0.15]."""
+    u = u.reshape(-1, 2, 3)
     rows1, rows0 = np.moveaxis(_random_rows(space, s), 1, 0)
     comps, t = np.where(u[..., 0] < 0.5, 1, -1), 0.15 + (np.pi / 2 - 0.3) * u[..., 1:]
     (c1, c0), (a1, a0), (b1, b0) = comps.T, t[..., 0].T, t[..., 1].T
@@ -311,20 +316,13 @@ def _stem_rows(space, s, u):
     return np.stack([rows1, _carried_rows(space, shared, rows0, x)], axis=1), shared, checks
 
 
-def _intersecting_draw(rng, k):
-    """The rng calls of k intersecting pairs of surface-disjointness: both
-    generators (k, 2, 4, 4) in one, and the numbers (k, 4) of the shared
-    point in one (`_intersecting_rows`)."""
-    return rng.uniform(-1.0, 1.0, size=(k, 2, 4, 4)), rng.random((k, 4))
-
-
 def _intersecting_rows(space, s, u):
-    """Quadrilateral rows (n, 2, 4, 4) of the pairs of an `_intersecting_draw`
-    (s, u) and `_column_frames` (n, 4, 2) of their shared points: a point
-    of the first surface, onto which the second's vertex P+ is carried.  The
-    point is on a wing when u0 < 0.5 (wing +1 when u1 < 0.5, theta uniform in
-    [0.1, pi/2 - 0.1] by u2, phi in [0, pi] by u3), else on the stem (t1, t2
-    uniform in [0.1, pi/2 - 0.1] by u1, u2, component +1 when u3 < 0.5)."""
+    """Quadrilateral rows (n, 2, 4, 4) of the pairs of a `_pair_draw` (s, u)
+    of four numbers, and `_column_frames` (n, 4, 2) of their shared points: a
+    point of the first surface, onto which the second's vertex P+ is carried.
+    The point is on a wing when u0 < 0.5 (wing +1 when u1 < 0.5, theta uniform
+    in [0.1, pi/2 - 0.1] by u2, phi in [0, pi] by u3), else on the stem (t1,
+    t2 uniform in [0.1, pi/2 - 0.1] by u1, u2, component +1 when u3 < 0.5)."""
     wing = u[:, 0] < 0.5
     a = np.where(wing, u[:, 1], 0.1 + (np.pi / 2 - 0.2) * u[:, 1])
     b, c = 0.1 + (np.pi / 2 - 0.2) * u[:, 2], np.where(wing, np.pi * u[:, 3], u[:, 3])
@@ -440,11 +438,13 @@ def _report(suite, trials, seed, failures, max_violation):
 
 
 def _blocks(trials, draw, screen=None):
-    """The draw stage of a suite.  Candidates come in chunks of
-    _ORACLE_BLOCK, or of what is left of the budget of ATTEMPTS_PER_TRIAL *
-    trials candidates: draw(first, k) makes the rng calls of candidates
-    first, ..., first + k - 1 (numbered from 0), one call per distribution,
-    and returns a tuple of arrays over them (a leading candidate axis).
+    """The draw stage of a suite.  draw(first, _DRAW_QUANTUM) makes the rng
+    calls of candidates first, ... (numbered from 0) and returns a tuple of
+    arrays over them (a leading candidate axis); called quantum by quantum,
+    so a candidate's values depend on its number alone.  Candidates come in
+    chunks of _ORACLE_BLOCK (a multiple of the quantum), or of what is left
+    of the budget of ATTEMPTS_PER_TRIAL * trials candidates, the last
+    quantum drawn whole and cut to it: fewer trials draw a prefix.
     screen(chunk) returns the records the chunk keeps as a tuple of arrays,
     in candidate order (a candidate may give several); it raises nothing, as
     a suite checks only the records it keeps.  By default every candidate
@@ -460,7 +460,8 @@ def _blocks(trials, draw, screen=None):
         if drawn == limit:
             raise RetryExhausted(f"fewer than {trials} accepted trials in {limit} attempts")
         k = min(_ORACLE_BLOCK, limit - drawn)
-        chunk = draw(drawn, k)
+        quanta = (draw(first, _DRAW_QUANTUM) for first in range(drawn, drawn + k, _DRAW_QUANTUM))
+        chunk = tuple(np.concatenate(a)[:k] for a in zip(*quanta))
         records = chunk if screen is None else screen(chunk)
         drawn += k
         held = records if held is None else tuple(map(np.concatenate, zip(held, records)))
@@ -533,7 +534,7 @@ def suite_torus_trichotomy(trials=1000, seed=7):
     """Torus-pair trichotomy: kind vs. eta, carrier signature, and the
     sampled causal character of the intersection curve.  A candidate draws
     two normals, 32 probe angles and 4 point angles, whatever is decided,
-    a chunk's normals in one rng call and its angles in one; a chunk keeps
+    a quantum's normals in one rng call and its angles in one; a chunk keeps
     the pairs that `_torus_screen` passes, with their unit normals.  Kinds
     and eta (`einstein._torus_kinds`), carriers, frames, probe tangents and
     curve points are read a block at a time."""
@@ -677,7 +678,7 @@ def _eta_screen(space, m, f):
 
 def suite_eta_bridge(trials=1000, seed=7):
     """Determinant route vs. unit-normal route to the torus-pair invariant.
-    A candidate draws a basis and a map f, a chunk's bases in one rng call
+    A candidate draws a basis and a map f, a quantum's bases in one rng call
     and its maps in one; a chunk keeps those that `_eta_screen` passes.
     Splittings, graph planes and mu images are built a block of trials at a
     time, and so are the exact invariants and the kinds; a kind is read
@@ -732,7 +733,7 @@ def suite_symplectic_identities(trials=1000, seed=7):
     """Dual bivector normalization, adjugate identity, complement through
     the reflection, and transversality vs. plain intersection.  A candidate
     draws f, a basis s and two planes, on even candidates random ones and
-    on odd ones a pair sharing its first vector, a chunk's maps in one rng
+    on odd ones a pair sharing its first vector, a quantum's maps in one rng
     call and its bases in one; a chunk keeps those whose s is nondegenerate
     (`_planes`), and a block of trials is checked at a time, the
     reflection/complement distances too.  Then 200 Maslov/graph trials are
@@ -829,7 +830,7 @@ def suite_maslov_bridge(trials=1000, seed=7):
     """Maslov index of Lagrangian triples vs. causal type of points.  A
     candidate draws L, L' and P, every third candidate (numbered from 0, the
     second of each three) P through a random line of L (a lightlike point),
-    a chunk's vectors in one rng call; a chunk keeps the triples that
+    a quantum's vectors in one rng call; a chunk keeps the triples that
     `_maslov_screen` passes.  Bases, indices, points and causal types are
     read a block of trials at a time, raising the first error in trial
     order."""
@@ -927,11 +928,11 @@ def suite_photon_avoidance(trials=1000, seed=7):
 def suite_surface_disjointness(trials=200, seed=7):
     """Sixteen-inequality verdicts against sampled chordal gaps.
 
-    A disjoint candidate draws _ADS_ROWS AdS candidates, a chunk's in one
+    A disjoint candidate draws _ADS_ROWS AdS candidates, a quantum's in one
     rng call, and one `_ads_arrays` over a chunk's keeps every one whose
-    margins pass 1e-2, in draw order; an intersecting one is an
-    `_intersecting_draw`.  A block builds and checks its quadrilaterals
-    stacked, raising in trial order, and reads the stacked sixteen margins.
+    margins pass 1e-2, in draw order; an intersecting one is a `_pair_draw`.
+    A block builds and checks its quadrilaterals stacked, raising in trial
+    order, and reads the stacked sixteen margins.
     Then the disjoint trials draw both surfaces' `sample_surface` draws,
     whatever their verdicts, _CLOUD_PAIRS trials at a time, each of
     `_cloud_draws`' three rng calls for all their clouds at once; the
@@ -972,7 +973,7 @@ def suite_surface_disjointness(trials=200, seed=7):
         failures += _failed_messages([
             (~passed, lambda i: f"disjoint pair {first + i}: criterion says not disjoint"),
             (gaps <= 1e-4, lambda i: f"disjoint pair {first + i}: sampled gap {gaps[i]:.3e}")])
-    for first, block in _blocks(trials, lambda first, k: _intersecting_draw(meeting_rng, k)):
+    for first, block in _blocks(trials, lambda first, k: _pair_draw(meeting_rng, k, 4)):
         rows, shared, shared_checks = _intersecting_rows(std, *block)
         surface_checks = _surface_checks(std, rows)
         rows = _solvable(rows, surface_checks)
@@ -991,7 +992,7 @@ def suite_stem_only(trials=200, seed=7):
     """Stems never meet alone: two crooked surfaces whose stems share a
     constructed point also meet stem to wing.
 
-    A chunk of pairs makes the rng calls of a `_stem_draw`.  A block takes one
+    A quantum of pairs makes the rng calls of a `_pair_draw`.  A block takes one
     stacked expm, carries the second quadrilaterals onto the shared points
     (`_stem_rows`), checks the shared point on both stems, and solves for a
     stem-wing contact in either order (`_stem_wing_contacts`); it checks the
@@ -1006,7 +1007,7 @@ def suite_stem_only(trials=200, seed=7):
     space = symplectic.standard_space()
     failures = []
     max_residual = 0.0
-    for first, block in _blocks(trials, lambda first, k: _stem_draw(rng, k)):
+    for first, block in _blocks(trials, lambda first, k: _pair_draw(rng, k, 6)):
         rows, shared, shared_checks = _stem_rows(space, *block)
         n = len(rows)
         surface_checks = _surface_checks(space, rows)
@@ -1033,14 +1034,14 @@ def suite_stem_only(trials=200, seed=7):
 def suite_ads_equivalence(trials=1000, seed=7):
     """Four-inequality, boundary-lift and sixteen-inequality routes agree.
 
-    A candidate is one `_ads_arrays` draw, a chunk's in one rng call; a
+    A candidate is one `_ads_arrays` draw, a quantum's in one rng call; a
     chunk keeps those whose least |margin| is above 1e-6.  Each block of
     accepted trials then runs the plane, quadrilateral and surface checks
     stacked (`_ads_pairs`), raising in trial order; it reads the three
     routes from the stacked margin kernels.  The equivariance and
     trace-form stage draws a vector pair and a 2x2 matrix per trial from a
-    stream of its own, a block's in one rng call, and checks a block of
-    trials at a time."""
+    stream of its own, unscreened (`_blocks`), and checks a block of trials
+    at a time."""
     rng, lift_rng = make_rng([seed, 7]), make_rng([seed, 7, 1])
     space = ads.ads_space()
     base = ads.as_sl2(np.eye(2))  # the first plane of every pair
@@ -1065,12 +1066,10 @@ def suite_ads_equivalence(trials=1000, seed=7):
                                        f"{first + i}: ads {four[i]}, dgk {dgk[i]}, "
                                        f"surfaces {sixteen[i]}")])
 
-    for start in range(0, trials, _ORACLE_BLOCK):
-        # a, b and x, whose `_sl2_exp` is g; a trial with a or b shorter
-        # than 1e-3 is skipped
-        z = lift_rng.normal(size=(min(_ORACLE_BLOCK, trials - start), 4, 2))
+    # a, b and x, whose `_sl2_exp` is g; a trial with a or b shorter than 1e-3 is skipped
+    for first, (z,) in _blocks(trials, lambda first, k: (lift_rng.normal(size=(k, 4, 2)),)):
         kept = (np.linalg.norm(z[:, :2], axis=-1) >= 1e-3).all(axis=1)
-        ks, a, b, x = start + 1 + np.flatnonzero(kept), z[kept, 0], z[kept, 1], z[kept, 2:]
+        ks, a, b, x = first + np.flatnonzero(kept), z[kept, 0], z[kept, 1], z[kept, 2:]
         n, g = len(ks), _sl2_exp(x)
         ga = (g @ a[..., None])[..., 0]
         lifts, checks = ads._boundary_lifts(np.concatenate([ga, a, b]))

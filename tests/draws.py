@@ -16,7 +16,8 @@ from ein3.symplectic import Plane2, Splitting, standard_space
 def _first(draw, keep):
     """The first candidate of draw(k) (an array over k candidates) that the
     stacked decision keep accepts, drawn as `oracle._blocks` draws a suite
-    of one trial: one chunk of ATTEMPTS_PER_TRIAL candidates, one rng call."""
+    of one trial: one quantum of _DRAW_QUANTUM candidates, one rng call, cut
+    to ATTEMPTS_PER_TRIAL candidates."""
     def screen(chunk):
         return O._keeping(keep(chunk[0]), chunk[0])
 
@@ -102,7 +103,7 @@ def stem_crossing_pairs(space, rng, n):
     """n pairs of the stem-only suite's draws, drawn as its draw stage draws
     them: two crooked surfaces whose stems share a constructed point, and
     that point."""
-    for _, block in O._blocks(n, lambda first, k: O._stem_draw(rng, k)):
+    for _, block in O._blocks(n, lambda first, k: O._pair_draw(rng, k, 6)):
         rows, shared, _ = O._stem_rows(space, *block)
         for pair, l in zip(rows, shared):
             c1, c2 = (C.CrookedSurface(C.LightlikeQuadrilateral(space, *r)) for r in pair)
@@ -117,10 +118,10 @@ def stem_crossing_pair(space, rng):
 
 def photon_draws(seed):
     """photon-avoidance's candidates at a seed, unscreened and in draw
-    order, chunk by chunk as its draw stage draws them: (p, surface), the
+    order, quantum by quantum as its draw stage draws them: (p, surface), the
     surface by the validated constructors."""
     space, rng = standard_space(), O.make_rng([seed, 5])
     while True:
-        s, p = O._photon_draw(rng, O._ORACLE_BLOCK)
+        s, p = O._photon_draw(rng, O._DRAW_QUANTUM)
         for rows, q in zip(O._random_rows(space, s), p):
             yield q, C.CrookedSurface(C.LightlikeQuadrilateral(space, *rows))

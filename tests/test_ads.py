@@ -5,7 +5,7 @@ from scipy.linalg import expm
 from ein3 import ads as A
 from ein3 import crooked as C
 from ein3.linalg import GeometryError, _raise_first
-from ein3.oracle import make_rng
+from ein3.sampling import make_rng
 from ein3.symplectic import Plane2
 
 from draws import disjoint_ads_pair, random_ads_config

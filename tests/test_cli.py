@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ein3 import ads, cli, einstein, symplectic
-from ein3.oracle import make_rng
+from ein3.sampling import make_rng
 
 from draws import disjoint_ads_pair, random_quadrilateral
 

@@ -9,13 +9,8 @@ import pytest
 from ein3 import crooked as C
 from ein3 import symplectic as S
 from ein3.linalg import EPS_ALG, EPS_RANK, GeometryError, _raise_first
-from ein3.oracle import (
-    _second_generators,
-    _stem_generators,
-    _wing_generators,
-    make_rng,
-    sample_surface,
-)
+from ein3.oracle import _second_generators, _stem_generators, _wing_generators
+from ein3.sampling import make_rng, sample_surface
 
 from draws import (disjoint_ads_pair, photon_draws, random_ads_config, random_lagrangian,
                    random_quadrilateral, random_symplectic, stem_crossing_pairs)

@@ -4,7 +4,7 @@ import pytest
 from ein3 import ads as A
 from ein3 import symplectic as S
 from ein3.linalg import GeometryError
-from ein3.oracle import make_rng
+from ein3.sampling import make_rng
 
 from draws import random_lagrangian, random_nondegenerate_plane, random_splitting
 from references import bivector_to_plane, inner, omega, plane_intersection_dim
