@@ -80,6 +80,7 @@ class Config:
         # for classify-tori: Det(f) gives the invariant of (S, graph(f)) only
         self.det_routes = {}
         self.objects = {name: self._build(name, spec) for name, spec in objects.items()}
+        self.types = {name: spec["type"] for name, spec in objects.items()}
 
     def _space(self, spec):
         tag = spec.get("space", "standard")
@@ -106,7 +107,7 @@ class Config:
                 vec = linalg.as_vector(spec["vector"], 4)
                 if not np.any(vec):
                     raise ConfigError("photon vector must be nonzero")
-                return ("photon", vec, self._space(spec))
+                return vec, self._space(spec)
             if kind == "ads_plane":
                 from ein3 import ads
                 return ads.AdsCrookedPlane(
@@ -134,29 +135,21 @@ class Config:
             return symplectic.torus_from_plane(space, plane)
         raise ConfigError("torus needs a 'normal' or a 'splitting'")
 
-    def of_type(self, *types):
-        tags = tuple(t for t in types if isinstance(t, str))
-        classes = tuple(t for t in types if not isinstance(t, str))
-        picked = []
-        for name, obj in self.objects.items():
-            if isinstance(obj, tuple):
-                if obj[0] in tags:
-                    picked.append((name, obj))
-            elif classes and isinstance(obj, classes):
-                picked.append((name, obj))
-        return picked
+    def of_type(self, kind):
+        """(name, object) of every object whose document "type" is kind."""
+        return [(name, obj) for name, obj in self.objects.items() if self.types[name] == kind]
 
-    def select_pair(self, *types):
-        """The two objects named by "pair", or the only two of the types."""
-        picked = self.of_type(*types)
+    def select_pair(self, kind):
+        """The two objects named by "pair", or the only two of the type."""
+        picked = self.of_type(kind)
         if self.pair is not None:
             named = dict(picked)
             if not all(n in named for n in self.pair):
-                raise ConfigError(f"'pair' must name two objects of type {types}")
+                raise ConfigError(f"'pair' must name two objects of type {kind!r}")
             return [(n, named[n]) for n in self.pair]
         if len(picked) != 2:
             raise ConfigError(
-                f"expected exactly two objects of type {types}, found {len(picked)}; "
+                f"expected exactly two objects of type {kind!r}, found {len(picked)}; "
                 "use 'pair' to disambiguate")
         return picked
 
@@ -183,7 +176,7 @@ def load_config(path, args):
 def cmd_classify_tori(args):
     from ein3 import einstein
     cfg = load_config(args.config, args)
-    (n1, t1), (n2, t2) = cfg.select_pair(einstein.EinsteinTorus)
+    (n1, t1), (n2, t2) = cfg.select_pair("torus")
     cls = einstein.classify_torus_pair(t1, t2, eps=cfg.eps_alg)
     line = f"eta={_fmt(cls.eta)} kind={cls.kind.value.removesuffix('_circle')}"
     if cls.normals is not None:
@@ -209,11 +202,10 @@ def cmd_classify_tori(args):
 def cmd_check_photon(args):
     from ein3 import crooked
     cfg = load_config(args.config, args)
-    photons = cfg.of_type("photon")
-    quads = cfg.of_type(crooked.LightlikeQuadrilateral)
+    photons, quads = cfg.of_type("photon"), cfg.of_type("quadrilateral")
     if len(photons) != 1 or len(quads) != 1:
         raise ConfigError("check-photon needs exactly one photon and one quadrilateral")
-    (name, (_, vec, space)), (_, quad) = photons[0], quads[0]
+    (name, (vec, space)), (_, quad) = photons[0], quads[0]
     if space is not quad.space:
         raise ConfigError("the photon and the quadrilateral are in different spaces")
     surface = crooked.CrookedSurface(quad)
@@ -234,7 +226,7 @@ def cmd_check_photon(args):
 def cmd_check_crooked(args):
     from ein3 import crooked
     cfg = load_config(args.config, args)
-    (n1, q1), (n2, q2) = cfg.select_pair(crooked.LightlikeQuadrilateral)
+    (n1, q1), (n2, q2) = cfg.select_pair("quadrilateral")
     c1, c2 = crooked.CrookedSurface(q1), crooked.CrookedSurface(q2)
     report = crooked.disjointness_report(c1, c2, eps=cfg.eps_alg)
     disjoint = all(test.passed for test in report)
@@ -257,7 +249,7 @@ def cmd_check_crooked(args):
 def cmd_check_ads(args):
     from ein3 import ads
     cfg = load_config(args.config, args)
-    (n1, p1), (n2, p2) = cfg.select_pair(ads.AdsCrookedPlane)
+    (n1, p1), (n2, p2) = cfg.select_pair("ads_plane")
     margins, coincident = ads.dgk_margins(p1, p2)
     if coincident:
         raise ConfigError(
@@ -276,20 +268,20 @@ def cmd_check_ads(args):
 
 
 def _sample_clouds(cfg, count):
-    from ein3 import crooked, einstein, sampling
+    from ein3 import crooked, sampling
     rng = sampling.make_rng(cfg.seed)
     clouds = []
     names = cfg.pair if cfg.pair is not None else list(cfg.objects)
     for name in names:
-        obj = cfg.objects[name]
-        if isinstance(obj, einstein.EinsteinTorus):
+        kind, obj = cfg.types[name], cfg.objects[name]
+        if kind == "torus":
             cloud = sampling.sample_torus(obj, count, rng)
             cloud.labels = [name] * len(cloud)
-        elif isinstance(obj, tuple):  # a photon: nothing to sample
+        elif kind == "photon":  # nothing to sample
             continue
         else:
             try:
-                if not isinstance(obj, crooked.LightlikeQuadrilateral):  # an ads_plane
+                if kind == "ads_plane":
                     from ein3 import ads
                     obj = ads.ads_quadrilateral(obj, eps=cfg.eps_alg)
                 surface = crooked.CrookedSurface(obj)

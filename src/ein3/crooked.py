@@ -296,30 +296,23 @@ def _unit_photons(p):
 
 
 def _check_space(space, surface):
-    """Raise unless photons of `space` can be tested against the surface."""
+    """Raise unless objects of `space` can be tested against the surface."""
     if space is not surface.space and not np.array_equal(space.matrix,
                                                          surface.space.matrix):
         raise GeometryError(
             "the photons and the surface are in different symplectic spaces")
 
 
-def _omega_products(units, space, surface):
-    """W = P Omega Q for a stack P of unit photon rows of `space`:
-    W[i, j] = omega(p_i, column j of the surface's quadrilateral), the
-    columns being (u+, u-, v+, v-)."""
-    _check_space(space, surface)
-    return units @ space.matrix @ surface.quad.columns
-
-
-def _margins(photons, space, surface):
-    """(m1, m2) of a stack of photon rows of `space` against a surface:
-    m1 = omega(p, v+) omega(p, u+) and m2 = omega(p, v-) omega(p, u-) are
-    products of two columns of W (`_omega_products`) for the unit rows."""
-    return _products(_omega_products(_unit_photons(photons), space, surface))
+def _omega_products(units, surface):
+    """W = P Omega Q for a stack P of unit photon rows of the surface's
+    space: W[i, j] = omega(p_i, column j of the surface's quadrilateral),
+    the columns being (u+, u-, v+, v-)."""
+    return units @ surface.space.matrix @ surface.quad.columns
 
 
 def _products(w):
-    """(m1, m2) of `_margins` from the omega-products W."""
+    """(m1, m2) of `photon_margins` from the omega-products W: m1 =
+    omega(p, v+) omega(p, u+) and m2 = omega(p, v-) omega(p, u-)."""
     return w[..., 2] * w[..., 0], w[..., 3] * w[..., 1]
 
 
@@ -327,7 +320,7 @@ def _sixteen_margins(columns, omega):
     """The sixteen margins of a surface pair from one omega-product, for
     the quadrilaterals Q1, Q2 stacked as columns (..., 2, 4, 4), or for a
     stack of pairs: W = P Omega Q with P the unit photon rows of (Q2, Q1)
-    and Q = (Q1, Q2), so that (m1, m2) of `_margins` are (..., 2, 4):
+    and Q = (Q1, Q2), so that (m1, m2) of `_products` are (..., 2, 4):
     row 0 the photons u+, u-, v+, v- of C2 against C1, row 1 those of C1
     against C2."""
     units = _unit_photons(columns[..., ::-1, :, :].swapaxes(-1, -2))
@@ -348,7 +341,7 @@ def photon_margins(p, surface):
     the values are scale-invariant.  The photon avoids the surface exactly
     when m1 > 0 and m2 < 0.
     """
-    m1, m2 = _margins(as_vector(p, 4)[None], surface.space, surface)
+    m1, m2 = _products(_omega_products(_unit_photons(as_vector(p, 4)[None]), surface))
     return float(m1[0]), float(m2[0])
 
 
@@ -367,6 +360,12 @@ def _avoids(m1, m2, eps):
     return (m1 > eps) & (m2 < -eps)
 
 
+def _sixteen_pass(m1, m2, eps):
+    """Whether all sixteen margins (..., 2, 4) of a pair, or of each of a
+    stack (`_sixteen_margins`), pass `_avoids`."""
+    return _avoids(m1, m2, eps).all(axis=(-2, -1))
+
+
 def find_crossing_lagrangian(p, surface, eps=EPS_ALG):
     """A surface point on the photon of p, when one of the two photon
     inequalities fails; None when the photon is disjoint.
@@ -379,8 +378,7 @@ def find_crossing_lagrangian(p, surface, eps=EPS_ALG):
     """
     p = _unit_photons(as_vector(p, 4))
     # omega(p, .) of (u+, u-, v+, v-)
-    wu_plus, wu_minus, wv_plus, wv_minus = _omega_products(p[None], surface.space,
-                                                           surface)[0].tolist()
+    wu_plus, wu_minus, wv_plus, wv_minus = _omega_products(p[None], surface)[0].tolist()
     q = surface.quad
     for vertex, u, v, fails, t, s in (
             ("p_plus", q.u_plus, q.v_plus, wv_plus * wu_plus <= eps, wv_plus, -wu_plus),
@@ -444,4 +442,4 @@ def surfaces_disjoint(c1, c2, eps=EPS_ALG):
     quadrilateral) misses the other surface; equivalently when all sixteen
     strict inequalities hold with margin eps.
     """
-    return bool(_avoids(*_pair_margins(c1, c2), eps).all())
+    return bool(_sixteen_pass(*_pair_margins(c1, c2), eps))

@@ -8,7 +8,9 @@ through finite differences.  The named suites at the bottom run the
 agreement properties (algebra vs. sampling) and emit one machine-readable
 record each.  A block of trials ends in two lists of (mask, message) rows,
 read trial by trial: the checks a suite raises (`_raise_first_row`) and
-the failures it reports (`_failed_messages`).
+the failures it reports (`_failed_messages`).  A block is trial-major: a
+trial's parts (surfaces, planes, points, contact orders) sit on the axis
+after the trial in its stacked arrays and masks (`_per_trial`).
 
 The chordal metric (sine of the principal angle between representative
 lines, on Euclidean-normalized representatives) is used for all sampled
@@ -423,7 +425,7 @@ def _crossing_residuals(space, p, onb):
     """Residuals max(|omega(b0, b1)|, |p' - B B^T p'|), p' = p / |p|, of 'span B
     is a Lagrangian through p', for rows p (n, 4) and orthonormal B (n, 4, 2)."""
     p = _unit_rows(p)
-    lag = np.abs(onb[..., None, :, 0] @ space.matrix @ onb[..., :, 1, None])[..., 0, 0]
+    lag = np.abs(symplectic._omega_pairs(space, onb))
     off = p - (onb @ (onb.swapaxes(-1, -2) @ p[..., None]))[..., 0]
     return np.maximum(lag, np.sqrt(off[..., None, :] @ off[..., :, None])[..., 0, 0])
 
@@ -481,14 +483,13 @@ def _unit_rows(v):
     return v / np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
 
 
-def _per_trial(checks, n, parts, row):
-    """Checks of the parts of n trials, `parts` a trial, as checks of the
-    trials (for `_raise_first_row`), part by part: row(i, k) is where trial
-    i's part k is in a mask, and where a message function reads it."""
-    trials = np.arange(n)
-    return [(mask[row(trials, k)], message if isinstance(message, str)
-             else lambda i, message=message, k=k: message(row(i, k)))
-            for k in range(parts) for mask, message in checks]
+def _per_trial(checks):
+    """Checks of the parts of trials, masks (trials, parts), as checks of the
+    trials (for `_raise_first_row`), part by part: a message function reads
+    (trial, part)."""
+    return [(mask[:, k], message if isinstance(message, str)
+             else lambda i, message=message, k=k: message((i, k)))
+            for k in range(np.shape(checks[0][0])[1]) for mask, message in checks]
 
 
 def _surface_checks(space, rows):
@@ -499,8 +500,7 @@ def _surface_checks(space, rows):
     rows = rows.reshape(len(rows), -1, 4, 4)
     checks = crooked._surface_check_rows(rows, rows @ space.matrix @ rows.swapaxes(-1, -2),
                                          space.vol_coeff, EPS_ALG)
-    return _per_trial([(~np.isfinite(rows).all(axis=(-2, -1)), _NON_FINITE)] + checks,
-                      len(rows), rows.shape[1], lambda i, k: (i, k))
+    return _per_trial([(~np.isfinite(rows).all(axis=(-2, -1)), _NON_FINITE)] + checks)
 
 
 def _solvable(rows, checks):
@@ -517,8 +517,7 @@ def _ads_pairs(space, units, f):
     `_surface_checks`."""
     bases = np.stack([np.broadcast_to(np.eye(2), f.shape), f], 1)
     rows = ads._quad_rows(bases, units[..., 0, :], units[..., 1, :])
-    return rows, (_per_trial(ads._plane_check_rows(bases, units), len(f), 2, lambda i, k: (i, k))
-                  + _surface_checks(space, rows))
+    return rows, _per_trial(ads._plane_check_rows(bases, units)) + _surface_checks(space, rows)
 
 
 def _torus_screen(normals):
@@ -762,13 +761,13 @@ def suite_symplectic_identities(trials=1000, seed=7):
         res = np.abs(symplectic.adjugate(f) @ f
                      - symplectic.det_omega(f)[:, None, None] * np.eye(2)).max(axis=(1, 2))
         comp, checks = symplectic._complements(space, _plane_frames(s)[0])
-        pq, _, pq_checks = _plane_frames(np.concatenate([p, q]))
+        pq, _, pq_checks = _plane_frames(np.stack([p, q], 1))
         with np.errstate(all="ignore"):  # a p or q that fails its checks raises below
             wval = space._transversality(_plucker(p), _plucker(q))
-        dims = _intersection_dims(*np.split(pq, 2))
+        dims = _intersection_dims(pq[:, 0], pq[:, 1])
         dists = projective_distance(space.reflect_omega_star(_plucker(s)), _plucker(comp))
         # the complement of each trial, then its p and q frames
-        _raise_first_row(checks + _per_trial(pq_checks, len(f), 2, lambda i, k: k * len(f) + i))
+        _raise_first_row(checks + _per_trial(pq_checks))
         max_violation = float(np.fmax.reduce(np.concatenate([res, dists]), initial=max_violation))
         trans = wval > EPS_ALG
         failures += _failed_messages([
@@ -791,7 +790,7 @@ def suite_symplectic_identities(trials=1000, seed=7):
     graphs, _, graph_checks = _plane_frames(s_basis + t_basis @ f[kept])
     degenerate = symplectic._lagrangian(space, graphs)
     # the moved triple's frames and `maslov`'s checks, then the splitting's and the graph's
-    _raise_first_row(_per_trial(frame_checks, len(g), 3, lambda i, k: (i, k)) + moved_checks
+    _raise_first_row(_per_trial(frame_checks) + moved_checks
                      + split_checks + graph_checks)
     # away from det = -1 the graph is nondegenerate
     away, ks = abs(symplectic.det_omega(f[kept]) + 1.0) > 1e-6, np.flatnonzero(kept) + 1
@@ -850,13 +849,12 @@ def suite_maslov_bridge(trials=1000, seed=7):
 
     failures = []
     for first, (l, p, lp) in _blocks(trials, draw, screen):
-        n = len(l)
-        index, maslov_checks = symplectic._maslov_rows(space, *np.split(
-            _plane_frames(np.concatenate([l, p, lp]))[0], 3))
-        reps, point_checks = symplectic._lagrangian_points(space, np.concatenate([p, l, lp]))
-        causal, causal_checks = einstein._causal_rows(*np.split(reps, 3))
+        index, maslov_checks = symplectic._maslov_rows(space, *np.moveaxis(
+            _plane_frames(np.stack([l, p, lp], 1))[0], 1, 0))
+        reps, point_checks = symplectic._lagrangian_points(space, np.stack([p, l, lp], 1))
+        causal, causal_checks = einstein._causal_rows(*np.moveaxis(reps, 1, 0))
         # the points of P, L and L' of each trial, then its causal type
-        _raise_first_row(_per_trial(point_checks, n, 3, lambda i, k: k * n + i) + causal_checks)
+        _raise_first_row(_per_trial(point_checks) + causal_checks)
         # a triple `maslov` raises for is lightlike, else |index| 2 is timelike
         # and 0 spacelike (`einstein._CAUSAL` order)
         none, m = _failed_rows(maslov_checks), abs(index)
@@ -951,8 +949,8 @@ def suite_surface_disjointness(trials=200, seed=7):
         return _keeping(margins.min(axis=(1, 2)) > 1e-2, units, f)
 
     def sixteen_pass(space, rows):
-        return crooked._avoids(*crooked._sixteen_margins(rows.swapaxes(-1, -2), space.matrix),
-                               EPS_ALG).all(axis=(1, 2))
+        return crooked._sixteen_pass(
+            *crooked._sixteen_margins(rows.swapaxes(-1, -2), space.matrix), EPS_ALG)
 
     def draw(first, k):
         return (rng.normal(size=(k, _ADS_ROWS, 6, 2)),)
@@ -1009,16 +1007,16 @@ def suite_stem_only(trials=200, seed=7):
     max_residual = 0.0
     for first, block in _blocks(trials, lambda first, k: _pair_draw(rng, k, 6)):
         rows, shared, shared_checks = _stem_rows(space, *block)
-        n = len(rows)
         surface_checks = _surface_checks(space, rows)
         columns = _solvable(rows, surface_checks).swapaxes(-1, -2)
-        q1, q2 = np.moveaxis(columns, 1, 0)
         regions, checks = crooked._lagrangian_regions(space, columns, shared[:, None])
         # either order: the stem of c1 on a wing of c2, else the reverse
         with np.errstate(all="ignore"):  # of I, I where a pair fails its surface checks
-            x1, x2, hit = _stem_wing_contacts(np.concatenate([q1, q2]), np.concatenate([q2, q1]))
-        x1, x2 = (np.where(hit[:n, None], x[:n], x[n:]) for x in (x1, x2))
-        contact = hit[:n] | hit[n:]
+            x1, x2, hit = _stem_wing_contacts(columns.reshape(-1, 4, 4),
+                                              columns[:, ::-1].reshape(-1, 4, 4))
+        hit, x1, x2 = hit.reshape(-1, 2), x1.reshape(-1, 2, 4), x2.reshape(-1, 2, 4)
+        x1, x2 = (np.where(hit[:, :1], x[:, 0], x[:, 1]) for x in (x1, x2))
+        contact = hit.any(axis=1)
         onb, contact_checks = _column_frames(np.stack([x1, x2], axis=-1))
         max_residual = float(np.fmax.reduce(_crossing_residuals(
             space, (x1 + x2)[contact], onb[contact]), initial=max_residual))
@@ -1060,8 +1058,8 @@ def suite_ads_equivalence(trials=1000, seed=7):
         y, xp = units.swapaxes(-1, -2).swapaxes(0, 1)
         four = (ads._margin_array(base, y, f, xp) > EPS_ALG).all(axis=(1, 2))
         dgk = ads._dgk_passes(*ads._dgk_array(base, y, f, xp), EPS_ALG).all(axis=(1, 2))
-        sixteen = crooked._avoids(*crooked._sixteen_margins(rows.swapaxes(-1, -2), space.matrix),
-                                  EPS_ALG).all(axis=(1, 2))
+        sixteen = crooked._sixteen_pass(
+            *crooked._sixteen_margins(rows.swapaxes(-1, -2), space.matrix), EPS_ALG)
         failures += _failed_messages([((four != dgk) | (dgk != sixteen), lambda i: f"trial "
                                        f"{first + i}: ads {four[i]}, dgk {dgk[i]}, "
                                        f"surfaces {sixteen[i]}")])
@@ -1070,16 +1068,16 @@ def suite_ads_equivalence(trials=1000, seed=7):
     for first, (z,) in _blocks(trials, lambda first, k: (lift_rng.normal(size=(k, 4, 2)),)):
         kept = (np.linalg.norm(z[:, :2], axis=-1) >= 1e-3).all(axis=1)
         ks, a, b, x = first + np.flatnonzero(kept), z[kept, 0], z[kept, 1], z[kept, 2:]
-        n, g = len(ks), _sl2_exp(x)
+        g = _sl2_exp(x)
         ga = (g @ a[..., None])[..., 0]
-        lifts, checks = ads._boundary_lifts(np.concatenate([ga, a, b]))
-        killing, killing_checks = ads._killing_rows(*np.split(lifts[n:], 2))
-        lift_ga, lift_a = lifts[:n], lifts[n:2 * n]
+        lifts, checks = ads._boundary_lifts(np.stack([ga, a, b], 1))
+        killing, killing_checks = ads._killing_rows(lifts[:, 1], lifts[:, 2])
+        lift_ga, lift_a = lifts[:, 0], lifts[:, 1]
         equiv = np.abs(lift_ga - g @ lift_a @ np.linalg.inv(g)).max(axis=(1, 2))
         w = ads._omega0_cells(a, b)[:, 0, 0]
         squares = w * w
         # the lifts of g a, a and b of each trial, then its trace form
-        _raise_first_row(_per_trial(checks, n, 3, lambda i, k: k * n + i) + killing_checks)
+        _raise_first_row(_per_trial(checks) + killing_checks)
         residuals = np.stack([equiv, abs(squares + killing)])
         scales = np.fmax(1.0, np.stack([np.abs(lift_ga).max(axis=(1, 2)), squares]))
         max_violation = float(np.fmax.reduce(residuals / scales, axis=None, initial=max_violation))

@@ -388,7 +388,7 @@ def _parent_report_margins(c1, c2):
     pair shared one product: one omega-product per direction."""
     out = []
     for surface, other in ((c1, c2), (c2, c1)):
-        m1, m2 = C._margins(other.quad.columns.T, other.space, surface)
+        m1, m2 = C._products(C._omega_products(C._unit_photons(other.quad.columns.T), surface))
         out += list(zip(m1.tolist(), m2.tolist()))
     return out
 

@@ -155,6 +155,21 @@ def test_malformed_config_exits_2(tmp_path, capsys):
         assert err.startswith(f"error: {bad} is ")
 
 
+def test_selection_errors_name_the_document_type(tmp_path, capsys):
+    # one torus for classify-tori, and a pair that names a photon for
+    # check-crooked: each message names the type as the document writes it
+    one = {"objects": {"T1": WELL_FORMED["classify-tori"]["objects"]["T1"]}}
+    code, out, err = run(["classify-tori", write_config(tmp_path, one)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: expected exactly two objects of type 'torus', found 1; "
+                   "use 'pair' to disambiguate\n")
+    doc = {"objects": {"Q": QUAD, "P": {"type": "photon", "vector": [1, 1, -1, 1]}},
+           "pair": ["Q", "P"]}
+    code, out, err = run(["check-crooked", write_config(tmp_path, doc, "pair.json")], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: 'pair' must name two objects of type 'quadrilateral'\n"
+
+
 def test_sample_ply_takes_at_most_256_labels(tmp_path, capsys):
     # three labels per quadrilateral and one per torus: 256 fit the ply
     # uchar label, 257 exit 2 before the file is written

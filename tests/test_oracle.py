@@ -526,7 +526,7 @@ def test_stem_only_finds_a_contact_on_every_pair(seed):
 
 
 def test_stem_wing_contact_reads_no_disjointness_predicate(monkeypatch):
-    for name in ("_margins", "photon_margins", "surfaces_disjoint"):
+    for name in ("_sixteen_pass", "photon_margins", "surfaces_disjoint"):
         monkeypatch.setattr(C, name, _predicate_side_rule)
     report = O.suite_stem_only(trials=200, seed=7)
     assert report["failures"] == []
@@ -880,19 +880,26 @@ def _failing_at(n, rows, message):
     return np.isin(np.arange(n), rows), message
 
 
+def _failing_part(shape, trial, part, message):
+    """A check of a (trials, parts) stack that fails at one part of one
+    trial, both numbered from 0."""
+    mask = np.zeros(shape, bool)
+    mask[trial, part] = True
+    return mask, message
+
+
 @pytest.mark.parametrize("point_row, causal_row, message", [
     (3, 7, "point check"), (7, 3, "causal check"), (5, 5, "point check")])
 def test_maslov_bridge_raises_the_first_failed_check_in_trial_order(monkeypatch, point_row,
                                                                     causal_row, message):
-    # the points of P, L and L' are stacked: L's point of trial point_row
-    # fails a point check, the causal type of trial causal_row its check;
-    # within a trial the points come first
+    # the points of P, L and L' are stacked (trial, part): L's point of
+    # trial point_row fails a point check, the causal type of trial
+    # causal_row its check; within a trial the points come first
     lagrangian_points, causal_rows = S._lagrangian_points, E._causal_rows
 
     def broken_points(space, bases):
         reps, checks = lagrangian_points(space, bases)
-        row = len(bases) // 3 + point_row - 1  # L's point of trial point_row
-        return reps, checks + [_failing_at(len(bases), row, "point check")]
+        return reps, checks + [_failing_part(bases.shape[:2], point_row - 1, 1, "point check")]
 
     def broken_causal(p, p0, pinf):
         index, checks = causal_rows(p, p0, pinf)
@@ -1032,9 +1039,9 @@ def _stem_contact(patch, fail):
     # trial 10's contact generators are parallel, in either order
     def parallel(out):
         x1, x2, hit = out
-        rows = [9, len(x1) // 2 + 9]
-        x2[rows] = 2.0 * x1[rows]
-        return x1, x2, hit
+        x1, x2 = (x.reshape(-1, 2, 4) for x in (x1, x2))  # (trial, order)
+        x2[9] = 2.0 * x1[9]
+        return x1.reshape(-1, 4), x2.reshape(-1, 4), hit
 
     _corrupting(patch, O, "_stem_wing_contacts", parallel)
     _membership_fourth(patch, fail)
@@ -1048,10 +1055,11 @@ def _intersecting_shared(patch, fail):
 
 
 def _causal_span(patch, fail):
-    # trial 10's point of P is NaN; trial 4's fails a point check
-    _corrupting(patch, S, "_lagrangian_points", lambda out: (_nan_row(out[0]), out[1]))
+    # trial 10's point of P (part 0) is NaN; trial 4's fails a point check
+    _corrupting(patch, S, "_lagrangian_points", lambda out: (_nan_row(out[0], (9, 0)), out[1]))
     if fail:
-        _corrupting(patch, S, "_lagrangian_points", _failing_fourth)
+        _corrupting(patch, S, "_lagrangian_points", lambda out: (out[0], out[1] + [
+            _failing_part(out[0].shape[:2], 3, 0, "trial 4")]))
 
 
 def _identities_rank_one(patch, fail):
@@ -1980,10 +1988,10 @@ def test_ads_equivalence_reports_a_perturbed_lift_with_its_trial_number(monkeypa
 
     def perturbed(v):
         lifts, checks = boundary_lifts(v)
-        if v.ndim == 2:  # the lifts of g a, a and b of a block, stacked
-            blocks.append(len(v) // 3)
+        if v.ndim == 3:  # the lifts of g a, a and b of a block, (trial, part)
+            blocks.append(len(v))
             if len(blocks) == 2:
-                lifts[1, 0, 1] += 1e-6  # the lift of g a of row 1 of the second block
+                lifts[1, 0, 0, 1] += 1e-6  # the lift of g a of row 1 of the second block
         return lifts, checks
 
     monkeypatch.setattr(ads, "_boundary_lifts", perturbed)
@@ -2157,9 +2165,9 @@ def _stem_lines(patch):
     # in either order
     def missing(out):
         x1, x2, hit = out
-        n = len(hit) // 2
-        hit[[0, 1, n, n + 1]] = False
-        return x1, x2, hit
+        hit = hit.reshape(-1, 2)  # (pair, order)
+        hit[:2] = False
+        return x1, x2, hit.ravel()
 
     _corrupting(patch, C, "_lagrangian_regions", lambda out: (
         (*out[0][:2], _off_rows([0])(out[0][2])), out[1]))
@@ -2171,8 +2179,8 @@ def _ads_lines(patch):
     # its trace form is off by 1e-6; the horocycle distance is 1
     def moved(out):
         lifts, checks = out
-        if lifts.ndim == 3:  # the lifts of g a, a and b of a block, stacked
-            lifts[0, 0, 1] += 1e-6
+        if lifts.ndim == 4:  # the lifts of g a, a and b of a block, (trial, part)
+            lifts[0, 0, 0, 1] += 1e-6
         return lifts, checks
 
     _patched(patch, ads, "_dgk_passes", _flipped_at(1))
