@@ -191,7 +191,7 @@ def cmd_classify_tori(args):
         try:
             eta_det = symplectic.eta_from_det(f, eps=cfg.eps_alg)
         except GeometryError:
-            continue  # undefined at Det(f) = -1
+            continue  # undefined at Det(f) = -1 or NaN
         det = symplectic.det_omega(f)
         print(f"eta_from_det={_fmt(eta_det)} det={_fmt(det)} "
               f"agreement={'true' if abs(eta_det - cls.eta) < 1e-6 else 'false'}")

@@ -189,11 +189,11 @@ def _failed_rows(checks):
     return np.logical_or.reduce([np.reshape(mask, len(mask)) for mask, _ in checks])
 
 
-def _failed_messages(checks):
+def _failed_messages(checks, lead=lambda i: ""):
     """The message of every failed check of every row of a stack that fails
     any (`_failed_rows`): row by row, and within a row in the order of
-    checks."""
-    return [message if isinstance(message, str) else message(i)
+    checks, each after lead(i) of its row i (say, the trial it names)."""
+    return [lead(i) + (message if isinstance(message, str) else message(i))
             for i in np.flatnonzero(_failed_rows(checks)).tolist()
             for mask, message in checks if np.asarray(mask)[i]]
 

@@ -8,7 +8,8 @@ through finite differences.  The named suites at the bottom run the
 agreement properties (algebra vs. sampling) and emit one machine-readable
 record each.  A block of trials ends in two lists of (mask, message) rows,
 read trial by trial: the checks a suite raises (`_raise_first_row`) and
-the failures it reports (`_failed_messages`).  A block is trial-major: a
+the failures it reports (`_failed_messages`, whose lead names a row's trial
+once for all its messages).  A block is trial-major: a
 trial's parts (surfaces, planes, points, contact orders) sit on the axis
 after the trial in its stacked arrays and masks (`_per_trial`).
 
@@ -108,15 +109,13 @@ def _planes(space, m):
             (rank == 2) & (abs(symplectic._omega_pairs(space, onb)) > 0.2))
 
 
-def _random_rows(space, s):
-    """Rows (u+, u-, v+, v-) of a random lightlike quadrilateral for a draw
-    s of its generator (`uniform(-1, 1, (4, 4))`), or a stack of draws: the
-    canonical quadrilateral (d1, d2, d4, d3) of a Darboux basis d carried by
-    expm of s, not validated."""
-    standard = np.array_equal(space.matrix, symplectic.STANDARD_OMEGA)
-    d = np.eye(4) if standard else symplectic.symplectic_basis(space)
-    g = _symplectic_exp(space, s)
-    return np.stack([g @ d[:, j] for j in (0, 1, 3, 2)], axis=-2)
+def _random_rows(s):
+    """Rows (u+, u-, v+, v-) of a random lightlike quadrilateral of the
+    standard space for a draw s of its generator (`uniform(-1, 1, (4, 4))`),
+    or a stack of draws: the canonical quadrilateral (e1, e2, e4, e3) carried
+    by expm of s, the columns of g, not validated."""
+    g = _symplectic_exp(symplectic.standard_space(), s)
+    return np.stack([g[..., j] for j in (0, 1, 3, 2)], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +308,7 @@ def _stem_rows(space, s, u):
     carried.  A stem point takes three numbers: its component is +1 when the
     first is below 0.5, and its t1, t2 are uniform in [0.15, pi/2 - 0.15]."""
     u = u.reshape(-1, 2, 3)
-    rows1, rows0 = np.moveaxis(_random_rows(space, s), 1, 0)
+    rows1, rows0 = np.moveaxis(_random_rows(s), 1, 0)
     comps, t = np.where(u[..., 0] < 0.5, 1, -1), 0.15 + (np.pi / 2 - 0.3) * u[..., 1:]
     (c1, c0), (a1, a0), (b1, b0) = comps.T, t[..., 0].T, t[..., 1].T
     shared, checks = _column_frames(
@@ -328,7 +327,7 @@ def _intersecting_rows(space, s, u):
     wing = u[:, 0] < 0.5
     a = np.where(wing, u[:, 1], 0.1 + (np.pi / 2 - 0.2) * u[:, 1])
     b, c = 0.1 + (np.pi / 2 - 0.2) * u[:, 2], np.where(wing, np.pi * u[:, 3], u[:, 3])
-    rows1, rows0 = np.moveaxis(_random_rows(space, s), 1, 0)
+    rows1, rows0 = np.moveaxis(_random_rows(s), 1, 0)
     columns = rows1.swapaxes(-1, -2)
     on_wing = np.stack(_wing_generators(columns, np.where(a < 0.5, 1, -1), b, c), axis=-1)
     on_stem = np.stack(_stem_generators(columns, np.where(c < 0.5, 1, -1), a, b), axis=-1)
@@ -568,14 +567,14 @@ def suite_torus_trichotomy(trials=1000, seed=7):
         max_violation = float(np.fmax.reduce(np.where(kind_ok[:, None], residuals, np.nan),
                                               axis=None, initial=max_violation))
         failures += _failed_messages([
-            (~kind_ok, lambda i: f"trial {first + i}: kind {kinds[i]} vs eta {etas[i]}"),
+            (~kind_ok, lambda i: f"kind {kinds[i]} vs eta {etas[i]}"),
             (kind_ok & (sigs != np.where(spacelike[:, None], (2, 1, 0), (1, 2, 0))).any(-1),
-             lambda i: f"trial {first + i}: carrier signature {tuple(sigs[i].tolist())} "
-             f"for {kinds[i]}"),
-            (kind_ok & (probed != index), lambda i: f"trial {first + i}: probe "
-             f"{einstein._KINDS[probed[i]]} vs {kinds[i]}")]
-            + [(kind_ok & (residuals[:, j] > EPS_ALG), lambda i, j=j: f"trial {first + i}: "
-                f"intersection point off tori by {residuals[i, j]:.3e}") for j in range(4)])
+             lambda i: f"carrier signature {tuple(sigs[i].tolist())} for {kinds[i]}"),
+            (kind_ok & (probed != index),
+             lambda i: f"probe {einstein._KINDS[probed[i]]} vs {kinds[i]}")]
+            + [(kind_ok & (residuals[:, j] > EPS_ALG),
+                lambda i, j=j: f"intersection point off tori by {residuals[i, j]:.3e}")
+               for j in range(4)], lambda i: f"trial {first + i}: ")
     return _report("torus-trichotomy", trials, seed, failures, max_violation)
 
 
@@ -721,10 +720,10 @@ def suite_eta_bridge(trials=1000, seed=7):
         diff = np.where(ein_off > mu_off, ein_off, mu_off)  # Python's max(mu_off, ein_off)
         max_violation = float(np.fmax.reduce(diff, initial=max_violation))
         failures += _failed_messages([
-            (diff > 1e-9, lambda i: f"trial {first + i}: eta mismatch {diff[i]:.3e} "
-             f"(det {dets[i]:.4f})"),
+            (diff > 1e-9, lambda i: f"eta mismatch {diff[i]:.3e} (det {dets[i]:.4f})"),
             (apart & ~null & (kinds != np.where(etas > 1.0, _SPACELIKE, _TIMELIKE)),
-             lambda i: f"trial {first + i}: kind {einstein._KINDS[kinds[i]]} vs eta {etas[i]:.4f}")])
+             lambda i: f"kind {einstein._KINDS[kinds[i]]} vs eta {etas[i]:.4f}")],
+            lambda i: f"trial {first + i}: ")
     return _report("eta-bridge", trials, seed, failures, max_violation)
 
 
@@ -771,12 +770,12 @@ def suite_symplectic_identities(trials=1000, seed=7):
         max_violation = float(np.fmax.reduce(np.concatenate([res, dists]), initial=max_violation))
         trans = wval > EPS_ALG
         failures += _failed_messages([
-            (res > 1e-12, lambda i: f"trial {first + i}: adjugate identity off by {res[i]:.3e}"),
-            (dists > 1e-9, lambda i: f"trial {first + i}: reflection/complement distance "
-             f"{dists[i]:.3e}"),
+            (res > 1e-12, lambda i: f"adjugate identity off by {res[i]:.3e}"),
+            (dists > 1e-9, lambda i: f"reflection/complement distance {dists[i]:.3e}"),
             # outside the ambiguity band, or provably meeting
-            (((wval > 1e-9) | (dims > 0)) & (trans != (dims == 0)), lambda i: f"trial {first + i}: "
-             f"transverse {trans[i]} vs dim {dims[i]} (wedge {wval[i]:.3e})")])
+            (((wval > 1e-9) | (dims > 0)) & (trans != (dims == 0)),
+             lambda i: f"transverse {trans[i]} vs dim {dims[i]} (wedge {wval[i]:.3e})")],
+            lambda i: f"trial {first + i}: ")
     maslov_rng = make_rng([seed, 3, 1])
     xr, h = maslov_rng.normal(size=(200, 3, 2, 4)), maslov_rng.uniform(-1.0, 1.0, (200, 4, 4))
     f, split = maslov_rng.uniform(-2.0, 2.0, (200, 2, 2)), maslov_rng.normal(size=(200, 4, 2))
@@ -794,9 +793,9 @@ def suite_symplectic_identities(trials=1000, seed=7):
                      + split_checks + graph_checks)
     # away from det = -1 the graph is nondegenerate
     away, ks = abs(symplectic.det_omega(f[kept]) + 1.0) > 1e-6, np.flatnonzero(kept) + 1
-    failures += _failed_messages([
-        (moved_index != index[kept], lambda j: f"trial {ks[j]}: maslov not Sp-invariant"),
-        (away & degenerate, lambda j: f"trial {ks[j]}: graph degeneracy vs det mismatch")])
+    failures += _failed_messages([(moved_index != index[kept], "maslov not Sp-invariant"),
+                                  (away & degenerate, "graph degeneracy vs det mismatch")],
+                                 lambda j: f"trial {ks[j]}: ")
     return _report("symplectic-identities", trials, seed, failures, max_violation)
 
 
@@ -859,9 +858,9 @@ def suite_maslov_bridge(trials=1000, seed=7):
         # and 0 spacelike (`einstein._CAUSAL` order)
         none, m = _failed_rows(maslov_checks), abs(index)
         failures += _failed_messages([(causal != np.where(none, 0, np.where(m == 2, 1, 2)),
-                                       lambda i: f"trial {first + i}: maslov "
-                                       f"{None if none[i] else m[i]} vs causal "
-                                       f"{einstein._CAUSAL[causal[i]]}")])
+                                       lambda i: f"maslov {None if none[i] else m[i]} vs causal "
+                                       f"{einstein._CAUSAL[causal[i]]}")],
+                                     lambda i: f"trial {first + i}: ")
     return _report("maslov-bridge", trials, seed, failures, 0.0)
 
 
@@ -889,7 +888,7 @@ def suite_photon_avoidance(trials=1000, seed=7):
     max_residual = 0.0
 
     def screen(chunk):
-        rows, p = _random_rows(space, chunk[0]), _unit_rows(chunk[1])
+        rows, p = _random_rows(chunk[0]), _unit_rows(chunk[1])
         columns = rows.swapaxes(-1, -2).copy()  # C-ordered, as a quadrilateral keeps them
         units = crooked._unit_photons(p)  # p as the predicates take it
         w = (units[:, None] @ space.matrix @ columns)[:, 0]
@@ -912,14 +911,12 @@ def suite_photon_avoidance(trials=1000, seed=7):
         _, found = _photon_crossings(space, _unit_rows(p), columns)  # p normalized again
         max_residual = float(np.fmax.reduce(residuals, initial=max_residual))
         failures += _failed_messages([
-            (verdicts & found, lambda i: f"trial {first + i}: disjoint photon but oracle found "
-             "a point"),
-            (~(verdicts | found), lambda i: f"trial {first + i}: meeting photon but oracle "
-             "found nothing"),
-            (~(verdicts | fails), lambda i: f"trial {first + i}: no constructive witness"),
+            (verdicts & found, "disjoint photon but oracle found a point"),
+            (~(verdicts | found), "meeting photon but oracle found nothing"),
+            (~(verdicts | fails), "no constructive witness"),
             # a read witness that is off its residual or its surface
             (need & ~(read & np.logical_or.reduce(regions)),
-             lambda i: f"trial {first + i}: witness residual {residuals[i]:.3e}")])
+             lambda i: f"witness residual {residuals[i]:.3e}")], lambda i: f"trial {first + i}: ")
     return _report("photon-avoidance", trials, seed, failures, max_residual)
 
 
@@ -969,8 +966,9 @@ def suite_surface_disjointness(trials=200, seed=7):
                 gaps[start + k] = _gap(*points[k])  # one 320 x 320 product at a time
         min_disjoint_gap = float(np.fmin.reduce(gaps, initial=min_disjoint_gap))
         failures += _failed_messages([
-            (~passed, lambda i: f"disjoint pair {first + i}: criterion says not disjoint"),
-            (gaps <= 1e-4, lambda i: f"disjoint pair {first + i}: sampled gap {gaps[i]:.3e}")])
+            (~passed, "criterion says not disjoint"),
+            (gaps <= 1e-4, lambda i: f"sampled gap {gaps[i]:.3e}")],
+            lambda i: f"disjoint pair {first + i}: ")
     for first, block in _blocks(trials, lambda first, k: _pair_draw(meeting_rng, k, 4)):
         rows, shared, shared_checks = _intersecting_rows(std, *block)
         surface_checks = _surface_checks(std, rows)
@@ -978,10 +976,9 @@ def suite_surface_disjointness(trials=200, seed=7):
         regions, checks = crooked._lagrangian_regions(std, rows.swapaxes(-1, -2), shared[:, None])
         _raise_first_row(shared_checks + surface_checks + checks)
         failures += _failed_messages([
-            (sixteen_pass(std, rows), lambda i: f"intersecting pair {first + i}: criterion says "
-             "disjoint"),
-            (~np.logical_or.reduce(regions).all(axis=1), lambda i: f"intersecting pair "
-             f"{first + i}: shared point not on both")])
+            (sixteen_pass(std, rows), "criterion says disjoint"),
+            (~np.logical_or.reduce(regions).all(axis=1), "shared point not on both")],
+            lambda i: f"intersecting pair {first + i}: ")
     return _report("surface-disjointness", 2 * trials, seed, failures,
                    min_disjoint_gap)
 
@@ -1023,9 +1020,8 @@ def suite_stem_only(trials=200, seed=7):
         _raise_first_row(shared_checks + surface_checks + checks
                          + [(contact & mask, message) for mask, message in contact_checks])
         failures += _failed_messages([
-            (~regions[2].all(axis=1), lambda i: f"pair {first + i}: the shared point is off a "
-             "stem"),
-            (~contact, lambda i: f"pair {first + i}: stems meet but no stem-wing contact")])
+            (~regions[2].all(axis=1), "the shared point is off a stem"),
+            (~contact, "stems meet but no stem-wing contact")], lambda i: f"pair {first + i}: ")
     return _report("stem-only-impossibility", trials, seed, failures, max_residual)
 
 
@@ -1060,9 +1056,9 @@ def suite_ads_equivalence(trials=1000, seed=7):
         dgk = ads._dgk_passes(*ads._dgk_array(base, y, f, xp), EPS_ALG).all(axis=(1, 2))
         sixteen = crooked._sixteen_pass(
             *crooked._sixteen_margins(rows.swapaxes(-1, -2), space.matrix), EPS_ALG)
-        failures += _failed_messages([((four != dgk) | (dgk != sixteen), lambda i: f"trial "
-                                       f"{first + i}: ads {four[i]}, dgk {dgk[i]}, "
-                                       f"surfaces {sixteen[i]}")])
+        failures += _failed_messages([((four != dgk) | (dgk != sixteen), lambda i: f"ads "
+                                       f"{four[i]}, dgk {dgk[i]}, surfaces {sixteen[i]}")],
+                                     lambda i: f"trial {first + i}: ")
 
     # a, b and x, whose `_sl2_exp` is g; a trial with a or b shorter than 1e-3 is skipped
     for first, (z,) in _blocks(trials, lambda first, k: (lift_rng.normal(size=(k, 4, 2)),)):

@@ -403,15 +403,18 @@ def graph(space, f, splitting):
 
 def eta_from_det(f, eps=EPS_ALG):
     """Torus-pair invariant of (S, graph(f)) computed from Det(f), of one f
-    or of each of a stack (raising if one has Det(f) = -1).
+    or of each of a stack (raising if one has Det(f) = -1, or NaN: inf - inf).
 
     Equals |1 - Det(f)| / |1 + Det(f)|, the normalized invariant
-    |mu(S) . mu(T)| / sqrt((mu(S) . mu(S)) (mu(T) . mu(T))).
+    |mu(S) . mu(T)| / sqrt((mu(S) . mu(S)) (mu(T) . mu(T))), and 1.0 where
+    Det(f) overflows to +-inf, its correctly rounded value (|eta - 1| <= 2 / |Det f|).
     """
-    d = det_omega(f)
-    if np.any(abs(1.0 + d) <= eps):
-        raise GeometryError("invariant undefined at Det(f) = -1")
-    return abs(1.0 - d) / abs(1.0 + d)
+    with np.errstate(all="ignore"):  # Det(f) is inf, or inf - inf, or -1, which raises
+        d = np.asarray(det_omega(f))
+        eta = np.where(np.isinf(d), 1.0, abs(1.0 - d) / abs(1.0 + d))
+    if np.any(np.isnan(d) | (abs(1.0 + d) <= eps)):
+        raise GeometryError("invariant undefined at Det(f) = -1 or NaN")
+    return float(eta) if eta.ndim == 0 else eta
 
 
 def torus_from_plane(space, s):
@@ -428,20 +431,3 @@ def _lagrangian_points(space, bases):
     reps, null = einstein._null_points(x)
     return reps, kernel + null
 
-
-def symplectic_basis(space, eps=EPS_RANK):
-    """A Darboux basis (d1, d2, d3, d4) with omega(d1,d3) = omega(d2,d4) = 1
-    and all other basis products zero, as matrix columns."""
-    omega = space.matrix
-    d1 = np.eye(4)[:, 0]
-    w = omega.T @ d1  # w[j] = omega(d1, e_j)
-    j = int(np.argmax(np.abs(w)))
-    d3 = np.eye(4)[:, j] / w[j]
-    rest = nullspace(np.vstack([omega @ d1, omega @ d3]), eps)
-    if rest.shape[1] != 2:
-        raise GeometryError("could not split off a symplectic 2-plane")
-    x, y = rest[:, 0], rest[:, 1]
-    wxy = float(x @ omega @ y)
-    if abs(wxy) <= eps:
-        raise GeometryError("residual plane is degenerate")
-    return np.column_stack([d1, x, d3, y / wxy])

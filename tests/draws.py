@@ -96,7 +96,7 @@ def random_quadrilateral(space, rng):
     """Random lightlike quadrilateral: a random symplectic image of the
     canonical one."""
     return C.LightlikeQuadrilateral(
-        space, *O._random_rows(space, rng.uniform(-1.0, 1.0, size=(4, 4))))
+        space, *O._random_rows(rng.uniform(-1.0, 1.0, size=(4, 4))))
 
 
 def stem_crossing_pairs(space, rng, n):
@@ -123,5 +123,5 @@ def photon_draws(seed):
     space, rng = standard_space(), O.make_rng([seed, 5])
     while True:
         s, p = O._photon_draw(rng, O._DRAW_QUANTUM)
-        for rows, q in zip(O._random_rows(space, s), p):
+        for rows, q in zip(O._random_rows(s), p):
             yield q, C.CrookedSurface(C.LightlikeQuadrilateral(space, *rows))

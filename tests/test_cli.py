@@ -89,6 +89,19 @@ def test_classify_tori_det_route_needs_the_summand_torus(tmp_path, capsys):
     assert "eta_from_det=0.5 det=3 agreement=true\n" in out
 
 
+def test_classify_tori_reads_an_overflowed_det(tmp_path, capsys):
+    # Det(f) = 1e320 overflows to inf, where eta rounds to 1 (|eta - 1| <= 2 /
+    # |Det f|); a Det(f) of inf - inf is NaN, and its line is left out
+    split = {"type": "torus", "splitting": [[1, 0, 0, 0], [0, 0, 1, 0]]}
+    doc = {"objects": {"T1": split, "T2": dict(split, map=[[1e160, 0], [0, 1e160]])}}
+    code, out, err = run(["classify-tori", write_config(tmp_path, doc)], capsys)
+    assert (code, err) == (0, "")
+    assert out == "eta=1 kind=equal\neta_from_det=1 det=inf agreement=true\n"
+    doc["objects"]["T2"]["map"] = [[1e200, 2e200], [1e200, 1e200]]
+    code, out, err = run(["classify-tori", write_config(tmp_path, doc, "nan.json")], capsys)
+    assert (code, out, err) == (0, "eta=1 kind=equal\n", "")
+
+
 @pytest.mark.parametrize("map_text", ["[[1, 2, 3]]", "[[1e999, 0], [0, 1]]"])
 def test_classify_tori_rejects_a_map_that_is_not_a_finite_2x2(map_text, tmp_path,
                                                               capsys):

@@ -199,24 +199,6 @@ def test_stem_crossing_pair():
         assert _stem_contains(c2, shared)
 
 
-@pytest.mark.parametrize("space", [ads.ads_space(), S.SympSpace(GENERAL_OMEGA)],
-                         ids=["ads", "general"])
-def test_random_quadrilateral_under_a_nonstandard_omega(space):
-    # each draw is the Darboux quadrilateral (d1, d2, d4, d3) carried by one
-    # random symplectic matrix, replayed here from the same seed
-    rng, replay = O.make_rng(8), O.make_rng(8)
-    d = S.symplectic_basis(space)
-    canonical = C.LightlikeQuadrilateral(space, d[:, 0], d[:, 1], d[:, 3], d[:, 2])
-    for _ in range(50):
-        quad = random_quadrilateral(space, rng)
-        assert all(abs(v) < 1e-9 for v in C._product_residuals(quad.gram.tolist()))
-        C.CrookedSurface(quad)
-        g = random_symplectic(space, replay)
-        want = C.LightlikeQuadrilateral(space, *(g @ v for v in (
-            canonical.u_plus, canonical.u_minus, canonical.v_plus, canonical.v_minus)))
-        assert np.array_equal(quad.columns, want.columns)
-
-
 def _called_a_scalar_check(*args):
     raise AssertionError("a suite called a scalar surface or plane check")
 
@@ -2329,13 +2311,26 @@ def test_stacked_clouds_equal_sample_surface(monkeypatch, seed):
             assert next(gaps) == min_gap(*clouds)
 
 
-@pytest.mark.parametrize("space", [SP, ads.ads_space()], ids=["standard", "ads"])
-def test_surface_clouds_are_the_wedges_of_the_generators(space):
+def _ads_rows(rng):
+    """Quadrilateral rows (40, 4, 4) of 20 AdS pairs as surface-disjointness
+    builds them: `ads._quad_rows` of the first 20 `_ads_arrays` draws whose
+    margins pass its screen (1e-2), the first plane based at I."""
+    units, f, margins = O._ads_arrays(rng.normal(size=(400, 6, 2)))
+    keep = np.flatnonzero(margins.min(axis=(1, 2)) > 1e-2)[:20]
+    assert len(keep) == 20
+    bases = np.stack([np.broadcast_to(np.eye(2), f[keep].shape), f[keep]], 1)
+    return ads._quad_rows(bases, units[keep, :, 0], units[keep, :, 1]).reshape(40, 4, 4)
+
+
+@pytest.mark.parametrize("space, draw", [
+    (SP, lambda rng: O._random_rows(rng.uniform(-1.0, 1.0, (40, 4, 4)))),
+    (ads.ads_space(), _ads_rows)], ids=["standard", "ads"])
+def test_surface_clouds_are_the_wedges_of_the_generators(space, draw):
     # `_surface_cloud`'s one bivector product against the Pluecker rows of
     # `_wing_generators` and `_stem_generators` under the bridge, within
     # 1e-15 of each cloud's largest point, on 40 stacked surfaces
     rng = O.make_rng(8)
-    columns = O._random_rows(space, rng.uniform(-1.0, 1.0, (40, 4, 4))).swapaxes(-1, -2)
+    columns = draw(rng).swapaxes(-1, -2)
     draws = [np.array(d) for d in zip(*(O._cloud_draws(rng, 320) for _ in columns))]
     thetas_plus, phis_plus, thetas_minus, phis_minus, t1, t2, comps = draws
     order = np.argsort(-comps, axis=-1, kind="stable")

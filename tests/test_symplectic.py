@@ -337,6 +337,16 @@ def test_eta_from_det():
         S.eta_from_det(np.diag([-1.0, 1.0]))
 
 
+def test_eta_from_det_where_det_overflows():
+    # |eta - 1| <= 2 / |Det f|, so eta rounds to 1.0 where Det(f) overflows,
+    # one f or elementwise over a stack, with no warning; a NaN Det(f) (inf
+    # - inf) is undefined, as -1 is
+    assert S.eta_from_det(np.diag([1e160, 1e160])) == 1.0
+    assert S.eta_from_det(np.stack([np.eye(2), np.diag([1e160, 1e160])])).tolist() == [0.0, 1.0]
+    with pytest.raises(GeometryError):
+        S.eta_from_det(np.full((2, 2), 1e200))
+
+
 def test_bridge_isometry():
     rng = np.random.default_rng(14)
     for space in (SP, S.SympSpace(np.array([[0., 1, 0, 0], [-1, 0, 0, 0],
@@ -351,11 +361,3 @@ def test_bridge_isometry():
             assert lhs == pytest.approx(rhs, abs=1e-10)
             assert np.allclose(space.bridge[1] @ space.to_einstein(b1), b1,
                                atol=1e-10)
-
-
-def test_symplectic_basis_general_space():
-    omega = np.array([[0., 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-    space = S.SympSpace(omega)
-    d = S.symplectic_basis(space)
-    gram = d.T @ space.matrix @ d
-    assert np.allclose(gram, S.STANDARD_OMEGA, atol=1e-12)
